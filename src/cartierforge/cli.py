@@ -228,6 +228,8 @@ def run_command(problem, cmd: dict, seed: int) -> dict:
                    nilpotency_index=_index_json(nilpotency_index(h)))
     elif op == "sol":
         m = get_module()
+        if isinstance(m, PidModule) or m.kind != FROBENIUS:
+            raise SchemaError("sol expects an artinian frobenius module")
         s = int(cmd.get("s", 1))
         rep = sol_point(m, s)
         out.update(ok=True, s=s, dim_fq=rep.dim_fq, geometric_dim=rep.geometric_dim)
@@ -285,7 +287,10 @@ def run_command(problem, cmd: dict, seed: int) -> dict:
     elif op == "hasse":
         p = int(cmd["p"])
         cubic = [int(c) for c in cmd["cubic"]]
-        h = hasse_invariant(p, cubic)
+        try:
+            h = hasse_invariant(p, cubic)
+        except ValueError as exc:
+            raise SchemaError(f"hasse: {exc}") from None
         ap = elliptic_ap(p, cubic)
         agree = (h != 0) == (ap % p != 0)
         out.update(ok=agree, hasse=h, a_p=ap, ordinary=ordinarity(p, cubic))
@@ -346,6 +351,9 @@ def cmd_run(args) -> int:
         except InvalidModule as exc:
             r = {"op": cmd.get("op"), "module": exc.name, "ok": False,
                  "unsupported": False, "violations": list(exc.violations)}
+        except Exception as exc:
+            r = {"op": cmd.get("op"), "ok": False, "unsupported": False,
+                 "error": f"{type(exc).__name__}: {exc}"}
         results.append(r)
         if r.get("ok") is False:
             failed = True

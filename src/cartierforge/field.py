@@ -30,6 +30,20 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The distinct prime divisors of n >= 1, ascending."""
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 # -- dense polynomial helpers over GF(p), coefficient lists low-first --
 
 def _ptrim(a):
@@ -191,24 +205,14 @@ class FiniteField:
 
     def _build_prime_inverse(self):
         p = self.p
-        inv = np.zeros(p, dtype=np.int64)
-        for a in range(1, p):
-            inv[a] = pow(a, p - 2, p)
+        inv = self.power(np.arange(p, dtype=np.int64), p - 2)
+        inv[0] = 0
         self._inv_table = inv
-        self.generator = None
+        # the least g >= 2 of order p - 1: g**((p-1)/l) != 1 for each prime l | p - 1
         n = p - 1
-        for g in range(2, p):
-            e, ok = g, True
-            for i in range(1, n):
-                if e == 1:
-                    ok = False
-                    break
-                e = (e * g) % p
-            if ok and e == 1:
-                self.generator = g
-                break
-        if self.generator is None and p == 2:
-            self.generator = 1
+        ells = _prime_factors(n)
+        self.generator = next((g for g in range(2, p)
+                               if all(pow(g, n // ell, p) != 1 for ell in ells)), 1)
 
     # -- element ops (ints or numpy arrays of codes) --
 
@@ -253,9 +257,17 @@ class FiniteField:
         if t == 0:
             return np.ones_like(a)
         if self.deg == 1:
-            flat = a.reshape(-1)
-            out = np.array([pow(int(v), t, self.p) for v in flat], dtype=np.int64)
-            return out.reshape(a.shape)
+            # a**t = a**t' with t' = (t - 1) % (p - 1) + 1 in [1, p - 1], also
+            # for a = 0; square-and-multiply keeps products below p**2 <= 2**44.
+            t = (t - 1) % (self.p - 1) + 1
+            out, base = np.ones_like(a), a % self.p
+            while t:
+                if t & 1:
+                    out = (out * base) % self.p
+                t >>= 1
+                if t:
+                    base = (base * base) % self.p
+            return out
         out = self._exp[(self._log[a] * (t % (self.order - 1))) % (self.order - 1)]
         return np.where(a == 0, 0, out)
 

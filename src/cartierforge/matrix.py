@@ -24,16 +24,27 @@ def mat(rows) -> np.ndarray:
     return np.array(rows, dtype=np.int64)
 
 
-def madd(F: FiniteField, a, b):
-    return F.add(a, b)
+# Largest digit-array temporary (elements) of one GF(p^m) product chunk.
+_EXT_CHUNK_ELEMS = 1 << 20
 
 
-def msub(F: FiniteField, a, b):
-    return F.sub(a, b)
+def dot_chunk(p: int) -> int:
+    """Longest inner dimension k whose int64 dot products of codes in
+    [0, p) are exact: k * (p - 1)**2 <= 2**63 - 1.  Under MAX_ORDER = 2**22
+    this is at least 2**19."""
+    return (2 ** 63 - 1) // (p - 1) ** 2
 
 
 def mmul(F: FiniteField, a, b) -> np.ndarray:
-    """Matrix product over F.  Accumulates column-by-column; exact."""
+    """Matrix product over F; exact.
+
+    Over GF(p) this is delayed modular reduction: (a @ b) % p on int64,
+    with the inner dimension split into chunks of dot_chunk(p) so that
+    every partial sum stays below 2**63.  Over GF(p^m) the products of
+    the whole (rows, k, cols) outer product are taken at once, their
+    digit vectors summed over k and reduced mod p; k is split so that the
+    digit temporary holds at most _EXT_CHUNK_ELEMS elements.
+    """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     a2 = a if a.ndim == 2 else a.reshape(1, a.shape[0])
@@ -41,9 +52,20 @@ def mmul(F: FiniteField, a, b) -> np.ndarray:
     b2 = b.reshape(b.shape[0], 1) if vec_in else b
     if a2.shape[1] != b2.shape[0]:
         raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
-    out = np.zeros((a2.shape[0], b2.shape[1]), dtype=np.int64)
-    for k in range(a2.shape[1]):
-        out = F.add(out, F.mul(a2[:, k:k + 1], b2[k:k + 1, :]))
+    rows, inner = a2.shape
+    cols = b2.shape[1]
+    if F.deg == 1:
+        step = dot_chunk(F.p)
+        out = (a2[:, :step] @ b2[:step]) % F.p
+        for s in range(step, inner, step):
+            out = (out + (a2[:, s:s + step] @ b2[s:s + step]) % F.p) % F.p
+    else:
+        step = max(1, _EXT_CHUNK_ELEMS // max(1, rows * cols * F.deg))
+        acc = np.zeros((rows, cols, F.deg), dtype=np.int64)
+        for s in range(0, inner, step):
+            prod = F.mul(a2[:, s:s + step, np.newaxis], b2[np.newaxis, s:s + step])
+            acc += F.digits(prod).sum(axis=1)
+        out = F.from_digits(acc)
     if a.ndim == 1 and vec_in:
         return out[0, 0]
     if a.ndim == 1:
@@ -66,12 +88,12 @@ def mat_pow(F: FiniteField, a: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def entrywise_power(F: FiniteField, a, t: int):
-    return F.power(a, t)
-
-
 def rref(F: FiniteField, a) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Reduced row echelon form; returns (R, pivot_columns)."""
+    """Reduced row echelon form; returns (R, pivot_columns).
+
+    Each pivot column is cleared by one rank-1 update of all other rows
+    that are nonzero there.  Left of the pivot the pivot row is zero, so
+    the update touches only columns from the pivot on."""
     r = np.array(a, dtype=np.int64)
     nrows, ncols = r.shape
     pivots = []
@@ -79,17 +101,19 @@ def rref(F: FiniteField, a) -> tuple[np.ndarray, tuple[int, ...]]:
     for col in range(ncols):
         if row >= nrows:
             break
-        nz = np.nonzero(r[row:, col])[0]
-        if len(nz) == 0:
+        nz = np.flatnonzero(r[row:, col])
+        if nz.size == 0:
             continue
         piv = row + int(nz[0])
         if piv != row:
             r[[row, piv]] = r[[piv, row]]
-        r[row] = F.mul(r[row], F.inv(r[row, col]))
-        others = np.nonzero(r[:, col])[0]
-        for i in others:
-            if i != row:
-                r[i] = F.sub(r[i], F.mul(r[i, col], r[row]))
+        prow = F.mul(r[row, col:], F.inv(r[row, col]))
+        r[row, col:] = prow
+        others = np.flatnonzero(r[:, col])
+        if others.size > 1:
+            others = others[others != row]
+            block = r[others, col:]
+            r[others, col:] = F.sub(block, F.mul(block[:, :1], prow))
         pivots.append(col)
         row += 1
     return r, tuple(pivots)
@@ -109,12 +133,10 @@ def kernel(F: FiniteField, a) -> np.ndarray:
     if a.shape[0] == 0 or a.size == 0:
         return identity(ncols)
     r, pivots = rref(F, a)
-    free = [c for c in range(ncols) if c not in pivots]
-    out = zeros(ncols, len(free))
-    for k, fc in enumerate(free):
-        out[fc, k] = 1
-        for i, pc in enumerate(pivots):
-            out[pc, k] = F.neg(r[i, fc])
+    free = np.array([c for c in range(ncols) if c not in pivots], dtype=np.intp)
+    out = zeros(ncols, free.size)
+    out[free, np.arange(free.size)] = 1
+    out[list(pivots)] = F.neg(r[:len(pivots), free])
     return out
 
 
@@ -135,8 +157,7 @@ def solve_full(F: FiniteField, a, b):
         if p >= a.shape[1]:
             return None, False
     x = zeros(a.shape[1], b2.shape[1])
-    for i, p in enumerate(pivots):
-        x[p] = r[i, a.shape[1]:]
+    x[list(pivots)] = r[:len(pivots), a.shape[1]:]
     return (x[:, 0] if vec_in else x), len(pivots) == a.shape[1]
 
 

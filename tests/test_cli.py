@@ -194,3 +194,34 @@ def test_console_script_installed():
     proc = subprocess.run([sys.executable, "-m", "cartierforge.cli", "--help"],
                           capture_output=True, text=True)
     assert proc.returncode == 0 and "forge" in proc.stdout
+
+
+def test_sol_on_cartier_module_is_schema_error(tmp_path, capsys):
+    doc = json.loads(json.dumps(FIXTURE_A))
+    doc["commands"] = [{"op": "sol", "module": "A"}]
+    assert main(["run", write(tmp_path, doc)]) == 2
+    assert "sol expects" in capsys.readouterr().err
+
+
+def test_hasse_at_p2_is_schema_error(tmp_path, capsys):
+    doc = json.loads(json.dumps(FIXTURE_A))
+    doc["commands"] = [{"op": "hasse", "p": 2, "cubic": [0, 1, 0, 1]}]
+    assert main(["run", write(tmp_path, doc)]) == 2
+    assert "odd prime" in capsys.readouterr().err
+
+
+def test_command_exception_becomes_error_result(tmp_path, capsys):
+    doc = json.loads(json.dumps(FIXTURE_A))
+    # A is nilpotent, not unit: the pairing has no unique solution
+    doc["commands"] = [{"op": "pair", "left": "A", "right": "A"},
+                       {"op": "nilpotent", "module": "A"}]
+    out = str(tmp_path / "rep.json")
+    assert main(["run", write(tmp_path, doc), "--json", out]) == 1
+    rep = json.loads(open(out).read())
+    assert not rep["ok"]
+    err, nil = rep["results"]
+    assert err == {"op": "pair", "ok": False, "unsupported": False,
+                   "error": "ValueError: pairing solution not unique; "
+                            "target is not unit"}
+    assert nil["ok"] and nil["index"] == 2
+    assert "FAIL" in capsys.readouterr().out
