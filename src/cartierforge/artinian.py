@@ -227,12 +227,16 @@ def hom_module(m: FinModule, n: FinModule) -> tuple[FinModule, list[np.ndarray]]
     return FinModule(m.ring, len(basis), tuple(acts)), basis
 
 
-def hom_coords(F: FiniteField, basis: list[np.ndarray], h: np.ndarray):
-    """Coordinates of the matrix h in the given hom basis (None if outside)."""
+def hom_coords(F: FiniteField, basis: list[np.ndarray], targets: np.ndarray):
+    """Coordinates in the given hom basis of several matrices at once.
+
+    Column j of `targets` is the vectorization (mx.vec) of the j-th matrix;
+    column j of the result holds its coordinates.  One solve covers every
+    column; the result is None if any column lies outside the span."""
     if not basis:
-        return np.zeros(0, dtype=np.int64) if not h.size or not h.any() else None
+        return mx.zeros(0, targets.shape[1]) if not targets.any() else None
     stacked = np.stack([mx.vec(b) for b in basis], axis=1)
-    return mx.solve(F, stacked, mx.vec(h))
+    return mx.solve(F, stacked, targets)
 
 
 def f_flat(m: FinModule, power: int = 1) -> tuple[FinModule, list[np.ndarray]]:

@@ -53,13 +53,14 @@ class InvalidModule(Exception):
         self.violations = violations
 
 
-def _violations(m) -> list:
+def _validation(m) -> tuple[bool, list]:
+    """(ok, notes) of a module's validation; notes list the violations."""
     if isinstance(m, PidModule):
         from .pid import validate_pid
         ok, notes = validate_pid(m)
-        return [] if ok else list(notes)
+        return ok, list(notes)
     rep = validate(m)
-    return [] if rep.ok else list(rep.violations)
+    return rep.ok, list(rep.violations)
 
 
 def _decode_scalar(field, v):
@@ -99,8 +100,11 @@ def parse_problem(doc: dict):
                 raise SchemaError(f"complex {name}: term {ref} is not a pid module")
             terms[int(deg)] = mod
         complexes[name] = StructuredComplex(terms)
+    # "validations" memoizes each module's validation; run_command fills
+    # it the first time a command names the module.
     return {"field": field, "ring": ring, "modules": modules,
-            "complexes": complexes, "commands": doc.get("commands", [])}
+            "complexes": complexes, "commands": doc.get("commands", []),
+            "validations": {}}
 
 
 def _parse_module(field, ring, mdoc: dict):
@@ -156,27 +160,26 @@ def run_command(problem, cmd: dict, seed: int) -> dict:
     out = {"op": op, "ok": None, "unsupported": False}
     mods, cxs = problem["modules"], problem["complexes"]
 
+    def validation(name):
+        memo = problem["validations"]
+        if name not in memo:
+            memo[name] = _validation(mods[name])
+        return memo[name]
+
     def get_module(key="module"):
         name = cmd.get(key)
         if name not in mods:
             raise SchemaError(f"unknown module {name!r}")
         out[key] = name
-        m = mods[name]
-        if op != "validate":
-            bad = _violations(m)
-            if bad:
-                raise InvalidModule(name, bad)
-        return m
+        ok, notes = validation(name)
+        if not ok and op != "validate":
+            raise InvalidModule(name, notes)
+        return mods[name]
 
     if op == "validate":
-        m = get_module()
-        if isinstance(m, PidModule):
-            from .pid import validate_pid
-            ok, notes = validate_pid(m)
-            out.update(ok=ok, violations=list(notes))
-        else:
-            rep = validate(m)
-            out.update(ok=rep.ok, violations=list(rep.violations))
+        get_module()
+        ok, notes = validation(out["module"])
+        out.update(ok=ok, violations=list(notes))
     elif op == "nilpotent":
         m = get_module()
         target = m.torsion if isinstance(m, PidModule) else m

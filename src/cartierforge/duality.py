@@ -72,7 +72,9 @@ def dualizing_module(ring: ArtinRing, power: int = 1) -> DualizingData:
             tgt = tuple(e // q for e in b)
             kap[index[tgt], j] = 1
     mod = fin_module(ring, acts)
-    e_mod = cartier_module(mod, kap)
+    # No validate() here: is_unit below solves for the adjoint, and that
+    # solve fails unless the structure is equivariant for q^power.
+    e_mod = cartier_module(mod, kap, check=False)
     if power > 1:
         e_mod = iterate_structure(e_mod, power)
     unit = is_unit(e_mod)
@@ -144,12 +146,9 @@ def _unit_coords(ring: ArtinRing, l: int) -> np.ndarray:
     return v
 
 
-def dualize_artinian(m: Structured, dual_data: DualizingData | None = None):
+def dualize_artinian(m: Structured):
     """D(M) = Hom(M, E_R) with the pairing structure of the opposite kind."""
-    data = dual_data or dualizing_module(m.ring, m.power)
-    e_mod = data.module
-    if e_mod.power != m.power:
-        e_mod = iterate_structure(dualizing_module(m.ring).module, m.power)
+    e_mod = dualizing_module(m.ring, m.power).module
     if m.kind == FROBENIUS:
         return pair_F_to_C(m, e_mod)
     return pair_C_to_F(m, e_mod)
@@ -157,22 +156,18 @@ def dualize_artinian(m: Structured, dual_data: DualizingData | None = None):
 
 def double_dual_check(m: Structured) -> tuple[bool, np.ndarray]:
     """The evaluation map M -> Hom(Hom(M, E), E): structure-preserving and
-    bijective on the Artinian tier; returns its matrix as the witness."""
+    bijective on the Artinian tier; returns its matrix as the witness.
+
+    The evaluation at e_i is the hom f -> f(e_i), whose matrix has column j
+    equal to column i of the basis hom H_j; stacking the H_j vertically
+    gives the vec of every evaluation at once, solved in one call."""
     F = m.ring.field
     d1, b1 = dualize_artinian(m)
     d2, b2 = dualize_artinian(d1)
-    cols = []
-    for i in range(m.dim):
-        e = mx.identity(m.dim)[:, i]
-        w = (np.stack([mx.mmul(F, H, e) for H in b1], axis=1)
-             if b1 else mx.zeros(d1.dim, 0))
-        if w.size == 0:
-            w = mx.zeros(max(h.shape[0] for h in b1) if b1 else 0, d1.dim)
-        c = hom_coords(F, b2, w)
-        if c is None:
-            return False, mx.zeros(d2.dim, m.dim)
-        cols.append(c)
-    ev = np.stack(cols, axis=1) if cols else mx.zeros(d2.dim, 0)
+    imgs = np.vstack(b1) if b1 else mx.zeros(0, m.dim)
+    ev = hom_coords(F, b2, imgs)
+    if ev is None:
+        return False, mx.zeros(d2.dim, m.dim)
     ok = (d2.dim == m.dim and mx.inverse(F, ev) is not None
           and is_morphism(ev, m, d2))
     return ok, ev

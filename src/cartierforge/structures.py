@@ -214,21 +214,18 @@ def adjoint_structural(m: CartierModule):
     """The adjoint structural morphism M -> F^flat M.
 
     Returns (matrix in flat coordinates, flat module, flat hom basis).
-    Column i encodes the hom F_* lambda -> kappa(F_*(lambda e_i))."""
+    Column i encodes the hom F_* lambda -> kappa(F_*(lambda e_i)): its
+    column l is column i of kappa * x^(mono_l), so stacking the products
+    kappa * x^(mono_l) over l gives the vec of every image at once."""
     F = m.ring.field
     R = m.ring
     flat, basis = f_flat(m.module, power=m.power)
-    cols = []
-    for i in range(m.dim):
-        e = mx.identity(m.dim)[:, i]
-        w = mx.zeros(m.dim, R.dim)
-        for l, mono in enumerate(R.basis):
-            w[:, l] = mx.mmul(F, m.kappa, mx.mmul(F, m.module.action_of(mono), e))
-        c = hom_coords(F, basis, w)
-        if c is None:
-            raise RuntimeError("adjoint image not R-linear; structure invalid?")
-        cols.append(c)
-    a = np.stack(cols, axis=1) if cols else mx.zeros(flat.dim, 0)
+    imgs = (np.concatenate([mx.mmul(F, m.kappa, m.module.action_of(mono))
+                            for mono in R.basis])
+            if R.dim else mx.zeros(0, m.dim))
+    a = hom_coords(F, basis, imgs)
+    if a is None:
+        raise RuntimeError("adjoint image not R-linear; structure invalid?")
     return a, flat, basis
 
 
@@ -319,13 +316,7 @@ def unitalize(m: CartierModule, max_steps: int = 16) -> UnitalizeResult:
         if t_prev is None:
             t = adj
         else:
-            prev_basis = bases[-1]
-            imgs = [mx.mmul(F, t_prev, H) for H in prev_basis]
-            cols = [hom_coords(F, basis, w) for w in imgs]
-            if any(c is None for c in cols):
-                raise RuntimeError("functorial transition left the hom space")
-            t = (np.stack(cols, axis=1)
-                 if cols else mx.zeros(nxt.dim, 0))
+            t = _flat_transition(F, t_prev, bases[-1], basis)
         stages.append(nxt)
         bases.append(basis)
         trans.append(t)
@@ -342,12 +333,28 @@ def unitalize(m: CartierModule, max_steps: int = 16) -> UnitalizeResult:
     return _try_quotient_stabilization(m, stages, trans, max_steps)
 
 
+def _flat_transition(F, t_prev, prev_basis, basis):
+    """F^flat of t_prev in the flat hom bases: H -> t_prev H.
+
+    The images of all basis homs come from one product with the homs side
+    by side; reshaping it in column order puts the vec of image j in
+    column j, so one solve gives the whole matrix."""
+    if not prev_basis:
+        return mx.zeros(len(basis), 0)
+    prod = mx.mmul(F, t_prev, np.hstack(prev_basis))
+    imgs = prod.reshape(-1, len(prev_basis), order="F")
+    t = hom_coords(F, basis, imgs)
+    if t is None:
+        raise RuntimeError("functorial transition left the hom space")
+    return t
+
+
 def _composite(F, trans, upto):
     """Composite transition stages[0] -> stages[upto]."""
     out = None
     for t in trans[:upto]:
         out = t if out is None else mx.mmul(F, t, out)
-    return out if out is not None else None
+    return out
 
 
 def _finish_unitalize(m, stages, trans, step, exact_stage):
@@ -362,35 +369,51 @@ def _finish_unitalize(m, stages, trans, step, exact_stage):
 
 def _try_quotient_stabilization(m, stages, trans, max_steps):
     """Mixed case: quotient each stage by its eventual forward kernel and
-    look for two consecutive induced isomorphisms."""
+    look for two consecutive induced isomorphisms.
+
+    The kernels of the composites out of stage n are nested, since
+    T_{n->j+1} = t_j T_{n->j}; so the eventual kernel is the kernel of the
+    composite T_{n->N} to the last stage.  All of those composites come
+    from one backward pass, and a quotient is built only once the scan
+    reaches its stage."""
     F = m.ring.field
-    n_stages = len(stages)
-    quots, projs = [], []
-    for n in range(n_stages - 1):
-        kbar = mx.zeros(stages[n].dim, 0)
-        acc = None
-        for t in trans[n:]:
-            acc = t if acc is None else mx.mmul(F, t, acc)
-            kbar = mx.column_space(F, np.hstack([kbar, mx.kernel(F, acc)]))
-        q, proj, _ = quotient_structure(stages[n], kbar)
-        quots.append(q)
-        projs.append(proj)
-    for n in range(len(quots) - 2):
-        a, b, c = quots[n], quots[n + 1], quots[n + 2]
+    tails = _composites_to_end(F, trans)
+    built = {}
+
+    def quot(n):
+        if n not in built:
+            kbar = mx.column_space(F, mx.kernel(F, tails[n]))
+            q, proj, _ = quotient_structure(stages[n], kbar)
+            built[n] = (q, proj)
+        return built[n]
+
+    for n in range(len(trans) - 2):
+        (a, pa), (b, pb), (c, pc) = quot(n), quot(n + 1), quot(n + 2)
         if a.dim != b.dim or b.dim != c.dim:
             continue
-        ind1 = _induced_map(F, trans[n], projs[n], projs[n + 1], a.dim)
-        ind2 = _induced_map(F, trans[n + 1], projs[n + 1], projs[n + 2], b.dim)
+        ind1 = _induced_map(F, trans[n], pa, pb, a.dim)
+        ind2 = _induced_map(F, trans[n + 1], pb, pc, b.dim)
         if ind1 is None or ind2 is None:
             continue
         if mx.inverse(F, ind1) is not None and mx.inverse(F, ind2) is not None:
             comp = _composite(F, trans, n) if n else mx.identity(m.dim)
-            cmap = mx.mmul(F, projs[n], comp)
+            cmap = mx.mmul(F, pa, comp)
             cert = nil_isomorphism_check(cmap, m, a)
             if cert.ok and is_unit(a):
                 status = "zero" if a.dim == 0 else "unit"
                 return UnitalizeResult(status, a, cmap, cert, n + 1)
     return UnitalizeResult("not_stabilized", stages[-1], None, None, max_steps)
+
+
+def _composites_to_end(F, trans):
+    """[T_{n->N} for each n]: the composites out of every stage to the
+    last one, by one backward pass of len(trans) - 1 products."""
+    tails = [None] * len(trans)
+    acc = None
+    for n in reversed(range(len(trans))):
+        acc = trans[n] if acc is None else mx.mmul(F, acc, trans[n])
+        tails[n] = acc
+    return tails
 
 
 def _induced_map(F, t, proj_src, proj_dst, dim):

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -65,6 +66,18 @@ def test_reports_byte_stable(tmp_path):
     assert open(o1, "rb").read() == open(o2, "rb").read()
 
 
+def test_fixture_report_matches_golden(tmp_path, capsys):
+    """The report for sample_problems/fixture_a.json is byte-identical to
+    the committed golden file; a speedup must not change a single byte."""
+    root = Path(__file__).resolve().parent.parent
+    out = tmp_path / "report.json"
+    code = main(["run", str(root / "sample_problems" / "fixture_a.json"),
+                 "--json", str(out)])
+    assert code == 0
+    golden = root / "tests" / "golden" / "fixture_a.json"
+    assert out.read_bytes() == golden.read_bytes()
+
+
 def test_schema_error_exit_2(tmp_path, capsys):
     path = write(tmp_path, {"schema": 99})
     assert main(["run", path]) == 2
@@ -108,6 +121,30 @@ def test_failed_assertion_exit_1(tmp_path, capsys):
     path2 = write(tmp_path, doc2, "fail.json")
     assert main(["run", path2]) == 1
     capsys.readouterr()
+
+
+def test_each_module_validated_once_per_problem(monkeypatch):
+    import cartierforge.cli as cli
+    doc = json.loads(json.dumps(FIXTURE_A))
+    doc["modules"]["bad"] = {"kind": "cartier",
+                             "carrier": {"actions": [[[0, 0], [1, 0]]]},
+                             "structure": [[1, 0], [0, 1]]}
+    problem = cli.parse_problem(doc)
+    seen = []
+    real = cli.validate
+    monkeypatch.setattr(cli, "validate", lambda m: seen.append(m) or real(m))
+    for op in ("validate", "nilpotent", "stable", "unitalize"):
+        res = cli.run_command(problem, {"op": op, "module": "A"}, 0)
+        assert res["ok"] is True
+    assert len(seen) == 1
+    # an invalid module is refused by every command that names it
+    for op in ("nilpotent", "unitalize"):
+        with pytest.raises(cli.InvalidModule) as exc:
+            cli.run_command(problem, {"op": op, "module": "bad"}, 0)
+        assert any("equivariance" in v for v in exc.value.violations)
+    res = cli.run_command(problem, {"op": "validate", "module": "bad"}, 0)
+    assert res["ok"] is False and res["violations"] == exc.value.violations
+    assert len(seen) == 2
 
 
 def test_empty_command_list(tmp_path, capsys):
