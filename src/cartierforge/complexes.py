@@ -17,8 +17,9 @@ from . import matrix as mx
 from .duality import dualizing_module, pair_C_to_F, pair_F_to_C
 from .field import FiniteField
 from .pid import (CARTIER, FROBENIUS, PidModule, Unsupported,
-                  cech_local_cohomology, free_dual_crystal_zero,
-                  h1_entry_crystal_zero, pid_free, retruncate)
+                  _nilpotency_level, _ring_level, cech_local_cohomology,
+                  free_dual_crystal_zero, h1_entry_crystal_zero, pid_free,
+                  retruncate)
 from .poly import Poly
 from .structures import (Structured, is_morphism, nilpotency_index,
                          quotient_structure, sub_structure)
@@ -32,15 +33,26 @@ def matlis_dual(t: Structured, trunc: int | None = None) -> Structured:
     """Hom(M, E) for an x-primary torsion module, with the pairing-induced
     structure of the opposite kind.
 
-    Computed over the truncation ring at level >= 4 * (largest invariant
-    factor degree) by default; any level at least the x-nilpotency index
-    gives the same answer, which tests exercise.
+    Computed over the truncation ring at level N = max(trunc, index),
+    where index is the x-nilpotency index of M; the dual lives over that
+    ring.  Every N >= index gives the same hom basis, structure matrix and
+    x-action, bit for bit:
+
+    - x^index kills M, so a hom M -> E_N lands in the x^index-socle E_index
+      (x^-1 .. x^-index).  The equivariance system at level N therefore has
+      the level-index kernel, padded with coordinates forced to zero.
+    - The RREF kernel basis depends only on the kernel and the column
+      order, and padding with forced-zero coordinates keeps it (such a
+      coordinate is never a free column).  kappa_E and the shift by x map
+      E_index into itself, and the structure solves have unique solutions,
+      so the hom basis, the structure matrix and the x-action come out
+      bit-identical.  Only the dual's ring level depends on N.
     """
     F = t.ring.field
-    x_act = t.module.actions[0]
-    lvl_min = _x_level(F, x_act)
-    level = max(trunc or 0, 4 * max(lvl_min, 1))
-    big = retruncate(t, level)
+    index = _nilpotency_level(F, t.module.actions[0])
+    if index is None:
+        raise ValueError("x-action is not nilpotent: module not supported at the origin")
+    big = retruncate(t, max(trunc or 0, index))
     e_data = dualizing_module(big.ring)
     e_mod = e_data.module
     if t.power > 1:
@@ -51,16 +63,6 @@ def matlis_dual(t: Structured, trunc: int | None = None) -> Structured:
     else:
         out, _ = pair_F_to_C(big, e_mod)
     return out
-
-
-def _x_level(F, x_act) -> int:
-    d = x_act.shape[0]
-    acc = mx.identity(d)
-    for n in range(1, d + 1):
-        acc = mx.mmul(F, x_act, acc)
-        if not acc.any():
-            return n
-    return max(d, 1)
 
 
 @dataclass(frozen=True)
@@ -100,10 +102,6 @@ class StructuredComplex:
                 if comp.any():
                     out.append(f"d^2 != 0 at degree {d}")
         return out
-
-
-def _ring_level(ring) -> int:
-    return ring.relations[0][0]
 
 
 def shift_module(m: PidModule, degree: int = 0) -> StructuredComplex:

@@ -177,31 +177,37 @@ class FiniteField:
 
     # -- table construction --
 
-    def _mul_code(self, a: int, b: int) -> int:
-        if self.deg == 1:
-            return (a * b) % self.p
-        da = [(a // int(w)) % self.p for w in self._pw]
-        db = [(b // int(w)) % self.p for w in self._pw]
-        prod = _pmod(_pmul(da, db, self.p), list(self.modulus), self.p)
-        return sum(c * int(w) for c, w in zip(prod, self._pw))
-
     def _build_log_tables(self):
-        n = self.order - 1
-        for g in range(2, self.order):
-            exp = np.zeros(n, dtype=np.int64)
-            e, ok = 1, True
-            for i in range(n):
-                exp[i] = e
-                e = self._mul_code(e, g)
-                if e == 1 and i < n - 1:
-                    ok = False
-                    break
-            if ok and e == 1:
-                log = np.zeros(self.order, dtype=np.int64)
-                log[exp] = np.arange(n, dtype=np.int64)
-                self._exp, self._log, self.generator = exp, log, g
-                return
-        raise RuntimeError("no multiplicative generator found")
+        n, p, m, f = self.order - 1, self.p, self.deg, list(self.modulus)
+
+        def poly(c):
+            return _ptrim([int(d) for d in self._dig[c]])
+
+        # the least g >= 2 of order q - 1: g**((q-1)/l) != 1 for each prime
+        # l | q - 1, with the powers taken as polynomials mod f
+        ells = _prime_factors(n)
+        g = next((c for c in range(2, self.order)
+                  if all(_ppowmod(poly(c), n // ell, f, p) != [1] for ell in ells)),
+                 None)
+        if g is None:
+            raise RuntimeError("no multiplicative generator found")
+        # mul is multiplication by g^k on digit vectors (column i: the
+        # digits of g^k t^i), so exp[k:2k] = exp[:k] * g^k is one product
+        # per doubling; its sums stay below deg * p**2 <= 2**27 under MAX_ORDER
+        mul = np.zeros((m, m), dtype=np.int64)
+        for i in range(m):
+            col = _pmod([0] * i + poly(g), f, p)
+            mul[:len(col), i] = col
+        exp = np.ones(n, dtype=np.int64)
+        k = 1
+        while k < n:
+            step = min(k, n - k)
+            exp[k:k + step] = ((self._dig[exp[:step]] @ mul.T) % p) @ self._pw
+            mul = (mul @ mul) % p
+            k += step
+        log = np.zeros(self.order, dtype=np.int64)
+        log[exp] = np.arange(n, dtype=np.int64)
+        self._exp, self._log, self.generator = exp, log, g
 
     def _build_prime_inverse(self):
         p = self.p

@@ -16,7 +16,8 @@ import numpy as np
 from . import matrix as mx
 from .artinian import ArtinRing, FinModule, fin_module, ring_make
 from .field import GF, FiniteField
-from .pid import CARTIER, FROBENIUS, PidModule, pid_torsion
+from .pid import (CARTIER, FROBENIUS, PidModule, _nilpotency_level,
+                  pid_torsion)
 from .structures import CartierModule, FModule, cartier_module, f_module
 
 
@@ -166,7 +167,7 @@ def random_pid_torsion(rng: random.Random, p: int, max_dim: int = 5,
     F = GF(p)
     d = rng.randrange(1, max_dim + 1)
     x_act = random_nilpotent(rng, F, d)
-    ring_level = max(_nil_level(F, x_act), 1)
+    ring_level = _nilpotency_level(F, x_act)
     probe = fin_module(ring_make(F, ["x"], [[ring_level]]), [x_act])
     ker = equivariant_solutions(probe, kind)
     v = np.zeros(d * d, dtype=np.int64)
@@ -175,16 +176,6 @@ def random_pid_torsion(rng: random.Random, p: int, max_dim: int = 5,
         if c:
             v = F.add(v, F.mul(np.int64(c), ker[:, k]))
     return pid_torsion(F, x_act, mx.unvec(v, d, d), kind)
-
-
-def _nil_level(F, x_act):
-    d = x_act.shape[0]
-    acc = mx.identity(d)
-    for n in range(1, d + 1):
-        acc = mx.mmul(F, x_act, acc)
-        if not acc.any():
-            return n
-    return d
 
 
 def pid_torsion_corpus(seed: int, count: int, p_choices=(2, 3),

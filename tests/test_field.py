@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from cartierforge.field import GF, canonical_modulus, is_prime
+from cartierforge.field import (GF, _pmod, _pmul, canonical_modulus,
+                                is_prime)
 
 
 @pytest.mark.parametrize("p,deg", [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2), (5, 2)])
@@ -66,6 +67,44 @@ def test_prime_field_embedding_is_identity_on_codes():
     sub, sup = GF(5), GF(5, 2)
     emb = sub.embedding(sup)
     assert np.array_equal(emb, np.arange(5))
+
+
+def walk_log_tables(F):
+    """The earlier table builder: walk the powers of each candidate g,
+    one list-polynomial product at a time, until one has order q - 1."""
+    p, n = F.p, F.order - 1
+
+    def mul_code(a, b):
+        da = [(a // p ** i) % p for i in range(F.deg)]
+        db = [(b // p ** i) % p for i in range(F.deg)]
+        prod = _pmod(_pmul(da, db, p), list(F.modulus), p)
+        return sum(c * p ** i for i, c in enumerate(prod))
+
+    for g in range(2, F.order):
+        exp, e = [], 1
+        for _ in range(n):
+            exp.append(e)
+            e = mul_code(e, g)
+            if e == 1:
+                break
+        if len(exp) == n:
+            log = np.zeros(F.order, dtype=np.int64)
+            log[exp] = np.arange(n)
+            return g, np.array(exp, dtype=np.int64), log
+    raise AssertionError("no generator")
+
+
+EXTENSIONS_UP_TO_3_7 = [(p, m) for p in range(2, 47) if is_prime(p)
+                        for m in range(2, 12) if p ** m <= 3 ** 7]
+
+
+@pytest.mark.parametrize("p,deg", EXTENSIONS_UP_TO_3_7)
+def test_log_tables_match_power_walk(p, deg):
+    F = GF(p, deg)
+    g, exp, log = walk_log_tables(F)
+    assert F.generator == g
+    assert np.array_equal(F._exp, exp)
+    assert np.array_equal(F._log, log)
 
 
 def test_is_prime():

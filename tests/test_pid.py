@@ -6,19 +6,23 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cartierforge import matrix as mx
+from cartierforge.artinian import fin_module
 from cartierforge.complexes import (coherent_model_of_localization,
                                     matlis_dual)
 from cartierforge.field import GF
-from cartierforge.generate import pid_torsion_corpus
+from cartierforge.generate import (pid_torsion_corpus, random_nilpotent,
+                                   random_structure)
 from cartierforge.pid import (CARTIER, FROBENIUS, Unsupported,
                               cech_local_cohomology, dual_basis_matrix,
                               free_presentation,
                               frobenius_pushforward_presentation,
                               h1_entry_crystal_zero, inverse_module,
                               kappa_e_oracle, kappa_s, pid_free, pid_sum,
-                              pid_torsion, pres_module, validate_pid)
+                              pid_torsion, pres_module, truncation_ring,
+                              validate_pid)
 from cartierforge.poly import Poly
 from cartierforge.structures import nilpotency_index, validate
 
@@ -135,6 +139,54 @@ def test_matlis_double_dual_is_isomorphism():
         assert dd.dim == m.torsion.dim
         assert (nilpotency_index(dd) == math.inf) == \
                (nilpotency_index(m.torsion) == math.inf)
+
+
+# GF(2), GF(3), GF(5), GF(4), GF(8), GF(9)
+MATLIS_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2)]
+
+
+def x_index(F, x_act):
+    """Least n >= 1 with x^n = 0."""
+    n = 1
+    while mx.mat_pow(F, x_act, n).any():
+        n += 1
+    return n
+
+
+@st.composite
+def torsion_over_a_larger_ring(draw):
+    """A random valid torsion module over GF(q)[x]/(x^N), N = index + 0..3,
+    with its x-nilpotency index."""
+    F = GF(*draw(st.sampled_from(MATLIS_FIELDS)))
+    kind = draw(st.sampled_from([CARTIER, FROBENIUS]))
+    power = draw(st.integers(1, 2))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    x_act = random_nilpotent(rng, F, draw(st.integers(1, 4)))
+    index = x_index(F, x_act)
+    ring = truncation_ring(F, index + draw(st.integers(0, 3)))
+    return random_structure(rng, fin_module(ring, [x_act]), kind, power), index
+
+
+def assert_same_structure(a, b):
+    assert a.kind == b.kind
+    assert np.array_equal(a.mat, b.mat)
+    assert len(a.module.actions) == len(b.module.actions)
+    for x, y in zip(a.module.actions, b.module.actions):
+        assert np.array_equal(x, y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(torsion_over_a_larger_ring())
+def test_matlis_dual_at_index_level_matches_wide_truncation(case):
+    # The dual is taken at the x-nilpotency index; a level four times
+    # larger must give the same structure matrix and x-action, bit for bit.
+    t, index = case
+    dual, wide = matlis_dual(t), matlis_dual(t, trunc=4 * index)
+    assert_same_structure(dual, wide)
+    assert dual.ring.relations[0][0] == index
+    double = matlis_dual(dual)
+    assert_same_structure(double, matlis_dual(wide, trunc=4 * index))
+    assert double.ring.relations[0][0] == index
 
 
 def test_cech_torsion_and_free():
