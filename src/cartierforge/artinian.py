@@ -202,6 +202,29 @@ def direct_sum(a: FinModule, b: FinModule) -> FinModule:
     return FinModule(a.ring, a.dim + b.dim, tuple(acts))
 
 
+def intertwiners(F: FiniteField, As, Bs, rows: int, cols: int):
+    """The space { H (rows x cols) : H A_i = B_i H for every i }.
+
+    Every Hom-type functor is such a space.  Returns (ker, basis): the RREF
+    kernel of the stacked system A_i^T (x) I - I (x) B_i on vec H, and its
+    columns as matrices, in canonical kernel order."""
+    eye_r, eye_c = mx.identity(rows), mx.identity(cols)
+    sys = [F.sub(mx.kron(F, A.T, eye_r), mx.kron(F, eye_c, B)) for A, B in zip(As, Bs)]
+    ker = mx.kernel(F, np.vstack(sys) if sys else mx.zeros(0, rows * cols))
+    return ker, [mx.unvec(ker[:, k], rows, cols) for k in range(ker.shape[1])]
+
+
+def _kernel_coords(ker: np.ndarray, mats) -> np.ndarray:
+    """Coordinates in an RREF kernel basis of matrices in its span.
+
+    The basis is the identity on its free rows, the last nonzero entry of
+    each column, so the coordinates are those entries of each vec."""
+    if not mats:
+        return mx.zeros(0, 0)
+    free = ker.shape[0] - 1 - np.argmax(ker[::-1] != 0, axis=0)
+    return np.stack([mx.vec(a) for a in mats], axis=1)[free]
+
+
 def hom_module(m: FinModule, n: FinModule) -> tuple[FinModule, list[np.ndarray]]:
     """Hom_R(M, N) as a module: solves H X^M_i = X^N_i H.
 
@@ -211,20 +234,10 @@ def hom_module(m: FinModule, n: FinModule) -> tuple[FinModule, list[np.ndarray]]
     if m.ring.key() != n.ring.key():
         raise ValueError("hom between modules over different rings")
     F = m.ring.field
-    rows = []
-    eye_m, eye_n = mx.identity(m.dim), mx.identity(n.dim)
-    for Xm, Xn in zip(m.actions, n.actions):
-        # vec(H Xm) = (Xm^T kron I) vec H ; vec(Xn H) = (I kron Xn) vec H
-        rows.append(F.sub(mx.kron(F, Xm.T, eye_n), mx.kron(F, eye_m, Xn)))
-    sys = np.vstack(rows) if rows else mx.zeros(0, m.dim * n.dim)
-    ker = mx.kernel(F, sys)
-    basis = [mx.unvec(ker[:, k], n.dim, m.dim) for k in range(ker.shape[1])]
-    acts = []
-    for Xn in n.actions:
-        imgs = [mx.vec(mx.mmul(F, Xn, H)) for H in basis]
-        coords = mx.solve(F, ker, np.stack(imgs, axis=1)) if basis else mx.zeros(0, 0)
-        acts.append(coords if basis else mx.zeros(0, 0))
-    return FinModule(m.ring, len(basis), tuple(acts)), basis
+    ker, basis = intertwiners(F, m.actions, n.actions, n.dim, m.dim)
+    acts = tuple(_kernel_coords(ker, [mx.mmul(F, Xn, H) for H in basis])
+                 for Xn in n.actions)
+    return FinModule(m.ring, len(basis), acts), basis
 
 
 def hom_coords(F: FiniteField, basis: list[np.ndarray], targets: np.ndarray):
@@ -250,20 +263,11 @@ def f_flat(m: FinModule, power: int = 1) -> tuple[FinModule, list[np.ndarray]]:
     F = m.ring.field
     R = m.ring
     t = R.q ** power
-    rows = []
-    eye_r, eye_m = mx.identity(R.dim), mx.identity(m.dim)
-    for mu, X in zip(R.mult_ops, m.actions):
-        mu_q = mx.mat_pow(F, mu, t)
-        rows.append(F.sub(mx.kron(F, mu_q.T, eye_m), mx.kron(F, eye_r, X)))
-    sys = np.vstack(rows) if rows else mx.zeros(0, R.dim * m.dim)
-    ker = mx.kernel(F, sys)
-    basis = [mx.unvec(ker[:, k], m.dim, R.dim) for k in range(ker.shape[1])]
-    acts = []
-    for mu in R.mult_ops:
-        imgs = [mx.vec(mx.mmul(F, H, mu)) for H in basis]
-        coords = mx.solve(F, ker, np.stack(imgs, axis=1)) if basis else mx.zeros(0, 0)
-        acts.append(coords)
-    return FinModule(R, len(basis), tuple(acts)), basis
+    mu_q = [mx.mat_pow(F, mu, t) for mu in R.mult_ops]
+    ker, basis = intertwiners(F, mu_q, m.actions, m.dim, R.dim)
+    acts = tuple(_kernel_coords(ker, [mx.mmul(F, H, mu) for H in basis])
+                 for mu in R.mult_ops)
+    return FinModule(R, len(basis), acts), basis
 
 
 def i_torsion(m: FinModule, j_gens) -> tuple[FinModule, np.ndarray]:

@@ -16,10 +16,9 @@ import numpy as np
 from . import matrix as mx
 from .duality import dualizing_module, pair_C_to_F, pair_F_to_C
 from .field import FiniteField
-from .pid import (CARTIER, FROBENIUS, PidModule, Unsupported,
-                  _nilpotency_level, _ring_level, cech_local_cohomology,
-                  free_dual_crystal_zero, h1_entry_crystal_zero, pid_free,
-                  retruncate)
+from .pid import (CARTIER, FROBENIUS, PidModule, Unsupported, _ring_level,
+                  cech_local_cohomology, free_dual_crystal_zero,
+                  h1_entry_crystal_zero, pid_free, retruncate)
 from .poly import Poly
 from .structures import (Structured, is_morphism, nilpotency_index,
                          quotient_structure, sub_structure)
@@ -49,8 +48,8 @@ def matlis_dual(t: Structured, trunc: int | None = None) -> Structured:
       bit-identical.  Only the dual's ring level depends on N.
     """
     F = t.ring.field
-    index = _nilpotency_level(F, t.module.actions[0])
-    if index is None:
+    index = mx.nil_index(F, t.module.actions[0])
+    if index == math.inf:
         raise ValueError("x-action is not nilpotent: module not supported at the origin")
     big = retruncate(t, max(trunc or 0, index))
     e_data = dualizing_module(big.ring)

@@ -94,17 +94,20 @@ def pair_F_to_C(m: FModule, n: CartierModule) -> tuple[CartierModule, list]:
     if not basis:
         return CartierModule(hom, mx.zeros(0, 0), m.power), basis
     imgs = [mx.vec(mx.mmul(F, n.kappa, mx.mmul(F, H, m.tau))) for H in basis]
-    stacked = np.stack([mx.vec(b) for b in basis], axis=1)
-    coords = mx.solve(F, stacked, np.stack(imgs, axis=1))
+    coords = hom_coords(F, basis, np.stack(imgs, axis=1))
     if coords is None:
         raise RuntimeError("pairing image left the hom space")
-    out = cartier_module(hom, coords, m.power)
-    return out, basis
+    return cartier_module(hom, coords, m.power), basis
 
 
 def pair_C_to_F(m: CartierModule, n: CartierModule) -> tuple[FModule, list]:
     """Hom(M, N) as an F-module, N unit: solve the defining rule
-    kappa_N(F_*(lambda e)) = f(kappa_M(F_*(lambda m))) for all lambda."""
+    kappa_N(F_*(lambda e)) = f(kappa_M(F_*(lambda m))) for all lambda.
+
+    For f = H the rule reads (kappa_N x^lambda) e = H kappa_M x^lambda, so
+    each column of e solves against vstack_lambda(kappa_N x^lambda), and
+    one solve takes the right-hand sides of every basis hom side by side.
+    The answer is unique exactly when that matrix has rank dim N."""
     if m.ring.key() != n.ring.key() or m.power != n.power:
         raise ValueError("pairing requires one ring and one Frobenius power")
     F = m.ring.field
@@ -112,38 +115,19 @@ def pair_C_to_F(m: CartierModule, n: CartierModule) -> tuple[FModule, list]:
     hom, basis = hom_module(m.module, n.module)
     if not basis:
         return FModule(hom, mx.zeros(0, 0), m.power), basis
-    dn, dm = n.dim, m.dim
-    lhs_blocks, rhs_rows = [], []
-    acts_n = [n.module.element_action(_unit_coords(R, l)) for l in range(R.dim)]
-    acts_m = [m.module.element_action(_unit_coords(R, l)) for l in range(R.dim)]
-    eye_m = mx.identity(dm)
-    for l in range(R.dim):
-        ka = mx.mmul(F, n.kappa, acts_n[l])
-        lhs_blocks.append(mx.kron(F, eye_m, ka))
-        rhs_rows.append(mx.mmul(F, m.kappa, acts_m[l]))
-    lhs = np.vstack(lhs_blocks)
-    rhs_cols = []
-    for H in basis:
-        col = np.concatenate([mx.vec(mx.mmul(F, H, r)) for r in rhs_rows])
-        rhs_cols.append(col)
-    sol, unique = mx.solve_full(F, lhs, np.stack(rhs_cols, axis=1))
+    lhs = np.vstack([mx.mmul(F, n.kappa, n.module.action_of(mono)) for mono in R.basis])
+    rs = [mx.mmul(F, m.kappa, m.module.action_of(mono)) for mono in R.basis]
+    rhs = np.hstack([np.vstack([mx.mmul(F, H, r) for r in rs]) for H in basis])
+    sol, unique = mx.solve_full(F, lhs, rhs)
     if sol is None:
         raise ValueError("pairing is unsolvable; is the target a unit module?")
     if not unique:
         raise ValueError("pairing solution not unique; target is not unit")
-    stacked = np.stack([mx.vec(b) for b in basis], axis=1)
-    coords = mx.solve(F, stacked, np.stack(
-        [mx.vec(mx.unvec(sol[:, j], dn, dm)) for j in range(len(basis))], axis=1))
+    # sol is hstack_j(e_j); its column-major reshape has vec(e_j) as column j
+    coords = hom_coords(F, basis, sol.reshape(n.dim * m.dim, len(basis), order="F"))
     if coords is None:
         raise RuntimeError("pairing image left the hom space")
-    out = f_module(hom, coords, m.power)
-    return out, basis
-
-
-def _unit_coords(ring: ArtinRing, l: int) -> np.ndarray:
-    v = np.zeros(ring.dim, dtype=np.int64)
-    v[l] = 1
-    return v
+    return f_module(hom, coords, m.power), basis
 
 
 def dualize_artinian(m: Structured):
@@ -280,24 +264,6 @@ def crystal_possibly_equivalent(a: Structured, b: Structured,
     if a.kind != b.kind or a.power != b.power:
         return False
     return crystal_signature(a, s_range) == crystal_signature(b, s_range)
-
-
-# -- Hom/tensor compatibility --
-
-
-def hom_tensor_twist_check(m: CartierModule, a_coords) -> bool:
-    """D(M tensor line(a)) equals D(M) twisted by the inverse line,
-    matrix-exactly on the same hom space."""
-    from .structures import twist_by_unit_line
-    F = m.ring.field
-    twisted = twist_by_unit_line(m, a_coords)
-    lhs, _ = dualize_artinian(twisted)
-    reg = fin_module(m.ring, m.ring.mult_ops)
-    act = reg.element_action(a_coords)
-    inv = mx.inverse(F, act)
-    a_inv = mx.mmul(F, inv, m.ring.one())
-    rhs = twist_by_unit_line(dualize_artinian(m)[0], a_inv)
-    return np.array_equal(lhs.mat, rhs.mat)
 
 
 # -- ordinarity via the Cartier operator on top forms --

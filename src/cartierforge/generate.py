@@ -14,10 +14,10 @@ import random
 import numpy as np
 
 from . import matrix as mx
-from .artinian import ArtinRing, FinModule, fin_module, ring_make
+from .artinian import (ArtinRing, FinModule, fin_module, intertwiners,
+                       ring_make)
 from .field import GF, FiniteField
-from .pid import (CARTIER, FROBENIUS, PidModule, _nilpotency_level,
-                  pid_torsion)
+from .pid import CARTIER, FROBENIUS, PidModule, pid_torsion
 from .structures import CartierModule, FModule, cartier_module, f_module
 
 
@@ -100,16 +100,11 @@ def equivariant_solutions(module: FinModule, kind: str, power: int = 1) -> np.nd
     F = module.ring.field
     d = module.dim
     t = module.ring.q ** power
-    eye = mx.identity(d)
-    rows = []
-    for X in module.actions:
-        Xq = mx.mat_pow(F, X, t)
-        if kind == CARTIER:
-            rows.append(F.sub(mx.kron(F, Xq.T, eye), mx.kron(F, eye, X)))
-        else:
-            rows.append(F.sub(mx.kron(F, X.T, eye), mx.kron(F, eye, Xq)))
-    sys = np.vstack(rows) if rows else mx.zeros(0, d * d)
-    return mx.kernel(F, sys)
+    Xs = module.actions
+    Xqs = [mx.mat_pow(F, X, t) for X in Xs]
+    # Cartier: K X^q = X K;  Frobenius: T X = X^q T
+    As, Bs = (Xqs, Xs) if kind == CARTIER else (Xs, Xqs)
+    return intertwiners(F, As, Bs, d, d)[0]
 
 
 def random_structure(rng: random.Random, module: FinModule, kind: str,
@@ -167,15 +162,8 @@ def random_pid_torsion(rng: random.Random, p: int, max_dim: int = 5,
     F = GF(p)
     d = rng.randrange(1, max_dim + 1)
     x_act = random_nilpotent(rng, F, d)
-    ring_level = _nilpotency_level(F, x_act)
-    probe = fin_module(ring_make(F, ["x"], [[ring_level]]), [x_act])
-    ker = equivariant_solutions(probe, kind)
-    v = np.zeros(d * d, dtype=np.int64)
-    for k in range(ker.shape[1]):
-        c = rng.randrange(F.order)
-        if c:
-            v = F.add(v, F.mul(np.int64(c), ker[:, k]))
-    return pid_torsion(F, x_act, mx.unvec(v, d, d), kind)
+    probe = fin_module(ring_make(F, ["x"], [[mx.nil_index(F, x_act)]]), [x_act])
+    return pid_torsion(F, x_act, random_structure(rng, probe, kind).mat, kind)
 
 
 def pid_torsion_corpus(seed: int, count: int, p_choices=(2, 3),

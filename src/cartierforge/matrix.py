@@ -7,6 +7,8 @@ a canonical (deterministic) form.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .field import FiniteField
@@ -76,16 +78,31 @@ def mmul(F: FiniteField, a, b) -> np.ndarray:
 
 
 def mat_pow(F: FiniteField, a: np.ndarray, n: int) -> np.ndarray:
+    """a**n by left-to-right squaring from the leading bit of n: at most
+    2*floor(log2 n) products, and always a fresh array."""
     if a.shape[0] != a.shape[1]:
         raise ValueError("matrix power needs a square matrix")
-    out = identity(a.shape[0])
-    base = a
-    while n:
-        if n & 1:
-            out = mmul(F, out, base)
-        base = mmul(F, base, base)
-        n >>= 1
+    if n == 0:
+        return identity(a.shape[0])
+    out = np.array(a, dtype=np.int64)
+    for bit in bin(n)[3:]:
+        out = mmul(F, out, out)
+        if bit == "1":
+            out = mmul(F, out, a)
     return out
+
+
+def nil_index(F: FiniteField, a: np.ndarray):
+    """Least n >= 1 with a**n = 0, else math.inf.
+
+    The kernels of the powers of a d x d matrix stop growing by the d-th
+    power, so at most d - 1 products are taken; a 0 x 0 matrix gives 1."""
+    acc, n = a, 1
+    while acc.any():
+        if n >= a.shape[0]:
+            return math.inf
+        acc, n = mmul(F, a, acc), n + 1
+    return n
 
 
 def rref(F: FiniteField, a) -> tuple[np.ndarray, tuple[int, ...]]:

@@ -40,45 +40,6 @@ def kappa_s(f: Poly, q: int) -> Poly:
     return Poly.make(f.field, list(f.coeffs[q - 1::q]))
 
 
-def kappa_multiplier(u: Poly, f: Poly, q: int) -> Poly:
-    """kappa_u(F_* f) = kappa_S(F_*(u f)); every rank-one Cartier structure
-    on GF(q)[x] has this form for a unique u."""
-    return kappa_s(u * f, q)
-
-
-def tau_multiplier(w: Poly, f: Poly, q: int) -> Poly:
-    """tau_w(f) = F_*(w f^q); every rank-one Frobenius structure on
-    GF(q)[x] has this form."""
-    fq = Poly.make(f.field, _poly_q_power(f, q))
-    return w * fq
-
-
-def _poly_q_power(f: Poly, q: int) -> list:
-    out = [0] * (q * max(f.deg, 0) + 1) if not f.is_zero() else []
-    for i, c in enumerate(f.coeffs):
-        if c:
-            out[q * i] = int(f.field.power(np.int64(c), q))
-    return out
-
-
-def dual_basis_matrix(field: FiniteField) -> np.ndarray:
-    """The pairing table [kappa_S(F_* x^(i+j))]_{i,j<q} as 0/1 constants.
-
-    The dual-basis law says this is the antidiagonal identity: the flat of
-    kappa_S carries the monomial basis of F_* GF(q)[x] to its dual basis.
-    """
-    q = field.order
-    out = mx.zeros(q, q)
-    for i in range(q):
-        for j in range(q):
-            v = kappa_s(Poly.x(field, i + j), q)
-            if v.coeffs == (1,):
-                out[i, j] = 1
-            elif not v.is_zero():
-                out[i, j] = -1   # marks a non-constant value; law would fail
-    return out
-
-
 # -- presentations and Smith normal form --
 
 
@@ -117,10 +78,6 @@ def pres_module(field: FiniteField, rows) -> PresModule:
     diag, u, v, _, _ = smith_normal_form(field, pm)
     return PresModule(field, tuple(tuple(r) for r in pm), tuple(diag),
                       tuple(tuple(r) for r in u), tuple(tuple(r) for r in v))
-
-
-def free_presentation(field: FiniteField, rank: int) -> PresModule:
-    return pres_module(field, [[Poly.zero(field)] for _ in range(rank)])
 
 
 def frobenius_pushforward_presentation(pm: PresModule, power: int = 1) -> PresModule:
@@ -187,22 +144,6 @@ def inverse_module(field: FiniteField, level: int, power: int = 1) -> InverseMod
     return InverseModule(level, mod, kap)
 
 
-def kappa_e_oracle(field: FiniteField, level: int, q: int) -> np.ndarray:
-    """Independent Cech-side computation of the hull structure: apply the
-    Laurent extension of kappa_S to x^-a and read the class in E."""
-    kap = mx.zeros(level, level)
-    for j in range(level):
-        a = j + 1
-        # kappa_S(F_* x^(-a)) via exponent bookkeeping: write -a = q*m + e,
-        # 0 <= e < q; nonzero iff e == q-1, value x^(m+... ) computed exactly.
-        m_, e = divmod(-a, q)
-        if e == q - 1:
-            target = m_            # exponent of the image monomial
-            if target <= -1 and -target <= level:
-                kap[-target - 1, j] = 1
-    return kap
-
-
 # -- structured modules over GF(q)[x] at the origin --
 
 
@@ -258,12 +199,10 @@ def pid_torsion(field: FiniteField, x_action, struct, kind: str,
                 check: bool = True) -> PidModule:
     """Torsion module supported at the origin: x_action must be nilpotent."""
     x_action = np.asarray(x_action, dtype=np.int64)
-    d = x_action.shape[0]
-    n = _nilpotency_level(field, x_action)
-    if n is None:
+    n = mx.nil_index(field, x_action)
+    if n == math.inf:
         raise ValueError("x-action is not nilpotent: module not supported at the origin")
-    lvl = max(level or 0, n, 1)
-    ring = truncation_ring(field, lvl)
+    ring = truncation_ring(field, max(level or 0, n))
     mod = fin_module(ring, [x_action])
     ctor = cartier_module if kind == CARTIER else f_module
     t = ctor(mod, np.asarray(struct, dtype=np.int64), power, check=check)
@@ -315,16 +254,6 @@ def _merge_torsion(a: PidModule, b: PidModule):
 
 def _ring_level(ring: ArtinRing) -> int:
     return ring.relations[0][0]
-
-
-def _nilpotency_level(field, x_action):
-    d = x_action.shape[0]
-    acc = mx.identity(d)
-    for n in range(1, d + 1):
-        acc = mx.mmul(field, x_action, acc)
-        if not acc.any():
-            return n
-    return None if d else 1
 
 
 def retruncate(t: Structured, level: int) -> Structured:

@@ -173,27 +173,6 @@ def _pm_id(field, n):
             for i in range(n)]
 
 
-def pm_mul(a, b):
-    if not a or not b:
-        return []
-    F = a[0][0].field if a and a[0] else b[0][0].field
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
-    out = [[Poly.zero(F) for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        for j in range(m):
-            s = Poly.zero(F)
-            for t in range(k):
-                s = s + a[i][t] * b[t][j]
-            out[i][j] = s
-    return out
-
-
-def pm_eq(a, b):
-    return len(a) == len(b) and all(
-        len(ra) == len(rb) and all(x.coeffs == y.coeffs for x, y in zip(ra, rb))
-        for ra, rb in zip(a, b))
-
-
 def smith_normal_form(field: FiniteField, pres) -> tuple:
     """Smith normal form over GF(q)[x].
 

@@ -133,19 +133,7 @@ def nilpotency_index(m: Structured):
 
     On the prime tier the composite of the structure with itself is the
     plain matrix power, so the image chain stabilizes within dim steps."""
-    F = m.ring.field
-    if m.dim == 0:
-        return 1
-    acc = mx.identity(m.dim)
-    for n in range(1, m.dim + 1):
-        acc = mx.mmul(F, m.mat, acc)
-        if not acc.any():
-            return n
-    return math.inf
-
-
-def is_nilpotent(m: Structured) -> bool:
-    return nilpotency_index(m) != math.inf
+    return mx.nil_index(m.ring.field, m.mat)
 
 
 def stable_image(m: CartierModule) -> tuple[CartierModule, np.ndarray]:
@@ -494,9 +482,5 @@ def kashiwara_counit(n: Structured, j_gens) -> KashiwaraReport:
     pushed = structured_restrict_scalars(tors)
     rep = nil_isomorphism_check(cols, pushed, n)
     supported = all(
-        nilpotent_action(F, n.module.action_of(g), n.dim) for g in j_gens)
+        mx.nil_index(F, n.module.action_of(g)) != math.inf for g in j_gens)
     return KashiwaraReport(rep.ok, rep, supported)
-
-
-def nilpotent_action(F, mat, dim) -> bool:
-    return not mx.mat_pow(F, mat, max(dim, 1)).any()

@@ -86,19 +86,6 @@ def twisted_compose(a: TwistedOperator, b: TwistedOperator) -> TwistedOperator:
     return TwistedOperator(a.field, a.q, m, a.twist + b.twist)
 
 
-def apply_operator(t: TwistedOperator, v):
-    return mx.mmul(t.field, t.mat, sigma(t, v, t.twist))
-
-
-def operator_power(t: TwistedOperator, n: int) -> TwistedOperator:
-    if t.rows != t.cols:
-        raise ValueError("power of a non-square operator")
-    out = identity_operator(t.field, t.q, t.rows)
-    for _ in range(n):
-        out = twisted_compose(t, out)
-    return out
-
-
 def change_basis(t: TwistedOperator, p_mat: np.ndarray) -> TwistedOperator:
     """Rewrite t in the basis given by the columns of p_mat (invertible)."""
     pinv = mx.inverse(t.field, np.asarray(p_mat, dtype=np.int64))

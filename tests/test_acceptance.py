@@ -24,11 +24,12 @@ from cartierforge.field import GF
 from cartierforge.generate import (artinian_corpus, pid_torsion_corpus,
                                    random_f_module, random_module,
                                    random_structure)
-from cartierforge.pid import CARTIER, dual_basis_matrix, pid_free
+from cartierforge.pid import CARTIER, pid_free
 from cartierforge.poly import Poly
 from cartierforge.structures import (cartier_module, f_module, is_unit,
                                      kashiwara_counit, kashiwara_roundtrip,
                                      nilpotency_index, unitalize)
+from oracles import dual_basis_matrix
 
 SEED = 2024
 

@@ -13,8 +13,7 @@ from cartierforge.complexes import (dualize, is_perverse, local_duality_check,
                                     shift_module)
 from cartierforge.duality import (double_dual_check, dual_base_change_check,
                                   dualizing_module, elliptic_ap, extend_scalars,
-                                  hasse_invariant, hom_tensor_twist_check,
-                                  nilpotence_exchange_check,
+                                  hasse_invariant, nilpotence_exchange_check,
                                   nonsingular_short_weierstrass, ordinarity,
                                   pair_C_to_F, pair_F_to_C,
                                   sol_base_change_check, sol_point)
@@ -25,6 +24,7 @@ from cartierforge.pid import CARTIER, FROBENIUS, pid_free, pid_torsion
 from cartierforge.poly import Poly
 from cartierforge.structures import (cartier_module, f_module, is_unit,
                                      nilpotency_index, stable_image, validate)
+from oracles import hom_tensor_twist_check
 
 
 @pytest.fixture

@@ -18,10 +18,11 @@ from cartierforge.duality import (double_dual_check, dual_base_change_check,
                                   sol_base_change_check, sol_point)
 from cartierforge.field import GF
 from cartierforge.generate import random_module, random_structure
-from cartierforge.pid import CARTIER, FROBENIUS, dual_basis_matrix, pid_free, pid_torsion
+from cartierforge.pid import CARTIER, FROBENIUS, pid_free, pid_torsion
 from cartierforge.poly import Poly
 from cartierforge.structures import (f_module, nilpotency_index, unitalize,
                                      validate)
+from oracles import dual_basis_matrix
 
 F4 = GF(2, 2)
 

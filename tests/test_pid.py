@@ -16,15 +16,14 @@ from cartierforge.field import GF
 from cartierforge.generate import (pid_torsion_corpus, random_nilpotent,
                                    random_structure)
 from cartierforge.pid import (CARTIER, FROBENIUS, Unsupported,
-                              cech_local_cohomology, dual_basis_matrix,
-                              free_presentation,
+                              cech_local_cohomology,
                               frobenius_pushforward_presentation,
-                              h1_entry_crystal_zero, inverse_module,
-                              kappa_e_oracle, kappa_s, pid_free, pid_sum,
-                              pid_torsion, pres_module, truncation_ring,
-                              validate_pid)
+                              h1_entry_crystal_zero, inverse_module, kappa_s,
+                              pid_free, pid_sum, pid_torsion, pres_module,
+                              truncation_ring, validate_pid)
 from cartierforge.poly import Poly
 from cartierforge.structures import nilpotency_index, validate
+from oracles import dual_basis_matrix, free_presentation, kappa_e_oracle
 
 
 F2 = GF(2)

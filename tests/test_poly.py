@@ -3,8 +3,8 @@
 import random
 
 from cartierforge.field import GF
-from cartierforge.poly import (Poly, _pm_id, pm_eq, pm_mul, poly_mat,
-                               smith_normal_form)
+from cartierforge.poly import Poly, _pm_id, poly_mat, smith_normal_form
+from oracles import pm_eq, pm_mul
 
 
 def test_poly_ring_ops():
