@@ -18,10 +18,9 @@ from .structures import (CartierModule, FModule, adjoint_structural,
                          nil_isomorphism_check, nilpotency_index,
                          stable_image, stable_kernel, twist_by_unit_line,
                          unitalize, validate)
-from .pid import (InverseModule, PidModule, PresModule, Unsupported,
-                  cech_local_cohomology, frobenius_pushforward_presentation,
-                  inverse_module, kappa_s, pid_free, pid_sum, pid_torsion,
-                  pres_module)
+from .pid import (PidModule, PresModule, Unsupported, cech_local_cohomology,
+                  frobenius_pushforward_presentation, inverse_module, kappa_s,
+                  pid_free, pid_sum, pid_torsion, pres_module)
 from .duality import (DualizingData, crystal_possibly_equivalent,
                       crystal_signature, double_dual_check,
                       dual_base_change_check, dualizing_module, elliptic_ap,

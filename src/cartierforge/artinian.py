@@ -275,19 +275,13 @@ def i_torsion(m: FinModule, j_gens) -> tuple[FinModule, np.ndarray]:
 
     Returns (module over the quotient ring, basis columns inside m).
     """
-    F = m.ring.field
     gens = [tuple(int(e) for e in g) for g in j_gens]
     if not gens:
         qring = quotient_ring(m.ring, ())
         return FinModule(qring, m.dim, m.actions), mx.identity(m.dim)
-    stack = np.vstack([m.action_of(g) for g in gens])
-    B = mx.kernel(F, stack)
-    qring = quotient_ring(m.ring, gens)
-    acts = []
-    for X in m.actions:
-        sol = mx.solve(F, B, mx.mmul(F, X, B)) if B.shape[1] else mx.zeros(0, 0)
-        acts.append(sol)
-    return FinModule(qring, B.shape[1], tuple(acts)), B
+    B = mx.kernel(m.ring.field, np.vstack([m.action_of(g) for g in gens]))
+    sub = submodule(m, B, check=False)
+    return FinModule(quotient_ring(m.ring, gens), sub.dim, sub.actions), B
 
 
 def restrict_scalars(m: FinModule) -> FinModule:
@@ -299,15 +293,30 @@ def restrict_scalars(m: FinModule) -> FinModule:
     return FinModule(m.ring.ambient, m.dim, m.actions)
 
 
+def restrict(F: FiniteField, mats, cols: np.ndarray):
+    """For every X in `mats`, the Y with cols Y = X cols: X restricted to
+    span(cols), whose columns must be independent.
+
+    The products X cols come from one product with the X stacked, and every
+    Y from one solve with the right-hand sides side by side.  Returns None
+    when span(cols) is not stable under some X."""
+    k = cols.shape[1]
+    if not k or not mats:
+        return [mx.zeros(k, k) for _ in mats]
+    n = cols.shape[0]
+    prod = mx.mmul(F, np.vstack(mats), cols)
+    sol = mx.solve(F, cols, prod.reshape(len(mats), n, k).transpose(1, 0, 2)
+                   .reshape(n, len(mats) * k))
+    if sol is None:
+        return None
+    return [sol[:, i * k:(i + 1) * k] for i in range(len(mats))]
+
+
 def submodule(m: FinModule, cols: np.ndarray, check: bool = True) -> FinModule:
     """Restrict to the span of the given (independent) columns."""
-    F = m.ring.field
-    acts = []
-    for X in m.actions:
-        sol = mx.solve(F, cols, mx.mmul(F, X, cols)) if cols.shape[1] else mx.zeros(0, 0)
-        if sol is None:
-            raise ValueError("columns do not span a submodule")
-        acts.append(sol)
+    acts = restrict(m.ring.field, m.actions, cols)
+    if acts is None:
+        raise ValueError("columns do not span a submodule")
     sub = FinModule(m.ring, cols.shape[1], tuple(acts))
     if check:
         bad = module_violations(m.ring, sub.actions)

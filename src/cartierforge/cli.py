@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import random
 import sys
 import time
 
@@ -24,19 +25,20 @@ from .artinian import fin_module, ring_make
 from .complexes import (StructuredComplex, coherent_model_of_localization,
                         dualize, is_perverse, local_duality_check,
                         shift_module)
-from .duality import (double_dual_check, dual_base_change_check, elliptic_ap,
-                      hasse_invariant, nonsingular_short_weierstrass,
+from .duality import (double_dual_check, dual_base_change_check,
+                      dualize_artinian, elliptic_ap, hasse_invariant,
+                      nilpotence_exchange_check, nonsingular_short_weierstrass,
                       ordinarity, pair_C_to_F, pair_F_to_C,
                       sol_base_change_check, sol_point)
 from .field import GF
 from .generate import (artinian_corpus, pid_torsion_corpus, random_cartier,
                        random_f_module, random_pid_torsion)
 from .pid import (CARTIER, FROBENIUS, PidModule, Unsupported, pid_free,
-                  pid_sum, pid_torsion)
+                  pid_sum, pid_torsion, validate_pid)
 from .poly import Poly
-from .structures import (cartier_module, f_module, kashiwara_counit,
-                         kashiwara_roundtrip, nilpotency_index, stable_image,
-                         stable_kernel, structured_i_torsion, unitalize,
+from .structures import (kashiwara_counit, kashiwara_roundtrip,
+                         nilpotency_index, stable_image, stable_kernel,
+                         structured, structured_i_torsion, unitalize,
                          validate)
 
 SCHEMA = 1
@@ -56,7 +58,6 @@ class InvalidModule(Exception):
 def _validation(m) -> tuple[bool, list]:
     """(ok, notes) of a module's validation; notes list the violations."""
     if isinstance(m, PidModule):
-        from .pid import validate_pid
         ok, notes = validate_pid(m)
         return ok, list(notes)
     rep = validate(m)
@@ -91,7 +92,7 @@ def parse_problem(doc: dict):
     modules = {}
     for name, mdoc in doc.get("modules", {}).items():
         modules[name] = _parse_module(field, ring, mdoc)
-    complexes = {}
+    complexes, complex_terms = {}, {}
     for name, cdoc in doc.get("complexes", {}).items():
         terms = {}
         for deg, ref in cdoc.get("terms", {}).items():
@@ -100,11 +101,12 @@ def parse_problem(doc: dict):
                 raise SchemaError(f"complex {name}: term {ref} is not a pid module")
             terms[int(deg)] = mod
         complexes[name] = StructuredComplex(terms)
+        complex_terms[name] = list(cdoc.get("terms", {}).values())
     # "validations" memoizes each module's validation; run_command fills
-    # it the first time a command names the module.
+    # it the first time a command names the module or a complex holding it.
     return {"field": field, "ring": ring, "modules": modules,
-            "complexes": complexes, "commands": doc.get("commands", []),
-            "validations": {}}
+            "complexes": complexes, "complex_terms": complex_terms,
+            "commands": doc.get("commands", []), "validations": {}}
 
 
 def _parse_module(field, ring, mdoc: dict):
@@ -142,9 +144,8 @@ def _parse_module(field, ring, mdoc: dict):
     module = fin_module(this_ring, actions, check=False)
     if "dim" in mdoc["carrier"] and int(mdoc["carrier"]["dim"]) != module.dim:
         raise SchemaError("declared module dim does not match the actions")
-    struct = _decode_matrix(field, mdoc["structure"])
-    ctor = cartier_module if kind == CARTIER else f_module
-    return ctor(module, struct, check=False)
+    return structured(kind, module, _decode_matrix(field, mdoc["structure"]),
+                      check=False)
 
 
 def _index_json(v):
@@ -210,7 +211,6 @@ def run_command(problem, cmd: dict, seed: int) -> dict:
                     str(k): {"torsion_dim": v.torsion_dim, "free_rank": v.free_rank,
                              "kind": v.kind} for k, v in d.terms.items()})
         else:
-            from .duality import dualize_artinian
             d, _ = dualize_artinian(m)
             out.update(ok=True, kind=d.kind, dim=d.dim,
                        nilpotency_index=_index_json(nilpotency_index(d)))
@@ -259,8 +259,12 @@ def run_command(problem, cmd: dict, seed: int) -> dict:
         if name is not None:
             if name not in cxs:
                 raise SchemaError(f"unknown complex {name!r}")
-            target = cxs[name]
             out["complex"] = name
+            for ref in problem["complex_terms"][name]:
+                ok, notes = validation(ref)
+                if not ok:
+                    raise InvalidModule(ref, notes)
+            target = cxs[name]
         else:
             target = shift_module(get_module(), int(cmd.get("degree", 0)))
         rep = is_perverse(target)
@@ -307,7 +311,6 @@ def run_command(problem, cmd: dict, seed: int) -> dict:
 
 def run_suites(seed: int, count: int) -> dict:
     """The invariant batteries on seeded corpora; every check is exact."""
-    from .duality import nilpotence_exchange_check
     res = {"seed": seed, "count": count}
     corpus = artinian_corpus(seed, count)
     res["double_dual"] = sum(1 for m in corpus if double_dual_check(m)[0])
@@ -320,8 +323,7 @@ def run_suites(seed: int, count: int) -> dict:
     tors = pid_torsion_corpus(seed, count)
     res["local_duality"] = sum(1 for m in tors if local_duality_check(m).ok)
     res["perverse_dual"] = sum(1 for m in tors if is_perverse(dualize(m)).ok)
-    import random as _random
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     sol_ok = 0
     for _ in range(count):
         m = random_f_module(rng, rng.choice([2, 3]), 2, 5, 4)
@@ -407,8 +409,7 @@ def _encode_pid(m: PidModule) -> dict:
 
 
 def cmd_generate(args) -> int:
-    import random as _random
-    rng = _random.Random(args.seed)
+    rng = random.Random(args.seed)
     doc = {"schema": SCHEMA, "field": {"p": args.p, "r": 1},
            "modules": {}, "commands": []}
     if args.kind == "random-artinian":

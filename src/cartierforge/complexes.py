@@ -14,11 +14,11 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 
 from . import matrix as mx
-from .duality import dualizing_module, pair_C_to_F, pair_F_to_C
+from .duality import dualize_artinian
 from .field import FiniteField
 from .pid import (CARTIER, FROBENIUS, PidModule, Unsupported, _ring_level,
                   cech_local_cohomology, free_dual_crystal_zero,
-                  h1_entry_crystal_zero, pid_free, retruncate)
+                  h1_entry_crystal_zero, pid_free, pid_sum, retruncate)
 from .poly import Poly
 from .structures import (Structured, is_morphism, nilpotency_index,
                          quotient_structure, sub_structure)
@@ -32,10 +32,10 @@ def matlis_dual(t: Structured, trunc: int | None = None) -> Structured:
     """Hom(M, E) for an x-primary torsion module, with the pairing-induced
     structure of the opposite kind.
 
-    Computed over the truncation ring at level N = max(trunc, index),
-    where index is the x-nilpotency index of M; the dual lives over that
-    ring.  Every N >= index gives the same hom basis, structure matrix and
-    x-action, bit for bit:
+    Computed by dualize_artinian over the truncation ring at level
+    N = max(trunc, index), where index is the x-nilpotency index of M; the
+    dual lives over that ring.  Every N >= index gives the same hom basis,
+    structure matrix and x-action, bit for bit:
 
     - x^index kills M, so a hom M -> E_N lands in the x^index-socle E_index
       (x^-1 .. x^-index).  The equivariance system at level N therefore has
@@ -51,17 +51,7 @@ def matlis_dual(t: Structured, trunc: int | None = None) -> Structured:
     index = mx.nil_index(F, t.module.actions[0])
     if index == math.inf:
         raise ValueError("x-action is not nilpotent: module not supported at the origin")
-    big = retruncate(t, max(trunc or 0, index))
-    e_data = dualizing_module(big.ring)
-    e_mod = e_data.module
-    if t.power > 1:
-        from .structures import iterate_structure
-        e_mod = iterate_structure(e_mod, t.power)
-    if t.kind == CARTIER:
-        out, _ = pair_C_to_F(big, e_mod)
-    else:
-        out, _ = pair_F_to_C(big, e_mod)
-    return out
+    return dualize_artinian(retruncate(t, max(trunc or 0, index)))[0]
 
 
 @dataclass(frozen=True)
@@ -74,9 +64,6 @@ class StructuredComplex:
 
     terms: dict            # degree -> PidModule
     diffs: dict = dfield(default_factory=dict)   # degree -> matrix on torsion parts
-
-    def degrees(self):
-        return sorted(self.terms)
 
     def validate(self) -> list[str]:
         out = []
@@ -137,7 +124,7 @@ def complex_cohomology(c: StructuredComplex) -> StructuredComplex:
     return StructuredComplex(out)
 
 
-def dualize(obj, trunc: int | None = None):
+def dualize(obj):
     """The duality functor D on the one-dimensional tier.
 
     A module placed in degree d sends its torsion part to degree -d (its
@@ -155,7 +142,7 @@ def dualize(obj, trunc: int | None = None):
             return Unsupported("non-diagonal free multiplier matrix")
         kind = _opposite(m.kind)
         if m.torsion is not None:
-            dual_t = matlis_dual(m.torsion, trunc)
+            dual_t = matlis_dual(m.torsion)
             _merge_term(out, -d, m.field, kind, dual_t, None, m.power)
         if m.free is not None and m.free_rank:
             dual_f = pid_free(m.field, list(m.free_diagonal()), kind, m.power)
@@ -168,7 +155,6 @@ def _merge_term(out, degree, field, kind, torsion, free, power):
     if prev is None:
         out[degree] = PidModule(field, kind, torsion, free, power)
         return
-    from .pid import pid_sum
     out[degree] = pid_sum(prev, PidModule(field, kind, torsion, free, power))
 
 
@@ -341,7 +327,7 @@ def coherent_model_of_localization(m: PidModule, f: Poly,
     if m.free is not None and m.free_rank:
         if not m.free_is_diagonal():
             raise ValueError("non-diagonal free multiplier matrix is unsupported")
-        fq = _poly_power(f, q * (q - 1))
+        fq = f ** (q * (q - 1))
         free = [u * fq for u in m.free_diagonal()]
     model = PidModule(F, CARTIER, tors, None, m.power)
     if free is not None:
@@ -357,13 +343,6 @@ def coherent_model_of_localization(m: PidModule, f: Poly,
     return LocalizationModel(model, tuple(indices), ok,
                              "layer quotients all nilpotent" if ok
                              else "a layer quotient failed nilpotence")
-
-
-def _poly_power(f: Poly, n: int) -> Poly:
-    out = Poly.one(f.field)
-    for _ in range(n):
-        out = out * f
-    return out
 
 
 def _layer_quotient_index(F, q, multipliers, f, n) -> int:

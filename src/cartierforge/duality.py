@@ -19,12 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrix as mx
-from .artinian import ArtinRing, fin_module, hom_coords, hom_module, ring_make
+from .artinian import (ArtinRing, fin_module, hom_coords, hom_module,
+                       quotient_data, regular_module, ring_make)
 from .field import GF, FiniteField, is_prime
 from .poly import Poly
 from .structures import (CARTIER, FROBENIUS, CartierModule, FModule,
                          Structured, cartier_module, f_module, is_morphism,
-                         is_unit, iterate_structure)
+                         is_unit, iterate_structure, nilpotency_index,
+                         stable_image, stable_kernel, structured)
 from .twisted import (TwistedOperator, semilinear_fixed_points, stable_rank)
 
 
@@ -41,21 +43,15 @@ class DualizingData:
 _DUALIZING_CACHE: dict = {}
 
 
-def dualizing_module(ring: ArtinRing, power: int = 1) -> DualizingData:
+def inverse_hull(ring: ArtinRing, power: int = 1) -> CartierModule:
     """E_R inside the inverse-monomial hull: span of x^-a with x^(a-1)
-    standard, with the contraction Cartier structure.
+    standard, with the contraction Cartier structure for q^power.
 
     The basis is indexed like the ring basis (x^-(b+1) for standard b), the
-    variables act by downward shift, and kappa_E sends index b to b/q when
-    every exponent is divisible by q.  Validated unit at construction;
-    cached per ring (the unit check is the expensive part).
-    """
-    key = (ring.key(), power)
-    hit = _DUALIZING_CACHE.get(key)
-    if hit is not None:
-        return hit
-    F = ring.field
-    q = F.order
+    variables act by downward shift, and kappa_E sends index b to b/q^power
+    when q^power divides every exponent: the power-fold iterate of the
+    q-contraction."""
+    t = ring.q ** power
     n = ring.dim
     index = {b: i for i, b in enumerate(ring.basis)}
     acts = []
@@ -68,15 +64,22 @@ def dualizing_module(ring: ArtinRing, power: int = 1) -> DualizingData:
         acts.append(X)
     kap = mx.zeros(n, n)
     for j, b in enumerate(ring.basis):
-        if all(e % q == 0 for e in b):
-            tgt = tuple(e // q for e in b)
+        if all(e % t == 0 for e in b):
+            tgt = tuple(e // t for e in b)
             kap[index[tgt], j] = 1
-    mod = fin_module(ring, acts)
+    return cartier_module(fin_module(ring, acts), kap, power, check=False)
+
+
+def dualizing_module(ring: ArtinRing, power: int = 1) -> DualizingData:
+    """E_R = inverse_hull(ring, power), validated unit at construction and
+    cached per ring (the unit check is the expensive part)."""
+    key = (ring.key(), power)
+    hit = _DUALIZING_CACHE.get(key)
+    if hit is not None:
+        return hit
     # No validate() here: is_unit below solves for the adjoint, and that
     # solve fails unless the structure is equivariant for q^power.
-    e_mod = cartier_module(mod, kap, check=False)
-    if power > 1:
-        e_mod = iterate_structure(e_mod, power)
+    e_mod = inverse_hull(ring, power)
     unit = is_unit(e_mod)
     if not unit:
         raise RuntimeError("dualizing module failed the unit check")
@@ -159,7 +162,6 @@ def double_dual_check(m: Structured) -> tuple[bool, np.ndarray]:
 
 def nilpotence_exchange_check(m: Structured) -> bool:
     """Nilpotency finiteness agrees for M and D(M)."""
-    from .structures import nilpotency_index
     d, _ = dualize_artinian(m)
     return (nilpotency_index(m) == math.inf) == (nilpotency_index(d) == math.inf)
 
@@ -193,7 +195,6 @@ def reduced_operator(m: FModule) -> TwistedOperator:
         cols = mx.column_space(F, ims)
     else:
         cols = mx.zeros(m.dim, 0)
-    from .artinian import quotient_data
     proj, sect = quotient_data(F, m.dim, cols)
     tbar = mx.mmul(F, proj, mx.mmul(F, m.tau, sect))
     return TwistedOperator(F, F.order ** m.power, tbar, 1)
@@ -210,9 +211,7 @@ def extend_scalars(m: Structured, s: int) -> Structured:
     ring_s = ring_make(ext, m.ring.vars, m.ring.relations)
     acts = tuple(emb[X] for X in m.module.actions)
     mod = fin_module(ring_s, acts, check=False)
-    mat = emb[iterate_structure(m, s).mat]
-    ctor = cartier_module if m.kind == CARTIER else f_module
-    return ctor(mod, mat, 1)
+    return structured(m.kind, mod, emb[iterate_structure(m, s).mat])
 
 
 def sol_base_change_check(m: FModule, s: int) -> dict:
@@ -240,12 +239,11 @@ def dual_base_change_check(m: Structured, s: int) -> bool:
 # -- heuristic crystal comparison --
 
 
-def crystal_signature(m: Structured, s_range=(1, 2, 3)) -> tuple:
+def crystal_signature(m: Structured) -> tuple:
     """Invariants of the crystal class: stable-part dimension and Sol
-    dimensions across small extensions (through the dual for Cartier
+    dimensions over GF(q), GF(q^2) and GF(q^3) (through the dual for Cartier
     modules).  Equal signatures do not prove equivalence; unequal ones
     refute it -- no general decision procedure is offered."""
-    from .structures import stable_image, stable_kernel
     if m.kind == CARTIER:
         part, _ = stable_image(m)
         stable_dim = part.dim
@@ -254,16 +252,15 @@ def crystal_signature(m: Structured, s_range=(1, 2, 3)) -> tuple:
         part, _ = stable_kernel(m)
         stable_dim = m.dim - part.dim
         fmod = m
-    sols = tuple(sol_point(fmod, s).dim_fq for s in s_range)
+    sols = tuple(sol_point(fmod, s).dim_fq for s in (1, 2, 3))
     geo = sol_point(fmod, 1).geometric_dim
     return (stable_dim, geo, sols)
 
 
-def crystal_possibly_equivalent(a: Structured, b: Structured,
-                                s_range=(1, 2, 3)) -> bool:
+def crystal_possibly_equivalent(a: Structured, b: Structured) -> bool:
     if a.kind != b.kind or a.power != b.power:
         return False
-    return crystal_signature(a, s_range) == crystal_signature(b, s_range)
+    return crystal_signature(a) == crystal_signature(b)
 
 
 # -- ordinarity via the Cartier operator on top forms --
@@ -284,9 +281,7 @@ def hasse_invariant(p: int, cubic) -> int:
     g = f.gcd(f.derivative())
     if g.deg >= 1:
         raise ValueError("singular curve: the cubic has a repeated root")
-    acc = Poly.one(F)
-    for _ in range((p - 1) // 2):
-        acc = acc * f
+    acc = f ** ((p - 1) // 2)
     return int(acc.coeffs[p - 1]) if len(acc.coeffs) > p - 1 else 0
 
 
@@ -310,7 +305,6 @@ def ordinarity(p: int, cubic) -> bool:
     invariant has geometric Sol dimension one."""
     h = hasse_invariant(p, cubic)
     ring = ring_make(p, [], [])
-    from .artinian import regular_module
     taum = f_module(regular_module(ring), mx.mat([[h]]))
     return sol_point(taum, 1).geometric_dim == 1
 

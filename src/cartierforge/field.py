@@ -93,19 +93,7 @@ def _ppowmod(a, e, m, p):
 def _pgcd(a, b, p):
     a, b = list(a), list(b)
     while b:
-        # a mod b
-        inv_lead = pow(b[-1], p - 2, p)
-        r = list(a)
-        while len(r) >= len(b) and r:
-            if r[-1] == 0:
-                r.pop()
-                continue
-            c = (r[-1] * inv_lead) % p
-            shift = len(r) - len(b)
-            for i, bi in enumerate(b):
-                r[shift + i] = (r[shift + i] - c * bi) % p
-            r = _ptrim(r)
-        a, b = b, r
+        a, b = b, _pmod(a, b, p)
     return a
 
 
@@ -253,9 +241,6 @@ class FiniteField:
         if self.deg == 1:
             return self._inv_table[a]
         return self._exp[(-self._log[a]) % (self.order - 1)]
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def power(self, a, t: int):
         """Elementwise a**t (t >= 0); vectorized, exact."""

@@ -18,7 +18,7 @@ from .artinian import (ArtinRing, FinModule, fin_module, intertwiners,
                        ring_make)
 from .field import GF, FiniteField
 from .pid import CARTIER, FROBENIUS, PidModule, pid_torsion
-from .structures import CartierModule, FModule, cartier_module, f_module
+from .structures import CartierModule, FModule, structured
 
 
 def _rand_mat(rng: random.Random, F: FiniteField, r: int, c: int) -> np.ndarray:
@@ -117,9 +117,7 @@ def random_structure(rng: random.Random, module: FinModule, kind: str,
         c = rng.randrange(F.order)
         if c:
             v = F.add(v, F.mul(np.int64(c), ker[:, k]))
-    mat = mx.unvec(v, d, d)
-    ctor = cartier_module if kind == CARTIER else f_module
-    return ctor(module, mat, power)
+    return structured(kind, module, mx.unvec(v, d, d), power)
 
 
 def random_cartier(rng: random.Random, p: int, max_vars: int = 2,

@@ -7,7 +7,7 @@ applies verbatim) and a free part recorded by its multiplier matrix: the
 rank-one Cartier structures on GF(q)[x] are exactly kappa_S o (mult by u),
 and Frobenius structures are g -> F_*(w g^q).
 
-The injective hull E is modeled by truncations (InverseModule); its Cartier
+The injective hull E is modeled by truncations (inverse_module); its Cartier
 structure contracts exponents by q, so truncations are stable and the whole
 Matlis/local-duality story reduces to exact finite solves.
 """
@@ -20,12 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrix as mx
-from .artinian import ArtinRing, FinModule, fin_module, ring_make
+from .artinian import ArtinRing, fin_module, ring_make
 from .field import FiniteField
 from .poly import Poly, poly_mat, smith_normal_form
+from .duality import inverse_hull
 from .structures import (CARTIER, FROBENIUS, CartierModule, Structured,
-                         cartier_module, f_module, nilpotency_index,
-                         validate, with_structure)
+                         cartier_module, direct_sum_structured,
+                         nilpotency_index, structured, validate,
+                         with_structure)
 
 # -- kappa_S: the explicit unit Cartier structure on GF(q)[x] --
 
@@ -112,36 +114,10 @@ def truncation_ring(field: FiniteField, level: int) -> ArtinRing:
     return ring_make(field, ["x"], [[level]])
 
 
-@dataclass(frozen=True)
-class InverseModule:
-    """Truncation of E = GF(q)[x, 1/x]/GF(q)[x]: basis x^-1 .. x^-level.
-
-    Realized over the truncation ring; index j stands for x^-(j+1), the
-    x-action is the downward shift, and the Cartier structure contracts
-    exponents by q (so each truncation is stable)."""
-
-    level: int
-    module: FinModule
-    kappa: np.ndarray
-
-    @property
-    def field(self):
-        return self.module.ring.field
-
-
-def inverse_module(field: FiniteField, level: int, power: int = 1) -> InverseModule:
-    ring = truncation_ring(field, level)
-    q = field.order ** power
-    x_act = mx.zeros(level, level)
-    for j in range(1, level):
-        x_act[j - 1, j] = 1          # x * x^-(j+1) = x^-j
-    kap = mx.zeros(level, level)
-    for j in range(level):
-        a = j + 1
-        if (a + q - 1) % q == 0:
-            kap[(a + q - 1) // q - 1, j] = 1
-    mod = fin_module(ring, [x_act])
-    return InverseModule(level, mod, kap)
+def inverse_module(field: FiniteField, level: int, power: int = 1) -> CartierModule:
+    """Truncation of E = GF(q)[x, 1/x]/GF(q)[x]: basis x^-1 .. x^-level, the
+    inverse hull of the truncation ring (index j stands for x^-(j+1))."""
+    return inverse_hull(truncation_ring(field, level), power)
 
 
 # -- structured modules over GF(q)[x] at the origin --
@@ -195,17 +171,14 @@ class Unsupported:
 
 
 def pid_torsion(field: FiniteField, x_action, struct, kind: str,
-                power: int = 1, level: int | None = None,
-                check: bool = True) -> PidModule:
+                power: int = 1, check: bool = True) -> PidModule:
     """Torsion module supported at the origin: x_action must be nilpotent."""
     x_action = np.asarray(x_action, dtype=np.int64)
     n = mx.nil_index(field, x_action)
     if n == math.inf:
         raise ValueError("x-action is not nilpotent: module not supported at the origin")
-    ring = truncation_ring(field, max(level or 0, n))
-    mod = fin_module(ring, [x_action])
-    ctor = cartier_module if kind == CARTIER else f_module
-    t = ctor(mod, np.asarray(struct, dtype=np.int64), power, check=check)
+    mod = fin_module(truncation_ring(field, n), [x_action])
+    t = structured(kind, mod, struct, power, check)
     return PidModule(field, kind, t, None, power)
 
 
@@ -248,7 +221,6 @@ def _merge_torsion(a: PidModule, b: PidModule):
     lvl = max(_ring_level(a.torsion.ring), _ring_level(b.torsion.ring))
     ta = retruncate(a.torsion, lvl)
     tb = retruncate(b.torsion, lvl)
-    from .structures import direct_sum_structured
     return direct_sum_structured(ta, tb)
 
 
@@ -282,11 +254,11 @@ def validate_pid(m: PidModule):
 @dataclass(frozen=True)
 class CechReport:
     h0: "Structured | None"
-    h1: object            # list of (InverseModule-realized Structured) | Unsupported | None
+    h1: object            # list of hull-truncation CartierModules | Unsupported | None
     h1_multipliers: "list | None"
 
 
-def cech_local_cohomology(m: PidModule, level: int | None = None) -> CechReport:
+def cech_local_cohomology(m: PidModule) -> CechReport:
     """H^0_m = the x-power-torsion part with its structure; H^1_m = the
     hull-model cokernel of M -> M_x for the free part.
 
@@ -303,7 +275,7 @@ def cech_local_cohomology(m: PidModule, level: int | None = None) -> CechReport:
     diag = m.free_diagonal()
     q = m.field.order ** m.power
     if m.kind == CARTIER:
-        lvl = level or default_truncation([u.deg for u in diag], q)
+        lvl = default_truncation([u.deg for u in diag], q)
         entries = []
         for u in diag:
             entries.append(hull_twist(m.field, lvl, u, m.power))
@@ -328,7 +300,7 @@ def hull_twist(field: FiniteField, level: int, u: Poly, power: int = 1) -> Carti
     return cartier_module(inv.module, kap, power)
 
 
-def h1_entry_crystal_zero(m: PidModule, u: Poly, base_level: int | None = None) -> bool:
+def h1_entry_crystal_zero(m: PidModule, u: Poly) -> bool:
     """Bounded-nilpotence verdict for one H^1 hull component.
 
     Cartier side: the structure contracts, so we compute nilpotency indices
@@ -339,7 +311,7 @@ def h1_entry_crystal_zero(m: PidModule, u: Poly, base_level: int | None = None) 
     q = m.field.order ** m.power
     if m.kind == FROBENIUS:
         return u.is_zero()
-    lvl = base_level or default_truncation([u.deg], q)
+    lvl = default_truncation([u.deg], q)
     i1 = nilpotency_index(hull_twist(m.field, lvl, u, m.power))
     i2 = nilpotency_index(hull_twist(m.field, q * lvl + q, u, m.power))
     return i1 != math.inf and i2 != math.inf and i1 == i2

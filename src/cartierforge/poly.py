@@ -76,6 +76,19 @@ class Poly:
                     out[i + j] = int(F.add(out[i + j], F.mul(a, b)))
         return Poly.make(F, out)
 
+    def __pow__(self, n: int):
+        """self**n (n >= 0) by square-and-multiply."""
+        if n < 0:
+            raise ValueError("negative polynomial power")
+        out, base = Poly.one(self.field), self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
+        return out
+
     def scale(self, c):
         F = self.field
         return Poly.make(F, [int(F.mul(x, c)) for x in self.coeffs])
@@ -105,9 +118,6 @@ class Poly:
             while rem and rem[-1] == 0:
                 rem.pop()
         return Poly.make(F, q), Poly.make(F, rem)
-
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
 
     def __mod__(self, other):
         return self.divmod(other)[1]
@@ -149,9 +159,6 @@ class Poly:
         for k in range(q):
             out.append(Poly.make(self.field, list(self.coeffs[k::q])))
         return out
-
-    def to_list(self) -> list[int]:
-        return list(self.coeffs)
 
     def __repr__(self):
         if self.is_zero():

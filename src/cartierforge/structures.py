@@ -19,8 +19,8 @@ import numpy as np
 from . import matrix as mx
 from .artinian import (ArtinRing, FinModule, direct_sum, f_flat,
                        hom_coords, i_torsion, module_violations,
-                       quotient_module, regular_module, restrict_scalars,
-                       submodule, zero_module)
+                       quotient_module, regular_module, restrict,
+                       restrict_scalars, submodule, zero_module)
 
 
 CARTIER = "cartier"
@@ -81,29 +81,33 @@ class ValidationReport:
         return self.ok
 
 
-def cartier_module(module: FinModule, kappa, power: int = 1,
-                   check: bool = True) -> CartierModule:
-    m = CartierModule(module, np.asarray(kappa, dtype=np.int64), power)
+def structured(kind: str, module: FinModule, mat, power: int = 1,
+               check: bool = True) -> Structured:
+    """The Cartier (kind CARTIER) or Frobenius structure `mat` on `module`;
+    with `check`, a structure that fails `validate` raises ValueError."""
+    cartier = kind == CARTIER
+    m = (CartierModule if cartier else FModule)(
+        module, np.asarray(mat, dtype=np.int64), power)
     if check:
         rep = validate(m)
         if not rep.ok:
-            raise ValueError("invalid Cartier structure: " + "; ".join(rep.violations))
+            name = "Cartier" if cartier else "F-module"
+            raise ValueError(f"invalid {name} structure: " + "; ".join(rep.violations))
     return m
+
+
+def cartier_module(module: FinModule, kappa, power: int = 1,
+                   check: bool = True) -> CartierModule:
+    return structured(CARTIER, module, kappa, power, check)
 
 
 def f_module(module: FinModule, tau, power: int = 1, check: bool = True) -> FModule:
-    m = FModule(module, np.asarray(tau, dtype=np.int64), power)
-    if check:
-        rep = validate(m)
-        if not rep.ok:
-            raise ValueError("invalid F-module structure: " + "; ".join(rep.violations))
-    return m
+    return structured(FROBENIUS, module, tau, power, check)
 
 
 def with_structure(m: Structured, module: FinModule, mat: np.ndarray,
                    check: bool = False) -> Structured:
-    ctor = cartier_module if m.kind == CARTIER else f_module
-    return ctor(module, mat, m.power, check=check)
+    return structured(m.kind, module, mat, m.power, check)
 
 
 def validate(m: Structured) -> ValidationReport:
@@ -157,15 +161,11 @@ def stable_kernel(m: FModule) -> tuple[FModule, np.ndarray]:
 
 def sub_structure(m: Structured, cols: np.ndarray) -> Structured:
     """Restrict module and structure to the span of `cols` (must be stable)."""
-    F = m.ring.field
     sub = submodule(m.module, cols, check=False)
-    if cols.shape[1]:
-        k = mx.solve(F, cols, mx.mmul(F, m.mat, cols))
-        if k is None:
-            raise ValueError("columns are not stable under the structure")
-    else:
-        k = mx.zeros(0, 0)
-    return with_structure(m, sub, k)
+    k = restrict(m.ring.field, [m.mat], cols)
+    if k is None:
+        raise ValueError("columns are not stable under the structure")
+    return with_structure(m, sub, k[0])
 
 
 def quotient_structure(m: Structured, cols: np.ndarray):
@@ -193,9 +193,8 @@ def iterate_structure(m: Structured, s: int) -> Structured:
     structure for the q^(power*s) Frobenius (base change by iteration)."""
     if s < 1:
         raise ValueError("iteration count must be >= 1")
-    F = m.ring.field
-    ctor = cartier_module if m.kind == CARTIER else f_module
-    return ctor(m.module, mx.mat_pow(F, m.mat, s), m.power * s, check=False)
+    return structured(m.kind, m.module, mx.mat_pow(m.ring.field, m.mat, s),
+                      m.power * s, check=False)
 
 
 def adjoint_structural(m: CartierModule):
@@ -434,16 +433,12 @@ def twist_by_unit_line(m: Structured, a_coords) -> Structured:
 def structured_i_torsion(m: Structured, j_gens) -> tuple[Structured, np.ndarray]:
     """i-flat for the closed immersion cut out by J: the J-torsion
     submodule with restricted structure, over the quotient ring."""
-    F = m.ring.field
     tors, cols = i_torsion(m.module, j_gens)
-    if cols.shape[1]:
-        k = mx.solve(F, cols, mx.mmul(F, m.mat, cols))
-        if k is None:
-            raise ValueError("structure does not restrict to the torsion part "
-                             "(expected for Cartier structures)")
-    else:
-        k = mx.zeros(0, 0)
-    return with_structure(m, tors, k, check=True), cols
+    k = restrict(m.ring.field, [m.mat], cols)
+    if k is None:
+        raise ValueError("structure does not restrict to the torsion part "
+                         "(expected for Cartier structures)")
+    return with_structure(m, tors, k[0], check=True), cols
 
 
 def structured_restrict_scalars(m: Structured) -> Structured:

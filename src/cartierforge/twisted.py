@@ -147,19 +147,10 @@ def semilinear_fixed_points(t: TwistedOperator, s: int = 1) -> FixedPoints:
     d = t.rows
     n = d * m
     fp = GF(p)
-    # t^i codes for the polynomial-basis elements of ext over GF(p)
-    gen_powers = np.zeros(m, dtype=np.int64)
-    acc = np.int64(1)
-    for i in range(m):
-        gen_powers[i] = acc
-        if ext.deg > 1:
-            acc = ext.mul(acc, np.int64(ext.p))
-    big = mx.zeros(n, n)
-    for j in range(d):
-        for i in range(m):
-            ti_q = ext.power(gen_powers[i], t.q)
-            col = ext.mul(mat_e[:, j], ti_q)
-            big[:, j * m + i] = ext.digits(col).reshape(-1)
+    # column j*m + i holds the digits of column j of mat_e times (t^i)^q,
+    # where t^i, the i-th polynomial-basis element of ext, has code p^i
+    tq = ext.power(p ** np.arange(m, dtype=np.int64), t.q)
+    big = ext.digits(ext.mul(mat_e[:, :, None], tq)).transpose(0, 3, 1, 2).reshape(n, n)
     kern = mx.kernel(fp, fp.sub(big, mx.identity(n)))
     dim_fp = kern.shape[1]
     vecs = [ext.from_digits(kern[:, k].reshape(d, m)) for k in range(dim_fp)]

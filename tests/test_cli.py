@@ -262,3 +262,21 @@ def test_command_exception_becomes_error_result(tmp_path, capsys):
                             "target is not unit"}
     assert nil["ok"] and nil["index"] == 2
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_perverse_on_complex_refuses_invalid_terms(tmp_path, capsys):
+    doc = json.loads(json.dumps(FIXTURE_A))
+    # kappa = [[0, 1], [0, 0]] breaks K*x^q = x*K for x = [[0, 0], [1, 0]]
+    doc["modules"]["T"] = {"tier": "pid", "kind": "cartier",
+                           "torsion": {"x_action": [[0, 0], [1, 0]],
+                                       "structure": [[0, 1], [0, 0]]}}
+    doc["complexes"] = {"C": {"terms": {"0": "T"}}}
+    doc["commands"] = [{"op": "perverse", "complex": "C"},
+                       {"op": "perverse", "module": "T"}]
+    out = str(tmp_path / "rep.json")
+    assert main(["run", write(tmp_path, doc), "--json", out]) == 1
+    via_complex, via_module = json.loads(open(out).read())["results"]
+    assert via_complex == via_module
+    assert via_complex["ok"] is False and via_complex["module"] == "T"
+    assert "equivariance fails: K*x^q = x*K" in via_complex["violations"]
+    capsys.readouterr()
