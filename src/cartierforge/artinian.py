@@ -124,13 +124,15 @@ class FinModule:
     actions: tuple   # one dim x dim matrix per ring variable
 
     def action_of(self, expvec) -> np.ndarray:
-        """Action matrix of the monomial x^expvec."""
+        """Action matrix of the monomial x^expvec: X_n^e_n ... X_1^e_1, each
+        power by repeated squaring, starting from the first nonzero one."""
         F = self.ring.field
-        out = mx.identity(self.dim)
+        out = None
         for X, e in zip(self.actions, expvec):
-            for _ in range(int(e)):
-                out = mx.mmul(F, X, out)
-        return out
+            if e:
+                power = mx.mat_pow(F, X, int(e))
+                out = power if out is None else mx.mmul(F, power, out)
+        return mx.identity(self.dim) if out is None else out
 
     def element_action(self, coeffs) -> np.ndarray:
         """Action matrix of the ring element with the given basis coords."""

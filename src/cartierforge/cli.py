@@ -64,6 +64,16 @@ def _validation(m) -> tuple[bool, list]:
     return rep.ok, list(rep.violations)
 
 
+def _int_field(cmd, key, default, lo=None):
+    """The integer command field `key`: a JSON integer (not a boolean), at
+    least `lo` when given, else a SchemaError."""
+    v = cmd.get(key, default)
+    if isinstance(v, bool) or not isinstance(v, int) or (lo is not None and v < lo):
+        bound = "an integer" if lo is None else f"an integer >= {lo}"
+        raise SchemaError(f"{cmd.get('op')}: {key} must be {bound}, got {v!r}")
+    return v
+
+
 def _decode_scalar(field, v):
     if isinstance(v, list):
         return int(field.from_digits(np.array(v, dtype=np.int64)))
@@ -193,7 +203,7 @@ def run_command(problem, cmd: dict, seed: int) -> dict:
             part.dim == 0 if m.kind == CARTIER else part.dim == m.dim), ok=True)
     elif op == "unitalize":
         m = get_module()
-        res = unitalize(m, int(cmd.get("max_steps", 16)))
+        res = unitalize(m, _int_field(cmd, "max_steps", 16, lo=0))
         out.update(status=res.status, dim=res.module.dim if res.module else None,
                    steps=res.steps, ok=res.status in ("unit", "zero"))
         if res.certificate:
@@ -233,12 +243,12 @@ def run_command(problem, cmd: dict, seed: int) -> dict:
         m = get_module()
         if isinstance(m, PidModule) or m.kind != FROBENIUS:
             raise SchemaError("sol expects an artinian frobenius module")
-        s = int(cmd.get("s", 1))
+        s = _int_field(cmd, "s", 1, lo=1)
         rep = sol_point(m, s)
         out.update(ok=True, s=s, dim_fq=rep.dim_fq, geometric_dim=rep.geometric_dim)
     elif op == "base-change":
         m = get_module()
-        s = int(cmd.get("s", 2))
+        s = _int_field(cmd, "s", 2, lo=1)
         res = {"s": s}
         if m.kind == FROBENIUS:
             res["sol"] = sol_base_change_check(m, s)
@@ -266,7 +276,7 @@ def run_command(problem, cmd: dict, seed: int) -> dict:
                     raise InvalidModule(ref, notes)
             target = cxs[name]
         else:
-            target = shift_module(get_module(), int(cmd.get("degree", 0)))
+            target = shift_module(get_module(), _int_field(cmd, "degree", 0))
         rep = is_perverse(target)
         if rep.unsupported is not None:
             out.update(unsupported=True, reason=rep.unsupported.reason, ok=None)
@@ -286,7 +296,7 @@ def run_command(problem, cmd: dict, seed: int) -> dict:
     elif op == "localize-model":
         m = get_module()
         f = _decode_poly(problem["field"], cmd["f"])
-        res = coherent_model_of_localization(m, f, int(cmd.get("depth", 3)))
+        res = coherent_model_of_localization(m, f, _int_field(cmd, "depth", 3, lo=1))
         out.update(ok=res.ok, note=res.note,
                    layer_indices=[_index_json(i) for i in res.layer_indices],
                    model={"torsion_dim": res.model.torsion_dim,
@@ -302,8 +312,8 @@ def run_command(problem, cmd: dict, seed: int) -> dict:
         agree = (h != 0) == (ap % p != 0)
         out.update(ok=agree, hasse=h, a_p=ap, ordinary=ordinarity(p, cubic))
     elif op == "suite":
-        out.update(run_suites(int(cmd.get("seed", seed)),
-                              int(cmd.get("count", 25))))
+        out.update(run_suites(_int_field(cmd, "seed", seed),
+                              _int_field(cmd, "count", 25, lo=0)))
     else:
         raise SchemaError(f"unknown command {op!r}")
     return out

@@ -222,9 +222,10 @@ def flat_cartier(m: CartierModule):
     Returns (structured flat module, adjoint matrix, flat hom basis)."""
     F = m.ring.field
     a, flat, basis = adjoint_structural(m)
-    one = m.ring.one()
     if basis:
-        eval1 = np.stack([mx.mmul(F, H, one) for H in basis], axis=1)
+        # H e_1 is the column of H at the unit monomial
+        unit = m.ring.basis_index((0,) * m.ring.nvars)
+        eval1 = np.stack(basis, axis=1)[:, :, unit]
     else:
         eval1 = mx.zeros(m.dim, 0)
     kappa_flat = mx.mmul(F, a, eval1)
@@ -285,12 +286,44 @@ class UnitalizeResult:
 def unitalize(m: CartierModule, max_steps: int = 16) -> UnitalizeResult:
     """Colimit of M -> F^flat M -> F^(2 flat) M -> ...
 
-    Stages are built functorially (the transition out of stage n is
-    F^flat of the previous transition).  The colimit is recognized when
-    a transition becomes bijective, when it becomes zero, or when the
-    stage-modulo-eventual-kernel quotients stabilize; otherwise
-    NotStabilized is reported as a value.  The returned canonical map is
-    certified as a nil-isomorphism.
+    Stages are built functorially: t_0 is the adjoint structural map and
+    t_j = F^flat(t_{j-1}).  The colimit is recognized when a transition
+    becomes bijective, when it becomes zero, or when the stage-modulo-
+    eventual-kernel quotients stabilize; otherwise NotStabilized is
+    reported as a value, with steps = max_steps.  The returned canonical
+    map is certified as a nil-isomorphism.
+
+    Stages are built only until the eventual kernels are known.  Write
+    T_{n->j} for the composite stages[n] -> stages[j] and N_e = ker T_{0->e}.
+    As T_{0->e+1} = F^flat(T_{0->e}) t_0 and F^flat = Hom_R(F_*R, -) is left
+    exact, N_{e+1} = t_0^{-1}(F^flat N_e): one monotone map, iterated, so the
+    chain is constant from the first e0 with N_{e0} = N_{e0+1} (the nil-part
+    chains of Blickle-Boeckle, "Cartier modules: finiteness results", 2011).
+    Its dimension costs one product and one rank per stage.  As
+    T_{n->n+e} = F^(n flat)(T_{0->e}), ker T_{n->n+e} = F^(n flat)(N_e), so
+    every stage-n chain is constant from n + e0 on: the eventual kernel of
+    stage n is ker T_{n->n+e0}, whose canonical basis is the one that
+    ker T_{n->max_steps} gives.  Stage n is scanned as soon as stage
+    n+2+e0 exists.  Without e0, or at max_steps, the windows are clipped at
+    the last stage, as in a full build of max_steps stages.
+
+    Returning at a scan success misses no loop exit that a full build
+    would take first.  Lemma: if f : A -> B is R-linear and f(v) != 0 for a
+    v in the socle of A, then phi_v : F_*R -> A, r -> r(0) v, is R-linear
+    and lies in the socle of F^flat A (each x_i maps F_*R into the maximal
+    ideal), and F^flat(f) phi_v = f phi_v != 0; by induction F^(s flat) f
+    is nonzero on the socle for every s.
+    (i) No later t_s is bijective.  If ker t_0 = 0, every eventual kernel
+    is 0, the quotients are the stages themselves, and a success at n
+    needs t_n bijective, where the loop has already returned.  Otherwise
+    ker t_s = F^(s flat)(ker t_0) is nonzero, by the lemma for the identity
+    of ker t_0 (a nonzero module over the local ring R has a nonzero socle).
+    (ii) No later t_s is zero if the quotient found has dim > 0: with
+    s + 1 > n + e0, t_s = 0 would put all of stage n into
+    ker T_{n->s+1} = ker T_{n->n+e0}.  A zero quotient is returned at once
+    when t_0 is nonzero on the socle of M, for then no t_s is zero by the
+    lemma.  Otherwise the build goes on: the first zero transition, if
+    one comes, is returned, and the zero quotient if none does.
     """
     F = m.ring.field
     stages = [m]
@@ -298,6 +331,10 @@ def unitalize(m: CartierModule, max_steps: int = 16) -> UnitalizeResult:
     bases = [None]
     cur = m
     t_prev = None
+    head, rank = mx.identity(m.dim), m.dim      # T_{0->e} and its rank
+    e0 = None                                   # set once N_e repeats
+    # pending: a zero quotient found while a later t_s may still be zero
+    built, scanned, pending = {}, 0, None
     for step in range(max_steps):
         nxt, adj, basis = flat_cartier(cur)
         if t_prev is None:
@@ -317,7 +354,32 @@ def unitalize(m: CartierModule, max_steps: int = 16) -> UnitalizeResult:
                                    zero, cmap, cert, step + 1)
         cur = nxt
         t_prev = t
-    return _try_quotient_stabilization(m, stages, trans, max_steps)
+        if pending is not None:
+            continue
+        if e0 is None:
+            head = mx.mmul(F, t, head)
+            rank, last_rank = mx.rank(F, head), rank
+            if rank == last_rank:
+                e0 = step
+        if e0 is None:
+            continue
+        # stage n needs stage n+2+e0, and a full build scans n < max_steps-2
+        stop = min(len(trans) - 1 - e0, max_steps - 2)
+        found = _try_quotient_stabilization(m, stages, trans, range(scanned, stop),
+                                            e0, built)
+        scanned = max(scanned, stop)
+        if found is not None:
+            soc = mx.kernel(F, np.vstack((mx.zeros(0, m.dim),) + m.module.actions))
+            if found.module.dim or mx.mmul(F, trans[0], soc).any():
+                return found
+            pending = found
+    if pending is not None:
+        return pending
+    found = _try_quotient_stabilization(m, stages, trans, range(scanned, max_steps - 2),
+                                        e0, built)
+    if found is not None:
+        return found
+    return UnitalizeResult("not_stabilized", stages[-1], None, None, max_steps)
 
 
 def _flat_transition(F, t_prev, prev_basis, basis):
@@ -336,45 +398,39 @@ def _flat_transition(F, t_prev, prev_basis, basis):
     return t
 
 
-def _composite(F, trans, upto):
-    """Composite transition stages[0] -> stages[upto]."""
-    out = None
-    for t in trans[:upto]:
-        out = t if out is None else mx.mmul(F, t, out)
-    return out
-
-
 def _finish_unitalize(m, stages, trans, step, exact_stage):
     F = m.ring.field
     target = stages[exact_stage]
-    cmap = mx.identity(m.dim) if exact_stage == 0 else _composite(F, trans, exact_stage)
+    cmap = _composite(F, trans[:exact_stage], m.dim)
     cert = nil_isomorphism_check(cmap, m, target)
     status = "zero" if target.dim == 0 else "unit"
     return UnitalizeResult(status if cert.ok else "not_stabilized",
                            target, cmap, cert, step + 1)
 
 
-def _try_quotient_stabilization(m, stages, trans, max_steps):
+def _try_quotient_stabilization(m, stages, trans, ns, e0, built):
     """Mixed case: quotient each stage by its eventual forward kernel and
-    look for two consecutive induced isomorphisms.
+    look, at each n of `ns` in turn, for two consecutive induced
+    isomorphisms out of stage n.  Returns the first success, else None.
 
-    The kernels of the composites out of stage n are nested, since
-    T_{n->j+1} = t_j T_{n->j}; so the eventual kernel is the kernel of the
-    composite T_{n->N} to the last stage.  All of those composites come
-    from one backward pass, and a quotient is built only once the scan
+    The kernels of the composites out of stage k are nested, since
+    T_{k->j+1} = t_j T_{k->j}; the eventual one is ker T_{k->k+e0}
+    (see unitalize), clipped at the last stage, and the kernel of the
+    composite to the last stage when `e0` is None.  `built` keeps the
+    quotients from call to call, and one is built only once the scan
     reaches its stage."""
     F = m.ring.field
-    tails = _composites_to_end(F, trans)
-    built = {}
 
-    def quot(n):
-        if n not in built:
-            kbar = mx.column_space(F, mx.kernel(F, tails[n]))
-            q, proj, _ = quotient_structure(stages[n], kbar)
-            built[n] = (q, proj)
-        return built[n]
+    def quot(k):
+        if k not in built:
+            end = len(trans) if e0 is None else min(k + e0, len(trans))
+            tail = _composite(F, trans[k:end], stages[k].dim)
+            kbar = mx.column_space(F, mx.kernel(F, tail))
+            q, proj, _ = quotient_structure(stages[k], kbar)
+            built[k] = (q, proj)
+        return built[k]
 
-    for n in range(len(trans) - 2):
+    for n in ns:
         (a, pa), (b, pb), (c, pc) = quot(n), quot(n + 1), quot(n + 2)
         if a.dim != b.dim or b.dim != c.dim:
             continue
@@ -383,13 +439,18 @@ def _try_quotient_stabilization(m, stages, trans, max_steps):
         if ind1 is None or ind2 is None:
             continue
         if mx.inverse(F, ind1) is not None and mx.inverse(F, ind2) is not None:
-            comp = _composite(F, trans, n) if n else mx.identity(m.dim)
-            cmap = mx.mmul(F, pa, comp)
+            cmap = mx.mmul(F, pa, _composite(F, trans[:n], m.dim))
             cert = nil_isomorphism_check(cmap, m, a)
             if cert.ok and is_unit(a):
                 status = "zero" if a.dim == 0 else "unit"
                 return UnitalizeResult(status, a, cmap, cert, n + 1)
-    return UnitalizeResult("not_stabilized", stages[-1], None, None, max_steps)
+    return None
+
+
+def _composite(F, trans, dim):
+    """The composite of the transitions `trans`, in order, out of a stage
+    of dimension `dim`: the identity when there are none."""
+    return _composites_to_end(F, trans)[0] if trans else mx.identity(dim)
 
 
 def _composites_to_end(F, trans):

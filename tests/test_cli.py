@@ -280,3 +280,50 @@ def test_perverse_on_complex_refuses_invalid_terms(tmp_path, capsys):
     assert via_complex["ok"] is False and via_complex["module"] == "T"
     assert "equivariance fails: K*x^q = x*K" in via_complex["violations"]
     capsys.readouterr()
+
+
+FROB = {"kind": "frobenius", "carrier": {"actions": [[[0, 0], [1, 0]]]},
+        "structure": [[1, 0], [0, 0]]}
+
+
+@pytest.mark.parametrize("cmd", [
+    {"op": "unitalize", "module": "A", "max_steps": -3},
+    {"op": "unitalize", "module": "A", "max_steps": "abc"},
+    {"op": "unitalize", "module": "A", "max_steps": 2.7},
+    {"op": "unitalize", "module": "A", "max_steps": True},
+    {"op": "unitalize", "module": "A", "max_steps": None},
+    {"op": "sol", "module": "frob", "s": 0},
+    {"op": "sol", "module": "frob", "s": "2"},
+    {"op": "base-change", "module": "frob", "s": 0},
+    {"op": "base-change", "module": "frob", "s": False},
+    {"op": "localize-model", "module": "sky", "f": [1, 1], "depth": 0},
+    {"op": "localize-model", "module": "sky", "f": [1, 1], "depth": 1.0},
+    {"op": "perverse", "module": "sky", "degree": "1"},
+    {"op": "suite", "count": -1},
+])
+def test_bad_integer_field_is_schema_error(tmp_path, capsys, cmd):
+    doc = json.loads(json.dumps(FIXTURE_A))
+    doc["modules"]["frob"] = FROB
+    doc["commands"] = [cmd]
+    assert main(["run", write(tmp_path, doc)]) == 2
+    key = next(k for k in cmd if k not in ("op", "module", "f"))
+    assert f"{key} must be an integer" in capsys.readouterr().err
+
+
+def test_integer_fields_at_their_bounds(tmp_path, capsys):
+    doc = json.loads(json.dumps(FIXTURE_A))
+    doc["modules"]["frob"] = FROB
+    doc["commands"] = [
+        {"op": "unitalize", "module": "A", "max_steps": 0},
+        {"op": "sol", "module": "frob", "s": 1},
+        {"op": "base-change", "module": "frob", "s": 1},
+        {"op": "localize-model", "module": "sky", "f": [1, 1], "depth": 1},
+        {"op": "perverse", "module": "sky", "degree": -1}]
+    out = str(tmp_path / "rep.json")
+    # max_steps = 0 builds no stage, so the run reports not_stabilized
+    assert main(["run", write(tmp_path, doc), "--json", out]) == 1
+    uni, sol, bc, loc, perv = json.loads(open(out).read())["results"]
+    assert uni["status"] == "not_stabilized" and uni["steps"] == 0
+    assert sol["s"] == 1 and bc["s"] == 1
+    assert "error" not in loc and "error" not in perv
+    capsys.readouterr()

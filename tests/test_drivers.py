@@ -7,23 +7,30 @@ functorial transition with one solve and takes the eventual kernels from
 one backward pass of composites, and `double_dual_check` solves for its
 evaluation witness at once.  The references below are the earlier loop
 implementations, one basis vector and one solve at a time; the batched
-routines must agree with them bit for bit.
+routines must agree with them bit for bit.  `ref_unitalize` also builds all
+`max_steps` stages before it scans, so it checks the early stop of
+`unitalize` as well.
 """
+
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cartierforge import matrix as mx
-from cartierforge.artinian import f_flat, hom_coords
+from cartierforge import structures
+from cartierforge.artinian import f_flat, fin_module, hom_coords, ring_make
 from cartierforge.duality import double_dual_check, dualize_artinian
 from cartierforge.field import GF
-from cartierforge.generate import artinian_corpus
-from cartierforge.structures import (CartierModule, UnitalizeResult,
+from cartierforge.generate import (artinian_corpus, random_cartier,
+                                   random_module, random_structure)
+from cartierforge.structures import (CARTIER, CartierModule, UnitalizeResult,
                                      _composites_to_end, _induced_map,
-                                     adjoint_structural, is_morphism,
-                                     nil_isomorphism_check, quotient_structure,
-                                     unitalize, zero_module)
+                                     adjoint_structural, cartier_module,
+                                     is_morphism, nil_isomorphism_check,
+                                     quotient_structure, unitalize,
+                                     zero_module)
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2)]     # GF(2), GF(3), GF(4), GF(9)
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -316,3 +323,88 @@ def test_double_dual_check_equals_loop_reference_on_corpus():
         ok, ev = double_dual_check(m)
         rok, rev = ref_double_dual_check(m)
         assert ok == rok and ev.shape == rev.shape and np.array_equal(ev, rev)
+
+
+# -- the early stop: unitalize against the forced full build --
+
+
+@st.composite
+def cartier_case(draw):
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        m = random_cartier(rng, draw(st.sampled_from([2, 3, 5])), 2, 6, 4)
+    else:
+        # over GF(2)[x]/(x^n) with n > 8 a transition can turn zero after
+        # the quotient scan has found the zero module (a few percent of
+        # these structures do)
+        ring = ring_make(2, ["x"], [[draw(st.integers(9, 20))]])
+        m = random_structure(rng, random_module(rng, ring, 3), CARTIER)
+    return m, draw(st.sampled_from([0, 1, 2, 3, 5, 16]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(cartier_case())
+def test_unitalize_equals_full_build(case):
+    m, max_steps = case
+    same_result(unitalize(m, max_steps), ref_unitalize(m, max_steps)[0])
+
+
+def counting_flat_cartier(monkeypatch):
+    calls = []
+    flat_cartier = structures.flat_cartier
+
+    def counting(m):
+        calls.append(1)
+        return flat_cartier(m)
+
+    monkeypatch.setattr(structures, "flat_cartier", counting)
+    return calls
+
+
+def test_unitalize_stage_count_on_acceptance_corpus(monkeypatch):
+    corpus = artinian_corpus(2024, 200, p_choices=(2, 3), max_ring_dim=6,
+                             max_dim=5)
+    calls = counting_flat_cartier(monkeypatch)
+    for m in corpus:
+        unitalize(m)
+    # a full build of every stage makes 1,006 calls here
+    assert len(calls) <= 430
+
+
+def nil_chain_dims(m, upto):
+    """dim N_e = dim {v : kappa^e x^lambda v = 0 for every monomial lambda},
+    the kernel of T_{0->e}, for e = 0..upto (prime tier, power 1)."""
+    F = m.ring.field
+    acts = [m.module.action_of(mono) for mono in m.ring.basis]
+    return [mx.kernel(F, np.vstack([mx.mmul(F, mx.mat_pow(F, m.kappa, e), X)
+                                    for X in acts])).shape[1]
+            for e in range(upto + 1)]
+
+
+def test_unitalize_late_kernel_chain(monkeypatch):
+    # x acts as 0 on GF(2)^4 over GF(2)[x]/(x^2); kappa is a nilpotent
+    # Jordan block of size 3 plus the unit 1, so N_1 < N_2 < N_3 = N_4
+    ring = ring_make(2, ["x"], [[2]])
+    kappa = mx.mat([[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
+    m = cartier_module(fin_module(ring, [mx.zeros(4, 4)]), kappa)
+    assert nil_chain_dims(m, 4) == [0, 1, 2, 3, 3]
+    want, path = ref_unitalize(m)
+    assert path == "quotient" and want.status == "unit" and want.steps == 2
+    calls = counting_flat_cartier(monkeypatch)
+    same_result(unitalize(m), want)
+    # e0 = 3: stage 1 is scanned once stage 1 + 2 + 3 exists
+    assert len(calls) == 6
+
+
+def test_unitalize_zero_quotient_waits_for_late_zero_transition(monkeypatch):
+    # kappa = x on GF(2)[x]/(x^2), over GF(2)[x]/(x^9): the structure is
+    # nilpotent and kills the socle, so the scan finds the zero quotient at
+    # stage 0 once stage 4 exists, yet t_4 = 0 is the exit a full build takes
+    ring = ring_make(2, ["x"], [[9]])
+    x = mx.mat([[0, 1], [0, 0]])
+    m = cartier_module(fin_module(ring, [x]), x)
+    want, path = ref_unitalize(m)
+    assert path == "zero" and want.status == "zero" and want.steps == 5
+    calls = counting_flat_cartier(monkeypatch)
+    same_result(unitalize(m), want)
+    assert len(calls) == 5

@@ -5,9 +5,10 @@ the forms they replaced.
 the action coordinates off the free rows of the RREF kernel basis;
 `pair_C_to_F` solves one block system vstack_lambda(kappa_N x^lambda)
 against every basis hom side by side; `nil_index` is the one "least n with
-a^n = 0" loop; `mat_pow` squares from the leading bit.  The references
+a^n = 0" loop; `mat_pow` squares from the leading bit, and
+`FinModule.action_of` takes one such power per variable.  The references
 below are the earlier forms: explicit Kronecker systems, a second solve
-for the actions, the Kronecker pairing system, and plain power loops.  The
+for the actions, the Kronecker pairing system, and plain product loops.  The
 new routines must agree with them bit for bit.
 """
 
@@ -115,6 +116,15 @@ def ref_mat_pow(F, a, n):
     out = mx.identity(a.shape[0])
     for _ in range(n):
         out = mx.mmul(F, a, out)
+    return out
+
+
+def ref_action_of(m, expvec):
+    F = m.ring.field
+    out = mx.identity(m.dim)
+    for X, e in zip(m.actions, expvec):
+        for _ in range(int(e)):
+            out = mx.mmul(F, X, out)
     return out
 
 
@@ -275,3 +285,57 @@ def test_mat_pow_products_and_values(p, d, monkeypatch):
         assert np.array_equal(got, want)
         assert got is not a
         assert len(calls) <= max(0, 2 * (n.bit_length() - 1))   # 2*floor(log2 n)
+
+
+# -- action_of: one power per variable against the product loop --
+
+
+@st.composite
+def monomial_action(draw):
+    """Two arbitrary matrices as the actions of x and y (they need not
+    commute, so the order of the factors is checked too) and an exponent
+    vector with entries in 0..70."""
+    p, d = draw(st.sampled_from([(2, 1), (3, 1), (3, 2)]))   # GF(2), GF(3), GF(9)
+    F = GF(p, d)
+    n = draw(st.integers(0, 4))
+    code = st.integers(0, F.order - 1)
+    acts = tuple(np.array(draw(st.lists(code, min_size=n * n, max_size=n * n)),
+                          dtype=np.int64).reshape(n, n) for _ in range(2))
+    ring = ring_make(F, ["x", "y"], [[2, 0], [0, 2]])
+    exps = (draw(st.integers(0, 70)), draw(st.integers(0, 70)))
+    return FinModule(ring, n, acts), exps
+
+
+@SETTINGS
+@given(monomial_action())
+def test_action_of_matches_product_loop(case):
+    m, exps = case
+    assert np.array_equal(m.action_of(exps), ref_action_of(m, exps))
+
+
+@pytest.mark.parametrize("p,d", [(2, 1), (3, 1), (3, 2)])
+def test_action_of_products_and_edges(p, d, monkeypatch):
+    F = GF(p, d)
+    rng = random.Random(p * 10 + d)
+    ring = ring_make(F, ["x", "y"], [[2, 0], [0, 2]])
+    acts = tuple(np.array([[rng.randrange(F.order) for _ in range(3)]
+                           for _ in range(3)], dtype=np.int64) for _ in range(2))
+    m = FinModule(ring, 3, acts)
+    mmul, calls = mx.mmul, []
+
+    def counting(*args):
+        calls.append(1)
+        return mmul(*args)
+
+    for exps in [(0, 0), (1, 0), (0, 1), (1, 1), (70, 0), (0, 70), (64, 63),
+                 (70, 70)]:
+        want = ref_action_of(m, exps)
+        calls.clear()
+        monkeypatch.setattr(mx, "mmul", counting)
+        got = m.action_of(exps)
+        monkeypatch.setattr(mx, "mmul", mmul)
+        assert np.array_equal(got, want)
+        assert all(got is not X for X in acts)
+        # 2*floor(log2 e) products per power, one more to join two powers
+        bound = sum(2 * (e.bit_length() - 1) for e in exps if e) + (min(exps) > 0)
+        assert len(calls) <= bound
