@@ -216,15 +216,17 @@ def intertwiners(F: FiniteField, As, Bs, rows: int, cols: int):
     return ker, [mx.unvec(ker[:, k], rows, cols) for k in range(ker.shape[1])]
 
 
-def _kernel_coords(ker: np.ndarray, mats) -> np.ndarray:
-    """Coordinates in an RREF kernel basis of matrices in its span.
+def _free_rows(ker: np.ndarray) -> np.ndarray:
+    """The last nonzero row of each column; in an RREF kernel basis, the
+    free rows, where the basis is the identity."""
+    return ker.shape[0] - 1 - np.argmax(ker[::-1] != 0, axis=0)
 
-    The basis is the identity on its free rows, the last nonzero entry of
-    each column, so the coordinates are those entries of each vec."""
+
+def _kernel_coords(ker: np.ndarray, mats) -> np.ndarray:
+    """Coordinates in an RREF kernel basis of matrices in its span."""
     if not mats:
         return mx.zeros(0, 0)
-    free = ker.shape[0] - 1 - np.argmax(ker[::-1] != 0, axis=0)
-    return np.stack([mx.vec(a) for a in mats], axis=1)[free]
+    return np.stack([mx.vec(a) for a in mats], axis=1)[_free_rows(ker)]
 
 
 def hom_module(m: FinModule, n: FinModule) -> tuple[FinModule, list[np.ndarray]]:
@@ -246,12 +248,15 @@ def hom_coords(F: FiniteField, basis: list[np.ndarray], targets: np.ndarray):
     """Coordinates in the given hom basis of several matrices at once.
 
     Column j of `targets` is the vectorization (mx.vec) of the j-th matrix;
-    column j of the result holds its coordinates.  One solve covers every
-    column; the result is None if any column lies outside the span."""
+    column j of the result holds its coordinates, read off the free rows of
+    the stacked basis and checked by one product: None unless they give
+    `targets` back.  The basis must be a canonical RREF kernel basis, as
+    from `intertwiners`; then every column in the span is solved."""
     if not basis:
         return mx.zeros(0, targets.shape[1]) if not targets.any() else None
     stacked = np.stack([mx.vec(b) for b in basis], axis=1)
-    return mx.solve(F, stacked, targets)
+    coords = targets[_free_rows(stacked)]
+    return coords if np.array_equal(mx.mmul(F, stacked, coords), targets) else None
 
 
 def f_flat(m: FinModule, power: int = 1) -> tuple[FinModule, list[np.ndarray]]:

@@ -64,20 +64,27 @@ def _validation(m) -> tuple[bool, list]:
     return rep.ok, list(rep.violations)
 
 
-def _int_field(cmd, key, default, lo=None):
-    """The integer command field `key`: a JSON integer (not a boolean), at
-    least `lo` when given, else a SchemaError."""
-    v = cmd.get(key, default)
+def _int(v, what, lo=None):
+    """`v` if it is a JSON integer (not a boolean), at least `lo` when
+    given, else a SchemaError; every integer of the input goes through it."""
     if isinstance(v, bool) or not isinstance(v, int) or (lo is not None and v < lo):
         bound = "an integer" if lo is None else f"an integer >= {lo}"
-        raise SchemaError(f"{cmd.get('op')}: {key} must be {bound}, got {v!r}")
+        raise SchemaError(f"{what} must be {bound}, got {v!r}")
     return v
+
+
+def _int_field(cmd, key, default, lo=None):
+    return _int(cmd.get(key, default), f"{cmd.get('op')}: {key}", lo)
+
+
+def _exponents(vectors, what="relation entry"):
+    return [tuple(_int(e, what, lo=0) for e in vec) for vec in vectors]
 
 
 def _decode_scalar(field, v):
     if isinstance(v, list):
-        return int(field.from_digits(np.array(v, dtype=np.int64)))
-    return int(v) % field.order
+        return int(field.from_digits([_int(d, "field element digit") for d in v]))
+    return _int(v, "field element") % field.order
 
 
 def _decode_matrix(field, rows):
@@ -93,12 +100,11 @@ def parse_problem(doc: dict):
     if doc.get("schema") != SCHEMA:
         raise SchemaError(f"unsupported schema {doc.get('schema')!r}")
     fld = doc.get("field", {})
-    p, r = int(fld.get("p", 2)), int(fld.get("r", 1))
-    field = GF(p, r)
+    field = GF(_int(fld.get("p", 2), "field p"), _int(fld.get("r", 1), "field r"))
     ring = None
     rdoc = doc.get("ring")
     if rdoc and rdoc.get("tier", "artinian") == "artinian":
-        ring = ring_make(field, rdoc["vars"], rdoc["relations"])
+        ring = ring_make(field, rdoc["vars"], _exponents(rdoc["relations"]))
     modules = {}
     for name, mdoc in doc.get("modules", {}).items():
         modules[name] = _parse_module(field, ring, mdoc)
@@ -147,12 +153,13 @@ def _parse_module(field, ring, mdoc: dict):
     this_ring = ring
     if "ring" in mdoc:
         rd = mdoc["ring"]
-        this_ring = ring_make(field, rd["vars"], rd["relations"])
+        this_ring = ring_make(field, rd["vars"], _exponents(rd["relations"]))
     if this_ring is None:
         raise SchemaError("artinian module without a ring declaration")
     actions = [_decode_matrix(field, a) for a in mdoc["carrier"]["actions"]]
     module = fin_module(this_ring, actions, check=False)
-    if "dim" in mdoc["carrier"] and int(mdoc["carrier"]["dim"]) != module.dim:
+    if ("dim" in mdoc["carrier"]
+            and _int(mdoc["carrier"]["dim"], "carrier dim", lo=0) != module.dim):
         raise SchemaError("declared module dim does not match the actions")
     return structured(kind, module, _decode_matrix(field, mdoc["structure"]),
                       check=False)
@@ -286,7 +293,7 @@ def run_command(problem, cmd: dict, seed: int) -> dict:
                 for c in rep.conditions])
     elif op == "kashiwara":
         m = get_module()
-        j = [tuple(int(e) for e in g) for g in cmd["j_gens"]]
+        j = _exponents(cmd["j_gens"], "kashiwara: j_gens entry")
         tors, _ = structured_i_torsion(m, j)
         rt = kashiwara_roundtrip(tors)
         counit = kashiwara_counit(m, j)
@@ -302,8 +309,8 @@ def run_command(problem, cmd: dict, seed: int) -> dict:
                    model={"torsion_dim": res.model.torsion_dim,
                           "free_rank": res.model.free_rank})
     elif op == "hasse":
-        p = int(cmd["p"])
-        cubic = [int(c) for c in cmd["cubic"]]
+        p = _int(cmd["p"], "hasse: p")
+        cubic = [_int(c, "hasse: cubic coefficient") for c in cmd["cubic"]]
         try:
             h = hasse_invariant(p, cubic)
         except ValueError as exc:
@@ -351,7 +358,7 @@ def cmd_run(args) -> int:
         with open(args.file) as fh:
             doc = json.load(fh)
         problem = parse_problem(doc)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, SchemaError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, SchemaError) as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return 2
     t0 = time.monotonic()

@@ -147,7 +147,7 @@ def double_dual_check(m: Structured) -> tuple[bool, np.ndarray]:
 
     The evaluation at e_i is the hom f -> f(e_i), whose matrix has column j
     equal to column i of the basis hom H_j; stacking the H_j vertically
-    gives the vec of every evaluation at once, solved in one call."""
+    gives the vec of every evaluation at once, for one `hom_coords` call."""
     F = m.ring.field
     d1, b1 = dualize_artinian(m)
     d2, b2 = dualize_artinian(d1)

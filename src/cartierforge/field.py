@@ -214,18 +214,27 @@ class FiniteField:
         a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
         if self.deg == 1:
             return (a + b) % self.p
-        d = (self._dig[a] + self._dig[b]) % self.p
-        return d @ self._pw
+        return ((self._dig[a] + self._dig[b]) % self.p) @ self._pw
 
     def neg(self, a):
         a = np.asarray(a, dtype=np.int64)
         if self.deg == 1:
             return (-a) % self.p
-        d = (-self._dig[a]) % self.p
-        return d @ self._pw
+        return (-self._dig[a] % self.p) @ self._pw
 
     def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        if self.deg == 1:
+            return (a - b) % self.p
+        return ((self._dig[a] - self._dig[b]) % self.p) @ self._pw
+
+    def submul(self, a, b, c):
+        """Elementwise a - b*c.  Over GF(p) this is one (a - b*c) % p on
+        int64, where |a - b*c| < p**2 <= 2**44 under MAX_ORDER."""
+        a = np.asarray(a, dtype=np.int64)
+        if self.deg == 1:
+            return (a - np.asarray(b, dtype=np.int64) * c) % self.p
+        return self.sub(a, self.mul(b, c))
 
     def mul(self, a, b):
         a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
@@ -235,12 +244,17 @@ class FiniteField:
         return np.where((a == 0) | (b == 0), 0, out)
 
     def inv(self, a):
-        a = np.asarray(a, dtype=np.int64)
-        if np.any(a == 0):
-            raise ZeroDivisionError("inverse of 0 in finite field")
+        return self.div(1, a)
+
+    def div(self, a, b):
+        """Elementwise a / b; raises ZeroDivisionError if any b is 0."""
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        if np.count_nonzero(b) < b.size:
+            raise ZeroDivisionError("division by 0 in finite field")
         if self.deg == 1:
-            return self._inv_table[a]
-        return self._exp[(-self._log[a]) % (self.order - 1)]
+            return (a * self._inv_table[b]) % self.p
+        out = self._exp[(self._log[a] - self._log[b]) % (self.order - 1)]
+        return np.where(a == 0, 0, out)
 
     def power(self, a, t: int):
         """Elementwise a**t (t >= 0); vectorized, exact."""

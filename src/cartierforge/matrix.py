@@ -108,9 +108,11 @@ def nil_index(F: FiniteField, a: np.ndarray):
 def rref(F: FiniteField, a) -> tuple[np.ndarray, tuple[int, ...]]:
     """Reduced row echelon form; returns (R, pivot_columns).
 
-    Each pivot column is cleared by one rank-1 update of all other rows
-    that are nonzero there.  Left of the pivot the pivot row is zero, so
-    the update touches only columns from the pivot on."""
+    Each pivot takes two field ops: one `div` normalises the pivot row, and
+    one fused rank-1 `submul` clears the pivot column in every row nonzero
+    there, the pivot row too, before the normalised row is written back.
+    Left of the pivot the pivot row is zero, so the update touches only
+    columns from the pivot on."""
     r = np.array(a, dtype=np.int64)
     nrows, ncols = r.shape
     pivots = []
@@ -118,28 +120,26 @@ def rref(F: FiniteField, a) -> tuple[np.ndarray, tuple[int, ...]]:
     for col in range(ncols):
         if row >= nrows:
             break
-        nz = np.flatnonzero(r[row:, col])
-        if nz.size == 0:
+        column = r[:, col]
+        nz = column.nonzero()[0]
+        k = nz.searchsorted(row)
+        if k == nz.size:
             continue
-        piv = row + int(nz[0])
+        piv = nz[k]
         if piv != row:
+            # rows row..piv-1 are zero here, so piv moves to row in nz
             r[[row, piv]] = r[[piv, row]]
-        prow = F.mul(r[row, col:], F.inv(r[row, col]))
+            nz[k] = row
+        prow = F.div(r[row, col:], column[row])
+        if nz.size > 1:
+            r[nz, col:] = F.submul(r[nz, col:], column[nz, None], prow)
         r[row, col:] = prow
-        others = np.flatnonzero(r[:, col])
-        if others.size > 1:
-            others = others[others != row]
-            block = r[others, col:]
-            r[others, col:] = F.sub(block, F.mul(block[:, :1], prow))
         pivots.append(col)
         row += 1
     return r, tuple(pivots)
 
 
 def rank(F: FiniteField, a) -> int:
-    a = np.asarray(a, dtype=np.int64)
-    if a.size == 0:
-        return 0
     return len(rref(F, a)[1])
 
 
@@ -170,9 +170,8 @@ def solve_full(F: FiniteField, a, b):
         raise ValueError("solve: row mismatch")
     aug = np.hstack([a, b2])
     r, pivots = rref(F, aug)
-    for p in pivots:
-        if p >= a.shape[1]:
-            return None, False
+    if pivots and pivots[-1] >= a.shape[1]:
+        return None, False
     x = zeros(a.shape[1], b2.shape[1])
     x[list(pivots)] = r[:len(pivots), a.shape[1]:]
     return (x[:, 0] if vec_in else x), len(pivots) == a.shape[1]
@@ -188,14 +187,9 @@ def solve(F: FiniteField, a, b):
 
 
 def inverse(F: FiniteField, a):
-    """Inverse matrix, or None if singular."""
-    a = np.asarray(a, dtype=np.int64)
-    if a.shape[0] != a.shape[1]:
-        return None
-    x = solve(F, a, identity(a.shape[0]))
-    if x is None or not np.array_equal(mmul(F, a, x), identity(a.shape[0])):
-        return None
-    return x
+    """Inverse matrix, or None when a @ X = I has no unique solution."""
+    x, unique = solve_full(F, a, identity(len(a)))
+    return x if unique else None
 
 
 def kron(F: FiniteField, a, b) -> np.ndarray:

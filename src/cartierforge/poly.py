@@ -114,7 +114,7 @@ class Poly:
             shift = len(rem) - len(other.coeffs)
             q[shift] = c
             for i, oc in enumerate(other.coeffs):
-                rem[shift + i] = int(F.sub(rem[shift + i], F.mul(c, oc)))
+                rem[shift + i] = int(F.submul(rem[shift + i], c, oc))
             while rem and rem[-1] == 0:
                 rem.pop()
         return Poly.make(F, q), Poly.make(F, rem)

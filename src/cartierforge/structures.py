@@ -387,7 +387,7 @@ def _flat_transition(F, t_prev, prev_basis, basis):
 
     The images of all basis homs come from one product with the homs side
     by side; reshaping it in column order puts the vec of image j in
-    column j, so one solve gives the whole matrix."""
+    column j, so one `hom_coords` call gives the whole matrix."""
     if not prev_basis:
         return mx.zeros(len(basis), 0)
     prod = mx.mmul(F, t_prev, np.hstack(prev_basis))

@@ -327,3 +327,56 @@ def test_integer_fields_at_their_bounds(tmp_path, capsys):
     assert sol["s"] == 1 and bc["s"] == 1
     assert "error" not in loc and "error" not in perv
     capsys.readouterr()
+
+
+def set_path(doc, path, value):
+    *head, last = path
+    for key in head:
+        doc = doc[key]
+    doc[last] = value
+
+
+@pytest.mark.parametrize("path,value", [
+    (("commands",), [{"op": "kashiwara", "module": "A", "j_gens": [[1.7]]}]),
+    (("commands",), [{"op": "kashiwara", "module": "A", "j_gens": [[True]]}]),
+    (("modules", "A", "structure"), [[0.4, 0], [1.9, 0]]),
+    (("modules", "sky", "torsion", "x_action"), [[[True]]]),      # digit list
+    (("modules", "A", "carrier", "dim"), 2.0),
+    (("modules", "A", "carrier", "dim"), "2"),
+    (("field", "p"), 2.0),
+    (("field", "r"), True),
+    (("ring", "relations"), [[2.5]]),
+    (("modules", "A", "ring"), {"vars": ["x"], "relations": [[False]]}),
+    (("commands",), [{"op": "hasse", "p": 5.0, "cubic": [0, 1, 0, 1]}]),
+    (("commands",), [{"op": "hasse", "p": 5, "cubic": [0, 1.5, 0, 1]}]),
+])
+def test_non_integer_input_is_schema_error(tmp_path, capsys, path, value):
+    doc = json.loads(json.dumps(FIXTURE_A))
+    set_path(doc, path, value)
+    assert main(["run", write(tmp_path, doc)]) == 2
+    assert "must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path,value", [
+    (("ring", "relations"), [2]),
+    (("modules", "A", "structure"), 5),
+])
+def test_wrongly_nested_input_is_schema_error(tmp_path, capsys, path, value):
+    doc = json.loads(json.dumps(FIXTURE_A))
+    set_path(doc, path, value)
+    assert main(["run", write(tmp_path, doc)]) == 2
+    assert "schema error" in capsys.readouterr().err
+
+
+def test_integer_input_in_every_numeric_field(tmp_path, capsys):
+    doc = json.loads(json.dumps(FIXTURE_A))
+    doc["modules"]["A"]["carrier"]["dim"] = 2
+    doc["modules"]["A"]["ring"] = {"vars": ["x"], "relations": [[2]]}
+    doc["modules"]["sky"]["torsion"]["x_action"] = [[[0]]]
+    doc["commands"] = [{"op": "kashiwara", "module": "A", "j_gens": [[1]]},
+                       {"op": "hasse", "p": 5, "cubic": [0, 1, 0, 1]},
+                       {"op": "dualize", "module": "sky"}]
+    out = str(tmp_path / "rep.json")
+    assert main(["run", write(tmp_path, doc), "--json", out]) == 0
+    assert all(r["ok"] for r in json.loads(open(out).read())["results"])
+    capsys.readouterr()

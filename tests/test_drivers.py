@@ -1,10 +1,11 @@
 """The batched unitalize, adjoint and double-dual routines against the
 loop forms they replaced.
 
-`hom_coords` solves for every target column in one call, `adjoint_structural`
-takes kappa * x^mono once per ring monomial, `unitalize` builds each
-functorial transition with one solve and takes the eventual kernels from
-one backward pass of composites, and `double_dual_check` solves for its
+`hom_coords` reads the coordinates of every target column off the free
+rows of an RREF kernel basis in one call, `adjoint_structural` takes
+kappa * x^mono once per ring monomial, `unitalize` builds each functorial
+transition with one `hom_coords` call and takes the eventual kernels from
+one backward pass of composites, and `double_dual_check` finds its
 evaluation witness at once.  The references below are the earlier loop
 implementations, one basis vector and one solve at a time; the batched
 routines must agree with them bit for bit.  `ref_unitalize` also builds all
@@ -20,7 +21,8 @@ from hypothesis import given, settings, strategies as st
 
 from cartierforge import matrix as mx
 from cartierforge import structures
-from cartierforge.artinian import f_flat, fin_module, hom_coords, ring_make
+from cartierforge.artinian import (f_flat, fin_module, hom_coords, intertwiners,
+                                   ring_make)
 from cartierforge.duality import double_dual_check, dualize_artinian
 from cartierforge.field import GF
 from cartierforge.generate import (artinian_corpus, random_cartier,
@@ -173,7 +175,7 @@ def ref_double_dual_check(m):
     return ok, ev
 
 
-# -- hom_coords: one solve for every column --
+# -- hom_coords: coordinates read off the free rows, one membership check --
 
 
 def per_column(F, basis, targets, shape):
@@ -185,30 +187,62 @@ def per_column(F, basis, targets, shape):
             else mx.zeros(len(basis), 0))
 
 
-@st.composite
-def hom_problem(draw):
-    p, d = draw(st.sampled_from(FIELDS))
-    F = GF(p, d)
-    r, c = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    nb = draw(st.integers(0, r * c))
+def draw_targets(draw, F, basis, n, k):
+    """k target columns of length n: basis combinations, random vectors
+    and zeros."""
     code = st.integers(0, F.order - 1)
-    basis = [np.array(draw(st.lists(code, min_size=r * c, max_size=r * c)),
-                      dtype=np.int64).reshape(r, c) for _ in range(nb)]
-    k = draw(st.integers(0, 4))
-    targets = mx.zeros(r * c, k)
+    targets = mx.zeros(n, k)
     for j in range(k):
         if basis and draw(st.booleans()):
-            coeffs = np.array(draw(st.lists(code, min_size=nb, max_size=nb)),
-                              dtype=np.int64)
+            coeffs = np.array(draw(st.lists(code, min_size=len(basis),
+                                            max_size=len(basis))), dtype=np.int64)
             targets[:, j] = mx.mmul(F, np.stack([mx.vec(b) for b in basis], axis=1),
                                     coeffs)
         elif draw(st.booleans()):
-            targets[:, j] = draw(st.lists(code, min_size=r * c, max_size=r * c))
+            targets[:, j] = draw(st.lists(code, min_size=n, max_size=n))
+    return targets
+
+
+def small_matrix(draw, F, rows, cols):
+    # small codes make rank deficiency, hence larger kernels, likely
+    code = st.one_of(st.integers(0, min(F.order, 3) - 1), st.integers(0, F.order - 1))
+    return np.array(draw(st.lists(code, min_size=rows * cols, max_size=rows * cols)),
+                    dtype=np.int64).reshape(rows, cols)
+
+
+@st.composite
+def kernel_hom_problem(draw):
+    """A canonical RREF kernel basis, from `mx.kernel` of a random system
+    on vec H or from `intertwiners` of random square matrices."""
+    p, d = draw(st.sampled_from(FIELDS))
+    F = GF(p, d)
+    r, c = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        system = small_matrix(draw, F, draw(st.integers(0, r * c)), r * c)
+        ker = mx.kernel(F, system)
+        basis = [mx.unvec(ker[:, k], r, c) for k in range(ker.shape[1])]
+    else:
+        _, basis = intertwiners(F, [small_matrix(draw, F, c, c)],
+                                [small_matrix(draw, F, r, r)], r, c)
+    targets = draw_targets(draw, F, basis, r * c, draw(st.integers(0, 4)))
+    return F, basis, targets, (r, c)
+
+
+@st.composite
+def arbitrary_hom_problem(draw):
+    p, d = draw(st.sampled_from(FIELDS))
+    F = GF(p, d)
+    r, c = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    code = st.integers(0, F.order - 1)
+    basis = [np.array(draw(st.lists(code, min_size=r * c, max_size=r * c)),
+                      dtype=np.int64).reshape(r, c)
+             for _ in range(draw(st.integers(0, r * c)))]
+    targets = draw_targets(draw, F, basis, r * c, draw(st.integers(0, 4)))
     return F, basis, targets, (r, c)
 
 
 @SETTINGS
-@given(hom_problem())
+@given(kernel_hom_problem())
 def test_hom_coords_batched_equals_per_column(problem):
     F, basis, targets, shape = problem
     got, want = hom_coords(F, basis, targets), per_column(F, basis, targets, shape)
@@ -216,6 +250,42 @@ def test_hom_coords_batched_equals_per_column(problem):
         assert got is None
     else:
         assert got is not None and np.array_equal(got, want)
+
+
+@SETTINGS
+@given(arbitrary_hom_problem())
+def test_hom_coords_is_sound_on_any_basis(problem):
+    """Off its contract hom_coords may miss coordinates, but never returns
+    wrong ones."""
+    F, basis, targets, _ = problem
+    got = hom_coords(F, basis, targets)
+    if got is not None and basis:
+        stacked = np.stack([mx.vec(b) for b in basis], axis=1)
+        assert np.array_equal(mx.mmul(F, stacked, got), targets)
+
+
+@SETTINGS
+@given(kernel_hom_problem(), st.data())
+def test_hom_coords_planted_out_of_span_column_is_none(problem, data):
+    F, basis, targets, (r, c) = problem
+    n = r * c
+    stacked = (np.stack([mx.vec(b) for b in basis], axis=1) if basis
+               else mx.zeros(n, 0))
+    if len(basis) == n:
+        return
+    # a unit vector outside the span exists: the kernel basis is the
+    # identity on its free rows, so e_j with j a pivot row is not in it
+    free = set(n - 1 - np.argmax(stacked[::-1] != 0, axis=0)) if basis else set()
+    j = data.draw(st.sampled_from([i for i in range(n) if i not in free]))
+    planted = mx.zeros(n, 1)
+    planted[j, 0] = data.draw(st.integers(1, F.order - 1))
+    if basis and data.draw(st.booleans()):
+        coeffs = data.draw(st.lists(st.integers(0, F.order - 1),
+                                    min_size=len(basis), max_size=len(basis)))
+        planted[:, 0] = F.add(planted[:, 0], mx.mmul(F, stacked, mx.mat(coeffs)))
+    at = data.draw(st.integers(0, targets.shape[1]))
+    assert hom_coords(F, basis, np.hstack([targets[:, :at], planted,
+                                           targets[:, at:]])) is None
 
 
 @pytest.mark.parametrize("p,d", FIELDS)

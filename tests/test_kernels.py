@@ -1,4 +1,5 @@
-"""Exact kernels (mmul, rref, rank, kernel, power) against independent oracles.
+"""Exact kernels (mmul, rref, rank, kernel, power) and the field ops rref
+uses (div, submul, sub) against independent oracles.
 
 The references below are the straightforward loops: one field call per
 inner index for the product, one row at a time for elimination, one entry
@@ -13,7 +14,7 @@ from sympy import GF as SympyGF
 from sympy.polys.matrices import DomainMatrix
 
 from cartierforge import matrix as mx
-from cartierforge.field import GF, MAX_ORDER, is_prime
+from cartierforge.field import GF, MAX_ORDER, _pmod, _pmul, is_prime
 
 BIG_P = 4194301   # the largest prime below MAX_ORDER
 FIELDS = [(2, 1), (3, 1), (BIG_P, 1), (2, 2), (3, 2), (3, 3)]
@@ -99,6 +100,70 @@ def product_operands(draw):
     entries = draw(st.lists(fill, min_size=a.shape[1] * cols,
                             max_size=a.shape[1] * cols))
     return F, a, np.array(entries, dtype=np.int64).reshape(a.shape[1], cols)
+
+
+class RefField:
+    """One code at a time, from the polynomial form: digits low-first,
+    products reduced by the modulus, quotients by a**(q-2)."""
+
+    def __init__(self, F):
+        self.F, self.p, self.f = F, F.p, list(F.modulus)
+
+    def poly(self, a):
+        return [(int(a) // self.p ** i) % self.p for i in range(self.F.deg)]
+
+    def code(self, d):
+        return sum(int(x) * self.p ** i for i, x in enumerate(d))
+
+    def sub(self, a, b):
+        return self.code([(x - y) % self.p for x, y in zip(self.poly(a), self.poly(b))])
+
+    def mul(self, a, b):
+        return self.code(_pmod(_pmul(self.poly(a), self.poly(b), self.p), self.f, self.p))
+
+    def div(self, a, b):
+        out, base, t = 1, int(b), self.F.order - 2
+        while t:
+            if t & 1:
+                out = self.mul(out, base)
+            base, t = self.mul(base, base), t >> 1
+        return self.mul(a, out)
+
+
+# -- field ops of the rref pivot step --
+
+@pytest.mark.parametrize("p,d", FIELDS)
+def test_div_submul_sub_match_elementwise_definitions(p, d):
+    F, ref = GF(p, d), RefField(GF(p, d))
+    top = F.order - 1
+    rng = np.random.default_rng(p + d)
+    # the first entries are the worst case: 0 - top*top = -(p-1)**2 at BIG_P
+    a = np.concatenate([[0, 0, top, 1, top], rng.integers(0, F.order, 40)])
+    b = np.concatenate([[top, top, top, top, 0], rng.integers(0, F.order, 40)])
+    c = np.concatenate([[top, 1, top, 0, top], rng.integers(0, F.order, 40)])
+    assert F.sub(a, b).tolist() == [ref.sub(x, y) for x, y in zip(a, b)]
+    assert F.submul(a, b, c).tolist() == [ref.sub(x, ref.mul(y, z))
+                                          for x, y, z in zip(a, b, c)]
+    nz = b != 0
+    assert F.div(a[nz], b[nz]).tolist() == [ref.div(x, y) for x, y in zip(a[nz], b[nz])]
+    # the shapes rref passes: a block, its pivot column and the pivot row,
+    # and a row over a scalar pivot
+    block, column, row = a[:12].reshape(3, 4), c[:3, None], b[:4]
+    assert F.submul(block, column, row).tolist() == [
+        [ref.sub(block[i, j], ref.mul(column[i, 0], row[j])) for j in range(4)]
+        for i in range(3)]
+    assert F.div(row, np.int64(top)).tolist() == [ref.div(x, top) for x in row]
+
+
+@pytest.mark.parametrize("p,d", FIELDS)
+def test_division_by_zero_raises(p, d):
+    F = GF(p, d)
+    with pytest.raises(ZeroDivisionError):
+        F.div(np.array([1, 2 % F.order]), np.int64(0))
+    with pytest.raises(ZeroDivisionError):
+        F.div(np.array([1, 1]), np.array([1, 0]))
+    with pytest.raises(ZeroDivisionError):
+        F.inv(0)
 
 
 # -- mmul --
