@@ -155,8 +155,7 @@ def double_dual_check(m: Structured) -> tuple[bool, np.ndarray]:
     ev = hom_coords(F, b2, imgs)
     if ev is None:
         return False, mx.zeros(d2.dim, m.dim)
-    ok = (d2.dim == m.dim and mx.inverse(F, ev) is not None
-          and is_morphism(ev, m, d2))
+    ok = d2.dim == m.dim and mx.is_invertible(F, ev) and is_morphism(ev, m, d2)
     return ok, ev
 
 

@@ -158,6 +158,16 @@ class FiniteField:
             for i in range(deg):
                 digits[:, i] = (codes // self._pw[i]) % p
             self._dig = digits
+            # _reg[j, (i, l)] is digit l of t^(i+j) mod f, so that
+            # (digits(b) @ _reg) % p holds the digits of b * t^i for each
+            # i < deg: the regular representation of b over GF(p), by which
+            # matrix.mmul multiplies over GF(p^m)
+            tpow = np.zeros((2 * deg - 1, deg), dtype=np.int64)
+            for s in range(2 * deg - 1):
+                r = _pmod([0] * s + [1], self.modulus, p)
+                tpow[s, :len(r)] = r
+            ij = np.add.outer(np.arange(deg), np.arange(deg))
+            self._reg = tpow[ij].reshape(deg, deg * deg)
             self._build_log_tables()
         else:
             self._dig = None

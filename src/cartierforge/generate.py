@@ -29,7 +29,7 @@ def _rand_mat(rng: random.Random, F: FiniteField, r: int, c: int) -> np.ndarray:
 def random_invertible(rng: random.Random, F: FiniteField, n: int) -> np.ndarray:
     while True:
         m = _rand_mat(rng, F, n, n)
-        if mx.inverse(F, m) is not None:
+        if mx.is_invertible(F, m):
             return m
 
 

@@ -26,10 +26,6 @@ def mat(rows) -> np.ndarray:
     return np.array(rows, dtype=np.int64)
 
 
-# Largest digit-array temporary (elements) of one GF(p^m) product chunk.
-_EXT_CHUNK_ELEMS = 1 << 20
-
-
 def dot_chunk(p: int) -> int:
     """Longest inner dimension k whose int64 dot products of codes in
     [0, p) are exact: k * (p - 1)**2 <= 2**63 - 1.  Under MAX_ORDER = 2**22
@@ -38,42 +34,34 @@ def dot_chunk(p: int) -> int:
 
 
 def mmul(F: FiniteField, a, b) -> np.ndarray:
-    """Matrix product over F; exact.
+    """Matrix product over F; exact.  1-D operands act as in numpy's @.
 
     Over GF(p) this is delayed modular reduction: (a @ b) % p on int64,
     with the inner dimension split into chunks of dot_chunk(p) so that
-    every partial sum stays below 2**63.  Over GF(p^m) the products of
-    the whole (rows, k, cols) outer product are taken at once, their
-    digit vectors summed over k and reduced mod p; k is split so that the
-    digit temporary holds at most _EXT_CHUNK_ELEMS elements.
+    every partial sum stays below 2**63.  Over GF(p^m) it is the same
+    GF(p) product on coordinates: a becomes its digits, shape (rows, k*m),
+    and b the regular representations of its entries, shape (k*m, cols*m),
+    whose entry ((k, i), (c, l)) is digit l of b[k, c] * t^i; this
+    temporary holds k*cols*m**2 codes.  Every entry of both is below p, so
+    dot_chunk(p) bounds the chunks along k*m as well.  The product holds
+    the digits of the result, shape (rows, cols, m), recombined into codes.
     """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
-    a2 = a if a.ndim == 2 else a.reshape(1, a.shape[0])
-    vec_in = b.ndim == 1
-    b2 = b.reshape(b.shape[0], 1) if vec_in else b
-    if a2.shape[1] != b2.shape[0]:
+    if a.shape[-1] != b.shape[0]:
         raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
-    rows, inner = a2.shape
-    cols = b2.shape[1]
-    if F.deg == 1:
-        step = dot_chunk(F.p)
-        out = (a2[:, :step] @ b2[:step]) % F.p
-        for s in range(step, inner, step):
-            out = (out + (a2[:, s:s + step] @ b2[s:s + step]) % F.p) % F.p
-    else:
-        step = max(1, _EXT_CHUNK_ELEMS // max(1, rows * cols * F.deg))
-        acc = np.zeros((rows, cols, F.deg), dtype=np.int64)
-        for s in range(0, inner, step):
-            prod = F.mul(a2[:, s:s + step, np.newaxis], b2[np.newaxis, s:s + step])
-            acc += F.digits(prod).sum(axis=1)
-        out = F.from_digits(acc)
-    if a.ndim == 1 and vec_in:
-        return out[0, 0]
-    if a.ndim == 1:
-        return out[0]
-    if vec_in:
-        return out[:, 0]
+    p, m, tail = F.p, F.deg, b.shape[1:]
+    if m > 1:
+        # the field's digit, regular-representation and place-value tables
+        a = F._dig[a].reshape(*a.shape[:-1], a.shape[-1] * m)
+        reg = ((F._dig[b] @ F._reg) % p).reshape(*b.shape, m, m)
+        b = reg.swapaxes(1, -2).reshape(b.shape[0] * m, math.prod(tail) * m)
+    step, k = dot_chunk(p), a.shape[-1]
+    out = (a @ b if k <= step else a[..., :step] @ b[:step]) % p
+    for s in range(step, k, step):
+        out = (out + (a[..., s:s + step] @ b[s:s + step]) % p) % p
+    if m > 1:
+        out = out.reshape(*out.shape[:-1], *tail, m) @ F._pw
     return out
 
 
@@ -184,6 +172,13 @@ def solve(F: FiniteField, a, b):
     the columns of `a` are independent the solution is the unique one.
     """
     return solve_full(F, a, b)[0]
+
+
+def is_invertible(F: FiniteField, a) -> bool:
+    """Whether `a` is square of full rank; one reduction of `a` alone,
+    where `inverse` reduces [a | I]."""
+    a = np.asarray(a, dtype=np.int64)
+    return a.shape[0] == a.shape[1] and rank(F, a) == a.shape[0]
 
 
 def inverse(F: FiniteField, a):

@@ -235,7 +235,7 @@ def flat_cartier(m: CartierModule):
 def is_unit(m: CartierModule) -> bool:
     """True when the adjoint structural morphism is bijective."""
     a, flat, _ = adjoint_structural(m)
-    return flat.dim == m.dim and mx.inverse(m.ring.field, a) is not None
+    return flat.dim == m.dim and mx.is_invertible(m.ring.field, a)
 
 
 @dataclass(frozen=True)
@@ -344,7 +344,7 @@ def unitalize(m: CartierModule, max_steps: int = 16) -> UnitalizeResult:
         stages.append(nxt)
         bases.append(basis)
         trans.append(t)
-        if nxt.dim == cur.dim and mx.inverse(F, t) is not None:
+        if nxt.dim == cur.dim and mx.is_invertible(F, t):
             return _finish_unitalize(m, stages, trans, step, exact_stage=step)
         if not t.any():
             zero = CartierModule(zero_module(m.ring), mx.zeros(0, 0), m.power)
@@ -438,7 +438,7 @@ def _try_quotient_stabilization(m, stages, trans, ns, e0, built):
         ind2 = _induced_map(F, trans[n + 1], pb, pc, b.dim)
         if ind1 is None or ind2 is None:
             continue
-        if mx.inverse(F, ind1) is not None and mx.inverse(F, ind2) is not None:
+        if mx.is_invertible(F, ind1) and mx.is_invertible(F, ind2):
             cmap = mx.mmul(F, pa, _composite(F, trans[:n], m.dim))
             cert = nil_isomorphism_check(cmap, m, a)
             if cert.ok and is_unit(a):

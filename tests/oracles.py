@@ -1,11 +1,11 @@
 """Independent oracles shared by the test modules.
 
 These recompute, by the definitions, what the package computes another way:
-the rank-one structures on GF(q)[x], the dual-basis table of kappa_S, the
-hull structure read off the Laurent extension, polynomial-matrix products,
-twisted operators applied and powered step by step, and the Hom/tensor
-twist law.  They live with the tests so that they stay independent of the
-code under test.
+field arithmetic one code at a time, the rank-one structures on GF(q)[x],
+the dual-basis table of kappa_S, the hull structure read off the Laurent
+extension, polynomial-matrix products, twisted operators applied and
+powered step by step, and the Hom/tensor twist law.  They live with the
+tests so that they stay independent of the code under test.
 """
 
 import numpy as np
@@ -13,12 +13,43 @@ import numpy as np
 from cartierforge import matrix as mx
 from cartierforge.artinian import fin_module
 from cartierforge.duality import dualize_artinian
-from cartierforge.field import FiniteField
+from cartierforge.field import FiniteField, _pmod, _pmul
 from cartierforge.pid import PresModule, kappa_s, pres_module
 from cartierforge.poly import Poly
 from cartierforge.structures import CartierModule, twist_by_unit_line
 from cartierforge.twisted import (TwistedOperator, identity_operator, sigma,
                                   twisted_compose)
+
+# -- field arithmetic from the polynomial form --
+
+
+class RefField:
+    """One code at a time, from the polynomial form: digits low-first,
+    products reduced by the modulus, quotients by a**(q-2)."""
+
+    def __init__(self, F):
+        self.F, self.p, self.f = F, F.p, list(F.modulus)
+
+    def poly(self, a):
+        return [(int(a) // self.p ** i) % self.p for i in range(self.F.deg)]
+
+    def code(self, d):
+        return sum(int(x) * self.p ** i for i, x in enumerate(d))
+
+    def sub(self, a, b):
+        return self.code([(x - y) % self.p for x, y in zip(self.poly(a), self.poly(b))])
+
+    def mul(self, a, b):
+        return self.code(_pmod(_pmul(self.poly(a), self.poly(b), self.p), self.f, self.p))
+
+    def div(self, a, b):
+        out, base, t = 1, int(b), self.F.order - 2
+        while t:
+            if t & 1:
+                out = self.mul(out, base)
+            base, t = self.mul(base, base), t >> 1
+        return self.mul(a, out)
+
 
 # -- rank-one structures on GF(q)[x] --
 

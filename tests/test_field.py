@@ -5,6 +5,7 @@ import pytest
 
 from cartierforge.field import (GF, _pmod, _pmul, canonical_modulus,
                                 is_prime)
+from oracles import RefField
 
 
 @pytest.mark.parametrize("p,deg", [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2), (5, 2)])
@@ -105,6 +106,17 @@ def test_log_tables_match_power_walk(p, deg):
     assert F.generator == g
     assert np.array_equal(F._exp, exp)
     assert np.array_equal(F._log, log)
+
+
+@pytest.mark.parametrize("p,deg", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)])
+def test_regular_representation_table(p, deg):
+    """Row i of (digits(x) @ _reg) % p, as a deg x deg block, is the digit
+    vector of x * t^i for every element x; t^i has code p**i."""
+    F, ref = GF(p, deg), RefField(GF(p, deg))
+    els = F.elements()
+    reg = ((F.digits(els) @ F._reg) % p).reshape(F.order, deg, deg)
+    want = [[ref.poly(ref.mul(x, p ** i)) for i in range(deg)] for x in els]
+    assert reg.tolist() == want
 
 
 def test_is_prime():

@@ -14,10 +14,15 @@ from sympy import GF as SympyGF
 from sympy.polys.matrices import DomainMatrix
 
 from cartierforge import matrix as mx
-from cartierforge.field import GF, MAX_ORDER, _pmod, _pmul, is_prime
+from cartierforge.field import GF, MAX_ORDER, is_prime
+from oracles import RefField
 
 BIG_P = 4194301   # the largest prime below MAX_ORDER
+BIG_SQ = 2039     # the largest prime p with p**2 <= MAX_ORDER
 FIELDS = [(2, 1), (3, 1), (BIG_P, 1), (2, 2), (3, 2), (3, 3)]
+# GF(BIG_SQ^2) has the largest p of any extension field under MAX_ORDER, so
+# its products of digits and regular representations come nearest the bound
+PRODUCT_FIELDS = FIELDS + [(BIG_SQ, 2)]
 PRIMES = [(p, d) for p, d in FIELDS if d == 1]
 EXTENSIONS = [(p, d) for p, d in FIELDS if d > 1]
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -94,40 +99,12 @@ def field_and_matrix(draw, fields, max_rows=6, max_cols=7):
 
 @st.composite
 def product_operands(draw):
-    F, a = draw(field_and_matrix(FIELDS))
+    F, a = draw(field_and_matrix(PRODUCT_FIELDS))
     cols = draw(st.integers(0, 6))
     fill = st.integers(0, F.order - 1)
     entries = draw(st.lists(fill, min_size=a.shape[1] * cols,
                             max_size=a.shape[1] * cols))
     return F, a, np.array(entries, dtype=np.int64).reshape(a.shape[1], cols)
-
-
-class RefField:
-    """One code at a time, from the polynomial form: digits low-first,
-    products reduced by the modulus, quotients by a**(q-2)."""
-
-    def __init__(self, F):
-        self.F, self.p, self.f = F, F.p, list(F.modulus)
-
-    def poly(self, a):
-        return [(int(a) // self.p ** i) % self.p for i in range(self.F.deg)]
-
-    def code(self, d):
-        return sum(int(x) * self.p ** i for i, x in enumerate(d))
-
-    def sub(self, a, b):
-        return self.code([(x - y) % self.p for x, y in zip(self.poly(a), self.poly(b))])
-
-    def mul(self, a, b):
-        return self.code(_pmod(_pmul(self.poly(a), self.poly(b), self.p), self.f, self.p))
-
-    def div(self, a, b):
-        out, base, t = 1, int(b), self.F.order - 2
-        while t:
-            if t & 1:
-                out = self.mul(out, base)
-            base, t = self.mul(base, base), t >> 1
-        return self.mul(a, out)
 
 
 # -- field ops of the rref pivot step --
@@ -188,7 +165,7 @@ def test_mmul_vector_inputs(case):
         assert mx.mmul(F, a[0], b[:, 0]) == ref[0, 0]
 
 
-@pytest.mark.parametrize("p,d", FIELDS)
+@pytest.mark.parametrize("p,d", PRODUCT_FIELDS)
 @pytest.mark.parametrize("shape", [(0, 0, 0), (0, 3, 2), (2, 0, 3), (3, 2, 0),
                                    (1, 1, 1), (4, 300, 3)])
 def test_mmul_worst_case_entries(p, d, shape):
@@ -216,8 +193,23 @@ def test_mmul_chunked_inner_dimension(case, step):
     F, a, b = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mx, "dot_chunk", lambda p: step)
-        mp.setattr(mx, "_EXT_CHUNK_ELEMS", step)
         assert np.array_equal(mx.mmul(F, a, b), ref_mmul(F, a, b))
+
+
+@pytest.mark.parametrize("p,d", FIELDS)
+@pytest.mark.parametrize("shape", [(0, 0), (3, 3), (2, 4), (4, 2), (1, 1)])
+def test_is_invertible_matches_inverse(p, d, shape):
+    """Square, tall and wide; a wide matrix of full row rank is not
+    invertible though its rank equals its row count."""
+    F = GF(p, d)
+    rng = np.random.default_rng(p + d + shape[0])
+    for _ in range(20):
+        a = rng.integers(0, min(F.order, 3), shape)
+        assert mx.is_invertible(F, a) == (shape[0] == shape[1]
+                                          and mx.inverse(F, a) is not None)
+    wide = np.hstack([mx.identity(2), mx.zeros(2, 1)])
+    assert mx.rank(F, wide) == 2 and not mx.is_invertible(F, wide)
+    assert mx.is_invertible(F, mx.identity(3))
 
 
 def test_dot_chunk_bound_at_largest_prime():
@@ -228,6 +220,8 @@ def test_dot_chunk_bound_at_largest_prime():
     assert k * (p - 1) ** 2 < 2 ** 63 <= (k + 1) * (p - 1) ** 2
     assert k >= 2 ** 19
     assert mx.dot_chunk(2) == 2 ** 63 - 1
+    assert is_prime(BIG_SQ) and BIG_SQ ** 2 <= MAX_ORDER
+    assert not any(is_prime(q) for q in range(BIG_SQ + 1, 2049))
 
 
 # -- rref, rank, kernel over GF(p): the sympy oracle --

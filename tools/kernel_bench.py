@@ -1,0 +1,59 @@
+"""Time `matrix.mmul` on random n x n operands, per field and size.
+
+    python3 tools/kernel_bench.py [--repeats R]
+
+Fields GF(2), GF(3), GF(4), GF(9), GF(27) and GF(2039^2), n from 2 to
+136.  Each cell is the median over R repeats (default 7) of the mean time
+per call, in microseconds, over a batch of calls lasting at least 20 ms.
+BLAS runs in one thread.  The package is imported from the `src/` next
+to this file, so a checkout of another commit times that commit.
+"""
+
+import os
+import sys
+from pathlib import Path
+
+for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import argparse
+import statistics
+import time
+
+import numpy as np
+
+from cartierforge import matrix as mx
+from cartierforge.field import GF
+
+FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (3, 3), (2039, 2)]
+SIZES = [2, 4, 8, 16, 32, 64, 136]
+
+
+def per_call_us(F, a, b, repeats: int) -> float:
+    def batch(calls):
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            mx.mmul(F, a, b)
+        return (time.perf_counter() - t0) / calls
+
+    calls = 1
+    while batch(calls) * calls < 0.02:
+        calls *= 2
+    return 1e6 * statistics.median(batch(calls) for _ in range(repeats))
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--repeats", type=int, default=7)
+    repeats = ap.parse_args().repeats
+    rng = np.random.default_rng(0)
+    print("field".ljust(12) + "".join(f"n={n}".rjust(10) for n in SIZES) + "   (us/call)")
+    for p, d in FIELDS:
+        F = GF(p, d)
+        row = [per_call_us(F, *rng.integers(0, F.order, (2, n, n)), repeats) for n in SIZES]
+        print(repr(F).ljust(12) + "".join(f"{t:10.1f}" for t in row))
+
+
+if __name__ == "__main__":
+    main()
