@@ -21,7 +21,7 @@ from .structures import (CartierModule, FModule, adjoint_structural,
 from .pid import (PidModule, PresModule, Unsupported, cech_local_cohomology,
                   frobenius_pushforward_presentation, inverse_module, kappa_s,
                   pid_free, pid_sum, pid_torsion, pres_module)
-from .duality import (DualizingData, crystal_possibly_equivalent,
+from .duality import (crystal_possibly_equivalent,
                       crystal_signature, double_dual_check,
                       dual_base_change_check, dualizing_module, elliptic_ap,
                       extend_scalars, hasse_invariant, ordinarity,

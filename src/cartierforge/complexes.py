@@ -17,11 +17,11 @@ from . import matrix as mx
 from .duality import dualize_artinian
 from .field import FiniteField
 from .pid import (CARTIER, FROBENIUS, PidModule, Unsupported, _ring_level,
-                  cech_local_cohomology, free_dual_crystal_zero,
-                  h1_entry_crystal_zero, pid_free, pid_sum, retruncate)
+                  free_crystal_zero, h1_crystal_zero, pid_free, pid_sum,
+                  retruncate, torsion_crystal_zero)
 from .poly import Poly
-from .structures import (Structured, is_morphism, nilpotency_index,
-                         quotient_structure, sub_structure)
+from .structures import (Structured, is_morphism, quotient_structure,
+                         sub_structure)
 
 
 def _opposite(kind: str) -> str:
@@ -198,35 +198,20 @@ def local_duality_check(m: PidModule) -> LocalDualityReport:
     """Compare, degree by degree, crystal-vanishing of H^i_m(M) against
     Ext^{-i}(M, omega) for a module placed in degree zero.
 
-    The two sides are computed by independent routes: the local side from
-    the Cech model (torsion structure itself; hull truncations for the free
-    part), the Ext side through the Hom pairing (Matlis dual; dual
-    multiplier module placed per the degree convention).
+    The local side reads the Cech model: H^0_m is the torsion part itself,
+    and H^1_m is decided by h1_entry_crystal_zero on the hull twists of the
+    free part.  The Ext side reads D(M): the Matlis dual in degree 0 and
+    the dual multiplier module in degree -1.
     """
-    cech = cech_local_cohomology(m)
-    if isinstance(cech.h1, Unsupported):
-        return LocalDualityReport((), cech.h1)
     dual = dualize(m)
     if isinstance(dual, Unsupported):
         return LocalDualityReport((), dual)
-    verdicts = []
-    # degree 0: H^0_m = torsion part vs Ext^0 = H^0(D(M)) = Matlis dual
-    local0 = (cech.h0 is None) or (nilpotency_index(cech.h0) != math.inf)
-    t0 = dual.terms.get(0)
-    ext0 = t0 is None or t0.torsion is None or nilpotency_index(t0.torsion) != math.inf
-    verdicts.append(DegreeVerdict(0, local0, ext0))
-    # degree 1: H^1_m (hull models) vs Ext^{-1} = H^{-1}(D(M)) (dual free part)
-    if m.free is not None and m.free_rank:
-        local1 = all(h1_entry_crystal_zero(m, u) for u in m.free_diagonal())
-        tm1 = dual.terms.get(-1)
-        if tm1 is None or tm1.free is None:
-            ext1 = True
-        else:
-            ext1 = all(free_dual_crystal_zero(tm1, u) for u in tm1.free_diagonal())
-    else:
-        local1, ext1 = True, True
-    verdicts.append(DegreeVerdict(1, local1, ext1))
-    return LocalDualityReport(tuple(verdicts))
+    t0, tm1 = dual.terms.get(0), dual.terms.get(-1)
+    return LocalDualityReport((
+        DegreeVerdict(0, torsion_crystal_zero(m.torsion),
+                      t0 is None or torsion_crystal_zero(t0.torsion)),
+        DegreeVerdict(1, h1_crystal_zero(m),
+                      tm1 is None or free_crystal_zero(tm1))))
 
 
 # -- perversity --
@@ -268,9 +253,8 @@ def is_perverse(c: "StructuredComplex | PidModule") -> PerverseReport:
             return PerverseReport(False, (), Unsupported("non-diagonal free part"))
     conds = []
     for d, m in sorted(c.terms.items()):
-        free_zero = (m.free is None or m.free_rank == 0
-                     or all(u.is_zero() for u in m.free_diagonal()))
-        tors_zero = m.torsion is None or nilpotency_index(m.torsion) != math.inf
+        free_zero = free_crystal_zero(m)
+        tors_zero = torsion_crystal_zero(m.torsion)
         if d > -1:
             conds.append(PointCondition(
                 "generic", "stalk", d, free_zero,
@@ -285,9 +269,7 @@ def is_perverse(c: "StructuredComplex | PidModule") -> PerverseReport:
                 f"H^{d}_m (torsion contribution) must be crystal-zero"))
         if d < -1:
             conds.append(PointCondition(
-                "closed", "local", d + 1,
-                (m.free is None or m.free_rank == 0
-                 or all(h1_entry_crystal_zero(m, u) for u in m.free_diagonal())),
+                "closed", "local", d + 1, h1_crystal_zero(m),
                 f"H^{d + 1}_m (hull contribution) must be crystal-zero"))
     return PerverseReport(all(x.ok for x in conds), tuple(conds))
 

@@ -30,16 +30,6 @@ from .structures import (CARTIER, FROBENIUS, CartierModule, FModule,
 from .twisted import (TwistedOperator, semilinear_fixed_points, stable_rank)
 
 
-@dataclass(frozen=True)
-class DualizingData:
-    """The explicit unit Cartier structure seeding the duality functor."""
-
-    tier: str
-    ring: ArtinRing
-    module: CartierModule
-    unit: bool
-
-
 _DUALIZING_CACHE: dict = {}
 
 
@@ -70,7 +60,7 @@ def inverse_hull(ring: ArtinRing, power: int = 1) -> CartierModule:
     return cartier_module(fin_module(ring, acts), kap, power, check=False)
 
 
-def dualizing_module(ring: ArtinRing, power: int = 1) -> DualizingData:
+def dualizing_module(ring: ArtinRing, power: int = 1) -> CartierModule:
     """E_R = inverse_hull(ring, power), validated unit at construction and
     cached per ring (the unit check is the expensive part)."""
     key = (ring.key(), power)
@@ -80,12 +70,10 @@ def dualizing_module(ring: ArtinRing, power: int = 1) -> DualizingData:
     # No validate() here: is_unit below solves for the adjoint, and that
     # solve fails unless the structure is equivariant for q^power.
     e_mod = inverse_hull(ring, power)
-    unit = is_unit(e_mod)
-    if not unit:
+    if not is_unit(e_mod):
         raise RuntimeError("dualizing module failed the unit check")
-    data = DualizingData("artinian", ring, e_mod, unit)
-    _DUALIZING_CACHE[key] = data
-    return data
+    _DUALIZING_CACHE[key] = e_mod
+    return e_mod
 
 
 def pair_F_to_C(m: FModule, n: CartierModule) -> tuple[CartierModule, list]:
@@ -135,7 +123,7 @@ def pair_C_to_F(m: CartierModule, n: CartierModule) -> tuple[FModule, list]:
 
 def dualize_artinian(m: Structured):
     """D(M) = Hom(M, E_R) with the pairing structure of the opposite kind."""
-    e_mod = dualizing_module(m.ring, m.power).module
+    e_mod = dualizing_module(m.ring, m.power)
     if m.kind == FROBENIUS:
         return pair_F_to_C(m, e_mod)
     return pair_C_to_F(m, e_mod)

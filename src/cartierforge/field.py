@@ -153,11 +153,10 @@ class FiniteField:
         self.modulus = canonical_modulus(p, deg)
         self._pw = p ** np.arange(deg, dtype=np.int64)
         if deg > 1:
-            digits = np.zeros((order, deg), dtype=np.int64)
-            codes = np.arange(order, dtype=np.int64)
-            for i in range(deg):
-                digits[:, i] = (codes // self._pw[i]) % p
-            self._dig = digits
+            # _dig[c, i] is digit i of code c: np.indices counts with the
+            # last axis fastest, so reversing the axes puts digit 0 first
+            self._dig = np.ascontiguousarray(
+                np.indices((p,) * deg, dtype=np.int64).reshape(deg, -1)[::-1].T)
             # _reg[j, (i, l)] is digit l of t^(i+j) mod f, so that
             # (digits(b) @ _reg) % p holds the digits of b * t^i for each
             # i < deg: the regular representation of b over GF(p), by which

@@ -231,7 +231,8 @@ def _ring_level(ring: ArtinRing) -> int:
 def retruncate(t: Structured, level: int) -> Structured:
     """View a torsion module over a (possibly larger) truncation ring."""
     ring = truncation_ring(t.ring.field, level)
-    mod = fin_module(ring, t.module.actions, check=True)
+    # with_structure validates, and that covers the module relations too
+    mod = fin_module(ring, t.module.actions, check=False)
     return with_structure(t, mod, t.mat, check=True)
 
 
@@ -255,7 +256,6 @@ def validate_pid(m: PidModule):
 class CechReport:
     h0: "Structured | None"
     h1: object            # list of hull-truncation CartierModules | Unsupported | None
-    h1_multipliers: "list | None"
 
 
 def cech_local_cohomology(m: PidModule) -> CechReport:
@@ -269,20 +269,17 @@ def cech_local_cohomology(m: PidModule) -> CechReport:
     """
     h0 = m.torsion
     if m.free is None or m.free_rank == 0:
-        return CechReport(h0, None, None)
+        return CechReport(h0, None)
     if not m.free_is_diagonal():
-        return CechReport(h0, Unsupported("non-diagonal free multiplier matrix"), None)
+        return CechReport(h0, Unsupported("non-diagonal free multiplier matrix"))
     diag = m.free_diagonal()
     q = m.field.order ** m.power
     if m.kind == CARTIER:
         lvl = default_truncation([u.deg for u in diag], q)
-        entries = []
-        for u in diag:
-            entries.append(hull_twist(m.field, lvl, u, m.power))
-        return CechReport(h0, entries, diag)
+        return CechReport(h0, [hull_twist(m.field, lvl, u, m.power) for u in diag])
     return CechReport(h0, [Unsupported("H^1 of a Frobenius module is not "
                                        "truncation-stable; verdicts use the multiplier")
-                          for _ in diag], diag)
+                          for _ in diag])
 
 
 def default_truncation(degs, q: int) -> int:
@@ -301,25 +298,37 @@ def hull_twist(field: FiniteField, level: int, u: Poly, power: int = 1) -> Carti
 
 
 def h1_entry_crystal_zero(m: PidModule, u: Poly) -> bool:
-    """Bounded-nilpotence verdict for one H^1 hull component.
+    """Crystal-zero verdict for the H^1 hull component (E, kappa_E o u) of
+    the free summand with multiplier u; exact.
 
-    Cartier side: the structure contracts, so we compute nilpotency indices
-    at two truncation depths; a bounded (crystal-zero) structure has the
-    same finite index at both, an unbounded one grows with the depth.
+    Crystal-zero means bounded nilpotence: some iterate of the structure
+    is zero on all of E.  Since u kappa_E(v) = kappa_E(u^q v), the iterates
+    are (kappa_E u)^e = kappa_E^e o u^((q^e - 1)/(q - 1)).  If u != 0, let
+    w = u^((q^e - 1)/(q - 1)) have order a; then w x^-(a+1) = w_a x^-1 in E,
+    and kappa_E^e sends it to w_a^(1/q^e) x^-1 != 0.  So bounded nilpotence
+    holds exactly when u = 0.  One truncation decides that: at any level
+    above ord(u), entry (0, ord u) of kappa_E act_u is u_(ord u), so at
+    level deg u + 1 the matrix is zero exactly when u = 0.
     Frobenius side: the expanding map is zero iff the multiplier is zero.
     """
-    q = m.field.order ** m.power
     if m.kind == FROBENIUS:
         return u.is_zero()
-    lvl = default_truncation([u.deg], q)
-    i1 = nilpotency_index(hull_twist(m.field, lvl, u, m.power))
-    i2 = nilpotency_index(hull_twist(m.field, q * lvl + q, u, m.power))
-    return i1 != math.inf and i2 != math.inf and i1 == i2
+    return not hull_twist(m.field, u.deg + 1, u, m.power).kappa.any()
 
 
-def free_dual_crystal_zero(m: PidModule, u: Poly) -> bool:
-    """Ext-side verdict for one free component: the dual of a multiplier
-    structure is the opposite-kind multiplier structure with the same u,
-    and on the full polynomial ring it is nilpotent exactly when u = 0
-    (iterates always move some monomial to a nonzero one otherwise)."""
-    return u.is_zero()
+def h1_crystal_zero(m: PidModule) -> bool:
+    """H^1_m(M) ~ 0: every hull component of the free part is crystal-zero."""
+    return m.free is None or all(h1_entry_crystal_zero(m, u)
+                                 for u in m.free_diagonal())
+
+
+def free_crystal_zero(m: PidModule) -> bool:
+    """The free part is crystal-zero: every multiplier is zero.  On the full
+    polynomial ring kappa_S o u (or g -> F_*(u g^q)) is nilpotent exactly
+    when u = 0; otherwise iterates move some monomial to a nonzero one."""
+    return m.free is None or all(u.is_zero() for u in m.free_diagonal())
+
+
+def torsion_crystal_zero(t: "Structured | None") -> bool:
+    """A torsion part is crystal-zero: its structure is nilpotent."""
+    return t is None or nilpotency_index(t) != math.inf

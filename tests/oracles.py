@@ -3,10 +3,13 @@
 These recompute, by the definitions, what the package computes another way:
 field arithmetic one code at a time, the rank-one structures on GF(q)[x],
 the dual-basis table of kappa_S, the hull structure read off the Laurent
-extension, polynomial-matrix products, twisted operators applied and
+extension, the two-depth H^1 verdict and the hull twist applied to one
+Laurent tail, polynomial-matrix products, twisted operators applied and
 powered step by step, and the Hom/tensor twist law.  They live with the
 tests so that they stay independent of the code under test.
 """
+
+import math
 
 import numpy as np
 
@@ -14,9 +17,11 @@ from cartierforge import matrix as mx
 from cartierforge.artinian import fin_module
 from cartierforge.duality import dualize_artinian
 from cartierforge.field import FiniteField, _pmod, _pmul
-from cartierforge.pid import PresModule, kappa_s, pres_module
+from cartierforge.pid import (PidModule, PresModule, default_truncation,
+                              hull_twist, kappa_s, pres_module)
 from cartierforge.poly import Poly
-from cartierforge.structures import CartierModule, twist_by_unit_line
+from cartierforge.structures import (CartierModule, nilpotency_index,
+                                     twist_by_unit_line)
 from cartierforge.twisted import (TwistedOperator, identity_operator, sigma,
                                   twisted_compose)
 
@@ -111,6 +116,37 @@ def kappa_e_oracle(field: FiniteField, level: int, q: int) -> np.ndarray:
             if target <= -1 and -target <= level:
                 kap[-target - 1, j] = 1
     return kap
+
+
+def two_depth_h1_zero(m: PidModule, u: Poly) -> bool:
+    """H^1 hull component (E, kappa_E o u) of a free Cartier summand read
+    at two truncation depths: crystal-zero when the nilpotency indices at
+    levels lvl and q*lvl + q are finite and equal, since an unbounded
+    structure's index grows with the depth."""
+    q = m.field.order ** m.power
+    lvl = default_truncation([u.deg], q)
+    i1 = nilpotency_index(hull_twist(m.field, lvl, u, m.power))
+    i2 = nilpotency_index(hull_twist(m.field, q * lvl + q, u, m.power))
+    return i1 != math.inf and i2 != math.inf and i1 == i2
+
+
+def hull_twist_iterate(u: Poly, q: int, pole: int, e: int) -> dict:
+    """(kappa_E o u)^e applied to x^-pole in E = GF(q)[x, 1/x]/GF(q)[x], by
+    exponent bookkeeping on Laurent tails {pole: coefficient}: u x^-n keeps
+    its terms u_k x^(k-n) with k < n, and kappa_E sends c x^-(qm+1) to
+    c x^-(m+1) and every other x^-n to 0 (c^(1/q) = c, since q is a power
+    of the field order)."""
+    F = u.field
+    tail = {pole: 1}
+    for _ in range(e):
+        out = {}
+        for n, c in tail.items():
+            for k, uk in enumerate(u.coeffs):
+                if uk and k < n and (n - k - 1) % q == 0:
+                    t = (n - k - 1) // q + 1
+                    out[t] = int(F.add(out.get(t, 0), F.mul(c, uk)))
+        tail = {n: c for n, c in out.items() if c}
+    return tail
 
 
 # -- polynomial matrices --

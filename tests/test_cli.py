@@ -89,6 +89,28 @@ def test_schema_error_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_rank_one_free_over_gf25(tmp_path, capsys):
+    """(R, kappa_S o u) over GF(25) for u = 0 and u = 1: local duality
+    agrees in both degrees, and at degree -2 the H^1 hull contribution
+    decides perversity."""
+    doc = {"schema": 1, "field": {"p": 5, "r": 2},
+           "modules": {"u0": {"tier": "pid", "kind": "cartier", "free": [[0]]},
+                       "u1": {"tier": "pid", "kind": "cartier", "free": [[1]]}},
+           "commands": [{"op": op, "module": name, "degree": -2}
+                        for name in ("u0", "u1")
+                        for op in ("local-duality", "perverse")]}
+    out = tmp_path / "report.json"
+    assert main(["run", write(tmp_path, doc), "--json", str(out)]) == 1
+    ld0, pv0, ld1, pv1 = json.loads(out.read_text())["results"]
+    assert ld0["ok"] and ld1["ok"]
+    assert [(v["local_zero"], v["ext_zero"]) for v in ld0["verdicts"]] == [(True, True)] * 2
+    assert [(v["local_zero"], v["ext_zero"]) for v in ld1["verdicts"]] == \
+        [(True, True), (False, False)]
+    assert pv0["ok"] and not pv1["ok"]
+    assert [(c["degree"], c["ok"]) for c in pv1["conditions"]] == [(-2, True), (-1, False)]
+    capsys.readouterr()
+
+
 def test_unsupported_nonfatal_unless_strict(tmp_path, capsys):
     doc = json.loads(json.dumps(FIXTURE_A))
     doc["commands"] = [{"op": "local-duality", "module": "bad_free"}]

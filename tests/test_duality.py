@@ -34,7 +34,7 @@ def ring():
 
 @pytest.fixture
 def e_mod(ring):
-    return dualizing_module(ring).module
+    return dualizing_module(ring)
 
 
 @pytest.fixture
@@ -57,10 +57,10 @@ def test_dualizing_module_fixture(ring, e_mod):
 def test_dualizing_module_dims():
     r2 = ring_make(3, ["x", "y"], [[3, 0], [0, 2], [1, 1]])
     d = dualizing_module(r2)
-    assert d.module.dim == 4 and d.unit
+    assert d.dim == 4 and is_unit(d)
     rf = ring_make(2, ["x"], [[1]])
     df = dualizing_module(rf)
-    assert df.module.dim == 1 and df.module.kappa[0, 0] == 1
+    assert df.dim == 1 and df.kappa[0, 0] == 1
 
 
 def test_dualizing_module_unit_on_corpus_rings():
@@ -69,7 +69,7 @@ def test_dualizing_module_unit_on_corpus_rings():
     for _ in range(10):
         ring = random_artin_ring(rng, rng.choice([2, 3]))
         d = dualizing_module(ring)
-        assert d.unit and d.module.dim == ring.dim
+        assert is_unit(d) and d.dim == ring.dim
 
 
 def test_pair_f_to_c_fixture(ring, e_mod, frobenius_r):

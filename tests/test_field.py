@@ -119,6 +119,15 @@ def test_regular_representation_table(p, deg):
     assert reg.tolist() == want
 
 
+@pytest.mark.parametrize("p,deg", [(2, 2), (2, 3), (3, 2), (3, 3), (2039, 2)])
+def test_digit_table_is_base_p_expansion(p, deg):
+    F = GF(p, deg)
+    codes = np.arange(F.order, dtype=np.int64)
+    want = np.stack([(codes // p ** i) % p for i in range(deg)], axis=1)
+    assert F._dig.flags.c_contiguous
+    assert np.array_equal(F._dig, want)
+
+
 def test_is_prime():
     assert [n for n in range(2, 20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
 

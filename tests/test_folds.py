@@ -182,7 +182,7 @@ def test_inverse_hull_is_the_iterated_contraction(power):
                                                      power))
         assert np.array_equal(hull.kappa, kap)
         assert all(np.array_equal(a, b) for a, b in zip(hull.module.actions, acts))
-        e_mod = dualizing_module(ring, power).module
+        e_mod = dualizing_module(ring, power)
         assert np.array_equal(e_mod.kappa, kap) and e_mod.power == power
 
 

@@ -210,7 +210,7 @@ def assert_same_pairing(m, n):
 def test_pair_C_to_F_matches_kron_form_into_dualizing_module(case):
     rng, mod, _ = case
     m = random_structure(rng, mod, CARTIER)
-    assert_same_pairing(m, dualizing_module(m.ring).module)
+    assert_same_pairing(m, dualizing_module(m.ring))
 
 
 @SETTINGS

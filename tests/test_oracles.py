@@ -33,7 +33,7 @@ def eval_hom(F, basis, coords):
 def test_pair_c_to_f_defining_rule_on_corpus():
     # tau_H(f)(m) is the unique e with kappa_E(F(lambda e)) = f(kappa_M(F(lambda m)))
     for m in artinian_corpus(51, 12, max_ring_dim=4, max_dim=3):
-        E = dualizing_module(m.ring).module
+        E = dualizing_module(m.ring)
         F = m.ring.field
         h, basis = pair_C_to_F(m, E)
         for j, Hj in enumerate(basis):
@@ -52,7 +52,7 @@ def test_pair_f_to_c_is_the_composite_formula():
         from cartierforge.generate import random_structure
         rng = random.Random(99)
         fm = random_structure(rng, m.module, FROBENIUS)
-        E = dualizing_module(m.ring).module
+        E = dualizing_module(m.ring)
         F = m.ring.field
         h, basis = pair_F_to_C(fm, E)
         for j, Hj in enumerate(basis):
@@ -67,7 +67,7 @@ def test_matlis_dual_defining_rule():
         t = m.torsion
         F = t.ring.field
         d = matlis_dual(t)
-        E = dualizing_module(d.ring).module   # hull at the dual's truncation
+        E = dualizing_module(d.ring)   # hull at the dual's truncation
         from cartierforge.pid import retruncate
         big = retruncate(t, d.ring.relations[0][0])
         from cartierforge.duality import pair_C_to_F as pc
@@ -116,7 +116,7 @@ def test_hull_hom_dims_fixture():
     # Hom(k, E_R) is the socle (dim 1); Hom(F_* R, E_R) has dim 2
     R = ring_make(2, ["x"], [[2]])
     from cartierforge.artinian import frobenius_pushforward, hom_module
-    E = dualizing_module(R).module
+    E = dualizing_module(R)
     k = fin_module(R, [mx.zeros(1, 1)])
     h1, _ = hom_module(k, E.module)
     assert h1.dim == 1
@@ -169,6 +169,24 @@ def test_hull_twist_against_laurent_oracle():
                         row = -m_ - 1
                         want[row, j] = int(F.add(np.int64(want[row, j]), np.int64(c)))
             assert np.array_equal(tw.kappa, want), (p, u_coeffs)
+
+
+def test_hull_twist_iterate_matches_matrix_powers():
+    # q is the field order, so kappa_E o u is GF(q)-linear and its e-th
+    # iterate is the e-th power of the hull_twist matrix
+    from cartierforge.pid import hull_twist
+    from cartierforge.poly import Poly
+    from oracles import hull_twist_iterate
+    level = 12
+    for F in (GF(2), GF(3), GF(2, 2)):
+        for u_coeffs in ([1], [0, 1], [1, 1, 1], [0, 0, 1, 1]):
+            u = Poly.make(F, u_coeffs)
+            step, power = hull_twist(F, level, u).kappa, np.eye(level, dtype=np.int64)
+            for e in (1, 2, 3):
+                power = mx.mmul(F, step, power)
+                for j in range(level):
+                    want = {i + 1: int(c) for i, c in enumerate(power[:, j]) if c}
+                    assert hull_twist_iterate(u, F.order, j + 1, e) == want
 
 
 def test_free_multiplier_exchange_rule():

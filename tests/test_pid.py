@@ -3,27 +3,32 @@ local cohomology, localization models."""
 
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cartierforge import complexes, pid
 from cartierforge import matrix as mx
 from cartierforge.artinian import fin_module
-from cartierforge.complexes import (coherent_model_of_localization,
-                                    matlis_dual)
+from cartierforge.complexes import (StructuredComplex,
+                                    coherent_model_of_localization,
+                                    is_perverse, local_duality_check,
+                                    matlis_dual, shift_module)
 from cartierforge.field import GF
 from cartierforge.generate import (pid_torsion_corpus, random_nilpotent,
                                    random_structure)
 from cartierforge.pid import (CARTIER, FROBENIUS, Unsupported,
-                              cech_local_cohomology,
+                              cech_local_cohomology, default_truncation,
                               frobenius_pushforward_presentation,
                               h1_entry_crystal_zero, inverse_module, kappa_s,
                               pid_free, pid_sum, pid_torsion, pres_module,
                               truncation_ring, validate_pid)
 from cartierforge.poly import Poly
 from cartierforge.structures import nilpotency_index, validate
-from oracles import dual_basis_matrix, free_presentation, kappa_e_oracle
+from oracles import (dual_basis_matrix, free_presentation, hull_twist_iterate,
+                     kappa_e_oracle, two_depth_h1_zero)
 
 
 F2 = GF(2)
@@ -217,6 +222,91 @@ def test_h1_verdicts():
     freef = pid_free(F2, [Poly.one(F2)], FROBENIUS)
     assert h1_entry_crystal_zero(freef, Poly.zero(F2))
     assert not h1_entry_crystal_zero(freef, Poly.x(F2))
+
+
+def _two_depth_fits(F, power, deg):
+    # the reference's deeper hull has side q*lvl + q; keep it at most 130
+    q = F.order ** power
+    return q * default_truncation([deg], q) + q <= 130
+
+
+H1_FIELDS = [(F, power) for F in (F2, F3, GF(2, 2), GF(5)) for power in (1, 2)
+             if _two_depth_fits(F, power, 0)]
+
+
+def _check_h1_rule(F, power, u):
+    """The exact rule is u = 0.  The two-depth reference must agree, unless
+    its own index e at the shallow level is refuted: (kappa_E o u)^e keeps
+    x^-(a+1) alive, a = ord(u^((q^e - 1)/(q - 1)))."""
+    m = pid_free(F, [u], CARTIER, power)
+    exact = h1_entry_crystal_zero(m, u)
+    assert exact == u.is_zero()
+    if two_depth_h1_zero(m, u) == exact:
+        return False
+    q = F.order ** power
+    e = nilpotency_index(pid.hull_twist(F, default_truncation([u.deg], q), u, power))
+    order = next(k for k, c in enumerate(u.coeffs) if c)
+    a = (q ** e - 1) // (q - 1) * order
+    assert hull_twist_iterate(u, q, a + 1, e)
+    return True
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_h1_rule_matches_two_depth_reference(data):
+    F, power = data.draw(st.sampled_from(H1_FIELDS))
+    top = max(d for d in range(64) if _two_depth_fits(F, power, d))
+    u = Poly.make(F, data.draw(st.lists(st.integers(0, F.order - 1),
+                                        max_size=top + 1)))
+    _check_h1_rule(F, power, u)
+
+
+def test_two_depth_reference_misses_a_high_order_multiplier():
+    # u = x^6 + x^7 + x^9 + x^10 over GF(2): indices 4 and 4 at levels 44
+    # and 90, yet the fourth iterate keeps x^-91 alive
+    assert _check_h1_rule(F2, 1, Poly.make(F2, [0] * 6 + [1, 1, 0, 1, 1]))
+
+
+def _zero_free_multipliers(c):
+    return StructuredComplex({
+        d: t if t.free is None else replace(
+            t, free=pid_free(t.field, [Poly.zero(t.field)] * t.free_rank,
+                             t.kind, t.power).free)
+        for d, t in c.terms.items()})
+
+
+@pytest.mark.parametrize("F", [F2, GF(5, 2)])
+def test_local_duality_catches_planted_faults(monkeypatch, F):
+    one = pid_free(F, [Poly.one(F)], CARTIER)
+    assert local_duality_check(one).ok
+    hull_twist, dualize = pid.hull_twist, complexes.dualize
+    with monkeypatch.context() as mp:
+        # local side: a hull twist that loses u's constant term
+        mp.setattr(pid, "hull_twist", lambda field, level, u, power=1: hull_twist(
+            field, level, Poly.make(field, (0,) + u.coeffs[1:]), power))
+        assert not local_duality_check(one).ok
+    with monkeypatch.context() as mp:
+        # Ext side: a dual whose free multipliers are zeroed
+        mp.setattr(complexes, "dualize", lambda obj: _zero_free_multipliers(dualize(obj)))
+        assert not local_duality_check(one).ok
+
+
+def test_h1_hulls_stay_at_level_deg_u_plus_one(monkeypatch):
+    seen = []
+    hull_twist = pid.hull_twist
+
+    def spy(field, level, u, power=1):
+        seen.append((level, u.deg))
+        return hull_twist(field, level, u, power)
+
+    monkeypatch.setattr(pid, "hull_twist", spy)
+    for F in (F2, F3, GF(2, 2)):
+        sky = pid_torsion(F, [[0]], [[1]], CARTIER)
+        for coeffs in ([], [1], [0, 1], [1, 0, 1], [0, 0, 0, 1]):
+            m = pid_sum(sky, pid_free(F, [Poly.make(F, coeffs), Poly.x(F)], CARTIER))
+            local_duality_check(m)
+            is_perverse(shift_module(m, -2))
+    assert seen and all(level <= deg + 1 for level, deg in seen)
 
 
 def test_pid_torsion_requires_nilpotent_action():

@@ -92,7 +92,7 @@ def test_is_unit_examples(ring, fixture_a):
     assert not is_unit(cartier_module(regular_module(ring), mx.zeros(2, 2)))
     assert is_unit(cartier_module(zero_module(ring), mx.zeros(0, 0)))
     from cartierforge.duality import dualizing_module
-    assert is_unit(dualizing_module(ring).module)
+    assert is_unit(dualizing_module(ring))
     assert not is_unit(fixture_a)
 
 
@@ -104,7 +104,7 @@ def test_unitalize_fixture_cases(ring, fixture_a, skyscraper):
     res2 = unitalize(kf)
     assert res2.status == "unit" and res2.module.dim == 1
     from cartierforge.duality import dualizing_module
-    e = dualizing_module(ring).module
+    e = dualizing_module(ring)
     res3 = unitalize(e)
     assert res3.status == "unit" and res3.module.dim == e.dim
     # the skyscraper unitalizes to a 2-dim unit module (the hull)
