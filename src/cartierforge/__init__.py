@@ -14,11 +14,10 @@ from .artinian import (ArtinRing, FinModule, f_flat, fin_module,
                        ring_make)
 from .structures import (CartierModule, FModule, adjoint_structural,
                          cartier_module, f_module, is_unit, iterate_structure,
-                         kashiwara_counit, kashiwara_roundtrip,
-                         nil_isomorphism_check, nilpotency_index,
-                         stable_image, stable_kernel, twist_by_unit_line,
-                         unitalize, validate)
-from .pid import (PidModule, PresModule, Unsupported, cech_local_cohomology,
+                         kashiwara_counit, nil_isomorphism_check,
+                         nilpotency_index, stable_image, stable_kernel,
+                         twist_by_unit_line, unitalize, validate)
+from .pid import (PidModule, PresModule, Unsupported,
                   frobenius_pushforward_presentation, inverse_module, kappa_s,
                   pid_free, pid_sum, pid_torsion, pres_module)
 from .duality import (crystal_possibly_equivalent,

@@ -36,10 +36,8 @@ from .generate import (artinian_corpus, pid_torsion_corpus, random_cartier,
 from .pid import (CARTIER, FROBENIUS, PidModule, Unsupported, pid_free,
                   pid_sum, pid_torsion, validate_pid)
 from .poly import Poly
-from .structures import (kashiwara_counit, kashiwara_roundtrip,
-                         nilpotency_index, stable_image, stable_kernel,
-                         structured, structured_i_torsion, unitalize,
-                         validate)
+from .structures import (kashiwara_counit, nilpotency_index, stable_image,
+                         stable_kernel, structured, unitalize, validate)
 
 SCHEMA = 1
 
@@ -134,8 +132,7 @@ def _parse_module(field, ring, mdoc: dict):
         if "torsion" in mdoc:
             t = mdoc["torsion"]
             parts.append(pid_torsion(field, _decode_matrix(field, t["x_action"]),
-                                     _decode_matrix(field, t["structure"]), kind,
-                                     check=False))
+                                     _decode_matrix(field, t["structure"]), kind))
         if "free" in mdoc:
             mult = mdoc["free"]
             if mult and isinstance(mult[0], list) and mult and \
@@ -157,12 +154,11 @@ def _parse_module(field, ring, mdoc: dict):
     if this_ring is None:
         raise SchemaError("artinian module without a ring declaration")
     actions = [_decode_matrix(field, a) for a in mdoc["carrier"]["actions"]]
-    module = fin_module(this_ring, actions, check=False)
+    module = fin_module(this_ring, actions)
     if ("dim" in mdoc["carrier"]
             and _int(mdoc["carrier"]["dim"], "carrier dim", lo=0) != module.dim):
         raise SchemaError("declared module dim does not match the actions")
-    return structured(kind, module, _decode_matrix(field, mdoc["structure"]),
-                      check=False)
+    return structured(kind, module, _decode_matrix(field, mdoc["structure"]))
 
 
 def _index_json(v):
@@ -294,12 +290,8 @@ def run_command(problem, cmd: dict, seed: int) -> dict:
     elif op == "kashiwara":
         m = get_module()
         j = _exponents(cmd["j_gens"], "kashiwara: j_gens entry")
-        tors, _ = structured_i_torsion(m, j)
-        rt = kashiwara_roundtrip(tors)
         counit = kashiwara_counit(m, j)
-        out.update(ok=bool(rt and counit.roundtrip_exact), roundtrip=rt,
-                   counit_nil_iso=counit.roundtrip_exact,
-                   supported=counit.supported)
+        out.update(ok=counit.ok, counit_nil_iso=counit.ok, supported=counit.supported)
     elif op == "localize-model":
         m = get_module()
         f = _decode_poly(problem["field"], cmd["f"])

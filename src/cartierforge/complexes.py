@@ -16,7 +16,7 @@ import numpy as np
 from . import matrix as mx
 from .duality import dualize_artinian
 from .field import FiniteField
-from .pid import (CARTIER, FROBENIUS, PidModule, Unsupported, _ring_level,
+from .pid import (CARTIER, FROBENIUS, PidModule, Unsupported,
                   free_crystal_zero, h1_crystal_zero, pid_free, pid_sum,
                   retruncate, torsion_crystal_zero)
 from .poly import Poly
@@ -28,14 +28,14 @@ def _opposite(kind: str) -> str:
     return FROBENIUS if kind == CARTIER else CARTIER
 
 
-def matlis_dual(t: Structured, trunc: int | None = None) -> Structured:
+def matlis_dual(t: Structured) -> Structured:
     """Hom(M, E) for an x-primary torsion module, with the pairing-induced
     structure of the opposite kind.
 
     Computed by dualize_artinian over the truncation ring at level
-    N = max(trunc, index), where index is the x-nilpotency index of M; the
-    dual lives over that ring.  Every N >= index gives the same hom basis,
-    structure matrix and x-action, bit for bit:
+    N = index, the x-nilpotency index of M; the dual lives over that ring.
+    Every N >= index gives the same hom basis, structure matrix and
+    x-action, bit for bit:
 
     - x^index kills M, so a hom M -> E_N lands in the x^index-socle E_index
       (x^-1 .. x^-index).  The equivariance system at level N therefore has
@@ -51,7 +51,7 @@ def matlis_dual(t: Structured, trunc: int | None = None) -> Structured:
     index = mx.nil_index(F, t.module.actions[0])
     if index == math.inf:
         raise ValueError("x-action is not nilpotent: module not supported at the origin")
-    return dualize_artinian(retruncate(t, max(trunc or 0, index)))[0]
+    return dualize_artinian(retruncate(t, index))[0]
 
 
 @dataclass(frozen=True)
@@ -75,10 +75,8 @@ class StructuredComplex:
             if src.torsion is None or dst.torsion is None:
                 out.append(f"differential at {d} needs torsion endpoints")
                 continue
-            lvl = max(_ring_level(src.torsion.ring), _ring_level(dst.torsion.ring))
             if not is_morphism(np.asarray(f, dtype=np.int64),
-                               retruncate(src.torsion, lvl),
-                               retruncate(dst.torsion, lvl)):
+                               src.torsion, dst.torsion):
                 out.append(f"differential at {d} is not structure-preserving")
         for d in self.diffs:
             if d + 1 in self.diffs:

@@ -57,18 +57,16 @@ def inverse_hull(ring: ArtinRing, power: int = 1) -> CartierModule:
         if all(e % t == 0 for e in b):
             tgt = tuple(e // t for e in b)
             kap[index[tgt], j] = 1
-    return cartier_module(fin_module(ring, acts), kap, power, check=False)
+    return cartier_module(fin_module(ring, acts), kap, power)
 
 
 def dualizing_module(ring: ArtinRing, power: int = 1) -> CartierModule:
-    """E_R = inverse_hull(ring, power), validated unit at construction and
-    cached per ring (the unit check is the expensive part)."""
+    """E_R = inverse_hull(ring, power), checked to be unit and cached per
+    ring (the unit check is the expensive part)."""
     key = (ring.key(), power)
     hit = _DUALIZING_CACHE.get(key)
     if hit is not None:
         return hit
-    # No validate() here: is_unit below solves for the adjoint, and that
-    # solve fails unless the structure is equivariant for q^power.
     e_mod = inverse_hull(ring, power)
     if not is_unit(e_mod):
         raise RuntimeError("dualizing module failed the unit check")
@@ -197,7 +195,7 @@ def extend_scalars(m: Structured, s: int) -> Structured:
     emb = F.embedding(ext)
     ring_s = ring_make(ext, m.ring.vars, m.ring.relations)
     acts = tuple(emb[X] for X in m.module.actions)
-    mod = fin_module(ring_s, acts, check=False)
+    mod = fin_module(ring_s, acts)
     return structured(m.kind, mod, emb[iterate_structure(m, s).mat])
 
 

@@ -171,14 +171,14 @@ class Unsupported:
 
 
 def pid_torsion(field: FiniteField, x_action, struct, kind: str,
-                power: int = 1, check: bool = True) -> PidModule:
+                power: int = 1) -> PidModule:
     """Torsion module supported at the origin: x_action must be nilpotent."""
     x_action = np.asarray(x_action, dtype=np.int64)
     n = mx.nil_index(field, x_action)
     if n == math.inf:
         raise ValueError("x-action is not nilpotent: module not supported at the origin")
     mod = fin_module(truncation_ring(field, n), [x_action])
-    t = structured(kind, mod, struct, power, check)
+    t = structured(kind, mod, struct, power)
     return PidModule(field, kind, t, None, power)
 
 
@@ -229,11 +229,10 @@ def _ring_level(ring: ArtinRing) -> int:
 
 
 def retruncate(t: Structured, level: int) -> Structured:
-    """View a torsion module over a (possibly larger) truncation ring."""
-    ring = truncation_ring(t.ring.field, level)
-    # with_structure validates, and that covers the module relations too
-    mod = fin_module(ring, t.module.actions, check=False)
-    return with_structure(t, mod, t.mat, check=True)
+    """View a torsion module over the truncation ring at `level`, which
+    must be at least the x-nilpotency index of `t`."""
+    mod = fin_module(truncation_ring(t.ring.field, level), t.module.actions)
+    return with_structure(t, mod, t.mat)
 
 
 def validate_pid(m: PidModule):
@@ -249,41 +248,7 @@ def validate_pid(m: PidModule):
     return ok, notes
 
 
-# -- Cech local cohomology at the maximal ideal (x) --
-
-
-@dataclass(frozen=True)
-class CechReport:
-    h0: "Structured | None"
-    h1: object            # list of hull-truncation CartierModules | Unsupported | None
-
-
-def cech_local_cohomology(m: PidModule) -> CechReport:
-    """H^0_m = the x-power-torsion part with its structure; H^1_m = the
-    hull-model cokernel of M -> M_x for the free part.
-
-    Torsion modules have H^1 = 0; free modules with diagonal multiplier
-    structure give twisted truncations of the inverse-monomial hull
-    (Cartier side) or expanding maps recorded by multiplier (Frobenius
-    side).  Anything else is Unsupported by design.
-    """
-    h0 = m.torsion
-    if m.free is None or m.free_rank == 0:
-        return CechReport(h0, None)
-    if not m.free_is_diagonal():
-        return CechReport(h0, Unsupported("non-diagonal free multiplier matrix"))
-    diag = m.free_diagonal()
-    q = m.field.order ** m.power
-    if m.kind == CARTIER:
-        lvl = default_truncation([u.deg for u in diag], q)
-        return CechReport(h0, [hull_twist(m.field, lvl, u, m.power) for u in diag])
-    return CechReport(h0, [Unsupported("H^1 of a Frobenius module is not "
-                                       "truncation-stable; verdicts use the multiplier")
-                          for _ in diag])
-
-
-def default_truncation(degs, q: int) -> int:
-    return max(4 * max([d + 1 for d in degs] + [1]), 2 * q)
+# -- the H^1 hull model of the free part --
 
 
 def hull_twist(field: FiniteField, level: int, u: Poly, power: int = 1) -> CartierModule:

@@ -81,40 +81,33 @@ class ValidationReport:
         return self.ok
 
 
-def structured(kind: str, module: FinModule, mat, power: int = 1,
-               check: bool = True) -> Structured:
-    """The Cartier (kind CARTIER) or Frobenius structure `mat` on `module`;
-    with `check`, a structure that fails `validate` raises ValueError."""
-    cartier = kind == CARTIER
-    m = (CartierModule if cartier else FModule)(
-        module, np.asarray(mat, dtype=np.int64), power)
-    if check:
-        rep = validate(m)
-        if not rep.ok:
-            name = "Cartier" if cartier else "F-module"
-            raise ValueError(f"invalid {name} structure: " + "; ".join(rep.violations))
-    return m
+def structured(kind: str, module: FinModule, mat, power: int = 1) -> Structured:
+    """The Cartier (kind CARTIER) or Frobenius structure `mat` on `module`.
+
+    Constructors build and `validate` checks: input data is validated once,
+    where it enters (`forge run` does it per module), and everything built
+    from valid data is valid by construction."""
+    cls = CartierModule if kind == CARTIER else FModule
+    return cls(module, np.asarray(mat, dtype=np.int64), power)
 
 
-def cartier_module(module: FinModule, kappa, power: int = 1,
-                   check: bool = True) -> CartierModule:
-    return structured(CARTIER, module, kappa, power, check)
+def cartier_module(module: FinModule, kappa, power: int = 1) -> CartierModule:
+    return structured(CARTIER, module, kappa, power)
 
 
-def f_module(module: FinModule, tau, power: int = 1, check: bool = True) -> FModule:
-    return structured(FROBENIUS, module, tau, power, check)
+def f_module(module: FinModule, tau, power: int = 1) -> FModule:
+    return structured(FROBENIUS, module, tau, power)
 
 
-def with_structure(m: Structured, module: FinModule, mat: np.ndarray,
-                   check: bool = False) -> Structured:
-    return structured(m.kind, module, mat, m.power, check)
+def with_structure(m: Structured, module: FinModule, mat: np.ndarray) -> Structured:
+    return structured(m.kind, module, mat, m.power)
 
 
 def validate(m: Structured) -> ValidationReport:
     """Check the commuting-square condition on every ring generator, plus
     underlying module validity.  Returns violations instead of raising."""
     F = m.ring.field
-    out = list(module_violations(m.ring, m.module.actions))
+    out = module_violations(m.module)
     if m.mat.shape != (m.dim, m.dim):
         out.append("structure matrix has wrong shape")
         return ValidationReport(False, tuple(out))
@@ -161,7 +154,7 @@ def stable_kernel(m: FModule) -> tuple[FModule, np.ndarray]:
 
 def sub_structure(m: Structured, cols: np.ndarray) -> Structured:
     """Restrict module and structure to the span of `cols` (must be stable)."""
-    sub = submodule(m.module, cols, check=False)
+    sub = submodule(m.module, cols)
     k = restrict(m.ring.field, [m.mat], cols)
     if k is None:
         raise ValueError("columns are not stable under the structure")
@@ -194,7 +187,7 @@ def iterate_structure(m: Structured, s: int) -> Structured:
     if s < 1:
         raise ValueError("iteration count must be >= 1")
     return structured(m.kind, m.module, mx.mat_pow(m.ring.field, m.mat, s),
-                      m.power * s, check=False)
+                      m.power * s)
 
 
 def adjoint_structural(m: CartierModule):
@@ -488,7 +481,7 @@ def twist_by_unit_line(m: Structured, a_coords) -> Structured:
         new = mx.mmul(F, m.mat, m.module.element_action(a_inv_coords))
     else:
         new = mx.mmul(F, m.module.element_action(a_coords), m.mat)
-    return with_structure(m, m.module, new, check=True)
+    return with_structure(m, m.module, new)
 
 
 def structured_i_torsion(m: Structured, j_gens) -> tuple[Structured, np.ndarray]:
@@ -499,33 +492,19 @@ def structured_i_torsion(m: Structured, j_gens) -> tuple[Structured, np.ndarray]
     if k is None:
         raise ValueError("structure does not restrict to the torsion part "
                          "(expected for Cartier structures)")
-    return with_structure(m, tors, k[0], check=True), cols
+    return with_structure(m, tors, k[0]), cols
 
 
 def structured_restrict_scalars(m: Structured) -> Structured:
     """i_*: the same data viewed over the ambient ring."""
-    return with_structure(m, restrict_scalars(m.module), m.mat, check=True)
+    return with_structure(m, restrict_scalars(m.module), m.mat)
 
 
 @dataclass(frozen=True)
 class KashiwaraReport:
-    roundtrip_exact: bool
-    counit: "NilIsoReport | None"
+    ok: bool                    # the counit is a nil-isomorphism
+    counit: NilIsoReport
     supported: bool
-
-
-def kashiwara_roundtrip(m: Structured) -> bool:
-    """i-flat o i_* on a module over a quotient ring: must be the identity
-    on the nose (matrix equality after the canonical identification)."""
-    if m.ring.ambient is None:
-        raise ValueError("module must live over a declared quotient ring")
-    pushed = structured_restrict_scalars(m)
-    back, cols = structured_i_torsion(pushed, m.ring.quotient_gens)
-    if back.dim != m.dim or not np.array_equal(cols, mx.identity(m.dim)):
-        return False
-    return (np.array_equal(back.mat, m.mat)
-            and all(np.array_equal(a, b)
-                    for a, b in zip(back.module.actions, m.module.actions)))
 
 
 def kashiwara_counit(n: Structured, j_gens) -> KashiwaraReport:

@@ -5,8 +5,9 @@ field arithmetic one code at a time, the rank-one structures on GF(q)[x],
 the dual-basis table of kappa_S, the hull structure read off the Laurent
 extension, the two-depth H^1 verdict and the hull twist applied to one
 Laurent tail, polynomial-matrix products, twisted operators applied and
-powered step by step, and the Hom/tensor twist law.  They live with the
-tests so that they stay independent of the code under test.
+powered step by step, the Hom/tensor twist law, and the Kashiwara round
+trip i-flat o i_* = id.  They live with the tests so that they stay
+independent of the code under test.
 """
 
 import math
@@ -17,10 +18,12 @@ from cartierforge import matrix as mx
 from cartierforge.artinian import fin_module
 from cartierforge.duality import dualize_artinian
 from cartierforge.field import FiniteField, _pmod, _pmul
-from cartierforge.pid import (PidModule, PresModule, default_truncation,
-                              hull_twist, kappa_s, pres_module)
+from cartierforge.pid import (PidModule, PresModule, hull_twist, kappa_s,
+                              pres_module)
 from cartierforge.poly import Poly
-from cartierforge.structures import (CartierModule, nilpotency_index,
+from cartierforge.structures import (CartierModule, Structured,
+                                     nilpotency_index, structured_i_torsion,
+                                     structured_restrict_scalars,
                                      twist_by_unit_line)
 from cartierforge.twisted import (TwistedOperator, identity_operator, sigma,
                                   twisted_compose)
@@ -118,6 +121,12 @@ def kappa_e_oracle(field: FiniteField, level: int, q: int) -> np.ndarray:
     return kap
 
 
+def default_truncation(degs, q: int) -> int:
+    """The shallow hull level of the two-depth reference: four times the
+    largest multiplier degree plus one, and at least 2q."""
+    return max(4 * max([d + 1 for d in degs] + [1]), 2 * q)
+
+
 def two_depth_h1_zero(m: PidModule, u: Poly) -> bool:
     """H^1 hull component (E, kappa_E o u) of a free Cartier summand read
     at two truncation depths: crystal-zero when the nilpotency indices at
@@ -204,3 +213,20 @@ def hom_tensor_twist_check(m: CartierModule, a_coords) -> bool:
     a_inv = mx.mmul(F, inv, m.ring.one())
     rhs = twist_by_unit_line(dualize_artinian(m)[0], a_inv)
     return np.array_equal(lhs.mat, rhs.mat)
+
+
+# -- closed immersions --
+
+
+def kashiwara_roundtrip(m: Structured) -> bool:
+    """i-flat o i_* on a module over a quotient ring: must be the identity
+    on the nose (matrix equality after the canonical identification)."""
+    if m.ring.ambient is None:
+        raise ValueError("module must live over a declared quotient ring")
+    pushed = structured_restrict_scalars(m)
+    back, cols = structured_i_torsion(pushed, m.ring.quotient_gens)
+    if back.dim != m.dim or not np.array_equal(cols, mx.identity(m.dim)):
+        return False
+    return (np.array_equal(back.mat, m.mat)
+            and all(np.array_equal(a, b)
+                    for a, b in zip(back.module.actions, m.module.actions)))

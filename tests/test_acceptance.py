@@ -27,9 +27,9 @@ from cartierforge.generate import (artinian_corpus, pid_torsion_corpus,
 from cartierforge.pid import CARTIER, pid_free
 from cartierforge.poly import Poly
 from cartierforge.structures import (cartier_module, f_module, is_unit,
-                                     kashiwara_counit, kashiwara_roundtrip,
-                                     nilpotency_index, unitalize)
-from oracles import dual_basis_matrix
+                                     kashiwara_counit, nilpotency_index,
+                                     unitalize)
+from oracles import dual_basis_matrix, kashiwara_roundtrip
 
 SEED = 2024
 
@@ -148,11 +148,11 @@ def test_criterion_07_kashiwara():
         for _ in range(5):
             n = random_structure(rng, random_module(rng, ring, 4), CARTIER)
             rep = kashiwara_counit(n, jgens)
-            ok = ok and rep.supported and rep.roundtrip_exact
+            ok = ok and rep.supported and rep.ok
     # the worked fixture
     fixA = cartier_module(regular_module(r1), mx.mat([[0, 0], [1, 0]]))
     rep = kashiwara_counit(fixA, [[1]])
-    ok = ok and rep.roundtrip_exact and rep.counit.cokernel_index != math.inf
+    ok = ok and rep.ok and rep.counit.cokernel_index != math.inf
     dt = time.monotonic() - t0
     report(7, ok and dt < 5.0,
            "i-flat o i_* = id exactly; counit a nil-iso on supported modules", dt)

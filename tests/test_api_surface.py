@@ -1,4 +1,5 @@
-"""Every public top-level function of the package is public API or used.
+"""Every public top-level function of the package is public API or used,
+and none takes a `check` flag.
 
 A function counts as public API when `cartierforge/__init__.py` imports
 it, and as used when some other top-level statement of the package refers
@@ -42,3 +43,17 @@ def test_every_public_function_is_exported_or_referenced():
     unused = [q for q in defined
               if q.split(".")[1] not in exported | referenced]
     assert not unused, "neither exported nor referenced: " + ", ".join(unused)
+
+
+def test_no_function_takes_a_check_flag():
+    # constructors build and `validate` checks: no switch turns checking on
+    flagged = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for stmt in ast.walk(tree):
+            if isinstance(stmt, ast.FunctionDef):
+                args = stmt.args
+                names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+                if "check" in names:
+                    flagged.append(f"{path.stem}.{stmt.name}")
+    assert not flagged, "takes a `check` parameter: " + ", ".join(flagged)

@@ -169,6 +169,38 @@ def test_each_module_validated_once_per_problem(monkeypatch):
     assert len(seen) == 2
 
 
+@pytest.mark.parametrize("path", ["artinian-prime/gf3_00.json",
+                                  "pid-duality/gf2_12.json",
+                                  "extension-field/gf2_2_02.json"])
+def test_bench_input_validates_each_module_once(monkeypatch, path):
+    # every structures.validate call of the package, wherever it is bound,
+    # must be forge run's own check: one per module that carries a structure
+    import cartierforge.cli as cli
+    from cartierforge import structures
+    from cartierforge.pid import PidModule
+    root = Path(__file__).resolve().parent.parent
+    problem = cli.parse_problem(json.loads((root / "bench" / "inputs" / path).read_text()))
+    seen = []
+    real = structures.validate
+
+    def counted(m):
+        seen.append(m)
+        return real(m)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("cartierforge") and getattr(mod, "validate", None) is real:
+            monkeypatch.setattr(mod, "validate", counted)
+    named = set()
+    for cmd in problem["commands"]:
+        cli.run_command(problem, cmd, 0)
+        named.update(cmd[k] for k in ("module", "left", "right") if k in cmd)
+        named.update(problem["complex_terms"].get(cmd.get("complex"), []))
+    mods = problem["modules"]
+    structured = [n for n in named
+                  if not isinstance(mods[n], PidModule) or mods[n].torsion is not None]
+    assert structured and len(seen) == len(structured)
+
+
 def test_empty_command_list(tmp_path, capsys):
     doc = json.loads(json.dumps(FIXTURE_A))
     doc["commands"] = []

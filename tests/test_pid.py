@@ -4,6 +4,7 @@ local cohomology, localization models."""
 import math
 import random
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -16,19 +17,20 @@ from cartierforge.complexes import (StructuredComplex,
                                     coherent_model_of_localization,
                                     is_perverse, local_duality_check,
                                     matlis_dual, shift_module)
+from cartierforge.duality import dualize_artinian
 from cartierforge.field import GF
 from cartierforge.generate import (pid_torsion_corpus, random_nilpotent,
                                    random_structure)
 from cartierforge.pid import (CARTIER, FROBENIUS, Unsupported,
-                              cech_local_cohomology, default_truncation,
                               frobenius_pushforward_presentation,
-                              h1_entry_crystal_zero, inverse_module, kappa_s,
-                              pid_free, pid_sum, pid_torsion, pres_module,
+                              h1_entry_crystal_zero, hull_twist,
+                              inverse_module, kappa_s, pid_free, pid_sum,
+                              pid_torsion, pres_module, retruncate,
                               truncation_ring, validate_pid)
 from cartierforge.poly import Poly
 from cartierforge.structures import nilpotency_index, validate
-from oracles import (dual_basis_matrix, free_presentation, hull_twist_iterate,
-                     kappa_e_oracle, two_depth_h1_zero)
+from oracles import (default_truncation, dual_basis_matrix, free_presentation,
+                     hull_twist_iterate, kappa_e_oracle, two_depth_h1_zero)
 
 
 F2 = GF(2)
@@ -130,7 +132,7 @@ def test_matlis_dual_fixtures():
 def test_matlis_dual_truncation_stable_and_dimension():
     for m in pid_torsion_corpus(31, 15):
         d1 = matlis_dual(m.torsion)
-        d2 = matlis_dual(m.torsion, trunc=25)
+        d2 = dualize_artinian(retruncate(m.torsion, 25))[0]
         assert d1.dim == m.torsion.dim == d2.dim
         assert (nilpotency_index(d1) == math.inf) == (nilpotency_index(d2) == math.inf)
 
@@ -185,30 +187,33 @@ def test_matlis_dual_at_index_level_matches_wide_truncation(case):
     # The dual is taken at the x-nilpotency index; a level four times
     # larger must give the same structure matrix and x-action, bit for bit.
     t, index = case
-    dual, wide = matlis_dual(t), matlis_dual(t, trunc=4 * index)
+    dual = matlis_dual(t)
+    wide = dualize_artinian(retruncate(t, 4 * index))[0]
     assert_same_structure(dual, wide)
     assert dual.ring.relations[0][0] == index
     double = matlis_dual(dual)
-    assert_same_structure(double, matlis_dual(wide, trunc=4 * index))
+    assert_same_structure(double, dualize_artinian(retruncate(wide, 4 * index))[0])
     assert double.ring.relations[0][0] == index
 
 
-def test_cech_torsion_and_free():
-    sky = pid_torsion(F2, [[0]], [[1]], CARTIER)
-    rep = cech_local_cohomology(sky)
-    assert rep.h0 is sky.torsion and rep.h1 is None
-    free1 = pid_free(F2, [Poly.one(F2)], CARTIER)
-    rep1 = cech_local_cohomology(free1)
-    h1 = rep1.h1[0]
-    assert np.array_equal(h1.kappa, inverse_module(F2, h1.dim).kappa)
-    free0 = pid_free(F2, [Poly.zero(F2)], CARTIER)
-    assert not cech_local_cohomology(free0).h1[0].kappa.any()
+def test_hull_twist_unit_and_zero_multiplier():
+    # u = 1 leaves the hull's kappa_E; u = 0 gives the zero structure
+    for F, power, level in product((F2, F3, GF(2, 2)), (1, 2), (1, 4, 9)):
+        hull = inverse_module(F, level, power)
+        one = hull_twist(F, level, Poly.one(F), power)
+        assert np.array_equal(one.kappa, hull.kappa)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(one.module.actions, hull.module.actions))
+        zero = hull_twist(F, level, Poly.zero(F), power)
+        assert zero.dim == level and not zero.kappa.any()
 
 
-def test_cech_unsupported_shapes():
+def test_non_diagonal_free_part_is_unsupported():
     nd = pid_free(F2, [[Poly.zero(F2), Poly.one(F2)],
                        [Poly.zero(F2), Poly.zero(F2)]], CARTIER)
-    assert isinstance(cech_local_cohomology(nd).h1, Unsupported)
+    dual = complexes.dualize(nd)
+    assert isinstance(dual, Unsupported)
+    assert dual.reason == "non-diagonal free multiplier matrix"
     ok, notes = validate_pid(nd)
     assert any("diagonal" in n for n in notes)
 
