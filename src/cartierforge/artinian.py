@@ -201,77 +201,93 @@ def direct_sum(a: FinModule, b: FinModule) -> FinModule:
     return FinModule(a.ring, a.dim + b.dim, tuple(acts))
 
 
-def intertwiners(F: FiniteField, As, Bs, rows: int, cols: int):
+def intertwiners(F: FiniteField, As, Bs, rows: int, cols: int) -> np.ndarray:
     """The space { H (rows x cols) : H A_i = B_i H for every i }.
 
-    Every Hom-type functor is such a space.  Returns (ker, basis): the RREF
-    kernel of the stacked system A_i^T (x) I - I (x) B_i on vec H, and its
-    columns as matrices, in canonical kernel order."""
+    Every Hom-type functor is such a space, and this is the one format of
+    its basis: the RREF kernel of the stacked system A_i^T (x) I - I (x) B_i
+    on vec H, whose column j is vec(H_j), in canonical kernel order."""
     eye_r, eye_c = mx.identity(rows), mx.identity(cols)
     sys = [F.sub(mx.kron(F, A.T, eye_r), mx.kron(F, eye_c, B)) for A, B in zip(As, Bs)]
-    ker = mx.kernel(F, np.vstack(sys) if sys else mx.zeros(0, rows * cols))
-    return ker, [mx.unvec(ker[:, k], rows, cols) for k in range(ker.shape[1])]
+    return mx.kernel(F, np.vstack(sys) if sys else mx.zeros(0, rows * cols))
 
 
-def _free_rows(ker: np.ndarray) -> np.ndarray:
-    """The last nonzero row of each column; in an RREF kernel basis, the
-    free rows, where the basis is the identity."""
-    return ker.shape[0] - 1 - np.argmax(ker[::-1] != 0, axis=0)
+def hom_images(F: FiniteField, ker: np.ndarray, shape, left=None, right=None) -> np.ndarray:
+    """vec(left H_j right) as column j, for every hom H_j (of the given
+    shape) of the basis `ker`; a missing side is the identity.
+
+    The homs side by side, [H_1 .. H_k], are a column-major reshape of
+    `ker`, and so is their vertical stack after a transpose: each side
+    costs one product, whatever the number of homs."""
+    (r, c), k = shape, ker.shape[1]
+    if left is not None:
+        side = mx.mmul(F, left, ker.reshape(r, c * k, order="F"))
+        r = left.shape[0]
+        ker = side.reshape(r * c, k, order="F")
+    if right is not None:
+        stacked = ker.reshape(r, c, k, order="F").transpose(2, 0, 1).reshape(k * r, c)
+        prod = mx.mmul(F, stacked, right)
+        c = right.shape[1]
+        ker = prod.reshape(k, r, c).transpose(1, 2, 0).reshape(r * c, k, order="F")
+    return ker
 
 
-def _kernel_coords(ker: np.ndarray, mats) -> np.ndarray:
-    """Coordinates in an RREF kernel basis of matrices in its span."""
-    if not mats:
-        return mx.zeros(0, 0)
-    return np.stack([mx.vec(a) for a in mats], axis=1)[_free_rows(ker)]
+def hom_coords(F: FiniteField, ker: np.ndarray, targets: np.ndarray):
+    """Coordinates in the hom basis `ker`, a canonical RREF kernel basis as
+    from `intertwiners`, of the matrices whose vecs are the columns of
+    `targets`.  They are read off the free rows of `ker` (the last nonzero
+    row of each column, where the basis is the identity) and checked by
+    one product: None unless they give `targets` back."""
+    free = ker.shape[0] - 1 - np.argmax(ker[::-1] != 0, axis=0) if ker.size else []
+    coords = targets[free]
+    return coords if np.array_equal(mx.mmul(F, ker, coords), targets) else None
 
 
-def hom_module(m: FinModule, n: FinModule) -> tuple[FinModule, list[np.ndarray]]:
+def _image_module(ring: ArtinRing, ker: np.ndarray, imgs: np.ndarray) -> FinModule:
+    """The module on the hom space `ker` in which variable i sends hom j to
+    column i + nvars * j of `imgs`, its coordinates read by one call."""
+    coords = hom_coords(ring.field, ker, imgs)
+    if coords is None:
+        raise ValueError("hom image left the hom space: the module actions "
+                         "do not commute (check the module with validate)")
+    return FinModule(ring, ker.shape[1], tuple(coords[:, i::ring.nvars]
+                                               for i in range(ring.nvars)))
+
+
+def hom_module(m: FinModule, n: FinModule) -> tuple[FinModule, np.ndarray]:
     """Hom_R(M, N) as a module: solves H X^M_i = X^N_i H.
 
-    Returns the hom module (action of a: H -> X^N(a) H) together with the
-    basis of solution matrices, in canonical kernel order.
+    Returns the hom module (action of a: H -> X^N(a) H) together with its
+    basis, the kernel matrix from `intertwiners`.
     """
     if m.ring.key() != n.ring.key():
         raise ValueError("hom between modules over different rings")
-    F = m.ring.field
-    ker, basis = intertwiners(F, m.actions, n.actions, n.dim, m.dim)
-    acts = tuple(_kernel_coords(ker, [mx.mmul(F, Xn, H) for H in basis])
-                 for Xn in n.actions)
-    return FinModule(m.ring, len(basis), acts), basis
+    F, nv = m.ring.field, m.ring.nvars
+    ker = intertwiners(F, m.actions, n.actions, n.dim, m.dim)
+    imgs = hom_images(F, ker, (n.dim, m.dim), left=np.vstack((mx.zeros(0, n.dim), *n.actions)))
+    # one product with the X_i stacked: vec(vstack_i X_i H_j) is (row, i, column)
+    imgs = (imgs.reshape(n.dim, nv, m.dim, ker.shape[1], order="F").transpose(0, 2, 1, 3)
+            .reshape(n.dim * m.dim, nv * ker.shape[1], order="F"))
+    return _image_module(m.ring, ker, imgs), ker
 
 
-def hom_coords(F: FiniteField, basis: list[np.ndarray], targets: np.ndarray):
-    """Coordinates in the given hom basis of several matrices at once.
-
-    Column j of `targets` is the vectorization (mx.vec) of the j-th matrix;
-    column j of the result holds its coordinates, read off the free rows of
-    the stacked basis and checked by one product: None unless they give
-    `targets` back.  The basis must be a canonical RREF kernel basis, as
-    from `intertwiners`; then every column in the span is solved."""
-    if not basis:
-        return mx.zeros(0, targets.shape[1]) if not targets.any() else None
-    stacked = np.stack([mx.vec(b) for b in basis], axis=1)
-    coords = targets[_free_rows(stacked)]
-    return coords if np.array_equal(mx.mmul(F, stacked, coords), targets) else None
-
-
-def f_flat(m: FinModule, power: int = 1) -> tuple[FinModule, list[np.ndarray]]:
+def f_flat(m: FinModule, power: int = 1) -> tuple[FinModule, np.ndarray]:
     """F^(r,flat) M = Hom_R(F^r_* R, M) with its twisted R-structure.
 
     The solution space is { Phi : Phi mu_i^(q^power) = X_i Phi }; the action
     of x_i inserts the variable before the Frobenius restriction, i.e. sends
     Phi to Phi mu_i.  (Using the plain hom structure here would break the
-    adjunction F^(2,flat) = F^flat o F^flat on non-regular rings.)
+    adjunction F^(2,flat) = F^flat o F^flat on non-regular rings.)  Returns
+    the module and its basis, the kernel matrix from `intertwiners`.
     """
-    F = m.ring.field
-    R = m.ring
+    F, R = m.ring.field, m.ring
     t = R.q ** power
     mu_q = [mx.mat_pow(F, mu, t) for mu in R.mult_ops]
-    ker, basis = intertwiners(F, mu_q, m.actions, m.dim, R.dim)
-    acts = tuple(_kernel_coords(ker, [mx.mmul(F, H, mu) for H in basis])
-                 for mu in R.mult_ops)
-    return FinModule(R, len(basis), acts), basis
+    ker = intertwiners(F, mu_q, m.actions, m.dim, R.dim)
+    imgs = hom_images(F, ker, (m.dim, R.dim), right=np.hstack((mx.zeros(R.dim, 0), *R.mult_ops)))
+    # vec(H_j [mu_1 .. mu_n]) stacks the vec(H_j mu_i)
+    imgs = imgs.reshape(m.dim * R.dim, R.nvars * ker.shape[1], order="F")
+    return _image_module(R, ker, imgs), ker
 
 
 def i_torsion(m: FinModule, j_gens) -> tuple[FinModule, np.ndarray]:
@@ -280,10 +296,7 @@ def i_torsion(m: FinModule, j_gens) -> tuple[FinModule, np.ndarray]:
     Returns (module over the quotient ring, basis columns inside m).
     """
     gens = [tuple(int(e) for e in g) for g in j_gens]
-    if not gens:
-        qring = quotient_ring(m.ring, ())
-        return FinModule(qring, m.dim, m.actions), mx.identity(m.dim)
-    B = mx.kernel(m.ring.field, np.vstack([m.action_of(g) for g in gens]))
+    B = mx.kernel(m.ring.field, np.vstack((mx.zeros(0, m.dim), *(m.action_of(g) for g in gens))))
     sub = submodule(m, B)
     return FinModule(quotient_ring(m.ring, gens), sub.dim, sub.actions), B
 

@@ -295,11 +295,9 @@ def run_command(problem, cmd: dict, seed: int) -> dict:
     elif op == "localize-model":
         m = get_module()
         f = _decode_poly(problem["field"], cmd["f"])
-        res = coherent_model_of_localization(m, f, _int_field(cmd, "depth", 3, lo=1))
-        out.update(ok=res.ok, note=res.note,
-                   layer_indices=[_index_json(i) for i in res.layer_indices],
-                   model={"torsion_dim": res.model.torsion_dim,
-                          "free_rank": res.model.free_rank})
+        model = coherent_model_of_localization(m, f)
+        # a model, not a verdict, so ok stays None
+        out["model"] = {"torsion_dim": model.torsion_dim, "free_rank": model.free_rank}
     elif op == "hasse":
         p = _int(cmd["p"], "hasse: p")
         cubic = [_int(c, "hasse: cubic coefficient") for c in cmd["cubic"]]

@@ -275,61 +275,29 @@ def is_perverse(c: "StructuredComplex | PidModule") -> PerverseReport:
 # -- coherent localization models --
 
 
-@dataclass(frozen=True)
-class LocalizationModel:
-    model: PidModule
-    layer_indices: tuple
-    ok: bool
-    note: str
-
-
-def coherent_model_of_localization(m: PidModule, f: Poly,
-                                   depth: int = 3) -> LocalizationModel:
+def coherent_model_of_localization(m: PidModule, f: Poly) -> PidModule:
     """A coherent Cartier model of M_f.
 
     The free multiplier parts pick up f^(q(q-1)) in the multiplier (the
     (1/f^q)-lattice rewritten in its own basis); x-primary torsion dies if
-    x | f and is untouched otherwise.  The certificate computes the induced
-    structure on `depth` successive one-layer quotients and records their
-    nilpotency indices (the chain of nil-isomorphisms).
+    x | f and is untouched otherwise.  This builds the model and decides
+    nothing: every one-layer quotient f^-(n+1) M' / f^-n M' has the zero
+    induced structure, since kappa lowers the pole order from n+1 to
+    ceil((n+1)/q) <= n, so a layer-by-layer nilpotence check holds for
+    every f and could not fail.
     """
     if m.kind != CARTIER:
         raise ValueError("localization models are built for Cartier modules")
     if f.is_zero():
         raise ValueError("cannot localize at f = 0")
-    F = m.field
-    q = F.order ** m.power
     if f.is_unit():
-        return LocalizationModel(m, (), True, "f is a unit; model is M itself")
-    x_divides = f.coeffs[0] == 0
-    tors = None if x_divides else m.torsion
-    free = None
+        return m
+    F, free = m.field, None
     if m.free is not None and m.free_rank:
         if not m.free_is_diagonal():
             raise ValueError("non-diagonal free multiplier matrix is unsupported")
+        q = F.order ** m.power
         fq = f ** (q * (q - 1))
-        free = [u * fq for u in m.free_diagonal()]
-    model = PidModule(F, CARTIER, tors, None, m.power)
-    if free is not None:
-        model = PidModule(F, CARTIER, tors,
-                          pid_free(F, free, CARTIER, m.power).free, m.power)
-    indices = []
-    ok = True
-    if m.free is not None and m.free_rank:
-        for j in range(depth):
-            idx = _layer_quotient_index(F, q, m.free_diagonal(), f, q + j)
-            indices.append(idx)
-            ok = ok and idx == 1
-    return LocalizationModel(model, tuple(indices), ok,
-                             "layer quotients all nilpotent" if ok
-                             else "a layer quotient failed nilpotence")
-
-
-def _layer_quotient_index(F, q, multipliers, f, n) -> int:
-    """Nilpotency index of the induced structure on f^-(n+1) M' / f^-n M'.
-
-    kappa maps f^-(n+1) g to f^-ceil((n+1)/q) kappa_S(u f^t g); the image
-    layer ceil((n+1)/q) < n+1 for q >= 2, so the quotient structure is zero
-    (index 1) whenever that exponent drop really happens; we compute it."""
-    target = -(-(n + 1) // q)    # ceil((n+1)/q)
-    return 1 if target <= n else math.inf
+        free = pid_free(F, [u * fq for u in m.free_diagonal()], CARTIER, m.power).free
+    tors = None if f.coeffs[0] == 0 else m.torsion
+    return PidModule(F, CARTIER, tors, free, m.power)

@@ -19,13 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrix as mx
-from .artinian import (ArtinRing, fin_module, hom_coords, hom_module,
-                       quotient_data, regular_module, ring_make)
+from .artinian import (ArtinRing, FinModule, fin_module, hom_coords,
+                       hom_images, hom_module, quotient_data, regular_module,
+                       ring_make)
 from .field import GF, FiniteField, is_prime
 from .poly import Poly
 from .structures import (CARTIER, FROBENIUS, CartierModule, FModule,
                          Structured, cartier_module, f_module, is_morphism,
-                         is_unit, iterate_structure, nilpotency_index,
+                         is_unit, iterate_structure, kappa_monomials,
+                         nilpotency_index,
                          stable_image, stable_kernel, structured)
 from .twisted import (TwistedOperator, semilinear_fixed_points, stable_rank)
 
@@ -57,7 +59,7 @@ def inverse_hull(ring: ArtinRing, power: int = 1) -> CartierModule:
         if all(e % t == 0 for e in b):
             tgt = tuple(e // t for e in b)
             kap[index[tgt], j] = 1
-    return cartier_module(fin_module(ring, acts), kap, power)
+    return cartier_module(FinModule(ring, n, tuple(acts)), kap, power)
 
 
 def dualizing_module(ring: ArtinRing, power: int = 1) -> CartierModule:
@@ -74,49 +76,57 @@ def dualizing_module(ring: ArtinRing, power: int = 1) -> CartierModule:
     return e_mod
 
 
-def pair_F_to_C(m: FModule, n: CartierModule) -> tuple[CartierModule, list]:
-    """Hom(M, N) as a Cartier module: f -> kappa_N o F_* f o tau_M."""
+_NOT_EQUIVARIANT = ("pairing image left the hom space: a structure is not "
+                    "equivariant (check both modules with validate)")
+
+
+def pair_F_to_C(m: FModule, n: CartierModule) -> tuple[CartierModule, np.ndarray]:
+    """Hom(M, N) as a Cartier module: f -> kappa_N o F_* f o tau_M.
+
+    Returns it with its hom basis, the kernel matrix from `hom_module`."""
     if m.ring.key() != n.ring.key() or m.power != n.power:
         raise ValueError("pairing requires one ring and one Frobenius power")
     F = m.ring.field
-    hom, basis = hom_module(m.module, n.module)
-    if not basis:
-        return CartierModule(hom, mx.zeros(0, 0), m.power), basis
-    imgs = [mx.vec(mx.mmul(F, n.kappa, mx.mmul(F, H, m.tau))) for H in basis]
-    coords = hom_coords(F, basis, np.stack(imgs, axis=1))
+    hom, ker = hom_module(m.module, n.module)
+    imgs = hom_images(F, ker, (n.dim, m.dim), left=n.kappa, right=m.tau)
+    coords = hom_coords(F, ker, imgs)
     if coords is None:
-        raise RuntimeError("pairing image left the hom space")
-    return cartier_module(hom, coords, m.power), basis
+        raise ValueError(_NOT_EQUIVARIANT)
+    return cartier_module(hom, coords, m.power), ker
 
 
-def pair_C_to_F(m: CartierModule, n: CartierModule) -> tuple[FModule, list]:
+def pair_C_to_F(m: CartierModule, n: CartierModule) -> tuple[FModule, np.ndarray]:
     """Hom(M, N) as an F-module, N unit: solve the defining rule
     kappa_N(F_*(lambda e)) = f(kappa_M(F_*(lambda m))) for all lambda.
 
     For f = H the rule reads (kappa_N x^lambda) e = H kappa_M x^lambda, so
     each column of e solves against vstack_lambda(kappa_N x^lambda), and
-    one solve takes the right-hand sides of every basis hom side by side.
-    The answer is unique exactly when that matrix has rank dim N."""
+    one solve takes the right-hand sides of every basis hom side by side;
+    they come from one product, H_j times hstack_lambda(kappa_M x^lambda).
+    The answer is unique exactly when that matrix has rank dim N.  Returns
+    the F-module with its hom basis, the kernel matrix from `hom_module`."""
     if m.ring.key() != n.ring.key() or m.power != n.power:
         raise ValueError("pairing requires one ring and one Frobenius power")
     F = m.ring.field
-    R = m.ring
-    hom, basis = hom_module(m.module, n.module)
-    if not basis:
-        return FModule(hom, mx.zeros(0, 0), m.power), basis
-    lhs = np.vstack([mx.mmul(F, n.kappa, n.module.action_of(mono)) for mono in R.basis])
-    rs = [mx.mmul(F, m.kappa, m.module.action_of(mono)) for mono in R.basis]
-    rhs = np.hstack([np.vstack([mx.mmul(F, H, r) for r in rs]) for H in basis])
-    sol, unique = mx.solve_full(F, lhs, rhs)
+    hom, ker = hom_module(m.module, n.module)
+    k, dn, dm, rd = ker.shape[1], n.dim, m.dim, m.ring.dim
+    if not k:
+        return FModule(hom, mx.zeros(0, 0), m.power), ker
+    rs = kappa_monomials(m).reshape(rd, dm, dm).transpose(1, 0, 2).reshape(dm, rd * dm)
+    # column j, vstack_lambda vec(H_j kappa_M x^lambda), reorders into rhs
+    imgs = hom_images(F, ker, (dn, dm), right=rs)
+    rhs = (imgs.reshape(dn, dm, rd, k, order="F").transpose(0, 2, 1, 3)
+           .reshape(dn * rd, dm * k, order="F"))
+    sol, unique = mx.solve_full(F, kappa_monomials(n), rhs)
     if sol is None:
         raise ValueError("pairing is unsolvable; is the target a unit module?")
     if not unique:
         raise ValueError("pairing solution not unique; target is not unit")
     # sol is hstack_j(e_j); its column-major reshape has vec(e_j) as column j
-    coords = hom_coords(F, basis, sol.reshape(n.dim * m.dim, len(basis), order="F"))
+    coords = hom_coords(F, ker, sol.reshape(dn * dm, k, order="F"))
     if coords is None:
-        raise RuntimeError("pairing image left the hom space")
-    return f_module(hom, coords, m.power), basis
+        raise ValueError(_NOT_EQUIVARIANT)
+    return f_module(hom, coords, m.power), ker
 
 
 def dualize_artinian(m: Structured):
@@ -132,13 +142,15 @@ def double_dual_check(m: Structured) -> tuple[bool, np.ndarray]:
     bijective on the Artinian tier; returns its matrix as the witness.
 
     The evaluation at e_i is the hom f -> f(e_i), whose matrix has column j
-    equal to column i of the basis hom H_j; stacking the H_j vertically
-    gives the vec of every evaluation at once, for one `hom_coords` call."""
+    equal to column i of the basis hom H_j; stacking the H_j vertically, a
+    reshape of the first kernel matrix, gives the vec of every evaluation
+    at once, for one `hom_coords` call."""
     F = m.ring.field
-    d1, b1 = dualize_artinian(m)
-    d2, b2 = dualize_artinian(d1)
-    imgs = np.vstack(b1) if b1 else mx.zeros(0, m.dim)
-    ev = hom_coords(F, b2, imgs)
+    d1, ker1 = dualize_artinian(m)
+    d2, ker2 = dualize_artinian(d1)
+    e, k = m.ring.dim, ker1.shape[1]          # E_R has the ring's dimension
+    imgs = ker1.reshape(e, m.dim, k, order="F").transpose(2, 0, 1).reshape(k * e, m.dim)
+    ev = hom_coords(F, ker2, imgs)
     if ev is None:
         return False, mx.zeros(d2.dim, m.dim)
     ok = d2.dim == m.dim and mx.is_invertible(F, ev) and is_morphism(ev, m, d2)
@@ -167,7 +179,6 @@ def sol_point(m: FModule, s: int = 1) -> SolReport:
     """Sol at the closed point: reduce modulo the variables, then compute
     arithmetic fixed points over GF(q^s) and the geometric dimension
     (stable rank) of the reduced semilinear operator."""
-    F = m.ring.field
     t = reduced_operator(m)
     fixed = semilinear_fixed_points(t, s)
     return SolReport(fixed.basis, fixed.dim_fq, stable_rank(t), fixed.ext_field, t)
@@ -175,11 +186,7 @@ def sol_point(m: FModule, s: int = 1) -> SolReport:
 
 def reduced_operator(m: FModule) -> TwistedOperator:
     F = m.ring.field
-    if m.ring.nvars:
-        ims = np.hstack([X for X in m.module.actions])
-        cols = mx.column_space(F, ims)
-    else:
-        cols = mx.zeros(m.dim, 0)
+    cols = mx.column_space(F, np.hstack((mx.zeros(m.dim, 0), *m.module.actions)))
     proj, sect = quotient_data(F, m.dim, cols)
     tbar = mx.mmul(F, proj, mx.mmul(F, m.tau, sect))
     return TwistedOperator(F, F.order ** m.power, tbar, 1)
@@ -214,7 +221,7 @@ def sol_base_change_check(m: FModule, s: int) -> dict:
 def dual_base_change_check(m: Structured, s: int) -> bool:
     """D(M_s) = D(M)_s with matrix-exact agreement on the common hom space
     (base change of module structures is s-fold iteration)."""
-    lhs, basis_l = dualize_artinian(iterate_structure(m, s))
+    lhs, _ = dualize_artinian(iterate_structure(m, s))
     rhs = iterate_structure(dualize_artinian(m)[0], s)
     return (lhs.dim == rhs.dim and np.array_equal(lhs.mat, rhs.mat)
             and all(np.array_equal(a, b) for a, b in

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import matrix as mx
 from .artinian import (ArtinRing, FinModule, direct_sum, f_flat,
-                       hom_coords, i_torsion, module_violations,
+                       hom_coords, hom_images, i_torsion, module_violations,
                        quotient_module, regular_module, restrict,
                        restrict_scalars, submodule, zero_module)
 
@@ -190,39 +190,43 @@ def iterate_structure(m: Structured, s: int) -> Structured:
                       m.power * s)
 
 
+def kappa_monomials(m: CartierModule) -> np.ndarray:
+    """vstack_lambda(kappa x^lambda) over the ring basis.  That basis is
+    sorted by degree and closed under division, so each block after kappa
+    is an earlier block times one variable action."""
+    blocks = {}
+    for mono in m.ring.basis:
+        v = next((i for i, e in enumerate(mono) if e), None)
+        blocks[mono] = m.kappa if v is None else mx.mmul(
+            m.ring.field, blocks[mono[:v] + (mono[v] - 1,) + mono[v + 1:]],
+            m.module.actions[v])
+    return np.vstack((mx.zeros(0, m.dim), *blocks.values()))
+
+
 def adjoint_structural(m: CartierModule):
     """The adjoint structural morphism M -> F^flat M.
 
     Returns (matrix in flat coordinates, flat module, flat hom basis).
     Column i encodes the hom F_* lambda -> kappa(F_*(lambda e_i)): its
-    column l is column i of kappa * x^(mono_l), so stacking the products
-    kappa * x^(mono_l) over l gives the vec of every image at once."""
-    F = m.ring.field
-    R = m.ring
-    flat, basis = f_flat(m.module, power=m.power)
-    imgs = (np.concatenate([mx.mmul(F, m.kappa, m.module.action_of(mono))
-                            for mono in R.basis])
-            if R.dim else mx.zeros(0, m.dim))
-    a = hom_coords(F, basis, imgs)
+    column l is column i of kappa * x^(mono_l), so `kappa_monomials` is the
+    vec of every image at once."""
+    flat, ker = f_flat(m.module, power=m.power)
+    a = hom_coords(m.ring.field, ker, kappa_monomials(m))
     if a is None:
-        raise RuntimeError("adjoint image not R-linear; structure invalid?")
-    return a, flat, basis
+        raise ValueError("adjoint image not R-linear: the structure is not "
+                         "equivariant (check it with validate)")
+    return a, flat, ker
 
 
 def flat_cartier(m: CartierModule):
     """F^flat M as a Cartier module, with the transition data unitalize needs.
 
-    Returns (structured flat module, adjoint matrix, flat hom basis)."""
-    F = m.ring.field
-    a, flat, basis = adjoint_structural(m)
-    if basis:
-        # H e_1 is the column of H at the unit monomial
-        unit = m.ring.basis_index((0,) * m.ring.nvars)
-        eval1 = np.stack(basis, axis=1)[:, :, unit]
-    else:
-        eval1 = mx.zeros(m.dim, 0)
-    kappa_flat = mx.mmul(F, a, eval1)
-    return CartierModule(flat, kappa_flat, m.power), a, basis
+    Returns (structured flat module, adjoint matrix, flat hom basis).  The
+    structure evaluates at 1: H e_1 is the column of H at the unit
+    monomial, first in the ring basis, so the first dim rows of vec H."""
+    a, flat, ker = adjoint_structural(m)
+    kappa_flat = mx.mmul(m.ring.field, a, ker[:m.dim])
+    return CartierModule(flat, kappa_flat, m.power), a, ker
 
 
 def is_unit(m: CartierModule) -> bool:
@@ -321,21 +325,19 @@ def unitalize(m: CartierModule, max_steps: int = 16) -> UnitalizeResult:
     F = m.ring.field
     stages = [m]
     trans = []        # trans[n] : stages[n] -> stages[n+1]
-    bases = [None]
     cur = m
-    t_prev = None
+    t_prev = prev_ker = None
     head, rank = mx.identity(m.dim), m.dim      # T_{0->e} and its rank
     e0 = None                                   # set once N_e repeats
     # pending: a zero quotient found while a later t_s may still be zero
     built, scanned, pending = {}, 0, None
     for step in range(max_steps):
-        nxt, adj, basis = flat_cartier(cur)
+        nxt, adj, ker = flat_cartier(cur)
         if t_prev is None:
             t = adj
         else:
-            t = _flat_transition(F, t_prev, bases[-1], basis)
+            t = _flat_transition(F, t_prev, prev_ker, ker, m.ring.dim)
         stages.append(nxt)
-        bases.append(basis)
         trans.append(t)
         if nxt.dim == cur.dim and mx.is_invertible(F, t):
             return _finish_unitalize(m, stages, trans, step, exact_stage=step)
@@ -346,7 +348,7 @@ def unitalize(m: CartierModule, max_steps: int = 16) -> UnitalizeResult:
             return UnitalizeResult("zero" if cert.ok else "not_stabilized",
                                    zero, cmap, cert, step + 1)
         cur = nxt
-        t_prev = t
+        t_prev, prev_ker = t, ker
         if pending is not None:
             continue
         if e0 is None:
@@ -375,17 +377,11 @@ def unitalize(m: CartierModule, max_steps: int = 16) -> UnitalizeResult:
     return UnitalizeResult("not_stabilized", stages[-1], None, None, max_steps)
 
 
-def _flat_transition(F, t_prev, prev_basis, basis):
-    """F^flat of t_prev in the flat hom bases: H -> t_prev H.
-
-    The images of all basis homs come from one product with the homs side
-    by side; reshaping it in column order puts the vec of image j in
-    column j, so one `hom_coords` call gives the whole matrix."""
-    if not prev_basis:
-        return mx.zeros(len(basis), 0)
-    prod = mx.mmul(F, t_prev, np.hstack(prev_basis))
-    imgs = prod.reshape(-1, len(prev_basis), order="F")
-    t = hom_coords(F, basis, imgs)
+def _flat_transition(F, t_prev, prev_ker, ker, ring_dim):
+    """F^flat of t_prev in the flat hom bases: H -> t_prev H, for every
+    hom of `prev_ker` by one product and one `hom_coords` call."""
+    imgs = hom_images(F, prev_ker, (t_prev.shape[1], ring_dim), left=t_prev)
+    t = hom_coords(F, ker, imgs)
     if t is None:
         raise RuntimeError("functorial transition left the hom space")
     return t

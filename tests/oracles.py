@@ -28,6 +28,15 @@ from cartierforge.structures import (CartierModule, Structured,
 from cartierforge.twisted import (TwistedOperator, identity_operator, sigma,
                                   twisted_compose)
 
+# -- hom bases as lists --
+
+
+def hom_list(ker, rows, cols):
+    """A package hom basis (column j of `ker` is vec H_j) as the list of
+    the rows x cols matrices H_j."""
+    return [mx.unvec(ker[:, j], rows, cols) for j in range(ker.shape[1])]
+
+
 # -- field arithmetic from the polynomial form --
 
 

@@ -350,8 +350,8 @@ FROB = {"kind": "frobenius", "carrier": {"actions": [[[0, 0], [1, 0]]]},
     {"op": "sol", "module": "frob", "s": "2"},
     {"op": "base-change", "module": "frob", "s": 0},
     {"op": "base-change", "module": "frob", "s": False},
-    {"op": "localize-model", "module": "sky", "f": [1, 1], "depth": 0},
-    {"op": "localize-model", "module": "sky", "f": [1, 1], "depth": 1.0},
+    {"op": "suite", "seed": 1.5},
+    {"op": "suite", "seed": True},
     {"op": "perverse", "module": "sky", "degree": "1"},
     {"op": "suite", "count": -1},
 ])
@@ -371,15 +371,14 @@ def test_integer_fields_at_their_bounds(tmp_path, capsys):
         {"op": "unitalize", "module": "A", "max_steps": 0},
         {"op": "sol", "module": "frob", "s": 1},
         {"op": "base-change", "module": "frob", "s": 1},
-        {"op": "localize-model", "module": "sky", "f": [1, 1], "depth": 1},
         {"op": "perverse", "module": "sky", "degree": -1}]
     out = str(tmp_path / "rep.json")
     # max_steps = 0 builds no stage, so the run reports not_stabilized
     assert main(["run", write(tmp_path, doc), "--json", out]) == 1
-    uni, sol, bc, loc, perv = json.loads(open(out).read())["results"]
+    uni, sol, bc, perv = json.loads(open(out).read())["results"]
     assert uni["status"] == "not_stabilized" and uni["steps"] == 0
     assert sol["s"] == 1 and bc["s"] == 1
-    assert "error" not in loc and "error" not in perv
+    assert "error" not in perv
     capsys.readouterr()
 
 

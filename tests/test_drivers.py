@@ -33,6 +33,7 @@ from cartierforge.structures import (CARTIER, CartierModule, UnitalizeResult,
                                      is_morphism, nil_isomorphism_check,
                                      quotient_structure, unitalize,
                                      zero_module)
+from oracles import hom_list
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2)]     # GF(2), GF(3), GF(4), GF(9)
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -51,7 +52,8 @@ def ref_hom_coords(F, basis, h):
 
 def ref_adjoint_structural(m):
     F, R = m.ring.field, m.ring
-    flat, basis = f_flat(m.module, power=m.power)
+    flat, ker = f_flat(m.module, power=m.power)
+    basis = hom_list(ker, m.dim, R.dim)
     cols = []
     for i in range(m.dim):
         e = mx.identity(m.dim)[:, i]
@@ -156,8 +158,9 @@ def ref_unitalize(m, max_steps=16):
 
 def ref_double_dual_check(m):
     F = m.ring.field
-    d1, b1 = dualize_artinian(m)
-    d2, b2 = dualize_artinian(d1)
+    d1, ker1 = dualize_artinian(m)
+    d2, ker2 = dualize_artinian(d1)
+    b1, b2 = hom_list(ker1, m.ring.dim, m.dim), hom_list(ker2, m.ring.dim, d1.dim)
     cols = []
     for i in range(m.dim):
         e = mx.identity(m.dim)[:, i]
@@ -187,17 +190,16 @@ def per_column(F, basis, targets, shape):
             else mx.zeros(len(basis), 0))
 
 
-def draw_targets(draw, F, basis, n, k):
-    """k target columns of length n: basis combinations, random vectors
-    and zeros."""
+def draw_targets(draw, F, ker, n, k):
+    """k target columns of length n: combinations of the columns of
+    `ker`, random vectors and zeros."""
     code = st.integers(0, F.order - 1)
     targets = mx.zeros(n, k)
     for j in range(k):
-        if basis and draw(st.booleans()):
-            coeffs = np.array(draw(st.lists(code, min_size=len(basis),
-                                            max_size=len(basis))), dtype=np.int64)
-            targets[:, j] = mx.mmul(F, np.stack([mx.vec(b) for b in basis], axis=1),
-                                    coeffs)
+        if ker.shape[1] and draw(st.booleans()):
+            coeffs = np.array(draw(st.lists(code, min_size=ker.shape[1],
+                                            max_size=ker.shape[1])), dtype=np.int64)
+            targets[:, j] = mx.mmul(F, ker, coeffs)
         elif draw(st.booleans()):
             targets[:, j] = draw(st.lists(code, min_size=n, max_size=n))
     return targets
@@ -220,12 +222,11 @@ def kernel_hom_problem(draw):
     if draw(st.booleans()):
         system = small_matrix(draw, F, draw(st.integers(0, r * c)), r * c)
         ker = mx.kernel(F, system)
-        basis = [mx.unvec(ker[:, k], r, c) for k in range(ker.shape[1])]
     else:
-        _, basis = intertwiners(F, [small_matrix(draw, F, c, c)],
-                                [small_matrix(draw, F, r, r)], r, c)
-    targets = draw_targets(draw, F, basis, r * c, draw(st.integers(0, 4)))
-    return F, basis, targets, (r, c)
+        ker = intertwiners(F, [small_matrix(draw, F, c, c)],
+                           [small_matrix(draw, F, r, r)], r, c)
+    targets = draw_targets(draw, F, ker, r * c, draw(st.integers(0, 4)))
+    return F, ker, targets, (r, c)
 
 
 @st.composite
@@ -234,18 +235,19 @@ def arbitrary_hom_problem(draw):
     F = GF(p, d)
     r, c = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     code = st.integers(0, F.order - 1)
-    basis = [np.array(draw(st.lists(code, min_size=r * c, max_size=r * c)),
-                      dtype=np.int64).reshape(r, c)
-             for _ in range(draw(st.integers(0, r * c)))]
-    targets = draw_targets(draw, F, basis, r * c, draw(st.integers(0, 4)))
-    return F, basis, targets, (r, c)
+    k = draw(st.integers(0, r * c))
+    ker = np.array(draw(st.lists(code, min_size=r * c * k, max_size=r * c * k)),
+                   dtype=np.int64).reshape(r * c, k)
+    targets = draw_targets(draw, F, ker, r * c, draw(st.integers(0, 4)))
+    return F, ker, targets, (r, c)
 
 
 @SETTINGS
 @given(kernel_hom_problem())
 def test_hom_coords_batched_equals_per_column(problem):
-    F, basis, targets, shape = problem
-    got, want = hom_coords(F, basis, targets), per_column(F, basis, targets, shape)
+    F, ker, targets, shape = problem
+    got = hom_coords(F, ker, targets)
+    want = per_column(F, hom_list(ker, *shape), targets, shape)
     if want is None:
         assert got is None
     else:
@@ -257,35 +259,32 @@ def test_hom_coords_batched_equals_per_column(problem):
 def test_hom_coords_is_sound_on_any_basis(problem):
     """Off its contract hom_coords may miss coordinates, but never returns
     wrong ones."""
-    F, basis, targets, _ = problem
-    got = hom_coords(F, basis, targets)
-    if got is not None and basis:
-        stacked = np.stack([mx.vec(b) for b in basis], axis=1)
-        assert np.array_equal(mx.mmul(F, stacked, got), targets)
+    F, ker, targets, _ = problem
+    got = hom_coords(F, ker, targets)
+    if got is not None:
+        assert np.array_equal(mx.mmul(F, ker, got), targets)
 
 
 @SETTINGS
 @given(kernel_hom_problem(), st.data())
 def test_hom_coords_planted_out_of_span_column_is_none(problem, data):
-    F, basis, targets, (r, c) = problem
-    n = r * c
-    stacked = (np.stack([mx.vec(b) for b in basis], axis=1) if basis
-               else mx.zeros(n, 0))
-    if len(basis) == n:
+    F, ker, targets, (r, c) = problem
+    n, k = r * c, ker.shape[1]
+    if k == n:
         return
     # a unit vector outside the span exists: the kernel basis is the
     # identity on its free rows, so e_j with j a pivot row is not in it
-    free = set(n - 1 - np.argmax(stacked[::-1] != 0, axis=0)) if basis else set()
+    free = set(n - 1 - np.argmax(ker[::-1] != 0, axis=0)) if k else set()
     j = data.draw(st.sampled_from([i for i in range(n) if i not in free]))
     planted = mx.zeros(n, 1)
     planted[j, 0] = data.draw(st.integers(1, F.order - 1))
-    if basis and data.draw(st.booleans()):
+    if k and data.draw(st.booleans()):
         coeffs = data.draw(st.lists(st.integers(0, F.order - 1),
-                                    min_size=len(basis), max_size=len(basis)))
-        planted[:, 0] = F.add(planted[:, 0], mx.mmul(F, stacked, mx.mat(coeffs)))
+                                    min_size=k, max_size=k))
+        planted[:, 0] = F.add(planted[:, 0], mx.mmul(F, ker, mx.mat(coeffs)))
     at = data.draw(st.integers(0, targets.shape[1]))
-    assert hom_coords(F, basis, np.hstack([targets[:, :at], planted,
-                                           targets[:, at:]])) is None
+    assert hom_coords(F, ker, np.hstack([targets[:, :at], planted,
+                                         targets[:, at:]])) is None
 
 
 @pytest.mark.parametrize("p,d", FIELDS)
@@ -294,17 +293,21 @@ def test_hom_coords_edge_cases(p, d):
     e00 = mx.mat([[1, 0], [0, 0]])
     e11 = mx.mat([[0, 0], [0, 1]])
     zero_targets = mx.zeros(4, 3)
+    empty = mx.zeros(4, 0)
     # empty basis: zero targets have empty coordinates, others are outside
-    assert hom_coords(F, [], zero_targets).shape == (0, 3)
-    assert hom_coords(F, [], mx.zeros(4, 0)).shape == (0, 0)
-    assert hom_coords(F, [], np.stack([mx.vec(e00)], axis=1)) is None
+    assert hom_coords(F, empty, zero_targets).shape == (0, 3)
+    assert hom_coords(F, empty, mx.zeros(4, 0)).shape == (0, 0)
+    assert hom_coords(F, empty, np.stack([mx.vec(e00)], axis=1)) is None
+    # the hom space of 0-dimensional matrices: no rows and no columns
+    assert hom_coords(F, mx.zeros(0, 0), mx.zeros(0, 2)).shape == (0, 2)
     # zero targets have zero coordinates
-    assert np.array_equal(hom_coords(F, [e00, e11], zero_targets), mx.zeros(2, 3))
+    ker = np.stack([mx.vec(e00), mx.vec(e11)], axis=1)
+    assert np.array_equal(hom_coords(F, ker, zero_targets), mx.zeros(2, 3))
     # one out-of-span column sinks the whole solve, as it sinks the loop
     inside = np.stack([mx.vec(e00), mx.vec(e11)], axis=1)
     outside = np.hstack([inside, mx.vec(mx.mat([[0, 1], [0, 0]]))[:, None]])
-    assert np.array_equal(hom_coords(F, [e00, e11], inside), mx.identity(2))
-    assert hom_coords(F, [e00, e11], outside) is None
+    assert np.array_equal(hom_coords(F, ker, inside), mx.identity(2))
+    assert hom_coords(F, ker, outside) is None
     assert per_column(F, [e00, e11], outside, (2, 2)) is None
 
 
@@ -381,8 +384,9 @@ def test_unitalize_equals_loop_reference_with_few_steps(max_steps):
 
 def test_adjoint_structural_equals_loop_reference_on_corpus():
     for m in CORPUS:
-        a, flat, basis = adjoint_structural(m)
+        a, flat, ker = adjoint_structural(m)
         ra, rflat, rbasis = ref_adjoint_structural(m)
+        basis = hom_list(ker, m.dim, m.ring.dim)
         assert np.array_equal(a, ra) and same_module(flat, rflat)
         assert len(basis) == len(rbasis)
         assert all(np.array_equal(x, y) for x, y in zip(basis, rbasis))

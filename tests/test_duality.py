@@ -24,7 +24,7 @@ from cartierforge.pid import CARTIER, FROBENIUS, pid_free, pid_torsion
 from cartierforge.poly import Poly
 from cartierforge.structures import (cartier_module, f_module, is_unit,
                                      nilpotency_index, stable_image, validate)
-from oracles import hom_tensor_twist_check
+from oracles import hom_list, hom_tensor_twist_check
 
 
 @pytest.fixture
@@ -74,7 +74,8 @@ def test_dualizing_module_unit_on_corpus_rings():
 
 def test_pair_f_to_c_fixture(ring, e_mod, frobenius_r):
     F = ring.field
-    h, basis = pair_F_to_C(frobenius_r, e_mod)
+    h, ker = pair_F_to_C(frobenius_r, e_mod)
+    basis = hom_list(ker, e_mod.dim, frobenius_r.dim)
     assert h.dim == 2
     # under evaluation at 1, Hom(R, E) is E with its own structure
     one = ring.one()

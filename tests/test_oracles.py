@@ -19,6 +19,7 @@ from cartierforge.pid import FROBENIUS
 from cartierforge.structures import (f_module, flat_cartier, is_morphism,
                                      structured_i_torsion, unitalize,
                                      validate)
+from oracles import hom_list
 
 
 def eval_hom(F, basis, coords):
@@ -35,7 +36,8 @@ def test_pair_c_to_f_defining_rule_on_corpus():
     for m in artinian_corpus(51, 12, max_ring_dim=4, max_dim=3):
         E = dualizing_module(m.ring)
         F = m.ring.field
-        h, basis = pair_C_to_F(m, E)
+        h, ker = pair_C_to_F(m, E)
+        basis = hom_list(ker, E.dim, m.dim)
         for j, Hj in enumerate(basis):
             img = eval_hom(F, basis, h.tau[:, j])
             for l, mono in enumerate(m.ring.basis):
@@ -54,7 +56,8 @@ def test_pair_f_to_c_is_the_composite_formula():
         fm = random_structure(rng, m.module, FROBENIUS)
         E = dualizing_module(m.ring)
         F = m.ring.field
-        h, basis = pair_F_to_C(fm, E)
+        h, ker = pair_F_to_C(fm, E)
+        basis = hom_list(ker, E.dim, fm.dim)
         for j, Hj in enumerate(basis):
             img = eval_hom(F, basis, h.kappa[:, j])
             direct = mx.mmul(F, E.kappa, mx.mmul(F, Hj, fm.tau))
@@ -80,7 +83,8 @@ def test_adjoint_eval_rule_on_corpus():
     from cartierforge.structures import adjoint_structural
     for m in artinian_corpus(54, 10, max_ring_dim=4, max_dim=3):
         F = m.ring.field
-        a, flat, basis = adjoint_structural(m)
+        a, flat, ker = adjoint_structural(m)
+        basis = hom_list(ker, m.dim, m.ring.dim)
         for i in range(m.dim):
             e = mx.identity(m.dim)[:, i]
             img = eval_hom(F, basis, a[:, i])
@@ -93,7 +97,8 @@ def test_adjoint_eval_rule_on_corpus():
 def test_flat_cartier_structure_is_eval_at_one():
     for m in artinian_corpus(55, 8, max_ring_dim=4, max_dim=3):
         F = m.ring.field
-        nxt, adj, basis = flat_cartier(m)
+        nxt, adj, ker = flat_cartier(m)
+        basis = hom_list(ker, m.dim, m.ring.dim)
         assert validate(nxt).ok
         one = m.ring.one()
         for j, Hj in enumerate(basis):

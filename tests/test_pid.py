@@ -331,18 +331,17 @@ def test_pid_sum_merges_parts():
 def test_localization_models():
     free1 = pid_free(F2, [Poly.one(F2)], CARTIER)
     unit_case = coherent_model_of_localization(free1, Poly.make(F2, [1]))
-    assert unit_case.model is free1
-    locx = coherent_model_of_localization(free1, Poly.x(F2), depth=3)
-    assert locx.ok and len(locx.layer_indices) == 3
-    assert locx.model.free_diagonal()[0].coeffs == Poly.x(F2, 2).coeffs  # x^(q(q-1)) = x^2
+    assert unit_case is free1
+    locx = coherent_model_of_localization(free1, Poly.x(F2))
+    assert locx.free_diagonal()[0].coeffs == Poly.x(F2, 2).coeffs  # x^(q(q-1)) = x^2
     zero_struct = coherent_model_of_localization(
         pid_free(F2, [Poly.zero(F2)], CARTIER), Poly.x(F2))
-    assert zero_struct.ok and zero_struct.model.free_diagonal()[0].is_zero()
+    assert zero_struct.free_diagonal()[0].is_zero()
     sky = pid_torsion(F2, [[0]], [[1]], CARTIER)
     mix = pid_sum(sky, free1)
     at_x = coherent_model_of_localization(mix, Poly.x(F2))
-    assert at_x.model.torsion is None            # x-torsion dies
+    assert at_x.torsion is None                  # x-torsion dies
     away = coherent_model_of_localization(mix, Poly.make(F2, [1, 1]))
-    assert away.model.torsion_dim == 1           # f(0) != 0 keeps it
+    assert away.torsion_dim == 1                 # f(0) != 0 keeps it
     with pytest.raises(ValueError):
         coherent_model_of_localization(free1, Poly.zero(F2))
