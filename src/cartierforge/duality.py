@@ -19,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrix as mx
-from .artinian import (ArtinRing, FinModule, fin_module, hom_coords,
-                       hom_images, hom_module, quotient_data, regular_module,
-                       ring_make)
+from .artinian import (ArtinRing, FinModule, hom_coords, hom_images,
+                       hom_module, quotient_data, regular_module, ring_make)
 from .field import GF, FiniteField, is_prime
 from .poly import Poly
 from .structures import (CARTIER, FROBENIUS, CartierModule, FModule,
@@ -42,24 +41,19 @@ def inverse_hull(ring: ArtinRing, power: int = 1) -> CartierModule:
     The basis is indexed like the ring basis (x^-(b+1) for standard b), the
     variables act by downward shift, and kappa_E sends index b to b/q^power
     when q^power divides every exponent: the power-fold iterate of the
-    q-contraction."""
+    q-contraction.  The shift x^-(b+1) -> x^-b by x_v is the transpose of
+    the ring's multiplication x^b -> x^(b+e_v): standard monomials are
+    closed under division."""
     t = ring.q ** power
     n = ring.dim
     index = {b: i for i, b in enumerate(ring.basis)}
-    acts = []
-    for v in range(ring.nvars):
-        X = mx.zeros(n, n)
-        for j, b in enumerate(ring.basis):
-            if b[v] >= 1:
-                tgt = tuple(e - (1 if k == v else 0) for k, e in enumerate(b))
-                X[index[tgt], j] = 1
-        acts.append(X)
+    acts = tuple(np.ascontiguousarray(op.T) for op in ring.mult_ops)
     kap = mx.zeros(n, n)
     for j, b in enumerate(ring.basis):
         if all(e % t == 0 for e in b):
             tgt = tuple(e // t for e in b)
             kap[index[tgt], j] = 1
-    return cartier_module(FinModule(ring, n, tuple(acts)), kap, power)
+    return cartier_module(FinModule(ring, n, acts), kap, power)
 
 
 def dualizing_module(ring: ArtinRing, power: int = 1) -> CartierModule:
@@ -119,7 +113,9 @@ def pair_C_to_F(m: CartierModule, n: CartierModule) -> tuple[FModule, np.ndarray
            .reshape(dn * rd, dm * k, order="F"))
     sol, unique = mx.solve_full(F, kappa_monomials(n), rhs)
     if sol is None:
-        raise ValueError("pairing is unsolvable; is the target a unit module?")
+        raise ValueError("pairing is unsolvable: the source structure is not "
+                         "equivariant or the target is not unit (check both "
+                         "modules with validate)")
     if not unique:
         raise ValueError("pairing solution not unique; target is not unit")
     # sol is hstack_j(e_j); its column-major reshape has vec(e_j) as column j
@@ -202,7 +198,7 @@ def extend_scalars(m: Structured, s: int) -> Structured:
     emb = F.embedding(ext)
     ring_s = ring_make(ext, m.ring.vars, m.ring.relations)
     acts = tuple(emb[X] for X in m.module.actions)
-    mod = fin_module(ring_s, acts)
+    mod = FinModule(ring_s, m.dim, acts)
     return structured(m.kind, mod, emb[iterate_structure(m, s).mat])
 
 
@@ -244,9 +240,8 @@ def crystal_signature(m: Structured) -> tuple:
         part, _ = stable_kernel(m)
         stable_dim = m.dim - part.dim
         fmod = m
-    sols = tuple(sol_point(fmod, s).dim_fq for s in (1, 2, 3))
-    geo = sol_point(fmod, 1).geometric_dim
-    return (stable_dim, geo, sols)
+    reps = [sol_point(fmod, s) for s in (1, 2, 3)]
+    return (stable_dim, reps[0].geometric_dim, tuple(rep.dim_fq for rep in reps))
 
 
 def crystal_possibly_equivalent(a: Structured, b: Structured) -> bool:

@@ -307,31 +307,12 @@ class FiniteField:
         """Lookup table embedding this field into `target` (same p, deg | deg).
 
         The embedding sends the canonical generator t to the smallest root of
-        this field's modulus in `target`; deterministic across runs.
+        this field's modulus in `target`; deterministic across runs.  The
+        table is built once per field pair and is read-only.
         """
         if target.p != self.p or target.deg % self.deg != 0:
             raise ValueError("no embedding: degree does not divide target degree")
-        if target.deg == self.deg:
-            return np.arange(self.order, dtype=np.int64)
-        mod = np.array(self.modulus, dtype=np.int64) % self.p
-        cand = target.elements()
-        vals = np.zeros(target.order, dtype=np.int64)
-        for c in mod[::-1]:
-            vals = target.add(target.mul(vals, cand), np.full(target.order, c))
-        roots = np.nonzero(vals == 0)[0]
-        if len(roots) == 0:
-            raise RuntimeError("modulus has no root in target field")
-        root = np.int64(roots[0])
-        table = np.zeros(self.order, dtype=np.int64)
-        powers = np.zeros(self.deg, dtype=np.int64)
-        acc = np.int64(1)
-        for i in range(self.deg):
-            powers[i] = acc
-            acc = target.mul(acc, root)
-        dig = self.digits(self.elements())
-        for i in range(self.deg):
-            table = target.add(table, target.mul(dig[:, i], powers[i]))
-        return table
+        return _embedding_table(self.p, self.deg, target.deg)
 
     def __repr__(self):
         return f"GF({self.p}^{self.deg})" if self.deg > 1 else f"GF({self.p})"
@@ -342,6 +323,28 @@ class FiniteField:
 
     def __hash__(self):
         return hash((self.p, self.deg))
+
+
+@functools.lru_cache(maxsize=None)
+def _embedding_table(p: int, deg: int, target_deg: int) -> np.ndarray:
+    """The table of GF(p^deg).embedding(GF(p^target_deg)).  The root search
+    evaluates the modulus at every element of the target.  For equal degrees
+    the smallest root is t itself (codes below p are the prime field), so
+    the table is the identity."""
+    src, target = GF(p, deg), GF(p, target_deg)
+    cand = target.elements()
+    vals = np.zeros(target.order, dtype=np.int64)
+    for c in src.modulus[::-1]:
+        vals = target.add(target.mul(vals, cand), np.full(target.order, c))
+    roots = np.nonzero(vals == 0)[0]
+    if len(roots) == 0:
+        raise RuntimeError("modulus has no root in target field")
+    table, acc = np.zeros(src.order, dtype=np.int64), np.int64(1)
+    for digit in src.digits(src.elements()).T:
+        table = target.add(table, target.mul(digit, acc))
+        acc = target.mul(acc, roots[0])
+    table.flags.writeable = False
+    return table
 
 
 @functools.lru_cache(maxsize=None)

@@ -210,7 +210,3 @@ def column_space(F: FiniteField, a) -> np.ndarray:
         return zeros(a.shape[0], 0)
     r, pivots = rref(F, a.T)
     return r[: len(pivots)].T
-
-
-def in_span(F: FiniteField, basis: np.ndarray, v) -> bool:
-    return solve(F, basis, v) is not None

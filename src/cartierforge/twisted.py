@@ -95,26 +95,13 @@ def change_basis(t: TwistedOperator, p_mat: np.ndarray) -> TwistedOperator:
     return TwistedOperator(t.field, t.q, m, t.twist)
 
 
-def rank_chain(t: TwistedOperator, upto: int | None = None) -> list[int]:
-    if t.rows != t.cols:
-        raise ValueError("rank chain of a non-square operator")
-    d = t.rows
-    upto = d if upto is None else upto
-    out = []
-    acc = identity_operator(t.field, t.q, d)
-    for _ in range(upto):
-        acc = twisted_compose(t, acc)
-        out.append(mx.rank(t.field, acc.mat))
-    return out
-
-
 def stable_rank(t: TwistedOperator) -> int:
-    """Rank of the dim-fold twisted composite: the size of the part on
-    which t is bijective.  Invariant under change_basis."""
-    d = t.rows
-    if d == 0:
-        return 0
-    return rank_chain(t, d)[-1]
+    """Rank of the dim-fold twisted composite, one rank: the size of the
+    part on which t is bijective.  Invariant under change_basis."""
+    acc = identity_operator(t.field, t.q, t.rows)
+    for _ in range(t.rows):
+        acc = twisted_compose(t, acc)
+    return mx.rank(t.field, acc.mat)
 
 
 @dataclass(frozen=True)
@@ -131,8 +118,17 @@ def semilinear_fixed_points(t: TwistedOperator, s: int = 1) -> FixedPoints:
     """Solve t(v) = v in V tensor GF(q^s).
 
     Restricts scalars to GF(p) and solves a p-linear kernel of dimension
-    r*s*dim; the fixed set is an F_q-space and an F_q-basis is returned.
-    The operator's own field must embed in GF(q^s).
+    r*s*dim; the fixed set is an F_q-space.  The operator's own field must
+    embed in GF(q^s).
+
+    The F_q-basis is the kernel vectors v_k at the pivot columns of one F_q
+    row reduction of their F_q-coordinates.  The polynomial generator of
+    GF(p^rs) (code p) generates it over GF(p), so also over F_q, and its
+    powers 1 .. s-1 are an F_q-basis: coordinates in it are an F_q-linear
+    isomorphism.  Column k of a matrix is a pivot column exactly when it
+    leaves the span of columns 1 .. k-1, so the pivots are the k with v_k
+    outside span_Fq(v_1 .. v_(k-1)): the vectors a greedy F_q-basis keeps.
+    For q = p every kernel vector is a pivot.
     """
     if t.twist != 1:
         raise ValueError("fixed points are defined for twist +1 operators")
@@ -141,40 +137,28 @@ def semilinear_fixed_points(t: TwistedOperator, s: int = 1) -> FixedPoints:
     F = t.field
     p, r = F.p, t.r
     ext = GF(p, r * s)
-    emb = F.embedding(ext)
-    m = ext.deg
-    mat_e = emb[t.mat]
-    d = t.rows
+    mat_e = F.embedding(ext)[t.mat]
+    m, d = ext.deg, t.rows
     n = d * m
-    fp = GF(p)
+    fp, fq = GF(p), GF(p, r)
     # column j*m + i holds the digits of column j of mat_e times (t^i)^q,
     # where t^i, the i-th polynomial-basis element of ext, has code p^i
     tq = ext.power(p ** np.arange(m, dtype=np.int64), t.q)
     big = ext.digits(ext.mul(mat_e[:, :, None], tq)).transpose(0, 3, 1, 2).reshape(n, n)
     kern = mx.kernel(fp, fp.sub(big, mx.identity(n)))
     dim_fp = kern.shape[1]
-    vecs = [ext.from_digits(kern[:, k].reshape(d, m)) for k in range(dim_fp)]
-    if r == 1:
-        basis = np.stack(vecs, axis=1) if vecs else mx.zeros(d, 0)
-        return FixedPoints(ext, basis, dim_fp, dim_fp)
-    # Greedy F_q-basis: flatten to GF(p) coordinates; a vector is kept when
-    # it is independent of the F_q-span of those already chosen.
-    fq = GF(p, r)
-    emb_q = fq.embedding(ext)
-    chosen: list[np.ndarray] = []
-    span: np.ndarray | None = None
-    for v in vecs:
-        flat = ext.digits(v).reshape(-1)
-        if span is not None and mx.in_span(fp, span, flat):
-            continue
-        chosen.append(v)
-        cols = [ext.digits(ext.mul(v, emb_q[c])).reshape(-1) for c in range(1, fq.order)]
-        new = np.stack(cols, axis=1)
-        span = new if span is None else mx.column_space(fp, np.hstack([span, new]))
-    basis = np.stack(chosen, axis=1) if chosen else mx.zeros(d, 0)
-    if dim_fp % r != 0 or len(chosen) != dim_fp // r:
+    digs = kern.reshape(d, m, dim_fp).transpose(0, 2, 1)     # [entry, vector, digit]
+    # GF(p)-basis t^j * c_k of ext (j < s, k < r), c_k the image of fq's t^k;
+    # the coordinates of each entry at k read as digits give its F_q-coordinate
+    # at t^j: an (s*d) x dim_fp matrix over fq
+    theta_c = ext.mul(p ** np.arange(s, dtype=np.int64)[:, None],
+                      fq.embedding(ext)[p ** np.arange(r, dtype=np.int64)])
+    x = mx.solve(fp, ext.digits(theta_c).reshape(m, m).T, digs.reshape(-1, m).T)
+    coords = fq.from_digits(x.reshape(s, r, d * dim_fp).transpose(0, 2, 1))
+    keep = list(mx.rref(fq, coords.reshape(s * d, dim_fp))[1])
+    if dim_fp % r != 0 or len(keep) != dim_fp // r:
         raise RuntimeError("fixed space is not an F_q-space; internal error")
-    return FixedPoints(ext, basis, dim_fp // r, dim_fp)
+    return FixedPoints(ext, ext.from_digits(digs[:, keep]), dim_fp // r, dim_fp)
 
 
 def fixed_point_attainment(t: TwistedOperator, bound: int | None = None):

@@ -5,7 +5,7 @@ field arithmetic one code at a time, the rank-one structures on GF(q)[x],
 the dual-basis table of kappa_S, the hull structure read off the Laurent
 extension, the two-depth H^1 verdict and the hull twist applied to one
 Laurent tail, polynomial-matrix products, twisted operators applied and
-powered step by step, the Hom/tensor twist law, and the Kashiwara round
+powered step by step with their rank chain, the Hom/tensor twist law, and the Kashiwara round
 trip i-flat o i_* = id.  They live with the tests so that they stay
 independent of the code under test.
 """
@@ -204,6 +204,20 @@ def operator_power(t: TwistedOperator, n: int) -> TwistedOperator:
     out = identity_operator(t.field, t.q, t.rows)
     for _ in range(n):
         out = twisted_compose(t, out)
+    return out
+
+
+def rank_chain(t: TwistedOperator, upto: int | None = None) -> list[int]:
+    """Ranks of t, t o t, ..., the upto-fold composite (default dim); the
+    last one at upto = dim is the stable rank."""
+    if t.rows != t.cols:
+        raise ValueError("rank chain of a non-square operator")
+    upto = t.rows if upto is None else upto
+    out = []
+    acc = identity_operator(t.field, t.q, t.rows)
+    for _ in range(upto):
+        acc = twisted_compose(t, acc)
+        out.append(mx.rank(t.field, acc.mat))
     return out
 
 

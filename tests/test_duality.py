@@ -190,6 +190,44 @@ def test_sol_base_change_fixture_and_random(frobenius_r):
             assert sol_base_change_check(m, s)["ok"]
 
 
+@pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (2, 2)])
+def test_sol_base_change_over_a_point(p, r):
+    # a ring without variables: the scalar extension keeps the dimension
+    F = GF(p, r)
+    point = ring_make(F, [], [])
+    for h in range(F.order):
+        m = f_module(regular_module(point), mx.mat([[h]]))
+        for s in (1, 2, 3):
+            assert extend_scalars(m, s).dim == 1
+            assert sol_base_change_check(m, s)["ok"]
+
+
+def test_unsolvable_pairing_names_both_sides():
+    # the source breaks equivariance; the target E_R is unit
+    ring = ring_make(2, ["x"], [[2]])
+    m = cartier_module(regular_module(ring), mx.mat([[1, 1], [0, 1]]))
+    assert not validate(m).ok and is_unit(dualizing_module(ring))
+    with pytest.raises(ValueError, match="source structure is not equivariant "
+                       r"or the target is not unit \(check both modules with validate\)"):
+        pair_C_to_F(m, dualizing_module(ring))
+
+
+def test_crystal_signature_reads_sol_once_per_degree(monkeypatch):
+    from cartierforge import duality
+    calls = []
+    real = duality.sol_point
+
+    def counted(m, s=1):
+        calls.append(s)
+        return real(m, s)
+
+    monkeypatch.setattr(duality, "sol_point", counted)
+    for m in artinian_corpus(5, 6):
+        calls.clear()
+        duality.crystal_signature(m)
+        assert calls == [1, 2, 3]
+
+
 def test_dual_base_change_on_corpus():
     for m in artinian_corpus(9, 20):
         for s in (2, 3):

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from cartierforge.field import (GF, _pmod, _pmul, canonical_modulus,
-                                is_prime)
+from cartierforge.field import (GF, FiniteField, _embedding_table, _pmod,
+                                _pmul, canonical_modulus, is_prime)
 from oracles import RefField
 
 
@@ -68,6 +68,28 @@ def test_prime_field_embedding_is_identity_on_codes():
     sub, sup = GF(5), GF(5, 2)
     emb = sub.embedding(sup)
     assert np.array_equal(emb, np.arange(5))
+
+
+def test_embedding_table_is_built_once_per_field_pair():
+    # one read-only table per (p, deg, target deg), whichever constructor
+    # made the fields; the cache holds exactly what the root search gives
+    for (p, deg), tdeg in [((2, 2), 4), ((3, 1), 2), ((2, 3), 6), ((5, 2), 2)]:
+        sub, sup = GF(p, deg), GF(p, tdeg)
+        emb = sub.embedding(sup)
+        assert not emb.flags.writeable
+        with pytest.raises(ValueError):
+            emb[0] = 1
+        hits = _embedding_table.cache_info().hits
+        assert FiniteField(p, deg).embedding(FiniteField(p, tdeg)) is emb
+        assert sub.embedding(sup) is emb
+        assert _embedding_table.cache_info().hits == hits + 2
+        assert np.array_equal(_embedding_table.__wrapped__(p, deg, tdeg), emb)
+
+
+@pytest.mark.parametrize("p,deg", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2)])
+def test_embedding_into_itself_is_identity(p, deg):
+    F = GF(p, deg)
+    assert np.array_equal(F.embedding(F), F.elements())
 
 
 def walk_log_tables(F):

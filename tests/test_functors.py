@@ -93,7 +93,9 @@ def ref_pair_C_to_F(m, n):
                     for H in basis], axis=1)
     sol, unique = mx.solve_full(F, lhs, rhs)
     if sol is None:
-        raise ValueError("pairing is unsolvable; is the target a unit module?")
+        raise ValueError("pairing is unsolvable: the source structure is not "
+                         "equivariant or the target is not unit (check both "
+                         "modules with validate)")
     if not unique:
         raise ValueError("pairing solution not unique; target is not unit")
     stacked = np.stack([mx.vec(b) for b in basis], axis=1)

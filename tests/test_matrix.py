@@ -84,7 +84,7 @@ def test_column_space_canonical():
     c = mx.column_space(F, a)
     assert c.shape[1] == mx.rank(F, a)
     for j in range(a.shape[1]):
-        assert mx.in_span(F, c, a[:, j])
+        assert mx.solve(F, c, a[:, j]) is not None
 
 
 def test_kron_vec_consistency():

@@ -1,8 +1,9 @@
 """Bit-identity of every benchmark output.
 
 `tools/result_digest.py` hashes the JSON result of every command over
-`bench/inputs`, and the kind, structure matrix and x-action of every Matlis
-dual and double dual there.  The digests below pin those outputs, so a
+`bench/inputs`, the kind, structure matrix and x-action of every Matlis
+dual and double dual there, and the fixed basis and dimensions of Sol over
+GF(q), GF(q^2) and GF(q^3) of every Artinian Frobenius module there.  The digests below pin those outputs, so a
 change that alters any result or structure matrix fails here, also where
 no verdict shows it.  Change them only with a deliberate change of output,
 and say why.
@@ -39,3 +40,8 @@ def test_command_results_are_pinned():
 def test_matlis_duals_are_pinned():
     assert combined(result_digest.matlis_lines) == (
         148, "3083e81e8c35021bd7a98cb2245a07ee462f65aa193c393061c9687bef0722af")
+
+
+def test_sol_bases_are_pinned():
+    assert combined(result_digest.sol_lines) == (
+        90, "72405230ad51645c75c7365ae9921a71881436dbf106930aa183bea5bdc1ef15")

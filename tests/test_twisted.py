@@ -4,14 +4,15 @@ import itertools
 import random
 
 import numpy as np
+import pytest
 
 from cartierforge import matrix as mx
 from cartierforge.field import GF
 from cartierforge.twisted import (TwistedOperator, change_basis,
                                   fixed_point_attainment, identity_operator,
-                                  rank_chain, semilinear_fixed_points,
-                                  stable_rank, twisted_compose)
-from oracles import apply_operator, operator_power
+                                  semilinear_fixed_points, stable_rank,
+                                  twisted_compose)
+from oracles import apply_operator, operator_power, rank_chain
 
 
 def test_identity_is_neutral():
@@ -128,6 +129,22 @@ def test_change_basis_preserves_evaluation():
         lhs = apply_operator(t, mx.mmul(F4, pm, v))
         rhs = mx.mmul(F4, pm, apply_operator(tb, v))
         assert np.array_equal(lhs, rhs)
+
+
+@pytest.mark.parametrize("p,r", [(2, 2), (2, 3), (3, 2)])
+def test_stable_rank_is_last_of_rank_chain(p, r):
+    # one rank of the dim-fold composite, against every rank on the way
+    F = GF(p, r)
+    rng = random.Random(p * 10 + r)
+    for q in (p, F.order):
+        for twist in (-1, 0, 1):
+            for d in range(5):
+                for _ in range(4):
+                    m = np.array([[rng.randrange(F.order) if rng.random() < 0.5 else 0
+                                   for _ in range(d)] for _ in range(d)],
+                                 dtype=np.int64).reshape(d, d)
+                    t = TwistedOperator(F, q, m, twist)
+                    assert stable_rank(t) == (rank_chain(t)[-1] if d else 0)
 
 
 def test_rank_chain_monotone_and_stabilizes():

@@ -16,7 +16,12 @@ The `matlis` lines do the same for the structure matrices: for every PID
 module with a torsion part, in file and then declaration order, the kind,
 structure matrix and x-action of its Matlis dual and of its double dual.
 Verdicts can stay equal while a structure matrix changes; these lines
-cannot.  It only reads `bench/`; nothing is written.
+cannot.
+
+The `sol` lines do the same for Sol at the closed point: for every Artinian
+Frobenius module, in file and then declaration order, the fixed-basis
+codes, `dim_fq` and `geometric_dim` of `sol_point(m, s)` for s = 1, 2, 3.
+It only reads `bench/`; nothing is written.
 """
 
 from __future__ import annotations
@@ -72,6 +77,26 @@ def matlis_lines(cli, workload: str):
             yield json.dumps(res, sort_keys=True)
 
 
+def sol_lines(cli, workload: str):
+    """The JSON text of the Sol report over GF(q^s), s = 1, 2, 3, of every
+    Artinian Frobenius module of one workload, in order."""
+    from cartierforge.duality import sol_point
+    from cartierforge.structures import FModule
+    for fname, problem in _problems(cli, workload):
+        for name, mod in problem["modules"].items():
+            if not isinstance(mod, FModule):
+                continue
+            for s in (1, 2, 3):
+                res = {"module": f"{fname}:{name}", "s": s}
+                try:
+                    sol = sol_point(mod, s)
+                    res.update(basis=sol.fixed_basis.tolist(), dim_fq=sol.dim_fq,
+                               geometric_dim=sol.geometric_dim)
+                except Exception as exc:
+                    res["raised"] = f"{type(exc).__name__}: {exc}"
+                yield json.dumps(res, sort_keys=True)
+
+
 def report(label: str, lines_of, workloads) -> None:
     """Print count and SHA-256 per workload and over all of them."""
     total, total_n = hashlib.sha256(), 0
@@ -97,6 +122,7 @@ def main(argv=None) -> int:
     workloads = args.workload or WORKLOADS
     report("", lambda w: result_lines(cli, w), workloads)
     report("matlis ", lambda w: matlis_lines(cli, w), workloads)
+    report("sol ", lambda w: sol_lines(cli, w), workloads)
     return 0
 
 
