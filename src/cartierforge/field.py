@@ -6,6 +6,12 @@ modulus for (p, m) -- the lexicographically smallest monic irreducible
 polynomial of degree m over GF(p).  The modulus is deterministic, so a
 code means the same element in every run; reports serialize it.
 
+GF(p^m) is built from the companion matrix C of f with the GF(p) kernels
+of `matrix`: the modulus search is Rabin's test on powers of C, the
+regular-representation table `_reg` holds the digits of C^s e_0 = t^s,
+and the generator test and the log-table doubling take powers of the
+multiplication matrices that `matrix.mmul` reads off `_reg`.
+
 All operations accept plain ints or numpy arrays of codes and are exact.
 """
 
@@ -15,23 +21,18 @@ import functools
 
 import numpy as np
 
+from . import matrix as mx
+
 # Tables are O(field order); desk-scale guard.
 MAX_ORDER = 1 << 22
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return _prime_factors(n) == [n]
 
 
 def _prime_factors(n: int) -> list[int]:
-    """The distinct prime divisors of n >= 1, ascending."""
+    """The distinct prime divisors of n, ascending; none for n < 2."""
     out, d = [], 2
     while d * d <= n:
         if n % d == 0:
@@ -44,95 +45,39 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-# -- dense polynomial helpers over GF(p), coefficient lists low-first --
-
-def _ptrim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
-
-
-def _pmod(a, m, p):
-    a = list(a)
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], p - 2, p)
-    while len(a) - 1 >= dm and a:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        c = (a[-1] * inv_lead) % p
-        shift = len(a) - 1 - dm
-        for i, mi in enumerate(m):
-            a[shift + i] = (a[shift + i] - c * mi) % p
-        a = _ptrim(a)
-    return a
-
-
-def _ppowmod(a, e, m, p):
-    result = [1]
-    base = _pmod(a, m, p)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, base, p), m, p)
-        base = _pmod(_pmul(base, base, p), m, p)
-        e >>= 1
-    return result
-
-
-def _pgcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _pmod(a, b, p)
-    return a
-
-
-def _psub(a, b, p):
-    n = max(len(a), len(b))
-    out = [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
-           for i in range(n)]
-    return _ptrim(out)
-
-
-def _is_irreducible(f, p):
-    # Rabin's test: x^(p^m) == x mod f, and gcd(x^(p^(m/l)) - x, f) = 1
-    # for every prime l dividing m.
-    m = len(f) - 1
-    x = [0, 1]
-    if _psub(_ppowmod(x, p ** m, f, p), _pmod(x, f, p), p):
-        return False
-    for ell in range(2, m + 1):
-        if m % ell == 0 and is_prime(ell):
-            diff = _psub(_ppowmod(x, p ** (m // ell), f, p), _pmod(x, f, p), p)
-            if not diff or len(_pgcd(f, diff, p)) > 1:
-                return False
-    return True
+def _companion(p: int, low) -> np.ndarray:
+    """The companion matrix C of f = t^m + sum(low[i] t^i) over GF(p):
+    column i holds the digits of t * t^i mod f, so C^s e_0 holds the
+    digits of t^s mod f."""
+    m = len(low)
+    c = mx.zeros(m, m)
+    c[1:, :-1] = mx.identity(m - 1)
+    c[:, -1] = (-np.asarray(low, dtype=np.int64)) % p
+    return c
 
 
 @functools.lru_cache(maxsize=None)
 def canonical_modulus(p: int, m: int) -> tuple:
-    """Smallest monic irreducible of degree m over GF(p), low-first coeffs."""
+    """Smallest monic irreducible of degree m over GF(p), low-first coeffs.
+
+    The codes 0, 1, ... give the low coefficients, digit i of the code
+    being the coefficient of t^i.  f is accepted by Rabin's test on its
+    companion matrix C: C^(p^m) = C, and C^(p^(m/l)) - C is invertible for
+    each prime l | m.  The minimal polynomial of C is f, so g(C) = 0 iff
+    f | g, and g(C) is invertible iff gcd(g, f) = 1: these are Rabin's
+    conditions f | t^(p^m) - t and gcd(t^(p^(m/l)) - t, f) = 1.  Degree 1
+    returns t before any matrix work, so GF(p) never needs itself.
+    """
     if m == 1:
         return (0, 1)
+    fp = GF(p)
     for code in range(p ** m):
-        f = []
-        c = code
-        for _ in range(m):
-            f.append(c % p)
-            c //= p
-        f.append(1)
-        if _is_irreducible(f, p):
-            return tuple(f)
+        low = [(code // p ** i) % p for i in range(m)]
+        c = _companion(p, low)
+        if (np.array_equal(mx.mat_pow(fp, c, p ** m), c)
+                and all(mx.is_invertible(fp, fp.sub(mx.mat_pow(fp, c, p ** (m // ell)), c))
+                        for ell in _prime_factors(m))):
+            return (*low, 1)
     raise RuntimeError("no irreducible polynomial found")
 
 
@@ -160,11 +105,11 @@ class FiniteField:
             # _reg[j, (i, l)] is digit l of t^(i+j) mod f, so that
             # (digits(b) @ _reg) % p holds the digits of b * t^i for each
             # i < deg: the regular representation of b over GF(p), by which
-            # matrix.mmul multiplies over GF(p^m)
-            tpow = np.zeros((2 * deg - 1, deg), dtype=np.int64)
-            for s in range(2 * deg - 1):
-                r = _pmod([0] * s + [1], self.modulus, p)
-                tpow[s, :len(r)] = r
+            # matrix.mmul multiplies over GF(p^m).  Row s of tpow is C^s e_0,
+            # the digits of t^s mod f: e_s for s < deg, and column s - deg
+            # of C^deg, since C^deg e_i = C^(deg+i) e_0
+            c = _companion(p, self.modulus[:-1])
+            tpow = np.vstack([mx.identity(deg), mx.mat_pow(GF(p), c, deg).T[:deg - 1]])
             ij = np.add.outer(np.arange(deg), np.arange(deg))
             self._reg = tpow[ij].reshape(deg, deg * deg)
             self._build_log_tables()
@@ -175,32 +120,29 @@ class FiniteField:
     # -- table construction --
 
     def _build_log_tables(self):
-        n, p, m, f = self.order - 1, self.p, self.deg, list(self.modulus)
+        n, p, m, fp = self.order - 1, self.p, self.deg, GF(self.p)
 
-        def poly(c):
-            return _ptrim([int(d) for d in self._dig[c]])
+        def times(c):
+            # multiplication by c on digit vectors, column i the digits of
+            # c t^i: the regular representation that matrix.mmul uses
+            return ((self._dig[c] @ self._reg) % p).reshape(m, m).T
 
-        # the least g >= 2 of order q - 1: g**((q-1)/l) != 1 for each prime
-        # l | q - 1, with the powers taken as polynomials mod f
-        ells = _prime_factors(n)
-        g = next((c for c in range(2, self.order)
-                  if all(_ppowmod(poly(c), n // ell, f, p) != [1] for ell in ells)),
-                 None)
-        if g is None:
-            raise RuntimeError("no multiplicative generator found")
-        # mul is multiplication by g^k on digit vectors (column i: the
-        # digits of g^k t^i), so exp[k:2k] = exp[:k] * g^k is one product
-        # per doubling; its sums stay below deg * p**2 <= 2**27 under MAX_ORDER
-        mul = np.zeros((m, m), dtype=np.int64)
-        for i in range(m):
-            col = _pmod([0] * i + poly(g), f, p)
-            mul[:len(col), i] = col
+        # the least g >= 2 of order q - 1: times(g)**((q-1)/l) != I for
+        # each prime l | q - 1, as times(g)**k = times(g**k).  The search
+        # starts at p: the codes below p are GF(p), of order dividing p - 1
+        ells, one = _prime_factors(n), mx.identity(m)
+        g = next(c for c in range(p, self.order)
+                 if not any(np.array_equal(mx.mat_pow(fp, times(c), n // ell), one)
+                            for ell in ells))
+        # mul is multiplication by g^k, so exp[k:2k] = exp[:k] * g^k is one
+        # product per doubling
+        mul = times(g)
         exp = np.ones(n, dtype=np.int64)
         k = 1
         while k < n:
             step = min(k, n - k)
-            exp[k:k + step] = ((self._dig[exp[:step]] @ mul.T) % p) @ self._pw
-            mul = (mul @ mul) % p
+            exp[k:k + step] = mx.mmul(fp, self._dig[exp[:step]], mul.T) @ self._pw
+            mul = mx.mmul(fp, mul, mul)
             k += step
         log = np.zeros(self.order, dtype=np.int64)
         log[exp] = np.arange(n, dtype=np.int64)

@@ -8,10 +8,12 @@ a canonical (deterministic) form.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .field import FiniteField
+if TYPE_CHECKING:
+    from .field import FiniteField
 
 
 def zeros(r: int, c: int) -> np.ndarray:

@@ -52,8 +52,6 @@ class PresModule:
     field: FiniteField
     pres: tuple
     diag: tuple
-    u_mat: tuple
-    v_mat: tuple
 
     @property
     def n_gens(self) -> int:
@@ -77,9 +75,8 @@ def pres_module(field: FiniteField, rows) -> PresModule:
     pm = poly_mat(field, rows)
     if not pm:
         raise ValueError("presentation needs at least one generator row")
-    diag, u, v, _, _ = smith_normal_form(field, pm)
-    return PresModule(field, tuple(tuple(r) for r in pm), tuple(diag),
-                      tuple(tuple(r) for r in u), tuple(tuple(r) for r in v))
+    diag = smith_normal_form(field, pm)[0]
+    return PresModule(field, tuple(tuple(r) for r in pm), tuple(diag))
 
 
 def frobenius_pushforward_presentation(pm: PresModule, power: int = 1) -> PresModule:

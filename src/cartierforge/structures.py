@@ -437,20 +437,15 @@ def _try_quotient_stabilization(m, stages, trans, ns, e0, built):
 
 
 def _composite(F, trans, dim):
-    """The composite of the transitions `trans`, in order, out of a stage
-    of dimension `dim`: the identity when there are none."""
-    return _composites_to_end(F, trans)[0] if trans else mx.identity(dim)
-
-
-def _composites_to_end(F, trans):
-    """[T_{n->N} for each n]: the composites out of every stage to the
-    last one, by one backward pass of len(trans) - 1 products."""
-    tails = [None] * len(trans)
-    acc = None
-    for n in reversed(range(len(trans))):
-        acc = trans[n] if acc is None else mx.mmul(F, acc, trans[n])
-        tails[n] = acc
-    return tails
+    """The composite T_{n->N} of the transitions `trans`, in order, out of
+    a stage of dimension `dim`: one backward pass of len(trans) - 1
+    products, or the identity when there are none."""
+    if not trans:
+        return mx.identity(dim)
+    acc = trans[-1]
+    for t in reversed(trans[:-1]):
+        acc = mx.mmul(F, acc, t)
+    return acc
 
 
 def _induced_map(F, t, proj_src, proj_dst, dim):

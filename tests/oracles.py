@@ -17,7 +17,7 @@ import numpy as np
 from cartierforge import matrix as mx
 from cartierforge.artinian import fin_module
 from cartierforge.duality import dualize_artinian
-from cartierforge.field import FiniteField, _pmod, _pmul
+from cartierforge.field import FiniteField
 from cartierforge.pid import (PidModule, PresModule, hull_twist, kappa_s,
                               pres_module)
 from cartierforge.poly import Poly
@@ -40,6 +40,31 @@ def hom_list(ker, rows, cols):
 # -- field arithmetic from the polynomial form --
 
 
+def poly_mul(a, b, p):
+    """The product of two coefficient lists (low-first) over GF(p),
+    trailing zeros dropped."""
+    out = [0] * (len(a) + len(b))
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = (out[i + j] + ai * bj) % p
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def poly_mod(a, f, p):
+    """a mod the monic f over GF(p), by long division; coefficient lists
+    low-first, trailing zeros dropped."""
+    a, m = list(a), len(f) - 1
+    while len(a) > m:
+        c = a.pop()
+        for i in range(m):
+            a[len(a) - m + i] = (a[len(a) - m + i] - c * f[i]) % p
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
 class RefField:
     """One code at a time, from the polynomial form: digits low-first,
     products reduced by the modulus, quotients by a**(q-2)."""
@@ -57,7 +82,7 @@ class RefField:
         return self.code([(x - y) % self.p for x, y in zip(self.poly(a), self.poly(b))])
 
     def mul(self, a, b):
-        return self.code(_pmod(_pmul(self.poly(a), self.poly(b), self.p), self.f, self.p))
+        return self.code(poly_mod(poly_mul(self.poly(a), self.poly(b), self.p), self.f, self.p))
 
     def div(self, a, b):
         out, base, t = 1, int(b), self.F.order - 2

@@ -57,3 +57,14 @@ def test_no_function_takes_a_check_flag():
                 if "check" in names:
                     flagged.append(f"{path.stem}.{stmt.name}")
     assert not flagged, "takes a `check` parameter: " + ", ".join(flagged)
+
+
+def test_oracles_import_no_private_name():
+    # the shared oracles recompute by the definitions; a private helper of
+    # the package would make them depend on the code they check
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    private = [f"{stmt.module}.{alias.name}" for stmt in ast.walk(tree)
+               if isinstance(stmt, ast.ImportFrom)
+               and (stmt.module or "").startswith("cartierforge")
+               for alias in stmt.names if alias.name.startswith("_")]
+    assert not private, "oracles import private names: " + ", ".join(private)

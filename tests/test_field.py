@@ -1,11 +1,13 @@
 """Field arithmetic: axioms, canonical moduli, embeddings, Frobenius."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from cartierforge.field import (GF, FiniteField, _embedding_table, _pmod,
-                                _pmul, canonical_modulus, is_prime)
-from oracles import RefField
+from cartierforge.field import (GF, FiniteField, _embedding_table,
+                                canonical_modulus, is_prime)
+from oracles import RefField, poly_mod, poly_mul
 
 
 @pytest.mark.parametrize("p,deg", [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2), (5, 2)])
@@ -100,7 +102,7 @@ def walk_log_tables(F):
     def mul_code(a, b):
         da = [(a // p ** i) % p for i in range(F.deg)]
         db = [(b // p ** i) % p for i in range(F.deg)]
-        prod = _pmod(_pmul(da, db, p), list(F.modulus), p)
+        prod = poly_mod(poly_mul(da, db, p), list(F.modulus), p)
         return sum(c * p ** i for i, c in enumerate(prod))
 
     for g in range(2, F.order):
@@ -152,6 +154,9 @@ def test_digit_table_is_base_p_expansion(p, deg):
 
 def test_is_prime():
     assert [n for n in range(2, 20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
+    sympy = pytest.importorskip("sympy")
+    assert [is_prime(n) for n in range(-5, 5000)] == [
+        bool(sympy.isprime(n)) for n in range(-5, 5000)]
 
 
 def test_power_zero_and_negative_guard():
@@ -160,3 +165,47 @@ def test_power_zero_and_negative_guard():
     assert np.array_equal(F.power(els, 0), np.ones_like(els))
     with pytest.raises(ZeroDivisionError):
         F.inv(np.int64(0))
+
+
+# -- the field tables, pinned --
+
+EXTENSIONS_UP_TO_3_9 = [(p, m) for p in range(2, 140) if is_prime(p)
+                        for m in range(2, 15) if p ** m <= 3 ** 9]
+
+
+def field_tables_digest(fields):
+    """SHA-256 over (p, m, modulus, generator, _reg, _exp, _log) of each
+    field, the arrays as little-endian int64 bytes."""
+    digest = hashlib.sha256()
+    for p, m in fields:
+        F = FiniteField(p, m)
+        digest.update(repr((p, m, F.modulus, F.generator)).encode())
+        for table in (F._reg, F._exp, F._log):
+            digest.update(repr(table.shape).encode())
+            digest.update(np.ascontiguousarray(table, dtype="<i8").tobytes())
+    return digest.hexdigest()
+
+
+def test_field_tables_are_pinned():
+    # every extension of order at most 3**9: the modulus, the generator and
+    # the product tables are bit for bit those of the list-polynomial build
+    assert len(EXTENSIONS_UP_TO_3_9) == 66
+    assert field_tables_digest(EXTENSIONS_UP_TO_3_9) == (
+        "a95465fe0a37c9b9db10746084aaba937031e4a8c31dac48cbeec81621a53b33")
+
+
+def test_canonical_modulus_is_least_irreducible():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+
+    def irreducible(coeffs, p):
+        return sympy.Poly(list(reversed(coeffs)), x, modulus=p).is_irreducible
+
+    for p, m in EXTENSIONS_UP_TO_3_9:
+        f = canonical_modulus(p, m)
+        assert len(f) == m + 1 and f[-1] == 1
+        assert irreducible(f, p)
+        code = sum(c * p ** i for i, c in enumerate(f[:-1]))
+        for smaller in range(code):
+            digits = [(smaller // p ** i) % p for i in range(m)]
+            assert not irreducible(digits + [1], p)

@@ -1,10 +1,15 @@
-"""Time `matrix.mmul` on random n x n operands, per field and size.
+"""Time `matrix.mmul` on random n x n operands, per field and size, and
+the construction of a field.
 
     python3 tools/kernel_bench.py [--repeats R]
 
 Fields GF(2), GF(3), GF(4), GF(9), GF(27) and GF(2039^2), n from 2 to
 136.  Each cell is the median over R repeats (default 7) of the mean time
 per call, in microseconds, over a batch of calls lasting at least 20 ms.
+The second table gives the time in milliseconds to build GF(4), GF(27),
+GF(2^8), GF(3^6), GF(2^16) and GF(2039^2): the median over R builds, each
+with the `GF` and `canonical_modulus` caches cleared, so that it finds
+the modulus and the generator and fills the tables anew.
 BLAS runs in one thread.  The package is imported from the `src/` next
 to this file, so a checkout of another commit times that commit.
 """
@@ -24,10 +29,11 @@ import time
 import numpy as np
 
 from cartierforge import matrix as mx
-from cartierforge.field import GF
+from cartierforge.field import GF, canonical_modulus
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (3, 3), (2039, 2)]
 SIZES = [2, 4, 8, 16, 32, 64, 136]
+BUILDS = [(2, 2), (3, 3), (2, 8), (3, 6), (2, 16), (2039, 2)]
 
 
 def per_call_us(F, a, b, repeats: int) -> float:
@@ -43,6 +49,17 @@ def per_call_us(F, a, b, repeats: int) -> float:
     return 1e6 * statistics.median(batch(calls) for _ in range(repeats))
 
 
+def build_ms(p: int, d: int, repeats: int) -> float:
+    def once():
+        GF.cache_clear()
+        canonical_modulus.cache_clear()
+        t0 = time.perf_counter()
+        GF(p, d)
+        return time.perf_counter() - t0
+
+    return 1e3 * statistics.median(once() for _ in range(repeats))
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=7)
@@ -53,6 +70,10 @@ def main() -> None:
         F = GF(p, d)
         row = [per_call_us(F, *rng.integers(0, F.order, (2, n, n)), repeats) for n in SIZES]
         print(repr(F).ljust(12) + "".join(f"{t:10.1f}" for t in row))
+    print()
+    print("field".ljust(12) + "build".rjust(10) + "   (ms)")
+    for p, d in BUILDS:
+        print(f"GF({p}^{d})".ljust(12) + f"{build_ms(p, d, repeats):10.2f}")
 
 
 if __name__ == "__main__":
