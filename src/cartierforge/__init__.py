@@ -20,8 +20,7 @@ from .structures import (CartierModule, FModule, adjoint_structural,
 from .pid import (PidModule, PresModule, Unsupported,
                   frobenius_pushforward_presentation, inverse_module, kappa_s,
                   pid_free, pid_sum, pid_torsion, pres_module)
-from .duality import (crystal_possibly_equivalent,
-                      crystal_signature, double_dual_check,
+from .duality import (crystal_class, crystal_equivalent, double_dual_check,
                       dual_base_change_check, dualizing_module, elliptic_ap,
                       extend_scalars, hasse_invariant, ordinarity,
                       pair_C_to_F, pair_F_to_C, sol_base_change_check,

@@ -160,14 +160,16 @@ def module_violations(m: FinModule) -> list[str]:
     return out
 
 
-def fin_module(ring: ArtinRing, actions) -> FinModule:
+def fin_module(ring: ArtinRing, actions, dim: int | None = None) -> FinModule:
+    """One dim x dim action per variable; dim is required without variables."""
     actions = tuple(np.asarray(a, dtype=np.int64) for a in actions)
     if len(actions) != ring.nvars:
         raise ValueError("one action matrix per ring variable required")
-    dim = actions[0].shape[0] if actions else 0
-    for a in actions:
-        if a.shape != (dim, dim):
-            raise ValueError("action matrices must be square of equal size")
+    if dim is None and not actions:
+        raise ValueError("a module over a ring without variables needs its dim")
+    dim = actions[0].shape[0] if dim is None else dim
+    if any(a.shape != (dim, dim) for a in actions):
+        raise ValueError(f"action matrices must be {dim} x {dim}, the module dim")
     return FinModule(ring, dim, actions)
 
 

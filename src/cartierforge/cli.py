@@ -153,11 +153,10 @@ def _parse_module(field, ring, mdoc: dict):
         this_ring = ring_make(field, rd["vars"], _exponents(rd["relations"]))
     if this_ring is None:
         raise SchemaError("artinian module without a ring declaration")
-    actions = [_decode_matrix(field, a) for a in mdoc["carrier"]["actions"]]
-    module = fin_module(this_ring, actions)
-    if ("dim" in mdoc["carrier"]
-            and _int(mdoc["carrier"]["dim"], "carrier dim", lo=0) != module.dim):
-        raise SchemaError("declared module dim does not match the actions")
+    carrier = mdoc["carrier"]
+    dim = _int(carrier["dim"], "carrier dim", lo=0) if "dim" in carrier else None
+    actions = [_decode_matrix(field, a) for a in carrier["actions"]]
+    module = fin_module(this_ring, actions, dim)
     return structured(kind, module, _decode_matrix(field, mdoc["structure"]))
 
 

@@ -22,12 +22,11 @@ from . import matrix as mx
 from .artinian import (ArtinRing, FinModule, hom_coords, hom_images,
                        hom_module, quotient_data, regular_module, ring_make)
 from .field import GF, FiniteField, is_prime
-from .poly import Poly
-from .structures import (CARTIER, FROBENIUS, CartierModule, FModule,
-                         Structured, cartier_module, f_module, is_morphism,
-                         is_unit, iterate_structure, kappa_monomials,
-                         nilpotency_index,
-                         stable_image, stable_kernel, structured)
+from .poly import Poly, smith_normal_form
+from .structures import (FROBENIUS, CartierModule, FModule, Structured,
+                         cartier_module, f_module, is_morphism, is_unit,
+                         iterate_structure, kappa_monomials,
+                         nilpotency_index, structured)
 from .twisted import (TwistedOperator, semilinear_fixed_points, stable_rank)
 
 
@@ -168,7 +167,6 @@ class SolReport:
     dim_fq: int
     geometric_dim: int
     ext_field: FiniteField
-    reduced: TwistedOperator
 
 
 def sol_point(m: FModule, s: int = 1) -> SolReport:
@@ -177,7 +175,7 @@ def sol_point(m: FModule, s: int = 1) -> SolReport:
     (stable rank) of the reduced semilinear operator."""
     t = reduced_operator(m)
     fixed = semilinear_fixed_points(t, s)
-    return SolReport(fixed.basis, fixed.dim_fq, stable_rank(t), fixed.ext_field, t)
+    return SolReport(fixed.basis, fixed.dim_fq, stable_rank(t), fixed.ext_field)
 
 
 def reduced_operator(m: FModule) -> TwistedOperator:
@@ -224,30 +222,28 @@ def dual_base_change_check(m: Structured, s: int) -> bool:
                     zip(lhs.module.actions, rhs.module.actions)))
 
 
-# -- heuristic crystal comparison --
+# -- the crystal at the point --
 
 
-def crystal_signature(m: Structured) -> tuple:
-    """Invariants of the crystal class: stable-part dimension and Sol
-    dimensions over GF(q), GF(q^2) and GF(q^3) (through the dual for Cartier
-    modules).  Equal signatures do not prove equivalence; unequal ones
-    refute it -- no general decision procedure is offered."""
-    if m.kind == CARTIER:
-        part, _ = stable_image(m)
-        stable_dim = part.dim
-        fmod, _ = dualize_artinian(m)
-    else:
-        part, _ = stable_kernel(m)
-        stable_dim = m.dim - part.dim
-        fmod = m
-    reps = [sol_point(fmod, s) for s in (1, 2, 3)]
-    return (stable_dim, reps[0].geometric_dim, tuple(rep.dim_fq for rep in reps))
+def crystal_class(m: Structured) -> tuple:
+    """The crystal of M: the invariant factors (degree >= 1, low-first) of
+    tI - B, B the k-linear structure on the Fitting-bijective part S.
+    With e = dim >= the m-nilpotency index: a kappa^e(v) = kappa^e(a^(q^e) v)
+    = 0 for a in m, so S = kappa^e(M) lies in M[m] and S -> M is a
+    nil-isomorphism; tau^e(mM) lies in m^[q^e] M = 0, so S injects into
+    M/mM and M -> M/mM -> S are nil-isomorphisms.  Nil-isomorphisms of
+    bijective structures are isomorphisms, so crystals are isomorphic
+    exactly when their B are similar."""
+    F = m.ring.field
+    neg = F.neg(mx.bijective_part(F, m.mat))
+    pres = [[(int(c), int(i == j)) for j, c in enumerate(r)] for i, r in enumerate(neg)]
+    return tuple(f.coeffs for f in smith_normal_form(F, pres)[0] if f.deg >= 1)
 
 
-def crystal_possibly_equivalent(a: Structured, b: Structured) -> bool:
-    if a.kind != b.kind or a.power != b.power:
-        return False
-    return crystal_signature(a) == crystal_signature(b)
+def crystal_equivalent(a: Structured, b: Structured) -> bool:
+    """Whether a and b are isomorphic as crystals (see crystal_class)."""
+    return ((a.kind, a.power, a.ring.field) == (b.kind, b.power, b.ring.field)
+            and crystal_class(a) == crystal_class(b))
 
 
 # -- ordinarity via the Cartier operator on top forms --

@@ -71,7 +71,7 @@ def canonical_modulus(p: int, m: int) -> tuple:
     if m == 1:
         return (0, 1)
     fp = GF(p)
-    for code in range(p ** m):
+    for code in (c for c in range(p ** m) if c % p):    # f(0) = 0 means t | f
         low = [(code // p ** i) % p for i in range(m)]
         c = _companion(p, low)
         if (np.array_equal(mx.mat_pow(fp, c, p ** m), c)

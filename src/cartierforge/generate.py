@@ -123,15 +123,13 @@ def random_structure(rng: random.Random, module: FinModule, kind: str,
 def random_cartier(rng: random.Random, p: int, max_vars: int = 2,
                    max_ring_dim: int = 6, max_dim: int = 5) -> CartierModule:
     ring = random_artin_ring(rng, p, max_vars, max_ring_dim)
-    mod = random_module(rng, ring, max_dim)
-    return random_structure(rng, mod, CARTIER)
+    return random_structure(rng, random_module(rng, ring, max_dim), CARTIER)
 
 
 def random_f_module(rng: random.Random, p: int, max_vars: int = 2,
                     max_ring_dim: int = 6, max_dim: int = 5) -> FModule:
     ring = random_artin_ring(rng, p, max_vars, max_ring_dim)
-    mod = random_module(rng, ring, max_dim)
-    return random_structure(rng, mod, FROBENIUS)
+    return random_structure(rng, random_module(rng, ring, max_dim), FROBENIUS)
 
 
 def artinian_corpus(seed: int, count: int, p_choices=(2, 3),

@@ -82,6 +82,12 @@ def mat_pow(F: FiniteField, a: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def bijective_part(F: FiniteField, a: np.ndarray) -> np.ndarray:
+    """a on its Fitting-bijective part S = column_space(a**d): B with a S = S B."""
+    s = column_space(F, mat_pow(F, a, len(a)))
+    return solve(F, s, mmul(F, a, s))
+
+
 def nil_index(F: FiniteField, a: np.ndarray):
     """Least n >= 1 with a**n = 0, else math.inf.
 

@@ -27,8 +27,18 @@ CARTIER = "cartier"
 FROBENIUS = "frobenius"
 
 
+class _StructureBase:
+    @property
+    def dim(self) -> int:
+        return self.module.dim
+
+    @property
+    def ring(self) -> ArtinRing:
+        return self.module.ring
+
+
 @dataclass(frozen=True)
-class CartierModule:
+class CartierModule(_StructureBase):
     module: FinModule
     kappa: np.ndarray
     power: int = 1
@@ -39,17 +49,9 @@ class CartierModule:
     def mat(self) -> np.ndarray:
         return self.kappa
 
-    @property
-    def dim(self) -> int:
-        return self.module.dim
-
-    @property
-    def ring(self) -> ArtinRing:
-        return self.module.ring
-
 
 @dataclass(frozen=True)
-class FModule:
+class FModule(_StructureBase):
     module: FinModule
     tau: np.ndarray
     power: int = 1
@@ -59,14 +61,6 @@ class FModule:
     @property
     def mat(self) -> np.ndarray:
         return self.tau
-
-    @property
-    def dim(self) -> int:
-        return self.module.dim
-
-    @property
-    def ring(self) -> ArtinRing:
-        return self.module.ring
 
 
 Structured = CartierModule | FModule
@@ -477,12 +471,14 @@ def twist_by_unit_line(m: Structured, a_coords) -> Structured:
 
 def structured_i_torsion(m: Structured, j_gens) -> tuple[Structured, np.ndarray]:
     """i-flat for the closed immersion cut out by J: the J-torsion
-    submodule with restricted structure, over the quotient ring."""
+    submodule M[J] with restricted structure, over the quotient ring.  A
+    Cartier structure always restricts (a kappa(v) = kappa(a^q v) = 0 for
+    a in J); a Frobenius one need not, as tau(a v) = a^q tau(v)."""
     tors, cols = i_torsion(m.module, j_gens)
     k = restrict(m.ring.field, [m.mat], cols)
     if k is None:
         raise ValueError("structure does not restrict to the torsion part "
-                         "(expected for Cartier structures)")
+                         "(possible only for Frobenius structures)")
     return with_structure(m, tors, k[0]), cols
 
 

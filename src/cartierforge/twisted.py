@@ -9,12 +9,13 @@ actual Frobenius of GF(q^s) over GF(q).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import matrix as mx
-from .field import GF, FiniteField
+from .field import GF, FiniteField, _prime_factors
 
 
 @dataclass(frozen=True)
@@ -161,20 +162,23 @@ def semilinear_fixed_points(t: TwistedOperator, s: int = 1) -> FixedPoints:
     return FixedPoints(ext, ext.from_digits(digs[:, keep]), dim_fp // r, dim_fp)
 
 
-def fixed_point_attainment(t: TwistedOperator, bound: int | None = None):
-    """Search extension degrees s = 1..bound for arithmetic fixed points
-    attaining stable_rank(t); default bound 2*dim*r (configurable).
-
-    Returns (attained_s or None, list of (s, dim_fq)).  The sharp degree is
-    not bounded by theory we implement, so both numbers are exposed.
-    """
-    d = t.rows
-    bound = 2 * d * t.r if bound is None else bound
-    target = stable_rank(t)
-    seen = []
-    for s in range(1, bound + 1):
-        dim = semilinear_fixed_points(t, s).dim_fq
-        seen.append((s, dim))
-        if dim == target:
-            return s, seen
-    return None, seen
+def fixed_point_attainment(t: TwistedOperator) -> int:
+    """The least s with dim_Fq Sol(t) over GF(q^s) = stable_rank(t), for t
+    of twist +1 over F_q itself (as `duality.reduced_operator` builds it):
+    the order of B = `mx.bijective_part`.  Sol lies in B's space, where
+    v = B sigma(v) gives v = B^s v; Galois descent gives dim_Fq Sol =
+    dim ker(B^s - I).  The order divides N = p^c lcm_{k<=n}(q^k - 1), n the
+    size of B and p^c >= n (semisimple and unipotent parts); each prime l
+    of N is divided out while B^(N/l) = I."""
+    F, q = t.field, t.q
+    if t.twist != 1 or q != F.order:
+        raise ValueError("attainment is defined for twist +1 operators over F_q")
+    b = mx.bijective_part(F, t.mat)
+    n = len(b)
+    cyclo = [q ** k - 1 for k in range(1, n + 1)]
+    order = next(F.p ** c for c in range(n + 1) if F.p ** c >= n) * math.lcm(*cyclo)
+    for ell in sorted({F.p}.union(*map(_prime_factors, cyclo))):
+        while order % ell == 0 and np.array_equal(mx.mat_pow(F, b, order // ell),
+                                                  mx.identity(n)):
+            order //= ell
+    return order

@@ -5,11 +5,13 @@ field arithmetic one code at a time, the rank-one structures on GF(q)[x],
 the dual-basis table of kappa_S, the hull structure read off the Laurent
 extension, the two-depth H^1 verdict and the hull twist applied to one
 Laurent tail, polynomial-matrix products, twisted operators applied and
-powered step by step with their rank chain, the Hom/tensor twist law, and the Kashiwara round
-trip i-flat o i_* = id.  They live with the tests so that they stay
-independent of the code under test.
+powered step by step with their rank chain, the Sol attainment degree by
+search, conjugacy classes in GL_n(F_q) by enumeration, the Hom/tensor twist
+law, and the Kashiwara round trip i-flat o i_* = id.  They live with the
+tests so that they stay independent of the code under test.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -25,7 +27,8 @@ from cartierforge.structures import (CartierModule, Structured,
                                      nilpotency_index, structured_i_torsion,
                                      structured_restrict_scalars,
                                      twist_by_unit_line)
-from cartierforge.twisted import (TwistedOperator, identity_operator, sigma,
+from cartierforge.twisted import (TwistedOperator, identity_operator,
+                                  semilinear_fixed_points, sigma, stable_rank,
                                   twisted_compose)
 
 # -- hom bases as lists --
@@ -244,6 +247,61 @@ def rank_chain(t: TwistedOperator, upto: int | None = None) -> list[int]:
         acc = twisted_compose(t, acc)
         out.append(mx.rank(t.field, acc.mat))
     return out
+
+
+def attainment_search(t: TwistedOperator, bound: int):
+    """The least s <= bound with dim_Fq Sol over GF(q^s) equal to the
+    stable rank, found by solving over each GF(q^s) in turn; None when no
+    s <= bound attains it."""
+    target = stable_rank(t)
+    return next((s for s in range(1, bound + 1)
+                 if semilinear_fixed_points(t, s).dim_fq == target), None)
+
+
+# -- conjugacy in GL_n(F_q) --
+
+
+def conjugacy_classes(F: FiniteField, n: int) -> list[frozenset]:
+    """The orbits of GL_n(F) acting on itself by conjugation, by
+    enumeration; matrices are tuples of row tuples of codes.
+
+    Products use addition and multiplication tables filled by RefField.
+    The inverse of P is the power before the first identity among
+    P, P^2, ..., P^(q^n): an element of GL_n(F_q) has order below q^n,
+    and a singular P never reaches the identity."""
+    R, q = RefField(F), F.order
+    add = [[R.sub(a, R.sub(0, b)) for b in range(q)] for a in range(q)]
+    mul = [[R.mul(a, b) for b in range(q)] for a in range(q)]
+
+    def prod(a, b):
+        out = []
+        for row in a:
+            entries = []
+            for j in range(n):
+                acc = 0
+                for k in range(n):
+                    acc = add[acc][mul[row[k]][b[k][j]]]
+                entries.append(acc)
+            out.append(tuple(entries))
+        return tuple(out)
+
+    one = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    inverse = {}
+    for codes in itertools.product(range(q), repeat=n * n):
+        p = tuple(codes[i * n:(i + 1) * n] for i in range(n))
+        prev, acc = one, p
+        for _ in range(q ** n):
+            if acc == one:
+                inverse[p] = prev
+                break
+            prev, acc = acc, prod(acc, p)
+    orbits, seen = [], set()
+    for a in inverse:
+        if a not in seen:
+            orbit = frozenset(prod(prod(p, a), pinv) for p, pinv in inverse.items())
+            seen |= orbit
+            orbits.append(orbit)
+    return orbits
 
 
 # -- Hom/tensor compatibility --

@@ -269,6 +269,46 @@ def test_sol_and_base_change_commands(tmp_path, capsys):
     capsys.readouterr()
 
 
+# modules over the point GF(2): kappa and tau are the companion matrix of
+# t^3 + t + 1, whose Sol reaches dimension 3 over GF(2^7)
+COMPANION = [[0, 0, 1], [1, 0, 1], [0, 1, 0]]
+POINT = {
+    "schema": 1,
+    "field": {"p": 2, "r": 1},
+    "ring": {"vars": [], "relations": []},
+    "modules": {"C": {"kind": "cartier", "carrier": {"dim": 3, "actions": []},
+                      "structure": COMPANION},
+                "F": {"kind": "frobenius", "carrier": {"dim": 3, "actions": []},
+                      "structure": COMPANION}},
+    "commands": [{"op": "validate", "module": "C"},
+                 {"op": "validate", "module": "F"},
+                 {"op": "dualize", "module": "C"},
+                 {"op": "dualize", "module": "F"},
+                 {"op": "sol", "module": "F", "s": 7}],
+}
+
+
+def test_modules_over_the_point(tmp_path, capsys):
+    out = str(tmp_path / "rep.json")
+    assert main(["run", write(tmp_path, POINT), "--json", out]) == 0
+    res = json.loads(open(out).read())["results"]
+    assert all(r["ok"] for r in res)
+    assert [r["dim"] for r in res[2:4]] == [3, 3]
+    assert res[4]["dim_fq"] == 3 and res[4]["geometric_dim"] == 3
+    capsys.readouterr()
+
+
+def test_module_dim_missing_over_the_point_or_unequal_is_schema_error(tmp_path, capsys):
+    doc = json.loads(json.dumps(POINT))
+    del doc["modules"]["C"]["carrier"]["dim"]
+    assert main(["run", write(tmp_path, doc)]) == 2
+    assert "without variables needs its dim" in capsys.readouterr().err
+    doc = json.loads(json.dumps(FIXTURE_A))
+    doc["modules"]["A"]["carrier"]["dim"] = 3
+    assert main(["run", write(tmp_path, doc)]) == 2
+    assert "must be 3 x 3, the module dim" in capsys.readouterr().err
+
+
 def test_suite_command(tmp_path, capsys):
     doc = {"schema": 1, "field": {"p": 2, "r": 1},
            "commands": [{"op": "suite", "seed": 3, "count": 4}]}

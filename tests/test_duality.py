@@ -1,30 +1,40 @@
 """The Hom pairings, double duality, Sol, base change, perversity, local
 duality, ordinarity."""
 
+import json
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cartierforge import matrix as mx
 from cartierforge.artinian import fin_module, regular_module, ring_make
+from cartierforge.cli import parse_problem
 from cartierforge.complexes import (dualize, is_perverse, local_duality_check,
                                     shift_module)
-from cartierforge.duality import (double_dual_check, dual_base_change_check,
-                                  dualizing_module, elliptic_ap, extend_scalars,
+from cartierforge.duality import (crystal_class, crystal_equivalent,
+                                  double_dual_check, dual_base_change_check,
+                                  dualize_artinian, dualizing_module,
+                                  elliptic_ap, extend_scalars,
                                   hasse_invariant, nilpotence_exchange_check,
                                   nonsingular_short_weierstrass, ordinarity,
-                                  pair_C_to_F, pair_F_to_C,
+                                  pair_C_to_F, pair_F_to_C, reduced_operator,
                                   sol_base_change_check, sol_point)
 from cartierforge.field import GF
 from cartierforge.generate import (artinian_corpus, pid_torsion_corpus,
                                    random_f_module)
-from cartierforge.pid import CARTIER, FROBENIUS, pid_free, pid_torsion
+from cartierforge.pid import (CARTIER, FROBENIUS, PidModule, pid_free,
+                              pid_torsion)
 from cartierforge.poly import Poly
-from cartierforge.structures import (cartier_module, f_module, is_unit,
-                                     nilpotency_index, stable_image, validate)
-from oracles import hom_list, hom_tensor_twist_check
+from cartierforge.structures import (cartier_module, direct_sum_structured,
+                                     f_module, is_unit, nilpotency_index,
+                                     quotient_structure, stable_image,
+                                     stable_kernel, structured, validate)
+from cartierforge.twisted import fixed_point_attainment
+from oracles import (attainment_search, conjugacy_classes, hom_list,
+                     hom_tensor_twist_check)
 
 
 @pytest.fixture
@@ -212,22 +222,6 @@ def test_unsolvable_pairing_names_both_sides():
         pair_C_to_F(m, dualizing_module(ring))
 
 
-def test_crystal_signature_reads_sol_once_per_degree(monkeypatch):
-    from cartierforge import duality
-    calls = []
-    real = duality.sol_point
-
-    def counted(m, s=1):
-        calls.append(s)
-        return real(m, s)
-
-    monkeypatch.setattr(duality, "sol_point", counted)
-    for m in artinian_corpus(5, 6):
-        calls.clear()
-        duality.crystal_signature(m)
-        assert calls == [1, 2, 3]
-
-
 def test_dual_base_change_on_corpus():
     for m in artinian_corpus(9, 20):
         for s in (2, 3):
@@ -397,24 +391,119 @@ def test_complex_with_differential_cohomology_and_perversity():
     assert isinstance(dualize(c), Unsupported)
 
 
-def test_crystal_comparator_heuristic(ring, e_mod):
-    from cartierforge.duality import (crystal_possibly_equivalent,
-                                      crystal_signature)
-    from cartierforge.structures import direct_sum_structured
+def test_crystal_comparator_exact(ring, e_mod):
     fixA = cartier_module(regular_module(ring), mx.mat([[0, 0], [1, 0]]))
     zero_struct = cartier_module(regular_module(ring), mx.zeros(2, 2))
-    assert crystal_signature(fixA) == (0, 0, (0, 0, 0))
-    # nilpotent modules share the trivial signature
-    assert crystal_possibly_equivalent(fixA, zero_struct)
-    # a nil-isomorphism preserves the signature: sigma(M) vs M
-    from cartierforge.structures import stable_image
+    assert crystal_class(fixA) == ()
+    # nilpotent modules share the trivial class
+    assert crystal_equivalent(fixA, zero_struct)
+    # a nil-isomorphism preserves the class: sigma(M) vs M
     k_mod = fin_module(ring, [mx.zeros(1, 1)])
     sky = cartier_module(k_mod, mx.mat([[1]]))
     both = direct_sum_structured(fixA, sky)
     part, _ = stable_image(both)
-    assert crystal_possibly_equivalent(both, part)
+    assert crystal_equivalent(both, part)
     # the hull is not crystal-equivalent to a nilpotent module
-    assert not crystal_possibly_equivalent(e_mod, zero_struct)
+    assert not crystal_equivalent(e_mod, zero_struct)
+
+
+def point_module(F, kind, a):
+    """The module over the point GF(q) with structure matrix a."""
+    a = mx.mat(a)
+    return structured(kind, fin_module(ring_make(F, [], []), [], len(a)), a)
+
+
+def companion(low):
+    """The companion matrix of t^n + sum(low[i] t^i) over GF(2)."""
+    c = mx.zeros(len(low), len(low))
+    c[1:, :-1] = mx.identity(len(low) - 1)
+    c[:, -1] = low
+    return c
+
+
+def test_companion_pair_is_told_apart():
+    # t^3+t+1 and t^3+t^2+1 over GF(2): equal stable dimension, geometric
+    # dimension and Sol dimensions over GF(2), GF(4), GF(8), but their
+    # invariant factors differ
+    a = point_module(GF(2), CARTIER, companion([1, 1, 0]))
+    b = point_module(GF(2), CARTIER, companion([1, 0, 1]))
+    assert crystal_class(a) == ((1, 1, 0, 1),) and crystal_class(b) == ((1, 0, 1, 1),)
+    assert not crystal_equivalent(a, b) and crystal_equivalent(a, a)
+    assert [sol_point(dualize_artinian(m)[0], s).dim_fq for m in (a, b)
+            for s in (1, 2, 3)] == [0] * 6
+    # Sol of the dual reaches dimension 3 first over GF(2^7): t has order 7
+    t = reduced_operator(dualize_artinian(a)[0])
+    assert fixed_point_attainment(t) == 7 == attainment_search(t, 7)
+
+
+@pytest.mark.parametrize("p,r,n", [(2, 1, 2), (3, 1, 2), (2, 1, 3), (2, 2, 2)])
+def test_crystal_equivalence_is_conjugacy_at_the_point(p, r, n):
+    # an invertible structure over the point is its own crystal: two are
+    # equivalent exactly when the matrices are conjugate in GL_n(F_q)
+    F = GF(p, r)
+    orbits = conjugacy_classes(F, n)
+    reps = [point_module(F, CARTIER, next(iter(o))) for o in orbits]
+    for orbit, rep in zip(orbits, reps):
+        assert all(crystal_equivalent(point_module(F, CARTIER, a), rep) for a in orbit)
+    assert not any(crystal_equivalent(a, b) for i, a in enumerate(reps)
+                   for b in reps[i + 1:])
+    # one code path serves both kinds; kinds are never equivalent
+    frob = [point_module(F, FROBENIUS, next(iter(o))) for o in orbits]
+    assert [crystal_class(m) for m in frob] == [crystal_class(m) for m in reps]
+    assert not crystal_equivalent(frob[0], reps[0])
+
+
+def test_crystal_class_is_kept_by_duality():
+    for m in artinian_corpus(2024, 200):
+        assert crystal_class(dualize_artinian(m)[0]) == crystal_class(m)
+
+
+def test_nil_isomorphic_modules_share_a_class():
+    rng = random.Random(41)
+    cartier = artinian_corpus(41, 120)
+    frobenius = [random_f_module(rng, rng.choice([2, 3])) for _ in range(120)]
+    for m in cartier + frobenius:
+        zero = structured(m.kind, m.module, mx.zeros(m.dim, m.dim))
+        assert crystal_equivalent(m, direct_sum_structured(m, zero))
+    for m in cartier:
+        assert crystal_equivalent(m, stable_image(m)[0])
+    for m in frobenius:
+        assert crystal_equivalent(m, quotient_structure(m, stable_kernel(m)[1])[0])
+
+
+def extension_field_f_modules():
+    """The Artinian Frobenius modules of the extension-field benchmark."""
+    root = Path(__file__).resolve().parent.parent / "bench" / "inputs" / "extension-field"
+    return [m for path in sorted(root.glob("*.json"))
+            for m in parse_problem(json.loads(path.read_text()))["modules"].values()
+            if m.kind == FROBENIUS and not isinstance(m, PidModule)]
+
+
+def test_sol_is_the_fixed_space_of_the_bijective_part():
+    # dim_Fq Sol over GF(q^s) = dim ker(B^s - I), B the bijective part
+    mods = extension_field_f_modules()
+    assert len(mods) == 30
+    for m in mods:
+        F = m.ring.field
+        b = mx.bijective_part(F, m.mat)
+        for s in (1, 2, 3):
+            fixed = F.sub(mx.mat_pow(F, b, s), mx.identity(len(b)))
+            assert len(b) - mx.rank(F, fixed) == sol_point(m, s).dim_fq
+
+
+def test_attainment_agrees_with_the_search_below_the_field_cap():
+    # the search solves over each GF(q^s) with q^s <= 2^16; the degree
+    # must be the one it finds, or lie beyond the largest such s.  Fields
+    # up to MAX_ORDER would take seconds and hundreds of MB each to build
+    for m in extension_field_f_modules():
+        t = reduced_operator(m)
+        deg, cap = fixed_point_attainment(t), 1
+        while t.q ** (cap + 1) <= 1 << 16:
+            cap += 1
+        if deg <= cap:
+            assert attainment_search(t, deg) == deg
+        else:
+            assert attainment_search(t, cap) is None
 
 
 def test_unit_dualizing_complex_is_perverse_and_self_consistent():

@@ -2,8 +2,11 @@
 
 `tools/result_digest.py` hashes the JSON result of every command over
 `bench/inputs`, the kind, structure matrix and x-action of every Matlis
-dual and double dual there, and the fixed basis and dimensions of Sol over
-GF(q), GF(q^2) and GF(q^3) of every Artinian Frobenius module there.  The digests below pin those outputs, so a
+dual and double dual there, the fixed basis and dimensions of Sol over
+GF(q), GF(q^2) and GF(q^3) of every Artinian Frobenius module there, and
+the crystal class of every Artinian module and torsion part there, with
+the Sol attainment degree of the Frobenius ones.  The digests below pin
+those outputs, so a
 change that alters any result or structure matrix fails here, also where
 no verdict shows it.  Change them only with a deliberate change of output,
 and say why.
@@ -45,3 +48,8 @@ def test_matlis_duals_are_pinned():
 def test_sol_bases_are_pinned():
     assert combined(result_digest.sol_lines) == (
         90, "72405230ad51645c75c7365ae9921a71881436dbf106930aa183bea5bdc1ef15")
+
+
+def test_crystal_classes_are_pinned():
+    assert combined(result_digest.crystal_lines) == (
+        334, "be2169cd928c03b5d24cd3a20c1e064297a814325587dad16bdb0f0580d20a82")

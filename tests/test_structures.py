@@ -219,6 +219,34 @@ def test_i_torsion_undoes_restrict_scalars_on_corpus():
             assert kashiwara_roundtrip(m)
 
 
+def test_only_frobenius_structures_can_miss_the_torsion_part(ring):
+    # for a in J and v in M[J], a kappa(v) = kappa(a^q v) = 0, so a Cartier
+    # structure always restricts to M[J]; tau(a v) = a^q tau(v) bounds
+    # nothing, and random Frobenius structures do leave M[x_1]
+    rng = random.Random(5)
+    failures = {CARTIER: 0, FROBENIUS: 0}
+    for _ in range(150):
+        r = random_artin_ring(rng, rng.choice([2, 3]))
+        j = [[1] + [0] * (r.nvars - 1)]
+        for kind in (CARTIER, FROBENIUS):
+            try:
+                structured_i_torsion(random_structure(rng, random_module(rng, r), kind), j)
+            except ValueError as exc:
+                assert str(exc).endswith("(possible only for Frobenius structures)")
+                failures[kind] += 1
+    assert failures[CARTIER] == 0 and failures[FROBENIUS] > 0
+    # M = R + k over F_2[x]/(x^2): tau kills x M and sends the torsion
+    # vector f of k to 1 in R, outside M[x] = span(x, f)
+    x = mx.zeros(3, 3)
+    x[1, 0] = 1
+    tau = mx.zeros(3, 3)
+    tau[0, 2] = 1
+    m = f_module(fin_module(ring, [x]), tau)
+    assert validate(m).ok
+    with pytest.raises(ValueError, match="possible only for Frobenius"):
+        structured_i_torsion(m, [[1]])
+
+
 def test_kashiwara_counit_unsupported_module_detected(ring, skyscraper):
     # variables always act nilpotently over a monomial Artinian ring, so the
     # only way to leave V(J) is J = (1); the counit then fails on a module

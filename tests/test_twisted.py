@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from cartierforge import matrix as mx
+from cartierforge import twisted
 from cartierforge.field import GF
 from cartierforge.twisted import (TwistedOperator, change_basis,
                                   fixed_point_attainment, identity_operator,
                                   semilinear_fixed_points, stable_rank,
                                   twisted_compose)
-from oracles import apply_operator, operator_power, rank_chain
+from oracles import (apply_operator, attainment_search, operator_power,
+                     rank_chain)
 
 
 def test_identity_is_neutral():
@@ -175,15 +177,48 @@ def test_fixed_point_dims_monotone_and_bounded_exhaustive_f2():
         for s, s2 in [(1, 2), (1, 3), (2, 4), (2, 6), (3, 6)]:
             assert dims[s] <= dims[s2]
         assert all(d <= target for d in dims.values())
-        attained, _ = fixed_point_attainment(t, bound=6)
-        assert attained is not None and dims[attained] == target
+        attained = fixed_point_attainment(t)
+        assert attained == attainment_search(t, 6) and dims[attained] == target
 
 
-def test_attainment_default_bound_reported_honestly():
+def test_attainment_of_a_fixed_line():
     F = GF(2)
     t = TwistedOperator(F, 2, mx.mat([[1]]), 1)
-    s, seen = fixed_point_attainment(t)
-    assert s == 1 and seen[0] == (1, 1)
+    assert fixed_point_attainment(t) == 1 == attainment_search(t, 1)
+    # defined for twist +1 operators over F_q itself
+    with pytest.raises(ValueError, match="twist \\+1 operators over F_q"):
+        fixed_point_attainment(TwistedOperator(F, 2, mx.mat([[1]]), -1))
+    with pytest.raises(ValueError, match="twist \\+1 operators over F_q"):
+        fixed_point_attainment(TwistedOperator(GF(2, 2), 2, mx.mat([[1]]), 1))
+
+
+def test_attainment_is_the_search_exhaustive_f3():
+    # every 2x2 operator over F_3: the order of the bijective part is the
+    # first degree at which the search over GF(3^s) reaches the stable rank
+    F = GF(3)
+    for entries in itertools.product(range(3), repeat=4):
+        t = TwistedOperator(F, 3, mx.mat([entries[:2], entries[2:]]), 1)
+        assert fixed_point_attainment(t) == attainment_search(t, 8)
+
+
+@pytest.mark.parametrize("p,r,n,degree", [
+    # g in GF(2^16), g a generator: the search would need GF(2^(16 s))
+    (2, 16, 1, 2 ** 16 - 1),
+    # the Jordan block J_3(g) over GF(27): lcm(26, 3)
+    (3, 3, 3, 78),
+])
+def test_attainment_cost_guard(monkeypatch, p, r, n, degree):
+    # the degree comes from powers of B over F_q alone: no extension field
+    # is built, and the products stay within 2 log2(N) per power taken
+    F = GF(p, r)
+    b = F.generator * mx.identity(n) + np.eye(n, k=1, dtype=np.int64)
+    calls = []
+    real = mx.mmul
+    monkeypatch.setattr(mx, "mmul", lambda *a: calls.append(1) or real(*a))
+    monkeypatch.setattr(twisted, "GF", None)
+    assert fixed_point_attainment(TwistedOperator(F, F.order, b, 1)) == degree
+    assert len(calls) <= 200
+    assert len(calls) <= 400
 
 
 def test_change_basis_trivial_cases():

@@ -21,6 +21,11 @@ cannot.
 The `sol` lines do the same for Sol at the closed point: for every Artinian
 Frobenius module, in file and then declaration order, the fixed-basis
 codes, `dim_fq` and `geometric_dim` of `sol_point(m, s)` for s = 1, 2, 3.
+
+The `crystal` lines do the same for the crystal at the point: for every
+Artinian module and every PID torsion part, in file and then declaration
+order, its `crystal_class`, and for Frobenius ones the Sol attainment
+degree `fixed_point_attainment(reduced_operator(m))`.
 It only reads `bench/`; nothing is written.
 """
 
@@ -97,6 +102,28 @@ def sol_lines(cli, workload: str):
                 yield json.dumps(res, sort_keys=True)
 
 
+def crystal_lines(cli, workload: str):
+    """The JSON text of the crystal class of every Artinian module and
+    torsion part of one workload, in order, with the attainment degree of
+    the Frobenius ones."""
+    from cartierforge.duality import crystal_class, reduced_operator
+    from cartierforge.pid import FROBENIUS, PidModule
+    from cartierforge.twisted import fixed_point_attainment
+    for fname, problem in _problems(cli, workload):
+        for name, mod in problem["modules"].items():
+            part = mod.torsion if isinstance(mod, PidModule) else mod
+            if part is None:
+                continue
+            res = {"module": f"{fname}:{name}"}
+            try:
+                res["class"] = crystal_class(part)
+                if part.kind == FROBENIUS:
+                    res["attainment"] = fixed_point_attainment(reduced_operator(part))
+            except Exception as exc:
+                res["raised"] = f"{type(exc).__name__}: {exc}"
+            yield json.dumps(res, sort_keys=True)
+
+
 def report(label: str, lines_of, workloads) -> None:
     """Print count and SHA-256 per workload and over all of them."""
     total, total_n = hashlib.sha256(), 0
@@ -123,6 +150,7 @@ def main(argv=None) -> int:
     report("", lambda w: result_lines(cli, w), workloads)
     report("matlis ", lambda w: matlis_lines(cli, w), workloads)
     report("sol ", lambda w: sol_lines(cli, w), workloads)
+    report("crystal ", lambda w: crystal_lines(cli, w), workloads)
     return 0
 
 
