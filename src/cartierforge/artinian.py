@@ -9,6 +9,7 @@ exact linear-algebra solve.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -208,10 +209,24 @@ def intertwiners(F: FiniteField, As, Bs, rows: int, cols: int) -> np.ndarray:
 
     Every Hom-type functor is such a space, and this is the one format of
     its basis: the RREF kernel of the stacked system A_i^T (x) I - I (x) B_i
-    on vec H, whose column j is vec(H_j), in canonical kernel order."""
+    on vec H, whose column j is vec(H_j), in canonical kernel order.
+
+    Each system is solved once: the read-only kernel is memoized on
+    (F, rows, cols) and the shape and int64 bytes of every A_i and B_i,
+    at most 512 entries, the least recently used dropped first."""
+    mats = tuple((M.shape, M.tobytes()) for A, B in zip(As, Bs)
+                 for M in (np.asarray(A, dtype=np.int64), np.asarray(B, dtype=np.int64)))
+    return _intertwiner_kernel(F, rows, cols, mats)
+
+
+@functools.lru_cache(maxsize=512)
+def _intertwiner_kernel(F: FiniteField, rows: int, cols: int, mats) -> np.ndarray:
+    AB = [np.frombuffer(raw, dtype=np.int64).reshape(shape) for shape, raw in mats]
     eye_r, eye_c = mx.identity(rows), mx.identity(cols)
-    sys = [F.sub(mx.kron(F, A.T, eye_r), mx.kron(F, eye_c, B)) for A, B in zip(As, Bs)]
-    return mx.kernel(F, np.vstack(sys) if sys else mx.zeros(0, rows * cols))
+    sys = [F.sub(mx.kron(F, A.T, eye_r), mx.kron(F, eye_c, B)) for A, B in zip(AB[::2], AB[1::2])]
+    ker = mx.kernel(F, np.vstack(sys) if sys else mx.zeros(0, rows * cols))
+    ker.flags.writeable = False
+    return ker
 
 
 def hom_images(F: FiniteField, ker: np.ndarray, shape, left=None, right=None) -> np.ndarray:

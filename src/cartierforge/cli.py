@@ -36,8 +36,8 @@ from .generate import (artinian_corpus, pid_torsion_corpus, random_cartier,
 from .pid import (CARTIER, FROBENIUS, PidModule, Unsupported, pid_free,
                   pid_sum, pid_torsion, validate_pid)
 from .poly import Poly
-from .structures import (kashiwara_counit, nilpotency_index, stable_image,
-                         stable_kernel, structured, unitalize, validate)
+from .structures import (StructureLeavesTorsion, kashiwara_counit, nilpotency_index,
+                         stable_image, stable_kernel, structured, unitalize, validate)
 
 SCHEMA = 1
 
@@ -289,8 +289,11 @@ def run_command(problem, cmd: dict, seed: int) -> dict:
     elif op == "kashiwara":
         m = get_module()
         j = _exponents(cmd["j_gens"], "kashiwara: j_gens entry")
-        counit = kashiwara_counit(m, j)
-        out.update(ok=counit.ok, counit_nil_iso=counit.ok, supported=counit.supported)
+        try:
+            counit = kashiwara_counit(m, j)
+            out.update(ok=counit.ok, counit_nil_iso=counit.ok, supported=counit.supported)
+        except StructureLeavesTorsion as exc:   # i-flat does not exist
+            out.update(unsupported=True, reason=str(exc), ok=None)
     elif op == "localize-model":
         m = get_module()
         f = _decode_poly(problem["field"], cmd["f"])

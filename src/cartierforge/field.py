@@ -270,15 +270,18 @@ class FiniteField:
 @functools.lru_cache(maxsize=None)
 def _embedding_table(p: int, deg: int, target_deg: int) -> np.ndarray:
     """The table of GF(p^deg).embedding(GF(p^target_deg)).  The root search
-    evaluates the modulus at every element of the target.  For equal degrees
-    the smallest root is t itself (codes below p are the prime field), so
+    evaluates the modulus on the target's one subfield of order p^deg, which
+    holds every root: 0 and the powers g^(k (p^target_deg - 1) / (p^deg - 1))
+    of its generator, sorted.  For equal degrees that is the whole field,
+    the smallest root is t itself (codes below p are the prime field), and
     the table is the identity."""
     src, target = GF(p, deg), GF(p, target_deg)
-    cand = target.elements()
-    vals = np.zeros(target.order, dtype=np.int64)
+    cand = (np.sort(np.append(target._exp[::(target.order - 1) // (src.order - 1)], 0))
+            if deg < target_deg else target.elements())
+    vals = np.zeros(cand.size, dtype=np.int64)
     for c in src.modulus[::-1]:
-        vals = target.add(target.mul(vals, cand), np.full(target.order, c))
-    roots = np.nonzero(vals == 0)[0]
+        vals = target.add(target.mul(vals, cand), np.full(cand.size, c))
+    roots = cand[vals == 0]
     if len(roots) == 0:
         raise RuntimeError("modulus has no root in target field")
     table, acc = np.zeros(src.order, dtype=np.int64), np.int64(1)

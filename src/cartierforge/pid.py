@@ -14,6 +14,7 @@ Matlis/local-duality story reduces to exact finite solves.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -107,8 +108,12 @@ def frobenius_pushforward_presentation(pm: PresModule, power: int = 1) -> PresMo
 # -- the truncated injective hull --
 
 
+@functools.lru_cache(maxsize=64)
 def truncation_ring(field: FiniteField, level: int) -> ArtinRing:
-    return ring_make(field, ["x"], [[level]])
+    """GF(q)[x]/(x^level), cached; its multiplication matrix is read-only."""
+    ring = ring_make(field, ["x"], [[level]])
+    ring.mult_ops[0].flags.writeable = False
+    return ring
 
 
 def inverse_module(field: FiniteField, level: int, power: int = 1) -> CartierModule:

@@ -469,6 +469,10 @@ def twist_by_unit_line(m: Structured, a_coords) -> Structured:
     return with_structure(m, m.module, new)
 
 
+class StructureLeavesTorsion(ValueError):
+    """The structure does not map M[J] into itself: i-flat does not exist."""
+
+
 def structured_i_torsion(m: Structured, j_gens) -> tuple[Structured, np.ndarray]:
     """i-flat for the closed immersion cut out by J: the J-torsion
     submodule M[J] with restricted structure, over the quotient ring.  A
@@ -477,8 +481,8 @@ def structured_i_torsion(m: Structured, j_gens) -> tuple[Structured, np.ndarray]
     tors, cols = i_torsion(m.module, j_gens)
     k = restrict(m.ring.field, [m.mat], cols)
     if k is None:
-        raise ValueError("structure does not restrict to the torsion part "
-                         "(possible only for Frobenius structures)")
+        raise StructureLeavesTorsion("structure does not restrict to the torsion part "
+                                     "(possible only for Frobenius structures)")
     return with_structure(m, tors, k[0]), cols
 
 

@@ -7,7 +7,8 @@ extension, the two-depth H^1 verdict and the hull twist applied to one
 Laurent tail, polynomial-matrix products, twisted operators applied and
 powered step by step with their rank chain, the Sol attainment degree by
 search, conjugacy classes in GL_n(F_q) by enumeration, the Hom/tensor twist
-law, and the Kashiwara round trip i-flat o i_* = id.  They live with the
+law, the Kashiwara round trip i-flat o i_* = id, and field embedding
+tables by a root search over the whole target field.  They live with the
 tests so that they stay independent of the code under test.
 """
 
@@ -30,6 +31,26 @@ from cartierforge.structures import (CartierModule, Structured,
 from cartierforge.twisted import (TwistedOperator, identity_operator,
                                   semilinear_fixed_points, sigma, stable_rank,
                                   twisted_compose)
+
+# -- field embeddings --
+
+
+def embedding_table_full_search(p: int, deg: int, target_deg: int) -> np.ndarray:
+    """The embedding table of GF(p^deg) into GF(p^target_deg), sending t to
+    the smallest root of the source modulus found by evaluating it at every
+    element of the target."""
+    src, target = FiniteField(p, deg), FiniteField(p, target_deg)
+    cand = target.elements()
+    vals = np.zeros(target.order, dtype=np.int64)
+    for c in src.modulus[::-1]:
+        vals = target.add(target.mul(vals, cand), np.full(target.order, c))
+    root = np.nonzero(vals == 0)[0][0]
+    table, acc = np.zeros(src.order, dtype=np.int64), np.int64(1)
+    for digit in src.digits(src.elements()).T:
+        table = target.add(table, target.mul(digit, acc))
+        acc = target.mul(acc, root)
+    return table
+
 
 # -- hom bases as lists --
 

@@ -120,6 +120,28 @@ def test_unsupported_nonfatal_unless_strict(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_kashiwara_on_a_structure_leaving_the_torsion_is_unsupported(tmp_path, capsys):
+    # M = R + k over F_2[x]/(x^2): tau kills x M and sends the torsion
+    # vector f of k to 1 in R, outside M[x] = span(x, f), so i-flat M and
+    # the counit do not exist
+    doc = json.loads(json.dumps(FIXTURE_A))
+    doc["modules"]["Rk"] = {"kind": "frobenius",
+                            "carrier": {"actions": [[[0, 0, 0], [1, 0, 0], [0, 0, 0]]]},
+                            "structure": [[0, 0, 1], [0, 0, 0], [0, 0, 0]]}
+    doc["commands"] = [{"op": "validate", "module": "Rk"},
+                       {"op": "kashiwara", "module": "Rk", "j_gens": [[1]]}]
+    path = write(tmp_path, doc)
+    out = tmp_path / "report.json"
+    assert main(["run", path, "--json", str(out)]) == 0
+    valid, res = json.loads(out.read_text())["results"]
+    assert valid["ok"]
+    assert res == {"op": "kashiwara", "module": "Rk", "ok": None, "unsupported": True,
+                   "reason": "structure does not restrict to the torsion part "
+                             "(possible only for Frobenius structures)"}
+    assert main(["run", path, "--strict"]) == 1
+    capsys.readouterr()
+
+
 def test_failed_assertion_exit_1(tmp_path, capsys):
     doc = json.loads(json.dumps(FIXTURE_A))
     # an invalid structure: identity kappa on fixture A's ring; validate

@@ -7,7 +7,7 @@ import pytest
 
 from cartierforge.field import (GF, FiniteField, _embedding_table,
                                 canonical_modulus, is_prime)
-from oracles import RefField, poly_mod, poly_mul
+from oracles import RefField, embedding_table_full_search, poly_mod, poly_mul
 
 
 @pytest.mark.parametrize("p,deg", [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2), (5, 2)])
@@ -86,6 +86,20 @@ def test_embedding_table_is_built_once_per_field_pair():
         assert sub.embedding(sup) is emb
         assert _embedding_table.cache_info().hits == hits + 2
         assert np.array_equal(_embedding_table.__wrapped__(p, deg, tdeg), emb)
+
+
+# every (p, deg, target deg) with deg | target deg and target order <= 3^9
+SUBFIELD_PAIRS = [(p, d, t) for p in (2, 3, 5, 7) for t in range(1, 15)
+                  if p ** t <= 3 ** 9 for d in range(1, t + 1) if t % d == 0]
+
+
+def test_embedding_root_search_in_the_subfield_matches_the_full_search():
+    # the roots of the source modulus lie in the subfield of order p^deg,
+    # so searching only there finds the same smallest root
+    assert len(SUBFIELD_PAIRS) == 88
+    for p, deg, tdeg in SUBFIELD_PAIRS:
+        table = _embedding_table(p, deg, tdeg)
+        assert np.array_equal(table, embedding_table_full_search(p, deg, tdeg)), (p, deg, tdeg)
 
 
 @pytest.mark.parametrize("p,deg", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2)])

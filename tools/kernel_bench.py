@@ -1,5 +1,5 @@
 """Time `matrix.mmul` on random n x n operands, per field and size, and
-the construction of a field.
+the construction of a field; count the hits of the Hom-system memo.
 
     python3 tools/kernel_bench.py [--repeats R]
 
@@ -10,6 +10,12 @@ The second table gives the time in milliseconds to build GF(4), GF(27),
 GF(2^8), GF(3^6), GF(2^16) and GF(2039^2): the median over R builds, each
 with the `GF` and `canonical_modulus` caches cleared, so that it finds
 the modulus and the generator and fills the tables anew.
+The third table covers one unsharded pass over each benchmark workload:
+every command of every file under `bench/inputs/<workload>/`, run as
+`result_digest.py` runs them, after the benchmark's `cache_clearers` have
+emptied every program cache.  It gives the `intertwiners` calls with the
+hits and misses of its kernel memo (a miss is one kernel solved), and the
+hits and misses of the truncation-ring cache.
 BLAS runs in one thread.  The package is imported from the `src/` next
 to this file, so a checkout of another commit times that commit.
 """
@@ -20,7 +26,9 @@ from pathlib import Path
 
 for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = "1"
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(1, str(ROOT / "bench"))
 
 import argparse
 import statistics
@@ -28,8 +36,13 @@ import time
 
 import numpy as np
 
+import cartierforge.cli as cli
 from cartierforge import matrix as mx
+from cartierforge.artinian import _intertwiner_kernel
 from cartierforge.field import GF, canonical_modulus
+from cartierforge.pid import truncation_ring
+from result_digest import WORKLOADS, result_lines
+from run import cache_clearers
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (3, 3), (2039, 2)]
 SIZES = [2, 4, 8, 16, 32, 64, 136]
@@ -60,6 +73,18 @@ def build_ms(p: int, d: int, repeats: int) -> float:
     return 1e3 * statistics.median(once() for _ in range(repeats))
 
 
+def memo_counts(workload: str) -> tuple:
+    """(calls, hits, misses) of the kernel memo, then (hits, misses) of the
+    truncation-ring cache, over one pass of the workload."""
+    for clear in cache_clearers([m for n, m in sys.modules.items()
+                                 if n.startswith("cartierforge")]):
+        clear()
+    for _ in result_lines(cli, workload):
+        pass
+    ker, ring = _intertwiner_kernel.cache_info(), truncation_ring.cache_info()
+    return ker.hits + ker.misses, ker.hits, ker.misses, ring.hits, ring.misses
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=7)
@@ -74,6 +99,11 @@ def main() -> None:
     print("field".ljust(12) + "build".rjust(10) + "   (ms)")
     for p, d in BUILDS:
         print(f"GF({p}^{d})".ljust(12) + f"{build_ms(p, d, repeats):10.2f}")
+    print()
+    heads = ["calls", "hits", "misses", "ring hits", "ring miss"]
+    print("workload".ljust(16) + "".join(h.rjust(11) for h in heads) + "   (one pass)")
+    for workload in WORKLOADS:
+        print(workload.ljust(16) + "".join(f"{n:11d}" for n in memo_counts(workload)))
 
 
 if __name__ == "__main__":
