@@ -5,8 +5,7 @@ and crystal-level tests, all reduced to verifiable linear algebra."""
 __version__ = "0.1.0"
 
 from .field import GF, FiniteField
-from .twisted import (TwistedOperator, change_basis, fixed_point_attainment,
-                      semilinear_fixed_points, stable_rank, twisted_compose)
+from .twisted import fixed_point_attainment, semilinear_fixed_points
 from .poly import Poly, smith_normal_form
 from .artinian import (ArtinRing, FinModule, f_flat, fin_module,
                        frobenius_pushforward, hom_module, i_torsion,

@@ -71,6 +71,13 @@ def _int(v, what, lo=None):
     return v
 
 
+def _required(cmd, key):
+    """cmd[key], or a SchemaError naming the missing field."""
+    if key not in cmd:
+        raise SchemaError(f"{cmd.get('op')}: missing field {key!r}")
+    return cmd[key]
+
+
 def _int_field(cmd, key, default, lo=None):
     return _int(cmd.get(key, default), f"{cmd.get('op')}: {key}", lo)
 
@@ -135,8 +142,8 @@ def _parse_module(field, ring, mdoc: dict):
                                      _decode_matrix(field, t["structure"]), kind))
         if "free" in mdoc:
             mult = mdoc["free"]
-            if mult and isinstance(mult[0], list) and mult and \
-                    mult[0] and isinstance(mult[0][0], list):
+            if mult and isinstance(mult[0], list) and mult[0] and \
+                    isinstance(mult[0][0], list):
                 rows = [[_decode_poly(field, e) for e in row] for row in mult]
                 parts.append(pid_free(field, rows, kind))
             else:
@@ -168,6 +175,19 @@ def _mat_json(m) -> list:
     return [[int(x) for x in row] for row in np.asarray(m)]
 
 
+# The tier of the modules an op reads, and the kind where it reads only
+# one; an op not listed takes any module.
+_OP_MODULES = {
+    **dict.fromkeys(("stable", "double-dual", "pair", "base-change", "kashiwara"),
+                    ("artinian", None)),
+    "unitalize": ("artinian", CARTIER),
+    "sol": ("artinian", FROBENIUS),
+    "local-duality": ("pid", None),
+    "perverse": ("pid", None),
+    "localize-model": ("pid", CARTIER),
+}
+
+
 def run_command(problem, cmd: dict, seed: int) -> dict:
     op = cmd.get("op")
     out = {"op": op, "ok": None, "unsupported": False}
@@ -183,11 +203,18 @@ def run_command(problem, cmd: dict, seed: int) -> dict:
         name = cmd.get(key)
         if name not in mods:
             raise SchemaError(f"unknown module {name!r}")
+        m = mods[name]
+        tier, kind = _OP_MODULES.get(op, (None, None))
+        got = "pid" if isinstance(m, PidModule) else "artinian"
+        if tier not in (None, got) or kind not in (None, m.kind):
+            with_kind = f" with a {kind} structure" if kind else ""
+            raise SchemaError(f"{op} expects a module of the {tier} tier{with_kind}; "
+                              f"{name!r} is not one")
         out[key] = name
         ok, notes = validation(name)
         if not ok and op != "validate":
             raise InvalidModule(name, notes)
-        return mods[name]
+        return m
 
     if op == "validate":
         get_module()
@@ -243,8 +270,6 @@ def run_command(problem, cmd: dict, seed: int) -> dict:
                    nilpotency_index=_index_json(nilpotency_index(h)))
     elif op == "sol":
         m = get_module()
-        if isinstance(m, PidModule) or m.kind != FROBENIUS:
-            raise SchemaError("sol expects an artinian frobenius module")
         s = _int_field(cmd, "s", 1, lo=1)
         rep = sol_point(m, s)
         out.update(ok=True, s=s, dim_fq=rep.dim_fq, geometric_dim=rep.geometric_dim)
@@ -288,7 +313,10 @@ def run_command(problem, cmd: dict, seed: int) -> dict:
                 for c in rep.conditions])
     elif op == "kashiwara":
         m = get_module()
-        j = _exponents(cmd["j_gens"], "kashiwara: j_gens entry")
+        j = _exponents(_required(cmd, "j_gens"), "kashiwara: j_gens entry")
+        if any(len(g) != len(m.ring.vars) for g in j):
+            raise SchemaError(f"kashiwara: each j_gens vector needs one exponent "
+                              f"per ring variable ({len(m.ring.vars)})")
         try:
             counit = kashiwara_counit(m, j)
             out.update(ok=counit.ok, counit_nil_iso=counit.ok, supported=counit.supported)
@@ -296,13 +324,13 @@ def run_command(problem, cmd: dict, seed: int) -> dict:
             out.update(unsupported=True, reason=str(exc), ok=None)
     elif op == "localize-model":
         m = get_module()
-        f = _decode_poly(problem["field"], cmd["f"])
+        f = _decode_poly(problem["field"], _required(cmd, "f"))
         model = coherent_model_of_localization(m, f)
         # a model, not a verdict, so ok stays None
         out["model"] = {"torsion_dim": model.torsion_dim, "free_rank": model.free_rank}
     elif op == "hasse":
-        p = _int(cmd["p"], "hasse: p")
-        cubic = [_int(c, "hasse: cubic coefficient") for c in cmd["cubic"]]
+        p = _int(_required(cmd, "p"), "hasse: p")
+        cubic = [_int(c, "hasse: cubic coefficient") for c in _required(cmd, "cubic")]
         try:
             h = hasse_invariant(p, cubic)
         except ValueError as exc:

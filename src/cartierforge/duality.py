@@ -27,7 +27,7 @@ from .structures import (FROBENIUS, CartierModule, FModule, Structured,
                          cartier_module, f_module, is_morphism, is_unit,
                          iterate_structure, kappa_monomials,
                          nilpotency_index, structured)
-from .twisted import (TwistedOperator, semilinear_fixed_points, stable_rank)
+from .twisted import semilinear_fixed_points
 
 
 _DUALIZING_CACHE: dict = {}
@@ -170,20 +170,25 @@ class SolReport:
 
 
 def sol_point(m: FModule, s: int = 1) -> SolReport:
-    """Sol at the closed point: reduce modulo the variables, then compute
-    arithmetic fixed points over GF(q^s) and the geometric dimension
-    (stable rank) of the reduced semilinear operator."""
+    """Sol at the closed point: reduce modulo the variables to the matrix T
+    over F_q, then compute arithmetic fixed points over GF(q^s) and the
+    geometric dimension, the rank of T^dim (the size of T's bijective part)."""
+    F = m.ring.field
     t = reduced_operator(m)
-    fixed = semilinear_fixed_points(t, s)
-    return SolReport(fixed.basis, fixed.dim_fq, stable_rank(t), fixed.ext_field)
+    fixed = semilinear_fixed_points(F, t, s)
+    return SolReport(fixed.basis, fixed.dim_fq, mx.rank(F, mx.mat_pow(F, t, len(t))),
+                     fixed.ext_field)
 
 
-def reduced_operator(m: FModule) -> TwistedOperator:
+def reduced_operator(m: FModule) -> np.ndarray:
+    """The matrix over F_q of the structure induced on M/mM, m the ideal of
+    the variables; the structure must be level one (q = |F|)."""
+    if m.power != 1:
+        raise ValueError("Sol at the point expects a level-one structure")
     F = m.ring.field
     cols = mx.column_space(F, np.hstack((mx.zeros(m.dim, 0), *m.module.actions)))
     proj, sect = quotient_data(F, m.dim, cols)
-    tbar = mx.mmul(F, proj, mx.mmul(F, m.tau, sect))
-    return TwistedOperator(F, F.order ** m.power, tbar, 1)
+    return mx.mmul(F, proj, mx.mmul(F, m.tau, sect))
 
 
 def extend_scalars(m: Structured, s: int) -> Structured:
@@ -237,7 +242,7 @@ def crystal_class(m: Structured) -> tuple:
     F = m.ring.field
     neg = F.neg(mx.bijective_part(F, m.mat))
     pres = [[(int(c), int(i == j)) for j, c in enumerate(r)] for i, r in enumerate(neg)]
-    return tuple(f.coeffs for f in smith_normal_form(F, pres)[0] if f.deg >= 1)
+    return tuple(f.coeffs for f in smith_normal_form(F, pres) if f.deg >= 1)
 
 
 def crystal_equivalent(a: Structured, b: Structured) -> bool:

@@ -76,7 +76,7 @@ def pres_module(field: FiniteField, rows) -> PresModule:
     pm = poly_mat(field, rows)
     if not pm:
         raise ValueError("presentation needs at least one generator row")
-    diag = smith_normal_form(field, pm)[0]
+    diag = smith_normal_form(field, pm)
     return PresModule(field, tuple(tuple(r) for r in pm), tuple(diag))
 
 

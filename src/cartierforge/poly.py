@@ -1,8 +1,8 @@
 """Univariate polynomials over GF(q) and Smith normal form over GF(q)[x].
 
 Coefficients are stored low-degree first; serialization uses the same
-order.  Smith reduction tracks the row and column transforms together
-with their inverses, so unimodularity is certified rather than assumed.
+order.  Smith reduction returns the diagonal only; `tests/oracles.py`
+checks it against the gcds of the minors.
 """
 
 from __future__ import annotations
@@ -175,65 +175,25 @@ def poly_mat(field, rows) -> list[list[Poly]]:
             for row in rows]
 
 
-def _pm_id(field, n):
-    return [[Poly.one(field) if i == j else Poly.zero(field) for j in range(n)]
-            for i in range(n)]
-
-
-def smith_normal_form(field: FiniteField, pres) -> tuple:
-    """Smith normal form over GF(q)[x].
-
-    Returns (diag, U, V, U_inv, V_inv) with U @ pres @ V diagonal, the
-    diagonal monic with each entry dividing the next, and U, V unimodular
-    (their tracked inverses certify this).
-    """
+def smith_normal_form(field: FiniteField, pres) -> list[Poly]:
+    """The Smith diagonal over GF(q)[x]: min(n, m) entries, monic, each
+    dividing the next, reached by unimodular row and column moves."""
     a = [row[:] for row in poly_mat(field, pres)]
     n = len(a)
     m = len(a[0]) if n else 0
-    U, Ui = _pm_id(field, n), _pm_id(field, n)
-    V, Vi = _pm_id(field, m), _pm_id(field, m)
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        U[i], U[j] = U[j], U[i]
-        Ui_cols(i, j)
-
-    def Ui_cols(i, j):
-        for r in range(n):
-            Ui[r][i], Ui[r][j] = Ui[r][j], Ui[r][i]
 
     def col_swap(i, j):
         for r in range(n):
             a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(m):
-            V[r][i], V[r][j] = V[r][j], V[r][i]
-        Vi[i], Vi[j] = Vi[j], Vi[i]
 
     def row_add(dst, src, f: Poly):
         # row_dst += f * row_src
         for c in range(m):
             a[dst][c] = a[dst][c] + f * a[src][c]
-        for c in range(n):
-            U[dst][c] = U[dst][c] + f * U[src][c]
-        for r in range(n):
-            Ui[r][src] = Ui[r][src] - f * Ui[r][dst]
 
     def col_add(dst, src, f: Poly):
         for r in range(n):
             a[r][dst] = a[r][dst] + f * a[r][src]
-        for r in range(m):
-            V[r][dst] = V[r][dst] + f * V[r][src]
-        for c in range(m):
-            Vi[src][c] = Vi[src][c] - f * Vi[dst][c]
-
-    def row_scale(i, c):
-        inv = field.inv(np.int64(c))
-        for col in range(m):
-            a[i][col] = a[i][col].scale(np.int64(c))
-        for col in range(n):
-            U[i][col] = U[i][col].scale(np.int64(c))
-        for r in range(n):
-            Ui[r][i] = Ui[r][i].scale(inv)
 
     for t in range(min(n, m)):
         while True:
@@ -247,7 +207,7 @@ def smith_normal_form(field: FiniteField, pres) -> tuple:
                 break
             if best != (t, t):
                 if best[0] != t:
-                    row_swap(t, best[0])
+                    a[t], a[best[0]] = a[best[0]], a[t]
                 if best[1] != t:
                     col_swap(t, best[1])
             dirty = False
@@ -276,11 +236,4 @@ def smith_normal_form(field: FiniteField, pres) -> tuple:
             if fix is None:
                 break
             row_add(t, fix, Poly.one(field))
-    diag = []
-    for t in range(min(n, m)):
-        d = a[t][t]
-        if not d.is_zero() and d.lead() != 1:
-            row_scale(t, int(field.inv(d.lead())))
-            d = a[t][t]
-        diag.append(a[t][t])
-    return diag, U, V, Ui, Vi
+    return [a[t][t].monic() for t in range(min(n, m))]

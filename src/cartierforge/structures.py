@@ -122,13 +122,13 @@ def validate(m: Structured) -> ValidationReport:
 def nilpotency_index(m: Structured):
     """Least n <= dim with the n-fold structural composite zero, else inf.
 
-    On the prime tier the composite of the structure with itself is the
-    plain matrix power, so the image chain stabilizes within dim steps."""
+    The composite of the structure with itself is the plain matrix power,
+    so the image chain stabilizes within dim steps."""
     return mx.nil_index(m.ring.field, m.mat)
 
 
 def stable_image(m: CartierModule) -> tuple[CartierModule, np.ndarray]:
-    """sigma(M): image of the dim-fold composite, as a Cartier submodule.
+    """The stable image kappa^dim(M), as a Cartier submodule.
 
     The crystal class of M is zero exactly when this vanishes."""
     F = m.ring.field

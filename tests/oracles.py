@@ -4,9 +4,9 @@ These recompute, by the definitions, what the package computes another way:
 field arithmetic one code at a time, the rank-one structures on GF(q)[x],
 the dual-basis table of kappa_S, the hull structure read off the Laurent
 extension, the two-depth H^1 verdict and the hull twist applied to one
-Laurent tail, polynomial-matrix products, twisted operators applied and
-powered step by step with their rank chain, the Sol attainment degree by
-search, conjugacy classes in GL_n(F_q) by enumeration, the Hom/tensor twist
+Laurent tail, the determinantal divisors of a polynomial matrix, matrix
+powers one factor at a time with their rank chain, the Sol attainment
+degree by search, conjugacy classes in GL_n(F_q) by enumeration, the Hom/tensor twist
 law, the Kashiwara round trip i-flat o i_* = id, and field embedding
 tables by a root search over the whole target field.  They live with the
 tests so that they stay independent of the code under test.
@@ -28,9 +28,7 @@ from cartierforge.structures import (CartierModule, Structured,
                                      nilpotency_index, structured_i_torsion,
                                      structured_restrict_scalars,
                                      twist_by_unit_line)
-from cartierforge.twisted import (TwistedOperator, identity_operator,
-                                  semilinear_fixed_points, sigma, stable_rank,
-                                  twisted_compose)
+from cartierforge.twisted import semilinear_fixed_points
 
 # -- field embeddings --
 
@@ -219,64 +217,60 @@ def hull_twist_iterate(u: Poly, q: int, pole: int, e: int) -> dict:
 # -- polynomial matrices --
 
 
-def pm_mul(a, b):
-    if not a or not b:
-        return []
-    F = a[0][0].field if a and a[0] else b[0][0].field
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
-    out = [[Poly.zero(F) for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        for j in range(m):
-            s = Poly.zero(F)
-            for t in range(k):
-                s = s + a[i][t] * b[t][j]
-            out[i][j] = s
+def _det(F: FiniteField, a) -> Poly:
+    """Determinant of a square matrix of Polys, by Laplace expansion along
+    the first row."""
+    if not a:
+        return Poly.one(F)
+    out = Poly.zero(F)
+    for j, e in enumerate(a[0]):
+        term = e * _det(F, [row[:j] + row[j + 1:] for row in a[1:]])
+        out = out - term if j % 2 else out + term
     return out
 
 
-def pm_eq(a, b):
-    return len(a) == len(b) and all(
-        len(ra) == len(rb) and all(x.coeffs == y.coeffs for x, y in zip(ra, rb))
-        for ra, rb in zip(a, b))
-
-
-# -- twisted operators --
-
-
-def apply_operator(t: TwistedOperator, v):
-    return mx.mmul(t.field, t.mat, sigma(t, v, t.twist))
-
-
-def operator_power(t: TwistedOperator, n: int) -> TwistedOperator:
-    if t.rows != t.cols:
-        raise ValueError("power of a non-square operator")
-    out = identity_operator(t.field, t.q, t.rows)
-    for _ in range(n):
-        out = twisted_compose(t, out)
-    return out
-
-
-def rank_chain(t: TwistedOperator, upto: int | None = None) -> list[int]:
-    """Ranks of t, t o t, ..., the upto-fold composite (default dim); the
-    last one at upto = dim is the stable rank."""
-    if t.rows != t.cols:
-        raise ValueError("rank chain of a non-square operator")
-    upto = t.rows if upto is None else upto
+def determinantal_divisors(F: FiniteField, rows) -> list[Poly]:
+    """D_1 .. D_min(n, m) of an n x m matrix of Polys: D_k is the monic gcd
+    of all k x k minors, zero when they all vanish.  The Smith diagonal
+    d_1 .. d_k multiplies to D_k."""
+    n, m = len(rows), len(rows[0]) if rows else 0
     out = []
-    acc = identity_operator(t.field, t.q, t.rows)
-    for _ in range(upto):
-        acc = twisted_compose(t, acc)
-        out.append(mx.rank(t.field, acc.mat))
+    for k in range(1, min(n, m) + 1):
+        g = Poly.zero(F)
+        for ri in itertools.combinations(range(n), k):
+            for ci in itertools.combinations(range(m), k):
+                g = g.gcd(_det(F, [[rows[i][j] for j in ci] for i in ri]))
+        out.append(g)
     return out
 
 
-def attainment_search(t: TwistedOperator, bound: int):
+# -- the Frobenius-semilinear structure at the point --
+
+
+def operator_power(F: FiniteField, t: np.ndarray, n: int) -> np.ndarray:
+    """t^n by n products, one factor at a time."""
+    if t.shape[0] != t.shape[1]:
+        raise ValueError("power of a non-square matrix")
+    out = mx.identity(len(t))
+    for _ in range(n):
+        out = mx.mmul(F, t, out)
+    return out
+
+
+def rank_chain(F: FiniteField, t: np.ndarray, upto: int | None = None) -> list[int]:
+    """Ranks of t, t^2, ..., t^upto (default dim), each power taken on its
+    own; the last one at upto = dim is the stable rank."""
+    upto = len(t) if upto is None else upto
+    return [mx.rank(F, operator_power(F, t, k)) for k in range(1, upto + 1)]
+
+
+def attainment_search(F: FiniteField, t: np.ndarray, bound: int):
     """The least s <= bound with dim_Fq Sol over GF(q^s) equal to the
     stable rank, found by solving over each GF(q^s) in turn; None when no
     s <= bound attains it."""
-    target = stable_rank(t)
+    target = rank_chain(F, t)[-1] if len(t) else 0
     return next((s for s in range(1, bound + 1)
-                 if semilinear_fixed_points(t, s).dim_fq == target), None)
+                 if semilinear_fixed_points(F, t, s).dim_fq == target), None)
 
 
 # -- conjugacy in GL_n(F_q) --

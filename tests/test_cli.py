@@ -426,6 +426,33 @@ def test_bad_integer_field_is_schema_error(tmp_path, capsys, cmd):
     assert f"{key} must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd,message", [
+    ({"op": "stable", "module": "sky"}, "artinian tier"),
+    ({"op": "unitalize", "module": "sky"}, "artinian tier"),
+    ({"op": "unitalize", "module": "frob"}, "with a cartier structure"),
+    ({"op": "double-dual", "module": "sky"}, "artinian tier"),
+    ({"op": "base-change", "module": "sky"}, "artinian tier"),
+    ({"op": "kashiwara", "module": "sky", "j_gens": [[1]]}, "artinian tier"),
+    ({"op": "pair", "left": "sky", "right": "sky"}, "artinian tier"),
+    ({"op": "sol", "module": "sky"}, "artinian tier"),
+    ({"op": "localize-model", "module": "A", "f": [1, 1]}, "pid tier"),
+    ({"op": "local-duality", "module": "A"}, "pid tier"),
+    ({"op": "perverse", "module": "A"}, "pid tier"),
+    ({"op": "kashiwara", "module": "A"}, "missing field 'j_gens'"),
+    ({"op": "localize-model", "module": "sky"}, "missing field 'f'"),
+    ({"op": "hasse", "cubic": [0, 1, 0, 1]}, "missing field 'p'"),
+    ({"op": "hasse", "p": 5}, "missing field 'cubic'"),
+    ({"op": "kashiwara", "module": "A", "j_gens": [[1, 0]]},
+     "one exponent per ring variable"),
+])
+def test_wrong_tier_or_missing_field_is_schema_error(tmp_path, capsys, cmd, message):
+    doc = json.loads(json.dumps(FIXTURE_A))
+    doc["modules"]["frob"] = FROB
+    doc["commands"] = [cmd]
+    assert main(["run", write(tmp_path, doc)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_integer_fields_at_their_bounds(tmp_path, capsys):
     doc = json.loads(json.dumps(FIXTURE_A))
     doc["modules"]["frob"] = FROB

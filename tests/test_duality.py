@@ -28,10 +28,13 @@ from cartierforge.generate import (artinian_corpus, pid_torsion_corpus,
 from cartierforge.pid import (CARTIER, FROBENIUS, PidModule, pid_free,
                               pid_torsion)
 from cartierforge.poly import Poly
-from cartierforge.structures import (cartier_module, direct_sum_structured,
-                                     f_module, is_unit, nilpotency_index,
-                                     quotient_structure, stable_image,
-                                     stable_kernel, structured, validate)
+from cartierforge.structures import (StructureLeavesTorsion, cartier_module,
+                                     direct_sum_structured, f_module, is_unit,
+                                     iterate_structure, kashiwara_counit,
+                                     nilpotency_index, quotient_structure,
+                                     stable_image, stable_kernel, structured,
+                                     structured_i_torsion,
+                                     structured_restrict_scalars, validate)
 from cartierforge.twisted import fixed_point_attainment
 from oracles import (attainment_search, conjugacy_classes, hom_list,
                      hom_tensor_twist_check)
@@ -433,7 +436,7 @@ def test_companion_pair_is_told_apart():
             for s in (1, 2, 3)] == [0] * 6
     # Sol of the dual reaches dimension 3 first over GF(2^7): t has order 7
     t = reduced_operator(dualize_artinian(a)[0])
-    assert fixed_point_attainment(t) == 7 == attainment_search(t, 7)
+    assert fixed_point_attainment(GF(2), t) == 7 == attainment_search(GF(2), t, 7)
 
 
 @pytest.mark.parametrize("p,r,n", [(2, 1, 2), (3, 1, 2), (2, 1, 3), (2, 2, 2)])
@@ -471,6 +474,30 @@ def test_nil_isomorphic_modules_share_a_class():
         assert crystal_equivalent(m, quotient_structure(m, stable_kernel(m)[1])[0])
 
 
+def test_torsion_at_the_point_is_nil_isomorphic():
+    # m = all variables.  Cartier: kappa^e(M) lies in M[m], so M and
+    # i_* M[m] are one crystal.  Either kind: when the counit
+    # i_* M[m] -> M is a nil-isomorphism, the two classes agree
+    rng = random.Random(43)
+    cartier = artinian_corpus(43, 120)
+    frobenius = [random_f_module(rng, rng.choice([2, 3])) for _ in range(120)]
+    nil_iso = {CARTIER: 0, FROBENIUS: 0}
+    for m in cartier + frobenius:
+        n = len(m.ring.vars)
+        j = [tuple(int(i == v) for i in range(n)) for v in range(n)]
+        try:
+            pushed = structured_restrict_scalars(structured_i_torsion(m, j)[0])
+        except StructureLeavesTorsion:
+            assert m.kind == FROBENIUS
+            continue
+        if m.kind == CARTIER:
+            assert crystal_equivalent(m, pushed)
+        if kashiwara_counit(m, j).ok:
+            assert crystal_class(m) == crystal_class(pushed)
+            nil_iso[m.kind] += 1
+    assert min(nil_iso.values()) > 0
+
+
 def extension_field_f_modules():
     """The Artinian Frobenius modules of the extension-field benchmark."""
     root = Path(__file__).resolve().parent.parent / "bench" / "inputs" / "extension-field"
@@ -491,19 +518,26 @@ def test_sol_is_the_fixed_space_of_the_bijective_part():
             assert len(b) - mx.rank(F, fixed) == sol_point(m, s).dim_fq
 
 
+def test_sol_point_refuses_an_iterated_structure(frobenius_r):
+    # Sol at the point reads a level-one structure over F_q, q = |F|
+    assert sol_point(frobenius_r).dim_fq == 1
+    with pytest.raises(ValueError, match="level-one"):
+        sol_point(iterate_structure(frobenius_r, 2))
+
+
 def test_attainment_agrees_with_the_search_below_the_field_cap():
     # the search solves over each GF(q^s) with q^s <= 2^16; the degree
     # must be the one it finds, or lie beyond the largest such s.  Fields
     # up to MAX_ORDER would take seconds and hundreds of MB each to build
     for m in extension_field_f_modules():
-        t = reduced_operator(m)
-        deg, cap = fixed_point_attainment(t), 1
-        while t.q ** (cap + 1) <= 1 << 16:
+        F, t = m.ring.field, reduced_operator(m)
+        deg, cap = fixed_point_attainment(F, t), 1
+        while F.order ** (cap + 1) <= 1 << 16:
             cap += 1
         if deg <= cap:
-            assert attainment_search(t, deg) == deg
+            assert attainment_search(F, t, deg) == deg
         else:
-            assert attainment_search(t, cap) is None
+            assert attainment_search(F, t, cap) is None
 
 
 def test_unit_dualizing_complex_is_perverse_and_self_consistent():

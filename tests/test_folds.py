@@ -30,8 +30,7 @@ from cartierforge.structures import (CARTIER, FROBENIUS, CartierModule,
                                      FModule, cartier_module, f_module,
                                      structured, structured_i_torsion,
                                      sub_structure, validate)
-from cartierforge.twisted import (FixedPoints, TwistedOperator,
-                                  semilinear_fixed_points)
+from cartierforge.twisted import FixedPoints, semilinear_fixed_points
 
 
 # -- references: the earlier forms --
@@ -92,14 +91,13 @@ def ref_ring_hull(ring, power):
     return acts, kap
 
 
-def ref_semilinear_fixed_points(t, s=1):
-    F = t.field
-    p, r = F.p, t.r
+def ref_semilinear_fixed_points(F, t, s=1):
+    p, r = F.p, F.deg
     ext = GF(p, r * s)
     emb = F.embedding(ext)
     m = ext.deg
-    mat_e = emb[t.mat]
-    d = t.rows
+    mat_e = emb[t]
+    d = len(t)
     n = d * m
     fp = GF(p)
     gen_powers = np.zeros(m, dtype=np.int64)
@@ -111,7 +109,7 @@ def ref_semilinear_fixed_points(t, s=1):
     big = mx.zeros(n, n)
     for j in range(d):
         for i in range(m):
-            ti_q = ext.power(gen_powers[i], t.q)
+            ti_q = ext.power(gen_powers[i], F.order)
             col = ext.mul(mat_e[:, j], ti_q)
             big[:, j * m + i] = ext.digits(col).reshape(-1)
     kern = mx.kernel(fp, fp.sub(big, mx.identity(n)))
@@ -287,13 +285,9 @@ def test_semilinear_fixed_points_matches_double_loop(p, r):
     F = GF(p, r)
     rng = random.Random(p * 10 + r)
     for s in (1, 2, 3):
-        for q in (p, F.order):
-            if q == p and s % r:
-                continue                       # GF(p^r) must embed in GF(p^s)
-            for d in range(6):
-                mat = np.array([[rng.randrange(F.order) for _ in range(d)]
-                                for _ in range(d)], dtype=np.int64).reshape(d, d)
-                for m in (mat, mx.identity(d), mx.zeros(d, d)):
-                    t = TwistedOperator(F, q, m, 1)
-                    assert _same_fixed_points(semilinear_fixed_points(t, s),
-                                              ref_semilinear_fixed_points(t, s))
+        for d in range(6):
+            mat = np.array([[rng.randrange(F.order) for _ in range(d)]
+                            for _ in range(d)], dtype=np.int64).reshape(d, d)
+            for m in (mat, mx.identity(d), mx.zeros(d, d)):
+                assert _same_fixed_points(semilinear_fixed_points(F, m, s),
+                                          ref_semilinear_fixed_points(F, m, s))

@@ -25,7 +25,8 @@ codes, `dim_fq` and `geometric_dim` of `sol_point(m, s)` for s = 1, 2, 3.
 The `crystal` lines do the same for the crystal at the point: for every
 Artinian module and every PID torsion part, in file and then declaration
 order, its `crystal_class`, and for Frobenius ones the Sol attainment
-degree `fixed_point_attainment(reduced_operator(m))`.
+degree `fixed_point_attainment(F, reduced_operator(m))`, F the module's
+field and `reduced_operator(m)` the matrix of its structure at the point.
 It only reads `bench/`; nothing is written.
 """
 
@@ -118,7 +119,8 @@ def crystal_lines(cli, workload: str):
             try:
                 res["class"] = crystal_class(part)
                 if part.kind == FROBENIUS:
-                    res["attainment"] = fixed_point_attainment(reduced_operator(part))
+                    res["attainment"] = fixed_point_attainment(part.ring.field,
+                                                               reduced_operator(part))
             except Exception as exc:
                 res["raised"] = f"{type(exc).__name__}: {exc}"
             yield json.dumps(res, sort_keys=True)
