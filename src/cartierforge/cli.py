@@ -30,7 +30,7 @@ from .duality import (double_dual_check, dual_base_change_check,
                       nilpotence_exchange_check, nonsingular_short_weierstrass,
                       ordinarity, pair_C_to_F, pair_F_to_C,
                       sol_base_change_check, sol_point)
-from .field import GF
+from .field import GF, is_prime
 from .generate import (artinian_corpus, pid_torsion_corpus, random_cartier,
                        random_f_module, random_pid_torsion)
 from .pid import (CARTIER, FROBENIUS, PidModule, Unsupported, pid_free,
@@ -71,6 +71,15 @@ def _int(v, what, lo=None):
     return v
 
 
+def _container(v, kind, what):
+    """`v` if it is a JSON object (kind dict) or array (kind list), else a
+    SchemaError naming `what`."""
+    if not isinstance(v, kind):
+        label = "an object" if kind is dict else "an array"
+        raise SchemaError(f"{what} must be {label}, got {v!r}")
+    return v
+
+
 def _required(cmd, key):
     """cmd[key], or a SchemaError naming the missing field."""
     if key not in cmd:
@@ -82,8 +91,9 @@ def _int_field(cmd, key, default, lo=None):
     return _int(cmd.get(key, default), f"{cmd.get('op')}: {key}", lo)
 
 
-def _exponents(vectors, what="relation entry"):
-    return [tuple(_int(e, what, lo=0) for e in vec) for vec in vectors]
+def _exponents(vectors, what="relations"):
+    return [tuple(_int(e, f"{what} entry", lo=0) for e in _container(vec, list, f"{what} vector"))
+            for vec in _container(vectors, list, what)]
 
 
 def _decode_scalar(field, v):
@@ -98,36 +108,41 @@ def _decode_matrix(field, rows):
 
 
 def _decode_poly(field, coeffs):
+    coeffs = _container(coeffs, list, "polynomial coefficients")
     return Poly.make(field, [_decode_scalar(field, c) for c in coeffs])
 
 
 def parse_problem(doc: dict):
-    if doc.get("schema") != SCHEMA:
+    if _container(doc, dict, "a problem").get("schema") != SCHEMA:
         raise SchemaError(f"unsupported schema {doc.get('schema')!r}")
-    fld = doc.get("field", {})
+    fld = _container(doc.get("field", {}), dict, "field")
     field = GF(_int(fld.get("p", 2), "field p"), _int(fld.get("r", 1), "field r"))
     ring = None
     rdoc = doc.get("ring")
-    if rdoc and rdoc.get("tier", "artinian") == "artinian":
+    if rdoc and _container(rdoc, dict, "ring").get("tier", "artinian") == "artinian":
         ring = ring_make(field, rdoc["vars"], _exponents(rdoc["relations"]))
     modules = {}
-    for name, mdoc in doc.get("modules", {}).items():
-        modules[name] = _parse_module(field, ring, mdoc)
+    for name, mdoc in _container(doc.get("modules", {}), dict, "modules").items():
+        modules[name] = _parse_module(field, ring, _container(mdoc, dict, f"module {name!r}"))
     complexes, complex_terms = {}, {}
-    for name, cdoc in doc.get("complexes", {}).items():
+    for name, cdoc in _container(doc.get("complexes", {}), dict, "complexes").items():
+        refs = _container(_container(cdoc, dict, f"complex {name!r}").get("terms", {}), dict,
+                     f"complex {name!r}: terms")
         terms = {}
-        for deg, ref in cdoc.get("terms", {}).items():
+        for deg, ref in refs.items():
             mod = modules.get(ref)
             if not isinstance(mod, PidModule):
                 raise SchemaError(f"complex {name}: term {ref} is not a pid module")
             terms[int(deg)] = mod
         complexes[name] = StructuredComplex(terms)
-        complex_terms[name] = list(cdoc.get("terms", {}).values())
+        complex_terms[name] = list(refs.values())
     # "validations" memoizes each module's validation; run_command fills
     # it the first time a command names the module or a complex holding it.
     return {"field": field, "ring": ring, "modules": modules,
             "complexes": complexes, "complex_terms": complex_terms,
-            "commands": doc.get("commands", []), "validations": {}}
+            "commands": [_container(cmd, dict, "a command") for cmd in
+                         _container(doc.get("commands", []), list, "commands")],
+            "validations": {}}
 
 
 def _parse_module(field, ring, mdoc: dict):
@@ -201,7 +216,7 @@ def run_command(problem, cmd: dict, seed: int) -> dict:
 
     def get_module(key="module"):
         name = cmd.get(key)
-        if name not in mods:
+        if not isinstance(name, str) or name not in mods:
             raise SchemaError(f"unknown module {name!r}")
         m = mods[name]
         tier, kind = _OP_MODULES.get(op, (None, None))
@@ -294,7 +309,7 @@ def run_command(problem, cmd: dict, seed: int) -> dict:
     elif op == "perverse":
         name = cmd.get("complex")
         if name is not None:
-            if name not in cxs:
+            if not isinstance(name, str) or name not in cxs:
                 raise SchemaError(f"unknown complex {name!r}")
             out["complex"] = name
             for ref in problem["complex_terms"][name]:
@@ -313,7 +328,7 @@ def run_command(problem, cmd: dict, seed: int) -> dict:
                 for c in rep.conditions])
     elif op == "kashiwara":
         m = get_module()
-        j = _exponents(_required(cmd, "j_gens"), "kashiwara: j_gens entry")
+        j = _exponents(_required(cmd, "j_gens"), "kashiwara: j_gens")
         if any(len(g) != len(m.ring.vars) for g in j):
             raise SchemaError(f"kashiwara: each j_gens vector needs one exponent "
                               f"per ring variable ({len(m.ring.vars)})")
@@ -330,7 +345,8 @@ def run_command(problem, cmd: dict, seed: int) -> dict:
         out["model"] = {"torsion_dim": model.torsion_dim, "free_rank": model.free_rank}
     elif op == "hasse":
         p = _int(_required(cmd, "p"), "hasse: p")
-        cubic = [_int(c, "hasse: cubic coefficient") for c in _required(cmd, "cubic")]
+        cubic = [_int(c, "hasse: cubic coefficient")
+                 for c in _container(_required(cmd, "cubic"), list, "hasse: cubic")]
         try:
             h = hasse_invariant(p, cubic)
         except ValueError as exc:
@@ -506,6 +522,11 @@ def main(argv=None) -> int:
     genp.add_argument("--ring-dim", type=int, default=5)
     genp.add_argument("--out")
     args = parser.parse_args(argv)
+    if args.command == "generate":
+        if not is_prime(args.p) or (args.kind == "elliptic-scan" and args.p == 2):
+            genp.error(f"--p must be a prime, odd for elliptic-scan; got {args.p}")
+        if min(args.dim, args.ring_dim) < 1:
+            genp.error("--dim and --ring-dim must be >= 1")
     if args.command == "run":
         return cmd_run(args)
     return cmd_generate(args)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import matrix as mx
 from .artinian import (ArtinRing, FinModule, direct_sum, f_flat,
-                       hom_coords, hom_images, i_torsion, module_violations,
+                       hom_coords, i_torsion, module_violations,
                        quotient_module, regular_module, restrict,
                        restrict_scalars, submodule, zero_module)
 
@@ -277,12 +277,19 @@ class UnitalizeResult:
 def unitalize(m: CartierModule, max_steps: int = 16) -> UnitalizeResult:
     """Colimit of M -> F^flat M -> F^(2 flat) M -> ...
 
-    Stages are built functorially: t_0 is the adjoint structural map and
-    t_j = F^flat(t_{j-1}).  The colimit is recognized when a transition
-    becomes bijective, when it becomes zero, or when the stage-modulo-
-    eventual-kernel quotients stabilize; otherwise NotStabilized is
-    reported as a value, with steps = max_steps.  The returned canonical
-    map is certified as a nil-isomorphism.
+    The colimit is recognized when a transition becomes bijective, when it
+    becomes zero, or when the stage-modulo-eventual-kernel quotients
+    stabilize; otherwise NotStabilized is reported as a value, with
+    steps = max_steps.  The returned canonical map is certified as a
+    nil-isomorphism.
+
+    Each transition t_j = F^flat(t_{j-1}), t_0 = alpha_M the adjoint
+    structural map, is the adjoint `flat_cartier` returns with stage j.
+    F^flat M = Hom_R(F_*R, M) has kappa^flat(H) = alpha_M(H(1)), and lambda
+    acts by (lambda H)(s) = H(lambda s).  So alpha_{F^flat M}(H)(lambda) =
+    kappa^flat(lambda H) = alpha_M(H(lambda)), that is alpha_{F^flat M} =
+    F^flat(alpha_M); induct on j.  Both sides are matrices in the canonical
+    flat hom bases, read by the checked `hom_coords` of adjoint_structural.
 
     Stages are built only until the eventual kernels are known.  Write
     T_{n->j} for the composite stages[n] -> stages[j] and N_e = ker T_{0->e}.
@@ -319,21 +326,15 @@ def unitalize(m: CartierModule, max_steps: int = 16) -> UnitalizeResult:
     F = m.ring.field
     stages = [m]
     trans = []        # trans[n] : stages[n] -> stages[n+1]
-    cur = m
-    t_prev = prev_ker = None
     head, rank = mx.identity(m.dim), m.dim      # T_{0->e} and its rank
     e0 = None                                   # set once N_e repeats
     # pending: a zero quotient found while a later t_s may still be zero
     built, scanned, pending = {}, 0, None
     for step in range(max_steps):
-        nxt, adj, ker = flat_cartier(cur)
-        if t_prev is None:
-            t = adj
-        else:
-            t = _flat_transition(F, t_prev, prev_ker, ker, m.ring.dim)
+        nxt, t, _ = flat_cartier(stages[-1])
         stages.append(nxt)
         trans.append(t)
-        if nxt.dim == cur.dim and mx.is_invertible(F, t):
+        if nxt.dim == stages[-2].dim and mx.is_invertible(F, t):
             return _finish_unitalize(m, stages, trans, step, exact_stage=step)
         if not t.any():
             zero = CartierModule(zero_module(m.ring), mx.zeros(0, 0), m.power)
@@ -341,8 +342,6 @@ def unitalize(m: CartierModule, max_steps: int = 16) -> UnitalizeResult:
             cert = nil_isomorphism_check(cmap, m, zero)
             return UnitalizeResult("zero" if cert.ok else "not_stabilized",
                                    zero, cmap, cert, step + 1)
-        cur = nxt
-        t_prev, prev_ker = t, ker
         if pending is not None:
             continue
         if e0 is None:
@@ -371,16 +370,6 @@ def unitalize(m: CartierModule, max_steps: int = 16) -> UnitalizeResult:
     return UnitalizeResult("not_stabilized", stages[-1], None, None, max_steps)
 
 
-def _flat_transition(F, t_prev, prev_ker, ker, ring_dim):
-    """F^flat of t_prev in the flat hom bases: H -> t_prev H, for every
-    hom of `prev_ker` by one product and one `hom_coords` call."""
-    imgs = hom_images(F, prev_ker, (t_prev.shape[1], ring_dim), left=t_prev)
-    t = hom_coords(F, ker, imgs)
-    if t is None:
-        raise RuntimeError("functorial transition left the hom space")
-    return t
-
-
 def _finish_unitalize(m, stages, trans, step, exact_stage):
     F = m.ring.field
     target = stages[exact_stage]
@@ -393,40 +382,37 @@ def _finish_unitalize(m, stages, trans, step, exact_stage):
 
 def _try_quotient_stabilization(m, stages, trans, ns, e0, built):
     """Mixed case: quotient each stage by its eventual forward kernel and
-    look, at each n of `ns` in turn, for two consecutive induced
-    isomorphisms out of stage n.  Returns the first success, else None.
+    return the first n of `ns` with two consecutive induced isomorphisms
+    out of stage n, else None.
 
-    The kernels of the composites out of stage k are nested, since
-    T_{k->j+1} = t_j T_{k->j}; the eventual one is ker T_{k->k+e0}
-    (see unitalize), clipped at the last stage, and the kernel of the
-    composite to the last stage when `e0` is None.  `built` keeps the
-    quotients from call to call, and one is built only once the scan
-    reaches its stage."""
+    The eventual kernel K_k of stage k is ker T_{k->end_k}, end_k = k + e0
+    clipped at the last stage N (see unitalize), or N when `e0` is None.
+    Either end_k = end_{k+1} = N, where T_{k->N} = T_{k+1->N} t_k, or
+    end_k = k + e0 < N, where the stage-k chain is constant from k + e0 on;
+    both give t_k^{-1}(K_{k+1}) = K_k.  So t_k induces an injective map
+    stage k / K_k -> stage k+1 / K_{k+1}, between spaces whose dimensions
+    are the ranks of the tails T_{k->end_k}, and it is onto exactly when
+    they agree.  So a quotient is built only at an n whose tail ranks at
+    n, n+1 and n+2 agree.  `built` keeps each tail with its rank."""
     F = m.ring.field
 
-    def quot(k):
+    def tail(k):
         if k not in built:
             end = len(trans) if e0 is None else min(k + e0, len(trans))
-            tail = _composite(F, trans[k:end], stages[k].dim)
-            kbar = mx.column_space(F, mx.kernel(F, tail))
-            q, proj, _ = quotient_structure(stages[k], kbar)
-            built[k] = (q, proj)
+            t = _composite(F, trans[k:end], stages[k].dim)
+            built[k] = (t, mx.rank(F, t))
         return built[k]
 
     for n in ns:
-        (a, pa), (b, pb), (c, pc) = quot(n), quot(n + 1), quot(n + 2)
-        if a.dim != b.dim or b.dim != c.dim:
+        if not tail(n)[1] == tail(n + 1)[1] == tail(n + 2)[1]:
             continue
-        ind1 = _induced_map(F, trans[n], pa, pb, a.dim)
-        ind2 = _induced_map(F, trans[n + 1], pb, pc, b.dim)
-        if ind1 is None or ind2 is None:
-            continue
-        if mx.is_invertible(F, ind1) and mx.is_invertible(F, ind2):
-            cmap = mx.mmul(F, pa, _composite(F, trans[:n], m.dim))
-            cert = nil_isomorphism_check(cmap, m, a)
-            if cert.ok and is_unit(a):
-                status = "zero" if a.dim == 0 else "unit"
-                return UnitalizeResult(status, a, cmap, cert, n + 1)
+        kbar = mx.column_space(F, mx.kernel(F, tail(n)[0]))
+        a, pa, _ = quotient_structure(stages[n], kbar)
+        cmap = mx.mmul(F, pa, _composite(F, trans[:n], m.dim))
+        cert = nil_isomorphism_check(cmap, m, a)
+        if cert.ok and is_unit(a):
+            status = "zero" if a.dim == 0 else "unit"
+            return UnitalizeResult(status, a, cmap, cert, n + 1)
     return None
 
 
@@ -440,14 +426,6 @@ def _composite(F, trans, dim):
     for t in reversed(trans[:-1]):
         acc = mx.mmul(F, acc, t)
     return acc
-
-
-def _induced_map(F, t, proj_src, proj_dst, dim):
-    # solve proj_dst . t = ind . proj_src  (proj_src is onto)
-    sol = mx.solve(F, proj_src.T, mx.mmul(F, proj_dst, t).T)
-    if sol is None:
-        return None
-    return sol.T
 
 
 def twist_by_unit_line(m: Structured, a_coords) -> Structured:

@@ -1,12 +1,14 @@
 """End-to-end CLI: schemas, exit codes, determinism, strict mode."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import cartierforge
 from cartierforge.cli import main
 
 
@@ -269,6 +271,33 @@ def test_generate_elliptic_scan(tmp_path, capsys):
     capsys.readouterr()
 
 
+def forge(*argv):
+    """`python -m cartierforge.cli *argv` in a child process, cut after 30 s,
+    with this package first on its path."""
+    src = str(Path(cartierforge.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "cartierforge.cli", *argv],
+                          capture_output=True, text=True, timeout=30,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["random-artinian", "--p", "4"], "--p must be a prime"),
+    (["random-artinian", "--p", "1"], "--p must be a prime"),
+    (["random-pid-torsion", "--p", "9"], "--p must be a prime"),
+    (["elliptic-scan", "--p", "2"], "odd for elliptic-scan"),
+    (["elliptic-scan", "--p", "4"], "odd for elliptic-scan"),
+    (["random-artinian", "--dim", "0"], "must be >= 1"),
+    (["random-pid-torsion", "--dim", "0"], "must be >= 1"),
+    # random_artin_ring redraws forever when no ring is small enough
+    (["random-artinian", "--ring-dim", "0"], "must be >= 1"),
+])
+def test_generate_rejects_a_bad_prime_or_size(argv, message):
+    proc = forge("generate", *argv)
+    assert proc.returncode == 2, proc.stderr
+    assert message in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_sol_and_base_change_commands(tmp_path, capsys):
     doc = {
         "schema": 1,
@@ -344,8 +373,7 @@ def test_suite_command(tmp_path, capsys):
 
 
 def test_console_script_installed():
-    proc = subprocess.run([sys.executable, "-m", "cartierforge.cli", "--help"],
-                          capture_output=True, text=True)
+    proc = forge("--help")
     assert proc.returncode == 0 and "forge" in proc.stdout
 
 
@@ -444,6 +472,15 @@ def test_bad_integer_field_is_schema_error(tmp_path, capsys, cmd):
     ({"op": "hasse", "p": 5}, "missing field 'cubic'"),
     ({"op": "kashiwara", "module": "A", "j_gens": [[1, 0]]},
      "one exponent per ring variable"),
+    ({"op": "hasse", "p": 5, "cubic": 5}, "hasse: cubic must be an array"),
+    ({"op": "kashiwara", "module": "A", "j_gens": 5},
+     "kashiwara: j_gens must be an array"),
+    ({"op": "kashiwara", "module": "A", "j_gens": [1]},
+     "kashiwara: j_gens vector must be an array"),
+    ({"op": "localize-model", "module": "sky", "f": 5},
+     "polynomial coefficients must be an array"),
+    ({"op": "validate", "module": ["A"]}, "unknown module ['A']"),
+    ({"op": "perverse", "complex": [1]}, "unknown complex [1]"),
 ])
 def test_wrong_tier_or_missing_field_is_schema_error(tmp_path, capsys, cmd, message):
     doc = json.loads(json.dumps(FIXTURE_A))
@@ -502,12 +539,25 @@ def test_non_integer_input_is_schema_error(tmp_path, capsys, path, value):
 @pytest.mark.parametrize("path,value", [
     (("ring", "relations"), [2]),
     (("modules", "A", "structure"), 5),
+    (("field",), [2]),
+    (("ring",), [1]),
+    (("modules",), [1]),
+    (("modules", "A"), [1]),
+    (("complexes",), [1]),
+    (("complexes",), {"C": {"terms": ["sky"]}}),
+    (("commands",), [1]),
+    (("commands",), {"a": 1}),
 ])
 def test_wrongly_nested_input_is_schema_error(tmp_path, capsys, path, value):
     doc = json.loads(json.dumps(FIXTURE_A))
     set_path(doc, path, value)
     assert main(["run", write(tmp_path, doc)]) == 2
     assert "schema error" in capsys.readouterr().err
+
+
+def test_top_level_array_is_schema_error(tmp_path, capsys):
+    assert main(["run", write(tmp_path, [FIXTURE_A])]) == 2
+    assert "a problem must be an object" in capsys.readouterr().err
 
 
 def test_integer_input_in_every_numeric_field(tmp_path, capsys):

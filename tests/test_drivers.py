@@ -3,14 +3,18 @@ loop forms they replaced.
 
 `hom_coords` reads the coordinates of every target column off the free
 rows of an RREF kernel basis in one call, `adjoint_structural` takes
-kappa * x^mono once per ring monomial, `unitalize` builds each functorial
-transition with one `hom_coords` call and takes the eventual kernels from
+kappa * x^mono once per ring monomial, `unitalize` takes each transition
+from the adjoint of its stage and decides the mixed case on the ranks of
 one backward pass of composites, and `double_dual_check` finds its
 evaluation witness at once.  The references below are the earlier loop
 implementations, one basis vector and one solve at a time; the batched
-routines must agree with them bit for bit.  `ref_unitalize` also builds all
+routines must agree with them bit for bit.  `ref_unitalize` builds every
+transition functorially, as t_n = F^flat(t_{n-1}), tests two consecutive
+induced isomorphisms by solving for the induced maps, and builds all
 `max_steps` stages before it scans, so it checks the early stop of
-`unitalize` as well.
+`unitalize` as well.  The two lemmas `unitalize` rests on, the adjoint of
+each stage being the functorial transition and every induced map of
+quotients by eventual kernels being injective, are checked directly too.
 """
 
 import random
@@ -28,11 +32,10 @@ from cartierforge.field import GF
 from cartierforge.generate import (artinian_corpus, random_cartier,
                                    random_module, random_structure)
 from cartierforge.structures import (CARTIER, CartierModule, UnitalizeResult,
-                                     _composite, _induced_map,
-                                     adjoint_structural, cartier_module,
-                                     is_morphism, nil_isomorphism_check,
-                                     quotient_structure, unitalize,
-                                     zero_module)
+                                     _composite, adjoint_structural,
+                                     cartier_module, flat_cartier, is_morphism,
+                                     nil_isomorphism_check, quotient_structure,
+                                     unitalize, zero_module)
 from oracles import hom_list
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2)]     # GF(2), GF(3), GF(4), GF(9)
@@ -102,6 +105,14 @@ def ref_eventual_kernels(F, dims, trans):
     return out
 
 
+def _induced_map(F, t, proj_src, proj_dst):
+    # solve proj_dst . t = ind . proj_src  (proj_src is onto)
+    sol = mx.solve(F, proj_src.T, mx.mmul(F, proj_dst, t).T)
+    if sol is None:
+        return None
+    return sol.T
+
+
 def ref_unitalize(m, max_steps=16):
     F = m.ring.field
     stages, trans, bases = [m], [], [None]
@@ -141,8 +152,8 @@ def ref_unitalize(m, max_steps=16):
         a, b, c = quots[n], quots[n + 1], quots[n + 2]
         if a.dim != b.dim or b.dim != c.dim:
             continue
-        ind1 = _induced_map(F, trans[n], projs[n], projs[n + 1], a.dim)
-        ind2 = _induced_map(F, trans[n + 1], projs[n + 1], projs[n + 2], b.dim)
+        ind1 = _induced_map(F, trans[n], projs[n], projs[n + 1])
+        ind2 = _induced_map(F, trans[n + 1], projs[n + 1], projs[n + 2])
         if ind1 is None or ind2 is None:
             continue
         if mx.inverse(F, ind1) is not None and mx.inverse(F, ind2) is not None:
@@ -340,6 +351,112 @@ def test_eventual_kernel_is_kernel_of_composite_to_end(chain):
         tail = _composite(F, trans[n:], dims[n])
         assert tail.shape == (dims[-1], dims[n])
         assert np.array_equal(mx.column_space(F, mx.kernel(F, tail)), want)
+
+
+# -- the two lemmas behind unitalize --
+
+
+def stages_with_functorial_transitions(m, steps):
+    """`steps` stages from `flat_cartier` with the adjoint of each, and the
+    reference transitions: t_0 the first adjoint, then t_n = F^flat(t_{n-1}),
+    H -> t_{n-1} H solved for per hom of the previous flat basis."""
+    F = m.ring.field
+    stages, adjs, refs, bases = [m], [], [], []
+    for n in range(steps):
+        nxt, adj, ker = flat_cartier(stages[-1])
+        basis = hom_list(ker, stages[-1].dim, m.ring.dim)
+        if n == 0:
+            ref = adj
+        else:
+            cols = [ref_hom_coords(F, basis, mx.mmul(F, refs[-1], H)) for H in bases[-1]]
+            assert all(c is not None for c in cols)
+            ref = np.stack(cols, axis=1) if cols else mx.zeros(nxt.dim, 0)
+        stages.append(nxt)
+        adjs.append(adj)
+        refs.append(ref)
+        bases.append(basis)
+    return stages, adjs, refs
+
+
+def first_e0(F, dim, trans):
+    """The first e with rank T_{0->e+1} = rank T_{0->e}, else None."""
+    head, rank = mx.identity(dim), dim
+    for e, t in enumerate(trans):
+        head = mx.mmul(F, t, head)
+        rank, last = mx.rank(F, head), rank
+        if rank == last:
+            return e
+    return None
+
+
+def induced_map_cases(stages, trans, e0):
+    """Quotient each stage k by its eventual kernel K_k = ker T_{k->end},
+    end = k + e0 clipped at the last stage (the last stage when e0 is
+    None), and check that every induced map stage k / K_k ->
+    stage k+1 / K_{k+1} exists and has full column rank.  Returns the
+    window case of each k with an induced map out of it."""
+    F, last = stages[0].ring.field, len(trans)
+    projs, cases = [], []
+    for k, s in enumerate(stages):
+        end = last if e0 is None else min(k + e0, last)
+        tail = _composite(F, trans[k:end], s.dim)
+        q, proj, _ = quotient_structure(s, mx.column_space(F, mx.kernel(F, tail)))
+        assert q.dim == mx.rank(F, tail)
+        projs.append(proj)
+        cases.append("none" if e0 is None else "clipped" if k + e0 > last else "known")
+    for k in range(last):
+        ind = _induced_map(F, trans[k], projs[k], projs[k + 1])
+        assert ind is not None and mx.rank(F, ind) == ind.shape[1]
+    return set(cases[:last])
+
+
+@st.composite
+def cartier_draw(draw):
+    """A Cartier structure for q^power, power 1 or 2, on a module of
+    dimension <= 3 over a monomial ring over GF(2), GF(3), GF(4) or GF(9)."""
+    p, d = draw(st.sampled_from(FIELDS))
+    nvars = draw(st.sampled_from([1, 2]))
+    rels = [[draw(st.integers(1, 3)) if j == i else 0 for j in range(nvars)]
+            for i in range(nvars)]
+    ring = ring_make(GF(p, d), ["x", "y"][:nvars], rels)
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    return random_structure(rng, random_module(rng, ring, 3), CARTIER,
+                            draw(st.integers(1, 2)))
+
+
+def check_adjoints(m, steps):
+    _, adjs, refs = stages_with_functorial_transitions(m, steps)
+    assert all(np.array_equal(a, r) for a, r in zip(adjs, refs))
+
+
+def check_induced_maps(m, steps):
+    stages, adjs, _ = stages_with_functorial_transitions(m, steps)
+    e0 = first_e0(m.ring.field, m.dim, adjs)
+    return induced_map_cases(stages, adjs, e0) | induced_map_cases(stages, adjs, None)
+
+
+def test_adjoint_is_functorial_transition_on_corpus():
+    for m in CORPUS:
+        check_adjoints(m, 4)
+
+
+@SETTINGS
+@given(cartier_draw())
+def test_adjoint_is_functorial_transition_on_draws(m):
+    check_adjoints(m, 3)
+
+
+def test_induced_maps_are_injective_on_corpus():
+    cases = set()
+    for m in CORPUS:
+        cases |= check_induced_maps(m, 4)
+    assert cases == {"known", "clipped", "none"}
+
+
+@SETTINGS
+@given(cartier_draw())
+def test_induced_maps_are_injective_on_draws(m):
+    check_induced_maps(m, 3)
 
 
 # -- the routines on the acceptance corpus --
