@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,6 +44,12 @@ class ArtinRing:
     def key(self):
         return (self.field.p, self.field.deg, self.vars, tuple(sorted(self.relations)))
 
+    def content_key(self, *mats) -> tuple:
+        """key() with the ambient ring and quotient generators it ignores,
+        and the shape and int64 bytes of each of `mats`."""
+        amb = None if self.ambient is None else self.ambient.content_key()
+        return self.key(), amb, self.quotient_gens, _matrix_key(mats)
+
     def basis_index(self, mono) -> int:
         return self.basis.index(tuple(mono))
 
@@ -60,6 +66,22 @@ class ArtinRing:
 
 def _divides(a, b) -> bool:
     return all(x <= y for x, y in zip(a, b))
+
+
+def _matrix_key(mats) -> tuple:
+    return tuple((M.shape, M.tobytes()) for M in (np.asarray(M, dtype=np.int64) for M in mats))
+
+
+def _variable_power(basis, i: int, t: int) -> np.ndarray:
+    """x_i^t on the standard monomials `basis`: b -> b + t e_i if that is
+    standard, else 0 (standard monomials are closed under division)."""
+    index = {b: j for j, b in enumerate(basis)}
+    op = mx.zeros(len(basis), len(basis))
+    for j, b in enumerate(basis):
+        k = index.get(b[:i] + (b[i] + t,) + b[i + 1:])
+        if k is not None:
+            op[k, j] = 1
+    return op
 
 
 def ring_make(p_or_field, vars, relations, r: int = 1) -> ArtinRing:
@@ -91,31 +113,19 @@ def ring_make(p_or_field, vars, relations, r: int = 1) -> ArtinRing:
             raise ValueError(f"variable {vars[i]} has no pure power relation; "
                              "the quotient would be infinite dimensional")
         box.append(min(powers))
-    monos = []
-    for exps in itertools.product(*(range(b) for b in box)):
-        if not any(_divides(rel, exps) for rel in relations):
-            monos.append(exps)
-    monos.sort(key=lambda e: (sum(e), e))
-    basis = tuple(monos)
-    index = {m: i for i, m in enumerate(basis)}
-    ops = []
-    for i in range(n):
-        op = mx.zeros(len(basis), len(basis))
-        for j, b in enumerate(basis):
-            tgt = tuple(e + (1 if k == i else 0) for k, e in enumerate(b))
-            if not any(_divides(rel, tgt) for rel in relations):
-                op[index[tgt], j] = 1
-        ops.append(op)
-    return ArtinRing(F, vars, relations, basis, tuple(ops))
+    basis = tuple(sorted((e for e in itertools.product(*(range(b) for b in box))
+                          if not any(_divides(rel, e) for rel in relations)),
+                         key=lambda e: (sum(e), e)))
+    return ArtinRing(F, vars, relations, basis,
+                     tuple(_variable_power(basis, i, 1) for i in range(n)))
 
 
 def quotient_ring(ring: ArtinRing, extra_relations) -> ArtinRing:
     """The quotient of `ring` by further monomial generators, with the
     ambient ring recorded so i_* / i-flat round trips are unambiguous."""
     extra = tuple(tuple(int(e) for e in rel) for rel in extra_relations)
-    base = ring_make(ring.field, ring.vars, ring.relations + extra)
-    return ArtinRing(base.field, base.vars, base.relations, base.basis,
-                     base.mult_ops, ambient=ring, quotient_gens=extra)
+    return replace(ring_make(ring.field, ring.vars, ring.relations + extra),
+                   ambient=ring, quotient_gens=extra)
 
 
 @dataclass(frozen=True)
@@ -214,9 +224,7 @@ def intertwiners(F: FiniteField, As, Bs, rows: int, cols: int) -> np.ndarray:
     Each system is solved once: the read-only kernel is memoized on
     (F, rows, cols) and the shape and int64 bytes of every A_i and B_i,
     at most 512 entries, the least recently used dropped first."""
-    mats = tuple((M.shape, M.tobytes()) for A, B in zip(As, Bs)
-                 for M in (np.asarray(A, dtype=np.int64), np.asarray(B, dtype=np.int64)))
-    return _intertwiner_kernel(F, rows, cols, mats)
+    return _intertwiner_kernel(F, rows, cols, _matrix_key(M for AB in zip(As, Bs) for M in AB))
 
 
 @functools.lru_cache(maxsize=512)
@@ -298,8 +306,7 @@ def f_flat(m: FinModule, power: int = 1) -> tuple[FinModule, np.ndarray]:
     the module and its basis, the kernel matrix from `intertwiners`.
     """
     F, R = m.ring.field, m.ring
-    t = R.q ** power
-    mu_q = [mx.mat_pow(F, mu, t) for mu in R.mult_ops]
+    mu_q = [_variable_power(R.basis, i, R.q ** power) for i in range(R.nvars)]
     ker = intertwiners(F, mu_q, m.actions, m.dim, R.dim)
     imgs = hom_images(F, ker, (m.dim, R.dim), right=np.hstack((mx.zeros(R.dim, 0), *R.mult_ops)))
     # vec(H_j [mu_1 .. mu_n]) stacks the vec(H_j mu_i)

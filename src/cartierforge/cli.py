@@ -91,7 +91,7 @@ def _int_field(cmd, key, default, lo=None):
     return _int(cmd.get(key, default), f"{cmd.get('op')}: {key}", lo)
 
 
-def _exponents(vectors, what="relations"):
+def _exponents(vectors, what):
     return [tuple(_int(e, f"{what} entry", lo=0) for e in _container(vec, list, f"{what} vector"))
             for vec in _container(vectors, list, what)]
 
@@ -102,14 +102,20 @@ def _decode_scalar(field, v):
     return _int(v, "field element") % field.order
 
 
-def _decode_matrix(field, rows):
-    return np.array([[_decode_scalar(field, v) for v in row] for row in rows],
-                    dtype=np.int64)
+def _decode_matrix(field, rows, what):
+    return np.array([[_decode_scalar(field, v) for v in _container(row, list, f"{what} row")]
+                     for row in _container(rows, list, what)], dtype=np.int64)
 
 
 def _decode_poly(field, coeffs):
     coeffs = _container(coeffs, list, "polynomial coefficients")
     return Poly.make(field, [_decode_scalar(field, c) for c in coeffs])
+
+
+def _parse_ring(field, rdoc, what):
+    rdoc = _container(rdoc, dict, what)
+    return ring_make(field, _container(rdoc.get("vars"), list, f"{what} vars"),
+                     _exponents(rdoc.get("relations"), f"{what} relations"))
 
 
 def parse_problem(doc: dict):
@@ -120,10 +126,11 @@ def parse_problem(doc: dict):
     ring = None
     rdoc = doc.get("ring")
     if rdoc and _container(rdoc, dict, "ring").get("tier", "artinian") == "artinian":
-        ring = ring_make(field, rdoc["vars"], _exponents(rdoc["relations"]))
+        ring = _parse_ring(field, rdoc, "ring")
     modules = {}
     for name, mdoc in _container(doc.get("modules", {}), dict, "modules").items():
-        modules[name] = _parse_module(field, ring, _container(mdoc, dict, f"module {name!r}"))
+        where = f"module {name!r}"
+        modules[name] = _parse_module(field, ring, _container(mdoc, dict, where), where)
     complexes, complex_terms = {}, {}
     for name, cdoc in _container(doc.get("complexes", {}), dict, "complexes").items():
         refs = _container(_container(cdoc, dict, f"complex {name!r}").get("terms", {}), dict,
@@ -145,21 +152,23 @@ def parse_problem(doc: dict):
             "validations": {}}
 
 
-def _parse_module(field, ring, mdoc: dict):
+def _parse_module(field, ring, mdoc: dict, where: str):
     kind = mdoc.get("kind", CARTIER)
     if kind not in (CARTIER, FROBENIUS):
         raise SchemaError(f"unknown structure kind {kind!r}")
     if mdoc.get("tier") == "pid":
         parts = []
         if "torsion" in mdoc:
-            t = mdoc["torsion"]
-            parts.append(pid_torsion(field, _decode_matrix(field, t["x_action"]),
-                                     _decode_matrix(field, t["structure"]), kind))
+            t = _container(mdoc["torsion"], dict, f"{where} torsion")
+            parts.append(pid_torsion(
+                field, _decode_matrix(field, t.get("x_action"), f"{where} torsion x_action"),
+                _decode_matrix(field, t.get("structure"), f"{where} torsion structure"), kind))
         if "free" in mdoc:
-            mult = mdoc["free"]
+            mult = _container(mdoc["free"], list, f"{where} free")
             if mult and isinstance(mult[0], list) and mult[0] and \
                     isinstance(mult[0][0], list):
-                rows = [[_decode_poly(field, e) for e in row] for row in mult]
+                rows = [[_decode_poly(field, e)
+                         for e in _container(row, list, f"{where} free row")] for row in mult]
                 parts.append(pid_free(field, rows, kind))
             else:
                 parts.append(pid_free(field, [_decode_poly(field, u) for u in mult], kind))
@@ -169,17 +178,15 @@ def _parse_module(field, ring, mdoc: dict):
         for extra in parts[1:]:
             out = pid_sum(out, extra)
         return out
-    this_ring = ring
-    if "ring" in mdoc:
-        rd = mdoc["ring"]
-        this_ring = ring_make(field, rd["vars"], _exponents(rd["relations"]))
+    this_ring = _parse_ring(field, mdoc["ring"], f"{where} ring") if "ring" in mdoc else ring
     if this_ring is None:
         raise SchemaError("artinian module without a ring declaration")
-    carrier = mdoc["carrier"]
+    carrier = _container(mdoc.get("carrier"), dict, f"{where} carrier")
     dim = _int(carrier["dim"], "carrier dim", lo=0) if "dim" in carrier else None
-    actions = [_decode_matrix(field, a) for a in carrier["actions"]]
-    module = fin_module(this_ring, actions, dim)
-    return structured(kind, module, _decode_matrix(field, mdoc["structure"]))
+    actions = [_decode_matrix(field, a, f"{where} carrier action") for a in
+               _container(carrier.get("actions"), list, f"{where} carrier actions")]
+    return structured(kind, fin_module(this_ring, actions, dim),
+                      _decode_matrix(field, mdoc.get("structure"), f"{where} structure"))
 
 
 def _index_json(v):

@@ -13,6 +13,7 @@ point count as the independent oracle.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -50,8 +51,7 @@ def inverse_hull(ring: ArtinRing, power: int = 1) -> CartierModule:
     kap = mx.zeros(n, n)
     for j, b in enumerate(ring.basis):
         if all(e % t == 0 for e in b):
-            tgt = tuple(e // t for e in b)
-            kap[index[tgt], j] = 1
+            kap[index[tuple(e // t for e in b)], j] = 1
     return cartier_module(FinModule(ring, n, acts), kap, power)
 
 
@@ -59,14 +59,12 @@ def dualizing_module(ring: ArtinRing, power: int = 1) -> CartierModule:
     """E_R = inverse_hull(ring, power), checked to be unit and cached per
     ring (the unit check is the expensive part)."""
     key = (ring.key(), power)
-    hit = _DUALIZING_CACHE.get(key)
-    if hit is not None:
-        return hit
-    e_mod = inverse_hull(ring, power)
-    if not is_unit(e_mod):
-        raise RuntimeError("dualizing module failed the unit check")
-    _DUALIZING_CACHE[key] = e_mod
-    return e_mod
+    if key not in _DUALIZING_CACHE:
+        e_mod = inverse_hull(ring, power)
+        if not is_unit(e_mod):
+            raise RuntimeError("dualizing module failed the unit check")
+        _DUALIZING_CACHE[key] = e_mod
+    return _DUALIZING_CACHE[key]
 
 
 _NOT_EQUIVARIANT = ("pairing image left the hom space: a structure is not "
@@ -124,12 +122,29 @@ def pair_C_to_F(m: CartierModule, n: CartierModule) -> tuple[FModule, np.ndarray
     return f_module(hom, coords, m.power), ker
 
 
+class _Keyed(tuple):
+    """A content key that carries the module it was read from."""
+
+
 def dualize_artinian(m: Structured):
-    """D(M) = Hom(M, E_R) with the pairing structure of the opposite kind."""
+    """D(M) = Hom(M, E_R) with the pairing structure of the opposite kind,
+    and its hom basis.  Results are shared and read-only: D is memoized on
+    the content of M (kind, power, dim, `ArtinRing.content_key` of its
+    matrices), at most 256 entries, the least recently used dropped first;
+    the structure matrix, actions and hom basis are not writeable."""
+    key = _Keyed((m.kind, m.power, m.dim, m.ring.content_key(m.mat, *m.module.actions)))
+    key.module = m
+    return _dual(key)
+
+
+@functools.lru_cache(maxsize=256)
+def _dual(key: _Keyed):
+    m = key.module
     e_mod = dualizing_module(m.ring, m.power)
-    if m.kind == FROBENIUS:
-        return pair_F_to_C(m, e_mod)
-    return pair_C_to_F(m, e_mod)
+    d, ker = pair_F_to_C(m, e_mod) if m.kind == FROBENIUS else pair_C_to_F(m, e_mod)
+    for a in (d.mat, *d.module.actions, ker):
+        a.flags.writeable = False
+    return d, ker
 
 
 def double_dual_check(m: Structured) -> tuple[bool, np.ndarray]:

@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 
 from cartierforge import matrix as mx
-from cartierforge.artinian import (f_flat, fin_module, frobenius_pushforward,
-                                   hom_module, i_torsion, module_violations,
+from cartierforge.artinian import (_variable_power, f_flat, fin_module,
+                                   frobenius_pushforward, hom_module,
+                                   i_torsion, module_violations,
                                    quotient_ring, regular_module,
                                    restrict_scalars, ring_make, zero_module)
+from cartierforge.field import GF
+from cartierforge.generate import artinian_corpus
 from oracles import hom_list
 
 
@@ -47,6 +50,21 @@ def test_mult_ops_realize_multiplication():
     assert not r.mult_ops[0][:, ix2].any()
     iy = r.basis_index((0, 1))
     assert not r.mult_ops[1][:, iy].any()
+
+
+def test_variable_power_is_the_power_of_the_action():
+    # corpus rings over GF(2), GF(3), and rings over GF(4) and GF(9)
+    rings = [m.ring for m in artinian_corpus(5, 30)]
+    rings += [ring_make(GF(p, 2), ["x", "y"], [[4, 0], [0, 3], [2, 1]]) for p in (2, 3)]
+    for ring in rings:
+        F, q = ring.field, ring.q
+        # 1, x_i, .., x_i^(b-1) are standard for the pure power x_i^b, so
+        # b <= dim and the exponent dim + 1 is past every pure power
+        for t in (1, q, q ** 2, q ** 3, ring.dim + 1):
+            for i, mu in enumerate(ring.mult_ops):
+                assert np.array_equal(_variable_power(ring.basis, i, t), mx.mat_pow(F, mu, t))
+        assert not any(_variable_power(ring.basis, i, ring.dim + 1).any()
+                       for i in range(ring.nvars))
 
 
 def test_frobenius_pushforward_examples(fixture_ring):

@@ -555,6 +555,30 @@ def test_wrongly_nested_input_is_schema_error(tmp_path, capsys, path, value):
     assert "schema error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("path,value,field", [
+    (("modules", "A", "carrier"), [1], "module 'A' carrier must be an object"),
+    (("modules", "A", "carrier", "actions"), 5, "module 'A' carrier actions"),
+    (("modules", "A", "carrier", "actions"), [5], "module 'A' carrier action must"),
+    (("modules", "A", "structure"), 5, "module 'A' structure must"),
+    (("modules", "A", "structure"), [5], "module 'A' structure row"),
+    (("modules", "A", "ring"), [1], "module 'A' ring must be an object"),
+    (("modules", "A", "ring"), {"vars": 5, "relations": [[2]]}, "module 'A' ring vars"),
+    (("modules", "A", "ring"), {"vars": ["x"], "relations": 5}, "module 'A' ring relations"),
+    (("modules", "sky", "torsion"), [1], "module 'sky' torsion must be an object"),
+    (("modules", "sky", "torsion", "x_action"), 5, "module 'sky' torsion x_action"),
+    (("modules", "sky", "torsion", "structure"), 5, "module 'sky' torsion structure"),
+    (("modules", "bad_free", "free"), 5, "module 'bad_free' free must"),
+    (("modules", "bad_free", "free"), [[[0], [1]], 5], "module 'bad_free' free row"),
+    (("ring", "vars"), 5, "ring vars must be an array"),
+    (("ring", "relations"), 5, "ring relations must be an array"),
+])
+def test_wrongly_typed_module_part_names_its_field(tmp_path, capsys, path, value, field):
+    doc = json.loads(json.dumps(FIXTURE_A))
+    set_path(doc, path, value)
+    assert main(["run", write(tmp_path, doc)]) == 2
+    assert field in capsys.readouterr().err
+
+
 def test_top_level_array_is_schema_error(tmp_path, capsys):
     assert main(["run", write(tmp_path, [FIXTURE_A])]) == 2
     assert "a problem must be an object" in capsys.readouterr().err

@@ -1,10 +1,11 @@
-"""The two program caches: the `intertwiners` kernel memo and the
-truncation ring.
+"""The program's memos: the `intertwiners` kernel memo, the truncation
+ring and the memo of D = Hom(-, E_R) in `dualize_artinian`.
 
-A cached kernel must equal the kernel solved anew, be read-only, and be
-keyed by the field as well as by the integer matrices.  The benchmark
-empties the program's caches between passes with `cache_clearers` from
-`bench/run.py`; both caches must be among what it empties.
+A cached kernel or dual must equal the one solved anew, be read-only, and
+be keyed by everything it depends on, not only by the integer matrices.
+The benchmark empties the program's caches between passes with
+`cache_clearers` from `bench/run.py`; every memo must be among what it
+empties.
 """
 
 import importlib.util
@@ -16,9 +17,15 @@ import numpy as np
 import pytest
 
 from cartierforge import matrix as mx
-from cartierforge.artinian import _intertwiner_kernel, intertwiners
+from cartierforge.artinian import (_intertwiner_kernel, fin_module, intertwiners,
+                                   quotient_ring, restrict_scalars,
+                                   ring_make)
+from cartierforge.duality import _dual, dualize_artinian
 from cartierforge.field import GF
+from cartierforge.generate import artinian_corpus, random_module, random_structure
 from cartierforge.pid import truncation_ring
+from cartierforge.structures import (CARTIER, FROBENIUS, cartier_module,
+                                     structured)
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2)]     # GF(2), GF(3), GF(4), GF(9)
 RUN = Path(__file__).resolve().parent.parent / "bench" / "run.py"
@@ -112,17 +119,119 @@ def test_truncation_rings_are_cached_and_read_only():
         mu[0, 0] = 1
 
 
+# -- the memo of D = Hom(-, E_R) --
+
+
+def copied(m):
+    """An equal module built from copies of every array."""
+    mod = fin_module(m.ring, [a.copy() for a in m.module.actions], m.dim)
+    return structured(m.kind, mod, m.mat.copy(), m.power)
+
+
+def extension_draws(count):
+    """Cartier and Frobenius structures for q^power, power 1 or 2, over
+    monomial rings in two variables over GF(4) and GF(9)."""
+    rng = random.Random(49)
+    out = []
+    for _ in range(count):
+        ring = ring_make(GF(rng.choice([2, 3]), 2), ["x", "y"],
+                         [[rng.randint(1, 3), 0], [0, rng.randint(1, 2)]])
+        out.append(random_structure(rng, random_module(rng, ring, 3),
+                                    rng.choice([CARTIER, FROBENIUS]), rng.randint(1, 2)))
+    return out
+
+
+def same_dual(a, b):
+    (d, ker), (e, ker2) = a, b
+    return ((d.kind, d.power, d.dim) == (e.kind, e.power, e.dim)
+            and all(x.dtype == y.dtype and np.array_equal(x, y) for x, y in
+                    zip((d.mat, ker, *d.module.actions), (e.mat, ker2, *e.module.actions))))
+
+
+def test_a_dual_hit_equals_the_dual_solved_anew():
+    mods = artinian_corpus(31, 40) + extension_draws(24)
+    assert {m.ring.field.order for m in mods} == {2, 3, 4, 9}
+    assert {(m.kind, m.power) for m in mods} == {(k, p) for k in (CARTIER, FROBENIUS)
+                                                 for p in (1, 2)}
+    hits = [dualize_artinian(copied(m)) for m in mods + mods]
+    assert _dual.cache_info().hits >= len(mods)
+    for m, hit in zip(mods, hits[len(mods):]):
+        _dual.cache_clear()
+        _intertwiner_kernel.cache_clear()
+        assert same_dual(hit, dualize_artinian(m))
+
+
+def test_a_dual_hit_returns_the_same_read_only_arrays():
+    m = artinian_corpus(3, 1)[0]
+    first = dualize_artinian(m)
+    hit = dualize_artinian(copied(m))
+    assert _dual.cache_info().hits == 1
+    assert hit[0] is first[0] and hit[1] is first[1]
+    d, ker = hit
+    for a in (d.mat, ker, *d.module.actions):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 1
+    # the dual of a shared dual is computed from the read-only arrays
+    assert same_dual(dualize_artinian(d), dualize_artinian(copied(d)))
+
+
+def one_dim(field, kind=CARTIER, power=1, ring=None):
+    """k = R/m with the structure 1; valid for every kind and power."""
+    ring = ring or ring_make(field, ["x"], [[3]])
+    return structured(kind, fin_module(ring, [mx.zeros(1, 1)]), mx.identity(1), power)
+
+
+@pytest.mark.parametrize("a,b", [
+    (one_dim(GF(2)), one_dim(GF(3))),
+    (one_dim(GF(3)), one_dim(GF(3), FROBENIUS)),
+    (one_dim(GF(2)), one_dim(GF(2), power=2)),
+], ids=["GF(2)-GF(3)", "cartier-frobenius", "power-1-2"])
+def test_modules_of_equal_integers_are_two_dual_entries(a, b):
+    da, db = dualize_artinian(a)[0], dualize_artinian(b)[0]
+    assert _dual.cache_info().currsize == 2
+    for m, d in ((a, da), (b, db)):
+        opposite = FROBENIUS if m.kind == CARTIER else CARTIER
+        assert (d.ring.field, d.kind, d.power) == (m.ring.field, opposite, m.power)
+
+
+def test_a_quotient_ring_and_the_equal_plain_ring_are_two_dual_entries():
+    F = GF(2)
+    ambient = ring_make(F, ["x"], [[3]])
+    quot = quotient_ring(ambient, [[2]])
+    plain = ring_make(F, ["x"], [[3], [2]])
+    assert quot.key() == plain.key()
+    dp = dualize_artinian(one_dim(F, ring=plain))[0]
+    dualize_artinian(one_dim(F, ring=quot))
+    dq = dualize_artinian(one_dim(F, ring=quot))[0]
+    assert _dual.cache_info().currsize == 2 and _dual.cache_info().hits == 1
+    assert restrict_scalars(dq.module).ring is ambient
+    with pytest.raises(ValueError):
+        restrict_scalars(dp.module)
+
+
+def test_the_dual_memo_is_bounded():
+    # 300 distinct structures on k^2 over GF(17)[] (no variables)
+    ring = ring_make(17, [], [])
+    for i in range(300):
+        dualize_artinian(cartier_module(fin_module(ring, [], 2), [[i % 17, i // 17], [0, 1]]))
+    assert _dual.cache_info().currsize == 256
+
+
 def test_bench_cache_clearers_empty_both_caches():
     spec = importlib.util.spec_from_file_location("bench_run", RUN)
     run = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run)
     intertwiners(GF(2), [mx.identity(2)], [mx.identity(2)], 2, 2)
     truncation_ring(GF(2), 3)
+    dualize_artinian(one_dim(GF(2)))
     assert _intertwiner_kernel.cache_info().currsize > 0
     assert truncation_ring.cache_info().currsize > 0
+    assert _dual.cache_info().currsize > 0
     clearers = run.cache_clearers([m for n, m in sys.modules.items()
                                    if n.startswith("cartierforge")])
     for clear in clearers:
         clear()
     assert _intertwiner_kernel.cache_info().currsize == 0
     assert truncation_ring.cache_info().currsize == 0
+    assert _dual.cache_info().currsize == 0

@@ -1,5 +1,5 @@
 """Time `matrix.mmul` on random n x n operands, per field and size, and
-the construction of a field; count the hits of the Hom-system memo.
+the construction of a field; count the hits of the program's memos.
 
     python3 tools/kernel_bench.py [--repeats R]
 
@@ -14,8 +14,9 @@ The third table covers one unsharded pass over each benchmark workload:
 every command of every file under `bench/inputs/<workload>/`, run as
 `result_digest.py` runs them, after the benchmark's `cache_clearers` have
 emptied every program cache.  It gives the `intertwiners` calls with the
-hits and misses of its kernel memo (a miss is one kernel solved), and the
-hits and misses of the truncation-ring cache.
+hits and misses of its kernel memo (a miss is one kernel solved), the
+hits and misses of the truncation-ring cache, and the `dualize_artinian`
+calls with the hits and misses of its D memo (a miss is one D(M) solved).
 BLAS runs in one thread.  The package is imported from the `src/` next
 to this file, so a checkout of another commit times that commit.
 """
@@ -39,6 +40,7 @@ import numpy as np
 import cartierforge.cli as cli
 from cartierforge import matrix as mx
 from cartierforge.artinian import _intertwiner_kernel
+from cartierforge.duality import _dual
 from cartierforge.field import GF, canonical_modulus
 from cartierforge.pid import truncation_ring
 from result_digest import WORKLOADS, result_lines
@@ -74,15 +76,17 @@ def build_ms(p: int, d: int, repeats: int) -> float:
 
 
 def memo_counts(workload: str) -> tuple:
-    """(calls, hits, misses) of the kernel memo, then (hits, misses) of the
-    truncation-ring cache, over one pass of the workload."""
+    """(calls, hits, misses) of the kernel memo, (hits, misses) of the
+    truncation-ring cache and (calls, hits, misses) of the D memo, over
+    one pass of the workload."""
     for clear in cache_clearers([m for n, m in sys.modules.items()
                                  if n.startswith("cartierforge")]):
         clear()
     for _ in result_lines(cli, workload):
         pass
-    ker, ring = _intertwiner_kernel.cache_info(), truncation_ring.cache_info()
-    return ker.hits + ker.misses, ker.hits, ker.misses, ring.hits, ring.misses
+    ker, ring, dual = (f.cache_info() for f in (_intertwiner_kernel, truncation_ring, _dual))
+    return (ker.hits + ker.misses, ker.hits, ker.misses, ring.hits, ring.misses,
+            dual.hits + dual.misses, dual.hits, dual.misses)
 
 
 def main() -> None:
@@ -100,7 +104,8 @@ def main() -> None:
     for p, d in BUILDS:
         print(f"GF({p}^{d})".ljust(12) + f"{build_ms(p, d, repeats):10.2f}")
     print()
-    heads = ["calls", "hits", "misses", "ring hits", "ring miss"]
+    heads = ["calls", "hits", "misses", "ring hits", "ring miss", "D calls", "D hits",
+             "D misses"]
     print("workload".ljust(16) + "".join(h.rjust(11) for h in heads) + "   (one pass)")
     for workload in WORKLOADS:
         print(workload.ljust(16) + "".join(f"{n:11d}" for n in memo_counts(workload)))
