@@ -30,7 +30,7 @@ from .duality import (double_dual_check, dual_base_change_check,
                       nilpotence_exchange_check, nonsingular_short_weierstrass,
                       ordinarity, pair_C_to_F, pair_F_to_C,
                       sol_base_change_check, sol_point)
-from .field import GF, is_prime
+from .field import GF, MAX_ORDER, is_prime, order_fits
 from .generate import (artinian_corpus, pid_torsion_corpus, random_cartier,
                        random_f_module, random_pid_torsion)
 from .pid import (CARTIER, FROBENIUS, PidModule, Unsupported, pid_free,
@@ -290,20 +290,24 @@ def run_command(problem, cmd: dict, seed: int) -> dict:
             raise SchemaError("pair expects (frobenius, cartier) or (cartier, unit cartier)")
         out.update(ok=True, kind=h.kind, dim=h.dim,
                    nilpotency_index=_index_json(nilpotency_index(h)))
-    elif op == "sol":
+    elif op in ("sol", "base-change"):
         m = get_module()
-        s = _int_field(cmd, "s", 1, lo=1)
-        rep = sol_point(m, s)
-        out.update(ok=True, s=s, dim_fq=rep.dim_fq, geometric_dim=rep.geometric_dim)
-    elif op == "base-change":
-        m = get_module()
-        s = _int_field(cmd, "s", 2, lo=1)
-        res = {"s": s}
-        if m.kind == FROBENIUS:
-            res["sol"] = sol_base_change_check(m, s)
-        res["dual"] = dual_base_change_check(m, s)
-        ok = res["dual"] and res.get("sol", {"ok": True})["ok"]
-        out.update(ok=bool(ok), **res)
+        s = _int_field(cmd, "s", 1 if op == "sol" else 2, lo=1)
+        F = m.ring.field
+        if (op == "sol" or m.kind == FROBENIUS) and not order_fits(F.p, F.deg * s):
+            # Sol, alone or inside a Frobenius base-change, is solved over GF(q^s)
+            out.update(unsupported=True, ok=None, s=s, reason=(
+                f"{op} needs GF({F.p}^{F.deg * s}), past the field-order cap {MAX_ORDER}"))
+        elif op == "sol":
+            rep = sol_point(m, s)
+            out.update(ok=True, s=s, dim_fq=rep.dim_fq, geometric_dim=rep.geometric_dim)
+        else:
+            res = {"s": s}
+            if m.kind == FROBENIUS:
+                res["sol"] = sol_base_change_check(m, s)
+            res["dual"] = dual_base_change_check(m, s)
+            ok = res["dual"] and res.get("sol", {"ok": True})["ok"]
+            out.update(ok=bool(ok), **res)
     elif op == "local-duality":
         m = get_module()
         rep = local_duality_check(m)

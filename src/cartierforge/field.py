@@ -12,6 +12,11 @@ regular-representation table `_reg` holds the digits of C^s e_0 = t^s,
 and the generator test and the log-table doubling take powers of the
 multiplication matrices that `matrix.mmul` reads off `_reg`.
 
+The codes below p are the prime field GF(p), with GF(p) arithmetic; the
+kernels of `matrix` reach it through the handle `prime`.  `mul` and `div`
+are one gather from zero-sentinel log/exp tables, 5q int64 beside the
+q*m digit table.
+
 All operations accept plain ints or numpy arrays of codes and are exact.
 """
 
@@ -25,6 +30,12 @@ from . import matrix as mx
 
 # Tables are O(field order); desk-scale guard.
 MAX_ORDER = 1 << 22
+
+
+def order_fits(p: int, deg: int) -> bool:
+    """Whether p**deg <= MAX_ORDER; p**deg is formed only when deg is below
+    the bit length of MAX_ORDER, where it is small."""
+    return deg < MAX_ORDER.bit_length() and p ** deg <= MAX_ORDER
 
 
 def is_prime(n: int) -> bool:
@@ -89,12 +100,12 @@ class FiniteField:
             raise ValueError(f"p = {p} is not prime")
         if deg < 1:
             raise ValueError("deg must be >= 1")
-        order = p ** deg
-        if order > MAX_ORDER:
-            raise ValueError(f"field order {order} exceeds desk-scale cap {MAX_ORDER}")
+        if not order_fits(p, deg):
+            raise ValueError(f"GF({p}^{deg}) exceeds the desk-scale cap {MAX_ORDER}")
         self.p = p
         self.deg = deg
-        self.order = order
+        self.order = p ** deg
+        self.prime = GF(p) if deg > 1 else self
         self.modulus = canonical_modulus(p, deg)
         self._pw = p ** np.arange(deg, dtype=np.int64)
         if deg > 1:
@@ -147,6 +158,10 @@ class FiniteField:
         log = np.zeros(self.order, dtype=np.int64)
         log[exp] = np.arange(n, dtype=np.int64)
         self._exp, self._log, self.generator = exp, log, g
+        # zero sentinels: a sum of two logs is below 2n exactly when neither
+        # factor is 0, and the zeros reach index 4n, where both are
+        self._logz = np.where(np.arange(self.order) == 0, 2 * n, log)
+        self._expz = np.concatenate([exp, exp, np.zeros(2 * n + 1, dtype=np.int64)])
 
     def _build_prime_inverse(self):
         p = self.p
@@ -191,8 +206,7 @@ class FiniteField:
         a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
         if self.deg == 1:
             return (a * b) % self.p
-        out = self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
-        return np.where((a == 0) | (b == 0), 0, out)
+        return self._expz[self._logz[a] + self._logz[b]]
 
     def inv(self, a):
         return self.div(1, a)
@@ -204,8 +218,8 @@ class FiniteField:
             raise ZeroDivisionError("division by 0 in finite field")
         if self.deg == 1:
             return (a * self._inv_table[b]) % self.p
-        out = self._exp[(self._log[a] - self._log[b]) % (self.order - 1)]
-        return np.where(a == 0, 0, out)
+        # b != 0, so the index is below 2(q-1) exactly when a != 0
+        return self._expz[self._logz[a] - self._logz[b] + (self.order - 1)]
 
     def power(self, a, t: int):
         """Elementwise a**t (t >= 0); vectorized, exact."""

@@ -40,42 +40,59 @@ def mmul(F: FiniteField, a, b) -> np.ndarray:
 
     Over GF(p) this is delayed modular reduction: (a @ b) % p on int64,
     with the inner dimension split into chunks of dot_chunk(p) so that
-    every partial sum stays below 2**63.  Over GF(p^m) it is the same
-    GF(p) product on coordinates: a becomes its digits, shape (rows, k*m),
-    and b the regular representations of its entries, shape (k*m, cols*m),
-    whose entry ((k, i), (c, l)) is digit l of b[k, c] * t^i; this
-    temporary holds k*cols*m**2 codes.  Every entry of both is below p, so
-    dot_chunk(p) bounds the chunks along k*m as well.  The product holds
-    the digits of the result, shape (rows, cols, m), recombined into codes.
+    every partial sum stays below 2**63.  Over GF(p^m) the codes below p
+    are the prime field GF(p), and the product descends to it as far as
+    the operands allow: two GF(p) operands take the GF(p) product of their
+    codes; a GF(p) operand a needs only digits(b), as a scalar in GF(p)
+    scales each digit; a GF(p) operand b takes that on (ab)^T = b^T a^T.
+    Otherwise a becomes its digits, shape (rows, k*m), and b the regular
+    representations of its entries, shape (k*m, cols*m), whose entry
+    ((k, i), (c, l)) is digit l of b[k, c] * t^i; this temporary holds
+    k*cols*m**2 codes.  In each case every factor is below p and
+    dot_chunk(p) splits the inner dimension, k or k*m, so the bound holds
+    unchanged.  The digit products hold the digits of the result, shape
+    (rows, cols, m), recombined into codes.
     """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     if a.shape[-1] != b.shape[0]:
         raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
-    p, m, tail = F.p, F.deg, b.shape[1:]
+    p, m, flip = F.p, F.deg, False
     if m > 1:
-        # the field's digit, regular-representation and place-value tables
-        a = F._dig[a].reshape(*a.shape[:-1], a.shape[-1] * m)
-        reg = ((F._dig[b] @ F._reg) % p).reshape(*b.shape, m, m)
-        b = reg.swapaxes(1, -2).reshape(b.shape[0] * m, math.prod(tail) * m)
+        a_ext, b_ext = a.max(initial=0) >= p, b.max(initial=0) >= p
+        if a_ext and not b_ext:
+            a, b, flip = b.T, a.T, True     # (ab)^T = b^T a^T
+        tail = b.shape[1:]
+        if a_ext and b_ext:
+            # the field's digit, regular-representation and place-value tables
+            a = F._dig[a].reshape(*a.shape[:-1], a.shape[-1] * m)
+            reg = ((F._dig[b] @ F._reg) % p).reshape(*b.shape, m, m)
+            b = reg.swapaxes(1, -2).reshape(b.shape[0] * m, math.prod(tail) * m)
+        elif a_ext or b_ext:
+            b = F._dig[b].reshape(b.shape[0], math.prod(tail) * m)
+        else:
+            m = 1
     step, k = dot_chunk(p), a.shape[-1]
     out = (a @ b if k <= step else a[..., :step] @ b[:step]) % p
     for s in range(step, k, step):
         out = (out + (a[..., s:s + step] @ b[s:s + step]) % p) % p
     if m > 1:
         out = out.reshape(*out.shape[:-1], *tail, m) @ F._pw
-    return out
+    return out.T if flip else out
 
 
 def mat_pow(F: FiniteField, a: np.ndarray, n: int) -> np.ndarray:
     """a**n by left-to-right squaring from the leading bit of n: at most
-    2*floor(log2 n) products, and always a fresh array."""
+    2*floor(log2 n) products, none once the power is 0, and always a fresh
+    array."""
     if a.shape[0] != a.shape[1]:
         raise ValueError("matrix power needs a square matrix")
     if n == 0:
         return identity(a.shape[0])
     out = np.array(a, dtype=np.int64)
     for bit in bin(n)[3:]:
+        if not out.any():
+            break
         out = mmul(F, out, out)
         if bit == "1":
             out = mmul(F, out, a)
@@ -108,8 +125,12 @@ def rref(F: FiniteField, a) -> tuple[np.ndarray, tuple[int, ...]]:
     one fused rank-1 `submul` clears the pivot column in every row nonzero
     there, the pivot row too, before the normalised row is written back.
     Left of the pivot the pivot row is zero, so the update touches only
-    columns from the pivot on."""
+    columns from the pivot on.  Over GF(p^m) a matrix whose codes are all
+    below p lies in GF(p), which the pivot steps keep, so it is reduced by
+    the ops of `F.prime`."""
     r = np.array(a, dtype=np.int64)
+    if F.deg > 1 and r.max(initial=0) < F.p:
+        F = F.prime
     nrows, ncols = r.shape
     pivots = []
     row = 0

@@ -508,6 +508,24 @@ def test_integer_fields_at_their_bounds(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("s", [12, 10 ** 6])
+def test_extension_past_the_order_cap_is_unsupported(tmp_path, capsys, s):
+    """Over GF(4), s = 12 asks for GF(2^24) > MAX_ORDER; s = 10**6 for a
+    field whose order has some 600,000 digits."""
+    doc = json.loads(json.dumps(FIXTURE_A))
+    doc["field"] = {"p": 2, "r": 2}
+    doc["modules"] = {"frob": FROB}
+    doc["commands"] = [{"op": "sol", "module": "frob", "s": s},
+                       {"op": "base-change", "module": "frob", "s": s}]
+    out = str(tmp_path / "rep.json")
+    assert main(["run", write(tmp_path, doc), "--json", out]) == 0
+    for r in json.loads(open(out).read())["results"]:
+        assert "error" not in r, r
+        assert r["unsupported"] is True and r["ok"] is None and r["s"] == s
+        assert f"GF(2^{2 * s})" in r["reason"]
+    capsys.readouterr()
+
+
 def set_path(doc, path, value):
     *head, last = path
     for key in head:

@@ -166,6 +166,30 @@ def test_digit_table_is_base_p_expansion(p, deg):
     assert np.array_equal(F._dig, want)
 
 
+@pytest.mark.parametrize("p,deg", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_mul_div_exhaustive_against_reference(p, deg):
+    """Every pair of codes, 0 in either slot, through the zero-sentinel
+    log tables; scalars as well as arrays."""
+    F, ref = GF(p, deg), RefField(GF(p, deg))
+    a, b = np.divmod(np.arange(F.order ** 2, dtype=np.int64), F.order)
+    assert F.mul(a, b).tolist() == [ref.mul(x, y) for x, y in zip(a, b)]
+    nz = b != 0
+    assert F.div(a[nz], b[nz]).tolist() == [ref.div(x, y) for x, y in zip(a[nz], b[nz])]
+    top = F.order - 1
+    assert [int(F.mul(0, top)), int(F.mul(top, 0)), int(F.div(0, top))] == [0, 0, 0]
+    assert int(F.mul(top, top)) == ref.mul(top, top)
+
+
+def test_order_cap_names_the_field():
+    with pytest.raises(ValueError, match=r"GF\(2\^23\) exceeds"):
+        FiniteField(2, 23)
+    with pytest.raises(ValueError, match=r"GF\(2039\^3\) exceeds"):
+        FiniteField(2039, 3)
+    # the order of GF(2^(10^6)) has 301,030 digits; it is never formed
+    with pytest.raises(ValueError, match=r"GF\(2\^1000000\) exceeds"):
+        FiniteField(2, 10 ** 6)
+
+
 def test_is_prime():
     assert [n for n in range(2, 20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
     sympy = pytest.importorskip("sympy")

@@ -292,6 +292,34 @@ def test_mat_pow_products_and_values(p, d, monkeypatch):
         assert len(calls) <= max(0, 2 * (n.bit_length() - 1))   # 2*floor(log2 n)
 
 
+@SETTINGS
+@given(square_matrix(), st.integers(0, 40))
+def test_mat_pow_matches_product_loop(case, n):
+    """Nilpotent and general matrices; the powers of a nilpotent one reach
+    0, where `mat_pow` stops."""
+    F, a = case
+    assert np.array_equal(mx.mat_pow(F, a, n), ref_mat_pow(F, a, n))
+
+
+@pytest.mark.parametrize("p,d", [(2, 1), (3, 2)])
+def test_mat_pow_stops_at_zero(p, d, monkeypatch):
+    """The shift N on F^4 has N^4 = 0: two squarings reach it, whatever n."""
+    F, shift = GF(p, d), np.eye(4, k=-1, dtype=np.int64)
+    mmul, calls = mx.mmul, []
+
+    def counting(*args):
+        calls.append(1)
+        return mmul(*args)
+
+    monkeypatch.setattr(mx, "mmul", counting)
+    for n in (4, 8, 1024, 1025, 2 ** 40 + 3):
+        calls.clear()
+        got = mx.mat_pow(F, shift, n)
+        assert not got.any() and got is not shift
+        assert len(calls) == 2
+    assert np.array_equal(mx.mat_pow(F, shift, 3), np.eye(4, k=-3, dtype=np.int64))
+
+
 # -- action_of: one power per variable against the product loop --
 
 

@@ -24,6 +24,8 @@ FIELDS = [(2, 1), (3, 1), (BIG_P, 1), (2, 2), (3, 2), (3, 3)]
 # its products of digits and regular representations come nearest the bound
 PRODUCT_FIELDS = FIELDS + [(BIG_SQ, 2)]
 PRIMES = [(p, d) for p, d in FIELDS if d == 1]
+# extensions whose products and reductions descend to the prime field
+SUBFIELD_FIELDS = [(2, 2), (3, 2), (3, 3), (BIG_SQ, 2)]
 EXTENSIONS = [(p, d) for p, d in FIELDS if d > 1]
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -194,6 +196,81 @@ def test_mmul_chunked_inner_dimension(case, step):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mx, "dot_chunk", lambda p: step)
         assert np.array_equal(mx.mmul(F, a, b), ref_mmul(F, a, b))
+
+
+def draw_codes(draw, F, shape, kind):
+    """A matrix over F: all zero, in the prime field (codes below p) or
+    anywhere, with the top code of its range and the code p likely."""
+    if kind == "zero":
+        return mx.zeros(*shape)
+    top = F.p - 1 if kind == "prime" else F.order - 1
+    code = st.one_of(st.integers(0, top), st.just(top), st.just(min(F.p, top)))
+    n = shape[0] * shape[1]
+    return np.array(draw(st.lists(code, min_size=n, max_size=n)),
+                    dtype=np.int64).reshape(shape)
+
+
+@st.composite
+def subfield_operands(draw):
+    """A product over GF(p^m) with at least one operand in the prime field
+    GF(p); a zero operand lies there too."""
+    F = GF(*draw(st.sampled_from(SUBFIELD_FIELDS)))
+    r, k, c = (draw(st.integers(0, 5)) for _ in range(3))
+    ka, kb = draw(st.sampled_from([(x, y) for x in ("zero", "prime", "any")
+                                   for y in ("zero", "prime", "any")
+                                   if (x, y) != ("any", "any")]))
+    return F, draw_codes(draw, F, (r, k), ka), draw_codes(draw, F, (k, c), kb)
+
+
+@st.composite
+def subfield_matrix(draw):
+    F = GF(*draw(st.sampled_from(SUBFIELD_FIELDS)))
+    shape = (draw(st.integers(0, 6)), draw(st.integers(0, 7)))
+    return F, draw_codes(draw, F, shape, draw(st.sampled_from(["zero", "prime", "any"])))
+
+
+@SETTINGS
+@given(subfield_operands(), st.integers(0, 3))
+def test_mmul_with_prime_subfield_operands(case, step):
+    """Each descent (both in GF(p), only a, only b), on matrices and 1-D
+    operands, with the inner dimension split at step 1-3 (0: unsplit)."""
+    F, a, b = case
+    ref = ref_mmul(F, a, b)
+    with pytest.MonkeyPatch.context() as mp:
+        if step:
+            mp.setattr(mx, "dot_chunk", lambda p: step)
+        assert np.array_equal(mx.mmul(F, a, b), ref)
+        if a.shape[0]:
+            assert np.array_equal(mx.mmul(F, a[0], b), ref[0])
+        if b.shape[1]:
+            assert np.array_equal(mx.mmul(F, a, b[:, 0]), ref[:, 0])
+        if a.shape[0] and b.shape[1]:
+            assert mx.mmul(F, a[0], b[:, 0]) == ref[0, 0]
+
+
+@SETTINGS
+@given(subfield_matrix())
+def test_rref_and_kernel_of_prime_subfield_matrices(case):
+    """Zero and prime-field matrices, which reduce over GF(p), and general
+    ones, which may hold the code p, the least outside GF(p)."""
+    F, a = case
+    r, pivots = mx.rref(F, a)
+    rr, rpivots = ref_rref(F, a)
+    assert pivots == rpivots and np.array_equal(r, rr)
+    assert np.array_equal(mx.kernel(F, a), ref_kernel(F, a))
+
+
+def test_prime_entry_rref_over_gf9_equals_rref_over_gf3():
+    rng = np.random.default_rng(9)
+    for shape in [(0, 3), (3, 0), (3, 3), (4, 6), (6, 4)]:
+        for _ in range(10):
+            a = rng.integers(0, 3, shape)
+            r9, p9 = mx.rref(GF(3, 2), a)
+            r3, p3 = mx.rref(GF(3), a)
+            assert p9 == p3 and np.array_equal(r9, r3)
+    # 3 = t is the least code outside GF(3): no descent
+    a = np.array([[1, 3], [2, 0]])
+    assert np.array_equal(mx.rref(GF(3, 2), a)[0], ref_rref(GF(3, 2), a)[0])
 
 
 @pytest.mark.parametrize("p,d", FIELDS)

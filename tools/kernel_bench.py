@@ -4,8 +4,12 @@ the construction of a field; count the hits of the program's memos.
     python3 tools/kernel_bench.py [--repeats R]
 
 Fields GF(2), GF(3), GF(4), GF(9), GF(27) and GF(2039^2), n from 2 to
-136.  Each cell is the median over R repeats (default 7) of the mean time
-per call, in microseconds, over a batch of calls lasting at least 20 ms.
+136, with entries anywhere in the field; then GF(4), GF(9) and GF(27)
+with both operands in the prime field GF(p), the codes below p ("p@p"),
+and with only the left one there ("p@q"): the products that `mmul`
+descends to GF(p).  Each cell is the median over R repeats (default 7)
+of the mean time per call, in microseconds, over a batch of calls
+lasting at least 20 ms.
 The second table gives the time in milliseconds to build GF(4), GF(27),
 GF(2^8), GF(3^6), GF(2^16) and GF(2039^2): the median over R builds, each
 with the `GF` and `canonical_modulus` caches cleared, so that it finds
@@ -47,6 +51,9 @@ from result_digest import WORKLOADS, result_lines
 from run import cache_clearers
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (3, 3), (2039, 2)]
+# (field, operand ranges): "p@p" both below p, "p@q" only the left one
+ROWS = ([(p, d, "") for p, d in FIELDS]
+        + [(p, d, kind) for p, d in [(2, 2), (3, 2), (3, 3)] for kind in ("p@p", "p@q")])
 SIZES = [2, 4, 8, 16, 32, 64, 136]
 BUILDS = [(2, 2), (3, 3), (2, 8), (3, 6), (2, 16), (2039, 2)]
 
@@ -95,10 +102,12 @@ def main() -> None:
     repeats = ap.parse_args().repeats
     rng = np.random.default_rng(0)
     print("field".ljust(12) + "".join(f"n={n}".rjust(10) for n in SIZES) + "   (us/call)")
-    for p, d in FIELDS:
+    for p, d, kind in ROWS:
         F = GF(p, d)
-        row = [per_call_us(F, *rng.integers(0, F.order, (2, n, n)), repeats) for n in SIZES]
-        print(repr(F).ljust(12) + "".join(f"{t:10.1f}" for t in row))
+        hi_a, hi_b = (p if kind else F.order), (p if kind == "p@p" else F.order)
+        row = [per_call_us(F, rng.integers(0, hi_a, (n, n)), rng.integers(0, hi_b, (n, n)),
+                           repeats) for n in SIZES]
+        print(f"{F!r} {kind}".ljust(12) + "".join(f"{t:10.1f}" for t in row))
     print()
     print("field".ljust(12) + "build".rjust(10) + "   (ms)")
     for p, d in BUILDS:
