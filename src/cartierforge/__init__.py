@@ -16,15 +16,13 @@ from .structures import (CartierModule, FModule, adjoint_structural,
                          kashiwara_counit, nil_isomorphism_check,
                          nilpotency_index, stable_image, stable_kernel,
                          twist_by_unit_line, unitalize, validate)
-from .pid import (PidModule, PresModule, Unsupported,
-                  frobenius_pushforward_presentation, inverse_module, kappa_s,
-                  pid_free, pid_sum, pid_torsion, pres_module)
+from .pid import (PidModule, Unsupported, inverse_module, pid_free, pid_sum,
+                  pid_torsion)
 from .duality import (crystal_class, crystal_equivalent, double_dual_check,
                       dual_base_change_check, dualizing_module, elliptic_ap,
                       extend_scalars, hasse_invariant, ordinarity,
                       pair_C_to_F, pair_F_to_C, sol_base_change_check,
                       sol_point)
-from .complexes import (StructuredComplex, cartier_structure_on_ring,
-                        coherent_model_of_localization, dualize, is_perverse,
-                        local_duality_check, matlis_dual, shift_module,
-                        unit_dualizing_complex)
+from .complexes import (StructuredComplex, coherent_model_of_localization,
+                        dualize, is_perverse, local_duality_check, matlis_dual,
+                        shift_module)

@@ -112,10 +112,22 @@ def _decode_poly(field, coeffs):
     return Poly.make(field, [_decode_scalar(field, c) for c in coeffs])
 
 
+def _canonical_int(key: str) -> bool:
+    """`key` is an integer written as str(int(key)): no sign on 0, no '+',
+    leading zeros, spaces or underscores."""
+    try:
+        return str(int(key)) == key
+    except ValueError:
+        return False
+
+
 def _parse_ring(field, rdoc, what):
     rdoc = _container(rdoc, dict, what)
-    return ring_make(field, _container(rdoc.get("vars"), list, f"{what} vars"),
-                     _exponents(rdoc.get("relations"), f"{what} relations"))
+    names = _container(rdoc.get("vars"), list, f"{what} vars")
+    for v in names:
+        if not isinstance(v, str):
+            raise SchemaError(f"{what} vars entry must be a string, got {v!r}")
+    return ring_make(field, names, _exponents(rdoc.get("relations"), f"{what} relations"))
 
 
 def parse_problem(doc: dict):
@@ -133,10 +145,17 @@ def parse_problem(doc: dict):
         modules[name] = _parse_module(field, ring, _container(mdoc, dict, where), where)
     complexes, complex_terms = {}, {}
     for name, cdoc in _container(doc.get("complexes", {}), dict, "complexes").items():
-        refs = _container(_container(cdoc, dict, f"complex {name!r}").get("terms", {}), dict,
-                     f"complex {name!r}: terms")
+        # a complex is its terms, each with zero differential
+        for key in _container(cdoc, dict, f"complex {name!r}"):
+            if key != "terms":
+                raise SchemaError(f"complex {name!r}: unknown key {key!r}; "
+                                  f"a complex has only 'terms'")
+        refs = _container(cdoc.get("terms", {}), dict, f"complex {name!r}: terms")
         terms = {}
         for deg, ref in refs.items():
+            if not _canonical_int(deg):
+                raise SchemaError(f"complex {name!r}: degree key {deg!r} "
+                                  f"must be an integer in canonical form")
             mod = modules.get(ref)
             if not isinstance(mod, PidModule):
                 raise SchemaError(f"complex {name}: term {ref} is not a pid module")

@@ -9,19 +9,15 @@ parts into degree -(d+1) from degree d.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dfield
-
-import numpy as np
+from dataclasses import dataclass
 
 from . import matrix as mx
 from .duality import dualize_artinian
-from .field import FiniteField
 from .pid import (CARTIER, FROBENIUS, PidModule, Unsupported,
                   free_crystal_zero, h1_crystal_zero, pid_free, pid_sum,
                   retruncate, torsion_crystal_zero)
 from .poly import Poly
-from .structures import (Structured, is_morphism, quotient_structure,
-                         sub_structure)
+from .structures import Structured
 
 
 def _opposite(kind: str) -> str:
@@ -56,70 +52,13 @@ def matlis_dual(t: Structured) -> Structured:
 
 @dataclass(frozen=True)
 class StructuredComplex:
-    """Bounded complex of PidModules with (optional) differentials.
-
-    Differentials act on the torsion parts; free parts must carry zero
-    differentials (other shapes are outside the modeled scope).
-    """
+    """Bounded complex of PidModules with zero differentials."""
 
     terms: dict            # degree -> PidModule
-    diffs: dict = dfield(default_factory=dict)   # degree -> matrix on torsion parts
-
-    def validate(self) -> list[str]:
-        out = []
-        for d, f in self.diffs.items():
-            src, dst = self.terms.get(d), self.terms.get(d + 1)
-            if src is None or dst is None:
-                out.append(f"differential at {d} lacks endpoints")
-                continue
-            if src.torsion is None or dst.torsion is None:
-                out.append(f"differential at {d} needs torsion endpoints")
-                continue
-            if not is_morphism(np.asarray(f, dtype=np.int64),
-                               src.torsion, dst.torsion):
-                out.append(f"differential at {d} is not structure-preserving")
-        for d in self.diffs:
-            if d + 1 in self.diffs:
-                F = self.terms[d].field
-                comp = mx.mmul(F, np.asarray(self.diffs[d + 1], dtype=np.int64),
-                               np.asarray(self.diffs[d], dtype=np.int64))
-                if comp.any():
-                    out.append(f"d^2 != 0 at degree {d}")
-        return out
 
 
 def shift_module(m: PidModule, degree: int = 0) -> StructuredComplex:
     return StructuredComplex({degree: m})
-
-
-def complex_cohomology(c: StructuredComplex) -> StructuredComplex:
-    """Cohomology termwise (zero-differential output); torsion-only
-    differentials supported."""
-    bad = c.validate()
-    if bad:
-        raise ValueError("; ".join(bad))
-    if not c.diffs:
-        return c
-    out = {}
-    for d, m in c.terms.items():
-        tors = m.torsion
-        if tors is not None:
-            f_in = c.diffs.get(d - 1)
-            f_out = c.diffs.get(d)
-            cur = tors
-            if f_out is not None:
-                ker = mx.kernel(cur.ring.field, np.asarray(f_out, dtype=np.int64))
-                cur = sub_structure(cur, ker)
-                if f_in is not None:
-                    raise ValueError("two-sided differentials on one term "
-                                     "are outside the modeled scope")
-            elif f_in is not None:
-                img = mx.column_space(cur.ring.field,
-                                      np.asarray(f_in, dtype=np.int64))
-                cur, _, _ = quotient_structure(cur, img)
-            tors = cur
-        out[d] = PidModule(m.field, m.kind, tors, m.free, m.power)
-    return StructuredComplex(out)
 
 
 def dualize(obj):
@@ -127,13 +66,11 @@ def dualize(obj):
 
     A module placed in degree d sends its torsion part to degree -d (its
     Matlis dual, opposite kind) and its free multiplier part to degree
-    -d - 1 (same multipliers, opposite kind).  Complexes must carry zero
-    differentials.  Non-diagonal free shapes are Unsupported.
+    -d - 1 (same multipliers, opposite kind).  Non-diagonal free shapes
+    are Unsupported.
     """
     if isinstance(obj, PidModule):
         obj = shift_module(obj, 0)
-    if obj.diffs:
-        return Unsupported("dualize of a complex with nonzero differentials")
     out = {}
     for d, m in obj.terms.items():
         if m.free is not None and not m.free_is_diagonal():
@@ -154,18 +91,6 @@ def _merge_term(out, degree, field, kind, torsion, free, power):
         out[degree] = PidModule(field, kind, torsion, free, power)
         return
     out[degree] = pid_sum(prev, PidModule(field, kind, torsion, free, power))
-
-
-def cartier_structure_on_ring(field: FiniteField) -> PidModule:
-    """(R, kappa_S): the explicit unit Cartier structure on GF(q)[x],
-    as the rank-one free module with multiplier 1."""
-    return pid_free(field, [Poly.one(field)], CARTIER)
-
-
-def unit_dualizing_complex(field: FiniteField) -> StructuredComplex:
-    """The normalized unit dualizing object of the one-dimensional tier:
-    (R, kappa_S) placed in degree -1, so skyscrapers dualize into degree 0."""
-    return shift_module(cartier_structure_on_ring(field), -1)
 
 
 # -- local duality --
@@ -238,14 +163,11 @@ def is_perverse(c: "StructuredComplex | PidModule") -> PerverseReport:
       stalk side:  H^j(M_eta) ~ 0 for j > -1, H^j(M_0) ~ 0 for j > 0;
       local side:  H^j_m ~ 0 for j < 0 at the closed points.
     Torsion parts see only the closed point at the origin; free parts see
-    the generic point and every closed point alike.
+    the generic point and every closed point alike.  A complex has zero
+    differentials, so H^j of it is its term in degree j.
     """
     if isinstance(c, PidModule):
         c = shift_module(c, 0)
-    try:
-        c = complex_cohomology(c)
-    except ValueError as exc:
-        return PerverseReport(False, (), Unsupported(str(exc)))
     for m in c.terms.values():
         if m.free is not None and not m.free_is_diagonal():
             return PerverseReport(False, (), Unsupported("non-diagonal free part"))

@@ -83,8 +83,8 @@ def mmul(F: FiniteField, a, b) -> np.ndarray:
 
 def mat_pow(F: FiniteField, a: np.ndarray, n: int) -> np.ndarray:
     """a**n by left-to-right squaring from the leading bit of n: at most
-    2*floor(log2 n) products, none once the power is 0, and always a fresh
-    array."""
+    2*floor(log2 n) products, none after the first that gives 0, and
+    always a fresh array."""
     if a.shape[0] != a.shape[1]:
         raise ValueError("matrix power needs a square matrix")
     if n == 0:
@@ -94,7 +94,7 @@ def mat_pow(F: FiniteField, a: np.ndarray, n: int) -> np.ndarray:
         if not out.any():
             break
         out = mmul(F, out, out)
-        if bit == "1":
+        if bit == "1" and out.any():
             out = mmul(F, out, a)
     return out
 

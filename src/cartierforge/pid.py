@@ -1,6 +1,5 @@
 """Finitely generated GF(q)[x]-modules and their local theory at the origin.
 
-Unstructured modules come as presentation matrices normalized by Smith form.
 Structure-carrying modules are split into an x-power-torsion part (a module
 over the truncation ring GF(q)[x]/(x^N), so all Artinian-tier machinery
 applies verbatim) and a free part recorded by its multiplier matrix: the
@@ -23,87 +22,12 @@ import numpy as np
 from . import matrix as mx
 from .artinian import ArtinRing, fin_module, ring_make
 from .field import FiniteField
-from .poly import Poly, poly_mat, smith_normal_form
+from .poly import Poly
 from .duality import inverse_hull
 from .structures import (CARTIER, FROBENIUS, CartierModule, Structured,
                          cartier_module, direct_sum_structured,
                          nilpotency_index, structured, validate,
                          with_structure)
-
-# -- kappa_S: the explicit unit Cartier structure on GF(q)[x] --
-
-
-def kappa_s(f: Poly, q: int) -> Poly:
-    """kappa_S(F_* f): picks the x^(qm+q-1) coefficients of f onto x^m.
-
-    This is the structure sending the free basis monomial x^(q-1) to 1 and
-    the other monomials x^j (j < q) to 0, extended by kappa(F_*(x^q g)) =
-    x kappa(F_* g).
-    """
-    return Poly.make(f.field, list(f.coeffs[q - 1::q]))
-
-
-# -- presentations and Smith normal form --
-
-
-@dataclass(frozen=True)
-class PresModule:
-    """coker of a polynomial presentation matrix (rows = generators)."""
-
-    field: FiniteField
-    pres: tuple
-    diag: tuple
-
-    @property
-    def n_gens(self) -> int:
-        return len(self.pres)
-
-    @property
-    def invariant_factors(self) -> tuple:
-        return tuple(d for d in self.diag if not d.is_zero() and d.deg >= 1)
-
-    @property
-    def free_rank(self) -> int:
-        nonzero = sum(1 for d in self.diag if not d.is_zero())
-        return self.n_gens - nonzero
-
-    @property
-    def torsion_dim(self) -> int:
-        return sum(d.deg for d in self.invariant_factors)
-
-
-def pres_module(field: FiniteField, rows) -> PresModule:
-    pm = poly_mat(field, rows)
-    if not pm:
-        raise ValueError("presentation needs at least one generator row")
-    diag = smith_normal_form(field, pm)
-    return PresModule(field, tuple(tuple(r) for r in pm), tuple(diag))
-
-
-def frobenius_pushforward_presentation(pm: PresModule, power: int = 1) -> PresModule:
-    """Presentation of F^r_* coker(P): the q-fold blow-up.
-
-    Generator (j, k) stands for F_*(x^k e_j); the relation column for an
-    original column c and twist t expands x^t c_j = sum_k g_jk(x)^q x^k.
-    The GF(q)-dimension of the cokernel is preserved.
-    """
-    F = pm.field
-    q = F.order ** power
-    n = pm.n_gens
-    m = len(pm.pres[0]) if pm.pres and pm.pres[0] else 0
-    rows = [[Poly.zero(F) for _ in range(m * q)] for _ in range(n * q)]
-    for col in range(m):
-        for t in range(q):
-            new_col = col * q + t
-            for j in range(n):
-                f = pm.pres[j][col].shift(t)
-                parts = f.q_decompose(q)
-                for k in range(q):
-                    rows[j * q + k][new_col] = parts[k]
-    if m == 0:
-        return pres_module(F, [[Poly.zero(F)] for _ in range(n * q)])
-    return pres_module(F, rows)
-
 
 # -- the truncated injective hull --
 

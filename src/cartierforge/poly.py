@@ -148,18 +148,6 @@ class Poly:
             out.append(int(F.mul(c, np.int64(k))))
         return Poly.make(F, out)
 
-    def q_decompose(self, q: int) -> list["Poly"]:
-        """The unique g_0..g_{q-1} with self = sum_k g_k(x)^q * x^k.
-
-        Valid because every coefficient of GF(q) is its own q-th root.
-        """
-        if q != self.field.order:
-            raise ValueError("q-decomposition requires coefficients in GF(q)")
-        out = []
-        for k in range(q):
-            out.append(Poly.make(self.field, list(self.coeffs[k::q])))
-        return out
-
     def __repr__(self):
         if self.is_zero():
             return "0"

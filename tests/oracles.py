@@ -1,9 +1,9 @@
 """Independent oracles shared by the test modules.
 
 These recompute, by the definitions, what the package computes another way:
-field arithmetic one code at a time, the rank-one structures on GF(q)[x],
-the dual-basis table of kappa_S, the hull structure read off the Laurent
-extension, the two-depth H^1 verdict and the hull twist applied to one
+field arithmetic one code at a time, kappa_S and the rank-one structures
+on GF(q)[x], the dual-basis table of kappa_S, the hull structure read off
+the Laurent extension, the two-depth H^1 verdict and the hull twist applied to one
 Laurent tail, the determinantal divisors of a polynomial matrix, matrix
 powers one factor at a time with their rank chain, the Sol attainment
 degree by search, conjugacy classes in GL_n(F_q) by enumeration, the Hom/tensor twist
@@ -21,8 +21,7 @@ from cartierforge import matrix as mx
 from cartierforge.artinian import fin_module
 from cartierforge.duality import dualize_artinian
 from cartierforge.field import FiniteField
-from cartierforge.pid import (PidModule, PresModule, hull_twist, kappa_s,
-                              pres_module)
+from cartierforge.pid import PidModule, hull_twist
 from cartierforge.poly import Poly
 from cartierforge.structures import (CartierModule, Structured,
                                      nilpotency_index, structured_i_torsion,
@@ -118,6 +117,16 @@ class RefField:
 # -- rank-one structures on GF(q)[x] --
 
 
+def kappa_s(f: Poly, q: int) -> Poly:
+    """kappa_S(F_* f): picks the x^(qm+q-1) coefficients of f onto x^m.
+
+    This is the structure sending the free basis monomial x^(q-1) to 1 and
+    the other monomials x^j (j < q) to 0, extended by kappa(F_*(x^q g)) =
+    x kappa(F_* g).
+    """
+    return Poly.make(f.field, list(f.coeffs[q - 1::q]))
+
+
 def kappa_multiplier(u: Poly, f: Poly, q: int) -> Poly:
     """kappa_u(F_* f) = kappa_S(F_*(u f)); every rank-one Cartier structure
     on GF(q)[x] has this form for a unique u."""
@@ -155,10 +164,6 @@ def dual_basis_matrix(field: FiniteField) -> np.ndarray:
             elif not v.is_zero():
                 out[i, j] = -1   # marks a non-constant value; law would fail
     return out
-
-
-def free_presentation(field: FiniteField, rank: int) -> PresModule:
-    return pres_module(field, [[Poly.zero(field)] for _ in range(rank)])
 
 
 def kappa_e_oracle(field: FiniteField, level: int, q: int) -> np.ndarray:

@@ -589,6 +589,18 @@ def test_wrongly_nested_input_is_schema_error(tmp_path, capsys, path, value):
     (("modules", "bad_free", "free"), [[[0], [1]], 5], "module 'bad_free' free row"),
     (("ring", "vars"), 5, "ring vars must be an array"),
     (("ring", "relations"), 5, "ring relations must be an array"),
+    (("ring", "vars"), [[1]], "ring vars entry must be a string, got [1]"),
+    (("modules", "A", "ring"), {"vars": [{}], "relations": [[2]]},
+     "module 'A' ring vars entry must be a string, got {}"),
+    # a complex is its terms with zero differentials: any other key is refused
+    (("complexes",), {"C": {"terms": {"0": "sky", "1": "sky"}, "diffs": {"0": [[1]]}}},
+     "complex 'C': unknown key 'diffs'"),
+    (("complexes",), {"C": {"terms": {"0": "sky", "00": "sky"}}},
+     "complex 'C': degree key '00' must be an integer"),
+    (("complexes",), {"C": {"terms": {"+1": "sky"}}},
+     "complex 'C': degree key '+1' must be an integer"),
+    (("complexes",), {"C": {"terms": {"x": "sky"}}},
+     "complex 'C': degree key 'x' must be an integer"),
 ])
 def test_wrongly_typed_module_part_names_its_field(tmp_path, capsys, path, value, field):
     doc = json.loads(json.dumps(FIXTURE_A))

@@ -370,30 +370,6 @@ def test_nonsingular_scan_count():
     assert len(nonsingular_short_weierstrass(5)) == 20
 
 
-def test_complex_with_differential_cohomology_and_perversity():
-    from cartierforge.complexes import StructuredComplex, complex_cohomology
-    from cartierforge.pid import Unsupported
-    F2 = GF(2)
-    m = pid_torsion(F2, [[0]], [[1]], CARTIER)
-    # identity differential in degrees (0, 1): acyclic, hence perverse
-    c = StructuredComplex({0: m, 1: m}, {0: mx.identity(1)})
-    assert not c.validate()
-    coh = complex_cohomology(c)
-    assert coh.terms[0].torsion_dim == 0 and coh.terms[1].torsion_dim == 0
-    assert is_perverse(c).ok
-    # a skyscraper stuck in degree 2 via a zero differential is not perverse
-    c2 = StructuredComplex({1: m, 2: m}, {1: mx.zeros(1, 1)})
-    assert not is_perverse(c2).ok
-    # a non-morphism differential is rejected
-    m0 = pid_torsion(F2, [[0]], [[0]], CARTIER)
-    bad = StructuredComplex({0: m, 1: m0}, {0: mx.identity(1)})
-    assert bad.validate()
-    rep = is_perverse(bad)
-    assert isinstance(rep.unsupported, Unsupported)
-    # dualize refuses nonzero differentials
-    assert isinstance(dualize(c), Unsupported)
-
-
 def test_crystal_comparator_exact(ring, e_mod):
     fixA = cartier_module(regular_module(ring), mx.mat([[0, 0], [1, 0]]))
     zero_struct = cartier_module(regular_module(ring), mx.zeros(2, 2))
@@ -541,10 +517,10 @@ def test_attainment_agrees_with_the_search_below_the_field_cap():
 
 
 def test_unit_dualizing_complex_is_perverse_and_self_consistent():
-    from cartierforge.complexes import (cartier_structure_on_ring,
-                                        unit_dualizing_complex)
     F2 = GF(2)
-    omega = unit_dualizing_complex(F2)
+    # (R, kappa_S), the rank-one free module with multiplier 1, in degree -1
+    ks = pid_free(F2, [Poly.one(F2)], CARTIER)
+    omega = shift_module(ks, -1)
     assert list(omega.terms) == [-1]
     assert is_perverse(omega).ok
     # D(omega) is the constant structure in degree 0
@@ -554,5 +530,4 @@ def test_unit_dualizing_complex_is_perverse_and_self_consistent():
     assert term.kind == FROBENIUS and term.free_rank == 1
     assert term.free_diagonal()[0].coeffs == (1,)
     # and kappa_S is valid as a structure: the multiplier module checks out
-    ks = cartier_structure_on_ring(F2)
     assert local_duality_check(ks).ok

@@ -303,7 +303,8 @@ def test_mat_pow_matches_product_loop(case, n):
 
 @pytest.mark.parametrize("p,d", [(2, 1), (3, 2)])
 def test_mat_pow_stops_at_zero(p, d, monkeypatch):
-    """The shift N on F^4 has N^4 = 0: two squarings reach it, whatever n."""
+    """The shift N on F^4 has N^4 = 0: two products reach it, whatever n;
+    at n = 5 the second is the squaring to N^4, and no product by N follows."""
     F, shift = GF(p, d), np.eye(4, k=-1, dtype=np.int64)
     mmul, calls = mx.mmul, []
 
@@ -312,7 +313,7 @@ def test_mat_pow_stops_at_zero(p, d, monkeypatch):
         return mmul(*args)
 
     monkeypatch.setattr(mx, "mmul", counting)
-    for n in (4, 8, 1024, 1025, 2 ** 40 + 3):
+    for n in (4, 5, 8, 1024, 1025, 2 ** 40 + 3):
         calls.clear()
         got = mx.mat_pow(F, shift, n)
         assert not got.any() and got is not shift

@@ -16,10 +16,11 @@ from cartierforge.field import GF
 from cartierforge.generate import artinian_corpus, pid_torsion_corpus
 from cartierforge.complexes import matlis_dual
 from cartierforge.pid import FROBENIUS
+from cartierforge.poly import Poly
 from cartierforge.structures import (f_module, flat_cartier, is_morphism,
                                      structured_i_torsion, unitalize,
                                      validate)
-from oracles import hom_list
+from oracles import hom_list, kappa_s
 
 
 def eval_hom(F, basis, coords):
@@ -194,12 +195,31 @@ def test_hull_twist_iterate_matches_matrix_powers():
                     assert hull_twist_iterate(u, F.order, j + 1, e) == want
 
 
+def test_kappa_s_values():
+    F2, F3 = GF(2), GF(3)
+    # q = 2: kappa(1) = 0, kappa(x) = 1, kappa(x^3) = x
+    assert kappa_s(Poly.one(F2), 2).is_zero()
+    assert kappa_s(Poly.x(F2, 1), 2).coeffs == (1,)
+    assert kappa_s(Poly.x(F2, 3), 2).coeffs == (0, 1)
+    # q = 3: kappa(x^2) = 1, kappa(x) = 0
+    assert kappa_s(Poly.x(F3, 2), 3).coeffs == (1,)
+    assert kappa_s(Poly.x(F3, 1), 3).is_zero()
+
+
+def test_kappa_s_semilinearity_random():
+    rng = random.Random(0)
+    for F, q in ((GF(2), 2), (GF(3), 3), (GF(5), 5)):
+        for _ in range(15):
+            g = Poly.make(F, [rng.randrange(q) for _ in range(9)])
+            lhs = kappa_s(Poly.x(F, q) * g, q)
+            rhs = Poly.x(F, 1) * kappa_s(g, q)
+            assert lhs.coeffs == rhs.coeffs
+
+
 def test_free_multiplier_exchange_rule():
     # the dual of (R, kappa_u) is (R, tau_u): kappa_S(F(lambda e)) must equal
     # h kappa_u(F(lambda)) with e = tau_u-image of h, for all lambda, h
-    from cartierforge.pid import kappa_s
     from oracles import kappa_multiplier, tau_multiplier
-    from cartierforge.poly import Poly
     rng = random.Random(77)
     for p in (2, 3):
         F = GF(p)

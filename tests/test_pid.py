@@ -1,4 +1,4 @@
-"""PID tier: kappa_S, presentations, the hull model, Matlis duality,
+"""PID tier: the dual-basis law of kappa_S, the hull model, Matlis duality,
 local cohomology, localization models."""
 
 import math
@@ -22,80 +22,23 @@ from cartierforge.field import GF
 from cartierforge.generate import (pid_torsion_corpus, random_nilpotent,
                                    random_structure)
 from cartierforge.pid import (CARTIER, FROBENIUS, Unsupported,
-                              frobenius_pushforward_presentation,
                               h1_entry_crystal_zero, hull_twist,
-                              inverse_module, kappa_s, pid_free, pid_sum,
-                              pid_torsion, pres_module, retruncate,
-                              truncation_ring, validate_pid)
+                              inverse_module, pid_free, pid_sum, pid_torsion,
+                              retruncate, truncation_ring, validate_pid)
 from cartierforge.poly import Poly
 from cartierforge.structures import nilpotency_index, validate
-from oracles import (default_truncation, dual_basis_matrix, free_presentation,
-                     hull_twist_iterate, kappa_e_oracle, two_depth_h1_zero)
+from oracles import (default_truncation, dual_basis_matrix, hull_twist_iterate,
+                     kappa_e_oracle, two_depth_h1_zero)
 
 
 F2 = GF(2)
 F3 = GF(3)
 
 
-def test_kappa_s_values():
-    # q = 2: kappa(1) = 0, kappa(x) = 1, kappa(x^3) = x
-    assert kappa_s(Poly.one(F2), 2).is_zero()
-    assert kappa_s(Poly.x(F2, 1), 2).coeffs == (1,)
-    assert kappa_s(Poly.x(F2, 3), 2).coeffs == (0, 1)
-    # q = 3: kappa(x^2) = 1, kappa(x) = 0
-    assert kappa_s(Poly.x(F3, 2), 3).coeffs == (1,)
-    assert kappa_s(Poly.x(F3, 1), 3).is_zero()
-
-
-def test_kappa_s_semilinearity_random():
-    rng = random.Random(0)
-    for F, q in ((F2, 2), (F3, 3), (GF(5), 5)):
-        for _ in range(15):
-            g = Poly.make(F, [rng.randrange(q) for _ in range(9)])
-            lhs = kappa_s(Poly.x(F, q) * g, q)
-            rhs = Poly.x(F, 1) * kappa_s(g, q)
-            assert lhs.coeffs == rhs.coeffs
-
-
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_dual_basis_law(p):
     want = np.fliplr(np.eye(p, dtype=np.int64))
     assert np.array_equal(dual_basis_matrix(GF(p)), want)
-
-
-def test_presentation_invariants():
-    pm = pres_module(F2, [[Poly.x(F2)]])
-    assert pm.torsion_dim == 1 and pm.free_rank == 0
-    f = free_presentation(F2, 2)
-    assert f.free_rank == 2 and f.torsion_dim == 0
-
-
-def test_pushforward_presentation_examples():
-    pm = pres_module(F2, [[Poly.x(F2)]])
-    push = frobenius_pushforward_presentation(pm)
-    assert [d.coeffs for d in push.diag] == [(1,), (0, 1)]
-    assert push.torsion_dim == 1
-    fr = frobenius_pushforward_presentation(free_presentation(F2, 1))
-    assert fr.free_rank == 2
-
-
-def test_pushforward_preserves_dimension_and_sums():
-    rng = random.Random(2)
-    for p in (2, 3):
-        F = GF(p)
-        for _ in range(12):
-            rows = [[Poly.make(F, [rng.randrange(p) for _ in range(4)])
-                     for _ in range(2)] for _ in range(2)]
-            pm = pres_module(F, rows)
-            push = frobenius_pushforward_presentation(pm)
-            assert push.torsion_dim == pm.torsion_dim
-            assert push.free_rank == p * pm.free_rank
-            # direct sums: block-diagonal presentation pushes to the sum
-            two = [[rows[i % 2][j % 2] if (i < 2) == (j < 2) else Poly.zero(F)
-                    for j in range(4)] for i in range(4)]
-            pm2 = pres_module(F, two)
-            push2 = frobenius_pushforward_presentation(pm2)
-            assert push2.torsion_dim == pm2.torsion_dim
 
 
 def test_inverse_module_matches_cech_oracle():

@@ -30,22 +30,6 @@ def test_divmod_random():
         assert r.is_zero() or r.deg < b.deg
 
 
-def test_q_decompose_roundtrip():
-    rng = random.Random(1)
-    for p in (2, 3):
-        F = GF(p)
-        for _ in range(20):
-            f = Poly.make(F, [rng.randrange(p) for _ in range(9)])
-            parts = f.q_decompose(p)
-            acc = Poly.zero(F)
-            for k, g in enumerate(parts):
-                gq = g
-                for _ in range(p - 1):
-                    gq = gq * g
-                acc = acc + gq.shift(k)
-            assert acc.coeffs == f.coeffs
-
-
 def test_smith_diagonal_examples():
     F = GF(2)
     x = Poly.x(F)
