@@ -9,14 +9,16 @@ exact linear-algebra solve.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import matrix as mx
-from .field import GF, FiniteField, is_prime
+from .field import GF, MAX_RING_DIM, FiniteField, is_prime
 
 
 @dataclass(frozen=True)
@@ -90,7 +92,8 @@ def ring_make(p_or_field, vars, relations, r: int = 1) -> ArtinRing:
     `relations` is a list of exponent vectors; each variable must appear in a
     pure power so the quotient is finite dimensional.  Basis monomials are
     sorted by total degree then lexicographically, making all downstream
-    matrices deterministic.
+    matrices deterministic.  They lie in the box below the pure powers, held
+    to MAX_RING_DIM before it is walked or any matrix is built.
     """
     if isinstance(p_or_field, FiniteField):
         F = p_or_field
@@ -113,6 +116,9 @@ def ring_make(p_or_field, vars, relations, r: int = 1) -> ArtinRing:
             raise ValueError(f"variable {vars[i]} has no pure power relation; "
                              "the quotient would be infinite dimensional")
         box.append(min(powers))
+    if math.prod(box) > MAX_RING_DIM:
+        raise ValueError(f"ring {vars} / {relations} may have {math.prod(box)} standard "
+                         f"monomials, past the ring-size cap {MAX_RING_DIM}")
     basis = tuple(sorted((e for e in itertools.product(*(range(b) for b in box))
                           if not any(_divides(rel, e) for rel in relations)),
                          key=lambda e: (sum(e), e)))
@@ -312,6 +318,22 @@ def f_flat(m: FinModule, power: int = 1) -> tuple[FinModule, np.ndarray]:
     # vec(H_j [mu_1 .. mu_n]) stacks the vec(H_j mu_i)
     imgs = imgs.reshape(m.dim * R.dim, R.nvars * ker.shape[1], order="F")
     return _image_module(R, ker, imgs), ker
+
+
+def f_flat_dim(m: FinModule, power: int = 1) -> int:
+    """dim F^(r,flat) M, without building it.  With Q = q^power, every
+    standard monomial is a + Qc in one way with a < Q, a standard; x^c acts
+    on F_*R by x^(Qc), so F_*R is the sum over the standard a < Q of R/J_a,
+    J_a = (x^c : x^(a+Qc) in I), generated by the ceil((r - a)/Q)^+ of the
+    relations r.  So F^flat M = Hom_R(F_*R, M) is the sum of the M[J_a],
+    and dim M[J] is dim M less the rank of the stacked actions of J's
+    generators: one rank per distinct set of generators."""
+    Q = m.ring.q ** power
+    ideals = collections.Counter(
+        frozenset(tuple(max(0, -((e - r) // Q)) for r, e in zip(rel, a))
+                  for rel in m.ring.relations) for a in m.ring.basis if max(a, default=0) < Q)
+    return sum(c * (m.dim - mx.rank(m.ring.field, np.vstack(
+        (mx.zeros(0, m.dim), *map(m.action_of, J))))) for J, c in ideals.items())
 
 
 def i_torsion(m: FinModule, j_gens) -> tuple[FinModule, np.ndarray]:

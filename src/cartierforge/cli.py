@@ -96,10 +96,12 @@ def _exponents(vectors, what):
             for vec in _container(vectors, list, what)]
 
 
-def _decode_scalar(field, v):
+def _decode_scalar(field, v, what="field element"):
     if isinstance(v, list):
-        return int(field.from_digits([_int(d, "field element digit") for d in v]))
-    return _int(v, "field element") % field.order
+        if len(v) != field.deg:
+            raise SchemaError(f"{what} must have {field.deg} digits, got {v!r}")
+        return int(field.from_digits([_int(d, f"{what} digit") for d in v]))
+    return _int(v, what) % field.order
 
 
 def _decode_matrix(field, rows, what):
@@ -107,9 +109,9 @@ def _decode_matrix(field, rows, what):
                      for row in _container(rows, list, what)], dtype=np.int64)
 
 
-def _decode_poly(field, coeffs):
-    coeffs = _container(coeffs, list, "polynomial coefficients")
-    return Poly.make(field, [_decode_scalar(field, c) for c in coeffs])
+def _decode_poly(field, coeffs, what="polynomial"):
+    coeffs = _container(coeffs, list, f"{what} coefficients")
+    return Poly.make(field, [_decode_scalar(field, c, f"{what} coefficient") for c in coeffs])
 
 
 def _canonical_int(key: str) -> bool:
@@ -369,7 +371,9 @@ def run_command(problem, cmd: dict, seed: int) -> dict:
             out.update(unsupported=True, reason=str(exc), ok=None)
     elif op == "localize-model":
         m = get_module()
-        f = _decode_poly(problem["field"], _required(cmd, "f"))
+        f = _decode_poly(problem["field"], _required(cmd, "f"), "localize-model: f polynomial")
+        if f.is_zero():
+            raise SchemaError("localize-model: f must be a nonzero polynomial")
         model = coherent_model_of_localization(m, f)
         # a model, not a verdict, so ok stays None
         out["model"] = {"torsion_dim": model.torsion_dim, "free_rank": model.free_rank}

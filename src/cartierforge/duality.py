@@ -24,9 +24,9 @@ from .artinian import (ArtinRing, FinModule, hom_coords, hom_images,
                        hom_module, quotient_data, regular_module, ring_make)
 from .field import GF, FiniteField, is_prime
 from .poly import Poly, smith_normal_form
-from .structures import (FROBENIUS, CartierModule, FModule, Structured,
-                         cartier_module, f_module, is_morphism, is_unit,
-                         iterate_structure, kappa_monomials,
+from .structures import (FROBENIUS, CartierModule, FModule, Structured, _Keyed,
+                         _kappa_stack, cartier_module, f_module, is_morphism,
+                         is_unit, iterate_structure, kappa_monomials,
                          nilpotency_index, structured)
 from .twisted import semilinear_fixed_points
 
@@ -91,11 +91,13 @@ def pair_C_to_F(m: CartierModule, n: CartierModule) -> tuple[FModule, np.ndarray
     kappa_N(F_*(lambda e)) = f(kappa_M(F_*(lambda m))) for all lambda.
 
     For f = H the rule reads (kappa_N x^lambda) e = H kappa_M x^lambda, so
-    each column of e solves against vstack_lambda(kappa_N x^lambda), and
-    one solve takes the right-hand sides of every basis hom side by side;
-    they come from one product, H_j times hstack_lambda(kappa_M x^lambda).
-    The answer is unique exactly when that matrix has rank dim N.  Returns
-    the F-module with its hom basis, the kernel matrix from `hom_module`."""
+    each column of e solves against K = vstack_lambda(kappa_N x^lambda),
+    with the right-hand sides of every basis hom side by side; they come
+    from one product, H_j times hstack_lambda(kappa_M x^lambda).  The
+    answer is unique exactly when K has rank dim N; then it is K[rows]^-1
+    (`structures._kappa_stack`, once per N) times the right-hand sides at
+    those rows, checked by one product.  Returns the F-module with its hom
+    basis, the kernel matrix from `hom_module`."""
     if m.ring.key() != n.ring.key() or m.power != n.power:
         raise ValueError("pairing requires one ring and one Frobenius power")
     F = m.ring.field
@@ -103,27 +105,24 @@ def pair_C_to_F(m: CartierModule, n: CartierModule) -> tuple[FModule, np.ndarray
     k, dn, dm, rd = ker.shape[1], n.dim, m.dim, m.ring.dim
     if not k:
         return FModule(hom, mx.zeros(0, 0), m.power), ker
+    stack, rows, inv = _kappa_stack(_Keyed(n))
+    if inv is None:
+        raise ValueError("pairing solution not unique; target is not unit")
     rs = kappa_monomials(m).reshape(rd, dm, dm).transpose(1, 0, 2).reshape(dm, rd * dm)
     # column j, vstack_lambda vec(H_j kappa_M x^lambda), reorders into rhs
     imgs = hom_images(F, ker, (dn, dm), right=rs)
     rhs = (imgs.reshape(dn, dm, rd, k, order="F").transpose(0, 2, 1, 3)
            .reshape(dn * rd, dm * k, order="F"))
-    sol, unique = mx.solve_full(F, kappa_monomials(n), rhs)
-    if sol is None:
+    sol = mx.mmul(F, inv, rhs[rows])
+    if not np.array_equal(mx.mmul(F, stack, sol), rhs):
         raise ValueError("pairing is unsolvable: the source structure is not "
                          "equivariant or the target is not unit (check both "
                          "modules with validate)")
-    if not unique:
-        raise ValueError("pairing solution not unique; target is not unit")
     # sol is hstack_j(e_j); its column-major reshape has vec(e_j) as column j
     coords = hom_coords(F, ker, sol.reshape(dn * dm, k, order="F"))
     if coords is None:
         raise ValueError(_NOT_EQUIVARIANT)
     return f_module(hom, coords, m.power), ker
-
-
-class _Keyed(tuple):
-    """A content key that carries the module it was read from."""
 
 
 def dualize_artinian(m: Structured):
@@ -132,9 +131,7 @@ def dualize_artinian(m: Structured):
     the content of M (kind, power, dim, `ArtinRing.content_key` of its
     matrices), at most 256 entries, the least recently used dropped first;
     the structure matrix, actions and hom basis are not writeable."""
-    key = _Keyed((m.kind, m.power, m.dim, m.ring.content_key(m.mat, *m.module.actions)))
-    key.module = m
-    return _dual(key)
+    return _dual(_Keyed(m))
 
 
 @functools.lru_cache(maxsize=256)

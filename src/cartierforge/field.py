@@ -30,6 +30,9 @@ from . import matrix as mx
 
 # Tables are O(field order); desk-scale guard.
 MAX_ORDER = 1 << 22
+# Standard monomials of a ring (its box below the pure powers): a dim x dim
+# int64 matrix over the ring takes at most 128 MiB.
+MAX_RING_DIM = 1 << 12
 
 
 def order_fits(p: int, deg: int) -> bool:

@@ -11,14 +11,15 @@ adjoint structural morphism, unitalization, and nil-isomorphism testing.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import matrix as mx
-from .artinian import (ArtinRing, FinModule, direct_sum, f_flat,
-                       hom_coords, i_torsion, module_violations,
+from .artinian import (ArtinRing, FinModule, _matrix_key, direct_sum, f_flat,
+                       f_flat_dim, hom_coords, i_torsion, module_violations,
                        quotient_module, regular_module, restrict,
                        restrict_scalars, submodule, zero_module)
 
@@ -123,8 +124,25 @@ def nilpotency_index(m: Structured):
     """Least n <= dim with the n-fold structural composite zero, else inf.
 
     The composite of the structure with itself is the plain matrix power,
-    so the image chain stabilizes within dim steps."""
-    return mx.nil_index(m.ring.field, m.mat)
+    so the image chain stabilizes within dim steps.  Memoized on the field
+    and the shape and int64 bytes of the matrix, at most 512 entries (LRU)."""
+    return _nil_index(m.ring.field, *_matrix_key([m.mat])[0])
+
+
+@functools.lru_cache(maxsize=512)
+def _nil_index(F, shape, raw):
+    return mx.nil_index(F, np.frombuffer(raw, dtype=np.int64).reshape(shape))
+
+
+class _Keyed(tuple):
+    """The content of a module m, carrying m: kind, power, dim and
+    `ArtinRing.content_key` of its structure matrix and actions."""
+
+    def __new__(cls, m: Structured):
+        key = super().__new__(cls, (m.kind, m.power, m.dim,
+                                    m.ring.content_key(m.mat, *m.module.actions)))
+        key.module = m
+        return key
 
 
 def stable_image(m: CartierModule) -> tuple[CartierModule, np.ndarray]:
@@ -197,6 +215,10 @@ def kappa_monomials(m: CartierModule) -> np.ndarray:
     return np.vstack((mx.zeros(0, m.dim), *blocks.values()))
 
 
+_NOT_LINEAR = ("adjoint image not R-linear: the structure is not "
+               "equivariant (check it with validate)")
+
+
 def adjoint_structural(m: CartierModule):
     """The adjoint structural morphism M -> F^flat M.
 
@@ -207,8 +229,7 @@ def adjoint_structural(m: CartierModule):
     flat, ker = f_flat(m.module, power=m.power)
     a = hom_coords(m.ring.field, ker, kappa_monomials(m))
     if a is None:
-        raise ValueError("adjoint image not R-linear: the structure is not "
-                         "equivariant (check it with validate)")
+        raise ValueError(_NOT_LINEAR)
     return a, flat, ker
 
 
@@ -224,9 +245,40 @@ def flat_cartier(m: CartierModule):
 
 
 def is_unit(m: CartierModule) -> bool:
-    """True when the adjoint structural morphism is bijective."""
-    a, flat, _ = adjoint_structural(m)
-    return flat.dim == m.dim and mx.is_invertible(m.ring.field, a)
+    """Whether the adjoint structural morphism alpha: M -> F^flat M is
+    bijective.  Column i of K = kappa_monomials(m) is vec alpha(e_i), the
+    hom lambda -> kappa(x^lambda e_i), so alpha is injective exactly when
+    rank K = dim M, and then bijective exactly when dim F^flat M = dim M
+    (`artinian.f_flat_dim`); F^flat M is never built.  Each alpha(e_i) is
+    R-linear exactly when kappa X_v^Q = X_v kappa (Q = q^power) for every v:
+    that is the case lambda = 0, and it gives the rest, as the actions
+    commute.  kappa X_v^Q is K's block at x_v^Q, or 0 when x_v^Q lies in I:
+    one product checks them all."""
+    K, rows, _ = _kappa_stack(_Keyed(m))
+    R, d, Q = m.ring, m.dim, m.ring.q ** m.power
+    pure = (tuple(Q * (i == v) for i in range(R.nvars)) for v in range(R.nvars))
+    blocks = [K[R.basis_index(b) * d:][:d] if b in R.basis else mx.zeros(d, d) for b in pure]
+    acts = m.module.actions
+    if acts and not np.array_equal(mx.mmul(R.field, np.vstack(acts), m.kappa), np.vstack(blocks)):
+        raise ValueError(_NOT_LINEAR)
+    return rows.size == d and f_flat_dim(m.module, m.power) == d
+
+
+@functools.lru_cache(maxsize=256)
+def _kappa_stack(key: _Keyed):
+    """K = kappa_monomials(key.module), its first independent rows, and
+    K[rows]^-1 when they number dim, else None; all read-only, memoized
+    like `duality.dualize_artinian`, at most 256 entries (LRU).  The row
+    operations E that reduce [K^T | I] bring K^T to RREF, pivots at the
+    rows, so E K[rows]^T = I at rank dim: one reduction gives all three."""
+    m = key.module
+    K = kappa_monomials(m)
+    r, piv = mx.rref(m.ring.field, np.hstack((K.T, mx.identity(m.dim))))
+    rows = np.array([c for c in piv if c < len(K)], dtype=np.intp)
+    inv = np.ascontiguousarray(r[:, len(K):].T) if rows.size == m.dim else None
+    for a in (K, rows) if inv is None else (K, rows, inv):
+        a.flags.writeable = False
+    return K, rows, inv
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""Every test starts with an empty Hom-system memo and an empty D memo.
+"""Every test starts with empty memos: the Hom-system memo, the D memo,
+the reduced kappa stacks and the nilpotency indices.
 
 Several tests plant a fault in a function under those memos and check
 that a verdict fails; an entry left warm by an earlier test would return
@@ -11,9 +12,12 @@ import pytest
 
 from cartierforge.artinian import _intertwiner_kernel
 from cartierforge.duality import _dual
+from cartierforge.structures import _kappa_stack, _nil_index
 
 
 @pytest.fixture(autouse=True)
 def cold_memos():
     _intertwiner_kernel.cache_clear()
     _dual.cache_clear()
+    _kappa_stack.cache_clear()
+    _nil_index.cache_clear()

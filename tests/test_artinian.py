@@ -12,7 +12,7 @@ from cartierforge.artinian import (_variable_power, f_flat, fin_module,
                                    i_torsion, module_violations,
                                    quotient_ring, regular_module,
                                    restrict_scalars, ring_make, zero_module)
-from cartierforge.field import GF
+from cartierforge.field import GF, MAX_RING_DIM
 from cartierforge.generate import artinian_corpus
 from oracles import hom_list
 
@@ -188,3 +188,16 @@ def test_element_action_is_a_ring_hom(fixture_ring):
         lhs = m.element_action(prod_coords)
         rhs = mx.mmul(F, m.element_action(a), m.element_action(b))
         assert np.array_equal(lhs, rhs)
+
+
+def test_ring_size_cap_bounds_the_box_below_the_pure_powers():
+    """Every standard monomial lies below the least pure power of each
+    variable; MAX_RING_DIM bounds that box, before the box is walked."""
+    axes = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]    # only the axes stay standard
+    assert MAX_RING_DIM == 16 ** 3
+    assert ring_make(2, "xyz", [[16, 0, 0], [0, 16, 0], [0, 0, 16]] + axes).dim == 46
+    for vars_, rels in ((["x"], [[MAX_RING_DIM + 1]]),
+                        (["x", "y"], [[100000, 0], [0, 100000]]),
+                        (["x", "y", "z"], [[17, 0, 0], [0, 16, 0], [0, 0, 16]] + axes)):
+        with pytest.raises(ValueError, match="ring-size cap"):
+            ring_make(3, vars_, rels)

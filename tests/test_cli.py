@@ -626,3 +626,36 @@ def test_integer_input_in_every_numeric_field(tmp_path, capsys):
     assert main(["run", write(tmp_path, doc), "--json", out]) == 0
     assert all(r["ok"] for r in json.loads(open(out).read())["results"])
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("f,message", [
+    ([], "localize-model: f must be a nonzero polynomial"),
+    ([0, 0], "localize-model: f must be a nonzero polynomial"),
+    ([[0, 0]], "localize-model: f polynomial coefficient must have 1 digits"),
+    ([1, [1, 1]], "localize-model: f polynomial coefficient must have 1 digits"),
+])
+def test_zero_or_malformed_localization_polynomial_is_schema_error(tmp_path, capsys,
+                                                                   f, message):
+    doc = json.loads(json.dumps(FIXTURE_A))
+    doc["commands"] = [{"op": "localize-model", "module": "sky", "f": f}]
+    assert main(["run", write(tmp_path, doc)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path,ring,where", [
+    (("ring",), {"vars": ["x"], "relations": [[1000000]]}, "ring ('x',) / ((1000000,),)"),
+    (("ring",), {"vars": ["x", "y"], "relations": [[70, 0], [0, 70]]},
+     "ring ('x', 'y') / ((70, 0), (0, 70))"),
+    (("modules", "A", "ring"), {"vars": ["x"], "relations": [[4097]]},
+     "ring ('x',) / ((4097,),)"),
+])
+def test_ring_past_the_size_cap_is_schema_error(tmp_path, path, ring, where):
+    """Each ring has more than MAX_RING_DIM = 4096 standard monomials; the
+    cap is checked before the basis is enumerated or a matrix allocated."""
+    doc = json.loads(json.dumps(FIXTURE_A))
+    set_path(doc, path, ring)
+    doc["commands"] = [{"op": "validate", "module": "A"}]
+    proc = forge("run", write(tmp_path, doc))
+    assert proc.returncode == 2, proc.stderr
+    assert where in proc.stderr and "past the ring-size cap 4096" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -23,19 +23,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cartierforge import artinian, structures
 from cartierforge import matrix as mx
-from cartierforge import structures
-from cartierforge.artinian import (f_flat, fin_module, hom_coords, intertwiners,
-                                   ring_make)
-from cartierforge.duality import double_dual_check, dualize_artinian
+from cartierforge.artinian import (f_flat, f_flat_dim, fin_module, hom_coords,
+                                   intertwiners, ring_make)
+from cartierforge.duality import (double_dual_check, dualize_artinian,
+                                  dualizing_module)
 from cartierforge.field import GF
 from cartierforge.generate import (artinian_corpus, random_cartier,
                                    random_module, random_structure)
 from cartierforge.structures import (CARTIER, CartierModule, UnitalizeResult,
                                      _composite, adjoint_structural,
                                      cartier_module, flat_cartier, is_morphism,
-                                     nil_isomorphism_check, quotient_structure,
-                                     unitalize, zero_module)
+                                     iterate_structure, nil_isomorphism_check,
+                                     quotient_structure, unitalize, zero_module)
 from oracles import hom_list
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2)]     # GF(2), GF(3), GF(4), GF(9)
@@ -599,3 +600,95 @@ def test_unitalize_zero_quotient_waits_for_late_zero_transition(monkeypatch):
     calls = counting_flat_cartier(monkeypatch)
     same_result(unitalize(m), want)
     assert len(calls) == 5
+
+
+# -- is_unit and f_flat_dim without building F^flat M --
+
+
+def unit_corpus():
+    """Both acceptance corpora, their power-2 and power-3 iterates, their
+    unitalize results, and E_R at powers 1 to 3 over every ring in them."""
+    mods = artinian_corpus(2024, 300) + artinian_corpus(7, 300, p_choices=(2, 3, 5))
+    iterates = [iterate_structure(m, s) for m in mods for s in (2, 3)]
+    units = [r.module for r in map(unitalize, mods) if r.module is not None]
+    rings = {m.ring.key(): m.ring for m in mods}.values()
+    return mods + iterates + units + [dualizing_module(r, p) for r in rings for p in (1, 2, 3)]
+
+
+def unit_mismatches(mods):
+    """The modules on which `is_unit` disagrees with the loop reference or
+    `f_flat_dim` with the dimension of the F^flat M that `f_flat` builds."""
+    return [m for m in mods
+            if structures.is_unit(m) != ref_is_unit(m)
+            or artinian.f_flat_dim(m.module, m.power) != f_flat(m.module, m.power)[1].shape[1]]
+
+
+def test_is_unit_and_f_flat_dim_equal_the_built_flat_module_on_corpus():
+    mods = unit_corpus()
+    assert len(mods) > 2500 and all(m.kind == CARTIER for m in mods)
+    assert unit_mismatches(mods) == []
+    assert 1000 < sum(map(structures.is_unit, mods)) < len(mods) - 1000
+
+
+def drop_the_first_summand(mod, power=1):
+    """f_flat_dim less dim M[J_0], J_0 = (x^c : x^(Qc) in I): a planted
+    fault, which forgets the summand R/J_0 of F_*R at a = 0; M[J_0] holds
+    the socle, so it is nonzero whenever M is."""
+    Q = mod.ring.q ** power
+    j0 = [tuple(-(-e // Q) for e in rel) for rel in mod.ring.relations]
+    socle = mx.kernel(mod.ring.field, np.vstack((mx.zeros(0, mod.dim),
+                                                 *(mod.action_of(g) for g in j0))))
+    return f_flat_dim(mod, power) - socle.shape[1]
+
+
+def test_a_lost_flat_summand_fails_the_corpus_check(monkeypatch):
+    monkeypatch.setattr(artinian, "f_flat_dim", drop_the_first_summand)
+    monkeypatch.setattr(structures, "f_flat_dim", drop_the_first_summand)
+    mods = artinian_corpus(2024, 30)
+    assert len(unit_mismatches(mods)) == len(mods)
+
+
+@st.composite
+def extension_cartier_draw(draw):
+    """A Cartier structure for q^power, power 1 or 2, on a module of
+    dimension <= 4 over a monomial ring in 1-3 variables over GF(4), GF(8)
+    or GF(9), with pure powers past q so that F_*R splits into several
+    summands; with it E_R at the same power."""
+    F = GF(*draw(st.sampled_from([(2, 2), (2, 3), (3, 2)])))
+    nvars = draw(st.integers(1, 3))
+    top = {1: 12, 2: 5, 3: 3}[nvars]
+    rels = [[draw(st.integers(1, top)) if j == i else 0 for j in range(nvars)]
+            for i in range(nvars)]
+    if nvars > 1 and draw(st.booleans()):
+        rels.append([draw(st.integers(1, 2))] + [draw(st.integers(0, 2))
+                                                 for _ in range(nvars - 1)])
+    ring = ring_make(F, ["x", "y", "z"][:nvars], rels)
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    power = draw(st.integers(1, 2))
+    m = random_structure(rng, random_module(rng, ring, 4), CARTIER, power)
+    return [m, dualizing_module(ring, power)]
+
+
+@SETTINGS
+@given(extension_cartier_draw())
+def test_is_unit_and_f_flat_dim_on_extension_field_draws(mods):
+    assert unit_mismatches(mods) == []
+    assert structures.is_unit(mods[1])
+
+
+@SETTINGS
+@given(extension_cartier_draw(), st.integers(0, 2 ** 32 - 1))
+def test_is_unit_refuses_exactly_the_non_equivariant_structures(mods, seed):
+    """Any matrix as a structure on a valid module: is_unit names validate
+    exactly when the adjoint does, and agrees with the reference otherwise."""
+    m = mods[0]
+    rng = random.Random(seed)
+    kappa = mx.mat([[rng.randrange(m.ring.q) for _ in range(m.dim)]
+                    for _ in range(m.dim)]).reshape(m.dim, m.dim)
+    for any_m in (m, cartier_module(m.module, kappa, m.power)):
+        if structures.validate(any_m):
+            assert structures.is_unit(any_m) == ref_is_unit(any_m)
+            continue
+        for fn in (structures.adjoint_structural, structures.is_unit):
+            with pytest.raises(ValueError, match="validate"):
+                fn(any_m)

@@ -91,13 +91,14 @@ def ref_pair_C_to_F(m, n):
     lhs = np.vstack(lhs_blocks)
     rhs = np.stack([np.concatenate([mx.vec(mx.mmul(F, H, r)) for r in rhs_rows])
                     for H in basis], axis=1)
-    sol, unique = mx.solve_full(F, lhs, rhs)
+    # a non-unit target is named before the system is solved
+    if mx.rank(F, lhs) < dn * dm:
+        raise ValueError("pairing solution not unique; target is not unit")
+    sol = mx.solve(F, lhs, rhs)
     if sol is None:
         raise ValueError("pairing is unsolvable: the source structure is not "
                          "equivariant or the target is not unit (check both "
                          "modules with validate)")
-    if not unique:
-        raise ValueError("pairing solution not unique; target is not unit")
     stacked = np.stack([mx.vec(b) for b in basis], axis=1)
     coords = mx.solve(F, stacked, np.stack(
         [mx.vec(mx.unvec(sol[:, j], dn, dm)) for j in range(len(basis))], axis=1))

@@ -20,9 +20,10 @@ from cartierforge.artinian import (f_flat, fin_module, hom_images, hom_module,
 from cartierforge.duality import (double_dual_check, dualize_artinian,
                                   dualizing_module, pair_C_to_F, pair_F_to_C)
 from cartierforge.field import GF
-from cartierforge.structures import (adjoint_structural, cartier_module,
-                                     direct_sum_structured, f_module,
-                                     flat_cartier, unitalize, validate)
+from cartierforge.structures import (_kappa_stack, adjoint_structural,
+                                     cartier_module, direct_sum_structured,
+                                     f_module, flat_cartier, is_unit,
+                                     unitalize, validate)
 from oracles import hom_list
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2)]     # GF(2), GF(3), GF(4), GF(9)
@@ -154,6 +155,7 @@ def test_product_count_does_not_grow_with_hom_dimension(monkeypatch, ring):
     calls = counting_mmul(monkeypatch)
 
     def count(fn, *args):
+        _kappa_stack.cache_clear()      # each pairing reduces its target anew
         del calls[:]
         out = fn(*args)
         return len(calls), out[0].dim
@@ -187,6 +189,8 @@ def test_non_equivariant_cartier_adjoint_names_validate():
     assert not validate(m).ok
     with pytest.raises(ValueError, match="validate"):
         adjoint_structural(m)
+    with pytest.raises(ValueError, match="validate"):
+        is_unit(m)
 
 
 def test_non_commuting_actions_hom_module_names_validate():

@@ -1,5 +1,7 @@
 """The program's memos: the `intertwiners` kernel memo, the truncation
-ring and the memo of D = Hom(-, E_R) in `dualize_artinian`.
+ring, the memo of D = Hom(-, E_R) in `dualize_artinian`, the reduced
+stack of kappa x^lambda behind `is_unit` and `pair_C_to_F`, and the
+nilpotency index.
 
 A cached kernel or dual must equal the one solved anew, be read-only, and
 be keyed by everything it depends on, not only by the integer matrices.
@@ -9,6 +11,8 @@ empties.
 """
 
 import importlib.util
+import json
+import math
 import random
 import sys
 from pathlib import Path
@@ -20,11 +24,16 @@ from cartierforge import matrix as mx
 from cartierforge.artinian import (_intertwiner_kernel, fin_module, intertwiners,
                                    quotient_ring, restrict_scalars,
                                    ring_make)
-from cartierforge.duality import _dual, dualize_artinian
+from cartierforge.cli import parse_problem
+from cartierforge.duality import (_DUALIZING_CACHE, _dual, dualize_artinian,
+                                  dualizing_module,
+                                  pair_C_to_F)
 from cartierforge.field import GF
 from cartierforge.generate import artinian_corpus, random_module, random_structure
 from cartierforge.pid import truncation_ring
-from cartierforge.structures import (CARTIER, FROBENIUS, cartier_module,
+from cartierforge.structures import (CARTIER, FROBENIUS, _kappa_stack, _Keyed,
+                                     _nil_index, cartier_module, is_unit,
+                                     kappa_monomials, nilpotency_index,
                                      structured)
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2)]     # GF(2), GF(3), GF(4), GF(9)
@@ -218,6 +227,109 @@ def test_the_dual_memo_is_bounded():
     assert _dual.cache_info().currsize == 256
 
 
+# -- the reduced kappa stack --
+
+
+def stack_anew(m):
+    """K = kappa_monomials(m), the pivots of K^T (its first independent
+    rows) and the inverse of K[rows] when they number dim, else None."""
+    F = m.ring.field
+    K = kappa_monomials(m)
+    rows = mx.rref(F, K.T)[1] if K.size else ()
+    return K, rows, mx.inverse(F, K[list(rows)]) if len(rows) == m.dim else None
+
+
+def cartier_draws():
+    mods = [m for m in artinian_corpus(31, 40) + extension_draws(24) if m.kind == CARTIER]
+    return mods + [dualizing_module(m.ring, m.power) for m in mods]
+
+
+def test_a_kappa_stack_hit_equals_the_stack_reduced_anew():
+    mods = cartier_draws()
+    firsts = [_kappa_stack(_Keyed(m)) for m in mods]
+    hits = [_kappa_stack(_Keyed(copied(m))) for m in mods]
+    assert _kappa_stack.cache_info().hits >= len(mods)
+    full = 0
+    for m, first, hit in zip(mods, firsts, hits):
+        assert all(a is b for a, b in zip(first, hit))
+        K, rows, inv = stack_anew(m)
+        assert np.array_equal(hit[0], K) and tuple(hit[1]) == tuple(rows)
+        assert (hit[2] is None) == (inv is None)
+        if inv is not None:
+            full += 1
+            assert hit[2].dtype == np.int64 and np.array_equal(hit[2], inv)
+    assert 0 < full < len(mods)
+
+
+def test_a_kappa_stack_hit_returns_the_same_read_only_arrays():
+    e_mod = dualizing_module(ring_make(GF(3), ["x", "y"], [[2, 0], [0, 3]]))
+    first = _kappa_stack(_Keyed(e_mod))
+    hit = _kappa_stack(_Keyed(copied(e_mod)))
+    assert _kappa_stack.cache_info().hits == 1
+    for a, b in zip(first, hit):
+        assert a is b and not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0
+
+
+def test_e_r_is_reduced_once_for_its_unit_check_and_every_pairing():
+    ring = ring_make(GF(2), ["x", "y"], [[2, 0], [0, 2]])
+    _DUALIZING_CACHE.clear()
+    e_mod = dualizing_module(ring)
+    assert _kappa_stack.cache_info().misses == 1
+    rng = random.Random(5)
+    for _ in range(5):
+        pair_C_to_F(random_structure(rng, random_module(rng, ring, 3), CARTIER), e_mod)
+    assert is_unit(e_mod)
+    assert _kappa_stack.cache_info().misses == 1 and _kappa_stack.cache_info().hits == 6
+
+
+def test_the_kappa_stack_memo_is_bounded():
+    ring = ring_make(17, [], [])
+    for i in range(300):
+        # the base-17 digits of i
+        is_unit(cartier_module(fin_module(ring, [], 2),
+                               [[i % 17, i // 17 % 17], [i // 289, 1]]))
+    assert _kappa_stack.cache_info().currsize == 256
+
+
+# -- the nilpotency index --
+
+
+def test_a_nilpotency_hit_equals_the_index_computed_anew():
+    mods = artinian_corpus(31, 40) + extension_draws(24)
+    for m in mods + [copied(m) for m in mods]:
+        assert nilpotency_index(m) == mx.nil_index(m.ring.field, m.mat)
+    info = _nil_index.cache_info()
+    assert info.hits >= len(mods) and info.misses <= len(mods)
+    assert {nilpotency_index(m) == math.inf for m in mods} == {True, False}
+
+
+def test_the_same_integer_structure_over_two_fields_is_two_nilpotency_entries():
+    # J^2 = 2J for the all-ones J: zero over GF(2), not nilpotent over GF(3)
+    ring2, ring3 = (ring_make(GF(p), [], []) for p in (2, 3))
+    J = [[1, 1], [1, 1]]
+    assert nilpotency_index(cartier_module(fin_module(ring2, [], 2), J)) == 2
+    assert nilpotency_index(cartier_module(fin_module(ring3, [], 2), J)) == math.inf
+    assert _nil_index.cache_info().currsize == 2
+
+
+def test_the_nilpotency_memo_is_bounded():
+    ring = ring_make(17, [], [])
+    for i in range(600):
+        nilpotency_index(cartier_module(fin_module(ring, [], 2),
+                                         [[i % 17, i // 17 % 17], [i // 289, 0]]))
+    assert _nil_index.cache_info().currsize == 512
+
+
+@pytest.mark.parametrize("path", sorted((RUN.parent / "inputs").glob("*/*_00.json")),
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_parsing_fills_neither_new_memo(path):
+    parse_problem(json.loads(path.read_text()))
+    assert _kappa_stack.cache_info().currsize == 0
+    assert _nil_index.cache_info().currsize == 0
+
+
 def test_bench_cache_clearers_empty_both_caches():
     spec = importlib.util.spec_from_file_location("bench_run", RUN)
     run = importlib.util.module_from_spec(spec)
@@ -225,13 +337,11 @@ def test_bench_cache_clearers_empty_both_caches():
     intertwiners(GF(2), [mx.identity(2)], [mx.identity(2)], 2, 2)
     truncation_ring(GF(2), 3)
     dualize_artinian(one_dim(GF(2)))
-    assert _intertwiner_kernel.cache_info().currsize > 0
-    assert truncation_ring.cache_info().currsize > 0
-    assert _dual.cache_info().currsize > 0
+    nilpotency_index(one_dim(GF(2)))
+    memos = (_intertwiner_kernel, truncation_ring, _dual, _kappa_stack, _nil_index)
+    assert all(memo.cache_info().currsize > 0 for memo in memos)
     clearers = run.cache_clearers([m for n, m in sys.modules.items()
                                    if n.startswith("cartierforge")])
     for clear in clearers:
         clear()
-    assert _intertwiner_kernel.cache_info().currsize == 0
-    assert truncation_ring.cache_info().currsize == 0
-    assert _dual.cache_info().currsize == 0
+    assert all(memo.cache_info().currsize == 0 for memo in memos)

@@ -19,8 +19,15 @@ every command of every file under `bench/inputs/<workload>/`, run as
 `result_digest.py` runs them, after the benchmark's `cache_clearers` have
 emptied every program cache.  It gives the `intertwiners` calls with the
 hits and misses of its kernel memo (a miss is one kernel solved), the
-hits and misses of the truncation-ring cache, and the `dualize_artinian`
-calls with the hits and misses of its D memo (a miss is one D(M) solved).
+hits and misses of the truncation-ring cache, the `dualize_artinian`
+calls with the hits and misses of its D memo (a miss is one D(M) solved),
+and the calls, hits and misses of the reduced kappa stacks behind
+`is_unit` and `pair_C_to_F` ("K", a miss is one stack reduced) and of the
+nilpotency indices ("nil", a miss is one index computed).
+The fourth table counts the last two memos over one round as
+`bench/run.py` runs it: the files split into its SHARDS shards (file
+index mod SHARDS), every program cache emptied before each shard, so a hit
+is a repeat within one shard.
 BLAS runs in one thread.  The package is imported from the `src/` next
 to this file, so a checkout of another commit times that commit.
 """
@@ -36,6 +43,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(1, str(ROOT / "bench"))
 
 import argparse
+import json
 import statistics
 import time
 
@@ -47,8 +55,9 @@ from cartierforge.artinian import _intertwiner_kernel
 from cartierforge.duality import _dual
 from cartierforge.field import GF, canonical_modulus
 from cartierforge.pid import truncation_ring
-from result_digest import WORKLOADS, result_lines
-from run import cache_clearers
+from cartierforge.structures import _kappa_stack, _nil_index
+from result_digest import INPUTS, WORKLOADS, result_lines
+from run import SHARDS, cache_clearers
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (3, 3), (2039, 2)]
 # (field, operand ranges): "p@p" both below p, "p@q" only the left one
@@ -82,18 +91,47 @@ def build_ms(p: int, d: int, repeats: int) -> float:
     return 1e3 * statistics.median(once() for _ in range(repeats))
 
 
-def memo_counts(workload: str) -> tuple:
-    """(calls, hits, misses) of the kernel memo, (hits, misses) of the
-    truncation-ring cache and (calls, hits, misses) of the D memo, over
-    one pass of the workload."""
+def clear_caches() -> None:
     for clear in cache_clearers([m for n, m in sys.modules.items()
                                  if n.startswith("cartierforge")]):
         clear()
+
+
+def calls_hits_misses(memo) -> tuple:
+    info = memo.cache_info()
+    return info.hits + info.misses, info.hits, info.misses
+
+
+def memo_counts(workload: str) -> tuple:
+    """(calls, hits, misses) of the kernel memo, (hits, misses) of the
+    truncation-ring cache, and (calls, hits, misses) of the D memo, the
+    kappa stacks and the nilpotency indices, over one pass of the
+    workload."""
+    clear_caches()
     for _ in result_lines(cli, workload):
         pass
-    ker, ring, dual = (f.cache_info() for f in (_intertwiner_kernel, truncation_ring, _dual))
-    return (ker.hits + ker.misses, ker.hits, ker.misses, ring.hits, ring.misses,
-            dual.hits + dual.misses, dual.hits, dual.misses)
+    ring = truncation_ring.cache_info()
+    return (*calls_hits_misses(_intertwiner_kernel), ring.hits, ring.misses,
+            *(n for memo in (_dual, _kappa_stack, _nil_index) for n in calls_hits_misses(memo)))
+
+
+def sharded_counts(workload: str) -> tuple:
+    """(calls, hits, misses) of the kappa stacks and of the nilpotency
+    indices, summed over the shards of one round, each shard run on
+    emptied caches after the parse of every file, as `bench/run.py` does."""
+    docs = [json.loads(p.read_text()) for p in sorted((INPUTS / workload).glob("*.json"))]
+    total = np.zeros(6, dtype=np.int64)
+    for shard in range(SHARDS):
+        clear_caches()
+        problems = [cli.parse_problem(doc) for doc in docs]
+        for problem in problems[shard::SHARDS]:
+            for cmd in problem["commands"]:
+                try:
+                    cli.run_command(problem, cmd, 0)
+                except Exception:
+                    pass
+        total += [*calls_hits_misses(_kappa_stack), *calls_hits_misses(_nil_index)]
+    return tuple(int(n) for n in total)
 
 
 def main() -> None:
@@ -114,10 +152,16 @@ def main() -> None:
         print(f"GF({p}^{d})".ljust(12) + f"{build_ms(p, d, repeats):10.2f}")
     print()
     heads = ["calls", "hits", "misses", "ring hits", "ring miss", "D calls", "D hits",
-             "D misses"]
-    print("workload".ljust(16) + "".join(h.rjust(11) for h in heads) + "   (one pass)")
+             "D misses", "K calls", "K hits", "K misses", "nil calls", "nil hits",
+             "nil miss"]
+    print("workload".ljust(16) + "".join(h.rjust(10) for h in heads) + "   (one pass)")
     for workload in WORKLOADS:
-        print(workload.ljust(16) + "".join(f"{n:11d}" for n in memo_counts(workload)))
+        print(workload.ljust(16) + "".join(f"{n:10d}" for n in memo_counts(workload)))
+    print()
+    print("workload".ljust(16) + "".join(h.rjust(10) for h in heads[-6:])
+          + "   (one round of shards)")
+    for workload in WORKLOADS:
+        print(workload.ljust(16) + "".join(f"{n:10d}" for n in sharded_counts(workload)))
 
 
 if __name__ == "__main__":
