@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import collections
 import functools
-import itertools
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -46,12 +44,6 @@ class ArtinRing:
     def key(self):
         return (self.field.p, self.field.deg, self.vars, tuple(sorted(self.relations)))
 
-    def content_key(self, *mats) -> tuple:
-        """key() with the ambient ring and quotient generators it ignores,
-        and the shape and int64 bytes of each of `mats`."""
-        amb = None if self.ambient is None else self.ambient.content_key()
-        return self.key(), amb, self.quotient_gens, _matrix_key(mats)
-
     def basis_index(self, mono) -> int:
         return self.basis.index(tuple(mono))
 
@@ -66,12 +58,82 @@ class ArtinRing:
         return f"ArtinRing(GF({self.field.p}^{self.field.deg})[{','.join(self.vars)}]/({rels}))"
 
 
+# -- memos --
+
+MEMOS: list = []    # every memo, for the tests and tools that empty or count them
+_INT64 = np.dtype(np.int64)     # the dtype of every array the package builds
+
+
+def _key(a):
+    """The memo key of one argument: MEMO_KEYS of its type, else itself."""
+    key = MEMO_KEYS.get(type(a))
+    return a if key is None else key(a)
+
+
+def _seq_key(s) -> tuple:
+    return tuple(map(_key, s))
+
+
+# How a memo keys an argument of each type; structures.py adds the Cartier
+# and Frobenius structures.
+MEMO_KEYS = {
+    np.ndarray: lambda a: (a.shape, (a if a.dtype is _INT64 else a.astype(np.int64)).tobytes()),
+    tuple: _seq_key,
+    list: _seq_key,
+    # key() ignores the ambient ring and the quotient generators
+    ArtinRing: lambda r: (r.key(), _key(r.ambient), r.quotient_gens),
+}
+
+
+def _freeze(out) -> None:
+    """Make every array of a memo result read-only: arrays, tuples of
+    them, a ring's multiplications, a structure's matrix and actions."""
+    if isinstance(out, np.ndarray):
+        out.flags.writeable = False
+    elif isinstance(out, tuple):
+        for a in out:
+            _freeze(a)
+    elif isinstance(out, ArtinRing):
+        _freeze(out.mult_ops)
+    elif hasattr(out, "mat"):                 # a Cartier or Frobenius structure
+        _freeze((out.mat, out.module.actions))
+
+
+def memo(maxsize: int):
+    """Memoize a function on the content of its positional arguments: an
+    array by its shape and int64 bytes, a ring by key() with its ambient
+    ring and quotient generators, a Cartier or Frobenius structure by kind,
+    power, ring, matrix and actions, anything else as itself.
+
+    At most `maxsize` entries, the least recently used dropped first.  A
+    hit returns the objects the miss returned, and every array in them is
+    read-only; a caller that wants to write copies first.  The memo keeps
+    `cache_clear` and `cache_info` and joins MEMOS."""
+    def decorate(fn):
+        latest = ()         # the arguments of the call being looked up
+
+        @functools.lru_cache(maxsize)
+        def solve(key: tuple):
+            # lru_cache passes the key alone; a miss computes from the
+            # arguments that made it, read before fn can call this memo again
+            out = fn(*latest)
+            _freeze(out)
+            return out
+
+        @functools.wraps(fn)
+        def memoized(*args):
+            nonlocal latest
+            latest = args
+            return solve(tuple(map(_key, args)))
+
+        memoized.cache_clear, memoized.cache_info = solve.cache_clear, solve.cache_info
+        MEMOS.append(memoized)
+        return memoized
+    return decorate
+
+
 def _divides(a, b) -> bool:
     return all(x <= y for x, y in zip(a, b))
-
-
-def _matrix_key(mats) -> tuple:
-    return tuple((M.shape, M.tobytes()) for M in (np.asarray(M, dtype=np.int64) for M in mats))
 
 
 def _variable_power(basis, i: int, t: int) -> np.ndarray:
@@ -92,8 +154,10 @@ def ring_make(p_or_field, vars, relations, r: int = 1) -> ArtinRing:
     `relations` is a list of exponent vectors; each variable must appear in a
     pure power so the quotient is finite dimensional.  Basis monomials are
     sorted by total degree then lexicographically, making all downstream
-    matrices deterministic.  They lie in the box below the pure powers, held
-    to MAX_RING_DIM before it is walked or any matrix is built.
+    matrices deterministic.  They are walked from 1, each monomial reached
+    once from the one with its last nonzero exponent lowered by 1 (standard
+    monomials are closed under division), and the walk stops past
+    MAX_RING_DIM before any matrix is built.
     """
     if isinstance(p_or_field, FiniteField):
         F = p_or_field
@@ -109,19 +173,21 @@ def ring_make(p_or_field, vars, relations, r: int = 1) -> ArtinRing:
             raise ValueError(f"bad relation exponent vector {rel}")
         # the all-zero vector (the unit monomial) is allowed: it cuts the
         # whole ring, giving the zero ring
-    box = []
     for i in range(n):
-        powers = [rel[i] for rel in relations if all(e == 0 for j, e in enumerate(rel) if j != i)]
-        if not powers:
+        if all(any(rel[:i] + rel[i + 1:]) for rel in relations):
             raise ValueError(f"variable {vars[i]} has no pure power relation; "
                              "the quotient would be infinite dimensional")
-        box.append(min(powers))
-    if math.prod(box) > MAX_RING_DIM:
-        raise ValueError(f"ring {vars} / {relations} may have {math.prod(box)} standard "
-                         f"monomials, past the ring-size cap {MAX_RING_DIM}")
-    basis = tuple(sorted((e for e in itertools.product(*(range(b) for b in box))
-                          if not any(_divides(rel, e) for rel in relations)),
-                         key=lambda e: (sum(e), e)))
+    basis, todo = [], [((0,) * n, 0)]     # (monomial, its last nonzero index)
+    while todo:
+        e, last = todo.pop()
+        if any(_divides(rel, e) for rel in relations):
+            continue
+        if len(basis) == MAX_RING_DIM:
+            raise ValueError(f"ring {vars} / {relations} has more than {MAX_RING_DIM} "
+                             f"standard monomials, past the ring-size cap {MAX_RING_DIM}")
+        basis.append(e)
+        todo.extend((e[:i] + (e[i] + 1,) + e[i + 1:], i) for i in range(last, n))
+    basis = tuple(sorted(basis, key=lambda e: (sum(e), e)))
     return ArtinRing(F, vars, relations, basis,
                      tuple(_variable_power(basis, i, 1) for i in range(n)))
 
@@ -220,27 +286,18 @@ def direct_sum(a: FinModule, b: FinModule) -> FinModule:
     return FinModule(a.ring, a.dim + b.dim, tuple(acts))
 
 
+@memo(512)
 def intertwiners(F: FiniteField, As, Bs, rows: int, cols: int) -> np.ndarray:
     """The space { H (rows x cols) : H A_i = B_i H for every i }.
 
     Every Hom-type functor is such a space, and this is the one format of
     its basis: the RREF kernel of the stacked system A_i^T (x) I - I (x) B_i
     on vec H, whose column j is vec(H_j), in canonical kernel order.
-
-    Each system is solved once: the read-only kernel is memoized on
-    (F, rows, cols) and the shape and int64 bytes of every A_i and B_i,
-    at most 512 entries, the least recently used dropped first."""
-    return _intertwiner_kernel(F, rows, cols, _matrix_key(M for AB in zip(As, Bs) for M in AB))
-
-
-@functools.lru_cache(maxsize=512)
-def _intertwiner_kernel(F: FiniteField, rows: int, cols: int, mats) -> np.ndarray:
-    AB = [np.frombuffer(raw, dtype=np.int64).reshape(shape) for shape, raw in mats]
+    Each system is solved once (`memo`, 512 entries): the kernel is shared
+    and read-only."""
     eye_r, eye_c = mx.identity(rows), mx.identity(cols)
-    sys = [F.sub(mx.kron(F, A.T, eye_r), mx.kron(F, eye_c, B)) for A, B in zip(AB[::2], AB[1::2])]
-    ker = mx.kernel(F, np.vstack(sys) if sys else mx.zeros(0, rows * cols))
-    ker.flags.writeable = False
-    return ker
+    sys = [F.sub(mx.kron(F, A.T, eye_r), mx.kron(F, eye_c, B)) for A, B in zip(As, Bs)]
+    return mx.kernel(F, np.vstack(sys) if sys else mx.zeros(0, rows * cols))
 
 
 def hom_images(F: FiniteField, ker: np.ndarray, shape, left=None, right=None) -> np.ndarray:

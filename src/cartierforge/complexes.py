@@ -11,13 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import matrix as mx
 from .duality import dualize_artinian
 from .pid import (CARTIER, FROBENIUS, PidModule, Unsupported,
-                  free_crystal_zero, h1_crystal_zero, pid_free, pid_sum,
-                  retruncate, torsion_crystal_zero)
+                  free_crystal_zero, pid_free, pid_sum, retruncate,
+                  torsion_crystal_zero)
 from .poly import Poly
-from .structures import Structured
+from .structures import Structured, _nil_index
 
 
 def _opposite(kind: str) -> str:
@@ -29,7 +28,8 @@ def matlis_dual(t: Structured) -> Structured:
     structure of the opposite kind.
 
     Computed by dualize_artinian over the truncation ring at level
-    N = index, the x-nilpotency index of M; the dual lives over that ring.
+    N = index, the x-nilpotency index of M (from the nilpotency memo); the
+    dual lives over that ring.
     Every N >= index gives the same hom basis, structure matrix and
     x-action, bit for bit:
 
@@ -43,8 +43,7 @@ def matlis_dual(t: Structured) -> Structured:
       so the hom basis, the structure matrix and the x-action come out
       bit-identical.  Only the dual's ring level depends on N.
     """
-    F = t.ring.field
-    index = mx.nil_index(F, t.module.actions[0])
+    index = _nil_index(t.ring.field, t.module.actions[0])
     if index == math.inf:
         raise ValueError("x-action is not nilpotent: module not supported at the origin")
     return dualize_artinian(retruncate(t, index))[0]
@@ -122,9 +121,9 @@ def local_duality_check(m: PidModule) -> LocalDualityReport:
     Ext^{-i}(M, omega) for a module placed in degree zero.
 
     The local side reads the Cech model: H^0_m is the torsion part itself,
-    and H^1_m is decided by h1_entry_crystal_zero on the hull twists of the
-    free part.  The Ext side reads D(M): the Matlis dual in degree 0 and
-    the dual multiplier module in degree -1.
+    and H^1_m, the hull twists of the free part, is crystal-zero exactly
+    when the free part is (`free_crystal_zero`).  The Ext side reads D(M):
+    the Matlis dual in degree 0 and the dual multiplier module in degree -1.
     """
     dual = dualize(m)
     if isinstance(dual, Unsupported):
@@ -133,7 +132,7 @@ def local_duality_check(m: PidModule) -> LocalDualityReport:
     return LocalDualityReport((
         DegreeVerdict(0, torsion_crystal_zero(m.torsion),
                       t0 is None or torsion_crystal_zero(t0.torsion)),
-        DegreeVerdict(1, h1_crystal_zero(m),
+        DegreeVerdict(1, free_crystal_zero(m),
                       tm1 is None or free_crystal_zero(tm1))))
 
 
@@ -189,7 +188,7 @@ def is_perverse(c: "StructuredComplex | PidModule") -> PerverseReport:
                 f"H^{d}_m (torsion contribution) must be crystal-zero"))
         if d < -1:
             conds.append(PointCondition(
-                "closed", "local", d + 1, h1_crystal_zero(m),
+                "closed", "local", d + 1, free_zero,
                 f"H^{d + 1}_m (hull contribution) must be crystal-zero"))
     return PerverseReport(all(x.ok for x in conds), tuple(conds))
 

@@ -13,7 +13,6 @@ point count as the independent oracle.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -21,17 +20,14 @@ import numpy as np
 
 from . import matrix as mx
 from .artinian import (ArtinRing, FinModule, hom_coords, hom_images,
-                       hom_module, quotient_data, regular_module, ring_make)
+                       hom_module, memo, quotient_data, regular_module, ring_make)
 from .field import GF, FiniteField, is_prime
 from .poly import Poly, smith_normal_form
-from .structures import (FROBENIUS, CartierModule, FModule, Structured, _Keyed,
+from .structures import (FROBENIUS, CartierModule, FModule, Structured,
                          _kappa_stack, cartier_module, f_module, is_morphism,
                          is_unit, iterate_structure, kappa_monomials,
                          nilpotency_index, structured)
 from .twisted import semilinear_fixed_points
-
-
-_DUALIZING_CACHE: dict = {}
 
 
 def inverse_hull(ring: ArtinRing, power: int = 1) -> CartierModule:
@@ -55,16 +51,14 @@ def inverse_hull(ring: ArtinRing, power: int = 1) -> CartierModule:
     return cartier_module(FinModule(ring, n, acts), kap, power)
 
 
+@memo(256)
 def dualizing_module(ring: ArtinRing, power: int = 1) -> CartierModule:
-    """E_R = inverse_hull(ring, power), checked to be unit and cached per
-    ring (the unit check is the expensive part)."""
-    key = (ring.key(), power)
-    if key not in _DUALIZING_CACHE:
-        e_mod = inverse_hull(ring, power)
-        if not is_unit(e_mod):
-            raise RuntimeError("dualizing module failed the unit check")
-        _DUALIZING_CACHE[key] = e_mod
-    return _DUALIZING_CACHE[key]
+    """E_R = inverse_hull(ring, power), checked to be unit; memoized per
+    ring and power (the unit check is the expensive part)."""
+    e_mod = inverse_hull(ring, power)
+    if not is_unit(e_mod):
+        raise RuntimeError("dualizing module failed the unit check")
+    return e_mod
 
 
 _NOT_EQUIVARIANT = ("pairing image left the hom space: a structure is not "
@@ -105,7 +99,7 @@ def pair_C_to_F(m: CartierModule, n: CartierModule) -> tuple[FModule, np.ndarray
     k, dn, dm, rd = ker.shape[1], n.dim, m.dim, m.ring.dim
     if not k:
         return FModule(hom, mx.zeros(0, 0), m.power), ker
-    stack, rows, inv = _kappa_stack(_Keyed(n))
+    stack, rows, inv = _kappa_stack(n)
     if inv is None:
         raise ValueError("pairing solution not unique; target is not unit")
     rs = kappa_monomials(m).reshape(rd, dm, dm).transpose(1, 0, 2).reshape(dm, rd * dm)
@@ -125,23 +119,13 @@ def pair_C_to_F(m: CartierModule, n: CartierModule) -> tuple[FModule, np.ndarray
     return f_module(hom, coords, m.power), ker
 
 
+@memo(256)
 def dualize_artinian(m: Structured):
     """D(M) = Hom(M, E_R) with the pairing structure of the opposite kind,
-    and its hom basis.  Results are shared and read-only: D is memoized on
-    the content of M (kind, power, dim, `ArtinRing.content_key` of its
-    matrices), at most 256 entries, the least recently used dropped first;
-    the structure matrix, actions and hom basis are not writeable."""
-    return _dual(_Keyed(m))
-
-
-@functools.lru_cache(maxsize=256)
-def _dual(key: _Keyed):
-    m = key.module
+    and its hom basis.  Memoized on the content of M (`memo`): results are
+    shared, and the structure matrix, actions and hom basis are read-only."""
     e_mod = dualizing_module(m.ring, m.power)
-    d, ker = pair_F_to_C(m, e_mod) if m.kind == FROBENIUS else pair_C_to_F(m, e_mod)
-    for a in (d.mat, *d.module.actions, ker):
-        a.flags.writeable = False
-    return d, ker
+    return pair_F_to_C(m, e_mod) if m.kind == FROBENIUS else pair_C_to_F(m, e_mod)
 
 
 def double_dual_check(m: Structured) -> tuple[bool, np.ndarray]:

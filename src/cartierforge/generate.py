@@ -23,7 +23,7 @@ from .structures import CartierModule, FModule, structured
 
 def _rand_mat(rng: random.Random, F: FiniteField, r: int, c: int) -> np.ndarray:
     return np.array([[rng.randrange(F.order) for _ in range(c)] for _ in range(r)],
-                    dtype=np.int64)
+                    dtype=np.int64).reshape(r, c)
 
 
 def random_invertible(rng: random.Random, F: FiniteField, n: int) -> np.ndarray:

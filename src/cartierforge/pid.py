@@ -7,37 +7,33 @@ rank-one Cartier structures on GF(q)[x] are exactly kappa_S o (mult by u),
 and Frobenius structures are g -> F_*(w g^q).
 
 The injective hull E is modeled by truncations (inverse_module); its Cartier
-structure contracts exponents by q, so truncations are stable and the whole
-Matlis/local-duality story reduces to exact finite solves.
+structure contracts exponents by q, so truncations are stable and Matlis
+duality reduces to exact finite solves.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import matrix as mx
-from .artinian import ArtinRing, fin_module, ring_make
+from .artinian import ArtinRing, fin_module, memo, ring_make
 from .field import FiniteField
 from .poly import Poly
 from .duality import inverse_hull
 from .structures import (CARTIER, FROBENIUS, CartierModule, Structured,
-                         cartier_module, direct_sum_structured,
-                         nilpotency_index, structured, validate,
-                         with_structure)
+                         direct_sum_structured, nilpotency_index, structured,
+                         validate, with_structure)
 
 # -- the truncated injective hull --
 
 
-@functools.lru_cache(maxsize=64)
+@memo(64)
 def truncation_ring(field: FiniteField, level: int) -> ArtinRing:
-    """GF(q)[x]/(x^level), cached; its multiplication matrix is read-only."""
-    ring = ring_make(field, ["x"], [[level]])
-    ring.mult_ops[0].flags.writeable = False
-    return ring
+    """GF(q)[x]/(x^level), memoized; its multiplication matrix is read-only."""
+    return ring_make(field, ["x"], [[level]])
 
 
 def inverse_module(field: FiniteField, level: int, power: int = 1) -> CartierModule:
@@ -174,49 +170,21 @@ def validate_pid(m: PidModule):
     return ok, notes
 
 
-# -- the H^1 hull model of the free part --
+def free_crystal_zero(m: PidModule) -> bool:
+    """The free part is crystal-zero, and so is its H^1_m: every multiplier
+    u is zero.
 
-
-def hull_twist(field: FiniteField, level: int, u: Poly, power: int = 1) -> CartierModule:
-    """(E_level, kappa_E o mult(u)): the H^1 model of (R, kappa_u)."""
-    inv = inverse_module(field, level, power)
-    coords = np.zeros(level, dtype=np.int64)
-    for i, c in enumerate(u.coeffs[:level]):
-        coords[i] = c
-    act_u = inv.module.element_action(coords)
-    kap = mx.mmul(field, inv.kappa, act_u)
-    return cartier_module(inv.module, kap, power)
-
-
-def h1_entry_crystal_zero(m: PidModule, u: Poly) -> bool:
-    """Crystal-zero verdict for the H^1 hull component (E, kappa_E o u) of
-    the free summand with multiplier u; exact.
-
-    Crystal-zero means bounded nilpotence: some iterate of the structure
-    is zero on all of E.  Since u kappa_E(v) = kappa_E(u^q v), the iterates
-    are (kappa_E u)^e = kappa_E^e o u^((q^e - 1)/(q - 1)).  If u != 0, let
-    w = u^((q^e - 1)/(q - 1)) have order a; then w x^-(a+1) = w_a x^-1 in E,
-    and kappa_E^e sends it to w_a^(1/q^e) x^-1 != 0.  So bounded nilpotence
-    holds exactly when u = 0.  One truncation decides that: at any level
-    above ord(u), entry (0, ord u) of kappa_E act_u is u_(ord u), so at
-    level deg u + 1 the matrix is zero exactly when u = 0.
+    On the polynomial ring kappa_S o u (or g -> F_*(u g^q)) is nilpotent
+    exactly when u = 0; otherwise iterates move some monomial to a nonzero
+    one.  The H^1 hull component (E, kappa_E o u), E = GF(q)[x, 1/x]/GF(q)[x],
+    has the same verdict.  Crystal-zero means bounded nilpotence: some
+    iterate of the structure is zero on all of E.  Since u kappa_E(v) =
+    kappa_E(u^q v), the iterates are (kappa_E u)^e = kappa_E^e o
+    u^((q^e - 1)/(q - 1)).  If u != 0, let w = u^((q^e - 1)/(q - 1)) have
+    order a; then w x^-(a+1) = w_a x^-1 in E, and kappa_E^e sends it to
+    w_a^(1/q^e) x^-1 != 0.  So bounded nilpotence holds exactly when u = 0.
     Frobenius side: the expanding map is zero iff the multiplier is zero.
     """
-    if m.kind == FROBENIUS:
-        return u.is_zero()
-    return not hull_twist(m.field, u.deg + 1, u, m.power).kappa.any()
-
-
-def h1_crystal_zero(m: PidModule) -> bool:
-    """H^1_m(M) ~ 0: every hull component of the free part is crystal-zero."""
-    return m.free is None or all(h1_entry_crystal_zero(m, u)
-                                 for u in m.free_diagonal())
-
-
-def free_crystal_zero(m: PidModule) -> bool:
-    """The free part is crystal-zero: every multiplier is zero.  On the full
-    polynomial ring kappa_S o u (or g -> F_*(u g^q)) is nilpotent exactly
-    when u = 0; otherwise iterates move some monomial to a nonzero one."""
     return m.free is None or all(u.is_zero() for u in m.free_diagonal())
 
 

@@ -11,15 +11,14 @@ adjoint structural morphism, unitalization, and nil-isomorphism testing.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import matrix as mx
-from .artinian import (ArtinRing, FinModule, _matrix_key, direct_sum, f_flat,
-                       f_flat_dim, hom_coords, i_torsion, module_violations,
+from .artinian import (MEMO_KEYS, ArtinRing, FinModule, _key, direct_sum, f_flat,
+                       f_flat_dim, hom_coords, i_torsion, memo, module_violations,
                        quotient_module, regular_module, restrict,
                        restrict_scalars, submodule, zero_module)
 
@@ -65,6 +64,8 @@ class FModule(_StructureBase):
 
 
 Structured = CartierModule | FModule
+MEMO_KEYS[CartierModule] = MEMO_KEYS[FModule] = lambda m: (
+    m.kind, m.power, _key(m.ring), _key(m.mat), _key(m.module.actions))
 
 
 @dataclass(frozen=True)
@@ -124,25 +125,14 @@ def nilpotency_index(m: Structured):
     """Least n <= dim with the n-fold structural composite zero, else inf.
 
     The composite of the structure with itself is the plain matrix power,
-    so the image chain stabilizes within dim steps.  Memoized on the field
-    and the shape and int64 bytes of the matrix, at most 512 entries (LRU)."""
-    return _nil_index(m.ring.field, *_matrix_key([m.mat])[0])
+    so the image chain stabilizes within dim steps."""
+    return _nil_index(m.ring.field, m.mat)
 
 
-@functools.lru_cache(maxsize=512)
-def _nil_index(F, shape, raw):
-    return mx.nil_index(F, np.frombuffer(raw, dtype=np.int64).reshape(shape))
-
-
-class _Keyed(tuple):
-    """The content of a module m, carrying m: kind, power, dim and
-    `ArtinRing.content_key` of its structure matrix and actions."""
-
-    def __new__(cls, m: Structured):
-        key = super().__new__(cls, (m.kind, m.power, m.dim,
-                                    m.ring.content_key(m.mat, *m.module.actions)))
-        key.module = m
-        return key
+@memo(512)
+def _nil_index(F, a):
+    """`matrix.nil_index`, memoized on the field and the matrix."""
+    return mx.nil_index(F, a)
 
 
 def stable_image(m: CartierModule) -> tuple[CartierModule, np.ndarray]:
@@ -254,7 +244,7 @@ def is_unit(m: CartierModule) -> bool:
     that is the case lambda = 0, and it gives the rest, as the actions
     commute.  kappa X_v^Q is K's block at x_v^Q, or 0 when x_v^Q lies in I:
     one product checks them all."""
-    K, rows, _ = _kappa_stack(_Keyed(m))
+    K, rows, _ = _kappa_stack(m)
     R, d, Q = m.ring, m.dim, m.ring.q ** m.power
     pure = (tuple(Q * (i == v) for i in range(R.nvars)) for v in range(R.nvars))
     blocks = [K[R.basis_index(b) * d:][:d] if b in R.basis else mx.zeros(d, d) for b in pure]
@@ -264,20 +254,16 @@ def is_unit(m: CartierModule) -> bool:
     return rows.size == d and f_flat_dim(m.module, m.power) == d
 
 
-@functools.lru_cache(maxsize=256)
-def _kappa_stack(key: _Keyed):
-    """K = kappa_monomials(key.module), its first independent rows, and
-    K[rows]^-1 when they number dim, else None; all read-only, memoized
-    like `duality.dualize_artinian`, at most 256 entries (LRU).  The row
-    operations E that reduce [K^T | I] bring K^T to RREF, pivots at the
+@memo(256)
+def _kappa_stack(m: CartierModule):
+    """K = kappa_monomials(m), its first independent rows, and K[rows]^-1
+    when they number dim, else None; shared and read-only (`memo`).  The
+    row operations E that reduce [K^T | I] bring K^T to RREF, pivots at the
     rows, so E K[rows]^T = I at rank dim: one reduction gives all three."""
-    m = key.module
     K = kappa_monomials(m)
     r, piv = mx.rref(m.ring.field, np.hstack((K.T, mx.identity(m.dim))))
     rows = np.array([c for c in piv if c < len(K)], dtype=np.intp)
     inv = np.ascontiguousarray(r[:, len(K):].T) if rows.size == m.dim else None
-    for a in (K, rows) if inv is None else (K, rows, inv):
-        a.flags.writeable = False
     return K, rows, inv
 
 

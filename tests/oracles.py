@@ -3,8 +3,8 @@
 These recompute, by the definitions, what the package computes another way:
 field arithmetic one code at a time, kappa_S and the rank-one structures
 on GF(q)[x], the dual-basis table of kappa_S, the hull structure read off
-the Laurent extension, the two-depth H^1 verdict and the hull twist applied to one
-Laurent tail, the determinantal divisors of a polynomial matrix, matrix
+the Laurent extension, the H^1 hull twist on a truncation, the two-depth
+H^1 verdict and the hull twist applied to one Laurent tail, the determinantal divisors of a polynomial matrix, matrix
 powers one factor at a time with their rank chain, the Sol attainment
 degree by search, conjugacy classes in GL_n(F_q) by enumeration, the Hom/tensor twist
 law, the Kashiwara round trip i-flat o i_* = id, and field embedding
@@ -21,9 +21,9 @@ from cartierforge import matrix as mx
 from cartierforge.artinian import fin_module
 from cartierforge.duality import dualize_artinian
 from cartierforge.field import FiniteField
-from cartierforge.pid import PidModule, hull_twist
+from cartierforge.pid import PidModule, inverse_module
 from cartierforge.poly import Poly
-from cartierforge.structures import (CartierModule, Structured,
+from cartierforge.structures import (CartierModule, Structured, cartier_module,
                                      nilpotency_index, structured_i_torsion,
                                      structured_restrict_scalars,
                                      twist_by_unit_line)
@@ -186,6 +186,17 @@ def default_truncation(degs, q: int) -> int:
     """The shallow hull level of the two-depth reference: four times the
     largest multiplier degree plus one, and at least 2q."""
     return max(4 * max([d + 1 for d in degs] + [1]), 2 * q)
+
+
+def hull_twist(field: FiniteField, level: int, u: Poly, power: int = 1) -> CartierModule:
+    """(E_level, kappa_E o mult(u)): the H^1 model of (R, kappa_u) on the
+    truncation x^-1 .. x^-level of E."""
+    inv = inverse_module(field, level, power)
+    coords = np.zeros(level, dtype=np.int64)
+    for i, c in enumerate(u.coeffs[:level]):
+        coords[i] = c
+    act_u = inv.module.element_action(coords)
+    return cartier_module(inv.module, mx.mmul(field, inv.kappa, act_u), power)
 
 
 def two_depth_h1_zero(m: PidModule, u: Poly) -> bool:

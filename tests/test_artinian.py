@@ -13,7 +13,9 @@ from cartierforge.artinian import (_variable_power, f_flat, fin_module,
                                    quotient_ring, regular_module,
                                    restrict_scalars, ring_make, zero_module)
 from cartierforge.field import GF, MAX_RING_DIM
-from cartierforge.generate import artinian_corpus
+from cartierforge.generate import (artinian_corpus, random_invertible, random_module,
+                                   random_structure)
+from cartierforge.structures import CARTIER, validate
 from oracles import hom_list
 
 
@@ -190,14 +192,46 @@ def test_element_action_is_a_ring_hom(fixture_ring):
         assert np.array_equal(lhs, rhs)
 
 
-def test_ring_size_cap_bounds_the_box_below_the_pure_powers():
-    """Every standard monomial lies below the least pure power of each
-    variable; MAX_RING_DIM bounds that box, before the box is walked."""
+def test_ring_size_cap_counts_standard_monomials():
+    """MAX_RING_DIM bounds the standard monomials, not the box below the
+    pure powers, and the walk stops past it."""
     axes = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]    # only the axes stay standard
     assert MAX_RING_DIM == 16 ** 3
     assert ring_make(2, "xyz", [[16, 0, 0], [0, 16, 0], [0, 0, 16]] + axes).dim == 46
+    # a box of 17 * 16 * 16 > MAX_RING_DIM holding 47 standard monomials
+    assert ring_make(3, "xyz", [[17, 0, 0], [0, 16, 0], [0, 0, 16]] + axes).dim == 47
+    assert ring_make(2, ["x"], [[MAX_RING_DIM]]).dim == MAX_RING_DIM
     for vars_, rels in ((["x"], [[MAX_RING_DIM + 1]]),
-                        (["x", "y"], [[100000, 0], [0, 100000]]),
-                        (["x", "y", "z"], [[17, 0, 0], [0, 16, 0], [0, 0, 16]] + axes)):
+                        (["x"], [[1000000]]),
+                        (["x", "y"], [[70, 0], [0, 70]]),
+                        (["x", "y"], [[100000, 0], [0, 100000]])):
         with pytest.raises(ValueError, match="ring-size cap"):
             ring_make(3, vars_, rels)
+
+
+def box_basis(relations, n):
+    """The standard monomials by filtering the box below the pure powers."""
+    box = [min(r[i] for r in relations if not any(r[:i] + r[i + 1:])) for i in range(n)]
+    return tuple(sorted((e for e in itertools.product(*(range(b) for b in box))
+                         if not any(all(x <= y for x, y in zip(r, e)) for r in relations)),
+                        key=lambda e: (sum(e), e)))
+
+
+def test_the_standard_monomial_walk_matches_the_box():
+    rng = random.Random(17)
+    for _ in range(500):
+        n = rng.randint(0, 3)
+        rels = [[rng.randint(0, 6) * (i == j) for j in range(n)] for i in range(n)]
+        rels += [[rng.randint(0, 4) for _ in range(n)] for _ in range(rng.randint(0, 3))]
+        ring = ring_make(2, "xyz"[:n], rels)
+        assert ring.basis == box_basis(ring.relations, n)
+
+
+def test_random_modules_over_the_zero_ring():
+    # the relation x^0 = 1 cuts the whole ring
+    ring = ring_make(2, ["x"], [[0]])
+    rng = random.Random(3)
+    assert ring.dim == 0 and random_invertible(rng, ring.field, 0).shape == (0, 0)
+    m = random_module(rng, ring, 3)
+    assert m.dim == 0 and m.actions[0].shape == (0, 0)
+    assert validate(random_structure(rng, m, CARTIER)).ok

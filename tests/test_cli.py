@@ -659,3 +659,21 @@ def test_ring_past_the_size_cap_is_schema_error(tmp_path, path, ring, where):
     assert proc.returncode == 2, proc.stderr
     assert where in proc.stderr and "past the ring-size cap 4096" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_h1_verdicts_of_a_degree_4095_multiplier(tmp_path):
+    """H^1 of a free part is decided by its multiplier, u = 0, with no hull
+    built: a hull at level deg u + 1 = 4096 would take minutes."""
+    doc = {"schema": 1, "field": {"p": 2, "r": 1},
+           "ring": {"tier": "artinian", "vars": ["x"], "relations": [[2]]},
+           "modules": {"u": {"tier": "pid", "kind": "cartier", "free": [[0] * 4095 + [1]]}},
+           "commands": [{"op": "local-duality", "module": "u"},
+                        {"op": "perverse", "module": "u", "degree": -2}]}
+    out = str(tmp_path / "report.json")
+    assert main(["run", write(tmp_path, doc), "--json", out]) == 1
+    local, perverse = json.loads(open(out).read())["results"]
+    assert local["ok"] and "error" not in local
+    assert [(v["local_zero"], v["ext_zero"]) for v in local["verdicts"]] == [
+        (True, True), (False, False)]
+    hull = [c for c in perverse["conditions"] if c["degree"] == -1 and c["side"] == "local"]
+    assert not perverse["ok"] and len(hull) == 1 and not hull[0]["ok"]

@@ -1,13 +1,13 @@
-"""The program's memos: the `intertwiners` kernel memo, the truncation
-ring, the memo of D = Hom(-, E_R) in `dualize_artinian`, the reduced
-stack of kappa x^lambda behind `is_unit` and `pair_C_to_F`, and the
-nilpotency index.
+"""The program's memos, all made by `artinian.memo`: the `intertwiners`
+kernels, the truncation rings, the dualizing modules E_R, D = Hom(-, E_R)
+in `dualize_artinian`, the reduced stack of kappa x^lambda behind
+`is_unit` and `pair_C_to_F`, and the nilpotency index.
 
 A cached kernel or dual must equal the one solved anew, be read-only, and
 be keyed by everything it depends on, not only by the integer matrices.
 The benchmark empties the program's caches between passes with
 `cache_clearers` from `bench/run.py`; every memo must be among what it
-empties.
+empties, and everything else it empties is a field table.
 """
 
 import importlib.util
@@ -21,17 +21,14 @@ import numpy as np
 import pytest
 
 from cartierforge import matrix as mx
-from cartierforge.artinian import (_intertwiner_kernel, fin_module, intertwiners,
-                                   quotient_ring, restrict_scalars,
-                                   ring_make)
+from cartierforge.artinian import (MEMOS, fin_module, intertwiners, quotient_ring,
+                                   restrict_scalars, ring_make)
 from cartierforge.cli import parse_problem
-from cartierforge.duality import (_DUALIZING_CACHE, _dual, dualize_artinian,
-                                  dualizing_module,
-                                  pair_C_to_F)
-from cartierforge.field import GF
+from cartierforge.duality import dualize_artinian, dualizing_module, pair_C_to_F
+from cartierforge.field import GF, _embedding_table, canonical_modulus
 from cartierforge.generate import artinian_corpus, random_module, random_structure
 from cartierforge.pid import truncation_ring
-from cartierforge.structures import (CARTIER, FROBENIUS, _kappa_stack, _Keyed,
+from cartierforge.structures import (CARTIER, FROBENIUS, _kappa_stack,
                                      _nil_index, cartier_module, is_unit,
                                      kappa_monomials, nilpotency_index,
                                      structured)
@@ -64,7 +61,7 @@ def test_cached_kernel_equals_the_kernel_solved_anew(p, r):
     F = GF(p, r)
     rng = random.Random(1000 * p + r)
     systems = [random_system(rng, F) for _ in range(40)]
-    _intertwiner_kernel.cache_clear()
+    intertwiners.cache_clear()
     nonzero = 0
     for As, Bs, rows, cols in systems + systems[::-1]:
         ref = solve_anew(F, As, Bs, rows, cols)
@@ -75,7 +72,7 @@ def test_cached_kernel_equals_the_kernel_solved_anew(p, r):
         again = intertwiners(F, [a.copy() for a in As], [b.copy() for b in Bs], rows, cols)
         assert again is ker
         nonzero += ker.size > 0
-    info = _intertwiner_kernel.cache_info()
+    info = intertwiners.cache_info()
     assert info.misses == len({repr((As, Bs, rows, cols)) for As, Bs, rows, cols in systems})
     assert info.hits == 4 * len(systems) - info.misses
     assert nonzero > 10
@@ -84,10 +81,10 @@ def test_cached_kernel_equals_the_kernel_solved_anew(p, r):
 def test_a_hit_returns_a_read_only_kernel():
     F = GF(3)
     A = mx.mat([[0, 1], [0, 0]])
-    _intertwiner_kernel.cache_clear()
+    intertwiners.cache_clear()
     first = intertwiners(F, [A], [A], 2, 2)
     hit = intertwiners(F, [A.copy()], [A.copy()], 2, 2)
-    assert _intertwiner_kernel.cache_info().hits == 1
+    assert intertwiners.cache_info().hits == 1
     assert hit is first and not hit.flags.writeable
     with pytest.raises(ValueError):
         hit[0, 0] = 2
@@ -98,10 +95,10 @@ def test_the_same_integer_matrices_over_two_fields_are_two_entries():
     # H J = 0 for the all-ones J: the rows of H lie in the left kernel of
     # J, spanned by (1, 1) over GF(2) and by (1, 2) over GF(3)
     J, Z = mx.mat([[1, 1], [1, 1]]), mx.zeros(2, 2)
-    _intertwiner_kernel.cache_clear()
+    intertwiners.cache_clear()
     k2 = intertwiners(GF(2), [J], [Z], 2, 2)
     k3 = intertwiners(GF(3), [J], [Z], 2, 2)
-    assert _intertwiner_kernel.cache_info().currsize == 2
+    assert intertwiners.cache_info().currsize == 2
     assert np.array_equal(k2, solve_anew(GF(2), [J], [Z], 2, 2))
     assert np.array_equal(k3, solve_anew(GF(3), [J], [Z], 2, 2))
     assert not np.array_equal(k2, k3)
@@ -109,10 +106,10 @@ def test_the_same_integer_matrices_over_two_fields_are_two_entries():
 
 def test_the_kernel_cache_is_bounded():
     F = GF(2)
-    _intertwiner_kernel.cache_clear()
+    intertwiners.cache_clear()
     for n in range(600):    # 600 distinct systems, each with an empty space
         intertwiners(F, [], [], 0, n)
-    assert _intertwiner_kernel.cache_info().currsize == 512
+    assert intertwiners.cache_info().currsize == 512
 
 
 def test_truncation_rings_are_cached_and_read_only():
@@ -163,10 +160,10 @@ def test_a_dual_hit_equals_the_dual_solved_anew():
     assert {(m.kind, m.power) for m in mods} == {(k, p) for k in (CARTIER, FROBENIUS)
                                                  for p in (1, 2)}
     hits = [dualize_artinian(copied(m)) for m in mods + mods]
-    assert _dual.cache_info().hits >= len(mods)
+    assert dualize_artinian.cache_info().hits >= len(mods)
     for m, hit in zip(mods, hits[len(mods):]):
-        _dual.cache_clear()
-        _intertwiner_kernel.cache_clear()
+        dualize_artinian.cache_clear()
+        intertwiners.cache_clear()
         assert same_dual(hit, dualize_artinian(m))
 
 
@@ -174,7 +171,7 @@ def test_a_dual_hit_returns_the_same_read_only_arrays():
     m = artinian_corpus(3, 1)[0]
     first = dualize_artinian(m)
     hit = dualize_artinian(copied(m))
-    assert _dual.cache_info().hits == 1
+    assert dualize_artinian.cache_info().hits == 1
     assert hit[0] is first[0] and hit[1] is first[1]
     d, ker = hit
     for a in (d.mat, ker, *d.module.actions):
@@ -198,7 +195,7 @@ def one_dim(field, kind=CARTIER, power=1, ring=None):
 ], ids=["GF(2)-GF(3)", "cartier-frobenius", "power-1-2"])
 def test_modules_of_equal_integers_are_two_dual_entries(a, b):
     da, db = dualize_artinian(a)[0], dualize_artinian(b)[0]
-    assert _dual.cache_info().currsize == 2
+    assert dualize_artinian.cache_info().currsize == 2
     for m, d in ((a, da), (b, db)):
         opposite = FROBENIUS if m.kind == CARTIER else CARTIER
         assert (d.ring.field, d.kind, d.power) == (m.ring.field, opposite, m.power)
@@ -213,7 +210,7 @@ def test_a_quotient_ring_and_the_equal_plain_ring_are_two_dual_entries():
     dp = dualize_artinian(one_dim(F, ring=plain))[0]
     dualize_artinian(one_dim(F, ring=quot))
     dq = dualize_artinian(one_dim(F, ring=quot))[0]
-    assert _dual.cache_info().currsize == 2 and _dual.cache_info().hits == 1
+    assert dualize_artinian.cache_info().currsize == 2 and dualize_artinian.cache_info().hits == 1
     assert restrict_scalars(dq.module).ring is ambient
     with pytest.raises(ValueError):
         restrict_scalars(dp.module)
@@ -224,7 +221,14 @@ def test_the_dual_memo_is_bounded():
     ring = ring_make(17, [], [])
     for i in range(300):
         dualize_artinian(cartier_module(fin_module(ring, [], 2), [[i % 17, i // 17], [0, 1]]))
-    assert _dual.cache_info().currsize == 256
+    assert dualize_artinian.cache_info().currsize == 256
+
+
+def test_the_dualizing_module_memo_is_bounded():
+    ring = ring_make(17, [], [])
+    for power in range(1, 301):
+        dualizing_module(ring, power)
+    assert dualizing_module.cache_info().currsize == 256
 
 
 # -- the reduced kappa stack --
@@ -246,8 +250,8 @@ def cartier_draws():
 
 def test_a_kappa_stack_hit_equals_the_stack_reduced_anew():
     mods = cartier_draws()
-    firsts = [_kappa_stack(_Keyed(m)) for m in mods]
-    hits = [_kappa_stack(_Keyed(copied(m))) for m in mods]
+    firsts = [_kappa_stack(m) for m in mods]
+    hits = [_kappa_stack(copied(m)) for m in mods]
     assert _kappa_stack.cache_info().hits >= len(mods)
     full = 0
     for m, first, hit in zip(mods, firsts, hits):
@@ -263,9 +267,9 @@ def test_a_kappa_stack_hit_equals_the_stack_reduced_anew():
 
 def test_a_kappa_stack_hit_returns_the_same_read_only_arrays():
     e_mod = dualizing_module(ring_make(GF(3), ["x", "y"], [[2, 0], [0, 3]]))
-    first = _kappa_stack(_Keyed(e_mod))
-    hit = _kappa_stack(_Keyed(copied(e_mod)))
-    assert _kappa_stack.cache_info().hits == 1
+    first = _kappa_stack(e_mod)          # the unit check of E_R reduced it
+    hit = _kappa_stack(copied(e_mod))
+    assert _kappa_stack.cache_info()[:2] == (2, 1)      # hits, misses
     for a, b in zip(first, hit):
         assert a is b and not a.flags.writeable
         with pytest.raises(ValueError):
@@ -274,7 +278,6 @@ def test_a_kappa_stack_hit_returns_the_same_read_only_arrays():
 
 def test_e_r_is_reduced_once_for_its_unit_check_and_every_pairing():
     ring = ring_make(GF(2), ["x", "y"], [[2, 0], [0, 2]])
-    _DUALIZING_CACHE.clear()
     e_mod = dualizing_module(ring)
     assert _kappa_stack.cache_info().misses == 1
     rng = random.Random(5)
@@ -330,18 +333,29 @@ def test_parsing_fills_neither_new_memo(path):
     assert _nil_index.cache_info().currsize == 0
 
 
-def test_bench_cache_clearers_empty_both_caches():
+def bench_cache_clearers():
     spec = importlib.util.spec_from_file_location("bench_run", RUN)
     run = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run)
+    return run.cache_clearers([m for n, m in sys.modules.items()
+                               if n.startswith("cartierforge")])
+
+
+def test_bench_cache_clearers_empty_both_caches():
     intertwiners(GF(2), [mx.identity(2)], [mx.identity(2)], 2, 2)
     truncation_ring(GF(2), 3)
     dualize_artinian(one_dim(GF(2)))
     nilpotency_index(one_dim(GF(2)))
-    memos = (_intertwiner_kernel, truncation_ring, _dual, _kappa_stack, _nil_index)
-    assert all(memo.cache_info().currsize > 0 for memo in memos)
-    clearers = run.cache_clearers([m for n, m in sys.modules.items()
-                                   if n.startswith("cartierforge")])
-    for clear in clearers:
+    assert len(MEMOS) == 6
+    assert all(memo.cache_info().currsize > 0 for memo in MEMOS)
+    for clear in bench_cache_clearers():
         clear()
-    assert all(memo.cache_info().currsize == 0 for memo in memos)
+    assert all(memo.cache_info().currsize == 0 for memo in MEMOS)
+
+
+def test_every_cache_is_a_registered_memo_but_the_field_tables():
+    clearers = bench_cache_clearers()
+    registered = [memo.cache_clear for memo in MEMOS]
+    assert all(clear in clearers for clear in registered)
+    outside = {clear.__self__ for clear in clearers if clear not in registered}
+    assert outside == {GF, canonical_modulus, _embedding_table}

