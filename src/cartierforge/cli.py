@@ -36,8 +36,9 @@ from .generate import (artinian_corpus, pid_torsion_corpus, random_cartier,
 from .pid import (CARTIER, FROBENIUS, PidModule, Unsupported, pid_free,
                   pid_sum, pid_torsion, validate_pid)
 from .poly import Poly
-from .structures import (StructureLeavesTorsion, kashiwara_counit, nilpotency_index,
-                         stable_image, stable_kernel, structured, unitalize, validate)
+from .structures import (StructureLeavesTorsion, is_unit, kashiwara_counit,
+                         nilpotency_index, stable_image, stable_kernel, structured,
+                         unitalize, validate)
 
 SCHEMA = 1
 
@@ -303,14 +304,16 @@ def run_command(problem, cmd: dict, seed: int) -> dict:
     elif op == "pair":
         a = get_module("left")
         b = get_module("right")
-        if a.kind == FROBENIUS and b.kind == CARTIER:
-            h, _ = pair_F_to_C(a, b)
-        elif a.kind == CARTIER and b.kind == CARTIER:
-            h, _ = pair_C_to_F(a, b)
-        else:
+        if b.kind != CARTIER:
             raise SchemaError("pair expects (frobenius, cartier) or (cartier, unit cartier)")
-        out.update(ok=True, kind=h.kind, dim=h.dim,
-                   nilpotency_index=_index_json(nilpotency_index(h)))
+        if a.kind == CARTIER and not is_unit(b):
+            # Hom(M, N) carries a Frobenius structure only for N unit
+            out.update(unsupported=True, ok=None,
+                       reason="pair of two Cartier modules needs a unit right module")
+        else:
+            h, _ = (pair_F_to_C if a.kind == FROBENIUS else pair_C_to_F)(a, b)
+            out.update(ok=True, kind=h.kind, dim=h.dim,
+                       nilpotency_index=_index_json(nilpotency_index(h)))
     elif op in ("sol", "base-change"):
         m = get_module()
         s = _int_field(cmd, "s", 1 if op == "sol" else 2, lo=1)

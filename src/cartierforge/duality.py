@@ -255,7 +255,9 @@ def hasse_invariant(p: int, cubic) -> int:
 
     This is the action of the Cartier operator on the one-dimensional space
     of top forms; nonzero means ordinary.  Requires p odd and f a
-    square-free monic cubic."""
+    square-free monic cubic.  Found in O(p) steps by `_power_coefficient`;
+    when f(0) = 0, f = x h with h(0) != 0 (x^2 does not divide f), and the
+    coefficient is that of x^n in h^n, n = (p-1)/2."""
     if not is_prime(p) or p == 2:
         raise ValueError("p must be an odd prime")
     F = GF(p)
@@ -265,22 +267,35 @@ def hasse_invariant(p: int, cubic) -> int:
     g = f.gcd(f.derivative())
     if g.deg >= 1:
         raise ValueError("singular curve: the cubic has a repeated root")
-    acc = f ** ((p - 1) // 2)
-    return int(acc.coeffs[p - 1]) if len(acc.coeffs) > p - 1 else 0
+    n = (p - 1) // 2
+    c = f.coeffs
+    return _power_coefficient(p, c, n, p - 1) if c[0] else _power_coefficient(p, c[1:], n, n)
+
+
+def _power_coefficient(p: int, c, n: int, k: int) -> int:
+    """Coefficient of x^k in g = f^n over GF(p), f = c_0 + ... + c_3 x^3 of
+    degree at most 3, c_0 != 0 and k < p.  The x^(j-1) coefficients of
+    f g' = n f' g give j c_0 g_j = -sum_(i >= 1) c_i (j - i - n i) g_(j-i),
+    and j < p is invertible mod p."""
+    c1, c2, c3 = (list(c[1:]) + [0, 0])[:3]
+    inv0 = pow(c[0], -1, p)
+    g1, g2, g3 = pow(c[0], n, p), 0, 0          # g_(j-1), g_(j-2), g_(j-3)
+    for j in range(1, k + 1):
+        s = c1 * (j - 1 - n) * g1 + c2 * (j - 2 - 2 * n) * g2 + c3 * (j - 3 - 3 * n) * g3
+        g1, g2, g3 = -s * inv0 * pow(j, -1, p) % p, g1, g2
+    return g1
 
 
 def elliptic_ap(p: int, cubic) -> int:
-    """Brute-force trace of Frobenius: a_p = p + 1 - #E(F_p)."""
-    F = GF(p)
-    f = Poly.make(F, cubic)
-    squares = {}
-    for y in range(p):
-        squares.setdefault((y * y) % p, 0)
-        squares[(y * y) % p] += 1
-    count = 1   # point at infinity
-    for x in range(p):
-        v = int(f.eval(np.int64(x)))
-        count += squares.get(v, 0)
+    """Brute-force trace of Frobenius: a_p = p + 1 - #E(F_p), counting the
+    points over every x at once: f(x) by Horner on the int64 codes, then
+    the number of y with y^2 = f(x) from a table of the squares."""
+    xs = np.arange(p, dtype=np.int64)
+    v = np.zeros(p, dtype=np.int64)
+    for c in reversed(cubic):
+        v = (v * xs + int(c) % p) % p
+    roots = np.bincount(xs * xs % p, minlength=p)
+    count = 1 + int(roots[v].sum())   # with the point at infinity
     return p + 1 - count
 
 

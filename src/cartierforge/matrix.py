@@ -118,19 +118,41 @@ def nil_index(F: FiniteField, a: np.ndarray):
     return n
 
 
+# A GF(p) matrix of at most this many cells is reduced on Python ints
+# (`_rref_ints`), a larger one by the numpy pivot step in `rref`.  A numpy
+# pivot pays a fixed dispatch cost (a nonzero scan, `div`, a `submul`
+# gather and scatter) that outweighs the arithmetic of a small matrix; the
+# Python step pays per entry updated, so large systems keep numpy.  The
+# bound is the largest cell count at which the Python path was no slower
+# on every matrix of `python3 tools/kernel_bench.py --table rref`, whose
+# uniformly random codes are its worst case (the program's systems are
+# sparser).  Microseconds per call, Python / numpy, 2-CPU Linux host,
+# Python 3.11, numpy 2.4:
+#                  8 x 4 (32)    6 x 6 (36)    8 x 8 (64)    12 x 6 (72)
+#   GF(2)          15.5 / 54.4   16.4 / 61.5   33.1 / 87.2   38.1 / 75.5
+#   GF(3)          16.7 / 49.0   27.7 / 74.8   44.1 / 98.8   49.6 / 74.0
+#   GF(4194301)    36.2 / 46.9   45.8 / 64.1   84.6 / 82.2   91.0 / 66.5
+# Both paths return the unique RREF, so the choice changes no output.
+SMALL_RREF_CELLS = 36
+
+
 def rref(F: FiniteField, a) -> tuple[np.ndarray, tuple[int, ...]]:
     """Reduced row echelon form; returns (R, pivot_columns).
 
-    Each pivot takes two field ops: one `div` normalises the pivot row, and
-    one fused rank-1 `submul` clears the pivot column in every row nonzero
-    there, the pivot row too, before the normalised row is written back.
-    Left of the pivot the pivot row is zero, so the update touches only
-    columns from the pivot on.  Over GF(p^m) a matrix whose codes are all
-    below p lies in GF(p), which the pivot steps keep, so it is reduced by
-    the ops of `F.prime`."""
-    r = np.array(a, dtype=np.int64)
-    if F.deg > 1 and r.max(initial=0) < F.p:
+    Over GF(p^m) a matrix whose codes are all below p lies in GF(p), which
+    the pivot steps keep, so it is reduced by the ops of `F.prime`.  A
+    GF(p) matrix of at most SMALL_RREF_CELLS cells is reduced on Python
+    ints (`_rref_ints`).  Otherwise each pivot takes two field ops: one
+    `div` normalises the pivot row, and one fused rank-1 `submul` clears
+    the pivot column in every row nonzero there, the pivot row too, before
+    the normalised row is written back.  Left of the pivot the pivot row is
+    zero, so the update touches only columns from the pivot on."""
+    a = np.asarray(a, dtype=np.int64)
+    if F.deg > 1 and a.max(initial=0) < F.p:
         F = F.prime
+    if F.deg == 1 and a.size <= SMALL_RREF_CELLS:
+        return _rref_ints(F.p, a)
+    r = a.copy()
     nrows, ncols = r.shape
     pivots = []
     row = 0
@@ -154,6 +176,37 @@ def rref(F: FiniteField, a) -> tuple[np.ndarray, tuple[int, ...]]:
         pivots.append(col)
         row += 1
     return r, tuple(pivots)
+
+
+def _rref_ints(p: int, a: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """`rref` over GF(p) by Gauss-Jordan on the rows as lists of Python
+    ints: exact at any p, as Python ints do not overflow, and every code
+    written back is reduced mod p."""
+    nrows, ncols = a.shape
+    rows = a.tolist()
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        if row >= nrows:
+            break
+        for piv in range(row, nrows):
+            if rows[piv][col]:
+                break
+        else:
+            continue
+        prow = rows[piv]
+        rows[piv] = rows[row]
+        if prow[col] != 1:
+            inv = pow(prow[col], -1, p)
+            prow = [x * inv % p for x in prow]
+        rows[row] = prow
+        for i, r in enumerate(rows):
+            c = r[col]
+            if c and i != row:
+                rows[i] = [(x - c * y) % p for x, y in zip(r, prow)]
+        pivots.append(col)
+        row += 1
+    return np.array(rows, dtype=np.int64).reshape(nrows, ncols), tuple(pivots)
 
 
 def rank(F: FiniteField, a) -> int:

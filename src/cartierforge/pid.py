@@ -152,7 +152,10 @@ def _ring_level(ring: ArtinRing) -> int:
 
 def retruncate(t: Structured, level: int) -> Structured:
     """View a torsion module over the truncation ring at `level`, which
-    must be at least the x-nilpotency index of `t`."""
+    must be at least the x-nilpotency index of `t`; `t` itself when its
+    ring already has that level."""
+    if _ring_level(t.ring) == level:
+        return t
     mod = fin_module(truncation_ring(t.ring.field, level), t.module.actions)
     return with_structure(t, mod, t.mat)
 

@@ -7,8 +7,9 @@ the Laurent extension, the H^1 hull twist on a truncation, the two-depth
 H^1 verdict and the hull twist applied to one Laurent tail, the determinantal divisors of a polynomial matrix, matrix
 powers one factor at a time with their rank chain, the Sol attainment
 degree by search, conjugacy classes in GL_n(F_q) by enumeration, the Hom/tensor twist
-law, the Kashiwara round trip i-flat o i_* = id, and field embedding
-tables by a root search over the whole target field.  They live with the
+law, the Kashiwara round trip i-flat o i_* = id, field embedding
+tables by a root search over the whole target field, and the Hasse
+invariant by the full polynomial power.  They live with the
 tests so that they stay independent of the code under test.
 """
 
@@ -20,7 +21,7 @@ import numpy as np
 from cartierforge import matrix as mx
 from cartierforge.artinian import fin_module
 from cartierforge.duality import dualize_artinian
-from cartierforge.field import FiniteField
+from cartierforge.field import GF, FiniteField
 from cartierforge.pid import PidModule, inverse_module
 from cartierforge.poly import Poly
 from cartierforge.structures import (CartierModule, Structured, cartier_module,
@@ -367,3 +368,13 @@ def kashiwara_roundtrip(m: Structured) -> bool:
     return (np.array_equal(back.mat, m.mat)
             and all(np.array_equal(a, b)
                     for a, b in zip(back.module.actions, m.module.actions)))
+
+
+# -- the Hasse invariant by the power --
+
+
+def hasse_by_power(p: int, cubic) -> int:
+    """The coefficient of x^(p-1) in f^((p-1)/2), f the cubic over GF(p),
+    from the full polynomial power."""
+    acc = Poly.make(GF(p), cubic) ** ((p - 1) // 2)
+    return int(acc.coeffs[p - 1]) if len(acc.coeffs) > p - 1 else 0

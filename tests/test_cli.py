@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import cartierforge
+import cartierforge.cli as cli
 from cartierforge.cli import main
 
 
@@ -391,21 +392,44 @@ def test_hasse_at_p2_is_schema_error(tmp_path, capsys):
     assert "odd prime" in capsys.readouterr().err
 
 
-def test_command_exception_becomes_error_result(tmp_path, capsys):
+def test_command_exception_becomes_error_result(tmp_path, capsys, monkeypatch):
     doc = json.loads(json.dumps(FIXTURE_A))
-    # A is nilpotent, not unit: the pairing has no unique solution
-    doc["commands"] = [{"op": "pair", "left": "A", "right": "A"},
+    doc["commands"] = [{"op": "double-dual", "module": "A"},
                        {"op": "nilpotent", "module": "A"}]
+
+    def fail(m):
+        raise ValueError("planted failure")
+
+    monkeypatch.setattr(cli, "double_dual_check", fail)
     out = str(tmp_path / "rep.json")
     assert main(["run", write(tmp_path, doc), "--json", out]) == 1
     rep = json.loads(open(out).read())
     assert not rep["ok"]
     err, nil = rep["results"]
-    assert err == {"op": "pair", "ok": False, "unsupported": False,
-                   "error": "ValueError: pairing solution not unique; "
-                            "target is not unit"}
+    assert err == {"op": "double-dual", "ok": False, "unsupported": False,
+                   "error": "ValueError: planted failure"}
     assert nil["ok"] and nil["index"] == 2
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_pair_of_cartier_modules_into_a_non_unit_is_unsupported(tmp_path, capsys):
+    # A is nilpotent, not unit: Hom(A, A) has no Frobenius structure
+    doc = json.loads(json.dumps(FIXTURE_A))
+    doc["modules"]["E"] = {"kind": "cartier",
+                           "carrier": {"actions": [[[0, 1], [0, 0]]]},
+                           "structure": [[1, 0], [0, 0]]}
+    doc["commands"] = [{"op": "pair", "left": "A", "right": "A"},
+                       {"op": "pair", "left": "A", "right": "E"}]
+    out = tmp_path / "rep.json"
+    assert main(["run", write(tmp_path, doc), "--json", str(out)]) == 0
+    bad, good = json.loads(out.read_text())["results"]
+    assert bad == {"op": "pair", "left": "A", "right": "A", "ok": None,
+                   "unsupported": True,
+                   "reason": "pair of two Cartier modules needs a unit right module"}
+    assert good["ok"] and good["kind"] == "frobenius" and good["dim"] == 2
+    assert "UNSUPPORTED" in capsys.readouterr().out
+    assert main(["run", write(tmp_path, doc), "--strict"]) == 1
+    capsys.readouterr()
 
 
 def test_perverse_on_complex_refuses_invalid_terms(tmp_path, capsys):

@@ -22,7 +22,7 @@ from cartierforge.duality import (crystal_class, crystal_equivalent,
                                   nonsingular_short_weierstrass, ordinarity,
                                   pair_C_to_F, pair_F_to_C, reduced_operator,
                                   sol_base_change_check, sol_point)
-from cartierforge.field import GF
+from cartierforge.field import GF, is_prime
 from cartierforge.generate import (artinian_corpus, pid_torsion_corpus,
                                    random_f_module)
 from cartierforge.pid import (CARTIER, FROBENIUS, PidModule, pid_free,
@@ -36,8 +36,8 @@ from cartierforge.structures import (StructureLeavesTorsion, cartier_module,
                                      structured_i_torsion,
                                      structured_restrict_scalars, validate)
 from cartierforge.twisted import fixed_point_attainment
-from oracles import (attainment_search, conjugacy_classes, hom_list,
-                     hom_tensor_twist_check)
+from oracles import (attainment_search, conjugacy_classes, hasse_by_power,
+                     hom_list, hom_tensor_twist_check)
 
 
 @pytest.fixture
@@ -357,6 +357,35 @@ def test_hasse_invariant_values(p, cubic, expected):
     assert hasse_invariant(p, cubic) == expected
     assert ordinarity(p, cubic) == (expected != 0)
     assert (elliptic_ap(p, cubic) % p != 0) == (expected != 0)
+
+
+def test_hasse_invariant_matches_power_form_and_point_count():
+    """The O(p) recurrence against f^((p-1)/2) by full powers, on random
+    nonsingular monic cubics with p <= 211, about a third with f(0) = 0;
+    and H = a_p mod p, as #E(F_p) = 1 - H mod p."""
+    rng = random.Random(275)
+    primes = [q for q in range(3, 212) if is_prime(q)]
+    seen = set()
+    while len(seen) < 60:
+        p = rng.choice(primes)
+        cubic = [0 if rng.random() < 0.35 else rng.randrange(p),
+                 rng.randrange(p), rng.randrange(p), 1]
+        f = Poly.make(GF(p), cubic)
+        if f.gcd(f.derivative()).deg >= 1:
+            continue
+        h = hasse_invariant(p, cubic)
+        assert h == hasse_by_power(p, cubic) == elliptic_ap(p, cubic) % p
+        seen.add((p, tuple(cubic)))
+    assert sum(c[0] == 0 for _, c in seen) >= 10
+
+
+@pytest.mark.parametrize("cubic", [[1, 2, 0, 1], [0, 1, 0, 1], [0, 3, 5, 1]])
+def test_hasse_invariant_at_a_large_prime(cubic):
+    """p = 10007: far past what a full power of f reaches quickly."""
+    p = 10007
+    h = hasse_invariant(p, cubic)
+    assert h == elliptic_ap(p, cubic) % p
+    assert ordinarity(p, cubic) == (h != 0)
 
 
 def test_hasse_rejects_singular_and_even():

@@ -4,8 +4,12 @@ uses (div, submul, sub) against independent oracles.
 The references below are the straightforward loops: one field call per
 inner index for the product, one row at a time for elimination, one entry
 at a time for the kernel basis.  The vectorized kernels must agree with
-them bit for bit, and over GF(p) with sympy's DomainMatrix.
+them bit for bit, and over GF(p) with sympy's DomainMatrix.  `rref` has
+two paths, Python ints up to `matrix.SMALL_RREF_CELLS` cells and numpy
+above; the properties run each one with the bound forced either way.
 """
+
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -28,6 +32,15 @@ PRIMES = [(p, d) for p, d in FIELDS if d == 1]
 SUBFIELD_FIELDS = [(2, 2), (3, 2), (3, 3), (BIG_SQ, 2)]
 EXTENSIONS = [(p, d) for p, d in FIELDS if d > 1]
 SETTINGS = settings(max_examples=40, deadline=None)
+# SMALL_RREF_CELLS values that send every matrix down one rref path
+RREF_PATHS = {"int": 1 << 62, "np": -1}
+
+
+@contextmanager
+def rref_path(name):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mx, "SMALL_RREF_CELLS", RREF_PATHS[name])
+        yield
 
 
 def ref_mmul(F, a, b):
@@ -254,10 +267,12 @@ def test_rref_and_kernel_of_prime_subfield_matrices(case):
     """Zero and prime-field matrices, which reduce over GF(p), and general
     ones, which may hold the code p, the least outside GF(p)."""
     F, a = case
-    r, pivots = mx.rref(F, a)
     rr, rpivots = ref_rref(F, a)
-    assert pivots == rpivots and np.array_equal(r, rr)
-    assert np.array_equal(mx.kernel(F, a), ref_kernel(F, a))
+    for path in RREF_PATHS:
+        with rref_path(path):
+            r, pivots = mx.rref(F, a)
+            assert pivots == rpivots and np.array_equal(r, rr)
+            assert np.array_equal(mx.kernel(F, a), ref_kernel(F, a))
 
 
 def test_prime_entry_rref_over_gf9_equals_rref_over_gf3():
@@ -308,19 +323,22 @@ def test_dot_chunk_bound_at_largest_prime():
 def test_rref_rank_kernel_match_sympy(case):
     F, a = case
     dm = sympy_matrix(F.p, a)
-    r, pivots = mx.rref(F, a)
     sr, spivots = dm.rref()
-    assert pivots == tuple(spivots)
-    assert np.array_equal(r, to_codes(F.p, sr))
-    assert mx.rank(F, a) == dm.rank() == len(pivots)
-    # sympy scales its basis differently; the spans must agree, and ours is
-    # the one basis of that span that is the identity on the free columns
-    k = mx.kernel(F, a)
-    free = [c for c in range(a.shape[1]) if c not in pivots]
-    assert np.array_equal(k[free], mx.identity(len(free)))
-    span_ours = sympy_matrix(F.p, k.T).rref()[0]
-    span_sympy = dm.nullspace().rref()[0]
-    assert np.array_equal(to_codes(F.p, span_ours), to_codes(F.p, span_sympy))
+    span_sympy = to_codes(F.p, dm.nullspace().rref()[0])
+    for path in RREF_PATHS:
+        with rref_path(path):
+            r, pivots = mx.rref(F, a)
+            assert pivots == tuple(spivots)
+            assert np.array_equal(r, to_codes(F.p, sr))
+            assert mx.rank(F, a) == dm.rank() == len(pivots)
+            # sympy scales its basis differently; the spans must agree, and
+            # ours is the one basis of that span that is the identity on the
+            # free columns
+            k = mx.kernel(F, a)
+            free = [c for c in range(a.shape[1]) if c not in pivots]
+            assert np.array_equal(k[free], mx.identity(len(free)))
+            span_ours = sympy_matrix(F.p, k.T).rref()[0]
+            assert np.array_equal(to_codes(F.p, span_ours), span_sympy)
 
 
 # -- rref, kernel over every field: the row-at-a-time reference --
@@ -329,10 +347,102 @@ def test_rref_rank_kernel_match_sympy(case):
 @given(field_and_matrix(FIELDS))
 def test_rref_and_kernel_match_reference(case):
     F, a = case
+    rr, rpivots = ref_rref(F, a)
+    for path in RREF_PATHS:
+        with rref_path(path):
+            r, pivots = mx.rref(F, a)
+            assert pivots == rpivots and np.array_equal(r, rr)
+            assert np.array_equal(mx.kernel(F, a), ref_kernel(F, a))
+
+
+# -- rref on both sides of SMALL_RREF_CELLS --
+
+# the fields whose matrices may take the Python-int path: GF(p), and GF(9)
+# with entries in GF(3)
+INT_FIELDS = PRIMES + [(5, 1), (3, 2)]
+
+
+@st.composite
+def straddling_matrix(draw):
+    """A rows x (bound // rows + d) matrix, d in -1..2, so its cells lie
+    near the real bound on either side; over a field of INT_FIELDS, with
+    entries in the prime field, often 0."""
+    p, d = draw(st.sampled_from(INT_FIELDS))
+    F = GF(p, d)
+    bound = mx.SMALL_RREF_CELLS
+    rows = draw(st.integers(1, bound + 1))
+    cols = max(0, (bound // rows) + draw(st.integers(-1, 2)))
+    code = st.one_of(st.just(0), st.integers(0, p - 1), st.just(p - 1))
+    entries = draw(st.lists(code, min_size=rows * cols, max_size=rows * cols))
+    return F, np.array(entries, dtype=np.int64).reshape(rows, cols)
+
+
+@SETTINGS
+@given(straddling_matrix())
+def test_rref_straddling_the_bound_matches_reference(case):
+    F, a = case
     r, pivots = mx.rref(F, a)
     rr, rpivots = ref_rref(F, a)
     assert pivots == rpivots and np.array_equal(r, rr)
     assert np.array_equal(mx.kernel(F, a), ref_kernel(F, a))
+    assert mx.rank(F, a) == len(rpivots)
+
+
+@pytest.mark.parametrize("p,d", INT_FIELDS)
+def test_rref_path_is_chosen_by_field_and_size(p, d, monkeypatch):
+    """Python ints for a GF(p) matrix, or a GF(p^m) one with prime entries,
+    of at most SMALL_RREF_CELLS cells; numpy for anything else."""
+    F, calls, ints = GF(p, d), [], mx._rref_ints
+
+    def counted(q, a):
+        calls.append(a.shape)
+        return ints(q, a)
+
+    monkeypatch.setattr(mx, "_rref_ints", counted)
+    bound = mx.SMALL_RREF_CELLS
+    mx.rref(F, np.ones((1, bound), dtype=np.int64))
+    mx.rref(F, np.ones((1, bound + 1), dtype=np.int64))
+    assert calls == [(1, bound)]
+    if d > 1:
+        mx.rref(F, np.full((2, 2), p, dtype=np.int64))    # t lies outside GF(p)
+        assert calls == [(1, bound)]
+
+
+@pytest.mark.parametrize("path", RREF_PATHS)
+@pytest.mark.parametrize("shape", [(1, 1), (3, 3), (2, 7), (7, 2), (12, 12)])
+def test_rref_worst_case_entries_at_largest_prime(path, shape):
+    """Top codes p - 1 at BIG_P: every product in a row update is (p - 1)^2."""
+    F, top = GF(BIG_P), BIG_P - 1
+    rng = np.random.default_rng(shape[0] * 31 + shape[1])
+    full = np.full(shape, top, dtype=np.int64)
+    mixed = np.where(rng.integers(0, 2, shape) == 1, top, rng.integers(1, 3, shape))
+    with rref_path(path):
+        for a in (full, mixed, np.eye(*shape, dtype=np.int64) * top):
+            r, pivots = mx.rref(F, a)
+            rr, rpivots = ref_rref(F, a)
+            assert pivots == rpivots and np.array_equal(r, rr)
+            assert r.dtype == np.int64 and r.min(initial=0) >= 0 and r.max(initial=0) < BIG_P
+
+
+@pytest.mark.parametrize("path", RREF_PATHS)
+@pytest.mark.parametrize("p,d", INT_FIELDS)
+def test_rref_of_empty_and_read_only_inputs(path, p, d):
+    """0 x n and n x 0 keep their shape with no pivots; a read-only input
+    is left as it was, and the result is a fresh writable array."""
+    F = GF(p, d)
+    with rref_path(path):
+        for shape in [(0, 0), (0, 4), (4, 0)]:
+            r, pivots = mx.rref(F, mx.zeros(*shape))
+            assert r.shape == shape and r.dtype == np.int64 and pivots == ()
+            assert mx.kernel(F, mx.zeros(*shape)).shape == (shape[1], shape[1])
+        a = np.array([[0, 1, 1], [1, 1, 0], [1, 2 % p, 1]], dtype=np.int64)
+        before = a.copy()
+        a.setflags(write=False)
+        r, pivots = mx.rref(F, a)
+        assert np.array_equal(a, before)
+        assert r.flags.writeable and not np.shares_memory(r, a)
+        rr, rpivots = ref_rref(F, before)
+        assert pivots == rpivots and np.array_equal(r, rr)
 
 
 @SETTINGS

@@ -123,6 +123,16 @@ def assert_same_structure(a, b):
         assert np.array_equal(x, y)
 
 
+def test_retruncate_to_the_level_it_has_is_the_module_itself():
+    x3 = [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
+    t = pid_torsion(F2, x3, mx.zeros(3, 3), CARTIER).torsion
+    assert t.ring.relations == ((3,),)
+    assert retruncate(t, 3) is t
+    wide = retruncate(t, 5)
+    assert wide.ring.relations == ((5,),) and np.array_equal(wide.mat, t.mat)
+    assert np.array_equal(wide.module.actions[0], t.module.actions[0])
+
+
 @settings(max_examples=60, deadline=None)
 @given(torsion_over_a_larger_ring())
 def test_matlis_dual_at_index_level_matches_wide_truncation(case):

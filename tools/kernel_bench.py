@@ -1,7 +1,10 @@
-"""Time `matrix.mmul` on random n x n operands, per field and size, and
-the construction of a field; count the hits of the program's memos.
+"""Time `matrix.mmul` on random n x n operands, per field and size,
+`matrix.rref` on each of its two paths, and the construction of a field;
+count the hits of the program's memos.
 
-    python3 tools/kernel_bench.py [--repeats R]
+    python3 tools/kernel_bench.py [--repeats R] [--table T ...]
+
+T is one of mmul, rref, build and memo (default: all four, in that order).
 
 Fields GF(2), GF(3), GF(4), GF(9), GF(27) and GF(2039^2), n from 2 to
 136, with entries anywhere in the field; then GF(4), GF(9) and GF(27)
@@ -9,12 +12,22 @@ with both operands in the prime field GF(p), the codes below p ("p@p"),
 and with only the left one there ("p@q"): the products that `mmul`
 descends to GF(p).  Each cell is the median over R repeats (default 7)
 of the mean time per call, in microseconds, over a batch of calls
-lasting at least 20 ms.
-The second table gives the time in milliseconds to build GF(4), GF(27),
+lasting at least 20 ms; where a cell compares callables, their batches
+alternate.
+The rref table gives the time per call of `matrix.rref` on matrices of
+uniformly random codes, square (k x k), tall (2k x k) and wide (k x 2k),
+4 to 578 cells; 2 is the median aspect of the tall and of the wide
+matrices that `rref` gets in the artinian-prime and extension-field
+workloads.  The fields are GF(2), GF(3), GF(5), GF(4194301) and GF(9)
+with entries in its prime field GF(3), each path forced through
+`matrix.SMALL_RREF_CELLS`: "int" for the Python-int Gauss-Jordan, "np" for
+the numpy pivot step.  Its last line is the largest cell count C such
+that "int" is no slower than "np" on every matrix of at most C cells.
+The build table gives the time in milliseconds to build GF(4), GF(27),
 GF(2^8), GF(3^6), GF(2^16) and GF(2039^2): the median over R builds, each
 with the `GF` and `canonical_modulus` caches cleared, so that it finds
 the modulus and the generator and fills the tables anew.
-The third table gives the calls, hits and misses of every memo in
+The memo table gives the calls, hits and misses of every memo in
 `artinian.MEMOS` (a miss is one result computed), per benchmark workload,
 first over one unsharded pass: every command of every file under
 `bench/inputs/<workload>/`, run as `result_digest.py` runs them, after the
@@ -55,20 +68,45 @@ FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (3, 3), (2039, 2)]
 ROWS = ([(p, d, "") for p, d in FIELDS]
         + [(p, d, kind) for p, d in [(2, 2), (3, 2), (3, 3)] for kind in ("p@p", "p@q")])
 SIZES = [2, 4, 8, 16, 32, 64, 136]
+RREF_FIELDS = [(2, 1, 2), (3, 1, 3), (5, 1, 5), (4194301, 1, 4194301), (3, 2, 3)]
+RREF_K = [2, 3, 4, 6, 8, 10, 12, 14, 17]
+RREF_SHAPES = {"square": lambda k: (k, k), "tall": lambda k: (2 * k, k),
+               "wide": lambda k: (k, 2 * k)}
+RREF_PATHS = {"int": 1 << 62, "np": -1}           # SMALL_RREF_CELLS forcing each
+TABLES = ["mmul", "rref", "build", "memo"]
 BUILDS = [(2, 2), (3, 3), (2, 8), (3, 6), (2, 16), (2039, 2)]
 
 
-def per_call_us(F, a, b, repeats: int) -> float:
-    def batch(calls):
+def per_call_us(calls: dict, repeats: int) -> dict:
+    """Per callable in `calls`, the median over R repeats of the mean time
+    per call, in microseconds, over a batch lasting at least 20 ms.  The
+    batches of the callables alternate, so a slow stretch of the host
+    falls on all of them."""
+    def batch(call, n):
         t0 = time.perf_counter()
-        for _ in range(calls):
-            mx.mmul(F, a, b)
-        return (time.perf_counter() - t0) / calls
+        for _ in range(n):
+            call()
+        return (time.perf_counter() - t0) / n
 
-    calls = 1
-    while batch(calls) * calls < 0.02:
-        calls *= 2
-    return 1e6 * statistics.median(batch(calls) for _ in range(repeats))
+    sizes = {}
+    for key, call in calls.items():
+        n = 1
+        while batch(call, n) * n < 0.02:
+            n *= 2
+        sizes[key] = n
+    samples = {key: [] for key in calls}
+    for _ in range(repeats):
+        for key, call in calls.items():
+            samples[key].append(batch(call, sizes[key]))
+    return {key: 1e6 * statistics.median(t) for key, t in samples.items()}
+
+
+def forced_rref(F, a, cells: int):
+    """A call of `matrix.rref(F, a)` with SMALL_RREF_CELLS set to `cells`."""
+    def call():
+        mx.SMALL_RREF_CELLS = cells
+        mx.rref(F, a)
+    return call
 
 
 def build_ms(p: int, d: int, repeats: int) -> float:
@@ -123,23 +161,53 @@ def sharded_counts(workload: str) -> list:
     return [int(n) for n in total]
 
 
-def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--repeats", type=int, default=7)
-    repeats = ap.parse_args().repeats
-    rng = np.random.default_rng(0)
+def mmul_table(rng, repeats: int) -> None:
     print("field".ljust(12) + "".join(f"n={n}".rjust(10) for n in SIZES) + "   (us/call)")
     for p, d, kind in ROWS:
         F = GF(p, d)
         hi_a, hi_b = (p if kind else F.order), (p if kind == "p@p" else F.order)
-        row = [per_call_us(F, rng.integers(0, hi_a, (n, n)), rng.integers(0, hi_b, (n, n)),
-                           repeats) for n in SIZES]
+        row = []
+        for n in SIZES:
+            a, b = rng.integers(0, hi_a, (n, n)), rng.integers(0, hi_b, (n, n))
+            row.append(per_call_us({"": lambda: mx.mmul(F, a, b)}, repeats)[""])
         print(f"{F!r} {kind}".ljust(12) + "".join(f"{t:10.1f}" for t in row))
-    print()
+
+
+def rref_table(rng, repeats: int) -> None:
+    print("field".ljust(11) + "shape".ljust(8) + "path".ljust(6)
+          + "".join(f"k={k}".rjust(8) for k in RREF_K) + "   (us/call)")
+    verdicts = []           # (cells, int no slower than np)
+    saved = mx.SMALL_RREF_CELLS
+    try:
+        for p, d, hi in RREF_FIELDS:
+            F = GF(p, d)
+            for shape, dims in RREF_SHAPES.items():
+                times = {path: [] for path in RREF_PATHS}
+                for k in RREF_K:
+                    a = rng.integers(0, hi, dims(k))
+                    us = per_call_us({path: forced_rref(F, a, cells)
+                                      for path, cells in RREF_PATHS.items()}, repeats)
+                    for path in RREF_PATHS:
+                        times[path].append(us[path])
+                    verdicts.append((a.size, us["int"] <= us["np"]))
+                for path in RREF_PATHS:
+                    print(f"{F!r}".ljust(11) + shape.ljust(8) + path.ljust(6)
+                          + "".join(f"{t:8.1f}" for t in times[path]))
+    finally:
+        mx.SMALL_RREF_CELLS = saved
+    slower = min((cells for cells, ok in verdicts if not ok), default=None)
+    largest = max((cells for cells, _ in verdicts if slower is None or cells < slower),
+                  default=0)
+    print(f"int no slower than np on every matrix of at most {largest} cells")
+
+
+def build_table(repeats: int) -> None:
     print("field".ljust(12) + "build".rjust(10) + "   (ms)")
     for p, d in BUILDS:
         print(f"GF({p}^{d})".ljust(12) + f"{build_ms(p, d, repeats):10.2f}")
-    print()
+
+
+def memo_table() -> None:
     heads = ["calls", "hits", "misses"] * 2
     print("workload".ljust(16) + "memo".ljust(26) + "".join(h.rjust(8) for h in heads)
           + "   (one pass, then one round of shards)")
@@ -149,6 +217,22 @@ def main() -> None:
             name = f"{memo.__module__.rsplit('.', 1)[1]}.{memo.__name__}"
             counts = one[3 * i:3 * i + 3] + round_[3 * i:3 * i + 3]
             print(workload.ljust(16) + name.ljust(26) + "".join(f"{n:8d}" for n in counts))
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--repeats", type=int, default=7)
+    ap.add_argument("--table", choices=TABLES, action="append")
+    args = ap.parse_args()
+    rng = np.random.default_rng(0)
+    tables = {"mmul": lambda: mmul_table(rng, args.repeats),
+              "rref": lambda: rref_table(rng, args.repeats),
+              "build": lambda: build_table(args.repeats),
+              "memo": memo_table}
+    for i, name in enumerate(t for t in TABLES if t in (args.table or TABLES)):
+        if i:
+            print()
+        tables[name]()
 
 
 if __name__ == "__main__":
