@@ -25,10 +25,10 @@ from .artinian import fin_module, ring_make
 from .complexes import (StructuredComplex, coherent_model_of_localization,
                         dualize, is_perverse, local_duality_check,
                         shift_module)
-from .duality import (double_dual_check, dual_base_change_check,
-                      dualize_artinian, elliptic_ap, hasse_invariant,
-                      nilpotence_exchange_check, nonsingular_short_weierstrass,
-                      ordinarity, pair_C_to_F, pair_F_to_C,
+from .duality import (TargetNotUnit, _ordinary_by_sol, double_dual_check,
+                      dual_base_change_check, dualize_artinian, elliptic_ap,
+                      hasse_invariant, nilpotence_exchange_check,
+                      nonsingular_short_weierstrass, pair_C_to_F, pair_F_to_C,
                       sol_base_change_check, sol_point)
 from .field import GF, MAX_ORDER, is_prime, order_fits
 from .generate import (artinian_corpus, pid_torsion_corpus, random_cartier,
@@ -36,9 +36,8 @@ from .generate import (artinian_corpus, pid_torsion_corpus, random_cartier,
 from .pid import (CARTIER, FROBENIUS, PidModule, Unsupported, pid_free,
                   pid_sum, pid_torsion, validate_pid)
 from .poly import Poly
-from .structures import (StructureLeavesTorsion, is_unit, kashiwara_counit,
-                         nilpotency_index, stable_image, stable_kernel, structured,
-                         unitalize, validate)
+from .structures import (StructureLeavesTorsion, kashiwara_counit, nilpotency_index,
+                         stable_image, stable_kernel, structured, unitalize, validate)
 
 SCHEMA = 1
 
@@ -306,12 +305,11 @@ def run_command(problem, cmd: dict, seed: int) -> dict:
         b = get_module("right")
         if b.kind != CARTIER:
             raise SchemaError("pair expects (frobenius, cartier) or (cartier, unit cartier)")
-        if a.kind == CARTIER and not is_unit(b):
-            # Hom(M, N) carries a Frobenius structure only for N unit
-            out.update(unsupported=True, ok=None,
-                       reason="pair of two Cartier modules needs a unit right module")
-        else:
+        try:
             h, _ = (pair_F_to_C if a.kind == FROBENIUS else pair_C_to_F)(a, b)
+        except TargetNotUnit as exc:    # tau on Hom(M, N) is not determined
+            out.update(unsupported=True, reason=str(exc), ok=None)
+        else:
             out.update(ok=True, kind=h.kind, dim=h.dim,
                        nilpotency_index=_index_json(nilpotency_index(h)))
     elif op in ("sol", "base-change"):
@@ -390,7 +388,7 @@ def run_command(problem, cmd: dict, seed: int) -> dict:
             raise SchemaError(f"hasse: {exc}") from None
         ap = elliptic_ap(p, cubic)
         agree = (h != 0) == (ap % p != 0)
-        out.update(ok=agree, hasse=h, a_p=ap, ordinary=ordinarity(p, cubic))
+        out.update(ok=agree, hasse=h, a_p=ap, ordinary=_ordinary_by_sol(p, h))
     elif op == "suite":
         out.update(run_suites(_int_field(cmd, "seed", seed),
                               _int_field(cmd, "count", 25, lo=0)))

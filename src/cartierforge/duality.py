@@ -80,6 +80,11 @@ def pair_F_to_C(m: FModule, n: CartierModule) -> tuple[CartierModule, np.ndarray
     return cartier_module(hom, coords, m.power), ker
 
 
+class TargetNotUnit(ValueError):
+    """The pairing system of `pair_C_to_F` has rank below dim N, so its
+    solution is not unique: N is not unit."""
+
+
 def pair_C_to_F(m: CartierModule, n: CartierModule) -> tuple[FModule, np.ndarray]:
     """Hom(M, N) as an F-module, N unit: solve the defining rule
     kappa_N(F_*(lambda e)) = f(kappa_M(F_*(lambda m))) for all lambda.
@@ -101,7 +106,7 @@ def pair_C_to_F(m: CartierModule, n: CartierModule) -> tuple[FModule, np.ndarray
         return FModule(hom, mx.zeros(0, 0), m.power), ker
     stack, rows, inv = _kappa_stack(n)
     if inv is None:
-        raise ValueError("pairing solution not unique; target is not unit")
+        raise TargetNotUnit("pairing solution not unique; target is not unit")
     rs = kappa_monomials(m).reshape(rd, dm, dm).transpose(1, 0, 2).reshape(dm, rd * dm)
     # column j, vstack_lambda vec(H_j kappa_M x^lambda), reorders into rhs
     imgs = hom_images(F, ker, (dn, dm), right=rs)
@@ -302,7 +307,11 @@ def elliptic_ap(p: int, cubic) -> int:
 def ordinarity(p: int, cubic) -> bool:
     """Ordinary iff the rank-one Frobenius module scaled by the Hasse
     invariant has geometric Sol dimension one."""
-    h = hasse_invariant(p, cubic)
+    return _ordinary_by_sol(p, hasse_invariant(p, cubic))
+
+
+def _ordinary_by_sol(p: int, h: int) -> bool:
+    """`ordinarity` for the Hasse invariant h over GF(p)."""
     ring = ring_make(p, [], [])
     taum = f_module(regular_module(ring), mx.mat([[h]]))
     return sol_point(taum, 1).geometric_dim == 1

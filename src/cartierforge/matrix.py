@@ -122,18 +122,23 @@ def nil_index(F: FiniteField, a: np.ndarray):
 # (`_rref_ints`), a larger one by the numpy pivot step in `rref`.  A numpy
 # pivot pays a fixed dispatch cost (a nonzero scan, `div`, a `submul`
 # gather and scatter) that outweighs the arithmetic of a small matrix; the
-# Python step pays per entry updated, so large systems keep numpy.  The
-# bound is the largest cell count at which the Python path was no slower
-# on every matrix of `python3 tools/kernel_bench.py --table rref`, whose
-# uniformly random codes are its worst case (the program's systems are
-# sparser).  Microseconds per call, Python / numpy, 2-CPU Linux host,
-# Python 3.11, numpy 2.4:
-#                  8 x 4 (32)    6 x 6 (36)    8 x 8 (64)    12 x 6 (72)
-#   GF(2)          15.5 / 54.4   16.4 / 61.5   33.1 / 87.2   38.1 / 75.5
-#   GF(3)          16.7 / 49.0   27.7 / 74.8   44.1 / 98.8   49.6 / 74.0
-#   GF(4194301)    36.2 / 46.9   45.8 / 64.1   84.6 / 82.2   91.0 / 66.5
-# Both paths return the unique RREF, so the choice changes no output.
-SMALL_RREF_CELLS = 36
+# Python step pays per entry updated, so large dense systems keep numpy.
+# The bound is read off the replay table of `python3 tools/kernel_bench.py`:
+# the `rref` calls of one round of each benchmark workload, timed at each
+# bound.  Milliseconds per replay, median of 15, 2-CPU Linux host,
+# Python 3.11, numpy 2.4 ("np": all on numpy, "int": all GF(p) on ints):
+#                      np     36    144    256    400    576    int
+#   artinian-prime   86.2   57.4   44.4   40.5   38.2   36.0   34.7
+#   pid-duality      11.4    9.9    8.4    7.5    7.4    7.3    7.9
+#   extension-field  41.6   34.7   30.9   30.0   31.8   32.8   34.1
+# The sum is flat within noise from 256 cells on; above that numpy still
+# wins on the dense systems, such as pid-duality's 25 x 25 over GF(3)
+# (about 350 against 550 us).  On uniformly random codes at large p the
+# Python path is slower from about 64 cells (GF(4194301), 28 x 14: 694
+# against 185 us in the tool's random table); no workload has such
+# systems.  Both paths return the unique RREF, so the choice changes no
+# output.
+SMALL_RREF_CELLS = 400
 
 
 def rref(F: FiniteField, a) -> tuple[np.ndarray, tuple[int, ...]]:

@@ -392,6 +392,25 @@ def test_hasse_at_p2_is_schema_error(tmp_path, capsys):
     assert "odd prime" in capsys.readouterr().err
 
 
+def test_hasse_takes_the_invariant_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(p, cubic, inner=cli.hasse_invariant):
+        calls.append(p)
+        return inner(p, cubic)
+
+    monkeypatch.setattr(cli, "hasse_invariant", counted)
+    monkeypatch.setattr("cartierforge.duality.hasse_invariant", counted)
+    doc = json.loads(json.dumps(FIXTURE_A))
+    doc["commands"] = [{"op": "hasse", "p": 101, "cubic": [1, 1, 0, 1]}]
+    out = tmp_path / "rep.json"
+    assert main(["run", write(tmp_path, doc), "--json", str(out)]) == 0
+    res, = json.loads(out.read_text())["results"]
+    assert (res["hasse"], res["a_p"], res["ordinary"]) == (98, -3, True)
+    assert calls == [101]
+    capsys.readouterr()
+
+
 def test_command_exception_becomes_error_result(tmp_path, capsys, monkeypatch):
     doc = json.loads(json.dumps(FIXTURE_A))
     doc["commands"] = [{"op": "double-dual", "module": "A"},
@@ -412,21 +431,31 @@ def test_command_exception_becomes_error_result(tmp_path, capsys, monkeypatch):
     assert "FAIL" in capsys.readouterr().out
 
 
-def test_pair_of_cartier_modules_into_a_non_unit_is_unsupported(tmp_path, capsys):
-    # A is nilpotent, not unit: Hom(A, A) has no Frobenius structure
+def test_pair_of_cartier_modules_is_unsupported_when_tau_is_not_determined(tmp_path, capsys):
+    # A is nilpotent: kappa_A x^lambda stacked has rank 1 < 2, so the
+    # solution for tau on Hom(A, A) is not unique.  N (x acts by 0, kappa
+    # invertible) is not unit either, but its stack has full rank, so the
+    # pairing into N is solved as before.
     doc = json.loads(json.dumps(FIXTURE_A))
     doc["modules"]["E"] = {"kind": "cartier",
                            "carrier": {"actions": [[[0, 1], [0, 0]]]},
                            "structure": [[1, 0], [0, 0]]}
+    doc["modules"]["N"] = {"kind": "cartier",
+                           "carrier": {"actions": [[[0, 0], [0, 0]]]},
+                           "structure": [[1, 0], [0, 1]]}
     doc["commands"] = [{"op": "pair", "left": "A", "right": "A"},
-                       {"op": "pair", "left": "A", "right": "E"}]
+                       {"op": "pair", "left": "A", "right": "E"},
+                       {"op": "pair", "left": "A", "right": "N"}]
     out = tmp_path / "rep.json"
     assert main(["run", write(tmp_path, doc), "--json", str(out)]) == 0
-    bad, good = json.loads(out.read_text())["results"]
+    bad, into_e, into_n = json.loads(out.read_text())["results"]
     assert bad == {"op": "pair", "left": "A", "right": "A", "ok": None,
                    "unsupported": True,
-                   "reason": "pair of two Cartier modules needs a unit right module"}
-    assert good["ok"] and good["kind"] == "frobenius" and good["dim"] == 2
+                   "reason": "pairing solution not unique; target is not unit"}
+    assert into_e["ok"] and into_e["kind"] == "frobenius" and into_e["dim"] == 2
+    assert into_n == {"op": "pair", "left": "A", "right": "N", "ok": True,
+                      "unsupported": False, "kind": "frobenius", "dim": 2,
+                      "nilpotency_index": 1}
     assert "UNSUPPORTED" in capsys.readouterr().out
     assert main(["run", write(tmp_path, doc), "--strict"]) == 1
     capsys.readouterr()

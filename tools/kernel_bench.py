@@ -2,9 +2,7 @@
 `matrix.rref` on each of its two paths, and the construction of a field;
 count the hits of the program's memos.
 
-    python3 tools/kernel_bench.py [--repeats R] [--table T ...]
-
-T is one of mmul, rref, build and memo (default: all four, in that order).
+    python3 tools/kernel_bench.py [--repeats R]
 
 Fields GF(2), GF(3), GF(4), GF(9), GF(27) and GF(2039^2), n from 2 to
 136, with entries anywhere in the field; then GF(4), GF(9) and GF(27)
@@ -14,15 +12,21 @@ descends to GF(p).  Each cell is the median over R repeats (default 7)
 of the mean time per call, in microseconds, over a batch of calls
 lasting at least 20 ms; where a cell compares callables, their batches
 alternate.
-The rref table gives the time per call of `matrix.rref` on matrices of
-uniformly random codes, square (k x k), tall (2k x k) and wide (k x 2k),
-4 to 578 cells; 2 is the median aspect of the tall and of the wide
-matrices that `rref` gets in the artinian-prime and extension-field
-workloads.  The fields are GF(2), GF(3), GF(5), GF(4194301) and GF(9)
-with entries in its prime field GF(3), each path forced through
-`matrix.SMALL_RREF_CELLS`: "int" for the Python-int Gauss-Jordan, "np" for
-the numpy pivot step.  Its last line is the largest cell count C such
-that "int" is no slower than "np" on every matrix of at most C cells.
+The first rref table gives the time per call of `matrix.rref` on
+matrices of uniformly random codes, square (k x k), tall (2k x k) and
+wide (k x 2k), 4 to 578 cells; 2 is the median aspect of the tall and of
+the wide matrices that `rref` gets in the artinian-prime and
+extension-field workloads.  The fields are GF(2), GF(3), GF(5),
+GF(4194301) and GF(9) with entries in its prime field GF(3), each path
+forced through `matrix.SMALL_RREF_CELLS`: "int" for the Python-int
+Gauss-Jordan, "np" for the numpy pivot step.  Dense random codes are the
+Python path's worst case.
+The second rref table replays the `rref` calls of one round of each
+benchmark workload (see the memo table for the round) with
+SMALL_RREF_CELLS set to each column's bound ("np": every matrix on
+numpy, "int": every GF(p) matrix on Python ints): the median over R
+repeats of the milliseconds one replay takes, the bounds alternating.
+Its last line names the bound of the least total over the workloads.
 The build table gives the time in milliseconds to build GF(4), GF(27),
 GF(2^8), GF(3^6), GF(2^16) and GF(2039^2): the median over R builds, each
 with the `GF` and `canonical_modulus` caches cleared, so that it finds
@@ -73,7 +77,7 @@ RREF_K = [2, 3, 4, 6, 8, 10, 12, 14, 17]
 RREF_SHAPES = {"square": lambda k: (k, k), "tall": lambda k: (2 * k, k),
                "wide": lambda k: (k, 2 * k)}
 RREF_PATHS = {"int": 1 << 62, "np": -1}           # SMALL_RREF_CELLS forcing each
-TABLES = ["mmul", "rref", "build", "memo"]
+RREF_BOUNDS = [-1, 16, 36, 64, 144, 256, 400, 576, 1024, 1 << 62]
 BUILDS = [(2, 2), (3, 3), (2, 8), (3, 6), (2, 16), (2039, 2)]
 
 
@@ -143,11 +147,11 @@ def pass_counts(workload: str) -> list:
     return memo_counts()
 
 
-def sharded_counts(workload: str) -> list:
-    """memo_counts summed over the shards of one round, each shard run on
-    emptied caches after the parse of every file, as `bench/run.py` does."""
+def round_shards(workload: str):
+    """Run one round as `bench/run.py` does, yielding after each shard:
+    every program cache emptied, then every file parsed and the commands
+    of the shard's files run; a command that raises is passed over."""
     docs = [json.loads(p.read_text()) for p in sorted((INPUTS / workload).glob("*.json"))]
-    total = np.zeros(3 * len(MEMOS), dtype=np.int64)
     for shard in range(SHARDS):
         clear_caches()
         problems = [cli.parse_problem(doc) for doc in docs]
@@ -157,8 +161,32 @@ def sharded_counts(workload: str) -> list:
                     cli.run_command(problem, cmd, 0)
                 except Exception:
                     pass
+        yield
+
+
+def sharded_counts(workload: str) -> list:
+    """memo_counts summed over the shards of one round."""
+    total = np.zeros(3 * len(MEMOS), dtype=np.int64)
+    for _ in round_shards(workload):
         total += memo_counts()
     return [int(n) for n in total]
+
+
+def round_rref_inputs(workload: str) -> list:
+    """(field, matrix) of every `matrix.rref` call in one round."""
+    seen, rref = [], mx.rref
+
+    def record(F, a):
+        seen.append((F, np.array(a, dtype=np.int64)))
+        return rref(F, a)
+
+    mx.rref = record
+    try:
+        for _ in round_shards(workload):
+            pass
+    finally:
+        mx.rref = rref
+    return seen
 
 
 def mmul_table(rng, repeats: int) -> None:
@@ -176,7 +204,6 @@ def mmul_table(rng, repeats: int) -> None:
 def rref_table(rng, repeats: int) -> None:
     print("field".ljust(11) + "shape".ljust(8) + "path".ljust(6)
           + "".join(f"k={k}".rjust(8) for k in RREF_K) + "   (us/call)")
-    verdicts = []           # (cells, int no slower than np)
     saved = mx.SMALL_RREF_CELLS
     try:
         for p, d, hi in RREF_FIELDS:
@@ -189,16 +216,38 @@ def rref_table(rng, repeats: int) -> None:
                                       for path, cells in RREF_PATHS.items()}, repeats)
                     for path in RREF_PATHS:
                         times[path].append(us[path])
-                    verdicts.append((a.size, us["int"] <= us["np"]))
                 for path in RREF_PATHS:
                     print(f"{F!r}".ljust(11) + shape.ljust(8) + path.ljust(6)
                           + "".join(f"{t:8.1f}" for t in times[path]))
     finally:
         mx.SMALL_RREF_CELLS = saved
-    slower = min((cells for cells, ok in verdicts if not ok), default=None)
-    largest = max((cells for cells, _ in verdicts if slower is None or cells < slower),
-                  default=0)
-    print(f"int no slower than np on every matrix of at most {largest} cells")
+
+
+def rref_workload_table(repeats: int) -> None:
+    names = ["np" if c < 0 else "int" if c > 1 << 30 else str(c) for c in RREF_BOUNDS]
+    print("workload".ljust(16) + "".join(n.rjust(8) for n in names)
+          + "   (ms per replay, by SMALL_RREF_CELLS)")
+
+    def replay(seen, cells):
+        mx.SMALL_RREF_CELLS = cells
+        t0 = time.perf_counter()
+        for F, a in seen:
+            mx.rref(F, a)
+        return time.perf_counter() - t0
+
+    total = np.zeros(len(RREF_BOUNDS))
+    saved = mx.SMALL_RREF_CELLS
+    try:
+        for workload in WORKLOADS:
+            seen = round_rref_inputs(workload)
+            samples = [[replay(seen, c) for c in RREF_BOUNDS] for _ in range(repeats)]
+            ms = 1e3 * np.median(samples, axis=0)
+            total += ms
+            print(workload.ljust(16) + "".join(f"{t:8.1f}" for t in ms))
+    finally:
+        mx.SMALL_RREF_CELLS = saved
+    print("all".ljust(16) + "".join(f"{t:8.1f}" for t in total))
+    print(f"least total at {names[int(total.argmin())]}")
 
 
 def build_table(repeats: int) -> None:
@@ -222,17 +271,17 @@ def memo_table() -> None:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=7)
-    ap.add_argument("--table", choices=TABLES, action="append")
-    args = ap.parse_args()
+    repeats = ap.parse_args().repeats
     rng = np.random.default_rng(0)
-    tables = {"mmul": lambda: mmul_table(rng, args.repeats),
-              "rref": lambda: rref_table(rng, args.repeats),
-              "build": lambda: build_table(args.repeats),
-              "memo": memo_table}
-    for i, name in enumerate(t for t in TABLES if t in (args.table or TABLES)):
-        if i:
-            print()
-        tables[name]()
+    mmul_table(rng, repeats)
+    print()
+    rref_table(rng, repeats)
+    print()
+    rref_workload_table(repeats)
+    print()
+    build_table(repeats)
+    print()
+    memo_table()
 
 
 if __name__ == "__main__":
