@@ -15,7 +15,7 @@ multiplication matrices that `matrix.mmul` reads off `_reg`.
 The codes below p are the prime field GF(p), with GF(p) arithmetic; the
 kernels of `matrix` reach it through the handle `prime`.  `mul` and `div`
 are one gather from zero-sentinel log/exp tables, 5q int64 beside the
-q*m digit table.
+q*m digit table, plus q for Zech logarithms once a small kernel runs.
 
 All operations accept plain ints or numpy arrays of codes and are exact.
 """
@@ -165,6 +165,17 @@ class FiniteField:
         # factor is 0, and the zeros reach index 4n, where both are
         self._logz = np.where(np.arange(self.order) == 0, 2 * n, log)
         self._expz = np.concatenate([exp, exp, np.zeros(2 * n + 1, dtype=np.int64)])
+
+    @functools.cached_property
+    def _zech_tables(self) -> tuple:
+        """(n = q - 1, log, exp, zech, log(-1)) for the Python-int kernels of
+        `matrix`, as memoryviews over `_log`, `_expz` and zech[k] = log(1 +
+        g^k), -1 where 1 + g^k = 0; adding 1 changes only digit 0."""
+        e, p = self._exp, self.p
+        s = e - e % p + (e % p + 1) % p
+        zech = np.where(s == 0, -1, self._log[s])
+        return (self.order - 1, memoryview(self._log), memoryview(self._expz),
+                memoryview(zech), int(self._log[p - 1]))
 
     def _build_prime_inverse(self):
         p = self.p

@@ -35,16 +35,28 @@ def dot_chunk(p: int) -> int:
     return (2 ** 63 - 1) // (p - 1) ** 2
 
 
+# 2-D operands over GF(p^m) with rows * k * cols at most this many
+# multiply-adds are multiplied on Python ints (`_mmul_zech`); numpy pays
+# two `max` scans, a digit gather and a regular representation whatever
+# the size.  The mmul replay of `python3 tools/kernel_bench.py` (as for
+# SMALL_RREF_CELLS; "int": all on ints) has its least at 27, flat to 128:
+#                             np      8     27     64    128    256    int
+#   extension-field         75.1   64.4   59.5   59.6   60.0   61.6   63.3
+# On dense random operands ints win to 3 x 3 x 3 and lose by 1.4-1.9x at
+# 5 x 5 x 5 (GF(4) to GF(2^8)).
+SMALL_MMUL_MACS = 27
+
+
 def mmul(F: FiniteField, a, b) -> np.ndarray:
     """Matrix product over F; exact.  1-D operands act as in numpy's @.
 
     Over GF(p) this is delayed modular reduction: (a @ b) % p on int64,
     with the inner dimension split into chunks of dot_chunk(p) so that
-    every partial sum stays below 2**63.  Over GF(p^m) the codes below p
-    are the prime field GF(p), and the product descends to it as far as
-    the operands allow: two GF(p) operands take the GF(p) product of their
-    codes; a GF(p) operand a needs only digits(b), as a scalar in GF(p)
-    scales each digit; a GF(p) operand b takes that on (ab)^T = b^T a^T.
+    every partial sum stays below 2**63.  Over GF(p^m), small 2-D operands
+    take `_mmul_zech`; otherwise the product descends to GF(p), the codes
+    below p, as far as the operands allow: two GF(p) operands take the
+    GF(p) product of their codes; a GF(p) operand a needs only digits(b),
+    as a scalar in GF(p) scales each digit; b in GF(p) takes (ab)^T = b^T a^T.
     Otherwise a becomes its digits, shape (rows, k*m), and b the regular
     representations of its entries, shape (k*m, cols*m), whose entry
     ((k, i), (c, l)) is digit l of b[k, c] * t^i; this temporary holds
@@ -58,6 +70,8 @@ def mmul(F: FiniteField, a, b) -> np.ndarray:
     if a.shape[-1] != b.shape[0]:
         raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
     p, m, flip = F.p, F.deg, False
+    if m > 1 and a.ndim == b.ndim == 2 and a.size * b.shape[1] <= SMALL_MMUL_MACS:
+        return _mmul_zech(F, a, b)
     if m > 1:
         a_ext, b_ext = a.max(initial=0) >= p, b.max(initial=0) >= p
         if a_ext and not b_ext:
@@ -118,26 +132,21 @@ def nil_index(F: FiniteField, a: np.ndarray):
     return n
 
 
-# A GF(p) matrix of at most this many cells is reduced on Python ints
-# (`_rref_ints`), a larger one by the numpy pivot step in `rref`.  A numpy
-# pivot pays a fixed dispatch cost (a nonzero scan, `div`, a `submul`
-# gather and scatter) that outweighs the arithmetic of a small matrix; the
-# Python step pays per entry updated, so large dense systems keep numpy.
-# The bound is read off the replay table of `python3 tools/kernel_bench.py`:
-# the `rref` calls of one round of each benchmark workload, timed at each
-# bound.  Milliseconds per replay, median of 15, 2-CPU Linux host,
-# Python 3.11, numpy 2.4 ("np": all on numpy, "int": all GF(p) on ints):
-#                      np     36    144    256    400    576    int
-#   artinian-prime   86.2   57.4   44.4   40.5   38.2   36.0   34.7
-#   pid-duality      11.4    9.9    8.4    7.5    7.4    7.3    7.9
-#   extension-field  41.6   34.7   30.9   30.0   31.8   32.8   34.1
-# The sum is flat within noise from 256 cells on; above that numpy still
-# wins on the dense systems, such as pid-duality's 25 x 25 over GF(3)
-# (about 350 against 550 us).  On uniformly random codes at large p the
-# Python path is slower from about 64 cells (GF(4194301), 28 x 14: 694
-# against 185 us in the tool's random table); no workload has such
-# systems.  Both paths return the unique RREF, so the choice changes no
-# output.
+# A matrix of at most this many cells is reduced on Python ints
+# (`_rref_ints`), a larger one by the numpy pivot step, whose dispatch
+# cost per pivot outweighs the arithmetic of a small system.  Read off the
+# rref replay of `python3 tools/kernel_bench.py`: ms per replay of one
+# round's calls, median of 15, 2-CPU Linux host, Python 3.11, numpy 2.4
+# ("int": all on ints; a matrix of codes below p counts as GF(p)):
+#                             np     36    144    256    400    576    int
+#   artinian-prime GF(p)   107.0   72.0   57.2   51.5   47.9   44.9   42.4
+#   pid-duality GF(p)       23.6   20.4   17.3   15.1   14.4   14.4   14.8
+#   extension-field GF(p)   52.2   37.3   29.6   28.1   27.8   29.5   31.8
+#   extension-field GF(p^m) 32.7   18.5   14.8   14.5   13.3   13.6   10.8
+# The sum is flat within noise from 256 cells on.  Numpy wins on dense
+# systems: pid-duality's 25 x 25 over GF(3), and random GF(27) codes from
+# about 300 to 600 cells.  The five GF(p^m) systems above 400 cells are
+# sparse and gain about 2 ms on ints, too little for a second bound.
 SMALL_RREF_CELLS = 400
 
 
@@ -146,8 +155,8 @@ def rref(F: FiniteField, a) -> tuple[np.ndarray, tuple[int, ...]]:
 
     Over GF(p^m) a matrix whose codes are all below p lies in GF(p), which
     the pivot steps keep, so it is reduced by the ops of `F.prime`.  A
-    GF(p) matrix of at most SMALL_RREF_CELLS cells is reduced on Python
-    ints (`_rref_ints`).  Otherwise each pivot takes two field ops: one
+    matrix of at most SMALL_RREF_CELLS cells is reduced on Python ints
+    (`_rref_ints`).  Otherwise each pivot takes two field ops: one
     `div` normalises the pivot row, and one fused rank-1 `submul` clears
     the pivot column in every row nonzero there, the pivot row too, before
     the normalised row is written back.  Left of the pivot the pivot row is
@@ -155,8 +164,8 @@ def rref(F: FiniteField, a) -> tuple[np.ndarray, tuple[int, ...]]:
     a = np.asarray(a, dtype=np.int64)
     if F.deg > 1 and a.max(initial=0) < F.p:
         F = F.prime
-    if F.deg == 1 and a.size <= SMALL_RREF_CELLS:
-        return _rref_ints(F.p, a)
+    if a.size <= SMALL_RREF_CELLS:
+        return _rref_ints(F, a)
     r = a.copy()
     nrows, ncols = r.shape
     pivots = []
@@ -183,10 +192,14 @@ def rref(F: FiniteField, a) -> tuple[np.ndarray, tuple[int, ...]]:
     return r, tuple(pivots)
 
 
-def _rref_ints(p: int, a: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-    """`rref` over GF(p) by Gauss-Jordan on the rows as lists of Python
-    ints: exact at any p, as Python ints do not overflow, and every code
-    written back is reduced mod p."""
+def _rref_ints(F: FiniteField, a: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """`rref` by Gauss-Jordan on the rows as lists of Python ints, exact as
+    they do not overflow.  Only the row ops depend on the field: over GF(p)
+    `pow(v, -1, p)` and `(x - c*y) % p`, over GF(p^m) y / v = g^(log y -
+    log v + n) and `_zech_axpy`.  Every code written back is reduced."""
+    p, ext = F.p, F.deg > 1
+    if ext:
+        n, log, exp, _, neg = F._zech_tables
     nrows, ncols = a.shape
     rows = a.tolist()
     pivots = []
@@ -201,17 +214,56 @@ def _rref_ints(p: int, a: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
             continue
         prow = rows[piv]
         rows[piv] = rows[row]
-        if prow[col] != 1:
-            inv = pow(prow[col], -1, p)
+        v = prow[col]
+        if v != 1 and ext:
+            lv = n - log[v]                 # exp index below 2n
+            prow = [exp[log[y] + lv] if y else 0 for y in prow]
+        elif v != 1:
+            inv = pow(v, -1, p)
             prow = [x * inv % p for x in prow]
         rows[row] = prow
+        axpy = _zech_axpy(F, prow, neg) if ext else None    # r += (-c) prow
         for i, r in enumerate(rows):
             c = r[col]
             if c and i != row:
-                rows[i] = [(x - c * y) % p for x, y in zip(r, prow)]
+                rows[i] = axpy(r, c) if ext else [(x - c * y) % p for x, y in zip(r, prow)]
         pivots.append(col)
         row += 1
     return np.array(rows, dtype=np.int64).reshape(nrows, ncols), tuple(pivots)
+
+
+def _zech_axpy(F: FiniteField, y: list, off: int):
+    """(r, c) -> r += g^off c y in place on lists of codes over GF(p^m), g
+    the generator, n = q - 1.  With t = (log c + off) mod n and w = t + log
+    y < 2n, x + g^w = g^(log x + zech[(w - log x) mod n]), 0 where zech is
+    -1, and 0 + g^w = g^w: every exp index is below 2n."""
+    n, log, exp, zech, _ = F._zech_tables
+    nz = [(j, log[v]) for j, v in enumerate(y) if v]
+
+    def axpy(r, c):
+        t = (log[c] + off) % n
+        for j, ly in nz:
+            x, w = r[j], t + ly
+            if x:
+                lx = log[x]
+                z = zech[(w - lx) % n]
+                r[j] = exp[lx + z] if z >= 0 else 0
+            else:
+                r[j] = exp[w]
+        return r
+    return axpy
+
+
+def _mmul_zech(F: FiniteField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`mmul` over GF(p^m) on Python ints: row i is the sum of a[i, k] b[k],
+    one `_zech_axpy` per nonzero a[i, k]."""
+    axpys = [_zech_axpy(F, y, 0) for y in b.tolist()]
+    out = [[0] * b.shape[1] for _ in range(a.shape[0])]
+    for acc, x in zip(out, a.tolist()):
+        for axpy, c in zip(axpys, x):
+            if c:
+                axpy(acc, c)
+    return np.array(out, dtype=np.int64).reshape(a.shape[0], b.shape[1])
 
 
 def rank(F: FiniteField, a) -> int:

@@ -93,12 +93,6 @@ class Poly:
         F = self.field
         return Poly.make(F, [int(F.mul(x, c)) for x in self.coeffs])
 
-    def shift(self, k: int):
-        """Multiply by x^k."""
-        if self.is_zero():
-            return self
-        return Poly(self.field, (0,) * k + self.coeffs)
-
     def divmod(self, other):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -132,13 +126,6 @@ class Poly:
         while not b.is_zero():
             a, b = b, a % b
         return a.monic()
-
-    def eval(self, v):
-        F = self.field
-        out = np.int64(0)
-        for c in reversed(self.coeffs):
-            out = F.add(F.mul(out, v), np.int64(c))
-        return out
 
     def derivative(self):
         F = self.field

@@ -730,3 +730,54 @@ def test_h1_verdicts_of_a_degree_4095_multiplier(tmp_path):
         (True, True), (False, False)]
     hull = [c for c in perverse["conditions"] if c["degree"] == -1 and c["side"] == "local"]
     assert not perverse["ok"] and len(hull) == 1 and not hull[0]["ok"]
+
+
+# every leaf and subtree of an input is replaced by each of these in turn;
+# none allocates much
+MUTATIONS = [5, -1, 0, 1.5, True, None, "x", [], {}, [[1]], [1], 10 ** 6, [[0, 0]], [[[1]]]]
+# what `cmd_run` reports as a schema error (exit 2) when parsing raises it
+PARSE_ERRORS = (KeyError, TypeError, ValueError, cli.SchemaError)
+
+
+def json_paths(node, path=()):
+    """The path of every subtree of a JSON document, the root and the
+    leaves included."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from json_paths(child, path + (key,))
+
+
+def test_every_single_replacement_in_the_fixture_ends_in_a_verdict_or_a_schema_error():
+    """Each mutant of sample_problems/fixture_a.json (one subtree replaced
+    by one value of MUTATIONS, 1,652 in all) is parsed, and each of its
+    commands run in-process, as `forge run` does.  Each command gives a
+    result without an error, an invalid-module report or a schema error;
+    nothing else is raised."""
+    doc = json.loads((Path(__file__).resolve().parent.parent
+                      / "sample_problems" / "fixture_a.json").read_text())
+    seen = set()
+    for path in json_paths(doc):
+        for value in MUTATIONS:
+            mutant = json.loads(json.dumps(doc))
+            if path:
+                set_path(mutant, path, json.loads(json.dumps(value)))
+            else:
+                mutant = json.loads(json.dumps(value))
+            try:
+                problem = cli.parse_problem(mutant)
+            except PARSE_ERRORS:
+                seen.add("schema")
+                continue
+            for cmd in problem["commands"]:
+                try:
+                    r = cli.run_command(problem, cmd, 0)
+                except cli.SchemaError:
+                    seen.add("schema")
+                except cli.InvalidModule:
+                    seen.add("invalid")
+                else:
+                    assert "error" not in r and r["ok"] in (True, False, None), (path, value)
+                    json.dumps(r, sort_keys=True)
+                    seen.add("unsupported" if r["unsupported"] else "verdict")
+    assert seen == {"schema", "invalid", "unsupported", "verdict"}

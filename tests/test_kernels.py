@@ -6,7 +6,9 @@ inner index for the product, one row at a time for elimination, one entry
 at a time for the kernel basis.  The vectorized kernels must agree with
 them bit for bit, and over GF(p) with sympy's DomainMatrix.  `rref` has
 two paths, Python ints up to `matrix.SMALL_RREF_CELLS` cells and numpy
-above; the properties run each one with the bound forced either way.
+above, and over GF(p^m) `mmul` too: Zech logarithms on Python ints up to
+`matrix.SMALL_MMUL_MACS` multiply-adds, numpy above.  The properties run
+each path with its bound forced either way.
 """
 
 from contextlib import contextmanager
@@ -32,14 +34,23 @@ PRIMES = [(p, d) for p, d in FIELDS if d == 1]
 SUBFIELD_FIELDS = [(2, 2), (3, 2), (3, 3), (BIG_SQ, 2)]
 EXTENSIONS = [(p, d) for p, d in FIELDS if d > 1]
 SETTINGS = settings(max_examples=40, deadline=None)
-# SMALL_RREF_CELLS values that send every matrix down one rref path
+# SMALL_RREF_CELLS and SMALL_MMUL_MACS values that send every matrix or
+# product down one path
 RREF_PATHS = {"int": 1 << 62, "np": -1}
+MMUL_PATHS = RREF_PATHS
 
 
 @contextmanager
 def rref_path(name):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mx, "SMALL_RREF_CELLS", RREF_PATHS[name])
+        yield
+
+
+@contextmanager
+def mmul_path(name):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mx, "SMALL_MMUL_MACS", MMUL_PATHS[name])
         yield
 
 
@@ -184,16 +195,19 @@ def test_mmul_vector_inputs(case):
 @pytest.mark.parametrize("shape", [(0, 0, 0), (0, 3, 2), (2, 0, 3), (3, 2, 0),
                                    (1, 1, 1), (4, 300, 3)])
 def test_mmul_worst_case_entries(p, d, shape):
-    """Every entry is the top code; at BIG_P each product is (p - 1)^2."""
+    """Every entry is the top code, on each path; at BIG_P each product is
+    (p - 1)^2."""
     F = GF(p, d)
     r, k, c = shape
     a = np.full((r, k), F.order - 1, dtype=np.int64)
     b = np.full((k, c), F.order - 1, dtype=np.int64)
-    out = mx.mmul(F, a, b)
-    assert out.shape == (r, c)
-    assert np.array_equal(out, ref_mmul(F, a, b))
-    if d == 1:
-        assert np.all(out == (k * (p - 1) ** 2) % p)
+    for path in MMUL_PATHS:
+        with mmul_path(path):
+            out = mx.mmul(F, a, b)
+        assert out.shape == (r, c)
+        assert np.array_equal(out, ref_mmul(F, a, b))
+        if d == 1:
+            assert np.all(out == (k * (p - 1) ** 2) % p)
 
 
 def test_mmul_shape_mismatch():
@@ -204,20 +218,25 @@ def test_mmul_shape_mismatch():
 @SETTINGS
 @given(product_operands(), st.integers(1, 3))
 def test_mmul_chunked_inner_dimension(case, step):
-    """Split the inner dimension far below the real bound; same product."""
+    """Split the inner dimension far below the real bound; same product.
+    The split is in the numpy path, so every product takes it."""
     F, a, b = case
-    with pytest.MonkeyPatch.context() as mp:
+    with mmul_path("np"), pytest.MonkeyPatch.context() as mp:
         mp.setattr(mx, "dot_chunk", lambda p: step)
         assert np.array_equal(mx.mmul(F, a, b), ref_mmul(F, a, b))
 
 
 def draw_codes(draw, F, shape, kind):
-    """A matrix over F: all zero, in the prime field (codes below p) or
-    anywhere, with the top code of its range and the code p likely."""
+    """A matrix over F: all zero, in the prime field (codes below p),
+    outside it ("ext", codes from p on) or anywhere; 0, 1, p - 1 (whose log
+    is log(-1)), p and the top code of the range are likely where the range
+    holds them."""
     if kind == "zero":
         return mx.zeros(*shape)
-    top = F.p - 1 if kind == "prime" else F.order - 1
-    code = st.one_of(st.integers(0, top), st.just(top), st.just(min(F.p, top)))
+    lo, top = ((F.p, F.order - 1) if kind == "ext"
+               else (0, F.p - 1 if kind == "prime" else F.order - 1))
+    picks = [c for c in (0, 1, F.p - 1, F.p, top) if lo <= c <= top]
+    code = st.one_of(st.integers(lo, top), st.sampled_from(picks))
     n = shape[0] * shape[1]
     return np.array(draw(st.lists(code, min_size=n, max_size=n)),
                     dtype=np.int64).reshape(shape)
@@ -246,10 +265,11 @@ def subfield_matrix(draw):
 @given(subfield_operands(), st.integers(0, 3))
 def test_mmul_with_prime_subfield_operands(case, step):
     """Each descent (both in GF(p), only a, only b), on matrices and 1-D
-    operands, with the inner dimension split at step 1-3 (0: unsplit)."""
+    operands, with the inner dimension split at step 1-3 (0: unsplit).
+    The descents are in the numpy path, so every product takes it."""
     F, a, b = case
     ref = ref_mmul(F, a, b)
-    with pytest.MonkeyPatch.context() as mp:
+    with mmul_path("np"), pytest.MonkeyPatch.context() as mp:
         if step:
             mp.setattr(mx, "dot_chunk", lambda p: step)
         assert np.array_equal(mx.mmul(F, a, b), ref)
@@ -286,6 +306,104 @@ def test_prime_entry_rref_over_gf9_equals_rref_over_gf3():
     # 3 = t is the least code outside GF(3): no descent
     a = np.array([[1, 3], [2, 0]])
     assert np.array_equal(mx.rref(GF(3, 2), a)[0], ref_rref(GF(3, 2), a)[0])
+
+
+# -- the Zech path over GF(p^m) --
+
+# GF(4), GF(8), GF(9), GF(25), GF(27), GF(2^8), and GF(BIG_SQ^2), whose
+# log indices run highest
+ZECH_FIELDS = [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (2, 8), (BIG_SQ, 2)]
+
+
+@pytest.mark.parametrize("p,d", ZECH_FIELDS)
+def test_zech_table(p, d):
+    """zech[k] = -1 exactly at 1 + g^k = 0, and 1 + g^k = g^zech[k]
+    everywhere else; log(-1) is the log of the code p - 1."""
+    F = GF(p, d)
+    n, log, exp, zech, neg = F._zech_tables
+    zech, exp = np.asarray(zech), np.asarray(exp)
+    assert n == F.order - 1 and exp.size > 2 * n and np.array_equal(exp[:n], F._exp)
+    assert np.array_equal(np.asarray(log), F._log)
+    assert np.flatnonzero(zech == -1).tolist() == [0 if p == 2 else n // 2]
+    one_plus = F.add(1, F._exp)
+    ok = zech >= 0
+    assert np.array_equal(one_plus[ok], F._exp[zech[ok]])
+    assert not one_plus[~ok].any()
+    assert exp[neg] == p - 1 == F.neg(1)
+
+
+SHAPE = st.sampled_from([0, 1, 1, 2, 3, 4, 5, 6])
+KIND = st.sampled_from(["any", "any", "prime", "ext"])
+
+
+@st.composite
+def zech_matrix(draw):
+    F = GF(*draw(st.sampled_from(ZECH_FIELDS)))
+    a = draw_codes(draw, F, (draw(SHAPE), draw(SHAPE)), draw(KIND))
+    if draw(st.booleans()):
+        a.setflags(write=False)         # as the memos hand their results out
+    return F, a
+
+
+@st.composite
+def zech_operands(draw):
+    F = GF(*draw(st.sampled_from(ZECH_FIELDS)))
+    r, k, c = draw(SHAPE), draw(SHAPE), draw(SHAPE)
+    a, b = draw_codes(draw, F, (r, k), draw(KIND)), draw_codes(draw, F, (k, c), draw(KIND))
+    if draw(st.booleans()):
+        a.setflags(write=False)
+        b.setflags(write=False)
+    return F, a, b
+
+
+@SETTINGS
+@given(zech_matrix())
+def test_zech_rref_rank_kernel_match_reference(case):
+    F, a = case
+    before = a.copy()
+    rr, rpivots = ref_rref(F, before)
+    for path in RREF_PATHS:
+        with rref_path(path):
+            r, pivots = mx.rref(F, a)
+            assert pivots == rpivots and np.array_equal(r, rr)
+            assert mx.rank(F, a) == len(rpivots)
+            assert np.array_equal(mx.kernel(F, a), ref_kernel(F, before))
+    assert np.array_equal(a, before)
+
+
+@SETTINGS
+@given(zech_operands())
+def test_zech_mmul_matches_reference(case):
+    F, a, b = case
+    before = a.copy(), b.copy()
+    ref = ref_mmul(F, *before)
+    for path in MMUL_PATHS:
+        with mmul_path(path):
+            out = mx.mmul(F, a, b)
+            assert out.dtype == np.int64 and out.shape == ref.shape
+            assert np.array_equal(out, ref)
+    assert np.array_equal(a, before[0]) and np.array_equal(b, before[1])
+
+
+@pytest.mark.parametrize("p,d", [(2, 3), (3, 3)])
+def test_mmul_path_is_chosen_by_field_shape_and_size(p, d, monkeypatch):
+    """The Zech product for 2-D operands over GF(p^m) of at most
+    SMALL_MMUL_MACS multiply-adds, whatever their entries; numpy for a
+    larger product, a 1-D operand or GF(p)."""
+    F, calls, zech = GF(p, d), [], mx._mmul_zech
+
+    def counted(F, a, b):
+        calls.append((a.shape, b.shape))
+        return zech(F, a, b)
+
+    monkeypatch.setattr(mx, "_mmul_zech", counted)
+    bound = mx.SMALL_MMUL_MACS
+    for k in (bound, bound + 1):
+        mx.mmul(F, np.ones((1, k), dtype=np.int64), np.full((k, 1), p))
+    mx.mmul(F, np.ones((1, 1), dtype=np.int64), np.ones((1, 1), dtype=np.int64))
+    mx.mmul(F, np.ones(2, dtype=np.int64), np.full((2, 2), p))
+    mx.mmul(GF(p), np.ones((2, 2), dtype=np.int64), np.ones((2, 2), dtype=np.int64))
+    assert calls == [((1, bound), (bound, 1)), ((1, 1), (1, 1))]
 
 
 @pytest.mark.parametrize("p,d", FIELDS)
@@ -388,24 +506,27 @@ def test_rref_straddling_the_bound_matches_reference(case):
     assert mx.rank(F, a) == len(rpivots)
 
 
-@pytest.mark.parametrize("p,d", INT_FIELDS)
+@pytest.mark.parametrize("p,d", INT_FIELDS + [(2, 3)])
 def test_rref_path_is_chosen_by_field_and_size(p, d, monkeypatch):
-    """Python ints for a GF(p) matrix, or a GF(p^m) one with prime entries,
-    of at most SMALL_RREF_CELLS cells; numpy for anything else."""
+    """Python ints for a matrix of at most SMALL_RREF_CELLS cells: over
+    GF(p) for a GF(p) matrix or a GF(p^m) one with prime entries, through
+    the Zech tables of GF(p^m) for one with a code outside GF(p); numpy
+    for anything larger."""
     F, calls, ints = GF(p, d), [], mx._rref_ints
 
-    def counted(q, a):
-        calls.append(a.shape)
-        return ints(q, a)
+    def counted(K, a):
+        calls.append((K, a.shape))
+        return ints(K, a)
 
     monkeypatch.setattr(mx, "_rref_ints", counted)
     bound = mx.SMALL_RREF_CELLS
     mx.rref(F, np.ones((1, bound), dtype=np.int64))
     mx.rref(F, np.ones((1, bound + 1), dtype=np.int64))
-    assert calls == [(1, bound)]
+    assert calls == [(GF(p), (1, bound))]
     if d > 1:
-        mx.rref(F, np.full((2, 2), p, dtype=np.int64))    # t lies outside GF(p)
-        assert calls == [(1, bound)]
+        mx.rref(F, np.full((1, bound), p, dtype=np.int64))    # t lies outside GF(p)
+        mx.rref(F, np.full((1, bound + 1), p, dtype=np.int64))
+        assert calls == [(GF(p), (1, bound)), (F, (1, bound))]
 
 
 @pytest.mark.parametrize("path", RREF_PATHS)

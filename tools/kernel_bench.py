@@ -1,6 +1,7 @@
 """Time `matrix.mmul` on random n x n operands, per field and size,
-`matrix.rref` on each of its two paths, and the construction of a field;
-count the hits of the program's memos.
+`matrix.rref` on each of its two paths, replays of the workloads' own
+`rref` and GF(p^m) `mmul` calls, and the construction of a field; count
+the hits of the program's memos.
 
     python3 tools/kernel_bench.py [--repeats R]
 
@@ -17,16 +18,21 @@ matrices of uniformly random codes, square (k x k), tall (2k x k) and
 wide (k x 2k), 4 to 578 cells; 2 is the median aspect of the tall and of
 the wide matrices that `rref` gets in the artinian-prime and
 extension-field workloads.  The fields are GF(2), GF(3), GF(5),
-GF(4194301) and GF(9) with entries in its prime field GF(3), each path
-forced through `matrix.SMALL_RREF_CELLS`: "int" for the Python-int
-Gauss-Jordan, "np" for the numpy pivot step.  Dense random codes are the
-Python path's worst case.
+GF(4194301), GF(9) with entries in its prime field GF(3) and GF(27) with
+entries anywhere, each path forced through `matrix.SMALL_RREF_CELLS`:
+"int" for the Python-int Gauss-Jordan, "np" for the numpy pivot step.
+Dense random codes are the Python path's worst case.
 The second rref table replays the `rref` calls of one round of each
-benchmark workload (see the memo table for the round) with
-SMALL_RREF_CELLS set to each column's bound ("np": every matrix on
-numpy, "int": every GF(p) matrix on Python ints): the median over R
-repeats of the milliseconds one replay takes, the bounds alternating.
-Its last line names the bound of the least total over the workloads.
+benchmark workload (see the memo table for the round), one row for the
+matrices over GF(p) (a GF(p^m) matrix of codes below p descends there)
+and one for those with a code outside GF(p), with SMALL_RREF_CELLS set
+to each column's bound ("np": every matrix on numpy, "int": every matrix
+on Python ints): the median over R repeats of the milliseconds one
+replay takes, the bounds alternating.  Its last line names the bound of
+the least total.  The mmul replay table does the same for the GF(p^m)
+products of one round (only `extension-field` has them), with
+SMALL_MMUL_MACS set to each column's bound ("int": every 2-D product
+through the Zech path).
 The build table gives the time in milliseconds to build GF(4), GF(27),
 GF(2^8), GF(3^6), GF(2^16) and GF(2039^2): the median over R builds, each
 with the `GF` and `canonical_modulus` caches cleared, so that it finds
@@ -72,12 +78,14 @@ FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (3, 3), (2039, 2)]
 ROWS = ([(p, d, "") for p, d in FIELDS]
         + [(p, d, kind) for p, d in [(2, 2), (3, 2), (3, 3)] for kind in ("p@p", "p@q")])
 SIZES = [2, 4, 8, 16, 32, 64, 136]
-RREF_FIELDS = [(2, 1, 2), (3, 1, 3), (5, 1, 5), (4194301, 1, 4194301), (3, 2, 3)]
+RREF_FIELDS = [(2, 1, 2), (3, 1, 3), (5, 1, 5), (4194301, 1, 4194301), (3, 2, 3),
+               (3, 3, 27)]
 RREF_K = [2, 3, 4, 6, 8, 10, 12, 14, 17]
 RREF_SHAPES = {"square": lambda k: (k, k), "tall": lambda k: (2 * k, k),
                "wide": lambda k: (k, 2 * k)}
 RREF_PATHS = {"int": 1 << 62, "np": -1}           # SMALL_RREF_CELLS forcing each
 RREF_BOUNDS = [-1, 16, 36, 64, 144, 256, 400, 576, 1024, 1 << 62]
+MMUL_BOUNDS = [-1, 8, 27, 64, 128, 256, 512, 1 << 62]
 BUILDS = [(2, 2), (3, 3), (2, 8), (3, 6), (2, 16), (2039, 2)]
 
 
@@ -172,20 +180,20 @@ def sharded_counts(workload: str) -> list:
     return [int(n) for n in total]
 
 
-def round_rref_inputs(workload: str) -> list:
-    """(field, matrix) of every `matrix.rref` call in one round."""
-    seen, rref = [], mx.rref
+def round_calls(workload: str, kernel: str) -> list:
+    """(field, *arrays) of every `matrix.<kernel>` call in one round."""
+    seen, fn = [], getattr(mx, kernel)
 
-    def record(F, a):
-        seen.append((F, np.array(a, dtype=np.int64)))
-        return rref(F, a)
+    def record(F, *args):
+        seen.append((F, *(np.array(x, dtype=np.int64) for x in args)))
+        return fn(F, *args)
 
-    mx.rref = record
+    setattr(mx, kernel, record)
     try:
         for _ in round_shards(workload):
             pass
     finally:
-        mx.rref = rref
+        setattr(mx, kernel, fn)
     return seen
 
 
@@ -223,31 +231,54 @@ def rref_table(rng, repeats: int) -> None:
         mx.SMALL_RREF_CELLS = saved
 
 
-def rref_workload_table(repeats: int) -> None:
-    names = ["np" if c < 0 else "int" if c > 1 << 30 else str(c) for c in RREF_BOUNDS]
-    print("workload".ljust(16) + "".join(n.rjust(8) for n in names)
-          + "   (ms per replay, by SMALL_RREF_CELLS)")
+def replay_table(rows: dict, kernel: str, bound: str, values: list, repeats: int) -> None:
+    """Per row of `rows` (label -> recorded calls), the median over R
+    repeats of the milliseconds one replay of the calls through
+    `matrix.<kernel>` takes with `matrix.<bound>` set to each of `values`,
+    the values alternating; then the sum and the value of the least sum."""
+    names = ["np" if v < 0 else "int" if v > 1 << 30 else str(v) for v in values]
+    print("calls".ljust(24) + "".join(n.rjust(8) for n in names)
+          + f"   (ms per replay, by {bound})")
 
-    def replay(seen, cells):
-        mx.SMALL_RREF_CELLS = cells
+    def replay(calls, value):
+        setattr(mx, bound, value)
+        fn = getattr(mx, kernel)
         t0 = time.perf_counter()
-        for F, a in seen:
-            mx.rref(F, a)
+        for args in calls:
+            fn(*args)
         return time.perf_counter() - t0
 
-    total = np.zeros(len(RREF_BOUNDS))
-    saved = mx.SMALL_RREF_CELLS
+    total = np.zeros(len(values))
+    saved = getattr(mx, bound)
     try:
-        for workload in WORKLOADS:
-            seen = round_rref_inputs(workload)
-            samples = [[replay(seen, c) for c in RREF_BOUNDS] for _ in range(repeats)]
+        for label, calls in rows.items():
+            samples = [[replay(calls, v) for v in values] for _ in range(repeats)]
             ms = 1e3 * np.median(samples, axis=0)
             total += ms
-            print(workload.ljust(16) + "".join(f"{t:8.1f}" for t in ms))
+            print(label.ljust(24) + "".join(f"{t:8.1f}" for t in ms))
     finally:
-        mx.SMALL_RREF_CELLS = saved
-    print("all".ljust(16) + "".join(f"{t:8.1f}" for t in total))
+        setattr(mx, bound, saved)
+    print("all".ljust(24) + "".join(f"{t:8.1f}" for t in total))
     print(f"least total at {names[int(total.argmin())]}")
+
+
+def workload_replays(repeats: int) -> None:
+    """The rref replay, by workload and by the field the matrix lies in
+    (GF(p), which a GF(p^m) matrix of codes below p descends to, or
+    GF(p^m)), then the replay of the GF(p^m) products."""
+    rrefs, mmuls = {}, {}
+    for workload in WORKLOADS:
+        calls = round_calls(workload, "rref")
+        for kind, ext in (("GF(p)", False), ("GF(p^m)", True)):
+            mine = [(F, a) for F, a in calls if (a.max(initial=0) >= F.p) == ext]
+            if mine:
+                rrefs[f"{workload} {kind}"] = mine
+        ext = [call for call in round_calls(workload, "mmul") if call[0].deg > 1]
+        if ext:
+            mmuls[workload] = ext
+    replay_table(rrefs, "rref", "SMALL_RREF_CELLS", RREF_BOUNDS, repeats)
+    print()
+    replay_table(mmuls, "mmul", "SMALL_MMUL_MACS", MMUL_BOUNDS, repeats)
 
 
 def build_table(repeats: int) -> None:
@@ -277,7 +308,7 @@ def main() -> None:
     print()
     rref_table(rng, repeats)
     print()
-    rref_workload_table(repeats)
+    workload_replays(repeats)
     print()
     build_table(repeats)
     print()
