@@ -292,12 +292,26 @@ def intertwiners(F: FiniteField, As, Bs, rows: int, cols: int) -> np.ndarray:
 
     Every Hom-type functor is such a space, and this is the one format of
     its basis: the RREF kernel of the stacked system A_i^T (x) I - I (x) B_i
-    on vec H, whose column j is vec(H_j), in canonical kernel order.
-    Each system is solved once (`memo`, 512 entries): the kernel is shared
-    and read-only."""
-    eye_r, eye_c = mx.identity(rows), mx.identity(cols)
-    sys = [F.sub(mx.kron(F, A.T, eye_r), mx.kron(F, eye_c, B)) for A, B in zip(As, Bs)]
-    return mx.kernel(F, np.vstack(sys) if sys else mx.zeros(0, rows * cols))
+    on vec H, whose column j is vec(H_j), in canonical kernel order.  Its
+    equations, sum_l A_i[l, k] H[j, l] - B_i[j, l] H[l, k] with H[j, l] the
+    unknown j + rows*l, go one by one to `mx.kernel_of_rows`.  Each system
+    is solved once (`memo`, 512 entries): the kernel is shared, read-only."""
+
+    def equations():
+        for A, B in zip(As, Bs):
+            A, B, negB = A.tolist(), B.tolist(), F.neg(B).tolist()
+            bs = [[(l, b) for l, b in enumerate(row) if b] for row in negB]
+            for k in range(cols):
+                ak = [(rows * l, a[k]) for l, a in enumerate(A) if a[k]]
+                for j in range(rows):
+                    eq = {j + o: a for o, a in ak} if ak else {}
+                    for l, b in bs[j]:
+                        eq[l + rows * k] = b
+                    if A[k][k] and B[j][j]:     # both sums hold H[j, k]
+                        eq[j + rows * k] = int(F.sub(A[k][k], B[j][j]))
+                        eq = {i: v for i, v in eq.items() if v}
+                    yield eq
+    return mx.kernel_of_rows(F, equations(), rows * cols)
 
 
 def hom_images(F: FiniteField, ker: np.ndarray, shape, left=None, right=None) -> np.ndarray:

@@ -8,6 +8,7 @@ a canonical (deterministic) form.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -139,14 +140,13 @@ def nil_index(F: FiniteField, a: np.ndarray):
 # round's calls, median of 15, 2-CPU Linux host, Python 3.11, numpy 2.4
 # ("int": all on ints; a matrix of codes below p counts as GF(p)):
 #                             np     36    144    256    400    576    int
-#   artinian-prime GF(p)   107.0   72.0   57.2   51.5   47.9   44.9   42.4
-#   pid-duality GF(p)       23.6   20.4   17.3   15.1   14.4   14.4   14.8
-#   extension-field GF(p)   52.2   37.3   29.6   28.1   27.8   29.5   31.8
-#   extension-field GF(p^m) 32.7   18.5   14.8   14.5   13.3   13.6   10.8
-# The sum is flat within noise from 256 cells on.  Numpy wins on dense
-# systems: pid-duality's 25 x 25 over GF(3), and random GF(27) codes from
-# about 300 to 600 cells.  The five GF(p^m) systems above 400 cells are
-# sparse and gain about 2 ms on ints, too little for a second bound.
+#   artinian-prime GF(p)    46.0   23.6   16.5   14.9   14.8   14.7   15.0
+#   pid-duality GF(p)        2.8    1.6    1.3    1.0    1.0    1.0    1.0
+#   extension-field GF(p)   33.5   22.8   18.0   17.0   16.7   19.0   23.0
+#   extension-field GF(p^m) 13.1    4.7    4.6    4.6    4.6    4.6    4.6
+# The sum is least at 400.  Only `semilinear_fixed_points` passes it (Hom
+# systems go to `kernel_of_rows`): dense GF(p) systems of 576 and 1024
+# cells in `extension-field`, where numpy wins.
 SMALL_RREF_CELLS = 400
 
 
@@ -222,7 +222,7 @@ def _rref_ints(F: FiniteField, a: np.ndarray) -> tuple[np.ndarray, tuple[int, ..
             inv = pow(v, -1, p)
             prow = [x * inv % p for x in prow]
         rows[row] = prow
-        axpy = _zech_axpy(F, prow, neg) if ext else None    # r += (-c) prow
+        axpy = _zech_axpy(F, enumerate(prow), neg) if ext else None   # r += (-c) prow
         for i, r in enumerate(rows):
             c = r[col]
             if c and i != row:
@@ -232,13 +232,13 @@ def _rref_ints(F: FiniteField, a: np.ndarray) -> tuple[np.ndarray, tuple[int, ..
     return np.array(rows, dtype=np.int64).reshape(nrows, ncols), tuple(pivots)
 
 
-def _zech_axpy(F: FiniteField, y: list, off: int):
-    """(r, c) -> r += g^off c y in place on lists of codes over GF(p^m), g
-    the generator, n = q - 1.  With t = (log c + off) mod n and w = t + log
-    y < 2n, x + g^w = g^(log x + zech[(w - log x) mod n]), 0 where zech is
-    -1, and 0 + g^w = g^w: every exp index is below 2n."""
+def _zech_axpy(F: FiniteField, y, off: int):
+    """(r, c) -> r += g^off c y in place over GF(p^m), y as (index, code)
+    pairs, r a list or defaultdict, g the generator, n = q - 1.  With t =
+    (log c + off) mod n, w = t + log y < 2n: x + g^w = g^(log x + zech[(w -
+    log x) mod n]), 0 where zech is -1, 0 + g^w = g^w; exp indices < 2n."""
     n, log, exp, zech, _ = F._zech_tables
-    nz = [(j, log[v]) for j, v in enumerate(y) if v]
+    nz = [(j, log[v]) for j, v in y if v]
 
     def axpy(r, c):
         t = (log[c] + off) % n
@@ -257,7 +257,7 @@ def _zech_axpy(F: FiniteField, y: list, off: int):
 def _mmul_zech(F: FiniteField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """`mmul` over GF(p^m) on Python ints: row i is the sum of a[i, k] b[k],
     one `_zech_axpy` per nonzero a[i, k]."""
-    axpys = [_zech_axpy(F, y, 0) for y in b.tolist()]
+    axpys = [_zech_axpy(F, enumerate(y), 0) for y in b.tolist()]
     out = [[0] * b.shape[1] for _ in range(a.shape[0])]
     for acc, x in zip(out, a.tolist()):
         for axpy, c in zip(axpys, x):
@@ -282,6 +282,48 @@ def kernel(F: FiniteField, a) -> np.ndarray:
     out[free, np.arange(free.size)] = 1
     out[list(pivots)] = F.neg(r[:len(pivots), free])
     return out
+
+
+def kernel_of_rows(F: FiniteField, rows, ncols: int) -> np.ndarray:
+    """`kernel` of the rows stacked, each a dict {column: nonzero code},
+    each reduced as it comes: no matrix is formed.  Pivot rows stay fully
+    reduced, so one pass over its pivot columns clears a new row; a row
+    left nonzero becomes the pivot row of its least column and is cleared
+    from the others, each then 0 left of its column, as in the RREF."""
+    p, ext = F.p, F.deg > 1
+    if ext:
+        n, log, exp, _, neg = F._zech_tables
+
+    def add(r, x, y):       # r += x y in place, r a defaultdict: `_rref_ints`' step
+        if ext:
+            return _zech_axpy(F, y.items(), 0)(r, x)
+        for j, v in y.items():
+            r[j] = (r[j] + x * v) % p
+
+    piv = {}    # pivot column -> minus its row at the free columns
+    for r in rows:
+        if hits := r.keys() & piv.keys():
+            r = defaultdict(int, r)
+            for c in hits:
+                add(r, r.pop(c), piv[c])
+            r = {j: v for j, v in r.items() if v}
+        if not r:
+            continue
+        lead = min(r)
+        s = exp[(neg - log[r[lead]]) % n] if ext else -pow(r[lead], -1, p)
+        add(y := defaultdict(int), s, r)    # y = -r / r[lead]
+        del y[lead]
+        for P in piv.values():
+            if x := P.pop(lead, 0):
+                add(P, x, y)
+        piv[lead] = y
+    free = {c: i for i, c in enumerate(c for c in range(ncols) if c not in piv)}
+    piv.update((c, {c: 1}) for c in free)     # the 1 of each free column
+    out = [0] * (ncols * len(free))
+    for c, y in piv.items():
+        for j, v in y.items():
+            out[c * len(free) + free[j]] = v
+    return np.array(out, dtype=np.int64).reshape(ncols, len(free))
 
 
 def solve_full(F: FiniteField, a, b):
@@ -324,13 +366,6 @@ def inverse(F: FiniteField, a):
     """Inverse matrix, or None when a @ X = I has no unique solution."""
     x, unique = solve_full(F, a, identity(len(a)))
     return x if unique else None
-
-
-def kron(F: FiniteField, a, b) -> np.ndarray:
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    out = F.mul(a[:, np.newaxis, :, np.newaxis], b[np.newaxis, :, np.newaxis, :])
-    return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 def vec(a) -> np.ndarray:

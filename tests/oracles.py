@@ -8,8 +8,9 @@ H^1 verdict and the hull twist applied to one Laurent tail, the determinantal di
 powers one factor at a time with their rank chain, the Sol attainment
 degree by search, conjugacy classes in GL_n(F_q) by enumeration, the Hom/tensor twist
 law, the Kashiwara round trip i-flat o i_* = id, field embedding
-tables by a root search over the whole target field, and the Hasse
-invariant by the full polynomial power.  They live with the
+tables by a root search over the whole target field, the Hasse
+invariant by the full polynomial power, and the Kronecker product with
+the intertwiner space solved from its stacked Kronecker system.  They live with the
 tests so that they stay independent of the code under test.
 """
 
@@ -57,6 +58,31 @@ def hom_list(ker, rows, cols):
     """A package hom basis (column j of `ker` is vec H_j) as the list of
     the rows x cols matrices H_j."""
     return [mx.unvec(ker[:, j], rows, cols) for j in range(ker.shape[1])]
+
+
+# -- the Kronecker form of intertwiner systems --
+
+
+def kron(F, a, b) -> np.ndarray:
+    """The Kronecker product a (x) b over F: block (i, k) is a[i, k] b, so
+    vec(B H A) = (A^T (x) B) vec H."""
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    out = F.mul(a[:, np.newaxis, :, np.newaxis], b[np.newaxis, :, np.newaxis, :])
+    return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
+def kron_system(F, As, Bs, rows: int, cols: int) -> np.ndarray:
+    """The stacked dense system A_i^T (x) I - I (x) B_i on vec H, whose
+    kernel is { H (rows x cols) : H A_i = B_i H for every i }."""
+    eye_r, eye_c = mx.identity(rows), mx.identity(cols)
+    sys_ = [F.sub(kron(F, A.T, eye_r), kron(F, eye_c, B)) for A, B in zip(As, Bs)]
+    return np.vstack(sys_) if sys_ else mx.zeros(0, rows * cols)
+
+
+def kron_intertwiners(F, As, Bs, rows: int, cols: int) -> np.ndarray:
+    """The intertwiner space as `mx.kernel` of its Kronecker system."""
+    return mx.kernel(F, kron_system(F, As, Bs, rows, cols))
 
 
 # -- field arithmetic from the polynomial form --

@@ -27,7 +27,7 @@ from cartierforge.field import GF
 from cartierforge.generate import (random_invertible, random_module,
                                    random_structure)
 from cartierforge.structures import CARTIER, cartier_module, f_module
-from oracles import hom_list
+from oracles import hom_list, kron
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2)]     # GF(2), GF(3), GF(4), GF(9)
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -41,7 +41,7 @@ def ref_hom_module(m, n):
     rows = []
     eye_m, eye_n = mx.identity(m.dim), mx.identity(n.dim)
     for Xm, Xn in zip(m.actions, n.actions):
-        rows.append(F.sub(mx.kron(F, Xm.T, eye_n), mx.kron(F, eye_m, Xn)))
+        rows.append(F.sub(kron(F, Xm.T, eye_n), kron(F, eye_m, Xn)))
     sys = np.vstack(rows) if rows else mx.zeros(0, m.dim * n.dim)
     ker = mx.kernel(F, sys)
     basis = [mx.unvec(ker[:, k], n.dim, m.dim) for k in range(ker.shape[1])]
@@ -61,7 +61,7 @@ def ref_f_flat(m, power=1):
     eye_r, eye_m = mx.identity(R.dim), mx.identity(m.dim)
     for mu, X in zip(R.mult_ops, m.actions):
         mu_q = mx.mat_pow(F, mu, t)
-        rows.append(F.sub(mx.kron(F, mu_q.T, eye_m), mx.kron(F, eye_r, X)))
+        rows.append(F.sub(kron(F, mu_q.T, eye_m), kron(F, eye_r, X)))
     sys = np.vstack(rows) if rows else mx.zeros(0, R.dim * m.dim)
     ker = mx.kernel(F, sys)
     basis = [mx.unvec(ker[:, k], m.dim, R.dim) for k in range(ker.shape[1])]
@@ -86,7 +86,7 @@ def ref_pair_C_to_F(m, n):
     lhs_blocks, rhs_rows = [], []
     for l in range(R.dim):
         ka = mx.mmul(F, n.kappa, acts_n[l])
-        lhs_blocks.append(mx.kron(F, mx.identity(dm), ka))
+        lhs_blocks.append(kron(F, mx.identity(dm), ka))
         rhs_rows.append(mx.mmul(F, m.kappa, acts_m[l]))
     lhs = np.vstack(lhs_blocks)
     rhs = np.stack([np.concatenate([mx.vec(mx.mmul(F, H, r)) for r in rhs_rows])

@@ -8,20 +8,28 @@ them bit for bit, and over GF(p) with sympy's DomainMatrix.  `rref` has
 two paths, Python ints up to `matrix.SMALL_RREF_CELLS` cells and numpy
 above, and over GF(p^m) `mmul` too: Zech logarithms on Python ints up to
 `matrix.SMALL_MMUL_MACS` multiply-adds, numpy above.  The properties run
-each path with its bound forced either way.
+each path with its bound forced either way.  `kernel_of_rows`, and the
+`intertwiners` systems it solves, must equal `kernel` of the stacked
+Kronecker system (`tests/oracles.py`); a planted solve that skips the
+clearing of earlier pivot rows must fail that check.
 """
 
+import __future__
+import ast
+import inspect
+import textwrap
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import find, given, settings, strategies as st
 from sympy import GF as SympyGF
 from sympy.polys.matrices import DomainMatrix
 
 from cartierforge import matrix as mx
+from cartierforge.artinian import intertwiners
 from cartierforge.field import GF, MAX_ORDER, is_prime
-from oracles import RefField
+from oracles import RefField, kron_intertwiners, kron_system
 
 BIG_P = 4194301   # the largest prime below MAX_ORDER
 BIG_SQ = 2039     # the largest prime p with p**2 <= MAX_ORDER
@@ -575,6 +583,97 @@ def test_extension_kernel_annihilated_with_right_dimension(case):
     assert k.shape == (a.shape[1], a.shape[1] - rank)
     assert not mx.mmul(F, a, k).any()
     assert mx.rank(F, k) == k.shape[1]
+
+
+# -- intertwiner systems: the sparse solve against the Kronecker kernel --
+
+KRON_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2), (5, 2), (3, 3)]
+
+
+def draw_action(draw, F, n, kind):
+    """An n x n action: zero, the identity, a monomial shift (a nonzero
+    code at each (i + 1, i)) or dense, its codes of `kind`."""
+    form = draw(st.sampled_from(["zero", "identity", "shift", "dense"]))
+    if form == "zero":
+        return mx.zeros(n, n)
+    if form == "identity":
+        return mx.identity(n)
+    if form == "dense":
+        return draw_codes(draw, F, (n, n), kind)
+    top = F.p - 1 if kind == "prime" else F.order - 1
+    a = mx.zeros(n, n)
+    a[np.arange(1, n), np.arange(n - 1)] = draw(
+        st.lists(st.integers(1, top), min_size=max(n - 1, 0), max_size=max(n - 1, 0)))
+    return a
+
+
+@st.composite
+def intertwiner_system(draw):
+    """0-3 pairs (A_i, B_i) with A_i cols x cols and B_i rows x rows, rows
+    and cols 0-6, over GF(q) for q = 2, 3, 5, 4, 8, 9, 25, 27; "prime"
+    systems have every code below p."""
+    F = GF(*draw(st.sampled_from(KRON_FIELDS)))
+    kind = draw(st.sampled_from(["any", "prime"]))
+    rows, cols, pairs = draw(st.integers(0, 6)), draw(st.integers(0, 6)), draw(st.integers(0, 3))
+    As = [draw_action(draw, F, cols, kind) for _ in range(pairs)]
+    Bs = [draw_action(draw, F, rows, kind) for _ in range(pairs)]
+    if draw(st.booleans()):
+        for a in As + Bs:
+            a.setflags(write=False)     # as the memos hand their results out
+    return F, As, Bs, rows, cols
+
+
+def solves_as_kron(F, As, Bs, rows, cols) -> bool:
+    """`intertwiners` (memo bypassed) and `kernel_of_rows` of the rows of
+    the Kronecker system, fed one at a time, both equal `mx.kernel` of
+    that system: values, shape and dtype."""
+    want = kron_intertwiners(F, As, Bs, rows, cols)
+    eqs = ({j: v for j, v in enumerate(r) if v}
+           for r in kron_system(F, As, Bs, rows, cols).tolist())
+    got = [intertwiners.__wrapped__(F, As, Bs, rows, cols),
+           mx.kernel_of_rows(F, eqs, rows * cols)]
+    return all(g.dtype == want.dtype and g.shape == want.shape
+               and np.array_equal(g, want) for g in got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(intertwiner_system())
+def test_intertwiners_equal_the_kronecker_kernel(case):
+    F, As, Bs, rows, cols = case
+    before = [a.copy() for a in As + Bs]
+    assert solves_as_kron(F, As, Bs, rows, cols)
+    assert all(np.array_equal(a, b) for a, b in zip(As + Bs, before))
+
+
+def without_back_clearing():
+    """A planted fault: `kernel_of_rows` with the loop that clears a new
+    pivot's column from the earlier pivot rows taken out."""
+    dropped = []
+
+    class Drop(ast.NodeTransformer):
+        def visit_For(self, node):
+            if ast.unparse(node.iter) == "piv.values()":
+                dropped.append(node)
+                return None
+            return self.generic_visit(node)
+
+    tree = Drop().visit(ast.parse(textwrap.dedent(inspect.getsource(mx.kernel_of_rows))))
+    assert len(dropped) == 1
+    namespace = dict(vars(mx))
+    exec(compile(tree, "<planted>", "exec", __future__.annotations.compiler_flag,
+                 dont_inherit=True), namespace)
+    return namespace["kernel_of_rows"]
+
+
+def test_planted_fault_fails_the_property(monkeypatch):
+    monkeypatch.setattr(mx, "kernel_of_rows", without_back_clearing())
+
+    def fails(case):
+        try:
+            return not solves_as_kron(*case)
+        except (KeyError, ValueError, IndexError):
+            return True     # a pivot row left with another pivot's column
+    find(intertwiner_system(), fails, settings=settings(max_examples=500, database=None))
 
 
 # -- power --

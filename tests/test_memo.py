@@ -32,16 +32,10 @@ from cartierforge.structures import (CARTIER, FROBENIUS, _kappa_stack,
                                      _nil_index, cartier_module, is_unit,
                                      kappa_monomials, nilpotency_index,
                                      structured)
+from oracles import kron_intertwiners as solve_anew
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2)]     # GF(2), GF(3), GF(4), GF(9)
 RUN = Path(__file__).resolve().parent.parent / "bench" / "run.py"
-
-
-def solve_anew(F, As, Bs, rows, cols):
-    """The kernel of the stacked system A_i^T (x) I - I (x) B_i on vec H."""
-    sys_ = [F.sub(mx.kron(F, A.T, mx.identity(rows)), mx.kron(F, mx.identity(cols), B))
-            for A, B in zip(As, Bs)]
-    return mx.kernel(F, np.vstack(sys_) if sys_ else mx.zeros(0, rows * cols))
 
 
 def random_system(rng, F):

@@ -1,7 +1,7 @@
 """Time `matrix.mmul` on random n x n operands, per field and size,
 `matrix.rref` on each of its two paths, replays of the workloads' own
-`rref` and GF(p^m) `mmul` calls, and the construction of a field; count
-the hits of the program's memos.
+`rref`, GF(p^m) `mmul` and `intertwiners` calls, and the construction of
+a field; count the hits of the program's memos.
 
     python3 tools/kernel_bench.py [--repeats R]
 
@@ -33,6 +33,13 @@ the least total.  The mmul replay table does the same for the GF(p^m)
 products of one round (only `extension-field` has them), with
 SMALL_MMUL_MACS set to each column's bound ("int": every 2-D product
 through the Zech path).
+The intertwiners replay solves the `artinian.intertwiners` systems of
+one round of each workload (the memo's misses), memo bypassed: "sparse"
+is `intertwiners` itself, each equation reduced by
+`matrix.kernel_of_rows` as it is made, "kron" the stacked Kronecker
+system A_i^T (x) I - I (x) B_i with `matrix.kernel`, the reference
+`kron_intertwiners` of `tests/oracles.py`; the median over R repeats of
+the milliseconds one replay takes, the two alternating.
 The build table gives the time in milliseconds to build GF(4), GF(27),
 GF(2^8), GF(3^6), GF(2^16) and GF(2039^2): the median over R builds, each
 with the `GF` and `canonical_modulus` caches cleared, so that it finds
@@ -58,6 +65,7 @@ for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(1, str(ROOT / "bench"))
+sys.path.insert(2, str(ROOT / "tests"))
 
 import argparse
 import json
@@ -67,9 +75,10 @@ import time
 import numpy as np
 
 import cartierforge.cli as cli
-from cartierforge import matrix as mx
+from cartierforge import artinian, matrix as mx
 from cartierforge.artinian import MEMOS
 from cartierforge.field import GF, canonical_modulus
+from oracles import kron_intertwiners
 from result_digest import INPUTS, WORKLOADS, result_lines
 from run import SHARDS, cache_clearers
 
@@ -197,6 +206,27 @@ def round_calls(workload: str, kernel: str) -> list:
     return seen
 
 
+def round_intertwiners(workload: str) -> list:
+    """The arguments of every `artinian.intertwiners` system one round
+    solves: the calls that miss its memo."""
+    seen, memoized = [], artinian.intertwiners
+
+    def record(*args):
+        misses = memoized.cache_info().misses
+        out = memoized(*args)
+        if memoized.cache_info().misses > misses:
+            seen.append(args)
+        return out
+
+    artinian.intertwiners = record
+    try:
+        for _ in round_shards(workload):
+            pass
+    finally:
+        artinian.intertwiners = memoized
+    return seen
+
+
 def mmul_table(rng, repeats: int) -> None:
     print("field".ljust(12) + "".join(f"n={n}".rjust(10) for n in SIZES) + "   (us/call)")
     for p, d, kind in ROWS:
@@ -281,6 +311,26 @@ def workload_replays(repeats: int) -> None:
     replay_table(mmuls, "mmul", "SMALL_MMUL_MACS", MMUL_BOUNDS, repeats)
 
 
+def intertwiners_table(repeats: int) -> None:
+    """Per workload, one round's intertwiner systems solved as they are
+    (`intertwiners`, memo bypassed) and by the Kronecker reference."""
+    solvers = {"sparse": artinian.intertwiners.__wrapped__, "kron": kron_intertwiners}
+    print("workload".ljust(18) + "systems".rjust(8) + "".join(k.rjust(8) for k in solvers)
+          + "   (ms per replay)")
+
+    def replay(solve, calls):
+        t0 = time.perf_counter()
+        for args in calls:
+            solve(*args)
+        return time.perf_counter() - t0
+
+    for workload in WORKLOADS:
+        calls = round_intertwiners(workload)
+        samples = [[replay(solve, calls) for solve in solvers.values()] for _ in range(repeats)]
+        ms = 1e3 * np.median(samples, axis=0)
+        print(workload.ljust(18) + f"{len(calls):8d}" + "".join(f"{t:8.1f}" for t in ms))
+
+
 def build_table(repeats: int) -> None:
     print("field".ljust(12) + "build".rjust(10) + "   (ms)")
     for p, d in BUILDS:
@@ -309,6 +359,8 @@ def main() -> None:
     rref_table(rng, repeats)
     print()
     workload_replays(repeats)
+    print()
+    intertwiners_table(repeats)
     print()
     build_table(repeats)
     print()
