@@ -92,8 +92,8 @@ def _int_field(cmd, key, default, lo=None):
 
 
 def _exponents(vectors, what):
-    return [tuple(_int(e, f"{what} entry", lo=0) for e in _container(vec, list, f"{what} vector"))
-            for vec in _container(vectors, list, what)]
+    return [tuple(_int(e, f"{what} entry", lo=0) for e in _container(v, list, f"{what} vector"))
+            for v in _container(vectors, list, what)]
 
 
 def _decode_scalar(field, v, what="field element"):

@@ -70,6 +70,13 @@ def _companion(p: int, low) -> np.ndarray:
     return c
 
 
+def _has_root(powers: np.ndarray, p: int, low) -> bool:
+    """Whether f = t^m + sum(low[i] t^i) vanishes at one of x = 1 .. p - 1
+    in GF(p), `powers` the x^i for i <= m: one product, exact as x^i is
+    below p^m <= MAX_ORDER."""
+    return not (powers @ (*low, 1) % p).all()
+
+
 @functools.lru_cache(maxsize=None)
 def canonical_modulus(p: int, m: int) -> tuple:
     """Smallest monic irreducible of degree m over GF(p), low-first coeffs.
@@ -79,14 +86,19 @@ def canonical_modulus(p: int, m: int) -> tuple:
     companion matrix C: C^(p^m) = C, and C^(p^(m/l)) - C is invertible for
     each prime l | m.  The minimal polynomial of C is f, so g(C) = 0 iff
     f | g, and g(C) is invertible iff gcd(g, f) = 1: these are Rabin's
-    conditions f | t^(p^m) - t and gcd(t^(p^(m/l)) - t, f) = 1.  Degree 1
-    returns t before any matrix work, so GF(p) never needs itself.
+    conditions f | t^(p^m) - t and gcd(t^(p^(m/l)) - t, f) = 1.  A
+    candidate with a root in GF(p) has a linear factor and is passed over
+    before any matrix power.  Degree 1 returns t before any matrix work, so
+    GF(p) never needs itself.
     """
     if m == 1:
         return (0, 1)
     fp = GF(p)
+    powers = np.vander(np.arange(1, p, dtype=np.int64), m + 1, increasing=True)
     for code in (c for c in range(p ** m) if c % p):    # f(0) = 0 means t | f
         low = [(code // p ** i) % p for i in range(m)]
+        if _has_root(powers, p, low):
+            continue
         c = _companion(p, low)
         if (np.array_equal(mx.mat_pow(fp, c, p ** m), c)
                 and all(mx.is_invertible(fp, fp.sub(mx.mat_pow(fp, c, p ** (m // ell)), c))
@@ -297,25 +309,26 @@ class FiniteField:
 
 @functools.lru_cache(maxsize=None)
 def _embedding_table(p: int, deg: int, target_deg: int) -> np.ndarray:
-    """The table of GF(p^deg).embedding(GF(p^target_deg)).  The root search
-    evaluates the modulus on the target's one subfield of order p^deg, which
-    holds every root: 0 and the powers g^(k (p^target_deg - 1) / (p^deg - 1))
-    of its generator, sorted.  For equal degrees that is the whole field,
-    the smallest root is t itself (codes below p are the prime field), and
-    the table is the identity."""
+    """The table of GF(p^deg).embedding(GF(p^target_deg)): the code of
+    digits d_i goes to sum d_i r^i, r the smallest root of the modulus in
+    the target, so the table is one GF(p) product of the digit table with
+    the digits of r^i.  For deg = 1 (root 0) or deg = target_deg (root t:
+    codes below p are the prime field) it is the identity.  Otherwise the
+    roots lie in the target's one subfield of order p^deg, whose nonzero
+    elements are the powers g^(k (p^target_deg - 1) / (p^deg - 1)) of its
+    generator (f(0) != 0); each, sorted, is evaluated as the digits of
+    x^0 .. x^deg weighted by the modulus."""
     src, target = GF(p, deg), GF(p, target_deg)
-    cand = (np.sort(np.append(target._exp[::(target.order - 1) // (src.order - 1)], 0))
-            if deg < target_deg else target.elements())
-    vals = np.zeros(cand.size, dtype=np.int64)
-    for c in src.modulus[::-1]:
-        vals = target.add(target.mul(vals, cand), np.full(cand.size, c))
-    roots = cand[vals == 0]
-    if len(roots) == 0:
-        raise RuntimeError("modulus has no root in target field")
-    table, acc = np.zeros(src.order, dtype=np.int64), np.int64(1)
-    for digit in src.digits(src.elements()).T:
-        table = target.add(table, target.mul(digit, acc))
-        acc = target.mul(acc, roots[0])
+    if deg in (1, target_deg):
+        table = np.arange(src.order, dtype=np.int64)
+    else:
+        n = target.order - 1
+        cand = np.sort(target._exp[::n // (src.order - 1)])
+        powers = target._dig[target._exp[np.outer(target._log[cand], np.arange(deg + 1)) % n]]
+        roots = np.flatnonzero(~((np.array(src.modulus) @ powers) % p).any(axis=1))
+        if roots.size == 0:
+            raise RuntimeError("modulus has no root in target field")
+        table = mx.mmul(GF(p), src._dig, powers[roots[0], :deg]) @ target._pw
     table.flags.writeable = False
     return table
 

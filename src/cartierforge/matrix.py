@@ -40,12 +40,12 @@ def dot_chunk(p: int) -> int:
 # multiply-adds are multiplied on Python ints (`_mmul_zech`); numpy pays
 # two `max` scans, a digit gather and a regular representation whatever
 # the size.  The mmul replay of `python3 tools/kernel_bench.py` (as for
-# SMALL_RREF_CELLS; "int": all on ints) has its least at 27, flat to 128:
-#                             np      8     27     64    128    256    int
-#   extension-field         75.1   64.4   59.5   59.6   60.0   61.6   63.3
-# On dense random operands ints win to 3 x 3 x 3 and lose by 1.4-1.9x at
-# 5 x 5 x 5 (GF(4) to GF(2^8)).
-SMALL_MMUL_MACS = 27
+# SMALL_RREF_CELLS; "int": all on ints), per column the median of 5 runs:
+#                         np     8    27    64   128   256   512   int
+#   extension-field     44.7  39.8  34.8  33.3  32.6  33.3  35.2  39.3
+# It is flat from 27 to 256: past 27, products with a code outside GF(p)
+# gain on ints and those with every code below p lose.
+SMALL_MMUL_MACS = 128
 
 
 def mmul(F: FiniteField, a, b) -> np.ndarray:
@@ -196,10 +196,10 @@ def _rref_ints(F: FiniteField, a: np.ndarray) -> tuple[np.ndarray, tuple[int, ..
     """`rref` by Gauss-Jordan on the rows as lists of Python ints, exact as
     they do not overflow.  Only the row ops depend on the field: over GF(p)
     `pow(v, -1, p)` and `(x - c*y) % p`, over GF(p^m) y / v = g^(log y -
-    log v + n) and `_zech_axpy`.  Every code written back is reduced."""
+    log v + n) and `_zech_add`.  Every code written back is reduced."""
     p, ext = F.p, F.deg > 1
     if ext:
-        n, log, exp, _, neg = F._zech_tables
+        n, log, exp, _, neg = tables = F._zech_tables
     nrows, ncols = a.shape
     rows = a.tolist()
     pivots = []
@@ -222,48 +222,52 @@ def _rref_ints(F: FiniteField, a: np.ndarray) -> tuple[np.ndarray, tuple[int, ..
             inv = pow(v, -1, p)
             prow = [x * inv % p for x in prow]
         rows[row] = prow
-        axpy = _zech_axpy(F, enumerate(prow), neg) if ext else None   # r += (-c) prow
+        ly = _zech_logs(log, enumerate(prow)) if ext else None
         for i, r in enumerate(rows):
             c = r[col]
-            if c and i != row:
-                rows[i] = axpy(r, c) if ext else [(x - c * y) % p for x, y in zip(r, prow)]
+            if c and i != row and ext:          # r += (-c) prow
+                _zech_add(r, (log[c] + neg) % n, ly, tables)
+            elif c and i != row:
+                rows[i] = [(x - c * y) % p for x, y in zip(r, prow)]
         pivots.append(col)
         row += 1
     return np.array(rows, dtype=np.int64).reshape(nrows, ncols), tuple(pivots)
 
 
-def _zech_axpy(F: FiniteField, y, off: int):
-    """(r, c) -> r += g^off c y in place over GF(p^m), y as (index, code)
-    pairs, r a list or defaultdict, g the generator, n = q - 1.  With t =
-    (log c + off) mod n, w = t + log y < 2n: x + g^w = g^(log x + zech[(w -
-    log x) mod n]), 0 where zech is -1, 0 + g^w = g^w; exp indices < 2n."""
-    n, log, exp, zech, _ = F._zech_tables
-    nz = [(j, log[v]) for j, v in y if v]
+def _zech_logs(log, y) -> list:
+    """The (index, code) pairs y as (index, log code) pairs, zero codes
+    left out: log 0 reads 0, the log of 1."""
+    return [(j, log[v]) for j, v in y if v]
 
-    def axpy(r, c):
-        t = (log[c] + off) % n
-        for j, ly in nz:
-            x, w = r[j], t + ly
-            if x:
-                lx = log[x]
-                z = zech[(w - lx) % n]
-                r[j] = exp[lx + z] if z >= 0 else 0
-            else:
-                r[j] = exp[w]
-        return r
-    return axpy
+
+def _zech_add(r, t: int, ly, tables) -> None:
+    """r += g^t y in place over GF(p^m), y as its `_zech_logs` ly, r a list
+    or defaultdict of codes, g the generator, t < n = q - 1, `tables` those
+    of `F._zech_tables`.  With w = t + log y < 2n, x + g^w = g^(log x +
+    zech[(w - log x) mod n]), 0 where zech is -1, and 0 + g^w = g^w."""
+    n, log, exp, zech, _ = tables
+    for j, l in ly:
+        x, w = r[j], t + l
+        if x:
+            lx = log[x]
+            z = zech[(w - lx) % n]
+            r[j] = exp[lx + z] if z >= 0 else 0
+        else:
+            r[j] = exp[w]
 
 
 def _mmul_zech(F: FiniteField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """`mmul` over GF(p^m) on Python ints: row i is the sum of a[i, k] b[k],
-    one `_zech_axpy` per nonzero a[i, k]."""
-    axpys = [_zech_axpy(F, enumerate(y), 0) for y in b.tolist()]
+    one `_zech_add` per nonzero a[i, k], the logs of b taken once."""
+    tables = F._zech_tables
+    log = tables[1]
+    ys = [_zech_logs(log, enumerate(y)) for y in b.tolist()]
     out = [[0] * b.shape[1] for _ in range(a.shape[0])]
     for acc, x in zip(out, a.tolist()):
-        for axpy, c in zip(axpys, x):
+        for ly, c in zip(ys, x):
             if c:
-                axpy(acc, c)
-    return np.array(out, dtype=np.int64).reshape(a.shape[0], b.shape[1])
+                _zech_add(acc, log[c], ly, tables)
+    return np.array(out, dtype=np.int64) if out else zeros(0, b.shape[1])
 
 
 def rank(F: FiniteField, a) -> int:
@@ -292,11 +296,11 @@ def kernel_of_rows(F: FiniteField, rows, ncols: int) -> np.ndarray:
     from the others, each then 0 left of its column, as in the RREF."""
     p, ext = F.p, F.deg > 1
     if ext:
-        n, log, exp, _, neg = F._zech_tables
+        n, log, exp, _, neg = tables = F._zech_tables
 
     def add(r, x, y):       # r += x y in place, r a defaultdict: `_rref_ints`' step
         if ext:
-            return _zech_axpy(F, y.items(), 0)(r, x)
+            return _zech_add(r, log[x], _zech_logs(log, y.items()), tables)
         for j, v in y.items():
             r[j] = (r[j] + x * v) % p
 
@@ -366,11 +370,6 @@ def inverse(F: FiniteField, a):
     """Inverse matrix, or None when a @ X = I has no unique solution."""
     x, unique = solve_full(F, a, identity(len(a)))
     return x if unique else None
-
-
-def vec(a) -> np.ndarray:
-    """Column-stacking vectorization (Fortran order)."""
-    return np.asarray(a, dtype=np.int64).reshape(-1, order="F")
 
 
 def unvec(v, r: int, c: int) -> np.ndarray:

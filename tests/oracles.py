@@ -9,9 +9,10 @@ powers one factor at a time with their rank chain, the Sol attainment
 degree by search, conjugacy classes in GL_n(F_q) by enumeration, the Hom/tensor twist
 law, the Kashiwara round trip i-flat o i_* = id, field embedding
 tables by a root search over the whole target field, the Hasse
-invariant by the full polynomial power, and the Kronecker product with
-the intertwiner space solved from its stacked Kronecker system.  They live with the
-tests so that they stay independent of the code under test.
+invariant by the full polynomial power, column-stacking vec, and the
+Kronecker product with the intertwiner space solved from its stacked
+Kronecker system.  They live with the tests so that they stay independent
+of the code under test.
 """
 
 import itertools
@@ -61,6 +62,11 @@ def hom_list(ker, rows, cols):
 
 
 # -- the Kronecker form of intertwiner systems --
+
+
+def vec(a) -> np.ndarray:
+    """Column-stacking vectorization (Fortran order)."""
+    return np.asarray(a, dtype=np.int64).reshape(-1, order="F")
 
 
 def kron(F, a, b) -> np.ndarray:

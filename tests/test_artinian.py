@@ -16,7 +16,7 @@ from cartierforge.field import GF, MAX_RING_DIM
 from cartierforge.generate import (artinian_corpus, random_invertible, random_module,
                                    random_structure)
 from cartierforge.structures import CARTIER, validate
-from oracles import hom_list
+from oracles import hom_list, vec
 
 
 @pytest.fixture
@@ -122,8 +122,8 @@ def test_hom_module_structure_is_target_action(fixture_ring):
     basis = hom_list(ker, m.dim, m.dim)
     for j, hm in enumerate(basis):
         img = mx.mmul(F, m.actions[0], hm)
-        coords = mx.solve(F, np.stack([mx.vec(b) for b in basis], axis=1),
-                          mx.vec(img))
+        coords = mx.solve(F, np.stack([vec(b) for b in basis], axis=1),
+                          vec(img))
         assert np.array_equal(coords, h.actions[0][:, j])
 
 

@@ -37,7 +37,7 @@ from cartierforge.structures import (CARTIER, CartierModule, UnitalizeResult,
                                      cartier_module, flat_cartier, is_morphism,
                                      iterate_structure, nil_isomorphism_check,
                                      quotient_structure, unitalize, zero_module)
-from oracles import hom_list
+from oracles import hom_list, vec
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2)]     # GF(2), GF(3), GF(4), GF(9)
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -50,8 +50,8 @@ CORPUS = artinian_corpus(2024, 60)
 def ref_hom_coords(F, basis, h):
     if not basis:
         return np.zeros(0, dtype=np.int64) if not h.size or not h.any() else None
-    stacked = np.stack([mx.vec(b) for b in basis], axis=1)
-    return mx.solve(F, stacked, mx.vec(h))
+    stacked = np.stack([vec(b) for b in basis], axis=1)
+    return mx.solve(F, stacked, vec(h))
 
 
 def ref_adjoint_structural(m):
@@ -309,15 +309,15 @@ def test_hom_coords_edge_cases(p, d):
     # empty basis: zero targets have empty coordinates, others are outside
     assert hom_coords(F, empty, zero_targets).shape == (0, 3)
     assert hom_coords(F, empty, mx.zeros(4, 0)).shape == (0, 0)
-    assert hom_coords(F, empty, np.stack([mx.vec(e00)], axis=1)) is None
+    assert hom_coords(F, empty, np.stack([vec(e00)], axis=1)) is None
     # the hom space of 0-dimensional matrices: no rows and no columns
     assert hom_coords(F, mx.zeros(0, 0), mx.zeros(0, 2)).shape == (0, 2)
     # zero targets have zero coordinates
-    ker = np.stack([mx.vec(e00), mx.vec(e11)], axis=1)
+    ker = np.stack([vec(e00), vec(e11)], axis=1)
     assert np.array_equal(hom_coords(F, ker, zero_targets), mx.zeros(2, 3))
     # one out-of-span column sinks the whole solve, as it sinks the loop
-    inside = np.stack([mx.vec(e00), mx.vec(e11)], axis=1)
-    outside = np.hstack([inside, mx.vec(mx.mat([[0, 1], [0, 0]]))[:, None]])
+    inside = np.stack([vec(e00), vec(e11)], axis=1)
+    outside = np.hstack([inside, vec(mx.mat([[0, 1], [0, 0]]))[:, None]])
     assert np.array_equal(hom_coords(F, ker, inside), mx.identity(2))
     assert hom_coords(F, ker, outside) is None
     assert per_column(F, [e00, e11], outside, (2, 2)) is None

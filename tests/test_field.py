@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from cartierforge import field
 from cartierforge.field import (GF, FiniteField, _embedding_table,
                                 canonical_modulus, is_prime)
 from oracles import RefField, embedding_table_full_search, poly_mod, poly_mul
@@ -247,3 +248,19 @@ def test_canonical_modulus_is_least_irreducible():
         for smaller in range(code):
             digits = [(smaller // p ** i) % p for i in range(m)]
             assert not irreducible(digits + [1], p)
+
+
+def test_planted_root_filter_fails_the_least_irreducible_check(monkeypatch):
+    """A root filter that also passes over t^2 + 1, the least monic
+    irreducible of degree 2 over GF(3), makes the search return t^2 + t + 2,
+    which the check above must reject."""
+    has_root = field._has_root
+    monkeypatch.setattr(field, "_has_root", lambda powers, p, low: (
+        has_root(powers, p, low) or (p, list(low)) == (3, [1, 0])))
+    canonical_modulus.cache_clear()
+    try:
+        assert canonical_modulus(3, 2) == (2, 1, 1)
+        with pytest.raises(AssertionError):
+            test_canonical_modulus_is_least_irreducible()
+    finally:
+        canonical_modulus.cache_clear()      # the next call searches unplanted

@@ -27,7 +27,7 @@ from cartierforge.field import GF
 from cartierforge.generate import (random_invertible, random_module,
                                    random_structure)
 from cartierforge.structures import CARTIER, cartier_module, f_module
-from oracles import hom_list, kron
+from oracles import hom_list, kron, vec
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2)]     # GF(2), GF(3), GF(4), GF(9)
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -47,7 +47,7 @@ def ref_hom_module(m, n):
     basis = [mx.unvec(ker[:, k], n.dim, m.dim) for k in range(ker.shape[1])]
     acts = []
     for Xn in n.actions:
-        imgs = [mx.vec(mx.mmul(F, Xn, H)) for H in basis]
+        imgs = [vec(mx.mmul(F, Xn, H)) for H in basis]
         coords = mx.solve(F, ker, np.stack(imgs, axis=1)) if basis else mx.zeros(0, 0)
         acts.append(coords if basis else mx.zeros(0, 0))
     return FinModule(m.ring, len(basis), tuple(acts)), basis
@@ -67,7 +67,7 @@ def ref_f_flat(m, power=1):
     basis = [mx.unvec(ker[:, k], m.dim, R.dim) for k in range(ker.shape[1])]
     acts = []
     for mu in R.mult_ops:
-        imgs = [mx.vec(mx.mmul(F, H, mu)) for H in basis]
+        imgs = [vec(mx.mmul(F, H, mu)) for H in basis]
         coords = mx.solve(F, ker, np.stack(imgs, axis=1)) if basis else mx.zeros(0, 0)
         acts.append(coords)
     return FinModule(R, len(basis), tuple(acts)), basis
@@ -89,7 +89,7 @@ def ref_pair_C_to_F(m, n):
         lhs_blocks.append(kron(F, mx.identity(dm), ka))
         rhs_rows.append(mx.mmul(F, m.kappa, acts_m[l]))
     lhs = np.vstack(lhs_blocks)
-    rhs = np.stack([np.concatenate([mx.vec(mx.mmul(F, H, r)) for r in rhs_rows])
+    rhs = np.stack([np.concatenate([vec(mx.mmul(F, H, r)) for r in rhs_rows])
                     for H in basis], axis=1)
     # a non-unit target is named before the system is solved
     if mx.rank(F, lhs) < dn * dm:
@@ -99,9 +99,9 @@ def ref_pair_C_to_F(m, n):
         raise ValueError("pairing is unsolvable: the source structure is not "
                          "equivariant or the target is not unit (check both "
                          "modules with validate)")
-    stacked = np.stack([mx.vec(b) for b in basis], axis=1)
+    stacked = np.stack([vec(b) for b in basis], axis=1)
     coords = mx.solve(F, stacked, np.stack(
-        [mx.vec(mx.unvec(sol[:, j], dn, dm)) for j in range(len(basis))], axis=1))
+        [vec(mx.unvec(sol[:, j], dn, dm)) for j in range(len(basis))], axis=1))
     if coords is None:
         raise RuntimeError("pairing image left the hom space")
     return f_module(hom, coords, m.power), basis

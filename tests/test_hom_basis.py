@@ -24,7 +24,7 @@ from cartierforge.structures import (_kappa_stack, adjoint_structural,
                                      cartier_module, direct_sum_structured,
                                      f_module, flat_cartier, is_unit,
                                      unitalize, validate)
-from oracles import hom_list
+from oracles import hom_list, vec
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2)]     # GF(2), GF(3), GF(4), GF(9)
 
@@ -39,7 +39,7 @@ def ref_images(F, ker, shape, left, right):
             H = mx.mmul(F, left, H)
         if right is not None:
             H = mx.mmul(F, H, right)
-        out[:, j] = mx.vec(H)
+        out[:, j] = vec(H)
     return out
 
 

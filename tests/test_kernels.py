@@ -11,7 +11,10 @@ above, and over GF(p^m) `mmul` too: Zech logarithms on Python ints up to
 each path with its bound forced either way.  `kernel_of_rows`, and the
 `intertwiners` systems it solves, must equal `kernel` of the stacked
 Kronecker system (`tests/oracles.py`); a planted solve that skips the
-clearing of earlier pivot rows must fail that check.
+clearing of earlier pivot rows must fail that check.  The one Zech step
+of the three GF(p^m) kernels skips the zero entries of the row it adds;
+a planted step that keeps them must fail the product property and a
+`kernel_of_rows` check on systems that leave a zero in a pivot row.
 """
 
 import __future__
@@ -318,9 +321,9 @@ def test_prime_entry_rref_over_gf9_equals_rref_over_gf3():
 
 # -- the Zech path over GF(p^m) --
 
-# GF(4), GF(8), GF(9), GF(25), GF(27), GF(2^8), and GF(BIG_SQ^2), whose
-# log indices run highest
-ZECH_FIELDS = [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (2, 8), (BIG_SQ, 2)]
+# GF(4), GF(8), GF(9), GF(16), GF(25), GF(27), GF(2^8), and GF(BIG_SQ^2),
+# whose log indices run highest
+ZECH_FIELDS = [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (2, 8), (BIG_SQ, 2)]
 
 
 @pytest.mark.parametrize("p,d", ZECH_FIELDS)
@@ -384,13 +387,20 @@ def test_zech_rref_rank_kernel_match_reference(case):
 def test_zech_mmul_matches_reference(case):
     F, a, b = case
     before = a.copy(), b.copy()
-    ref = ref_mmul(F, *before)
+    assert zech_product_is_right(F, a, b)
+    assert np.array_equal(a, before[0]) and np.array_equal(b, before[1])
+
+
+def zech_product_is_right(F, a, b) -> bool:
+    """`_mmul_zech`, and `mmul` on each path, equal `ref_mmul`: values,
+    shape and dtype."""
+    ref = ref_mmul(F, a, b)
+    got = [mx._mmul_zech(F, a, b)]
     for path in MMUL_PATHS:
         with mmul_path(path):
-            out = mx.mmul(F, a, b)
-            assert out.dtype == np.int64 and out.shape == ref.shape
-            assert np.array_equal(out, ref)
-    assert np.array_equal(a, before[0]) and np.array_equal(b, before[1])
+            got.append(mx.mmul(F, a, b))
+    return all(g.dtype == np.int64 and g.shape == ref.shape and np.array_equal(g, ref)
+               for g in got)
 
 
 @pytest.mark.parametrize("p,d", [(2, 3), (3, 3)])
@@ -412,6 +422,45 @@ def test_mmul_path_is_chosen_by_field_shape_and_size(p, d, monkeypatch):
     mx.mmul(F, np.ones(2, dtype=np.int64), np.full((2, 2), p))
     mx.mmul(GF(p), np.ones((2, 2), dtype=np.int64), np.ones((2, 2), dtype=np.int64))
     assert calls == [((1, bound), (bound, 1)), ((1, 1), (1, 1))]
+
+
+# -- the one Zech step (`matrix._zech_add` on `matrix._zech_logs`) --
+
+@st.composite
+def cancelling_system(draw):
+    """Rows over ZECH_FIELDS whose reduction leaves a zero-valued entry in
+    a pivot row.  The first row gives pivot 0 the row {1: -a, 2: -b}; the
+    second, pivot 1 with {2: -b/a, 3: -d}, clears column 1 from it, and
+    -b + (-a)(-b/a) = 0 stays at column 2, which the third row, reduced by
+    pivot 0, then meets.  Columns are renamed by a permutation of 0-4."""
+    F = GF(*draw(st.sampled_from(ZECH_FIELDS)))
+    a, b, d, e = (draw(st.integers(1, F.order - 1)) for _ in range(4))
+    name = draw(st.permutations(range(5)))
+    rows = [{0: 1, 1: a, 2: b}, {1: 1, 2: int(F.div(b, a)), 3: d}, {0: 1, 2: e}]
+    return F, [{name[j]: v for j, v in r.items()} for r in rows]
+
+
+def solves_as_stacked(F, rows) -> bool:
+    """`kernel_of_rows` equals the reference kernel of the rows stacked."""
+    stacked = mx.zeros(len(rows), 5)
+    for i, r in enumerate(rows):
+        stacked[i, list(r)] = list(r.values())
+    return np.array_equal(mx.kernel_of_rows(F, iter(rows), 5), ref_kernel(F, stacked))
+
+
+@SETTINGS
+@given(cancelling_system())
+def test_kernel_of_rows_skips_a_cancelled_entry(case):
+    assert solves_as_stacked(*case)
+
+
+def test_planted_zero_log_fails_the_properties(monkeypatch):
+    """A step that takes zero entries of y too, reading log 0 = 0 as the
+    log of 1, must fail both the product and the Hom-solve property."""
+    monkeypatch.setattr(mx, "_zech_logs", lambda log, y: [(j, log[v]) for j, v in y])
+    never = settings(max_examples=500, database=None)
+    find(zech_operands(), lambda case: not zech_product_is_right(*case), settings=never)
+    find(cancelling_system(), lambda case: not solves_as_stacked(*case), settings=never)
 
 
 @pytest.mark.parametrize("p,d", FIELDS)

@@ -7,7 +7,7 @@ import pytest
 
 from cartierforge import matrix as mx
 from cartierforge.field import GF
-from oracles import kron
+from oracles import kron, vec
 
 
 def rand_mat(rng, F, r, c):
@@ -95,6 +95,6 @@ def test_kron_vec_consistency():
         a = rand_mat(rng, F, 2, 3)
         h = rand_mat(rng, F, 3, 2)
         b = rand_mat(rng, F, 2, 2)
-        lhs = mx.vec(mx.mmul(F, a, mx.mmul(F, h, b)))
-        rhs = mx.mmul(F, kron(F, b.T, a), mx.vec(h))
+        lhs = vec(mx.mmul(F, a, mx.mmul(F, h, b)))
+        rhs = mx.mmul(F, kron(F, b.T, a), vec(h))
         assert np.array_equal(lhs, rhs)

@@ -41,9 +41,12 @@ system A_i^T (x) I - I (x) B_i with `matrix.kernel`, the reference
 `kron_intertwiners` of `tests/oracles.py`; the median over R repeats of
 the milliseconds one replay takes, the two alternating.
 The build table gives the time in milliseconds to build GF(4), GF(27),
-GF(2^8), GF(3^6), GF(2^16) and GF(2039^2): the median over R builds, each
-with the `GF` and `canonical_modulus` caches cleared, so that it finds
-the modulus and the generator and fills the tables anew.
+GF(2^6), GF(3^4), GF(5^4), GF(2^8), GF(3^6), GF(2^16) and GF(2039^2):
+the median over R builds, each with the `GF` and `canonical_modulus`
+caches cleared, so that it finds the modulus and the generator and fills
+the tables anew.  GF(2^6), GF(3^4), GF(5^4), GF(2^8) and GF(3^6) are the
+fields that `extension-field` builds inside its timed commands, as the
+benchmark empties every cache before each shard.
 The memo table gives the calls, hits and misses of every memo in
 `artinian.MEMOS` (a miss is one result computed), per benchmark workload,
 first over one unsharded pass: every command of every file under
@@ -95,7 +98,7 @@ RREF_SHAPES = {"square": lambda k: (k, k), "tall": lambda k: (2 * k, k),
 RREF_PATHS = {"int": 1 << 62, "np": -1}           # SMALL_RREF_CELLS forcing each
 RREF_BOUNDS = [-1, 16, 36, 64, 144, 256, 400, 576, 1024, 1 << 62]
 MMUL_BOUNDS = [-1, 8, 27, 64, 128, 256, 512, 1 << 62]
-BUILDS = [(2, 2), (3, 3), (2, 8), (3, 6), (2, 16), (2039, 2)]
+BUILDS = [(2, 2), (3, 3), (2, 6), (3, 4), (5, 4), (2, 8), (3, 6), (2, 16), (2039, 2)]
 
 
 def per_call_us(calls: dict, repeats: int) -> dict:
