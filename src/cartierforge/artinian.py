@@ -58,80 +58,6 @@ class ArtinRing:
         return f"ArtinRing(GF({self.field.p}^{self.field.deg})[{','.join(self.vars)}]/({rels}))"
 
 
-# -- memos --
-
-MEMOS: list = []    # every memo, for the tests and tools that empty or count them
-_INT64 = np.dtype(np.int64)     # the dtype of every array the package builds
-
-
-def _key(a):
-    """The memo key of one argument: MEMO_KEYS of its type, else itself."""
-    key = MEMO_KEYS.get(type(a))
-    return a if key is None else key(a)
-
-
-def _seq_key(s) -> tuple:
-    return tuple(map(_key, s))
-
-
-# How a memo keys an argument of each type; structures.py adds the Cartier
-# and Frobenius structures.
-MEMO_KEYS = {
-    np.ndarray: lambda a: (a.shape, (a if a.dtype is _INT64 else a.astype(np.int64)).tobytes()),
-    tuple: _seq_key,
-    list: _seq_key,
-    # key() ignores the ambient ring and the quotient generators
-    ArtinRing: lambda r: (r.key(), _key(r.ambient), r.quotient_gens),
-}
-
-
-def _freeze(out) -> None:
-    """Make every array of a memo result read-only: arrays, tuples of
-    them, a ring's multiplications, a structure's matrix and actions."""
-    if isinstance(out, np.ndarray):
-        out.flags.writeable = False
-    elif isinstance(out, tuple):
-        for a in out:
-            _freeze(a)
-    elif isinstance(out, ArtinRing):
-        _freeze(out.mult_ops)
-    elif hasattr(out, "mat"):                 # a Cartier or Frobenius structure
-        _freeze((out.mat, out.module.actions))
-
-
-def memo(maxsize: int):
-    """Memoize a function on the content of its positional arguments: an
-    array by its shape and int64 bytes, a ring by key() with its ambient
-    ring and quotient generators, a Cartier or Frobenius structure by kind,
-    power, ring, matrix and actions, anything else as itself.
-
-    At most `maxsize` entries, the least recently used dropped first.  A
-    hit returns the objects the miss returned, and every array in them is
-    read-only; a caller that wants to write copies first.  The memo keeps
-    `cache_clear` and `cache_info` and joins MEMOS."""
-    def decorate(fn):
-        latest = ()         # the arguments of the call being looked up
-
-        @functools.lru_cache(maxsize)
-        def solve(key: tuple):
-            # lru_cache passes the key alone; a miss computes from the
-            # arguments that made it, read before fn can call this memo again
-            out = fn(*latest)
-            _freeze(out)
-            return out
-
-        @functools.wraps(fn)
-        def memoized(*args):
-            nonlocal latest
-            latest = args
-            return solve(tuple(map(_key, args)))
-
-        memoized.cache_clear, memoized.cache_info = solve.cache_clear, solve.cache_info
-        MEMOS.append(memoized)
-        return memoized
-    return decorate
-
-
 def _divides(a, b) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
@@ -227,18 +153,91 @@ class FinModule:
         return out
 
 
+# -- memos --
+
+MEMOS: list = []    # every memo, for the tests and tools that empty or count them
+
+
+def _key(a):
+    """The memo key of one argument: MEMO_KEYS of its type, else itself."""
+    key = MEMO_KEYS.get(type(a))
+    return a if key is None else key(a)
+
+
+def _seq_key(s) -> tuple:
+    return tuple(map(_key, s))
+
+
+# How a memo keys an argument of each type; structures.py adds the Cartier
+# and Frobenius structures.
+MEMO_KEYS = {
+    np.ndarray: lambda a: (a.shape, (a if a.dtype is mx.INT64 else a.astype(np.int64)).tobytes()),
+    tuple: _seq_key,
+    list: _seq_key,
+    # key() ignores the ambient ring and the quotient generators
+    ArtinRing: lambda r: (r.key(), _key(r.ambient), r.quotient_gens),
+    FinModule: lambda m: (_key(m.ring), m.dim, _key(m.actions)),
+}
+
+
+def _freeze(out) -> None:
+    """Make every array of a memo result read-only: arrays, tuples of them,
+    a ring's multiplications, a module's actions, a structure's matrix."""
+    if isinstance(out, np.ndarray):
+        out.flags.writeable = False
+    elif isinstance(out, tuple):
+        for a in out:
+            _freeze(a)
+    elif isinstance(out, ArtinRing):
+        _freeze(out.mult_ops)
+    elif isinstance(out, FinModule):
+        _freeze(out.actions)
+    elif hasattr(out, "mat"):                 # a Cartier or Frobenius structure
+        _freeze((out.mat, out.module))
+
+
+def memo(maxsize: int):
+    """Memoize a function on the content of its positional arguments: an
+    array by its shape and int64 bytes, a ring by key() with its ambient
+    ring and quotient generators, a module by ring, dim and actions, a
+    structure by kind, power, matrix and module, anything else as itself.
+
+    At most `maxsize` entries, the least recently used dropped first.  A
+    hit returns the objects the miss returned, and every array in them is
+    read-only; a caller that wants to write copies first.  The memo keeps
+    `cache_clear` and `cache_info` and joins MEMOS."""
+    def decorate(fn):
+        latest = ()         # the arguments of the call being looked up
+
+        @functools.lru_cache(maxsize)
+        def solve(key: tuple):
+            # lru_cache passes the key alone; a miss computes from the
+            # arguments that made it, read before fn can call this memo again
+            out = fn(*latest)
+            _freeze(out)
+            return out
+
+        @functools.wraps(fn)
+        def memoized(*args):
+            nonlocal latest
+            latest = args
+            return solve(tuple(map(_key, args)))
+
+        memoized.cache_clear, memoized.cache_info = solve.cache_clear, solve.cache_info
+        MEMOS.append(memoized)
+        return memoized
+    return decorate
+
+
 def module_violations(m: FinModule) -> list[str]:
     """The ring laws `m` breaks: commuting actions, relations acting by 0."""
-    ring, actions = m.ring, m.actions
-    F = ring.field
-    out = []
-    for i in range(len(actions)):
-        for j in range(i + 1, len(actions)):
-            if not np.array_equal(mx.mmul(F, actions[i], actions[j]),
-                                  mx.mmul(F, actions[j], actions[i])):
-                out.append(f"actions of {ring.vars[i]} and {ring.vars[j]} do not commute")
+    ring, actions, n, d = m.ring, m.actions, len(m.actions), m.dim
+    if n > 1:   # P[i, :, j] = X_i X_j: every product of two actions from one
+        P = mx.mmul(ring.field, np.vstack(actions), np.hstack(actions)).reshape(n, d, n, d)
+    out = [f"actions of {ring.vars[i]} and {ring.vars[j]} do not commute"
+           for i in range(n) for j in range(i + 1, n) if not mx.equal(P[i, :, j], P[j, :, i])]
     for rel in ring.relations:
-        if actions and m.action_of(rel).any():
+        if actions and mx.nonzero(m.action_of(rel)):
             out.append(f"relation monomial {rel} does not annihilate")
     return out
 
@@ -286,16 +285,15 @@ def direct_sum(a: FinModule, b: FinModule) -> FinModule:
     return FinModule(a.ring, a.dim + b.dim, tuple(acts))
 
 
-@memo(512)
-def intertwiners(F: FiniteField, As, Bs, rows: int, cols: int) -> np.ndarray:
+def intertwiners(F: FiniteField, As, Bs, rows: int, cols: int, return_free: bool = False):
     """The space { H (rows x cols) : H A_i = B_i H for every i }.
 
     Every Hom-type functor is such a space, and this is the one format of
     its basis: the RREF kernel of the stacked system A_i^T (x) I - I (x) B_i
     on vec H, whose column j is vec(H_j), in canonical kernel order.  Its
     equations, sum_l A_i[l, k] H[j, l] - B_i[j, l] H[l, k] with H[j, l] the
-    unknown j + rows*l, go one by one to `mx.kernel_of_rows`.  Each system
-    is solved once (`memo`, 512 entries): the kernel is shared, read-only."""
+    unknown j + rows*l, go one by one to `mx.kernel_of_rows`, which gives
+    the free rows too with `return_free`.  Not memoized: its functors are."""
 
     def equations():
         for A, B in zip(As, Bs):
@@ -311,7 +309,18 @@ def intertwiners(F: FiniteField, As, Bs, rows: int, cols: int) -> np.ndarray:
                         eq[j + rows * k] = int(F.sub(A[k][k], B[j][j]))
                         eq = {i: v for i, v in eq.items() if v}
                     yield eq
-    return mx.kernel_of_rows(F, equations(), rows * cols)
+    return mx.kernel_of_rows(F, equations(), rows * cols, return_free)
+
+
+class Hom(tuple):
+    """(module or structure, basis) of a Hom space, the basis from
+    `intertwiners`; its free rows ride along, read-only, as `free`."""
+
+    def __new__(cls, module, ker: np.ndarray, free: np.ndarray):
+        out = super().__new__(cls, (module, ker))
+        free.flags.writeable = False
+        out.free = free
+        return out
 
 
 def hom_images(F: FiniteField, ker: np.ndarray, shape, left=None, right=None) -> np.ndarray:
@@ -334,46 +343,48 @@ def hom_images(F: FiniteField, ker: np.ndarray, shape, left=None, right=None) ->
     return ker
 
 
-def hom_coords(F: FiniteField, ker: np.ndarray, targets: np.ndarray):
+def hom_coords(F: FiniteField, ker: np.ndarray, targets: np.ndarray, free=None):
     """Coordinates in the hom basis `ker`, a canonical RREF kernel basis as
     from `intertwiners`, of the matrices whose vecs are the columns of
-    `targets`.  They are read off the free rows of `ker` (the last nonzero
-    row of each column, where the basis is the identity) and checked by
-    one product: None unless they give `targets` back."""
-    free = ker.shape[0] - 1 - np.argmax(ker[::-1] != 0, axis=0) if ker.size else []
+    `targets`.  They are read off the free rows of `ker`, where the basis
+    is the identity (`free`, else the last nonzero row of each column), and
+    checked by one product: None unless they give `targets` back."""
+    if free is None:
+        free = ker.shape[0] - 1 - np.argmax(ker[::-1] != 0, axis=0) if ker.size else []
     coords = targets[free]
-    return coords if np.array_equal(mx.mmul(F, ker, coords), targets) else None
+    return coords if mx.equal(mx.mmul(F, ker, coords), targets) else None
 
 
-def _image_module(ring: ArtinRing, ker: np.ndarray, imgs: np.ndarray) -> FinModule:
+def _image_module(ring: ArtinRing, ker: np.ndarray, free: np.ndarray, imgs: np.ndarray) -> Hom:
     """The module on the hom space `ker` in which variable i sends hom j to
     column i + nvars * j of `imgs`, its coordinates read by one call."""
-    coords = hom_coords(ring.field, ker, imgs)
+    coords = hom_coords(ring.field, ker, imgs, free)
     if coords is None:
         raise ValueError("hom image left the hom space: the module actions "
                          "do not commute (check the module with validate)")
-    return FinModule(ring, ker.shape[1], tuple(coords[:, i::ring.nvars]
-                                               for i in range(ring.nvars)))
+    return Hom(FinModule(ring, ker.shape[1], tuple(coords[:, i::ring.nvars]
+                                                   for i in range(ring.nvars))), ker, free)
 
 
-def hom_module(m: FinModule, n: FinModule) -> tuple[FinModule, np.ndarray]:
+@memo(512)
+def hom_module(m: FinModule, n: FinModule) -> Hom:
     """Hom_R(M, N) as a module: solves H X^M_i = X^N_i H.
 
     Returns the hom module (action of a: H -> X^N(a) H) together with its
-    basis, the kernel matrix from `intertwiners`.
+    basis, the kernel matrix from `intertwiners`; shared, read-only (`memo`).
     """
     if m.ring.key() != n.ring.key():
         raise ValueError("hom between modules over different rings")
     F, nv = m.ring.field, m.ring.nvars
-    ker = intertwiners(F, m.actions, n.actions, n.dim, m.dim)
+    ker, free = intertwiners(F, m.actions, n.actions, n.dim, m.dim, return_free=True)
     imgs = hom_images(F, ker, (n.dim, m.dim), left=np.vstack((mx.zeros(0, n.dim), *n.actions)))
     # one product with the X_i stacked: vec(vstack_i X_i H_j) is (row, i, column)
     imgs = (imgs.reshape(n.dim, nv, m.dim, ker.shape[1], order="F").transpose(0, 2, 1, 3)
             .reshape(n.dim * m.dim, nv * ker.shape[1], order="F"))
-    return _image_module(m.ring, ker, imgs), ker
+    return _image_module(m.ring, ker, free, imgs)
 
 
-def f_flat(m: FinModule, power: int = 1) -> tuple[FinModule, np.ndarray]:
+def f_flat(m: FinModule, power: int = 1) -> Hom:
     """F^(r,flat) M = Hom_R(F^r_* R, M) with its twisted R-structure.
 
     The solution space is { Phi : Phi mu_i^(q^power) = X_i Phi }; the action
@@ -384,11 +395,11 @@ def f_flat(m: FinModule, power: int = 1) -> tuple[FinModule, np.ndarray]:
     """
     F, R = m.ring.field, m.ring
     mu_q = [_variable_power(R.basis, i, R.q ** power) for i in range(R.nvars)]
-    ker = intertwiners(F, mu_q, m.actions, m.dim, R.dim)
+    ker, free = intertwiners(F, mu_q, m.actions, m.dim, R.dim, return_free=True)
     imgs = hom_images(F, ker, (m.dim, R.dim), right=np.hstack((mx.zeros(R.dim, 0), *R.mult_ops)))
     # vec(H_j [mu_1 .. mu_n]) stacks the vec(H_j mu_i)
     imgs = imgs.reshape(m.dim * R.dim, R.nvars * ker.shape[1], order="F")
-    return _image_module(R, ker, imgs), ker
+    return _image_module(R, ker, free, imgs)
 
 
 def f_flat_dim(m: FinModule, power: int = 1) -> int:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrix as mx
-from .artinian import (ArtinRing, FinModule, hom_coords, hom_images,
+from .artinian import (ArtinRing, FinModule, Hom, hom_coords, hom_images,
                        hom_module, memo, quotient_data, regular_module, ring_make)
 from .field import GF, FiniteField, is_prime
 from .poly import Poly, smith_normal_form
@@ -65,19 +65,19 @@ _NOT_EQUIVARIANT = ("pairing image left the hom space: a structure is not "
                     "equivariant (check both modules with validate)")
 
 
-def pair_F_to_C(m: FModule, n: CartierModule) -> tuple[CartierModule, np.ndarray]:
+def pair_F_to_C(m: FModule, n: CartierModule) -> Hom:
     """Hom(M, N) as a Cartier module: f -> kappa_N o F_* f o tau_M.
 
     Returns it with its hom basis, the kernel matrix from `hom_module`."""
     if m.ring.key() != n.ring.key() or m.power != n.power:
         raise ValueError("pairing requires one ring and one Frobenius power")
     F = m.ring.field
-    hom, ker = hom_module(m.module, n.module)
+    hom, ker = space = hom_module(m.module, n.module)
     imgs = hom_images(F, ker, (n.dim, m.dim), left=n.kappa, right=m.tau)
-    coords = hom_coords(F, ker, imgs)
+    coords = hom_coords(F, ker, imgs, space.free)
     if coords is None:
         raise ValueError(_NOT_EQUIVARIANT)
-    return cartier_module(hom, coords, m.power), ker
+    return Hom(cartier_module(hom, coords, m.power), ker, space.free)
 
 
 class TargetNotUnit(ValueError):
@@ -85,7 +85,7 @@ class TargetNotUnit(ValueError):
     solution is not unique: N is not unit."""
 
 
-def pair_C_to_F(m: CartierModule, n: CartierModule) -> tuple[FModule, np.ndarray]:
+def pair_C_to_F(m: CartierModule, n: CartierModule) -> Hom:
     """Hom(M, N) as an F-module, N unit: solve the defining rule
     kappa_N(F_*(lambda e)) = f(kappa_M(F_*(lambda m))) for all lambda.
 
@@ -100,10 +100,10 @@ def pair_C_to_F(m: CartierModule, n: CartierModule) -> tuple[FModule, np.ndarray
     if m.ring.key() != n.ring.key() or m.power != n.power:
         raise ValueError("pairing requires one ring and one Frobenius power")
     F = m.ring.field
-    hom, ker = hom_module(m.module, n.module)
+    hom, ker = space = hom_module(m.module, n.module)
     k, dn, dm, rd = ker.shape[1], n.dim, m.dim, m.ring.dim
     if not k:
-        return FModule(hom, mx.zeros(0, 0), m.power), ker
+        return Hom(FModule(hom, mx.zeros(0, 0), m.power), ker, space.free)
     stack, rows, inv = _kappa_stack(n)
     if inv is None:
         raise TargetNotUnit("pairing solution not unique; target is not unit")
@@ -113,15 +113,15 @@ def pair_C_to_F(m: CartierModule, n: CartierModule) -> tuple[FModule, np.ndarray
     rhs = (imgs.reshape(dn, dm, rd, k, order="F").transpose(0, 2, 1, 3)
            .reshape(dn * rd, dm * k, order="F"))
     sol = mx.mmul(F, inv, rhs[rows])
-    if not np.array_equal(mx.mmul(F, stack, sol), rhs):
+    if not mx.equal(mx.mmul(F, stack, sol), rhs):
         raise ValueError("pairing is unsolvable: the source structure is not "
                          "equivariant or the target is not unit (check both "
                          "modules with validate)")
     # sol is hstack_j(e_j); its column-major reshape has vec(e_j) as column j
-    coords = hom_coords(F, ker, sol.reshape(dn * dm, k, order="F"))
+    coords = hom_coords(F, ker, sol.reshape(dn * dm, k, order="F"), space.free)
     if coords is None:
         raise ValueError(_NOT_EQUIVARIANT)
-    return f_module(hom, coords, m.power), ker
+    return Hom(f_module(hom, coords, m.power), ker, space.free)
 
 
 @memo(256)
@@ -143,10 +143,10 @@ def double_dual_check(m: Structured) -> tuple[bool, np.ndarray]:
     at once, for one `hom_coords` call."""
     F = m.ring.field
     d1, ker1 = dualize_artinian(m)
-    d2, ker2 = dualize_artinian(d1)
+    d2, ker2 = dual2 = dualize_artinian(d1)
     e, k = m.ring.dim, ker1.shape[1]          # E_R has the ring's dimension
     imgs = ker1.reshape(e, m.dim, k, order="F").transpose(2, 0, 1).reshape(k * e, m.dim)
-    ev = hom_coords(F, ker2, imgs)
+    ev = hom_coords(F, ker2, imgs, dual2.free)
     if ev is None:
         return False, mx.zeros(d2.dim, m.dim)
     ok = d2.dim == m.dim and mx.is_invertible(F, ev) and is_morphism(ev, m, d2)
@@ -223,9 +223,8 @@ def dual_base_change_check(m: Structured, s: int) -> bool:
     (base change of module structures is s-fold iteration)."""
     lhs, _ = dualize_artinian(iterate_structure(m, s))
     rhs = iterate_structure(dualize_artinian(m)[0], s)
-    return (lhs.dim == rhs.dim and np.array_equal(lhs.mat, rhs.mat)
-            and all(np.array_equal(a, b) for a, b in
-                    zip(lhs.module.actions, rhs.module.actions)))
+    return (lhs.dim == rhs.dim and mx.equal(lhs.mat, rhs.mat)
+            and all(mx.equal(a, b) for a, b in zip(lhs.module.actions, rhs.module.actions)))
 
 
 # -- the crystal at the point --

@@ -74,7 +74,7 @@ def _has_root(powers: np.ndarray, p: int, low) -> bool:
     """Whether f = t^m + sum(low[i] t^i) vanishes at one of x = 1 .. p - 1
     in GF(p), `powers` the x^i for i <= m: one product, exact as x^i is
     below p^m <= MAX_ORDER."""
-    return not (powers @ (*low, 1) % p).all()
+    return np.count_nonzero(powers @ (*low, 1) % p) < len(powers)
 
 
 @functools.lru_cache(maxsize=None)
@@ -100,7 +100,7 @@ def canonical_modulus(p: int, m: int) -> tuple:
         if _has_root(powers, p, low):
             continue
         c = _companion(p, low)
-        if (np.array_equal(mx.mat_pow(fp, c, p ** m), c)
+        if (mx.equal(mx.mat_pow(fp, c, p ** m), c)
                 and all(mx.is_invertible(fp, fp.sub(mx.mat_pow(fp, c, p ** (m // ell)), c))
                         for ell in _prime_factors(m))):
             return (*low, 1)
@@ -158,7 +158,7 @@ class FiniteField:
         # starts at p: the codes below p are GF(p), of order dividing p - 1
         ells, one = _prime_factors(n), mx.identity(m)
         g = next(c for c in range(p, self.order)
-                 if not any(np.array_equal(mx.mat_pow(fp, times(c), n // ell), one)
+                 if not any(mx.equal(mx.mat_pow(fp, times(c), n // ell), one)
                             for ell in ells))
         # mul is multiplication by g^k, so exp[k:2k] = exp[:k] * g^k is one
         # product per doubling

@@ -16,6 +16,8 @@ import numpy as np
 if TYPE_CHECKING:
     from .field import FiniteField
 
+INT64 = np.dtype(np.int64)      # the dtype of every array the package builds
+
 
 def zeros(r: int, c: int) -> np.ndarray:
     return np.zeros((r, c), dtype=np.int64)
@@ -27,6 +29,20 @@ def identity(n: int) -> np.ndarray:
 
 def mat(rows) -> np.ndarray:
     return np.array(rows, dtype=np.int64)
+
+
+def equal(a, b) -> bool:
+    """Whether a and b are one int64 matrix: shapes and bytes compared, no
+    numpy reduction.  Other integer dtypes are cast; others raise TypeError."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.dtype is not INT64 or b.dtype is not INT64:
+        a, b = a.astype(np.int64, casting="safe"), b.astype(np.int64, casting="safe")
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def nonzero(a) -> bool:
+    """Whether some entry of `a` is nonzero, by one count, no reduction."""
+    return np.count_nonzero(a) > 0
 
 
 def dot_chunk(p: int) -> int:
@@ -106,10 +122,10 @@ def mat_pow(F: FiniteField, a: np.ndarray, n: int) -> np.ndarray:
         return identity(a.shape[0])
     out = np.array(a, dtype=np.int64)
     for bit in bin(n)[3:]:
-        if not out.any():
+        if not nonzero(out):
             break
         out = mmul(F, out, out)
-        if bit == "1" and out.any():
+        if bit == "1" and nonzero(out):
             out = mmul(F, out, a)
     return out
 
@@ -126,7 +142,7 @@ def nil_index(F: FiniteField, a: np.ndarray):
     The kernels of the powers of a d x d matrix stop growing by the d-th
     power, so at most d - 1 products are taken; a 0 x 0 matrix gives 1."""
     acc, n = a, 1
-    while acc.any():
+    while nonzero(acc):
         if n >= a.shape[0]:
             return math.inf
         acc, n = mmul(F, a, acc), n + 1
@@ -288,12 +304,13 @@ def kernel(F: FiniteField, a) -> np.ndarray:
     return out
 
 
-def kernel_of_rows(F: FiniteField, rows, ncols: int) -> np.ndarray:
+def kernel_of_rows(F: FiniteField, rows, ncols: int, return_free: bool = False):
     """`kernel` of the rows stacked, each a dict {column: nonzero code},
     each reduced as it comes: no matrix is formed.  Pivot rows stay fully
     reduced, so one pass over its pivot columns clears a new row; a row
     left nonzero becomes the pivot row of its least column and is cleared
-    from the others, each then 0 left of its column, as in the RREF."""
+    from the others, each then 0 left of its column, as in the RREF; with
+    `return_free` also the free columns, the rows where it is the identity."""
     p, ext = F.p, F.deg > 1
     if ext:
         n, log, exp, _, neg = tables = F._zech_tables
@@ -327,7 +344,8 @@ def kernel_of_rows(F: FiniteField, rows, ncols: int) -> np.ndarray:
     for c, y in piv.items():
         for j, v in y.items():
             out[c * len(free) + free[j]] = v
-    return np.array(out, dtype=np.int64).reshape(ncols, len(free))
+    ker = np.array(out, dtype=np.int64).reshape(ncols, len(free))
+    return (ker, np.fromiter(free, np.intp, len(free))) if return_free else ker
 
 
 def solve_full(F: FiniteField, a, b):

@@ -65,7 +65,7 @@ class FModule(_StructureBase):
 
 Structured = CartierModule | FModule
 MEMO_KEYS[CartierModule] = MEMO_KEYS[FModule] = lambda m: (
-    m.kind, m.power, _key(m.ring), _key(m.mat), _key(m.module.actions))
+    m.kind, m.power, _key(m.mat), _key(m.module))
 
 
 @dataclass(frozen=True)
@@ -102,22 +102,19 @@ def with_structure(m: Structured, module: FinModule, mat: np.ndarray) -> Structu
 def validate(m: Structured) -> ValidationReport:
     """Check the commuting-square condition on every ring generator, plus
     underlying module validity.  Returns violations instead of raising."""
-    F = m.ring.field
+    F, d, acts, n = m.ring.field, m.dim, m.module.actions, len(m.module.actions)
     out = module_violations(m.module)
-    if m.mat.shape != (m.dim, m.dim):
+    if m.mat.shape != (d, d):
         out.append("structure matrix has wrong shape")
         return ValidationReport(False, tuple(out))
-    t = m.ring.q ** m.power
-    for var, X in zip(m.ring.vars, m.module.actions):
-        Xq = mx.mat_pow(F, X, t)
-        if m.kind == CARTIER:
-            lhs, rhs = mx.mmul(F, m.mat, Xq), mx.mmul(F, X, m.mat)
-            law = f"K*{var}^q = {var}*K"
-        else:
-            lhs, rhs = mx.mmul(F, m.mat, X), mx.mmul(F, Xq, m.mat)
-            law = f"T*{var} = {var}^q*T"
-        if not np.array_equal(lhs, rhs):
-            out.append(f"equivariance fails: {law}")
+    powers = [mx.mat_pow(F, X, m.ring.q ** m.power) for X in acts]
+    # K X^q = X K or T X = X^q T: one product a side, block i for variable i
+    right, left, law = ((powers, acts, "K*{0}^q = {0}*K") if m.kind == CARTIER
+                        else (acts, powers, "T*{0} = {0}^q*T"))
+    lhs = mx.mmul(F, m.mat, np.hstack((mx.zeros(d, 0), *right)))
+    rhs = mx.mmul(F, np.vstack((mx.zeros(0, d), *left)), m.mat).reshape(n, d, d)
+    out += [f"equivariance fails: {law.format(v)}" for v, a, b in
+            zip(m.ring.vars, lhs.reshape(d, n, d).transpose(1, 0, 2), rhs) if not mx.equal(a, b)]
     return ValidationReport(not out, tuple(out))
 
 
@@ -216,13 +213,14 @@ def adjoint_structural(m: CartierModule):
     Column i encodes the hom F_* lambda -> kappa(F_*(lambda e_i)): its
     column l is column i of kappa * x^(mono_l), so `kappa_monomials` is the
     vec of every image at once."""
-    flat, ker = f_flat(m.module, power=m.power)
-    a = hom_coords(m.ring.field, ker, kappa_monomials(m))
+    flat, ker = hom = f_flat(m.module, power=m.power)
+    a = hom_coords(m.ring.field, ker, kappa_monomials(m), hom.free)
     if a is None:
         raise ValueError(_NOT_LINEAR)
     return a, flat, ker
 
 
+@memo(256)
 def flat_cartier(m: CartierModule):
     """F^flat M as a Cartier module, with the transition data unitalize needs.
 
@@ -249,7 +247,7 @@ def is_unit(m: CartierModule) -> bool:
     pure = (tuple(Q * (i == v) for i in range(R.nvars)) for v in range(R.nvars))
     blocks = [K[R.basis_index(b) * d:][:d] if b in R.basis else mx.zeros(d, d) for b in pure]
     acts = m.module.actions
-    if acts and not np.array_equal(mx.mmul(R.field, np.vstack(acts), m.kappa), np.vstack(blocks)):
+    if acts and not mx.equal(mx.mmul(R.field, np.vstack(acts), m.kappa), np.vstack(blocks)):
         raise ValueError(_NOT_LINEAR)
     return rows.size == d and f_flat_dim(m.module, m.power) == d
 
@@ -293,14 +291,14 @@ def nil_isomorphism_check(f: np.ndarray, src: Structured, dst: Structured) -> Ni
 
 
 def is_morphism(f: np.ndarray, src: Structured, dst: Structured) -> bool:
-    """Structure- and ring-equivariance of a linear map src -> dst."""
+    """Structure- and ring-equivariance of a linear map src -> dst: f X = Y f
+    for the actions and structures, one product per side with them stacked."""
     if src.kind != dst.kind or src.power != dst.power:
         return False
-    F = src.ring.field
-    for Xs, Xd in zip(src.module.actions, dst.module.actions):
-        if not np.array_equal(mx.mmul(F, f, Xs), mx.mmul(F, Xd, f)):
-            return False
-    return np.array_equal(mx.mmul(F, f, src.mat), mx.mmul(F, dst.mat, f))
+    F, (r, c), k = src.ring.field, f.shape, len(src.module.actions) + 1
+    left = mx.mmul(F, f, np.hstack((*src.module.actions, src.mat)))
+    right = mx.mmul(F, np.vstack((*dst.module.actions, dst.mat)), f)
+    return mx.equal(left.reshape(r, k, c).transpose(1, 0, 2), right.reshape(k, r, c))
 
 
 @dataclass(frozen=True)
@@ -374,7 +372,7 @@ def unitalize(m: CartierModule, max_steps: int = 16) -> UnitalizeResult:
         trans.append(t)
         if nxt.dim == stages[-2].dim and mx.is_invertible(F, t):
             return _finish_unitalize(m, stages, trans, step, exact_stage=step)
-        if not t.any():
+        if not mx.nonzero(t):
             zero = CartierModule(zero_module(m.ring), mx.zeros(0, 0), m.power)
             cmap = mx.zeros(0, m.dim)
             cert = nil_isomorphism_check(cmap, m, zero)
@@ -396,7 +394,7 @@ def unitalize(m: CartierModule, max_steps: int = 16) -> UnitalizeResult:
         scanned = max(scanned, stop)
         if found is not None:
             soc = mx.kernel(F, np.vstack((mx.zeros(0, m.dim),) + m.module.actions))
-            if found.module.dim or mx.mmul(F, trans[0], soc).any():
+            if found.module.dim or mx.nonzero(mx.mmul(F, trans[0], soc)):
                 return found
             pending = found
     if pending is not None:

@@ -83,7 +83,6 @@ def fixed_point_attainment(F: FiniteField, T: np.ndarray) -> int:
     cyclo = [q ** k - 1 for k in range(1, n + 1)]
     order = next(F.p ** c for c in range(n + 1) if F.p ** c >= n) * math.lcm(*cyclo)
     for ell in sorted({F.p}.union(*map(_prime_factors, cyclo))):
-        while order % ell == 0 and np.array_equal(mx.mat_pow(F, b, order // ell),
-                                                  mx.identity(n)):
+        while order % ell == 0 and mx.equal(mx.mat_pow(F, b, order // ell), mx.identity(n)):
             order //= ell
     return order

@@ -1,10 +1,12 @@
-"""The program's memos, all made by `artinian.memo`: the `intertwiners`
-kernels, the truncation rings, the dualizing modules E_R, D = Hom(-, E_R)
-in `dualize_artinian`, the reduced stack of kappa x^lambda behind
-`is_unit` and `pair_C_to_F`, and the nilpotency index.
+"""The program's memos, all made by `artinian.memo`: the Hom modules of
+`hom_module` and the F^flat stages of `flat_cartier`, the truncation
+rings, the dualizing modules E_R, D = Hom(-, E_R) in `dualize_artinian`,
+the reduced stack of kappa x^lambda behind `is_unit` and `pair_C_to_F`,
+and the nilpotency index.
 
-A cached kernel or dual must equal the one solved anew, be read-only, and
-be keyed by everything it depends on, not only by the integer matrices.
+A cached Hom module, stage or dual must equal the one solved anew, be
+read-only, and be keyed by everything it depends on, not only by the
+integer matrices: a module key that drops the ring's relations must fail.
 The benchmark empties the program's caches between passes with
 `cache_clearers` from `bench/run.py`; every memo must be among what it
 empties, and everything else it empties is a field table.
@@ -21,16 +23,16 @@ import numpy as np
 import pytest
 
 from cartierforge import matrix as mx
-from cartierforge.artinian import (MEMOS, fin_module, intertwiners, quotient_ring,
-                                   restrict_scalars, ring_make)
+from cartierforge.artinian import (MEMO_KEYS, MEMOS, FinModule, _key, fin_module,
+                                   hom_module, quotient_ring, restrict_scalars, ring_make)
 from cartierforge.cli import parse_problem
 from cartierforge.duality import dualize_artinian, dualizing_module, pair_C_to_F
 from cartierforge.field import GF, _embedding_table, canonical_modulus
 from cartierforge.generate import artinian_corpus, random_module, random_structure
 from cartierforge.pid import truncation_ring
 from cartierforge.structures import (CARTIER, FROBENIUS, _kappa_stack,
-                                     _nil_index, cartier_module, is_unit,
-                                     kappa_monomials, nilpotency_index,
+                                     _nil_index, cartier_module, flat_cartier,
+                                     is_unit, kappa_monomials, nilpotency_index,
                                      structured)
 from oracles import kron_intertwiners as solve_anew
 
@@ -38,72 +40,164 @@ FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2)]     # GF(2), GF(3), GF(4), GF(9)
 RUN = Path(__file__).resolve().parent.parent / "bench" / "run.py"
 
 
-def random_system(rng, F):
-    """Random A_i (cols x cols) and B_i (rows x rows), up to two pairs,
-    sparse enough that the space of H is often nonzero."""
-    rows, cols, n = rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 2)
+def module_pairs(p, r, count):
+    """(M, N) over one random monomial ring in one or two variables over
+    GF(p^r), dims 1-3; N is M itself a quarter of the time."""
+    rng = random.Random(1000 * p + r)
+    out = []
+    for _ in range(count):
+        nv = rng.randint(1, 2)
+        ring = ring_make(GF(p, r), ["x", "y"][:nv],
+                         [[rng.randint(1, 3) * (i == j) for j in range(nv)] for i in range(nv)])
+        m = random_module(rng, ring, 3)
+        out.append((m, m if rng.random() < 0.25 else random_module(rng, ring, 3)))
+    return out
 
-    def mat(k):
-        return mx.mat([[rng.randrange(F.order) if rng.random() < 0.3 else 0
-                        for _ in range(k)] for _ in range(k)]).reshape(k, k)
 
-    return [mat(cols) for _ in range(n)], [mat(rows) for _ in range(n)], rows, cols
+def copied_module(m):
+    """An equal module built from copies of every action."""
+    return fin_module(m.ring, [a.copy() for a in m.actions], m.dim)
+
+
+def same_hom(a, b):
+    """Two Hom spaces agree: module (ring, dim, actions), basis, free rows."""
+    (h, ker), (g, ker2) = a, b
+    return ((h.ring.key(), h.dim) == (g.ring.key(), g.dim)
+            and all(x.dtype == y.dtype and np.array_equal(x, y) for x, y in
+                    zip((ker, a.free, *h.actions), (ker2, b.free, *g.actions))))
 
 
 @pytest.mark.parametrize("p,r", FIELDS)
 def test_cached_kernel_equals_the_kernel_solved_anew(p, r):
+    """A `hom_module` hit is the first result, equal to Hom(M, N) solved
+    anew with the memo bypassed, and its basis is the Kronecker kernel."""
     F = GF(p, r)
-    rng = random.Random(1000 * p + r)
-    systems = [random_system(rng, F) for _ in range(40)]
-    intertwiners.cache_clear()
+    pairs = module_pairs(p, r, 30)
+    firsts = [hom_module(m, n) for m, n in pairs]
+    hits = [hom_module(copied_module(m), copied_module(n)) for m, n in pairs]
+    info = hom_module.cache_info()
+    assert info.hits >= len(pairs) and info.misses <= len(pairs)
     nonzero = 0
-    for As, Bs, rows, cols in systems + systems[::-1]:
-        ref = solve_anew(F, As, Bs, rows, cols)
-        ker = intertwiners(F, As, Bs, rows, cols)
-        assert ker.dtype == np.int64 and ker.shape == ref.shape
-        assert np.array_equal(ker, ref)
-        # copies of the matrices hit the same entry
-        again = intertwiners(F, [a.copy() for a in As], [b.copy() for b in Bs], rows, cols)
-        assert again is ker
-        nonzero += ker.size > 0
-    info = intertwiners.cache_info()
-    assert info.misses == len({repr((As, Bs, rows, cols)) for As, Bs, rows, cols in systems})
-    assert info.hits == 4 * len(systems) - info.misses
+    for (m, n), first, hit in zip(pairs, firsts, hits):
+        assert hit is first and same_hom(hit, hom_module.__wrapped__(m, n))
+        ref = solve_anew(F, m.actions, n.actions, n.dim, m.dim)
+        assert hit[1].shape == ref.shape and np.array_equal(hit[1], ref)
+        nonzero += hit[0].dim > 0
     assert nonzero > 10
 
 
 def test_a_hit_returns_a_read_only_kernel():
-    F = GF(3)
-    A = mx.mat([[0, 1], [0, 0]])
-    intertwiners.cache_clear()
-    first = intertwiners(F, [A], [A], 2, 2)
-    hit = intertwiners(F, [A.copy()], [A.copy()], 2, 2)
-    assert intertwiners.cache_info().hits == 1
-    assert hit is first and not hit.flags.writeable
-    with pytest.raises(ValueError):
-        hit[0, 0] = 2
-    assert np.array_equal(hit, solve_anew(F, [A], [A], 2, 2))
+    m, n = module_pairs(3, 1, 1)[0]
+    first = hom_module(m, n)
+    hit = hom_module(copied_module(m), copied_module(n))
+    assert hom_module.cache_info().hits == 1 and hit is first
+    for a in (hit[1], hit.free, *hit[0].actions):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 1
+    assert same_hom(hit, hom_module.__wrapped__(m, n))
 
 
 def test_the_same_integer_matrices_over_two_fields_are_two_entries():
-    # H J = 0 for the all-ones J: the rows of H lie in the left kernel of
-    # J, spanned by (1, 1) over GF(2) and by (1, 2) over GF(3)
+    # H J = 0 for the all-ones J (hom_module solves whatever actions it
+    # gets): the rows of H lie in the left kernel of J, spanned by (1, 1)
+    # over GF(2) and by (1, 2) over GF(3)
     J, Z = mx.mat([[1, 1], [1, 1]]), mx.zeros(2, 2)
-    intertwiners.cache_clear()
-    k2 = intertwiners(GF(2), [J], [Z], 2, 2)
-    k3 = intertwiners(GF(3), [J], [Z], 2, 2)
-    assert intertwiners.cache_info().currsize == 2
+    homs = [hom_module(fin_module(ring, [J]), fin_module(ring, [Z]))
+            for ring in (ring_make(GF(p), ["x"], [[2]]) for p in (2, 3))]
+    assert hom_module.cache_info().currsize == 2
+    (h2, k2), (h3, k3) = homs
+    assert (h2.ring.field.p, h3.ring.field.p) == (2, 3)
     assert np.array_equal(k2, solve_anew(GF(2), [J], [Z], 2, 2))
     assert np.array_equal(k3, solve_anew(GF(3), [J], [Z], 2, 2))
     assert not np.array_equal(k2, k3)
 
 
 def test_the_kernel_cache_is_bounded():
-    F = GF(2)
-    intertwiners.cache_clear()
-    for n in range(600):    # 600 distinct systems, each with an empty space
-        intertwiners(F, [], [], 0, n)
-    assert intertwiners.cache_info().currsize == 512
+    ring = ring_make(2, [], [])
+    zero = fin_module(ring, [], 0)
+    for n in range(600):    # 600 distinct pairs, each with an empty space
+        hom_module(fin_module(ring, [], n), zero)
+    assert hom_module.cache_info().currsize == 512
+
+
+# -- the memo of the F^flat stages --
+
+
+def same_stage(a, b):
+    """Two `flat_cartier` results agree: structure, adjoint and basis."""
+    (s, adj, ker), (t, adj2, ker2) = a, b
+    return ((s.kind, s.power, s.dim, s.ring.key()) == (t.kind, t.power, t.dim, t.ring.key())
+            and all(x.dtype == y.dtype and np.array_equal(x, y) for x, y in
+                    zip((s.mat, adj, ker, *s.module.actions),
+                        (t.mat, adj2, ker2, *t.module.actions))))
+
+
+def stage_hits_equal_fresh_builds(mods) -> bool:
+    """Every module's stage is built, then asked for again from copies:
+    each hit must be the first result and equal a build with the memo
+    bypassed."""
+    firsts = [flat_cartier(m) for m in mods]
+    return all(flat_cartier(copied(m)) is first and same_stage(first, flat_cartier.__wrapped__(m))
+               for m, first in zip(mods, firsts))
+
+
+def test_a_flat_stage_hit_equals_the_stage_built_anew():
+    mods = [m for m in artinian_corpus(31, 40) + extension_draws(24) if m.kind == CARTIER]
+    assert {m.ring.field.order for m in mods} == {2, 3, 4, 9}
+    assert {m.power for m in mods} == {1, 2}
+    assert stage_hits_equal_fresh_builds(mods)
+    assert flat_cartier.cache_info().hits >= len(mods)
+
+
+def test_a_flat_stage_hit_returns_read_only_arrays():
+    m = next(m for m in artinian_corpus(3, 10) if m.kind == CARTIER)
+    first = flat_cartier(m)
+    hit = flat_cartier(copied(m))
+    assert flat_cartier.cache_info().hits == 1 and hit is first
+    stage, adj, ker = hit
+    for a in (stage.mat, adj, ker, *stage.module.actions):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 1
+
+
+def test_the_same_integer_structure_over_two_fields_is_two_stage_entries():
+    stages = [flat_cartier(one_dim(GF(p)))[0] for p in (2, 3)]
+    assert flat_cartier.cache_info().currsize == 2
+    assert [s.ring.field.p for s in stages] == [2, 3]
+
+
+def test_the_flat_stage_memo_is_bounded():
+    # 300 distinct structures on k^2 over GF(17)[] (no variables)
+    ring = ring_make(17, [], [])
+    for i in range(300):
+        # the base-17 digits of i
+        flat_cartier(cartier_module(fin_module(ring, [], 2),
+                                    [[i % 17, i // 17 % 17], [i // 289, 1]]))
+    assert flat_cartier.cache_info().currsize == 256
+
+
+def residue_fields():
+    """k = R/m over GF(2)[x]/(x^2) and GF(2)[x]/(x^3): the same integer
+    action and structure over two rings that differ only in a relation."""
+    return [one_dim(GF(2), ring=ring_make(GF(2), ["x"], [[e]])) for e in (2, 3)]
+
+
+def test_the_module_key_holds_the_relations():
+    mods = residue_fields()
+    assert stage_hits_equal_fresh_builds(mods)
+    assert all(same_hom(hom_module(m.module, m.module), hom_module.__wrapped__(m.module, m.module))
+               for m in mods)
+    assert flat_cartier.cache_info().currsize == hom_module.cache_info().currsize == 2
+
+
+def test_planted_module_key_without_relations_fails(monkeypatch):
+    """A module key that keeps the field and variables of the ring but not
+    its relations makes the second ring's stage a hit on the first's."""
+    monkeypatch.setitem(MEMO_KEYS, FinModule, lambda m: (
+        (m.ring.field.p, m.ring.field.deg, m.ring.vars), m.dim, _key(m.actions)))
+    assert not stage_hits_equal_fresh_builds(residue_fields())
 
 
 def test_truncation_rings_are_cached_and_read_only():
@@ -157,7 +251,7 @@ def test_a_dual_hit_equals_the_dual_solved_anew():
     assert dualize_artinian.cache_info().hits >= len(mods)
     for m, hit in zip(mods, hits[len(mods):]):
         dualize_artinian.cache_clear()
-        intertwiners.cache_clear()
+        hom_module.cache_clear()
         assert same_dual(hit, dualize_artinian(m))
 
 
@@ -336,11 +430,11 @@ def bench_cache_clearers():
 
 
 def test_bench_cache_clearers_empty_both_caches():
-    intertwiners(GF(2), [mx.identity(2)], [mx.identity(2)], 2, 2)
     truncation_ring(GF(2), 3)
     dualize_artinian(one_dim(GF(2)))
+    flat_cartier(one_dim(GF(2)))
     nilpotency_index(one_dim(GF(2)))
-    assert len(MEMOS) == 6
+    assert len(MEMOS) == 7
     assert all(memo.cache_info().currsize > 0 for memo in MEMOS)
     for clear in bench_cache_clearers():
         clear()

@@ -34,8 +34,9 @@ products of one round (only `extension-field` has them), with
 SMALL_MMUL_MACS set to each column's bound ("int": every 2-D product
 through the Zech path).
 The intertwiners replay solves the `artinian.intertwiners` systems of
-one round of each workload (the memo's misses), memo bypassed: "sparse"
-is `intertwiners` itself, each equation reduced by
+one round of each workload, those of the misses of the functor memos
+`hom_module` and `flat_cartier` (the kernel itself is not memoized):
+"sparse" is `intertwiners` itself, each equation reduced by
 `matrix.kernel_of_rows` as it is made, "kron" the stacked Kronecker
 system A_i^T (x) I - I (x) B_i with `matrix.kernel`, the reference
 `kron_intertwiners` of `tests/oracles.py`; the median over R repeats of
@@ -48,7 +49,9 @@ the tables anew.  GF(2^6), GF(3^4), GF(5^4), GF(2^8) and GF(3^6) are the
 fields that `extension-field` builds inside its timed commands, as the
 benchmark empties every cache before each shard.
 The memo table gives the calls, hits and misses of every memo in
-`artinian.MEMOS` (a miss is one result computed), per benchmark workload,
+`artinian.MEMOS` (a miss is one result computed), among them the Hom
+functors `artinian.hom_module` and `structures.flat_cartier`, per
+benchmark workload,
 first over one unsharded pass: every command of every file under
 `bench/inputs/<workload>/`, run as `result_digest.py` runs them, after the
 benchmark's `cache_clearers` have emptied every program cache.  Then over
@@ -210,23 +213,22 @@ def round_calls(workload: str, kernel: str) -> list:
 
 
 def round_intertwiners(workload: str) -> list:
-    """The arguments of every `artinian.intertwiners` system one round
-    solves: the calls that miss its memo."""
-    seen, memoized = [], artinian.intertwiners
+    """The arguments (F, As, Bs, rows, cols) of every `artinian.intertwiners`
+    system one round solves.  Only a miss of `hom_module` or of
+    `flat_cartier` (through `f_flat`) calls it, so these are the systems
+    of the functor memos' misses."""
+    seen, solve = [], artinian.intertwiners
 
     def record(*args):
-        misses = memoized.cache_info().misses
-        out = memoized(*args)
-        if memoized.cache_info().misses > misses:
-            seen.append(args)
-        return out
+        seen.append(args[:5])
+        return solve(*args)
 
     artinian.intertwiners = record
     try:
         for _ in round_shards(workload):
             pass
     finally:
-        artinian.intertwiners = memoized
+        artinian.intertwiners = solve
     return seen
 
 
@@ -316,8 +318,8 @@ def workload_replays(repeats: int) -> None:
 
 def intertwiners_table(repeats: int) -> None:
     """Per workload, one round's intertwiner systems solved as they are
-    (`intertwiners`, memo bypassed) and by the Kronecker reference."""
-    solvers = {"sparse": artinian.intertwiners.__wrapped__, "kron": kron_intertwiners}
+    (`intertwiners`) and by the Kronecker reference."""
+    solvers = {"sparse": artinian.intertwiners, "kron": kron_intertwiners}
     print("workload".ljust(18) + "systems".rjust(8) + "".join(k.rjust(8) for k in solvers)
           + "   (ms per replay)")
 
