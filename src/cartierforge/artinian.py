@@ -285,15 +285,15 @@ def direct_sum(a: FinModule, b: FinModule) -> FinModule:
     return FinModule(a.ring, a.dim + b.dim, tuple(acts))
 
 
-def intertwiners(F: FiniteField, As, Bs, rows: int, cols: int, return_free: bool = False):
+def intertwiners(F: FiniteField, As, Bs, rows: int, cols: int):
     """The space { H (rows x cols) : H A_i = B_i H for every i }.
 
     Every Hom-type functor is such a space, and this is the one format of
     its basis: the RREF kernel of the stacked system A_i^T (x) I - I (x) B_i
     on vec H, whose column j is vec(H_j), in canonical kernel order.  Its
     equations, sum_l A_i[l, k] H[j, l] - B_i[j, l] H[l, k] with H[j, l] the
-    unknown j + rows*l, go one by one to `mx.kernel_of_rows`, which gives
-    the free rows too with `return_free`.  Not memoized: its functors are."""
+    unknown j + rows*l, go one by one to `mx.kernel_of_rows`; returns the
+    basis and its free rows.  Not memoized: its functors are."""
 
     def equations():
         for A, B in zip(As, Bs):
@@ -309,7 +309,7 @@ def intertwiners(F: FiniteField, As, Bs, rows: int, cols: int, return_free: bool
                         eq[j + rows * k] = int(F.sub(A[k][k], B[j][j]))
                         eq = {i: v for i, v in eq.items() if v}
                     yield eq
-    return mx.kernel_of_rows(F, equations(), rows * cols, return_free)
+    return mx.kernel_of_rows(F, equations(), rows * cols)
 
 
 class Hom(tuple):
@@ -343,14 +343,12 @@ def hom_images(F: FiniteField, ker: np.ndarray, shape, left=None, right=None) ->
     return ker
 
 
-def hom_coords(F: FiniteField, ker: np.ndarray, targets: np.ndarray, free=None):
+def hom_coords(F: FiniteField, ker: np.ndarray, targets: np.ndarray, free: np.ndarray):
     """Coordinates in the hom basis `ker`, a canonical RREF kernel basis as
     from `intertwiners`, of the matrices whose vecs are the columns of
     `targets`.  They are read off the free rows of `ker`, where the basis
-    is the identity (`free`, else the last nonzero row of each column), and
-    checked by one product: None unless they give `targets` back."""
-    if free is None:
-        free = ker.shape[0] - 1 - np.argmax(ker[::-1] != 0, axis=0) if ker.size else []
+    is the identity (`free`, as `intertwiners` returns them), and checked
+    by one product: None unless they give `targets` back."""
     coords = targets[free]
     return coords if mx.equal(mx.mmul(F, ker, coords), targets) else None
 
@@ -376,7 +374,7 @@ def hom_module(m: FinModule, n: FinModule) -> Hom:
     if m.ring.key() != n.ring.key():
         raise ValueError("hom between modules over different rings")
     F, nv = m.ring.field, m.ring.nvars
-    ker, free = intertwiners(F, m.actions, n.actions, n.dim, m.dim, return_free=True)
+    ker, free = intertwiners(F, m.actions, n.actions, n.dim, m.dim)
     imgs = hom_images(F, ker, (n.dim, m.dim), left=np.vstack((mx.zeros(0, n.dim), *n.actions)))
     # one product with the X_i stacked: vec(vstack_i X_i H_j) is (row, i, column)
     imgs = (imgs.reshape(n.dim, nv, m.dim, ker.shape[1], order="F").transpose(0, 2, 1, 3)
@@ -395,7 +393,7 @@ def f_flat(m: FinModule, power: int = 1) -> Hom:
     """
     F, R = m.ring.field, m.ring
     mu_q = [_variable_power(R.basis, i, R.q ** power) for i in range(R.nvars)]
-    ker, free = intertwiners(F, mu_q, m.actions, m.dim, R.dim, return_free=True)
+    ker, free = intertwiners(F, mu_q, m.actions, m.dim, R.dim)
     imgs = hom_images(F, ker, (m.dim, R.dim), right=np.hstack((mx.zeros(R.dim, 0), *R.mult_ops)))
     # vec(H_j [mu_1 .. mu_n]) stacks the vec(H_j mu_i)
     imgs = imgs.reshape(m.dim * R.dim, R.nvars * ker.shape[1], order="F")

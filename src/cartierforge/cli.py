@@ -25,18 +25,17 @@ from .artinian import fin_module, ring_make
 from .complexes import (StructuredComplex, coherent_model_of_localization,
                         dualize, is_perverse, local_duality_check,
                         shift_module)
-from .duality import (TargetNotUnit, _ordinary_by_sol, double_dual_check,
-                      dual_base_change_check, dualize_artinian, elliptic_ap,
-                      hasse_invariant, nilpotence_exchange_check,
-                      nonsingular_short_weierstrass, pair_C_to_F, pair_F_to_C,
-                      sol_base_change_check, sol_point)
+from .duality import (_ordinary_by_sol, double_dual_check, dual_base_change_check,
+                      dualize_artinian, elliptic_ap, hasse_invariant,
+                      nilpotence_exchange_check, nonsingular_short_weierstrass,
+                      pair_C_to_F, pair_F_to_C, sol_base_change_check, sol_point)
 from .field import GF, MAX_ORDER, is_prime, order_fits
 from .generate import (artinian_corpus, pid_torsion_corpus, random_cartier,
                        random_f_module, random_pid_torsion)
-from .pid import (CARTIER, FROBENIUS, PidModule, Unsupported, pid_free,
-                  pid_sum, pid_torsion, validate_pid)
+from .pid import (CARTIER, FROBENIUS, PidModule, pid_free, pid_sum,
+                  pid_torsion, validate_pid)
 from .poly import Poly
-from .structures import (StructureLeavesTorsion, kashiwara_counit, nilpotency_index,
+from .structures import (Unsupported, kashiwara_counit, nilpotency_index,
                          stable_image, stable_kernel, structured, unitalize, validate)
 
 SCHEMA = 1
@@ -232,8 +231,20 @@ _OP_MODULES = {
 
 
 def run_command(problem, cmd: dict, seed: int) -> dict:
-    op = cmd.get("op")
-    out = {"op": op, "ok": None, "unsupported": False}
+    """The result of one command.  A documented scope boundary, raised as
+    Unsupported anywhere below, is caught here and nowhere else: the result
+    reads unsupported, with no verdict and the boundary's reason."""
+    out = {"op": cmd.get("op"), "ok": None, "unsupported": False}
+    try:
+        _run_op(problem, cmd, seed, out)
+    except Unsupported as exc:
+        out.update(unsupported=True, ok=None, reason=str(exc))
+    return out
+
+
+def _run_op(problem, cmd: dict, seed: int, out: dict) -> None:
+    """Run one command, writing its result into `out`."""
+    op = out["op"]
     mods, cxs = problem["modules"], problem["complexes"]
 
     def validation(name):
@@ -286,12 +297,9 @@ def run_command(problem, cmd: dict, seed: int) -> dict:
         m = get_module()
         if isinstance(m, PidModule):
             d = dualize(m)
-            if isinstance(d, Unsupported):
-                out.update(unsupported=True, reason=d.reason, ok=None)
-            else:
-                out.update(ok=True, terms={
-                    str(k): {"torsion_dim": v.torsion_dim, "free_rank": v.free_rank,
-                             "kind": v.kind} for k, v in d.terms.items()})
+            out.update(ok=True, terms={
+                str(k): {"torsion_dim": v.torsion_dim, "free_rank": v.free_rank,
+                         "kind": v.kind} for k, v in d.terms.items()})
         else:
             d, _ = dualize_artinian(m)
             out.update(ok=True, kind=d.kind, dim=d.dim,
@@ -305,40 +313,31 @@ def run_command(problem, cmd: dict, seed: int) -> dict:
         b = get_module("right")
         if b.kind != CARTIER:
             raise SchemaError("pair expects (frobenius, cartier) or (cartier, unit cartier)")
-        try:
-            h, _ = (pair_F_to_C if a.kind == FROBENIUS else pair_C_to_F)(a, b)
-        except TargetNotUnit as exc:    # tau on Hom(M, N) is not determined
-            out.update(unsupported=True, reason=str(exc), ok=None)
-        else:
-            out.update(ok=True, kind=h.kind, dim=h.dim,
-                       nilpotency_index=_index_json(nilpotency_index(h)))
+        h, _ = (pair_F_to_C if a.kind == FROBENIUS else pair_C_to_F)(a, b)
+        out.update(ok=True, kind=h.kind, dim=h.dim,
+                   nilpotency_index=_index_json(nilpotency_index(h)))
     elif op in ("sol", "base-change"):
         m = get_module()
-        s = _int_field(cmd, "s", 1 if op == "sol" else 2, lo=1)
+        out["s"] = s = _int_field(cmd, "s", 1 if op == "sol" else 2, lo=1)
         F = m.ring.field
         if (op == "sol" or m.kind == FROBENIUS) and not order_fits(F.p, F.deg * s):
             # Sol, alone or inside a Frobenius base-change, is solved over GF(q^s)
-            out.update(unsupported=True, ok=None, s=s, reason=(
-                f"{op} needs GF({F.p}^{F.deg * s}), past the field-order cap {MAX_ORDER}"))
-        elif op == "sol":
+            raise Unsupported(
+                f"{op} needs GF({F.p}^{F.deg * s}), past the field-order cap {MAX_ORDER}")
+        if op == "sol":
             rep = sol_point(m, s)
-            out.update(ok=True, s=s, dim_fq=rep.dim_fq, geometric_dim=rep.geometric_dim)
+            out.update(ok=True, dim_fq=rep.dim_fq, geometric_dim=rep.geometric_dim)
         else:
-            res = {"s": s}
             if m.kind == FROBENIUS:
-                res["sol"] = sol_base_change_check(m, s)
-            res["dual"] = dual_base_change_check(m, s)
-            ok = res["dual"] and res.get("sol", {"ok": True})["ok"]
-            out.update(ok=bool(ok), **res)
+                out["sol"] = sol_base_change_check(m, s)
+            out["dual"] = dual_base_change_check(m, s)
+            out["ok"] = bool(out["dual"] and out.get("sol", {"ok": True})["ok"])
     elif op == "local-duality":
         m = get_module()
         rep = local_duality_check(m)
-        if rep.unsupported is not None:
-            out.update(unsupported=True, reason=rep.unsupported.reason, ok=None)
-        else:
-            out.update(ok=rep.ok, verdicts=[
-                {"degree": v.degree, "local_zero": v.local_zero,
-                 "ext_zero": v.ext_zero} for v in rep.verdicts])
+        out.update(ok=rep.ok, verdicts=[
+            {"degree": v.degree, "local_zero": v.local_zero,
+             "ext_zero": v.ext_zero} for v in rep.verdicts])
     elif op == "perverse":
         name = cmd.get("complex")
         if name is not None:
@@ -353,23 +352,17 @@ def run_command(problem, cmd: dict, seed: int) -> dict:
         else:
             target = shift_module(get_module(), _int_field(cmd, "degree", 0))
         rep = is_perverse(target)
-        if rep.unsupported is not None:
-            out.update(unsupported=True, reason=rep.unsupported.reason, ok=None)
-        else:
-            out.update(ok=rep.ok, conditions=[
-                {"point": c.point, "side": c.side, "degree": c.degree, "ok": c.ok}
-                for c in rep.conditions])
+        out.update(ok=rep.ok, conditions=[
+            {"point": c.point, "side": c.side, "degree": c.degree, "ok": c.ok}
+            for c in rep.conditions])
     elif op == "kashiwara":
         m = get_module()
         j = _exponents(_required(cmd, "j_gens"), "kashiwara: j_gens")
         if any(len(g) != len(m.ring.vars) for g in j):
             raise SchemaError(f"kashiwara: each j_gens vector needs one exponent "
                               f"per ring variable ({len(m.ring.vars)})")
-        try:
-            counit = kashiwara_counit(m, j)
-            out.update(ok=counit.ok, counit_nil_iso=counit.ok, supported=counit.supported)
-        except StructureLeavesTorsion as exc:   # i-flat does not exist
-            out.update(unsupported=True, reason=str(exc), ok=None)
+        counit = kashiwara_counit(m, j)
+        out.update(ok=counit.ok, counit_nil_iso=counit.ok, supported=counit.supported)
     elif op == "localize-model":
         m = get_module()
         f = _decode_poly(problem["field"], _required(cmd, "f"), "localize-model: f polynomial")
@@ -394,7 +387,6 @@ def run_command(problem, cmd: dict, seed: int) -> dict:
                               _int_field(cmd, "count", 25, lo=0)))
     else:
         raise SchemaError(f"unknown command {op!r}")
-    return out
 
 
 def run_suites(seed: int, count: int) -> dict:

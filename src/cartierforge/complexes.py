@@ -12,11 +12,10 @@ import math
 from dataclasses import dataclass
 
 from .duality import dualize_artinian
-from .pid import (CARTIER, FROBENIUS, PidModule, Unsupported,
-                  free_crystal_zero, pid_free, pid_sum, retruncate,
-                  torsion_crystal_zero)
+from .pid import (CARTIER, FROBENIUS, PidModule, free_crystal_zero, pid_free,
+                  pid_sum, retruncate, torsion_crystal_zero)
 from .poly import Poly
-from .structures import Structured, _nil_index
+from .structures import Structured, Unsupported, _nil_index
 
 
 def _opposite(kind: str) -> str:
@@ -65,21 +64,20 @@ def dualize(obj):
 
     A module placed in degree d sends its torsion part to degree -d (its
     Matlis dual, opposite kind) and its free multiplier part to degree
-    -d - 1 (same multipliers, opposite kind).  Non-diagonal free shapes
-    are Unsupported.
+    -d - 1 (same multipliers, opposite kind).  A non-diagonal free part
+    raises Unsupported (`PidModule.free_diagonal`).
     """
     if isinstance(obj, PidModule):
         obj = shift_module(obj, 0)
     out = {}
     for d, m in obj.terms.items():
-        if m.free is not None and not m.free_is_diagonal():
-            return Unsupported("non-diagonal free multiplier matrix")
+        diag = m.free_diagonal()
         kind = _opposite(m.kind)
         if m.torsion is not None:
             dual_t = matlis_dual(m.torsion)
             _merge_term(out, -d, m.field, kind, dual_t, None, m.power)
-        if m.free is not None and m.free_rank:
-            dual_f = pid_free(m.field, list(m.free_diagonal()), kind, m.power)
+        if diag:
+            dual_f = pid_free(m.field, diag, kind, m.power)
             _merge_term(out, -d - 1, m.field, kind, None, dual_f.free, m.power)
     return StructuredComplex(out)
 
@@ -109,11 +107,10 @@ class DegreeVerdict:
 @dataclass(frozen=True)
 class LocalDualityReport:
     verdicts: tuple
-    unsupported: object = None
 
     @property
     def ok(self) -> bool:
-        return self.unsupported is None and all(v.agree for v in self.verdicts)
+        return all(v.agree for v in self.verdicts)
 
 
 def local_duality_check(m: PidModule) -> LocalDualityReport:
@@ -124,10 +121,9 @@ def local_duality_check(m: PidModule) -> LocalDualityReport:
     and H^1_m, the hull twists of the free part, is crystal-zero exactly
     when the free part is (`free_crystal_zero`).  The Ext side reads D(M):
     the Matlis dual in degree 0 and the dual multiplier module in degree -1.
+    A non-diagonal free part raises Unsupported, as in `dualize`.
     """
     dual = dualize(m)
-    if isinstance(dual, Unsupported):
-        return LocalDualityReport((), dual)
     t0, tm1 = dual.terms.get(0), dual.terms.get(-1)
     return LocalDualityReport((
         DegreeVerdict(0, torsion_crystal_zero(m.torsion),
@@ -152,7 +148,6 @@ class PointCondition:
 class PerverseReport:
     ok: bool
     conditions: tuple
-    unsupported: object = None
 
 
 def is_perverse(c: "StructuredComplex | PidModule") -> PerverseReport:
@@ -163,13 +158,13 @@ def is_perverse(c: "StructuredComplex | PidModule") -> PerverseReport:
       local side:  H^j_m ~ 0 for j < 0 at the closed points.
     Torsion parts see only the closed point at the origin; free parts see
     the generic point and every closed point alike.  A complex has zero
-    differentials, so H^j of it is its term in degree j.
+    differentials, so H^j of it is its term in degree j.  A term with a
+    non-diagonal free part raises Unsupported.
     """
     if isinstance(c, PidModule):
         c = shift_module(c, 0)
-    for m in c.terms.values():
-        if m.free is not None and not m.free_is_diagonal():
-            return PerverseReport(False, (), Unsupported("non-diagonal free part"))
+    if not all(m.free_is_diagonal() for m in c.terms.values()):
+        raise Unsupported("non-diagonal free part")
     conds = []
     for d, m in sorted(c.terms.items()):
         free_zero = free_crystal_zero(m)
@@ -205,7 +200,8 @@ def coherent_model_of_localization(m: PidModule, f: Poly) -> PidModule:
     nothing: every one-layer quotient f^-(n+1) M' / f^-n M' has the zero
     induced structure, since kappa lowers the pole order from n+1 to
     ceil((n+1)/q) <= n, so a layer-by-layer nilpotence check holds for
-    every f and could not fail.
+    every f and could not fail.  A non-diagonal free part raises
+    Unsupported (`PidModule.free_diagonal`) unless f is a unit.
     """
     if m.kind != CARTIER:
         raise ValueError("localization models are built for Cartier modules")
@@ -214,11 +210,9 @@ def coherent_model_of_localization(m: PidModule, f: Poly) -> PidModule:
     if f.is_unit():
         return m
     F, free = m.field, None
-    if m.free is not None and m.free_rank:
-        if not m.free_is_diagonal():
-            raise ValueError("non-diagonal free multiplier matrix is unsupported")
+    if diag := m.free_diagonal():
         q = F.order ** m.power
         fq = f ** (q * (q - 1))
-        free = pid_free(F, [u * fq for u in m.free_diagonal()], CARTIER, m.power).free
+        free = pid_free(F, [u * fq for u in diag], CARTIER, m.power).free
     tors = None if f.coeffs[0] == 0 else m.torsion
     return PidModule(F, CARTIER, tors, free, m.power)

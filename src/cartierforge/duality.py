@@ -24,9 +24,9 @@ from .artinian import (ArtinRing, FinModule, Hom, hom_coords, hom_images,
 from .field import GF, FiniteField, is_prime
 from .poly import Poly, smith_normal_form
 from .structures import (FROBENIUS, CartierModule, FModule, Structured,
-                         _kappa_stack, cartier_module, f_module, is_morphism,
-                         is_unit, iterate_structure, kappa_monomials,
-                         nilpotency_index, structured)
+                         Unsupported, _kappa_stack, cartier_module, f_module,
+                         is_morphism, is_unit, iterate_structure,
+                         kappa_monomials, nilpotency_index, structured)
 from .twisted import semilinear_fixed_points
 
 
@@ -80,11 +80,6 @@ def pair_F_to_C(m: FModule, n: CartierModule) -> Hom:
     return Hom(cartier_module(hom, coords, m.power), ker, space.free)
 
 
-class TargetNotUnit(ValueError):
-    """The pairing system of `pair_C_to_F` has rank below dim N, so its
-    solution is not unique: N is not unit."""
-
-
 def pair_C_to_F(m: CartierModule, n: CartierModule) -> Hom:
     """Hom(M, N) as an F-module, N unit: solve the defining rule
     kappa_N(F_*(lambda e)) = f(kappa_M(F_*(lambda m))) for all lambda.
@@ -95,8 +90,9 @@ def pair_C_to_F(m: CartierModule, n: CartierModule) -> Hom:
     from one product, H_j times hstack_lambda(kappa_M x^lambda).  The
     answer is unique exactly when K has rank dim N; then it is K[rows]^-1
     (`structures._kappa_stack`, once per N) times the right-hand sides at
-    those rows, checked by one product.  Returns the F-module with its hom
-    basis, the kernel matrix from `hom_module`."""
+    those rows, checked by one product.  Otherwise N is not unit, and this
+    raises Unsupported.  Returns the F-module with its hom basis, the kernel
+    matrix from `hom_module`."""
     if m.ring.key() != n.ring.key() or m.power != n.power:
         raise ValueError("pairing requires one ring and one Frobenius power")
     F = m.ring.field
@@ -106,7 +102,7 @@ def pair_C_to_F(m: CartierModule, n: CartierModule) -> Hom:
         return Hom(FModule(hom, mx.zeros(0, 0), m.power), ker, space.free)
     stack, rows, inv = _kappa_stack(n)
     if inv is None:
-        raise TargetNotUnit("pairing solution not unique; target is not unit")
+        raise Unsupported("pairing solution not unique; target is not unit")
     rs = kappa_monomials(m).reshape(rd, dm, dm).transpose(1, 0, 2).reshape(dm, rd * dm)
     # column j, vstack_lambda vec(H_j kappa_M x^lambda), reorders into rhs
     imgs = hom_images(F, ker, (dn, dm), right=rs)

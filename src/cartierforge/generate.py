@@ -104,7 +104,7 @@ def equivariant_solutions(module: FinModule, kind: str, power: int = 1) -> np.nd
     Xqs = [mx.mat_pow(F, X, t) for X in Xs]
     # Cartier: K X^q = X K;  Frobenius: T X = X^q T
     As, Bs = (Xqs, Xs) if kind == CARTIER else (Xs, Xqs)
-    return intertwiners(F, As, Bs, d, d)
+    return intertwiners(F, As, Bs, d, d)[0]
 
 
 def random_structure(rng: random.Random, module: FinModule, kind: str,

@@ -304,13 +304,14 @@ def kernel(F: FiniteField, a) -> np.ndarray:
     return out
 
 
-def kernel_of_rows(F: FiniteField, rows, ncols: int, return_free: bool = False):
+def kernel_of_rows(F: FiniteField, rows, ncols: int):
     """`kernel` of the rows stacked, each a dict {column: nonzero code},
     each reduced as it comes: no matrix is formed.  Pivot rows stay fully
     reduced, so one pass over its pivot columns clears a new row; a row
     left nonzero becomes the pivot row of its least column and is cleared
-    from the others, each then 0 left of its column, as in the RREF; with
-    `return_free` also the free columns, the rows where it is the identity."""
+    from the others, each then 0 left of its column, as in the RREF.
+    Returns the kernel and its free columns, the rows where it is the
+    identity."""
     p, ext = F.p, F.deg > 1
     if ext:
         n, log, exp, _, neg = tables = F._zech_tables
@@ -345,7 +346,7 @@ def kernel_of_rows(F: FiniteField, rows, ncols: int, return_free: bool = False):
         for j, v in y.items():
             out[c * len(free) + free[j]] = v
     ker = np.array(out, dtype=np.int64).reshape(ncols, len(free))
-    return (ker, np.fromiter(free, np.intp, len(free))) if return_free else ker
+    return ker, np.fromiter(free, np.intp, len(free))
 
 
 def solve_full(F: FiniteField, a, b):

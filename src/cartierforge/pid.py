@@ -24,8 +24,8 @@ from .field import FiniteField
 from .poly import Poly
 from .duality import inverse_hull
 from .structures import (CARTIER, FROBENIUS, CartierModule, Structured,
-                         direct_sum_structured, nilpotency_index, structured,
-                         validate, with_structure)
+                         Unsupported, direct_sum_structured, nilpotency_index,
+                         structured, validate, with_structure)
 
 # -- the truncated injective hull --
 
@@ -69,27 +69,15 @@ class PidModule:
         return self.torsion.dim if self.torsion is not None else 0
 
     def free_is_diagonal(self) -> bool:
-        if self.free is None:
-            return True
-        return all(self.free[i][j].is_zero()
-                   for i in range(len(self.free))
-                   for j in range(len(self.free)) if i != j)
+        n = self.free_rank
+        return n < 2 or all(self.free[i][j].is_zero()
+                            for i in range(n) for j in range(n) if i != j)
 
     def free_diagonal(self) -> list:
+        """The multipliers of a diagonal free part; Unsupported otherwise."""
         if not self.free_is_diagonal():
-            raise ValueError("free part multiplier matrix is not diagonal")
+            raise Unsupported("non-diagonal free multiplier matrix")
         return [self.free[i][i] for i in range(self.free_rank)]
-
-
-class Unsupported:
-    """Marker for results outside the handled scope: a documented boundary,
-    not an error."""
-
-    def __init__(self, reason: str):
-        self.reason = reason
-
-    def __repr__(self):
-        return f"Unsupported({self.reason!r})"
 
 
 def pid_torsion(field: FiniteField, x_action, struct, kind: str,

@@ -27,6 +27,12 @@ CARTIER = "cartier"
 FROBENIUS = "frobenius"
 
 
+class Unsupported(ValueError):
+    """A documented scope boundary, not a fault: the input lies outside the
+    handled scope of the theory.  Every boundary raises it, and
+    `cli.run_command` alone catches it."""
+
+
 class _StructureBase:
     @property
     def dim(self) -> int:
@@ -483,20 +489,17 @@ def twist_by_unit_line(m: Structured, a_coords) -> Structured:
     return with_structure(m, m.module, new)
 
 
-class StructureLeavesTorsion(ValueError):
-    """The structure does not map M[J] into itself: i-flat does not exist."""
-
-
 def structured_i_torsion(m: Structured, j_gens) -> tuple[Structured, np.ndarray]:
     """i-flat for the closed immersion cut out by J: the J-torsion
     submodule M[J] with restricted structure, over the quotient ring.  A
     Cartier structure always restricts (a kappa(v) = kappa(a^q v) = 0 for
-    a in J); a Frobenius one need not, as tau(a v) = a^q tau(v)."""
+    a in J); a Frobenius one need not, as tau(a v) = a^q tau(v): then
+    i-flat does not exist, and this raises Unsupported."""
     tors, cols = i_torsion(m.module, j_gens)
     k = restrict(m.ring.field, [m.mat], cols)
     if k is None:
-        raise StructureLeavesTorsion("structure does not restrict to the torsion part "
-                                     "(possible only for Frobenius structures)")
+        raise Unsupported("structure does not restrict to the torsion part "
+                          "(possible only for Frobenius structures)")
     return with_structure(m, tors, k[0]), cols
 
 

@@ -11,8 +11,9 @@ law, the Kashiwara round trip i-flat o i_* = id, field embedding
 tables by a root search over the whole target field, the Hasse
 invariant by the full polynomial power, column-stacking vec, and the
 Kronecker product with the intertwiner space solved from its stacked
-Kronecker system.  They live with the tests so that they stay independent
-of the code under test.
+Kronecker system, and the free rows of a kernel basis read as the last
+nonzero row of each column.  They live with the tests so that they stay
+independent of the code under test.
 """
 
 import itertools
@@ -89,6 +90,14 @@ def kron_system(F, As, Bs, rows: int, cols: int) -> np.ndarray:
 def kron_intertwiners(F, As, Bs, rows: int, cols: int) -> np.ndarray:
     """The intertwiner space as `mx.kernel` of its Kronecker system."""
     return mx.kernel(F, kron_system(F, As, Bs, rows, cols))
+
+
+def last_nonzero_rows(ker: np.ndarray) -> np.ndarray:
+    """The last nonzero row of each column of `ker`: on a canonical RREF
+    kernel basis, the free rows, where the basis is the identity."""
+    if not ker.size:
+        return np.zeros(0, dtype=np.intp)
+    return ker.shape[0] - 1 - np.argmax(ker[::-1] != 0, axis=0)
 
 
 # -- field arithmetic from the polynomial form --

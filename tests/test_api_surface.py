@@ -1,5 +1,7 @@
 """Every public top-level function of the package is public API or used,
-and none takes a `check` flag.
+and none takes a `check` flag.  Every scope boundary is one exception,
+`Unsupported`, raised where it is met and caught once, in
+`cli.run_command`.
 
 A function counts as public API when `cartierforge/__init__.py` imports
 it, and as used when some other top-level statement of the package refers
@@ -8,6 +10,8 @@ oracle that belongs in `tests/`, or dead code.
 """
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import cartierforge
@@ -68,3 +72,52 @@ def test_oracles_import_no_private_name():
                and (stmt.module or "").startswith("cartierforge")
                for alias in stmt.names if alias.name.startswith("_")]
     assert not private, "oracles import private names: " + ", ".join(private)
+
+
+def _enclosing(node, parents) -> str:
+    """The name of the function that holds `node`, or '' at module level."""
+    while node in parents:
+        node = parents[node]
+        if isinstance(node, ast.FunctionDef):
+            return node.name
+    return ""
+
+
+def test_unsupported_is_the_one_boundary_raised_and_caught_once():
+    exceptions = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        mod = importlib.import_module(f"cartierforge.{path.stem}" if path.stem != "__init__"
+                                      else "cartierforge")
+        exceptions.update(f"{path.stem}.{name}" for name, obj in vars(mod).items()
+                          if inspect.isclass(obj) and obj.__module__ == mod.__name__
+                          and issubclass(obj, BaseException))
+    # the two cli classes are input errors (exit 2, or an invalid-module
+    # result), not boundaries of the theory
+    assert exceptions == {"structures.Unsupported", "cli.SchemaError", "cli.InvalidModule"}
+    assert issubclass(cartierforge.Unsupported, ValueError)
+
+    misused, handlers, verdicts = [], [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        parents = {child: node for node in ast.walk(tree)
+                   for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            where = f"{path.stem}.{_enclosing(node, parents)}:{getattr(node, 'lineno', 0)}"
+            if (isinstance(node, ast.Name) and node.id == "Unsupported"
+                    or isinstance(node, ast.Attribute) and node.attr == "Unsupported"):
+                up = parents[node]
+                if isinstance(up, ast.ExceptHandler):
+                    handlers.append(where.split(":")[0])
+                elif not (isinstance(up, ast.Call) and up.func is node
+                          and isinstance(parents[up], ast.Raise)):
+                    misused.append(where)   # returned, tested, stored or passed on
+            # an unsupported result is written only by the one handler
+            pairs = ([(node.arg, node.value)] if isinstance(node, ast.keyword) else
+                     zip(node.keys, node.values) if isinstance(node, ast.Dict) else [])
+            for key, value in pairs:
+                if getattr(key, "value", key) == "unsupported" and \
+                        isinstance(value, ast.Constant) and value.value is True:
+                    verdicts.append(where.split(":")[0])
+    assert not misused, "Unsupported used other than in a raise: " + ", ".join(misused)
+    assert handlers == ["cli.run_command"]
+    assert verdicts == ["cli.run_command"]

@@ -115,34 +115,76 @@ def test_rank_one_free_over_gf25(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_unsupported_nonfatal_unless_strict(tmp_path, capsys):
-    doc = json.loads(json.dumps(FIXTURE_A))
-    doc["commands"] = [{"op": "local-duality", "module": "bad_free"}]
-    path = write(tmp_path, doc)
-    assert main(["run", path]) == 0
+# -- scope boundaries: one Unsupported, caught once in run_command --
+
+NON_DIAGONAL = {"tier": "pid", "kind": "cartier", "free": [[[1], [1]], [[0], [1]]]}
+# tau kills x M and sends the torsion vector f of k to 1 in R, outside
+# M[x] = span(x, f): i-flat of M = R + k over F_2[x]/(x^2) does not exist
+LEAVES_TORSION = {"kind": "frobenius",
+                  "carrier": {"actions": [[[0, 0, 0], [1, 0, 0], [0, 0, 0]]]},
+                  "structure": [[0, 0, 1], [0, 0, 0], [0, 0, 0]]}
+FROBENIUS_X2 = {"kind": "frobenius", "carrier": {"actions": [[[0, 0], [1, 0]]]},
+                "structure": [[1, 0], [0, 0]]}
+NON_DIAGONAL_FREE = "non-diagonal free multiplier matrix"
+
+
+@pytest.mark.parametrize("module,cmd,reason", [
+    pytest.param(NON_DIAGONAL, {"op": "dualize", "module": "M"}, NON_DIAGONAL_FREE,
+                 id="dualize"),
+    pytest.param(NON_DIAGONAL, {"op": "local-duality", "module": "M"}, NON_DIAGONAL_FREE,
+                 id="local-duality"),
+    pytest.param(NON_DIAGONAL, {"op": "perverse", "module": "M"}, "non-diagonal free part",
+                 id="perverse"),
+    pytest.param(NON_DIAGONAL, {"op": "localize-model", "module": "M", "f": [0, 1]},
+                 NON_DIAGONAL_FREE, id="localize-model-at-x"),
+    pytest.param(NON_DIAGONAL, {"op": "localize-model", "module": "M", "f": [1, 1]},
+                 NON_DIAGONAL_FREE, id="localize-model-at-1+x"),
+    # A is nilpotent, so the pairing into it has no unique solution
+    pytest.param(FIXTURE_A["modules"]["A"], {"op": "pair", "left": "M", "right": "M"},
+                 "pairing solution not unique; target is not unit", id="pair"),
+    pytest.param(LEAVES_TORSION, {"op": "kashiwara", "module": "M", "j_gens": [[1]]},
+                 "structure does not restrict to the torsion part "
+                 "(possible only for Frobenius structures)", id="kashiwara"),
+    pytest.param(FROBENIUS_X2, {"op": "sol", "module": "M", "s": 23},
+                 "sol needs GF(2^23), past the field-order cap 4194304", id="sol"),
+    pytest.param(FROBENIUS_X2, {"op": "base-change", "module": "M", "s": 23},
+                 "base-change needs GF(2^23), past the field-order cap 4194304",
+                 id="base-change"),
+])
+def test_every_scope_boundary_reports_unsupported(tmp_path, capsys, module, cmd, reason):
+    """Each documented boundary ends in an unsupported result with its
+    reason, no verdict and no error: exit 0, or 1 under --strict."""
+    doc = {"schema": 1, "field": {"p": 2, "r": 1},
+           "ring": {"tier": "artinian", "vars": ["x"], "relations": [[2]]},
+           "modules": {"M": module}, "commands": [cmd]}
+    path, out = write(tmp_path, doc), tmp_path / "report.json"
+    assert main(["run", path, "--json", str(out)]) == 0
+    [res] = json.loads(out.read_text())["results"]
+    want = {key: cmd[key] for key in ("module", "left", "right", "s") if key in cmd}
+    assert res == {"op": cmd["op"], "ok": None, "unsupported": True, "reason": reason, **want}
+    assert "UNSUPPORTED" in capsys.readouterr().out
     assert main(["run", path, "--strict"]) == 1
     capsys.readouterr()
 
 
-def test_kashiwara_on_a_structure_leaving_the_torsion_is_unsupported(tmp_path, capsys):
-    # M = R + k over F_2[x]/(x^2): tau kills x M and sends the torsion
-    # vector f of k to 1 in R, outside M[x] = span(x, f), so i-flat M and
-    # the counit do not exist
+@pytest.mark.parametrize("exc,verdict", [
+    (cartierforge.Unsupported,
+     {"module": "sky", "ok": None, "unsupported": True, "reason": "planted"}),
+    (ValueError, {"ok": False, "unsupported": False, "error": "ValueError: planted"}),
+])
+def test_only_unsupported_is_caught_as_a_boundary(tmp_path, capsys, monkeypatch, exc, verdict):
+    """A planted raise inside an op: Unsupported is reported as a boundary,
+    and a plain ValueError from the same place is still an error."""
+    def planted(m):
+        raise exc("planted")
+
+    monkeypatch.setattr(cli, "dualize", planted)
     doc = json.loads(json.dumps(FIXTURE_A))
-    doc["modules"]["Rk"] = {"kind": "frobenius",
-                            "carrier": {"actions": [[[0, 0, 0], [1, 0, 0], [0, 0, 0]]]},
-                            "structure": [[0, 0, 1], [0, 0, 0], [0, 0, 0]]}
-    doc["commands"] = [{"op": "validate", "module": "Rk"},
-                       {"op": "kashiwara", "module": "Rk", "j_gens": [[1]]}]
-    path = write(tmp_path, doc)
+    doc["commands"] = [{"op": "dualize", "module": "sky"}]
     out = tmp_path / "report.json"
-    assert main(["run", path, "--json", str(out)]) == 0
-    valid, res = json.loads(out.read_text())["results"]
-    assert valid["ok"]
-    assert res == {"op": "kashiwara", "module": "Rk", "ok": None, "unsupported": True,
-                   "reason": "structure does not restrict to the torsion part "
-                             "(possible only for Frobenius structures)"}
-    assert main(["run", path, "--strict"]) == 1
+    code = main(["run", write(tmp_path, doc), "--json", str(out)])
+    assert code == (0 if exc is cartierforge.Unsupported else 1)
+    assert json.loads(out.read_text())["results"] == [{"op": "dualize", **verdict}]
     capsys.readouterr()
 
 

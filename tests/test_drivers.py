@@ -37,7 +37,7 @@ from cartierforge.structures import (CARTIER, CartierModule, UnitalizeResult,
                                      cartier_module, flat_cartier, is_morphism,
                                      iterate_structure, nil_isomorphism_check,
                                      quotient_structure, unitalize, zero_module)
-from oracles import hom_list, vec
+from oracles import hom_list, last_nonzero_rows, vec
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2)]     # GF(2), GF(3), GF(4), GF(9)
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -235,8 +235,8 @@ def kernel_hom_problem(draw):
         system = small_matrix(draw, F, draw(st.integers(0, r * c)), r * c)
         ker = mx.kernel(F, system)
     else:
-        ker = intertwiners(F, [small_matrix(draw, F, c, c)],
-                           [small_matrix(draw, F, r, r)], r, c)
+        ker, _ = intertwiners(F, [small_matrix(draw, F, c, c)],
+                              [small_matrix(draw, F, r, r)], r, c)
     targets = draw_targets(draw, F, ker, r * c, draw(st.integers(0, 4)))
     return F, ker, targets, (r, c)
 
@@ -258,7 +258,7 @@ def arbitrary_hom_problem(draw):
 @given(kernel_hom_problem())
 def test_hom_coords_batched_equals_per_column(problem):
     F, ker, targets, shape = problem
-    got = hom_coords(F, ker, targets)
+    got = hom_coords(F, ker, targets, last_nonzero_rows(ker))
     want = per_column(F, hom_list(ker, *shape), targets, shape)
     if want is None:
         assert got is None
@@ -272,7 +272,7 @@ def test_hom_coords_is_sound_on_any_basis(problem):
     """Off its contract hom_coords may miss coordinates, but never returns
     wrong ones."""
     F, ker, targets, _ = problem
-    got = hom_coords(F, ker, targets)
+    got = hom_coords(F, ker, targets, last_nonzero_rows(ker))
     if got is not None:
         assert np.array_equal(mx.mmul(F, ker, got), targets)
 
@@ -286,7 +286,7 @@ def test_hom_coords_planted_out_of_span_column_is_none(problem, data):
         return
     # a unit vector outside the span exists: the kernel basis is the
     # identity on its free rows, so e_j with j a pivot row is not in it
-    free = set(n - 1 - np.argmax(ker[::-1] != 0, axis=0)) if k else set()
+    free = set(last_nonzero_rows(ker))
     j = data.draw(st.sampled_from([i for i in range(n) if i not in free]))
     planted = mx.zeros(n, 1)
     planted[j, 0] = data.draw(st.integers(1, F.order - 1))
@@ -295,8 +295,8 @@ def test_hom_coords_planted_out_of_span_column_is_none(problem, data):
                                     min_size=k, max_size=k))
         planted[:, 0] = F.add(planted[:, 0], mx.mmul(F, ker, mx.mat(coeffs)))
     at = data.draw(st.integers(0, targets.shape[1]))
-    assert hom_coords(F, ker, np.hstack([targets[:, :at], planted,
-                                         targets[:, at:]])) is None
+    assert hom_coords(F, ker, np.hstack([targets[:, :at], planted, targets[:, at:]]),
+                      last_nonzero_rows(ker)) is None
 
 
 @pytest.mark.parametrize("p,d", FIELDS)
@@ -305,21 +305,21 @@ def test_hom_coords_edge_cases(p, d):
     e00 = mx.mat([[1, 0], [0, 0]])
     e11 = mx.mat([[0, 0], [0, 1]])
     zero_targets = mx.zeros(4, 3)
-    empty = mx.zeros(4, 0)
+    empty, none = mx.zeros(4, 0), np.zeros(0, dtype=np.intp)
     # empty basis: zero targets have empty coordinates, others are outside
-    assert hom_coords(F, empty, zero_targets).shape == (0, 3)
-    assert hom_coords(F, empty, mx.zeros(4, 0)).shape == (0, 0)
-    assert hom_coords(F, empty, np.stack([vec(e00)], axis=1)) is None
+    assert hom_coords(F, empty, zero_targets, none).shape == (0, 3)
+    assert hom_coords(F, empty, mx.zeros(4, 0), none).shape == (0, 0)
+    assert hom_coords(F, empty, np.stack([vec(e00)], axis=1), none) is None
     # the hom space of 0-dimensional matrices: no rows and no columns
-    assert hom_coords(F, mx.zeros(0, 0), mx.zeros(0, 2)).shape == (0, 2)
-    # zero targets have zero coordinates
-    ker = np.stack([vec(e00), vec(e11)], axis=1)
-    assert np.array_equal(hom_coords(F, ker, zero_targets), mx.zeros(2, 3))
+    assert hom_coords(F, mx.zeros(0, 0), mx.zeros(0, 2), none).shape == (0, 2)
+    # zero targets have zero coordinates; vec(e00), vec(e11) are free at 0, 3
+    ker, free = np.stack([vec(e00), vec(e11)], axis=1), np.array([0, 3])
+    assert np.array_equal(hom_coords(F, ker, zero_targets, free), mx.zeros(2, 3))
     # one out-of-span column sinks the whole solve, as it sinks the loop
     inside = np.stack([vec(e00), vec(e11)], axis=1)
     outside = np.hstack([inside, vec(mx.mat([[0, 1], [0, 0]]))[:, None]])
-    assert np.array_equal(hom_coords(F, ker, inside), mx.identity(2))
-    assert hom_coords(F, ker, outside) is None
+    assert np.array_equal(hom_coords(F, ker, inside, free), mx.identity(2))
+    assert hom_coords(F, ker, outside, free) is None
     assert per_column(F, [e00, e11], outside, (2, 2)) is None
 
 

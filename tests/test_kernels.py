@@ -445,7 +445,7 @@ def solves_as_stacked(F, rows) -> bool:
     stacked = mx.zeros(len(rows), 5)
     for i, r in enumerate(rows):
         stacked[i, list(r)] = list(r.values())
-    return np.array_equal(mx.kernel_of_rows(F, iter(rows), 5), ref_kernel(F, stacked))
+    return np.array_equal(mx.kernel_of_rows(F, iter(rows), 5)[0], ref_kernel(F, stacked))
 
 
 @SETTINGS
@@ -675,16 +675,15 @@ def intertwiner_system(draw):
 def solves_as_kron(F, As, Bs, rows, cols) -> bool:
     """`intertwiners` and `kernel_of_rows` of the rows of the Kronecker
     system, fed one at a time, both equal `mx.kernel` of that system:
-    values, shape and dtype; the free rows that `intertwiners` returns on
-    request are where that kernel is the identity."""
+    values, shape and dtype; the free rows they return with it are where
+    that kernel is the identity."""
     want = kron_intertwiners(F, As, Bs, rows, cols)
     eqs = ({j: v for j, v in enumerate(r) if v}
            for r in kron_system(F, As, Bs, rows, cols).tolist())
-    ker, free = intertwiners(F, As, Bs, rows, cols, return_free=True)
-    got = [intertwiners(F, As, Bs, rows, cols), mx.kernel_of_rows(F, eqs, rows * cols), ker]
-    return (all(g.dtype == want.dtype and g.shape == want.shape
-                and np.array_equal(g, want) for g in got)
-            and np.array_equal(want[free], mx.identity(want.shape[1])))
+    got = [intertwiners(F, As, Bs, rows, cols), mx.kernel_of_rows(F, eqs, rows * cols)]
+    return all(g.dtype == want.dtype and g.shape == want.shape and np.array_equal(g, want)
+               and np.array_equal(want[free], mx.identity(want.shape[1]))
+               for g, free in got)
 
 
 @settings(max_examples=200, deadline=None)

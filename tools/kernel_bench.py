@@ -173,17 +173,15 @@ def pass_counts(workload: str) -> list:
 def round_shards(workload: str):
     """Run one round as `bench/run.py` does, yielding after each shard:
     every program cache emptied, then every file parsed and the commands
-    of the shard's files run; a command that raises is passed over."""
+    of the shard's files run.  No command of the pinned inputs raises, so
+    a raise means this tool is broken, and it is let through."""
     docs = [json.loads(p.read_text()) for p in sorted((INPUTS / workload).glob("*.json"))]
     for shard in range(SHARDS):
         clear_caches()
         problems = [cli.parse_problem(doc) for doc in docs]
         for problem in problems[shard::SHARDS]:
             for cmd in problem["commands"]:
-                try:
-                    cli.run_command(problem, cmd, 0)
-                except Exception:
-                    pass
+                cli.run_command(problem, cmd, 0)
         yield
 
 
@@ -219,9 +217,9 @@ def round_intertwiners(workload: str) -> list:
     of the functor memos' misses."""
     seen, solve = [], artinian.intertwiners
 
-    def record(*args):
+    def record(*args, **kwargs):
         seen.append(args[:5])
-        return solve(*args)
+        return solve(*args, **kwargs)
 
     artinian.intertwiners = record
     try:
