@@ -42,7 +42,14 @@ class ArtinRing:
         return len(self.vars)
 
     def key(self):
-        return (self.field.p, self.field.deg, self.vars, tuple(sorted(self.relations)))
+        return self._memo_key[0]
+
+    @functools.cached_property
+    def _memo_key(self) -> tuple:
+        """key(), then the ambient ring's memo key and the quotient generators
+        that key() ignores; built once, as every part is an immutable tuple."""
+        return ((self.field.p, self.field.deg, self.vars, tuple(sorted(self.relations))),
+                _key(self.ambient), self.quotient_gens)
 
     def basis_index(self, mono) -> int:
         return self.basis.index(tuple(mono))
@@ -174,8 +181,7 @@ MEMO_KEYS = {
     np.ndarray: lambda a: (a.shape, (a if a.dtype is mx.INT64 else a.astype(np.int64)).tobytes()),
     tuple: _seq_key,
     list: _seq_key,
-    # key() ignores the ambient ring and the quotient generators
-    ArtinRing: lambda r: (r.key(), _key(r.ambient), r.quotient_gens),
+    ArtinRing: lambda r: r._memo_key,
     FinModule: lambda m: (_key(m.ring), m.dim, _key(m.actions)),
 }
 
@@ -233,7 +239,8 @@ def module_violations(m: FinModule) -> list[str]:
     """The ring laws `m` breaks: commuting actions, relations acting by 0."""
     ring, actions, n, d = m.ring, m.actions, len(m.actions), m.dim
     if n > 1:   # P[i, :, j] = X_i X_j: every product of two actions from one
-        P = mx.mmul(ring.field, np.vstack(actions), np.hstack(actions)).reshape(n, d, n, d)
+        P = mx.mmul(ring.field, np.concatenate(actions), np.concatenate(actions, axis=1))
+        P = P.reshape(n, d, n, d)
     out = [f"actions of {ring.vars[i]} and {ring.vars[j]} do not commute"
            for i in range(n) for j in range(i + 1, n) if not mx.equal(P[i, :, j], P[j, :, i])]
     for rel in ring.relations:
@@ -375,7 +382,8 @@ def hom_module(m: FinModule, n: FinModule) -> Hom:
         raise ValueError("hom between modules over different rings")
     F, nv = m.ring.field, m.ring.nvars
     ker, free = intertwiners(F, m.actions, n.actions, n.dim, m.dim)
-    imgs = hom_images(F, ker, (n.dim, m.dim), left=np.vstack((mx.zeros(0, n.dim), *n.actions)))
+    imgs = hom_images(F, ker, (n.dim, m.dim),
+                      left=np.concatenate((mx.zeros(0, n.dim), *n.actions)))
     # one product with the X_i stacked: vec(vstack_i X_i H_j) is (row, i, column)
     imgs = (imgs.reshape(n.dim, nv, m.dim, ker.shape[1], order="F").transpose(0, 2, 1, 3)
             .reshape(n.dim * m.dim, nv * ker.shape[1], order="F"))
@@ -394,7 +402,8 @@ def f_flat(m: FinModule, power: int = 1) -> Hom:
     F, R = m.ring.field, m.ring
     mu_q = [_variable_power(R.basis, i, R.q ** power) for i in range(R.nvars)]
     ker, free = intertwiners(F, mu_q, m.actions, m.dim, R.dim)
-    imgs = hom_images(F, ker, (m.dim, R.dim), right=np.hstack((mx.zeros(R.dim, 0), *R.mult_ops)))
+    imgs = hom_images(F, ker, (m.dim, R.dim),
+                      right=np.concatenate((mx.zeros(R.dim, 0), *R.mult_ops), axis=1))
     # vec(H_j [mu_1 .. mu_n]) stacks the vec(H_j mu_i)
     imgs = imgs.reshape(m.dim * R.dim, R.nvars * ker.shape[1], order="F")
     return _image_module(R, ker, free, imgs)
@@ -412,7 +421,7 @@ def f_flat_dim(m: FinModule, power: int = 1) -> int:
     ideals = collections.Counter(
         frozenset(tuple(max(0, -((e - r) // Q)) for r, e in zip(rel, a))
                   for rel in m.ring.relations) for a in m.ring.basis if max(a, default=0) < Q)
-    return sum(c * (m.dim - mx.rank(m.ring.field, np.vstack(
+    return sum(c * (m.dim - mx.rank(m.ring.field, np.concatenate(
         (mx.zeros(0, m.dim), *map(m.action_of, J))))) for J, c in ideals.items())
 
 
@@ -422,7 +431,7 @@ def i_torsion(m: FinModule, j_gens) -> tuple[FinModule, np.ndarray]:
     Returns (module over the quotient ring, basis columns inside m).
     """
     gens = [tuple(int(e) for e in g) for g in j_gens]
-    B = mx.kernel(m.ring.field, np.vstack((mx.zeros(0, m.dim), *(m.action_of(g) for g in gens))))
+    B = mx.kernel(m.ring.field, np.concatenate((mx.zeros(0, m.dim), *map(m.action_of, gens))))
     sub = submodule(m, B)
     return FinModule(quotient_ring(m.ring, gens), sub.dim, sub.actions), B
 
@@ -447,7 +456,7 @@ def restrict(F: FiniteField, mats, cols: np.ndarray):
     if not k or not mats:
         return [mx.zeros(k, k) for _ in mats]
     n = cols.shape[0]
-    prod = mx.mmul(F, np.vstack(mats), cols)
+    prod = mx.mmul(F, np.concatenate(mats), cols)
     sol = mx.solve(F, cols, prod.reshape(len(mats), n, k).transpose(1, 0, 2)
                    .reshape(n, len(mats) * k))
     if sol is None:
@@ -473,7 +482,7 @@ def quotient_data(F: FiniteField, dim: int, cols: np.ndarray):
         return mx.identity(dim), mx.identity(dim)
     r, pivots = mx.rref(F, cols.T)
     comp = [i for i in range(dim) if i not in pivots]
-    big = np.hstack([cols, mx.identity(dim)[:, comp]])
+    big = np.concatenate([cols, mx.identity(dim)[:, comp]], axis=1)
     big_inv = mx.inverse(F, big)
     if big_inv is None:
         raise ValueError("quotient basis completion failed")

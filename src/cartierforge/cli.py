@@ -55,8 +55,7 @@ class InvalidModule(Exception):
 def _validation(m) -> tuple[bool, list]:
     """(ok, notes) of a module's validation; notes list the violations."""
     if isinstance(m, PidModule):
-        ok, notes = validate_pid(m)
-        return ok, list(notes)
+        return validate_pid(m)
     rep = validate(m)
     return rep.ok, list(rep.violations)
 

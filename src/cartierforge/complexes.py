@@ -15,7 +15,7 @@ from .duality import dualize_artinian
 from .pid import (CARTIER, FROBENIUS, PidModule, free_crystal_zero, pid_free,
                   pid_sum, retruncate, torsion_crystal_zero)
 from .poly import Poly
-from .structures import Structured, Unsupported, _nil_index
+from .structures import Structured, _nil_index
 
 
 def _opposite(kind: str) -> str:
@@ -159,12 +159,10 @@ def is_perverse(c: "StructuredComplex | PidModule") -> PerverseReport:
     Torsion parts see only the closed point at the origin; free parts see
     the generic point and every closed point alike.  A complex has zero
     differentials, so H^j of it is its term in degree j.  A term with a
-    non-diagonal free part raises Unsupported.
+    non-diagonal free part raises Unsupported (`PidModule.free_diagonal`).
     """
     if isinstance(c, PidModule):
         c = shift_module(c, 0)
-    if not all(m.free_is_diagonal() for m in c.terms.values()):
-        raise Unsupported("non-diagonal free part")
     conds = []
     for d, m in sorted(c.terms.items()):
         free_zero = free_crystal_zero(m)

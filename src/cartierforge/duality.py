@@ -183,7 +183,7 @@ def reduced_operator(m: FModule) -> np.ndarray:
     if m.power != 1:
         raise ValueError("Sol at the point expects a level-one structure")
     F = m.ring.field
-    cols = mx.column_space(F, np.hstack((mx.zeros(m.dim, 0), *m.module.actions)))
+    cols = mx.column_space(F, np.concatenate((mx.zeros(m.dim, 0), *m.module.actions), axis=1))
     proj, sect = quotient_data(F, m.dim, cols)
     return mx.mmul(F, proj, mx.mmul(F, m.tau, sect))
 

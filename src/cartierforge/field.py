@@ -135,7 +135,7 @@ class FiniteField:
             # the digits of t^s mod f: e_s for s < deg, and column s - deg
             # of C^deg, since C^deg e_i = C^(deg+i) e_0
             c = _companion(p, self.modulus[:-1])
-            tpow = np.vstack([mx.identity(deg), mx.mat_pow(GF(p), c, deg).T[:deg - 1]])
+            tpow = np.concatenate([mx.identity(deg), mx.mat_pow(GF(p), c, deg).T[:deg - 1]])
             ij = np.add.outer(np.arange(deg), np.arange(deg))
             self._reg = tpow[ij].reshape(deg, deg * deg)
             self._build_log_tables()

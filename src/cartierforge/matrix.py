@@ -34,7 +34,8 @@ def mat(rows) -> np.ndarray:
 def equal(a, b) -> bool:
     """Whether a and b are one int64 matrix: shapes and bytes compared, no
     numpy reduction.  Other integer dtypes are cast; others raise TypeError."""
-    a, b = np.asarray(a), np.asarray(b)
+    if a.__class__ is not np.ndarray or b.__class__ is not np.ndarray:
+        a, b = np.asarray(a), np.asarray(b)
     if a.dtype is not INT64 or b.dtype is not INT64:
         a, b = a.astype(np.int64, casting="safe"), b.astype(np.int64, casting="safe")
     return a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -67,9 +68,11 @@ SMALL_MMUL_MACS = 128
 def mmul(F: FiniteField, a, b) -> np.ndarray:
     """Matrix product over F; exact.  1-D operands act as in numpy's @.
 
-    Over GF(p) this is delayed modular reduction: (a @ b) % p on int64,
-    with the inner dimension split into chunks of dot_chunk(p) so that
-    every partial sum stays below 2**63.  Over GF(p^m), small 2-D operands
+    An int64 ndarray operand is used as it is; anything else is cast.  Over
+    GF(p) this is delayed modular reduction: np.dot(a, b) % p on int64,
+    the inner dimension split into chunks of dot_chunk(p) only past that
+    length, so that every partial sum stays below 2**63.  The result shares
+    no memory with a or b.  Over GF(p^m), small 2-D operands
     take `_mmul_zech`; otherwise the product descends to GF(p), the codes
     below p, as far as the operands allow: two GF(p) operands take the
     GF(p) product of their codes; a GF(p) operand a needs only digits(b),
@@ -82,8 +85,8 @@ def mmul(F: FiniteField, a, b) -> np.ndarray:
     unchanged.  The digit products hold the digits of the result, shape
     (rows, cols, m), recombined into codes.
     """
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
+    a = a if a.__class__ is np.ndarray and a.dtype is INT64 else np.asarray(a, dtype=np.int64)
+    b = b if b.__class__ is np.ndarray and b.dtype is INT64 else np.asarray(b, dtype=np.int64)
     if a.shape[-1] != b.shape[0]:
         raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
     p, m, flip = F.p, F.deg, False
@@ -104,9 +107,10 @@ def mmul(F: FiniteField, a, b) -> np.ndarray:
         else:
             m = 1
     step, k = dot_chunk(p), a.shape[-1]
-    out = (a @ b if k <= step else a[..., :step] @ b[:step]) % p
-    for s in range(step, k, step):
-        out = (out + (a[..., s:s + step] @ b[s:s + step]) % p) % p
+    if k <= step:
+        out = np.dot(a, b) % p
+    else:       # fewer than 2**63 / p chunks, so the sum of the reduced ones is exact
+        out = sum(np.dot(a[..., s:s + step], b[s:s + step]) % p for s in range(0, k, step)) % p
     if m > 1:
         out = out.reshape(*out.shape[:-1], *tail, m) @ F._pw
     return out.T if flip else out
@@ -360,7 +364,7 @@ def solve_full(F: FiniteField, a, b):
     b2 = b.reshape(b.shape[0], 1) if vec_in else b
     if a.shape[0] != b2.shape[0]:
         raise ValueError("solve: row mismatch")
-    aug = np.hstack([a, b2])
+    aug = np.concatenate([a, b2], axis=1)
     r, pivots = rref(F, aug)
     if pivots and pivots[-1] >= a.shape[1]:
         return None, False

@@ -68,16 +68,12 @@ class PidModule:
     def torsion_dim(self) -> int:
         return self.torsion.dim if self.torsion is not None else 0
 
-    def free_is_diagonal(self) -> bool:
-        n = self.free_rank
-        return n < 2 or all(self.free[i][j].is_zero()
-                            for i in range(n) for j in range(n) if i != j)
-
     def free_diagonal(self) -> list:
         """The multipliers of a diagonal free part; Unsupported otherwise."""
-        if not self.free_is_diagonal():
+        n = self.free_rank
+        if any(not self.free[i][j].is_zero() for i in range(n) for j in range(n) if i != j):
             raise Unsupported("non-diagonal free multiplier matrix")
-        return [self.free[i][i] for i in range(self.free_rank)]
+        return [self.free[i][i] for i in range(n)]
 
 
 def pid_torsion(field: FiniteField, x_action, struct, kind: str,
@@ -149,16 +145,12 @@ def retruncate(t: Structured, level: int) -> Structured:
 
 
 def validate_pid(m: PidModule):
-    notes = []
-    ok = True
-    if m.torsion is not None:
-        rep = validate(m.torsion)
-        ok = ok and rep.ok
-        notes.extend(rep.violations)
-    if m.free is not None and not m.free_is_diagonal():
-        notes.append("free multiplier matrix is not diagonal; "
-                     "local cohomology of this shape is Unsupported")
-    return ok, notes
+    """(ok, violations) of the torsion part; a free part, diagonal or not,
+    breaks no law."""
+    if m.torsion is None:
+        return True, []
+    rep = validate(m.torsion)
+    return rep.ok, list(rep.violations)
 
 
 def free_crystal_zero(m: PidModule) -> bool:

@@ -117,8 +117,8 @@ def validate(m: Structured) -> ValidationReport:
     # K X^q = X K or T X = X^q T: one product a side, block i for variable i
     right, left, law = ((powers, acts, "K*{0}^q = {0}*K") if m.kind == CARTIER
                         else (acts, powers, "T*{0} = {0}^q*T"))
-    lhs = mx.mmul(F, m.mat, np.hstack((mx.zeros(d, 0), *right)))
-    rhs = mx.mmul(F, np.vstack((mx.zeros(0, d), *left)), m.mat).reshape(n, d, d)
+    lhs = mx.mmul(F, m.mat, np.concatenate((mx.zeros(d, 0), *right), axis=1))
+    rhs = mx.mmul(F, np.concatenate((mx.zeros(0, d), *left)), m.mat).reshape(n, d, d)
     out += [f"equivariance fails: {law.format(v)}" for v, a, b in
             zip(m.ring.vars, lhs.reshape(d, n, d).transpose(1, 0, 2), rhs) if not mx.equal(a, b)]
     return ValidationReport(not out, tuple(out))
@@ -205,7 +205,7 @@ def kappa_monomials(m: CartierModule) -> np.ndarray:
         blocks[mono] = m.kappa if v is None else mx.mmul(
             m.ring.field, blocks[mono[:v] + (mono[v] - 1,) + mono[v + 1:]],
             m.module.actions[v])
-    return np.vstack((mx.zeros(0, m.dim), *blocks.values()))
+    return np.concatenate((mx.zeros(0, m.dim), *blocks.values()))
 
 
 _NOT_LINEAR = ("adjoint image not R-linear: the structure is not "
@@ -253,7 +253,8 @@ def is_unit(m: CartierModule) -> bool:
     pure = (tuple(Q * (i == v) for i in range(R.nvars)) for v in range(R.nvars))
     blocks = [K[R.basis_index(b) * d:][:d] if b in R.basis else mx.zeros(d, d) for b in pure]
     acts = m.module.actions
-    if acts and not mx.equal(mx.mmul(R.field, np.vstack(acts), m.kappa), np.vstack(blocks)):
+    if acts and not mx.equal(mx.mmul(R.field, np.concatenate(acts), m.kappa),
+                             np.concatenate(blocks)):
         raise ValueError(_NOT_LINEAR)
     return rows.size == d and f_flat_dim(m.module, m.power) == d
 
@@ -265,7 +266,7 @@ def _kappa_stack(m: CartierModule):
     row operations E that reduce [K^T | I] bring K^T to RREF, pivots at the
     rows, so E K[rows]^T = I at rank dim: one reduction gives all three."""
     K = kappa_monomials(m)
-    r, piv = mx.rref(m.ring.field, np.hstack((K.T, mx.identity(m.dim))))
+    r, piv = mx.rref(m.ring.field, np.concatenate((K.T, mx.identity(m.dim)), axis=1))
     rows = np.array([c for c in piv if c < len(K)], dtype=np.intp)
     inv = np.ascontiguousarray(r[:, len(K):].T) if rows.size == m.dim else None
     return K, rows, inv
@@ -302,8 +303,8 @@ def is_morphism(f: np.ndarray, src: Structured, dst: Structured) -> bool:
     if src.kind != dst.kind or src.power != dst.power:
         return False
     F, (r, c), k = src.ring.field, f.shape, len(src.module.actions) + 1
-    left = mx.mmul(F, f, np.hstack((*src.module.actions, src.mat)))
-    right = mx.mmul(F, np.vstack((*dst.module.actions, dst.mat)), f)
+    left = mx.mmul(F, f, np.concatenate((*src.module.actions, src.mat), axis=1))
+    right = mx.mmul(F, np.concatenate((*dst.module.actions, dst.mat)), f)
     return mx.equal(left.reshape(r, k, c).transpose(1, 0, 2), right.reshape(k, r, c))
 
 
@@ -399,7 +400,7 @@ def unitalize(m: CartierModule, max_steps: int = 16) -> UnitalizeResult:
                                             e0, built)
         scanned = max(scanned, stop)
         if found is not None:
-            soc = mx.kernel(F, np.vstack((mx.zeros(0, m.dim),) + m.module.actions))
+            soc = mx.kernel(F, np.concatenate((mx.zeros(0, m.dim),) + m.module.actions))
             if found.module.dim or mx.nonzero(mx.mmul(F, trans[0], soc)):
                 return found
             pending = found

@@ -1,7 +1,7 @@
 """Every public top-level function of the package is public API or used,
 and none takes a `check` flag.  Every scope boundary is one exception,
 `Unsupported`, raised where it is met and caught once, in
-`cli.run_command`.
+`cli.run_command`.  Arrays are stacked by `np.concatenate` alone.
 
 A function counts as public API when `cartierforge/__init__.py` imports
 it, and as used when some other top-level statement of the package refers
@@ -72,6 +72,17 @@ def test_oracles_import_no_private_name():
                and (stmt.module or "").startswith("cartierforge")
                for alias in stmt.names if alias.name.startswith("_")]
     assert not private, "oracles import private names: " + ", ".join(private)
+
+
+def test_arrays_are_stacked_by_concatenate_alone():
+    # np.vstack and np.hstack cost several times np.concatenate on the
+    # small arrays of the kernels; every stack in the package is of 2-D
+    # arrays, along axis 0 or 1
+    stacks = [f"{path.stem}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+              if isinstance(node, ast.Attribute) and node.attr in ("vstack", "hstack")
+              or isinstance(node, ast.alias) and node.name in ("vstack", "hstack")]
+    assert not stacks, "np.vstack or np.hstack: " + ", ".join(stacks)
 
 
 def _enclosing(node, parents) -> str:

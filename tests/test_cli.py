@@ -133,7 +133,7 @@ NON_DIAGONAL_FREE = "non-diagonal free multiplier matrix"
                  id="dualize"),
     pytest.param(NON_DIAGONAL, {"op": "local-duality", "module": "M"}, NON_DIAGONAL_FREE,
                  id="local-duality"),
-    pytest.param(NON_DIAGONAL, {"op": "perverse", "module": "M"}, "non-diagonal free part",
+    pytest.param(NON_DIAGONAL, {"op": "perverse", "module": "M"}, NON_DIAGONAL_FREE,
                  id="perverse"),
     pytest.param(NON_DIAGONAL, {"op": "localize-model", "module": "M", "f": [0, 1]},
                  NON_DIAGONAL_FREE, id="localize-model-at-x"),

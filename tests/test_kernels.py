@@ -14,13 +14,19 @@ Kronecker system (`tests/oracles.py`); a planted solve that skips the
 clearing of earlier pivot rows must fail that check.  The one Zech step
 of the three GF(p^m) kernels skips the zero entries of the row it adds;
 a planted step that keeps them must fail the product property and a
-`kernel_of_rows` check on systems that leave a zero in a pivot row.
+`kernel_of_rows` check on systems that leave a zero in a pivot row.  The
+GF(p) product splits its inner dimension only past `matrix.dot_chunk`,
+which the chunk properties patch; a planted split that drops its last
+chunk must fail them.  `mmul` and `equal` take int64 arrays as they are
+and cast anything else: lists, int32 and bool arrays, read-only arrays,
+1-D and empty ones all give the reference answer.
 """
 
 import __future__
 import ast
 import inspect
 import textwrap
+import types
 from contextlib import contextmanager
 
 import numpy as np
@@ -135,8 +141,8 @@ def field_and_matrix(draw, fields, max_rows=6, max_cols=7):
 
 
 @st.composite
-def product_operands(draw):
-    F, a = draw(field_and_matrix(PRODUCT_FIELDS))
+def product_operands(draw, fields=PRODUCT_FIELDS):
+    F, a = draw(field_and_matrix(fields))
     cols = draw(st.integers(0, 6))
     fill = st.integers(0, F.order - 1)
     entries = draw(st.lists(fill, min_size=a.shape[1] * cols,
@@ -189,17 +195,63 @@ def test_mmul_matches_per_column_reference(case):
     assert np.array_equal(mx.mmul(F, a, b), ref_mmul(F, a, b))
 
 
-@SETTINGS
-@given(product_operands())
-def test_mmul_vector_inputs(case):
-    F, a, b = case
+def operand_cases(F, a, b) -> list:
+    """(x, y, reference x @ y) for a @ b, a row of a times b, a times a
+    column of b, and the row times the column."""
     ref = ref_mmul(F, a, b)
+    cases = [(a, b, ref)]
     if a.shape[0]:
-        assert np.array_equal(mx.mmul(F, a[0], b), ref[0])
+        cases.append((a[0], b, ref[0]))
     if b.shape[1]:
-        assert np.array_equal(mx.mmul(F, a, b[:, 0]), ref[:, 0])
+        cases.append((a, b[:, 0], ref[:, 0]))
     if a.shape[0] and b.shape[1]:
-        assert mx.mmul(F, a[0], b[:, 0]) == ref[0, 0]
+        cases.append((a[0], b[:, 0], ref[0, 0]))
+    return cases
+
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    out = a.copy()
+    out.flags.writeable = False
+    return out
+
+
+# what callers pass besides the package's own int64 arrays; a memo hit is
+# a read-only int64 array
+OPERAND_FORMS = {"int64": np.copy, "list": np.ndarray.tolist,
+                 "int32": lambda a: a.astype(np.int32), "bool": lambda a: a.astype(bool),
+                 "read-only": read_only}
+
+
+@SETTINGS
+@given(product_operands(), st.sampled_from(sorted(OPERAND_FORMS)))
+def test_mmul_and_equal_input_contract(case, form):
+    """mmul and equal on lists, int32, bool and read-only operands, 1-D and
+    empty ones among them, give the reference answer, and each product
+    shares no memory with its operands and can be written.  A list of
+    empty rows or no rows carries no shape, so lists are nonempty."""
+    F, a, b = case
+    if form == "bool":
+        a, b = np.minimum(a, 1), np.minimum(b, 1)
+    if form == "list" and not (a.size and b.size):
+        return
+    cast = OPERAND_FORMS[form]
+    # products by 1 and by 0, which a shortcut could answer with an operand
+    one = mx.identity(a.shape[1])
+    ones_zeros = [(a, one, a), (0 * a, one, 0 * a)]
+    for x, y, ref in operand_cases(F, a, b) + ones_zeros:
+        cx, cy = cast(x), cast(y)
+        out = mx.mmul(F, cx, cy)
+        assert np.array_equal(out, ref)
+        if np.ndim(out):
+            assert out.flags.writeable
+            assert not any(isinstance(v, np.ndarray) and np.shares_memory(out, v)
+                           for v in (cx, cy))
+        assert mx.equal(cx, x) and mx.equal(x, cx)
+        assert not mx.equal(cx, x.reshape(1, -1) if x.ndim == 1 else x.reshape(-1))
+        if x.size:
+            other = x.copy()
+            other.flat[-1] ^= 1
+            assert not mx.equal(cx, other) and not mx.equal(other, cx)
 
 
 @pytest.mark.parametrize("p,d", PRODUCT_FIELDS)
@@ -226,15 +278,23 @@ def test_mmul_shape_mismatch():
         mx.mmul(GF(2), mx.zeros(2, 3), mx.zeros(2, 3))
 
 
+def split_products(F, a, b, step) -> list:
+    """(mmul, reference) for each of `operand_cases`, on the numpy path with
+    the inner dimension split at `step` (0: unsplit)."""
+    with mmul_path("np"), pytest.MonkeyPatch.context() as mp:
+        if step:
+            mp.setattr(mx, "dot_chunk", lambda p: step)
+        return [(mx.mmul(F, x, y), ref) for x, y, ref in operand_cases(F, a, b)]
+
+
 @SETTINGS
 @given(product_operands(), st.integers(1, 3))
 def test_mmul_chunked_inner_dimension(case, step):
-    """Split the inner dimension far below the real bound; same product.
-    The split is in the numpy path, so every product takes it."""
-    F, a, b = case
-    with mmul_path("np"), pytest.MonkeyPatch.context() as mp:
-        mp.setattr(mx, "dot_chunk", lambda p: step)
-        assert np.array_equal(mx.mmul(F, a, b), ref_mmul(F, a, b))
+    """Split the inner dimension far below the real bound; same product, on
+    matrices and 1-D operands.  The split is in the numpy path, so every
+    product takes it."""
+    for out, ref in split_products(*case, step):
+        assert np.array_equal(out, ref)
 
 
 def draw_codes(draw, F, shape, kind):
@@ -278,18 +338,43 @@ def test_mmul_with_prime_subfield_operands(case, step):
     """Each descent (both in GF(p), only a, only b), on matrices and 1-D
     operands, with the inner dimension split at step 1-3 (0: unsplit).
     The descents are in the numpy path, so every product takes it."""
-    F, a, b = case
-    ref = ref_mmul(F, a, b)
-    with mmul_path("np"), pytest.MonkeyPatch.context() as mp:
-        if step:
-            mp.setattr(mx, "dot_chunk", lambda p: step)
-        assert np.array_equal(mx.mmul(F, a, b), ref)
-        if a.shape[0]:
-            assert np.array_equal(mx.mmul(F, a[0], b), ref[0])
-        if b.shape[1]:
-            assert np.array_equal(mx.mmul(F, a, b[:, 0]), ref[:, 0])
-        if a.shape[0] and b.shape[1]:
-            assert mx.mmul(F, a[0], b[:, 0]) == ref[0, 0]
+    for out, ref in split_products(*case, step):
+        assert np.array_equal(out, ref)
+
+
+def with_last_chunk_dropped():
+    """A planted fault: `mmul` whose GF(p) chunk loop leaves out the last
+    chunk of the inner dimension.  It reads the globals of `matrix`, so a
+    patched dot_chunk splits it."""
+    dropped = []
+
+    class Drop(ast.NodeTransformer):
+        def visit_comprehension(self, node):
+            if ast.unparse(node.iter) == "range(0, k, step)":
+                dropped.append(node)
+                node.iter = ast.parse("range(0, k, step)[:-1]", mode="eval").body
+            return self.generic_visit(node)
+
+    tree = Drop().visit(ast.parse(textwrap.dedent(inspect.getsource(mx.mmul))))
+    assert len(dropped) == 1
+    namespace = {}
+    exec(compile(ast.fix_missing_locations(tree), "<planted>", "exec",
+                 __future__.annotations.compiler_flag, dont_inherit=True), namespace)
+    return types.FunctionType(namespace["mmul"].__code__, vars(mx))
+
+
+def test_planted_dropped_chunk_fails_the_chunk_properties(monkeypatch):
+    """The split stays reachable: with the last chunk dropped, the chunked
+    product fails over GF(p) and the subfield descents fail on 1-D operands."""
+    monkeypatch.setattr(mx, "mmul", with_last_chunk_dropped())
+    never = settings(max_examples=500, database=None)
+
+    def wrong(products):
+        return any(not np.array_equal(out, ref) for out, ref in products)
+    find(st.tuples(product_operands(PRIMES), st.integers(1, 3)),
+         lambda c: wrong(split_products(*c[0], c[1])[:1]), settings=never)
+    find(st.tuples(subfield_operands(), st.integers(1, 3)),
+         lambda c: wrong(split_products(*c[0], c[1])[1:]), settings=never)
 
 
 @SETTINGS

@@ -165,8 +165,8 @@ def test_non_diagonal_free_part_is_unsupported():
                        [Poly.zero(F2), Poly.zero(F2)]], CARTIER)
     with pytest.raises(Unsupported, match="^non-diagonal free multiplier matrix$"):
         complexes.dualize(nd)
-    ok, notes = validate_pid(nd)
-    assert any("diagonal" in n for n in notes)
+    # outside the scope of local cohomology, yet a valid module
+    assert validate_pid(nd) == (True, [])
 
 
 def test_h1_verdicts():
