@@ -151,13 +151,13 @@ class FinModule:
         return mx.identity(self.dim) if out is None else out
 
     def element_action(self, coeffs) -> np.ndarray:
-        """Action matrix of the ring element with the given basis coords."""
-        F = self.ring.field
-        out = mx.zeros(self.dim, self.dim)
-        for c, mono in zip(np.asarray(coeffs, dtype=np.int64), self.ring.basis):
-            if c:
-                out = F.add(out, F.mul(np.int64(c), self.action_of(mono)))
-        return out
+        """Action matrix of the ring element with the given basis coords:
+        one product of the nonzero coords by their monomials' actions, one
+        per row; only those actions are built."""
+        coeffs, d = np.asarray(coeffs, dtype=np.int64), self.dim
+        nz = np.flatnonzero(coeffs)
+        acts = mx.mat([self.action_of(self.ring.basis[i]).ravel() for i in nz])
+        return mx.mmul(self.ring.field, coeffs[nz], acts.reshape(len(nz), d * d)).reshape(d, d)
 
 
 # -- memos --

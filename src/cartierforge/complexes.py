@@ -141,7 +141,6 @@ class PointCondition:
     side: str
     degree: int
     ok: bool
-    reason: str
 
 
 @dataclass(frozen=True)
@@ -168,21 +167,13 @@ def is_perverse(c: "StructuredComplex | PidModule") -> PerverseReport:
         free_zero = free_crystal_zero(m)
         tors_zero = torsion_crystal_zero(m.torsion)
         if d > -1:
-            conds.append(PointCondition(
-                "generic", "stalk", d, free_zero,
-                f"H^{d}(M_eta) must be crystal-zero"))
+            conds.append(PointCondition("generic", "stalk", d, free_zero))
         if d > 0:
-            conds.append(PointCondition(
-                "closed", "stalk", d, tors_zero and free_zero,
-                f"H^{d}(M_0) must be crystal-zero"))
+            conds.append(PointCondition("closed", "stalk", d, tors_zero and free_zero))
         if d < 0:
-            conds.append(PointCondition(
-                "closed", "local", d, tors_zero,
-                f"H^{d}_m (torsion contribution) must be crystal-zero"))
+            conds.append(PointCondition("closed", "local", d, tors_zero))
         if d < -1:
-            conds.append(PointCondition(
-                "closed", "local", d + 1, free_zero,
-                f"H^{d + 1}_m (hull contribution) must be crystal-zero"))
+            conds.append(PointCondition("closed", "local", d + 1, free_zero))
     return PerverseReport(all(x.ok for x in conds), tuple(conds))
 
 

@@ -237,7 +237,7 @@ def crystal_class(m: Structured) -> tuple:
     exactly when their B are similar."""
     F = m.ring.field
     neg = F.neg(mx.bijective_part(F, m.mat))
-    pres = [[(int(c), int(i == j)) for j, c in enumerate(r)] for i, r in enumerate(neg)]
+    pres = [[Poly.make(F, (c, i == j)) for j, c in enumerate(r)] for i, r in enumerate(neg)]
     return tuple(f.coeffs for f in smith_normal_form(F, pres) if f.deg >= 1)
 
 

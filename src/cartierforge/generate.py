@@ -111,13 +111,8 @@ def random_structure(rng: random.Random, module: FinModule, kind: str,
                      power: int = 1):
     F = module.ring.field
     ker = equivariant_solutions(module, kind, power)
-    d = module.dim
-    v = np.zeros(d * d, dtype=np.int64)
-    for k in range(ker.shape[1]):
-        c = rng.randrange(F.order)
-        if c:
-            v = F.add(v, F.mul(np.int64(c), ker[:, k]))
-    return structured(kind, module, mx.unvec(v, d, d), power)
+    v = mx.mmul(F, ker, [rng.randrange(F.order) for _ in range(ker.shape[1])])
+    return structured(kind, module, mx.unvec(v, module.dim, module.dim), power)
 
 
 def random_cartier(rng: random.Random, p: int, max_vars: int = 2,

@@ -90,14 +90,15 @@ def pid_torsion(field: FiniteField, x_action, struct, kind: str,
 
 def pid_free(field: FiniteField, multipliers, kind: str, power: int = 1) -> PidModule:
     """Free module of rank len(multipliers) with diagonal multiplier
-    structure; pass a full matrix for the general (mostly unsupported) case."""
+    structure, `multipliers` a list of Polys; a square matrix of Polys, as
+    a list of rows, gives the general (mostly unsupported) case."""
     if multipliers and isinstance(multipliers[0], (list, tuple)):
-        matr = tuple(tuple(m if isinstance(m, Poly) else Poly.make(field, m)
-                           for m in row) for row in multipliers)
+        matr = tuple(map(tuple, multipliers))
     else:
-        polys = [m if isinstance(m, Poly) else Poly.make(field, m) for m in multipliers]
-        matr = tuple(tuple(polys[i] if i == j else Poly.zero(field)
-                           for j in range(len(polys))) for i in range(len(polys)))
+        matr = tuple(tuple(u if i == j else Poly.zero(field) for j in range(len(multipliers)))
+                     for i, u in enumerate(multipliers))
+    if not all(isinstance(u, Poly) for row in matr for u in row):
+        raise TypeError("free multipliers must be Polys")
     return PidModule(field, kind, None, matr, power)
 
 

@@ -1,8 +1,11 @@
 """Univariate polynomials over GF(q) and Smith normal form over GF(q)[x].
 
-Coefficients are stored low-degree first; serialization uses the same
-order.  Smith reduction returns the diagonal only; `tests/oracles.py`
-checks it against the gcds of the minors.
+Coefficients are int codes, low-degree first with no trailing zeros, as
+serialized.  Each operation is one call on int64 coefficient arrays: `+`,
+`-`, negation, `scale` and `derivative` one `FiniteField` vector op, `*`
+one `matrix.mmul` of a Toeplitz matrix by a vector, `divmod` one `submul`
+per quotient coefficient.  `tests/oracles.py` holds the per-coefficient
+reference of each and checks the Smith diagonal by the gcds of the minors.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import matrix as mx
 from .field import FiniteField
 
 
@@ -21,7 +25,11 @@ class Poly:
 
     @staticmethod
     def make(field: FiniteField, coeffs) -> "Poly":
-        c = [int(x) % field.order for x in coeffs]
+        return Poly._trim(field, [int(x) % field.order for x in coeffs])
+
+    @staticmethod
+    def _trim(field: FiniteField, c: list) -> "Poly":
+        """The Poly of a low-first list of reduced codes."""
         while c and c[-1] == 0:
             c.pop()
         return Poly(field, tuple(c))
@@ -51,30 +59,34 @@ class Poly:
     def lead(self):
         return self.coeffs[-1] if self.coeffs else 0
 
-    def __add__(self, other):
-        F = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [0] * (n - len(other.coeffs))
-        return Poly.make(F, [int(F.add(x, y)) for x, y in zip(a, b)])
+    def _vec(self, n: int = 0) -> np.ndarray:
+        """The coefficients as a fresh int64 array, zero-padded to length n."""
+        out = np.zeros(max(n, len(self.coeffs)), dtype=np.int64)
+        out[:len(self.coeffs)] = self.coeffs
+        return out
 
-    def __neg__(self):
-        F = self.field
-        return Poly(F, tuple(int(F.neg(c)) for c in self.coeffs))
+    def __add__(self, other):
+        n = max(len(self.coeffs), len(other.coeffs))
+        return Poly._trim(self.field, self.field.add(self._vec(n), other._vec(n)).tolist())
 
     def __sub__(self, other):
-        return self + (-other)
+        n = max(len(self.coeffs), len(other.coeffs))
+        return Poly._trim(self.field, self.field.sub(self._vec(n), other._vec(n)).tolist())
+
+    def __neg__(self):
+        return Poly(self.field, tuple(self.field.neg(self._vec()).tolist()))
 
     def __mul__(self, other):
-        F = self.field
-        if self.is_zero() or other.is_zero():
-            return Poly.zero(F)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = int(F.add(out[i + j], F.mul(a, b)))
-        return Poly.make(F, out)
+        """One `mmul`: the Toeplitz matrix of the longer factor, one column
+        per coefficient of the shorter, times the shorter's coefficients."""
+        a, b = (self, other) if len(self.coeffs) >= len(other.coeffs) else (other, self)
+        if b.is_zero():
+            return b
+        col, k = a._vec(), len(b.coeffs)
+        t = mx.zeros(len(col) + k - 1, k)
+        for j in range(k):
+            t[j:j + len(col), j] = col
+        return Poly._trim(self.field, mx.mmul(self.field, t, b._vec()[:, None])[:, 0].tolist())
 
     def __pow__(self, n: int):
         """self**n (n >= 0) by square-and-multiply."""
@@ -90,28 +102,23 @@ class Poly:
         return out
 
     def scale(self, c):
-        F = self.field
-        return Poly.make(F, [int(F.mul(x, c)) for x in self.coeffs])
+        return Poly._trim(self.field, self.field.mul(self._vec(), c).tolist())
 
     def divmod(self, other):
+        """Long division by the monic d = other / lead: one `submul` of d
+        times the top coefficient per quotient coefficient, the quotient
+        scaled back by 1 / lead at the end."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        F = self.field
-        rem = list(self.coeffs)
-        q = [0] * max(0, len(rem) - len(other.coeffs) + 1)
-        inv_lead = int(F.inv(other.lead()))
-        while len(rem) >= len(other.coeffs) and rem:
-            if rem[-1] == 0:
-                rem.pop()
-                continue
-            c = int(F.mul(rem[-1], inv_lead))
-            shift = len(rem) - len(other.coeffs)
-            q[shift] = c
-            for i, oc in enumerate(other.coeffs):
-                rem[shift + i] = int(F.submul(rem[shift + i], c, oc))
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return Poly.make(F, q), Poly.make(F, rem)
+        F, k = self.field, other.deg
+        inv = F.inv(other.lead())
+        d, rem = F.mul(other._vec(), inv), self._vec()
+        q = np.zeros(max(0, len(rem) - k), dtype=np.int64)
+        for s in range(len(q) - 1, -1, -1):
+            q[s] = c = rem[s + k]
+            if c:
+                rem[s:s + k + 1] = F.submul(rem[s:s + k + 1], c, d)
+        return Poly._trim(F, F.mul(q, inv).tolist()), Poly._trim(F, rem[:k].tolist())
 
     def __mod__(self, other):
         return self.divmod(other)[1]
@@ -128,12 +135,9 @@ class Poly:
         return a.monic()
 
     def derivative(self):
-        F = self.field
-        out = []
-        for i, c in enumerate(self.coeffs[1:], start=1):
-            k = i % F.p
-            out.append(int(F.mul(c, np.int64(k))))
-        return Poly.make(F, out)
+        """The coefficients i c_i, i the prime-field code i % p."""
+        F, c = self.field, self._vec()[1:]
+        return Poly._trim(F, F.mul(c, np.arange(1, len(c) + 1) % F.p).tolist())
 
     def __repr__(self):
         if self.is_zero():
@@ -145,15 +149,10 @@ class Poly:
         return "+".join(parts)
 
 
-def poly_mat(field, rows) -> list[list[Poly]]:
-    return [[e if isinstance(e, Poly) else Poly.make(field, e) for e in row]
-            for row in rows]
-
-
 def smith_normal_form(field: FiniteField, pres) -> list[Poly]:
-    """The Smith diagonal over GF(q)[x]: min(n, m) entries, monic, each
-    dividing the next, reached by unimodular row and column moves."""
-    a = [row[:] for row in poly_mat(field, pres)]
+    """The Smith diagonal of a matrix of Polys: min(n, m) entries, monic,
+    each dividing the next, reached by unimodular row and column moves."""
+    a = [list(row) for row in pres]
     n = len(a)
     m = len(a[0]) if n else 0
 

@@ -1,7 +1,8 @@
 """Independent oracles shared by the test modules.
 
 These recompute, by the definitions, what the package computes another way:
-field arithmetic one code at a time, kappa_S and the rank-one structures
+field arithmetic one code at a time, polynomial arithmetic one
+coefficient pair at a time, kappa_S and the rank-one structures
 on GF(q)[x], the dual-basis table of kappa_S, the hull structure read off
 the Laurent extension, the H^1 hull twist on a truncation, the two-depth
 H^1 verdict and the hull twist applied to one Laurent tail, the determinantal divisors of a polynomial matrix, matrix
@@ -272,33 +273,109 @@ def hull_twist_iterate(u: Poly, q: int, pole: int, e: int) -> dict:
     return tail
 
 
+# -- GF(q)[x] one coefficient pair at a time --
+#
+# Coefficient tuples low-first with no trailing zeros, as in Poly.coeffs;
+# each op is a loop of scalar field calls.
+
+
+def _trimmed(c) -> tuple:
+    c = [int(x) for x in c]
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def ref_add(F: FiniteField, a, b) -> tuple:
+    n = max(len(a), len(b))
+    a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
+    return _trimmed(F.add(x, y) for x, y in zip(a, b))
+
+
+def ref_neg(F: FiniteField, a) -> tuple:
+    return tuple(int(F.neg(c)) for c in a)
+
+
+def ref_sub(F: FiniteField, a, b) -> tuple:
+    return ref_add(F, a, ref_neg(F, b))
+
+
+def ref_mul(F: FiniteField, a, b) -> tuple:
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = int(F.add(out[i + j], F.mul(x, y)))
+    return _trimmed(out)
+
+
+def ref_scale(F: FiniteField, a, c) -> tuple:
+    return _trimmed(F.mul(x, c) for x in a)
+
+
+def ref_divmod(F: FiniteField, a, b) -> tuple:
+    """(quotient, remainder) by long division, one quotient coefficient
+    c = top / lead(b) per step."""
+    rem, q = list(a), [0] * max(0, len(a) - len(b) + 1)
+    inv_lead = int(F.inv(b[-1]))
+    while len(rem) >= len(b) and rem:
+        if rem[-1] == 0:
+            rem.pop()
+            continue
+        c = int(F.mul(rem[-1], inv_lead))
+        shift = len(rem) - len(b)
+        q[shift] = c
+        for i, y in enumerate(b):
+            rem[shift + i] = int(F.submul(rem[shift + i], c, y))
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return _trimmed(q), _trimmed(rem)
+
+
+def ref_derivative(F: FiniteField, a) -> tuple:
+    """The coefficients i c_i, the integer i read in GF(p) as i mod p."""
+    return _trimmed(F.mul(c, np.int64(i % F.p)) for i, c in enumerate(a[1:], start=1))
+
+
+def ref_monic(F: FiniteField, a) -> tuple:
+    return ref_scale(F, a, F.inv(a[-1])) if a else a
+
+
+def ref_gcd(F: FiniteField, a, b) -> tuple:
+    while b:
+        a, b = b, ref_divmod(F, a, b)[1]
+    return ref_monic(F, a)
+
+
 # -- polynomial matrices --
 
 
-def _det(F: FiniteField, a) -> Poly:
-    """Determinant of a square matrix of Polys, by Laplace expansion along
-    the first row."""
+def _det(F: FiniteField, a) -> tuple:
+    """Determinant of a square matrix of coefficient tuples, by Laplace
+    expansion along the first row."""
     if not a:
-        return Poly.one(F)
-    out = Poly.zero(F)
+        return (1,)
+    out = ()
     for j, e in enumerate(a[0]):
-        term = e * _det(F, [row[:j] + row[j + 1:] for row in a[1:]])
-        out = out - term if j % 2 else out + term
+        term = ref_mul(F, e, _det(F, [row[:j] + row[j + 1:] for row in a[1:]]))
+        out = ref_sub(F, out, term) if j % 2 else ref_add(F, out, term)
     return out
 
 
 def determinantal_divisors(F: FiniteField, rows) -> list[Poly]:
     """D_1 .. D_min(n, m) of an n x m matrix of Polys: D_k is the monic gcd
-    of all k x k minors, zero when they all vanish.  The Smith diagonal
-    d_1 .. d_k multiplies to D_k."""
+    of all k x k minors, zero when they all vanish, by the coefficient
+    loops above.  The Smith diagonal d_1 .. d_k multiplies to D_k."""
     n, m = len(rows), len(rows[0]) if rows else 0
     out = []
     for k in range(1, min(n, m) + 1):
-        g = Poly.zero(F)
+        g = ()
         for ri in itertools.combinations(range(n), k):
             for ci in itertools.combinations(range(m), k):
-                g = g.gcd(_det(F, [[rows[i][j] for j in ci] for i in ri]))
-        out.append(g)
+                g = ref_gcd(F, g, _det(F, [[rows[i][j].coeffs for j in ci] for i in ri]))
+        out.append(Poly(F, g))
     return out
 
 

@@ -160,6 +160,18 @@ def test_hull_twist_unit_and_zero_multiplier():
         assert zero.dim == level and not zero.kappa.any()
 
 
+def test_pid_free_keeps_its_polys_in_diagonal_or_matrix_form():
+    """A list of Polys is the diagonal of the multiplier matrix, a list of
+    rows of Polys the matrix itself; anything else is refused."""
+    u, v, z = Poly.x(F2), Poly.make(F2, [1, 1]), Poly.zero(F2)
+    diag = pid_free(F2, [u, v], CARTIER)
+    assert diag.free == ((u, z), (z, v)) and diag.free_diagonal() == [u, v]
+    assert pid_free(F2, [[u, v], [z, u]], CARTIER).free == ((u, v), (z, u))
+    assert pid_free(F2, [], CARTIER).free == ()
+    with pytest.raises(TypeError, match="Polys"):      # coefficient lists are not Polys
+        pid_free(F2, [[0, 1], [1]], CARTIER)
+
+
 def test_non_diagonal_free_part_is_unsupported():
     nd = pid_free(F2, [[Poly.zero(F2), Poly.one(F2)],
                        [Poly.zero(F2), Poly.zero(F2)]], CARTIER)

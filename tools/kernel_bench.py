@@ -1,7 +1,8 @@
 """Time `matrix.mmul` on random n x n operands, per field and size,
 `matrix.rref` on each of its two paths, replays of the workloads' own
-`rref`, GF(p^m) `mmul` and `intertwiners` calls, and the construction of
-a field; count the hits of the program's memos.
+`rref`, GF(p^m) `mmul` and `intertwiners` calls, the construction of a
+field, and `Poly` products, divisions and `crystal_class`; count the hits
+of the program's memos.
 
     python3 tools/kernel_bench.py [--repeats R]
 
@@ -48,6 +49,13 @@ caches cleared, so that it finds the modulus and the generator and fills
 the tables anew.  GF(2^6), GF(3^4), GF(5^4), GF(2^8) and GF(3^6) are the
 fields that `extension-field` builds inside its timed commands, as the
 benchmark empties every cache before each shard.
+The poly table gives the time per call, in microseconds, of a `Poly`
+product of two random polynomials of degree 1, 10 and 100 and of the
+division of one by a random polynomial of half its degree (rounded
+down), over GF(5), GF(8) and GF(9), the two ops' batches alternating;
+then the milliseconds one `crystal_class` pass takes over the modules of
+the crystal digest of `result_digest.py`, every Artinian module and PID
+torsion part of the three workloads' files.
 The memo table gives the calls, hits and misses of every memo in
 `artinian.MEMOS` (a miss is one result computed), among them the Hom
 functors `artinian.hom_module` and `structures.flat_cartier`, per
@@ -83,9 +91,12 @@ import numpy as np
 import cartierforge.cli as cli
 from cartierforge import artinian, matrix as mx
 from cartierforge.artinian import MEMOS
+from cartierforge.duality import crystal_class
 from cartierforge.field import GF, canonical_modulus
+from cartierforge.pid import PidModule
+from cartierforge.poly import Poly
 from oracles import kron_intertwiners
-from result_digest import INPUTS, WORKLOADS, result_lines
+from result_digest import INPUTS, WORKLOADS, _problems, result_lines
 from run import SHARDS, cache_clearers
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (3, 3), (2039, 2)]
@@ -102,6 +113,8 @@ RREF_PATHS = {"int": 1 << 62, "np": -1}           # SMALL_RREF_CELLS forcing eac
 RREF_BOUNDS = [-1, 16, 36, 64, 144, 256, 400, 576, 1024, 1 << 62]
 MMUL_BOUNDS = [-1, 8, 27, 64, 128, 256, 512, 1 << 62]
 BUILDS = [(2, 2), (3, 3), (2, 6), (3, 4), (5, 4), (2, 8), (3, 6), (2, 16), (2039, 2)]
+POLY_FIELDS = [(5, 1), (2, 3), (3, 2)]
+POLY_DEGREES = [1, 10, 100]
 
 
 def per_call_us(calls: dict, repeats: int) -> dict:
@@ -340,6 +353,38 @@ def build_table(repeats: int) -> None:
         print(f"GF({p}^{d})".ljust(12) + f"{build_ms(p, d, repeats):10.2f}")
 
 
+def poly_table(rng, repeats: int) -> None:
+    """`Poly` product and division of random polynomials of each degree
+    (the divisor of half the degree), then one `crystal_class` pass over
+    the modules of the crystal digest."""
+    print("field".ljust(12) + "op".ljust(8) + "".join(f"deg={d}".rjust(10) for d in POLY_DEGREES)
+          + "   (us/call)")
+
+    def draw(F, deg):
+        return Poly.make(F, [*rng.integers(0, F.order, deg), rng.integers(1, F.order)])
+
+    for p, d in POLY_FIELDS:
+        F = GF(p, d)
+        times = {"*": [], "divmod": []}
+        for deg in POLY_DEGREES:
+            a, b, c = draw(F, deg), draw(F, deg), draw(F, deg // 2)
+            us = per_call_us({"*": lambda: a * b, "divmod": lambda: a.divmod(c)}, repeats)
+            for op in times:
+                times[op].append(us[op])
+        for op, row in times.items():
+            print(f"{F!r}".ljust(12) + op.ljust(8) + "".join(f"{t:10.1f}" for t in row))
+    parts = [m.torsion if isinstance(m, PidModule) else m
+             for w in WORKLOADS for _, problem in _problems(cli, w)
+             for m in problem["modules"].values()]
+    parts = [m for m in parts if m is not None]
+
+    def crystal_pass():
+        for m in parts:
+            crystal_class(m)
+    ms = per_call_us({"": crystal_pass}, repeats)[""] / 1e3
+    print(f"crystal_class over {len(parts)} digest modules: {ms:.1f} ms per pass")
+
+
 def memo_table() -> None:
     heads = ["calls", "hits", "misses"] * 2
     print("workload".ljust(16) + "memo".ljust(26) + "".join(h.rjust(8) for h in heads)
@@ -366,6 +411,8 @@ def main() -> None:
     intertwiners_table(repeats)
     print()
     build_table(repeats)
+    print()
+    poly_table(rng, repeats)
     print()
     memo_table()
 
