@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import collections
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import matrix as mx
-from .field import GF, MAX_RING_DIM, FiniteField, is_prime
+from .field import GF, MAX_RING_DIM, FiniteField
 
 
 @dataclass(frozen=True)
@@ -26,8 +26,6 @@ class ArtinRing:
     relations: tuple            # exponent vectors generating the monomial ideal
     basis: tuple                # standard monomials (exponent vectors), sorted
     mult_ops: tuple             # one matrix per variable
-    ambient: "ArtinRing | None" = None
-    quotient_gens: tuple = ()
 
     @property
     def dim(self) -> int:
@@ -42,14 +40,12 @@ class ArtinRing:
         return len(self.vars)
 
     def key(self):
-        return self._memo_key[0]
+        return self._key
 
     @functools.cached_property
-    def _memo_key(self) -> tuple:
-        """key(), then the ambient ring's memo key and the quotient generators
-        that key() ignores; built once, as every part is an immutable tuple."""
-        return ((self.field.p, self.field.deg, self.vars, tuple(sorted(self.relations))),
-                _key(self.ambient), self.quotient_gens)
+    def _key(self) -> tuple:
+        """The presentation, built once: every part is an immutable tuple."""
+        return (self.field.p, self.field.deg, self.vars, tuple(sorted(self.relations)))
 
     def basis_index(self, mono) -> int:
         return self.basis.index(tuple(mono))
@@ -92,12 +88,7 @@ def ring_make(p_or_field, vars, relations, r: int = 1) -> ArtinRing:
     monomials are closed under division), and the walk stops past
     MAX_RING_DIM before any matrix is built.
     """
-    if isinstance(p_or_field, FiniteField):
-        F = p_or_field
-    else:
-        if not is_prime(p_or_field):
-            raise ValueError(f"p = {p_or_field} is not prime")
-        F = GF(p_or_field, r)
+    F = p_or_field if isinstance(p_or_field, FiniteField) else GF(p_or_field, r)
     vars = tuple(vars)
     n = len(vars)
     relations = tuple(tuple(int(e) for e in rel) for rel in relations)
@@ -126,11 +117,9 @@ def ring_make(p_or_field, vars, relations, r: int = 1) -> ArtinRing:
 
 
 def quotient_ring(ring: ArtinRing, extra_relations) -> ArtinRing:
-    """The quotient of `ring` by further monomial generators, with the
-    ambient ring recorded so i_* / i-flat round trips are unambiguous."""
-    extra = tuple(tuple(int(e) for e in rel) for rel in extra_relations)
-    return replace(ring_make(ring.field, ring.vars, ring.relations + extra),
-                   ambient=ring, quotient_gens=extra)
+    """The quotient of `ring` by further monomial generators; it is only
+    its presentation, so `restrict_scalars` takes `ring` as an argument."""
+    return ring_make(ring.field, ring.vars, ring.relations + tuple(map(tuple, extra_relations)))
 
 
 @dataclass(frozen=True)
@@ -181,7 +170,7 @@ MEMO_KEYS = {
     np.ndarray: lambda a: (a.shape, (a if a.dtype is mx.INT64 else a.astype(np.int64)).tobytes()),
     tuple: _seq_key,
     list: _seq_key,
-    ArtinRing: lambda r: r._memo_key,
+    ArtinRing: ArtinRing.key,
     FinModule: lambda m: (_key(m.ring), m.dim, _key(m.actions)),
 }
 
@@ -204,9 +193,9 @@ def _freeze(out) -> None:
 
 def memo(maxsize: int):
     """Memoize a function on the content of its positional arguments: an
-    array by its shape and int64 bytes, a ring by key() with its ambient
-    ring and quotient generators, a module by ring, dim and actions, a
-    structure by kind, power, matrix and module, anything else as itself.
+    array by its shape and int64 bytes, a ring by key(), its presentation,
+    a module by ring, dim and actions, a structure by kind, power, matrix
+    and module, anything else as itself.
 
     At most `maxsize` entries, the least recently used dropped first.  A
     hit returns the objects the miss returned, and every array in them is
@@ -282,14 +271,7 @@ def frobenius_pushforward(m: FinModule, power: int = 1) -> FinModule:
 def direct_sum(a: FinModule, b: FinModule) -> FinModule:
     if a.ring.key() != b.ring.key():
         raise ValueError("direct sum over different rings")
-    F = a.ring.field
-    acts = []
-    for Xa, Xb in zip(a.actions, b.actions):
-        X = mx.zeros(a.dim + b.dim, a.dim + b.dim)
-        X[: a.dim, : a.dim] = Xa
-        X[a.dim:, a.dim:] = Xb
-        acts.append(X)
-    return FinModule(a.ring, a.dim + b.dim, tuple(acts))
+    return FinModule(a.ring, a.dim + b.dim, tuple(map(mx.block_diag, zip(a.actions, b.actions))))
 
 
 def intertwiners(F: FiniteField, As, Bs, rows: int, cols: int):
@@ -425,24 +407,30 @@ def f_flat_dim(m: FinModule, power: int = 1) -> int:
         (mx.zeros(0, m.dim), *map(m.action_of, J))))) for J, c in ideals.items())
 
 
-def i_torsion(m: FinModule, j_gens) -> tuple[FinModule, np.ndarray]:
-    """The J-torsion submodule { v : J v = 0 }, as a module over R/J.
-
-    Returns (module over the quotient ring, basis columns inside m).
-    """
+def torsion_basis(m: FinModule, j_gens) -> tuple[ArtinRing, np.ndarray]:
+    """R/J and the basis columns of the J-torsion { v : J v = 0 } of m."""
     gens = [tuple(int(e) for e in g) for g in j_gens]
     B = mx.kernel(m.ring.field, np.concatenate((mx.zeros(0, m.dim), *map(m.action_of, gens))))
-    sub = submodule(m, B)
-    return FinModule(quotient_ring(m.ring, gens), sub.dim, sub.actions), B
+    return quotient_ring(m.ring, gens), B
 
 
-def restrict_scalars(m: FinModule) -> FinModule:
-    """i_* : view a module over R/J as a module over the ambient R.
+def i_torsion(m: FinModule, j_gens) -> tuple[FinModule, np.ndarray]:
+    """The J-torsion submodule over R/J, and its basis columns inside m."""
+    ring, B = torsion_basis(m, j_gens)
+    return FinModule(ring, B.shape[1], submodule(m, B).actions), B
 
-    The variables are shared, so the action matrices are unchanged."""
-    if m.ring.ambient is None:
-        raise ValueError("module ring does not declare an ambient ring")
-    return FinModule(m.ring.ambient, m.dim, m.actions)
+
+def restrict_scalars(m: FinModule, ambient: ArtinRing) -> FinModule:
+    """i_* : view a module over R/J as a module over R = `ambient`.
+
+    The variables are shared, so the action matrices are unchanged.  Raises
+    unless m's ring is a quotient of `ambient`: same field and variables,
+    and every relation of `ambient` divisible by one of m's ring."""
+    S = m.ring
+    if ambient.key()[:3] != S.key()[:3] or not all(
+            any(_divides(s, r) for s in S.relations) for r in ambient.relations):
+        raise ValueError(f"{S!r} is not a quotient of {ambient!r}")
+    return FinModule(ambient, m.dim, m.actions)
 
 
 def restrict(F: FiniteField, mats, cols: np.ndarray):
@@ -480,22 +468,20 @@ def quotient_data(F: FiniteField, dim: int, cols: np.ndarray):
     """
     if cols.size == 0:
         return mx.identity(dim), mx.identity(dim)
-    r, pivots = mx.rref(F, cols.T)
-    comp = [i for i in range(dim) if i not in pivots]
-    big = np.concatenate([cols, mx.identity(dim)[:, comp]], axis=1)
-    big_inv = mx.inverse(F, big)
+    pivots = mx.rref(F, cols.T)[1]
+    sect = mx.identity(dim)[:, [i for i in range(dim) if i not in pivots]]
+    big_inv = mx.inverse(F, np.concatenate([cols, sect], axis=1))
     if big_inv is None:
         raise ValueError("quotient basis completion failed")
-    proj = big_inv[cols.shape[1]:, :]
-    sect = mx.identity(dim)[:, comp]
-    return proj, sect
+    return big_inv[cols.shape[1]:, :], sect
 
 
-def quotient_module(m: FinModule, cols: np.ndarray):
-    """Quotient of m by the submodule spanned by `cols`.
-
-    Returns (quotient module, proj, sect)."""
-    F = m.ring.field
-    proj, sect = quotient_data(F, m.dim, cols)
-    acts = tuple(mx.mmul(F, proj, mx.mmul(F, X, sect)) for X in m.actions)
-    return FinModule(m.ring, proj.shape[0], acts), proj, sect
+def induce(F: FiniteField, mats, proj: np.ndarray, sect: np.ndarray):
+    """proj X sect for every X in `mats` (at least one): X induced on the
+    quotient of `quotient_data`.  One product with the X stacked, and one
+    with proj on the products side by side."""
+    n, k = sect.shape
+    prod = mx.mmul(F, np.concatenate(mats), sect)
+    out = mx.mmul(F, proj, prod.reshape(len(mats), n, k).transpose(1, 0, 2)
+                  .reshape(n, len(mats) * k))
+    return [out[:, i * k:(i + 1) * k] for i in range(len(mats))]

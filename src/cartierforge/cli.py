@@ -549,6 +549,8 @@ def main(argv=None) -> int:
     genp.add_argument("--out")
     args = parser.parse_args(argv)
     if args.command == "generate":
+        if not order_fits(args.p, 1):
+            genp.error(f"--p {args.p} is past the field-order cap {MAX_ORDER}")
         if not is_prime(args.p) or (args.kind == "elliptic-scan" and args.p == 2):
             genp.error(f"--p must be a prime, odd for elliptic-scan; got {args.p}")
         if min(args.dim, args.ring_dim) < 1:

@@ -21,7 +21,7 @@ import numpy as np
 from . import matrix as mx
 from .artinian import (ArtinRing, FinModule, Hom, hom_coords, hom_images,
                        hom_module, memo, quotient_data, regular_module, ring_make)
-from .field import GF, FiniteField, is_prime
+from .field import GF, FiniteField, is_prime, order_fits
 from .poly import Poly, smith_normal_form
 from .structures import (FROBENIUS, CartierModule, FModule, Structured,
                          Unsupported, _kappa_stack, cartier_module, f_module,
@@ -258,9 +258,9 @@ def hasse_invariant(p: int, cubic) -> int:
     square-free monic cubic.  Found in O(p) steps by `_power_coefficient`;
     when f(0) = 0, f = x h with h(0) != 0 (x^2 does not divide f), and the
     coefficient is that of x^n in h^n, n = (p-1)/2."""
-    if not is_prime(p) or p == 2:
+    if p == 2 or (order_fits(p, 1) and not is_prime(p)):
         raise ValueError("p must be an odd prime")
-    F = GF(p)
+    F = GF(p)       # past the field-order cap, GF raises before trial division
     f = Poly.make(F, cubic)
     if f.deg != 3 or f.lead() != 1:
         raise ValueError("f must be a monic cubic")

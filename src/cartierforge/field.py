@@ -111,12 +111,13 @@ class FiniteField:
     """GF(p^deg) with integer-coded elements and vectorized numpy ops."""
 
     def __init__(self, p: int, deg: int = 1):
-        if not is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
+        # the cap first: trial division costs sqrt(p)
         if deg < 1:
             raise ValueError("deg must be >= 1")
         if not order_fits(p, deg):
             raise ValueError(f"GF({p}^{deg}) exceeds the desk-scale cap {MAX_ORDER}")
+        if not is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
         self.p = p
         self.deg = deg
         self.order = p ** deg

@@ -79,18 +79,10 @@ def random_module(rng: random.Random, ring: ArtinRing, max_dim: int = 5) -> FinM
         sub = ring_make(F, ring.vars, tuple(ring.relations) + tuple(kill))
         summands = [sub]
         total = sub.dim
-    acts = []
-    for v in range(ring.nvars):
-        blocks = [s.mult_ops[v] for s in summands]
-        X = mx.zeros(total, total)
-        at = 0
-        for b in blocks:
-            X[at:at + b.shape[0], at:at + b.shape[0]] = b
-            at += b.shape[0]
-        acts.append(X)
     P = random_invertible(rng, F, total)
     Pi = mx.inverse(F, P)
-    acts = [mx.mmul(F, Pi, mx.mmul(F, X, P)) for X in acts]
+    acts = [mx.mmul(F, Pi, mx.mmul(F, mx.block_diag([s.mult_ops[v] for s in summands]), P))
+            for v in range(ring.nvars)]
     return fin_module(ring, acts)
 
 

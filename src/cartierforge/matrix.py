@@ -395,6 +395,16 @@ def inverse(F: FiniteField, a):
     return x if unique else None
 
 
+def block_diag(blocks) -> np.ndarray:
+    """The matrices `blocks` down the diagonal of one zero matrix."""
+    out = zeros(sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks))
+    r = c = 0
+    for b in blocks:
+        out[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out
+
+
 def unvec(v, r: int, c: int) -> np.ndarray:
     return np.asarray(v, dtype=np.int64).reshape(r, c, order="F")
 

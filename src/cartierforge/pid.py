@@ -99,6 +99,8 @@ def pid_free(field: FiniteField, multipliers, kind: str, power: int = 1) -> PidM
                      for i, u in enumerate(multipliers))
     if not all(isinstance(u, Poly) for row in matr for u in row):
         raise TypeError("free multipliers must be Polys")
+    if any(len(row) != len(matr) for row in matr):
+        raise ValueError("free multiplier matrix must be square")
     return PidModule(field, kind, None, matr, power)
 
 
@@ -108,15 +110,9 @@ def pid_sum(a: PidModule, b: PidModule) -> PidModule:
     tors = _merge_torsion(a, b)
     free = None
     if a.free is not None or b.free is not None:
-        fa = a.free or ()
-        fb = b.free or ()
-        na, nb = len(fa), len(fb)
-        z = Poly.zero(a.field)
-        free = tuple(
-            tuple((fa[i][j] if i < na and j < na else
-                   (fb[i - na][j - na] if i >= na and j >= na else z))
-                  for j in range(na + nb))
-            for i in range(na + nb))
+        # the square multiplier matrices down the diagonal
+        fa, fb, z = a.free or (), b.free or (), (Poly.zero(a.field),)
+        free = tuple(row + z * len(fb) for row in fa) + tuple(z * len(fa) + row for row in fb)
     return PidModule(a.field, a.kind, tors, free, a.power)
 
 

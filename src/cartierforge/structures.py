@@ -18,9 +18,9 @@ import numpy as np
 
 from . import matrix as mx
 from .artinian import (MEMO_KEYS, ArtinRing, FinModule, _key, direct_sum, f_flat,
-                       f_flat_dim, hom_coords, i_torsion, memo, module_violations,
-                       quotient_module, regular_module, restrict,
-                       restrict_scalars, submodule, zero_module)
+                       f_flat_dim, hom_coords, induce, memo, module_violations,
+                       quotient_data, regular_module, restrict, restrict_scalars,
+                       submodule, torsion_basis, zero_module)
 
 
 CARTIER = "cartier"
@@ -157,33 +157,44 @@ def stable_kernel(m: FModule) -> tuple[FModule, np.ndarray]:
     return sub_structure(m, cols), cols
 
 
+def _derived(m: Structured, ring: ArtinRing, ops) -> Structured:
+    """The structure of m's kind and power on `ops`: the actions of a
+    module over `ring`, then the structure matrix."""
+    *acts, mat = ops
+    return with_structure(m, FinModule(ring, len(mat), tuple(acts)), mat)
+
+
+def _restricted(m: Structured, ring: ArtinRing, cols: np.ndarray):
+    """m's actions and structure restricted to span(cols) in one `restrict`,
+    over `ring`; None when the structure alone leaves the span."""
+    ops = restrict(m.ring.field, [*m.module.actions, m.mat], cols)
+    if ops is None:
+        submodule(m.module, cols)       # raises if the actions are what fails
+        return None
+    return _derived(m, ring, ops)
+
+
 def sub_structure(m: Structured, cols: np.ndarray) -> Structured:
     """Restrict module and structure to the span of `cols` (must be stable)."""
-    sub = submodule(m.module, cols)
-    k = restrict(m.ring.field, [m.mat], cols)
-    if k is None:
+    if (sub := _restricted(m, m.ring, cols)) is None:
         raise ValueError("columns are not stable under the structure")
-    return with_structure(m, sub, k[0])
+    return sub
 
 
 def quotient_structure(m: Structured, cols: np.ndarray):
-    """Quotient module and induced structure by the substructure span(cols).
+    """Quotient module and induced structure by the substructure span(cols),
+    in one `induce`.
 
     Returns (structured quotient, proj, sect)."""
     F = m.ring.field
-    quot, proj, sect = quotient_module(m.module, cols)
-    k = mx.mmul(F, proj, mx.mmul(F, m.mat, sect))
-    return with_structure(m, quot, k), proj, sect
+    proj, sect = quotient_data(F, m.dim, cols)
+    return _derived(m, m.ring, induce(F, [*m.module.actions, m.mat], proj, sect)), proj, sect
 
 
 def direct_sum_structured(a: Structured, b: Structured) -> Structured:
     if a.kind != b.kind or a.power != b.power:
         raise ValueError("direct sum of mismatched structures")
-    mod = direct_sum(a.module, b.module)
-    k = mx.zeros(a.dim + b.dim, a.dim + b.dim)
-    k[: a.dim, : a.dim] = a.mat
-    k[a.dim:, a.dim:] = b.mat
-    return with_structure(a, mod, k)
+    return with_structure(a, direct_sum(a.module, b.module), mx.block_diag((a.mat, b.mat)))
 
 
 def iterate_structure(m: Structured, s: int) -> Structured:
@@ -378,7 +389,11 @@ def unitalize(m: CartierModule, max_steps: int = 16) -> UnitalizeResult:
         stages.append(nxt)
         trans.append(t)
         if nxt.dim == stages[-2].dim and mx.is_invertible(F, t):
-            return _finish_unitalize(m, stages, trans, step, exact_stage=step)
+            cmap = _composite(F, trans[:step], m.dim)
+            cert = nil_isomorphism_check(cmap, m, stages[step])
+            status = "zero" if stages[step].dim == 0 else "unit"
+            return UnitalizeResult(status if cert.ok else "not_stabilized",
+                                   stages[step], cmap, cert, step + 1)
         if not mx.nonzero(t):
             zero = CartierModule(zero_module(m.ring), mx.zeros(0, 0), m.power)
             cmap = mx.zeros(0, m.dim)
@@ -411,16 +426,6 @@ def unitalize(m: CartierModule, max_steps: int = 16) -> UnitalizeResult:
     if found is not None:
         return found
     return UnitalizeResult("not_stabilized", stages[-1], None, None, max_steps)
-
-
-def _finish_unitalize(m, stages, trans, step, exact_stage):
-    F = m.ring.field
-    target = stages[exact_stage]
-    cmap = _composite(F, trans[:exact_stage], m.dim)
-    cert = nil_isomorphism_check(cmap, m, target)
-    status = "zero" if target.dim == 0 else "unit"
-    return UnitalizeResult(status if cert.ok else "not_stabilized",
-                           target, cmap, cert, step + 1)
 
 
 def _try_quotient_stabilization(m, stages, trans, ns, e0, built):
@@ -496,17 +501,16 @@ def structured_i_torsion(m: Structured, j_gens) -> tuple[Structured, np.ndarray]
     Cartier structure always restricts (a kappa(v) = kappa(a^q v) = 0 for
     a in J); a Frobenius one need not, as tau(a v) = a^q tau(v): then
     i-flat does not exist, and this raises Unsupported."""
-    tors, cols = i_torsion(m.module, j_gens)
-    k = restrict(m.ring.field, [m.mat], cols)
-    if k is None:
+    ring, cols = torsion_basis(m.module, j_gens)
+    if (tors := _restricted(m, ring, cols)) is None:
         raise Unsupported("structure does not restrict to the torsion part "
                           "(possible only for Frobenius structures)")
-    return with_structure(m, tors, k[0]), cols
+    return tors, cols
 
 
-def structured_restrict_scalars(m: Structured) -> Structured:
-    """i_*: the same data viewed over the ambient ring."""
-    return with_structure(m, restrict_scalars(m.module), m.mat)
+def structured_restrict_scalars(m: Structured, ambient: ArtinRing) -> Structured:
+    """i_*: the same data over `ambient`, as in `restrict_scalars`."""
+    return with_structure(m, restrict_scalars(m.module, ambient), m.mat)
 
 
 @dataclass(frozen=True)
@@ -523,7 +527,7 @@ def kashiwara_counit(n: Structured, j_gens) -> KashiwaraReport:
     nil-isomorphism."""
     F = n.ring.field
     tors, cols = structured_i_torsion(n, j_gens)
-    pushed = structured_restrict_scalars(tors)
+    pushed = structured_restrict_scalars(tors, n.ring)
     rep = nil_isomorphism_check(cols, pushed, n)
     supported = all(
         mx.nil_index(F, n.module.action_of(g)) != math.inf for g in j_gens)

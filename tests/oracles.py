@@ -12,26 +12,32 @@ law, the Kashiwara round trip i-flat o i_* = id, field embedding
 tables by a root search over the whole target field, the Hasse
 invariant by the full polynomial power, column-stacking vec, and the
 Kronecker product with the intertwiner space solved from its stacked
-Kronecker system, and the free rows of a kernel basis read as the last
-nonzero row of each column.  They live with the tests so that they stay
-independent of the code under test.
+Kronecker system, the free rows of a kernel basis read as the last
+nonzero row of each column, and the derived structured modules in two
+steps (module first, then the structure by a second solve or product
+pair, block diagonals written by hand).  They live with the tests so that
+they stay independent of the code under test.
 """
 
 import itertools
 import math
+import random
 
 import numpy as np
 
 from cartierforge import matrix as mx
-from cartierforge.artinian import fin_module
+from cartierforge.artinian import (ArtinRing, FinModule, fin_module, i_torsion,
+                                   quotient_data, restrict, ring_make, submodule)
 from cartierforge.duality import dualize_artinian
 from cartierforge.field import GF, FiniteField
+from cartierforge.generate import random_invertible
 from cartierforge.pid import PidModule, inverse_module
 from cartierforge.poly import Poly
-from cartierforge.structures import (CartierModule, Structured, cartier_module,
-                                     nilpotency_index, structured_i_torsion,
+from cartierforge.structures import (CartierModule, Structured, Unsupported,
+                                     cartier_module, nilpotency_index,
+                                     structured_i_torsion,
                                      structured_restrict_scalars,
-                                     twist_by_unit_line)
+                                     twist_by_unit_line, with_structure)
 from cartierforge.twisted import semilinear_fixed_points
 
 # -- field embeddings --
@@ -474,18 +480,101 @@ def hom_tensor_twist_check(m: CartierModule, a_coords) -> bool:
 # -- closed immersions --
 
 
-def kashiwara_roundtrip(m: Structured) -> bool:
-    """i-flat o i_* on a module over a quotient ring: must be the identity
-    on the nose (matrix equality after the canonical identification)."""
-    if m.ring.ambient is None:
-        raise ValueError("module must live over a declared quotient ring")
-    pushed = structured_restrict_scalars(m)
-    back, cols = structured_i_torsion(pushed, m.ring.quotient_gens)
+def kashiwara_roundtrip(m: Structured, ambient, j_gens) -> bool:
+    """i-flat o i_* on a module over the quotient ring `ambient` / (j_gens):
+    must be the identity on the nose (matrix equality after the canonical
+    identification)."""
+    pushed = structured_restrict_scalars(m, ambient)
+    back, cols = structured_i_torsion(pushed, j_gens)
     if back.dim != m.dim or not np.array_equal(cols, mx.identity(m.dim)):
         return False
     return (np.array_equal(back.mat, m.mat)
             and all(np.array_equal(a, b)
                     for a, b in zip(back.module.actions, m.module.actions)))
+
+
+# -- derived structured modules in two steps --
+
+
+def hand_block_diag(blocks) -> np.ndarray:
+    """The square blocks written one by one down the diagonal."""
+    total = sum(b.shape[0] for b in blocks)
+    out = mx.zeros(total, total)
+    at = 0
+    for b in blocks:
+        out[at:at + b.shape[0], at:at + b.shape[0]] = b
+        at += b.shape[0]
+    return out
+
+
+def two_step_sub_structure(m: Structured, cols) -> Structured:
+    """The submodule, then the structure by a second `restrict`."""
+    sub = submodule(m.module, cols)
+    k = restrict(m.ring.field, [m.mat], cols)
+    if k is None:
+        raise ValueError("columns are not stable under the structure")
+    return with_structure(m, sub, k[0])
+
+
+def two_step_quotient_structure(m: Structured, cols):
+    """proj X sect for each action, then for the structure: two products
+    each."""
+    F = m.ring.field
+    proj, sect = quotient_data(F, m.dim, cols)
+    acts = tuple(mx.mmul(F, proj, mx.mmul(F, X, sect)) for X in m.module.actions)
+    k = mx.mmul(F, proj, mx.mmul(F, m.mat, sect))
+    return with_structure(m, FinModule(m.ring, proj.shape[0], acts), k), proj, sect
+
+
+def hand_direct_sum(a: FinModule, b: FinModule) -> FinModule:
+    return FinModule(a.ring, a.dim + b.dim,
+                     tuple(hand_block_diag([x, y]) for x, y in zip(a.actions, b.actions)))
+
+
+def hand_direct_sum_structured(a: Structured, b: Structured) -> Structured:
+    return with_structure(a, hand_direct_sum(a.module, b.module),
+                          hand_block_diag([a.mat, b.mat]))
+
+
+def two_step_structured_i_torsion(m: Structured, j_gens):
+    """The torsion module, then the structure by a second `restrict`."""
+    tors, cols = i_torsion(m.module, j_gens)
+    k = restrict(m.ring.field, [m.mat], cols)
+    if k is None:
+        raise Unsupported("structure does not restrict to the torsion part "
+                          "(possible only for Frobenius structures)")
+    return with_structure(m, tors, k[0]), cols
+
+
+def hand_random_module(rng: random.Random, ring: ArtinRing, max_dim: int = 5) -> FinModule:
+    """`generate.random_module` with its block diagonals written by hand:
+    the same draws from `rng`, so the same module."""
+    F = ring.field
+    summands, total, guard = [], 0, 0
+    target = rng.randrange(1, max_dim + 1)
+    while total < target and guard < 30:
+        guard += 1
+        extra = []
+        for _ in range(rng.randrange(0, 3)):
+            e = [rng.randrange(0, 3) for _ in range(ring.nvars)]
+            if sum(e) >= 1:
+                extra.append(e)
+        sub = ring_make(F, ring.vars, tuple(ring.relations) + tuple(tuple(e) for e in extra))
+        if total + sub.dim > target and summands:
+            break
+        if total + sub.dim > target:
+            continue
+        summands.append(sub)
+        total += sub.dim
+    if not summands:
+        kill = [tuple(1 if j == i else 0 for j in range(ring.nvars))
+                for i in range(ring.nvars)]
+        summands = [ring_make(F, ring.vars, tuple(ring.relations) + tuple(kill))]
+        total = summands[0].dim
+    acts = [hand_block_diag([s.mult_ops[v] for s in summands]) for v in range(ring.nvars)]
+    P = random_invertible(rng, F, total)
+    Pi = mx.inverse(F, P)
+    return fin_module(ring, [mx.mmul(F, Pi, mx.mmul(F, X, P)) for X in acts])
 
 
 # -- the Hasse invariant by the power --

@@ -143,7 +143,7 @@ def test_criterion_07_kashiwara():
         q = quotient_ring(ring, jgens)
         for mod in (regular_module(q), random_module(rng, q, 3)):
             m = random_structure(rng, mod, CARTIER)
-            ok = ok and kashiwara_roundtrip(m)
+            ok = ok and kashiwara_roundtrip(m, ring, jgens)
         # supported modules over the ambient ring: counit is a nil-iso
         for _ in range(5):
             n = random_structure(rng, random_module(rng, ring, 4), CARTIER)

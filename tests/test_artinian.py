@@ -161,7 +161,7 @@ def test_kashiwara_unit_exact(fixture_ring):
     # i_torsion(restrict_scalars(M), J) is literally M for every M over R/J
     q = quotient_ring(fixture_ring, [[1]])
     m = regular_module(q)
-    pushed = restrict_scalars(m)
+    pushed = restrict_scalars(m, fixture_ring)
     back, cols = i_torsion(pushed, [[1]])
     assert back.dim == m.dim
     assert np.array_equal(cols, mx.identity(m.dim))

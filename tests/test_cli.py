@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -426,6 +427,61 @@ def test_sol_on_cartier_module_is_schema_error(tmp_path, capsys):
     doc["commands"] = [{"op": "sol", "module": "A"}]
     assert main(["run", write(tmp_path, doc)]) == 2
     assert "sol expects" in capsys.readouterr().err
+
+
+# 10**24 + 7, the least prime past 10**24: trial division up to its square
+# root would take hours, the cap check a microsecond
+BIG_PRIME = 10 ** 24 + 7
+
+
+@pytest.fixture
+def no_trial_division_past_the_cap(monkeypatch):
+    """Every `is_prime` the package calls refuses a number past MAX_ORDER."""
+    from cartierforge import duality, field
+
+    def guarded(n, is_prime=field.is_prime):
+        assert n <= field.MAX_ORDER, f"trial division of {n}, past the cap"
+        return is_prime(n)
+    for module in (field, duality, cli):
+        monkeypatch.setattr(module, "is_prime", guarded)
+
+
+def test_a_25_digit_prime_is_refused_at_the_cap_before_trial_division(
+        tmp_path, capsys, no_trial_division_past_the_cap):
+    t0 = time.monotonic()
+    doc = json.loads(json.dumps(FIXTURE_A))
+    doc["field"]["p"] = BIG_PRIME
+    with pytest.raises(ValueError, match=f"^GF\\({BIG_PRIME}\\^1\\) exceeds the desk-scale cap"):
+        cli.parse_problem(doc)
+    doc = json.loads(json.dumps(FIXTURE_A))
+    doc["commands"] = [{"op": "hasse", "p": BIG_PRIME, "cubic": [0, 1, 0, 1]}]
+    assert main(["run", write(tmp_path, doc)]) == 2
+    assert f"hasse: GF({BIG_PRIME}^1) exceeds the desk-scale cap" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "random-artinian", "--p", str(BIG_PRIME)])
+    assert exc.value.code == 2
+    assert f"--p {BIG_PRIME} is past the field-order cap" in capsys.readouterr().err
+    assert time.monotonic() - t0 < 1.0
+
+
+@pytest.mark.parametrize("p", [4194319, BIG_PRIME])
+def test_generate_with_a_prime_past_the_cap_is_a_usage_error(p):
+    # 4194319 is the least prime past MAX_ORDER = 2**22
+    proc = forge("generate", "random-artinian", "--p", str(p))
+    assert proc.returncode == 2, proc.stderr
+    assert "past the field-order cap" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("free", [[[[1], [0, 1]]], [[[1], [0, 1]], [[1]]]],
+                         ids=["one-row-of-two", "ragged"])
+def test_a_non_square_free_multiplier_matrix_is_a_schema_error(tmp_path, capsys, free):
+    # free_diagonal would read entry (0, 0) alone and report verdicts for u = 1
+    doc = json.loads(json.dumps(FIXTURE_A))
+    doc["modules"]["bad_free"]["free"] = free
+    doc["commands"] = [{"op": "validate", "module": "bad_free"},
+                       {"op": "dualize", "module": "bad_free"}]
+    assert main(["run", write(tmp_path, doc)]) == 2
+    assert "free multiplier matrix must be square" in capsys.readouterr().err
 
 
 def test_hasse_at_p2_is_schema_error(tmp_path, capsys):

@@ -491,7 +491,7 @@ def test_torsion_at_the_point_is_nil_isomorphic():
         n = len(m.ring.vars)
         j = [tuple(int(i == v) for i in range(n)) for v in range(n)]
         try:
-            pushed = structured_restrict_scalars(structured_i_torsion(m, j)[0])
+            pushed = structured_restrict_scalars(structured_i_torsion(m, j)[0], m.ring)
         except Unsupported:
             assert m.kind == FROBENIUS
             continue

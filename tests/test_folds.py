@@ -3,34 +3,43 @@ they replaced.
 
 `structured` is the one constructor behind `cartier_module` and
 `f_module`; `artinian.restrict` is the one solve of cols Y = X cols behind
-`submodule`, `i_torsion`, `sub_structure` and `structured_i_torsion`;
+`submodule`, `i_torsion`, `sub_structure` and `structured_i_torsion`, the
+last two restricting the actions and the structure matrix in one call;
+`artinian.induce` gives the quotient's actions and structure in one
+product pair, and `matrix.block_diag` every block diagonal;
 `duality.inverse_hull` builds the dualizing module E_R of every ring,
 truncations included, with the contraction for q^power written directly;
 and `semilinear_fixed_points` linearizes over GF(p) in one vectorized
 product.  The references below are the earlier forms: two constructors, a
 solve per matrix, the explicit truncation index formula, the q-contraction
-iterated by `mat_pow`, and the double loop.  The new routines must agree
-with them bit for bit.
+iterated by `mat_pow`, and the double loop; for the derived modules they
+are the two-step forms of `oracles.py`.  The new routines must agree with
+them bit for bit.
 """
 
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cartierforge import matrix as mx
-from cartierforge.artinian import (i_torsion, regular_module, restrict,
-                                   ring_make, submodule)
+from cartierforge import structures
+from cartierforge.artinian import (FinModule, direct_sum, i_torsion, regular_module,
+                                   restrict, ring_make, submodule)
 from cartierforge.duality import dualizing_module, inverse_hull
 from cartierforge.field import GF
 from cartierforge.generate import (random_artin_ring, random_module,
                                    random_structure)
 from cartierforge.pid import inverse_module, truncation_ring
 from cartierforge.structures import (CARTIER, FROBENIUS, CartierModule,
-                                     FModule, cartier_module, f_module,
-                                     structured, structured_i_torsion,
-                                     sub_structure, validate)
+                                     FModule, cartier_module, direct_sum_structured,
+                                     f_module, quotient_structure, structured,
+                                     structured_i_torsion, sub_structure, validate)
 from cartierforge.twisted import FixedPoints, semilinear_fixed_points
+from oracles import (hand_direct_sum, hand_direct_sum_structured, hand_random_module,
+                     two_step_quotient_structure, two_step_structured_i_torsion,
+                     two_step_sub_structure)
 
 
 # -- references: the earlier forms --
@@ -291,3 +300,86 @@ def test_semilinear_fixed_points_matches_double_loop(p, r):
             for m in (mat, mx.identity(d), mx.zeros(d, d)):
                 assert _same_fixed_points(semilinear_fixed_points(F, m, s),
                                           ref_semilinear_fixed_points(F, m, s))
+
+
+# -- derived structured modules: one pass against two steps --
+
+FOLD_FIELDS = [GF(2), GF(3), GF(2, 2), GF(3, 2)]
+
+
+def _bits(x):
+    """Everything a module, structure or array holds, as comparable bytes."""
+    if isinstance(x, np.ndarray):
+        return x.shape, x.dtype.str, x.tobytes()
+    if isinstance(x, FinModule):
+        return x.ring.key(), x.ring.relations, x.dim, _bits(x.actions)
+    if isinstance(x, (CartierModule, FModule)):
+        return x.kind, x.power, _bits(x.mat), _bits(x.module)
+    if isinstance(x, (tuple, list)):
+        return tuple(map(_bits, x))
+    return x
+
+
+def _result(fn, *args):
+    try:
+        return _bits(fn(*args))
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def fold_mismatches(F, seed: int, kind: str) -> list[str]:
+    """The one-pass constructions that differ from their two-step forms
+    (`oracles`) on one seeded module over F: `random_module`, the sub and
+    quotient structures on invariant spans (some not stable under the
+    structure), both direct sums, and i-flat at each variable and at all."""
+    rng = random.Random(seed)
+    shape = random_artin_ring(rng, F.p)
+    ring = ring_make(F, shape.vars, shape.relations)
+    state = rng.getstate()
+    mod = random_module(rng, ring)
+    rng.setstate(state)
+    bad = [] if _bits(mod) == _bits(hand_random_module(rng, ring)) else ["random_module"]
+    m = random_structure(rng, mod, kind)
+    other = random_structure(rng, random_module(rng, ring, 3), kind)
+    checks = [(direct_sum, hand_direct_sum, (m.module, other.module)),
+              (direct_sum_structured, hand_direct_sum_structured, (m, other))]
+    for cols in _invariant_spans(F, m):
+        checks += [(sub_structure, two_step_sub_structure, (m, cols)),
+                   (quotient_structure, two_step_quotient_structure, (m, cols))]
+    n = ring.nvars
+    for j in [[tuple(int(i == v) for i in range(n))] for v in range(n)] + [
+            [tuple(int(i == v) for i in range(n)) for v in range(n)]]:
+        checks.append((structured_i_torsion, two_step_structured_i_torsion, (m, j)))
+    return bad + [new.__name__ for new, ref, args in checks
+                  if _result(new, *args) != _result(ref, *args)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(FOLD_FIELDS), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([CARTIER, FROBENIUS]))
+def test_derived_modules_equal_their_two_step_references(F, seed, kind):
+    assert fold_mismatches(F, seed, kind) == []
+
+
+def _sweep() -> set:
+    return {name for seed in range(12) for F in FOLD_FIELDS for kind in (CARTIER, FROBENIUS)
+            for name in fold_mismatches(F, seed, kind)}
+
+
+def test_an_induce_that_drops_its_last_block_fails_the_sweep(monkeypatch):
+    real = structures.induce
+    monkeypatch.setattr(structures, "induce", lambda *args: real(*args)[:-1])
+    assert "quotient_structure" in _sweep()
+
+
+def test_a_block_diag_with_its_second_block_a_row_low_fails_the_sweep(monkeypatch):
+    def shifted(blocks):
+        out = mx.zeros(sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks))
+        r = c = 0
+        for i, b in enumerate(blocks):
+            s = r + (i == 1)
+            out[s:s + b.shape[0], c:c + b.shape[1]] = b[:len(out) - s]
+            r, c = r + b.shape[0], c + b.shape[1]
+        return out
+    monkeypatch.setattr(mx, "block_diag", shifted)
+    assert {"random_module", "direct_sum", "direct_sum_structured"} <= _sweep()

@@ -289,19 +289,25 @@ def test_modules_of_equal_integers_are_two_dual_entries(a, b):
         assert (d.ring.field, d.kind, d.power) == (m.ring.field, opposite, m.power)
 
 
-def test_a_quotient_ring_and_the_equal_plain_ring_are_two_dual_entries():
+def test_a_quotient_ring_and_the_equal_plain_ring_share_one_dual_entry():
+    # a ring is its presentation: the ambient ring is an argument of i_*
     F = GF(2)
     ambient = ring_make(F, ["x"], [[3]])
     quot = quotient_ring(ambient, [[2]])
     plain = ring_make(F, ["x"], [[3], [2]])
     assert quot.key() == plain.key()
     dp = dualize_artinian(one_dim(F, ring=plain))[0]
-    dualize_artinian(one_dim(F, ring=quot))
     dq = dualize_artinian(one_dim(F, ring=quot))[0]
-    assert dualize_artinian.cache_info().currsize == 2 and dualize_artinian.cache_info().hits == 1
-    assert restrict_scalars(dq.module).ring is ambient
-    with pytest.raises(ValueError):
-        restrict_scalars(dp.module)
+    assert dq is dp
+    assert dualize_artinian.cache_info().currsize == 1 and dualize_artinian.cache_info().hits == 1
+    for m in (dq.module, dp.module):
+        assert restrict_scalars(m, ambient).ring is ambient
+    # not an ambient ring: another field, other variables, or a relation
+    # (x^1) that no relation (x^2, x^3) of the quotient divides
+    for other in (ring_make(GF(3), ["x"], [[3]]), ring_make(F, ["y"], [[3]]),
+                  ring_make(F, ["x"], [[1]])):
+        with pytest.raises(ValueError, match="is not a quotient of"):
+            restrict_scalars(dq.module, other)
 
 
 def test_the_dual_memo_is_bounded():

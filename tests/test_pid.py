@@ -172,6 +172,15 @@ def test_pid_free_keeps_its_polys_in_diagonal_or_matrix_form():
         pid_free(F2, [[0, 1], [1]], CARTIER)
 
 
+def test_pid_free_refuses_a_non_square_multiplier_matrix():
+    # one row of two entries, or rows of two lengths: free_diagonal would
+    # read entry (0, 0) alone
+    u, z = Poly.one(F2), Poly.zero(F2)
+    for rows in ([[u, z]], [[u, z], [u]]):
+        with pytest.raises(ValueError, match="^free multiplier matrix must be square$"):
+            pid_free(F2, rows, CARTIER)
+
+
 def test_non_diagonal_free_part_is_unsupported():
     nd = pid_free(F2, [[Poly.zero(F2), Poly.one(F2)],
                        [Poly.zero(F2), Poly.zero(F2)]], CARTIER)

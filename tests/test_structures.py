@@ -195,14 +195,14 @@ def test_twist_preserves_nilpotency_finiteness():
 
 def test_kashiwara_roundtrip_and_counit(ring, fixture_a):
     tors, _ = structured_i_torsion(fixture_a, [[1]])
-    assert kashiwara_roundtrip(tors)
+    assert kashiwara_roundtrip(tors, fixture_a.ring, [[1]])
     rep = kashiwara_counit(fixture_a, [[1]])
     assert rep.ok and rep.supported
     assert rep.counit.kernel_index == 1       # kernel is zero
     # zero module round trip
     z = cartier_module(zero_module(ring), mx.zeros(0, 0))
     tz, _ = structured_i_torsion(z, [[1]])
-    assert kashiwara_roundtrip(tz)
+    assert kashiwara_roundtrip(tz, ring, [[1]])
 
 
 def test_i_torsion_undoes_restrict_scalars_on_corpus():
@@ -216,7 +216,7 @@ def test_i_torsion_undoes_restrict_scalars_on_corpus():
         q = quotient_ring(ring, jgens)
         for kind in (CARTIER, FROBENIUS):
             m = random_structure(rng, random_module(rng, q, 4), kind)
-            assert kashiwara_roundtrip(m)
+            assert kashiwara_roundtrip(m, ring, jgens)
 
 
 def test_only_frobenius_structures_can_miss_the_torsion_part(ring):

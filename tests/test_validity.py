@@ -65,7 +65,7 @@ def _artinian_outputs(bad, rng, m):
         assert "does not restrict" in str(exc)
     else:
         _record(bad, "structured_i_torsion", tors)
-        _record(bad, "structured_restrict_scalars", structured_restrict_scalars(tors))
+        _record(bad, "structured_restrict_scalars", structured_restrict_scalars(tors, m.ring))
     _record(bad, "dualizing_module", dualizing_module(m.ring, m.power))
     d1, _ = dualize_artinian(m)
     if _record(bad, "dualize_artinian", d1):
