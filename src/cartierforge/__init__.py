@@ -11,11 +11,10 @@ from .artinian import (ArtinRing, FinModule, f_flat, fin_module,
                        frobenius_pushforward, hom_module, i_torsion,
                        quotient_ring, regular_module, restrict_scalars,
                        ring_make)
-from .structures import (CartierModule, FModule, adjoint_structural,
-                         cartier_module, f_module, is_unit, iterate_structure,
-                         kashiwara_counit, nil_isomorphism_check,
-                         nilpotency_index, stable_image, stable_kernel,
-                         twist_by_unit_line, unitalize, validate)
+from .structures import (Structured, adjoint_structural, cartier_module,
+                         f_module, is_unit, iterate_structure, kashiwara_counit,
+                         nil_isomorphism_check, nilpotency_index, stable_image,
+                         stable_kernel, twist_by_unit_line, unitalize, validate)
 from .pid import (PidModule, Unsupported, inverse_module, pid_free, pid_sum,
                   pid_torsion)
 from .duality import (crystal_class, crystal_equivalent, double_dual_check,

@@ -32,8 +32,8 @@ from .duality import (_ordinary_by_sol, double_dual_check, dual_base_change_chec
 from .field import GF, MAX_ORDER, is_prime, order_fits
 from .generate import (artinian_corpus, pid_torsion_corpus, random_cartier,
                        random_f_module, random_pid_torsion)
-from .pid import (CARTIER, FROBENIUS, PidModule, pid_free, pid_sum,
-                  pid_torsion, validate_pid)
+from .pid import (CARTIER, FROBENIUS, PidModule, free_crystal_zero, pid_free,
+                  pid_sum, pid_torsion, validate_pid)
 from .poly import Poly
 from .structures import (Unsupported, kashiwara_counit, nilpotency_index,
                          stable_image, stable_kernel, structured, unitalize, validate)
@@ -49,15 +49,7 @@ class InvalidModule(Exception):
     def __init__(self, name, violations):
         super().__init__(f"module {name!r} is invalid")
         self.name = name
-        self.violations = violations
-
-
-def _validation(m) -> tuple[bool, list]:
-    """(ok, notes) of a module's validation; notes list the violations."""
-    if isinstance(m, PidModule):
-        return validate_pid(m)
-    rep = validate(m)
-    return rep.ok, list(rep.violations)
+        self.violations = list(violations)
 
 
 def _int(v, what, lo=None):
@@ -247,9 +239,9 @@ def _run_op(problem, cmd: dict, seed: int, out: dict) -> None:
     mods, cxs = problem["modules"], problem["complexes"]
 
     def validation(name):
-        memo = problem["validations"]
+        memo, m = problem["validations"], mods[name]
         if name not in memo:
-            memo[name] = _validation(mods[name])
+            memo[name] = validate_pid(m) if isinstance(m, PidModule) else validate(m)
         return memo[name]
 
     def get_module(key="module"):
@@ -264,19 +256,21 @@ def _run_op(problem, cmd: dict, seed: int, out: dict) -> None:
             raise SchemaError(f"{op} expects a module of the {tier} tier{with_kind}; "
                               f"{name!r} is not one")
         out[key] = name
-        ok, notes = validation(name)
-        if not ok and op != "validate":
-            raise InvalidModule(name, notes)
+        rep = validation(name)
+        if not rep.ok and op != "validate":
+            raise InvalidModule(name, rep.violations)
         return m
 
     if op == "validate":
         get_module()
-        ok, notes = validation(out["module"])
-        out.update(ok=ok, violations=list(notes))
+        rep = validation(out["module"])
+        out.update(ok=rep.ok, violations=list(rep.violations))
     elif op == "nilpotent":
         m = get_module()
         target = m.torsion if isinstance(m, PidModule) else m
         idx = nilpotency_index(target) if target is not None else 1
+        if isinstance(m, PidModule) and not free_crystal_zero(m):
+            idx = math.inf      # kappa_S o u on a free part is nilpotent only for u = 0
         out.update(index=_index_json(idx), ok=True)
     elif op == "stable":
         m = get_module()
@@ -312,6 +306,8 @@ def _run_op(problem, cmd: dict, seed: int, out: dict) -> None:
         b = get_module("right")
         if b.kind != CARTIER:
             raise SchemaError("pair expects (frobenius, cartier) or (cartier, unit cartier)")
+        if a.ring.key() != b.ring.key():
+            raise SchemaError("pair expects two modules over one ring")
         h, _ = (pair_F_to_C if a.kind == FROBENIUS else pair_C_to_F)(a, b)
         out.update(ok=True, kind=h.kind, dim=h.dim,
                    nilpotency_index=_index_json(nilpotency_index(h)))
@@ -344,9 +340,8 @@ def _run_op(problem, cmd: dict, seed: int, out: dict) -> None:
                 raise SchemaError(f"unknown complex {name!r}")
             out["complex"] = name
             for ref in problem["complex_terms"][name]:
-                ok, notes = validation(ref)
-                if not ok:
-                    raise InvalidModule(ref, notes)
+                if not (rep := validation(ref)).ok:
+                    raise InvalidModule(ref, rep.violations)
             target = cxs[name]
         else:
             target = shift_module(get_module(), _int_field(cmd, "degree", 0))
@@ -434,7 +429,7 @@ def cmd_run(args) -> int:
             return 2
         except InvalidModule as exc:
             r = {"op": cmd.get("op"), "module": exc.name, "ok": False,
-                 "unsupported": False, "violations": list(exc.violations)}
+                 "unsupported": False, "violations": exc.violations}
         except Exception as exc:
             r = {"op": cmd.get("op"), "ok": False, "unsupported": False,
                  "error": f"{type(exc).__name__}: {exc}"}

@@ -23,14 +23,14 @@ from .artinian import (ArtinRing, FinModule, Hom, hom_coords, hom_images,
                        hom_module, memo, quotient_data, regular_module, ring_make)
 from .field import GF, FiniteField, is_prime, order_fits
 from .poly import Poly, smith_normal_form
-from .structures import (FROBENIUS, CartierModule, FModule, Structured,
-                         Unsupported, _kappa_stack, cartier_module, f_module,
+from .structures import (CARTIER, FROBENIUS, Structured, Unsupported, _expect,
+                         _kappa_stack, cartier_module, f_module,
                          is_morphism, is_unit, iterate_structure,
                          kappa_monomials, nilpotency_index, structured)
 from .twisted import semilinear_fixed_points
 
 
-def inverse_hull(ring: ArtinRing, power: int = 1) -> CartierModule:
+def inverse_hull(ring: ArtinRing, power: int = 1) -> Structured:
     """E_R inside the inverse-monomial hull: span of x^-a with x^(a-1)
     standard, with the contraction Cartier structure for q^power.
 
@@ -52,7 +52,7 @@ def inverse_hull(ring: ArtinRing, power: int = 1) -> CartierModule:
 
 
 @memo(256)
-def dualizing_module(ring: ArtinRing, power: int = 1) -> CartierModule:
+def dualizing_module(ring: ArtinRing, power: int = 1) -> Structured:
     """E_R = inverse_hull(ring, power), checked to be unit; memoized per
     ring and power (the unit check is the expensive part)."""
     e_mod = inverse_hull(ring, power)
@@ -65,24 +65,28 @@ _NOT_EQUIVARIANT = ("pairing image left the hom space: a structure is not "
                     "equivariant (check both modules with validate)")
 
 
-def pair_F_to_C(m: FModule, n: CartierModule) -> Hom:
-    """Hom(M, N) as a Cartier module: f -> kappa_N o F_* f o tau_M.
+def pair_F_to_C(m: Structured, n: Structured) -> Hom:
+    """Hom(M, N) as a Cartier module: f -> kappa_N o F_* f o tau_M, for M
+    Frobenius and N Cartier.
 
     Returns it with its hom basis, the kernel matrix from `hom_module`."""
+    _expect(FROBENIUS, m)
+    _expect(CARTIER, n)
     if m.ring.key() != n.ring.key() or m.power != n.power:
         raise ValueError("pairing requires one ring and one Frobenius power")
     F = m.ring.field
     hom, ker = space = hom_module(m.module, n.module)
-    imgs = hom_images(F, ker, (n.dim, m.dim), left=n.kappa, right=m.tau)
+    imgs = hom_images(F, ker, (n.dim, m.dim), left=n.mat, right=m.mat)
     coords = hom_coords(F, ker, imgs, space.free)
     if coords is None:
         raise ValueError(_NOT_EQUIVARIANT)
     return Hom(cartier_module(hom, coords, m.power), ker, space.free)
 
 
-def pair_C_to_F(m: CartierModule, n: CartierModule) -> Hom:
-    """Hom(M, N) as an F-module, N unit: solve the defining rule
-    kappa_N(F_*(lambda e)) = f(kappa_M(F_*(lambda m))) for all lambda.
+def pair_C_to_F(m: Structured, n: Structured) -> Hom:
+    """Hom(M, N) as an F-module, M Cartier and N unit Cartier: solve the
+    defining rule kappa_N(F_*(lambda e)) = f(kappa_M(F_*(lambda m))) for
+    all lambda.
 
     For f = H the rule reads (kappa_N x^lambda) e = H kappa_M x^lambda, so
     each column of e solves against K = vstack_lambda(kappa_N x^lambda),
@@ -93,13 +97,14 @@ def pair_C_to_F(m: CartierModule, n: CartierModule) -> Hom:
     those rows, checked by one product.  Otherwise N is not unit, and this
     raises Unsupported.  Returns the F-module with its hom basis, the kernel
     matrix from `hom_module`."""
+    _expect(CARTIER, m, n)
     if m.ring.key() != n.ring.key() or m.power != n.power:
         raise ValueError("pairing requires one ring and one Frobenius power")
     F = m.ring.field
     hom, ker = space = hom_module(m.module, n.module)
     k, dn, dm, rd = ker.shape[1], n.dim, m.dim, m.ring.dim
     if not k:
-        return Hom(FModule(hom, mx.zeros(0, 0), m.power), ker, space.free)
+        return Hom(f_module(hom, mx.zeros(0, 0), m.power), ker, space.free)
     stack, rows, inv = _kappa_stack(n)
     if inv is None:
         raise Unsupported("pairing solution not unique; target is not unit")
@@ -166,7 +171,7 @@ class SolReport:
     ext_field: FiniteField
 
 
-def sol_point(m: FModule, s: int = 1) -> SolReport:
+def sol_point(m: Structured, s: int = 1) -> SolReport:
     """Sol at the closed point: reduce modulo the variables to the matrix T
     over F_q, then compute arithmetic fixed points over GF(q^s) and the
     geometric dimension, the rank of T^dim (the size of T's bijective part)."""
@@ -177,15 +182,16 @@ def sol_point(m: FModule, s: int = 1) -> SolReport:
                      fixed.ext_field)
 
 
-def reduced_operator(m: FModule) -> np.ndarray:
-    """The matrix over F_q of the structure induced on M/mM, m the ideal of
-    the variables; the structure must be level one (q = |F|)."""
+def reduced_operator(m: Structured) -> np.ndarray:
+    """The matrix over F_q of the Frobenius structure induced on M/mM, m the
+    ideal of the variables; the structure must be level one (q = |F|)."""
+    _expect(FROBENIUS, m)
     if m.power != 1:
         raise ValueError("Sol at the point expects a level-one structure")
     F = m.ring.field
     cols = mx.column_space(F, np.concatenate((mx.zeros(m.dim, 0), *m.module.actions), axis=1))
     proj, sect = quotient_data(F, m.dim, cols)
-    return mx.mmul(F, proj, mx.mmul(F, m.tau, sect))
+    return mx.mmul(F, proj, mx.mmul(F, m.mat, sect))
 
 
 def extend_scalars(m: Structured, s: int) -> Structured:
@@ -202,7 +208,7 @@ def extend_scalars(m: Structured, s: int) -> Structured:
     return structured(m.kind, mod, emb[iterate_structure(m, s).mat])
 
 
-def sol_base_change_check(m: FModule, s: int) -> dict:
+def sol_base_change_check(m: Structured, s: int) -> dict:
     """dim_Fq Sol(M) = dim_F(q^s) Sol(M_s), evaluated at matching levels,
     plus equality of the geometric dimensions."""
     base = sol_point(m, s)

@@ -223,11 +223,12 @@ class FiniteField:
 
     def submul(self, a, b, c):
         """Elementwise a - b*c.  Over GF(p) this is one (a - b*c) % p on
-        int64, where |a - b*c| < p**2 <= 2**44 under MAX_ORDER."""
-        a = np.asarray(a, dtype=np.int64)
+        int64, where |a - b*c| < p**2 <= 2**44 under MAX_ORDER; over
+        GF(p^m) one digit-table expression, b*c by the Zech tables."""
         if self.deg == 1:
-            return (a - np.asarray(b, dtype=np.int64) * c) % self.p
-        return self.sub(a, self.mul(b, c))
+            return (np.asarray(a, dtype=np.int64) - np.asarray(b, dtype=np.int64) * c) % self.p
+        bc = self._expz[self._logz[b] + self._logz[c]]
+        return ((self._dig[a] - self._dig[bc]) % self.p) @ self._pw
 
     def mul(self, a, b):
         a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)

@@ -18,7 +18,7 @@ from .artinian import (ArtinRing, FinModule, fin_module, intertwiners,
                        ring_make)
 from .field import GF, FiniteField
 from .pid import CARTIER, FROBENIUS, PidModule, pid_torsion
-from .structures import CartierModule, FModule, structured
+from .structures import Structured, structured
 
 
 def _rand_mat(rng: random.Random, F: FiniteField, r: int, c: int) -> np.ndarray:
@@ -108,13 +108,13 @@ def random_structure(rng: random.Random, module: FinModule, kind: str,
 
 
 def random_cartier(rng: random.Random, p: int, max_vars: int = 2,
-                   max_ring_dim: int = 6, max_dim: int = 5) -> CartierModule:
+                   max_ring_dim: int = 6, max_dim: int = 5) -> Structured:
     ring = random_artin_ring(rng, p, max_vars, max_ring_dim)
     return random_structure(rng, random_module(rng, ring, max_dim), CARTIER)
 
 
 def random_f_module(rng: random.Random, p: int, max_vars: int = 2,
-                    max_ring_dim: int = 6, max_dim: int = 5) -> FModule:
+                    max_ring_dim: int = 6, max_dim: int = 5) -> Structured:
     ring = random_artin_ring(rng, p, max_vars, max_ring_dim)
     return random_structure(rng, random_module(rng, ring, max_dim), FROBENIUS)
 

@@ -14,7 +14,7 @@ duality reduces to exact finite solves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,9 +23,9 @@ from .artinian import ArtinRing, fin_module, memo, ring_make
 from .field import FiniteField
 from .poly import Poly
 from .duality import inverse_hull
-from .structures import (CARTIER, FROBENIUS, CartierModule, Structured,
-                         Unsupported, direct_sum_structured, nilpotency_index,
-                         structured, validate, with_structure)
+from .structures import (CARTIER, FROBENIUS, Structured, Unsupported,
+                         ValidationReport, direct_sum_structured, nilpotency_index,
+                         structured, validate)
 
 # -- the truncated injective hull --
 
@@ -36,7 +36,7 @@ def truncation_ring(field: FiniteField, level: int) -> ArtinRing:
     return ring_make(field, ["x"], [[level]])
 
 
-def inverse_module(field: FiniteField, level: int, power: int = 1) -> CartierModule:
+def inverse_module(field: FiniteField, level: int, power: int = 1) -> Structured:
     """Truncation of E = GF(q)[x, 1/x]/GF(q)[x]: basis x^-1 .. x^-level, the
     inverse hull of the truncation ring (index j stands for x^-(j+1))."""
     return inverse_hull(truncation_ring(field, level), power)
@@ -49,7 +49,8 @@ def inverse_module(field: FiniteField, level: int, power: int = 1) -> CartierMod
 class PidModule:
     """Structure-carrying module: x-primary torsion part (+) free part.
 
-    torsion: a CartierModule/FModule over a truncation ring, or None.
+    torsion: a `Structured` of the module's kind over a truncation ring,
+    or None.
     free: square multiplier matrix of Poly (None for rank zero); only
     diagonal matrices are inside the handled scope of the local theory.
     """
@@ -138,16 +139,13 @@ def retruncate(t: Structured, level: int) -> Structured:
     if _ring_level(t.ring) == level:
         return t
     mod = fin_module(truncation_ring(t.ring.field, level), t.module.actions)
-    return with_structure(t, mod, t.mat)
+    return replace(t, module=mod)
 
 
-def validate_pid(m: PidModule):
-    """(ok, violations) of the torsion part; a free part, diagonal or not,
+def validate_pid(m: PidModule) -> ValidationReport:
+    """The validation of the torsion part; a free part, diagonal or not,
     breaks no law."""
-    if m.torsion is None:
-        return True, []
-    rep = validate(m.torsion)
-    return rep.ok, list(rep.violations)
+    return ValidationReport(True, ()) if m.torsion is None else validate(m.torsion)
 
 
 def free_crystal_zero(m: PidModule) -> bool:

@@ -12,7 +12,7 @@ adjoint structural morphism, unitalization, and nil-isomorphism testing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,7 +33,15 @@ class Unsupported(ValueError):
     `cli.run_command` alone catches it."""
 
 
-class _StructureBase:
+@dataclass(frozen=True)
+class Structured:
+    """A Cartier (kind CARTIER) or Frobenius (kind FROBENIUS) structure
+    `mat` on `module`, for the q^power Frobenius."""
+    kind: str
+    module: FinModule
+    mat: np.ndarray
+    power: int = 1
+
     @property
     def dim(self) -> int:
         return self.module.dim
@@ -43,35 +51,14 @@ class _StructureBase:
         return self.module.ring
 
 
-@dataclass(frozen=True)
-class CartierModule(_StructureBase):
-    module: FinModule
-    kappa: np.ndarray
-    power: int = 1
-
-    kind = CARTIER
-
-    @property
-    def mat(self) -> np.ndarray:
-        return self.kappa
+MEMO_KEYS[Structured] = lambda m: (m.kind, m.power, _key(m.mat), _key(m.module))
 
 
-@dataclass(frozen=True)
-class FModule(_StructureBase):
-    module: FinModule
-    tau: np.ndarray
-    power: int = 1
-
-    kind = FROBENIUS
-
-    @property
-    def mat(self) -> np.ndarray:
-        return self.tau
-
-
-Structured = CartierModule | FModule
-MEMO_KEYS[CartierModule] = MEMO_KEYS[FModule] = lambda m: (
-    m.kind, m.power, _key(m.mat), _key(m.module))
+def _expect(kind: str, *ms: Structured) -> None:
+    """A ValueError naming `kind` unless each of `ms` has a structure of it."""
+    for m in ms:
+        if m.kind != kind:
+            raise ValueError(f"expects a {kind} structure, got a {m.kind} one")
 
 
 @dataclass(frozen=True)
@@ -89,20 +76,15 @@ def structured(kind: str, module: FinModule, mat, power: int = 1) -> Structured:
     Constructors build and `validate` checks: input data is validated once,
     where it enters (`forge run` does it per module), and everything built
     from valid data is valid by construction."""
-    cls = CartierModule if kind == CARTIER else FModule
-    return cls(module, np.asarray(mat, dtype=np.int64), power)
+    return Structured(kind, module, np.asarray(mat, dtype=np.int64), power)
 
 
-def cartier_module(module: FinModule, kappa, power: int = 1) -> CartierModule:
+def cartier_module(module: FinModule, kappa, power: int = 1) -> Structured:
     return structured(CARTIER, module, kappa, power)
 
 
-def f_module(module: FinModule, tau, power: int = 1) -> FModule:
+def f_module(module: FinModule, tau, power: int = 1) -> Structured:
     return structured(FROBENIUS, module, tau, power)
-
-
-def with_structure(m: Structured, module: FinModule, mat: np.ndarray) -> Structured:
-    return structured(m.kind, module, mat, m.power)
 
 
 def validate(m: Structured) -> ValidationReport:
@@ -138,21 +120,23 @@ def _nil_index(F, a):
     return mx.nil_index(F, a)
 
 
-def stable_image(m: CartierModule) -> tuple[CartierModule, np.ndarray]:
+def stable_image(m: Structured) -> tuple[Structured, np.ndarray]:
     """The stable image kappa^dim(M), as a Cartier submodule.
 
     The crystal class of M is zero exactly when this vanishes."""
+    _expect(CARTIER, m)
     F = m.ring.field
-    power = mx.mat_pow(F, m.kappa, max(m.dim, 1))
+    power = mx.mat_pow(F, m.mat, max(m.dim, 1))
     cols = mx.column_space(F, power)
     return sub_structure(m, cols), cols
 
 
-def stable_kernel(m: FModule) -> tuple[FModule, np.ndarray]:
+def stable_kernel(m: Structured) -> tuple[Structured, np.ndarray]:
     """N_infty: the stabilized kernel of the iterated structure; the module
     is crystal-zero exactly when this is everything."""
+    _expect(FROBENIUS, m)
     F = m.ring.field
-    power = mx.mat_pow(F, m.tau, max(m.dim, 1))
+    power = mx.mat_pow(F, m.mat, max(m.dim, 1))
     cols = mx.kernel(F, power)
     return sub_structure(m, cols), cols
 
@@ -161,7 +145,7 @@ def _derived(m: Structured, ring: ArtinRing, ops) -> Structured:
     """The structure of m's kind and power on `ops`: the actions of a
     module over `ring`, then the structure matrix."""
     *acts, mat = ops
-    return with_structure(m, FinModule(ring, len(mat), tuple(acts)), mat)
+    return replace(m, module=FinModule(ring, len(mat), tuple(acts)), mat=mat)
 
 
 def _restricted(m: Structured, ring: ArtinRing, cols: np.ndarray):
@@ -194,7 +178,7 @@ def quotient_structure(m: Structured, cols: np.ndarray):
 def direct_sum_structured(a: Structured, b: Structured) -> Structured:
     if a.kind != b.kind or a.power != b.power:
         raise ValueError("direct sum of mismatched structures")
-    return with_structure(a, direct_sum(a.module, b.module), mx.block_diag((a.mat, b.mat)))
+    return replace(a, module=direct_sum(a.module, b.module), mat=mx.block_diag((a.mat, b.mat)))
 
 
 def iterate_structure(m: Structured, s: int) -> Structured:
@@ -206,14 +190,15 @@ def iterate_structure(m: Structured, s: int) -> Structured:
                       m.power * s)
 
 
-def kappa_monomials(m: CartierModule) -> np.ndarray:
-    """vstack_lambda(kappa x^lambda) over the ring basis.  That basis is
-    sorted by degree and closed under division, so each block after kappa
-    is an earlier block times one variable action."""
+def kappa_monomials(m: Structured) -> np.ndarray:
+    """vstack_lambda(kappa x^lambda) over the ring basis of a Cartier
+    structure.  That basis is sorted by degree and closed under division,
+    so each block after kappa is an earlier block times one variable action."""
+    _expect(CARTIER, m)
     blocks = {}
     for mono in m.ring.basis:
         v = next((i for i, e in enumerate(mono) if e), None)
-        blocks[mono] = m.kappa if v is None else mx.mmul(
+        blocks[mono] = m.mat if v is None else mx.mmul(
             m.ring.field, blocks[mono[:v] + (mono[v] - 1,) + mono[v + 1:]],
             m.module.actions[v])
     return np.concatenate((mx.zeros(0, m.dim), *blocks.values()))
@@ -223,7 +208,7 @@ _NOT_LINEAR = ("adjoint image not R-linear: the structure is not "
                "equivariant (check it with validate)")
 
 
-def adjoint_structural(m: CartierModule):
+def adjoint_structural(m: Structured):
     """The adjoint structural morphism M -> F^flat M.
 
     Returns (matrix in flat coordinates, flat module, flat hom basis).
@@ -238,7 +223,7 @@ def adjoint_structural(m: CartierModule):
 
 
 @memo(256)
-def flat_cartier(m: CartierModule):
+def flat_cartier(m: Structured):
     """F^flat M as a Cartier module, with the transition data unitalize needs.
 
     Returns (structured flat module, adjoint matrix, flat hom basis).  The
@@ -246,10 +231,10 @@ def flat_cartier(m: CartierModule):
     monomial, first in the ring basis, so the first dim rows of vec H."""
     a, flat, ker = adjoint_structural(m)
     kappa_flat = mx.mmul(m.ring.field, a, ker[:m.dim])
-    return CartierModule(flat, kappa_flat, m.power), a, ker
+    return Structured(CARTIER, flat, kappa_flat, m.power), a, ker
 
 
-def is_unit(m: CartierModule) -> bool:
+def is_unit(m: Structured) -> bool:
     """Whether the adjoint structural morphism alpha: M -> F^flat M is
     bijective.  Column i of K = kappa_monomials(m) is vec alpha(e_i), the
     hom lambda -> kappa(x^lambda e_i), so alpha is injective exactly when
@@ -264,14 +249,14 @@ def is_unit(m: CartierModule) -> bool:
     pure = (tuple(Q * (i == v) for i in range(R.nvars)) for v in range(R.nvars))
     blocks = [K[R.basis_index(b) * d:][:d] if b in R.basis else mx.zeros(d, d) for b in pure]
     acts = m.module.actions
-    if acts and not mx.equal(mx.mmul(R.field, np.concatenate(acts), m.kappa),
+    if acts and not mx.equal(mx.mmul(R.field, np.concatenate(acts), m.mat),
                              np.concatenate(blocks)):
         raise ValueError(_NOT_LINEAR)
     return rows.size == d and f_flat_dim(m.module, m.power) == d
 
 
 @memo(256)
-def _kappa_stack(m: CartierModule):
+def _kappa_stack(m: Structured):
     """K = kappa_monomials(m), its first independent rows, and K[rows]^-1
     when they number dim, else None; shared and read-only (`memo`).  The
     row operations E that reduce [K^T | I] bring K^T to RREF, pivots at the
@@ -322,13 +307,13 @@ def is_morphism(f: np.ndarray, src: Structured, dst: Structured) -> bool:
 @dataclass(frozen=True)
 class UnitalizeResult:
     status: str                 # 'unit' | 'zero' | 'not_stabilized'
-    module: "CartierModule | None"
+    module: "Structured | None"
     canonical_map: "np.ndarray | None"
     certificate: "NilIsoReport | None"
     steps: int
 
 
-def unitalize(m: CartierModule, max_steps: int = 16) -> UnitalizeResult:
+def unitalize(m: Structured, max_steps: int = 16) -> UnitalizeResult:
     """Colimit of M -> F^flat M -> F^(2 flat) M -> ...
 
     The colimit is recognized when a transition becomes bijective, when it
@@ -377,6 +362,7 @@ def unitalize(m: CartierModule, max_steps: int = 16) -> UnitalizeResult:
     lemma.  Otherwise the build goes on: the first zero transition, if
     one comes, is returned, and the zero quotient if none does.
     """
+    _expect(CARTIER, m)        # max_steps = 0 reaches no kappa_monomials
     F = m.ring.field
     stages = [m]
     trans = []        # trans[n] : stages[n] -> stages[n+1]
@@ -395,7 +381,7 @@ def unitalize(m: CartierModule, max_steps: int = 16) -> UnitalizeResult:
             return UnitalizeResult(status if cert.ok else "not_stabilized",
                                    stages[step], cmap, cert, step + 1)
         if not mx.nonzero(t):
-            zero = CartierModule(zero_module(m.ring), mx.zeros(0, 0), m.power)
+            zero = Structured(CARTIER, zero_module(m.ring), mx.zeros(0, 0), m.power)
             cmap = mx.zeros(0, m.dim)
             cert = nil_isomorphism_check(cmap, m, zero)
             return UnitalizeResult("zero" if cert.ok else "not_stabilized",
@@ -492,7 +478,7 @@ def twist_by_unit_line(m: Structured, a_coords) -> Structured:
         new = mx.mmul(F, m.mat, m.module.element_action(a_inv_coords))
     else:
         new = mx.mmul(F, m.module.element_action(a_coords), m.mat)
-    return with_structure(m, m.module, new)
+    return replace(m, mat=new)
 
 
 def structured_i_torsion(m: Structured, j_gens) -> tuple[Structured, np.ndarray]:
@@ -510,7 +496,7 @@ def structured_i_torsion(m: Structured, j_gens) -> tuple[Structured, np.ndarray]
 
 def structured_restrict_scalars(m: Structured, ambient: ArtinRing) -> Structured:
     """i_*: the same data over `ambient`, as in `restrict_scalars`."""
-    return with_structure(m, restrict_scalars(m.module, ambient), m.mat)
+    return replace(m, module=restrict_scalars(m.module, ambient))
 
 
 @dataclass(frozen=True)

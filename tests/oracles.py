@@ -22,6 +22,7 @@ they stay independent of the code under test.
 import itertools
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 
@@ -33,11 +34,10 @@ from cartierforge.field import GF, FiniteField
 from cartierforge.generate import random_invertible
 from cartierforge.pid import PidModule, inverse_module
 from cartierforge.poly import Poly
-from cartierforge.structures import (CartierModule, Structured, Unsupported,
-                                     cartier_module, nilpotency_index,
-                                     structured_i_torsion,
+from cartierforge.structures import (Structured, Unsupported, cartier_module,
+                                     nilpotency_index, structured_i_torsion,
                                      structured_restrict_scalars,
-                                     twist_by_unit_line, with_structure)
+                                     twist_by_unit_line)
 from cartierforge.twisted import semilinear_fixed_points
 
 # -- field embeddings --
@@ -237,7 +237,7 @@ def default_truncation(degs, q: int) -> int:
     return max(4 * max([d + 1 for d in degs] + [1]), 2 * q)
 
 
-def hull_twist(field: FiniteField, level: int, u: Poly, power: int = 1) -> CartierModule:
+def hull_twist(field: FiniteField, level: int, u: Poly, power: int = 1) -> Structured:
     """(E_level, kappa_E o mult(u)): the H^1 model of (R, kappa_u) on the
     truncation x^-1 .. x^-level of E."""
     inv = inverse_module(field, level, power)
@@ -245,7 +245,7 @@ def hull_twist(field: FiniteField, level: int, u: Poly, power: int = 1) -> Carti
     for i, c in enumerate(u.coeffs[:level]):
         coords[i] = c
     act_u = inv.module.element_action(coords)
-    return cartier_module(inv.module, mx.mmul(field, inv.kappa, act_u), power)
+    return cartier_module(inv.module, mx.mmul(field, inv.mat, act_u), power)
 
 
 def two_depth_h1_zero(m: PidModule, u: Poly) -> bool:
@@ -463,7 +463,7 @@ def conjugacy_classes(F: FiniteField, n: int) -> list[frozenset]:
 # -- Hom/tensor compatibility --
 
 
-def hom_tensor_twist_check(m: CartierModule, a_coords) -> bool:
+def hom_tensor_twist_check(m: Structured, a_coords) -> bool:
     """D(M tensor line(a)) equals D(M) twisted by the inverse line,
     matrix-exactly on the same hom space."""
     F = m.ring.field
@@ -513,7 +513,7 @@ def two_step_sub_structure(m: Structured, cols) -> Structured:
     k = restrict(m.ring.field, [m.mat], cols)
     if k is None:
         raise ValueError("columns are not stable under the structure")
-    return with_structure(m, sub, k[0])
+    return replace(m, module=sub, mat=k[0])
 
 
 def two_step_quotient_structure(m: Structured, cols):
@@ -523,7 +523,7 @@ def two_step_quotient_structure(m: Structured, cols):
     proj, sect = quotient_data(F, m.dim, cols)
     acts = tuple(mx.mmul(F, proj, mx.mmul(F, X, sect)) for X in m.module.actions)
     k = mx.mmul(F, proj, mx.mmul(F, m.mat, sect))
-    return with_structure(m, FinModule(m.ring, proj.shape[0], acts), k), proj, sect
+    return replace(m, module=FinModule(m.ring, proj.shape[0], acts), mat=k), proj, sect
 
 
 def hand_direct_sum(a: FinModule, b: FinModule) -> FinModule:
@@ -532,8 +532,8 @@ def hand_direct_sum(a: FinModule, b: FinModule) -> FinModule:
 
 
 def hand_direct_sum_structured(a: Structured, b: Structured) -> Structured:
-    return with_structure(a, hand_direct_sum(a.module, b.module),
-                          hand_block_diag([a.mat, b.mat]))
+    return replace(a, module=hand_direct_sum(a.module, b.module),
+                   mat=hand_block_diag([a.mat, b.mat]))
 
 
 def two_step_structured_i_torsion(m: Structured, j_gens):
@@ -543,7 +543,7 @@ def two_step_structured_i_torsion(m: Structured, j_gens):
     if k is None:
         raise Unsupported("structure does not restrict to the torsion part "
                           "(possible only for Frobenius structures)")
-    return with_structure(m, tors, k[0]), cols
+    return replace(m, module=tors, mat=k[0]), cols
 
 
 def hand_random_module(rng: random.Random, ring: ArtinRing, max_dim: int = 5) -> FinModule:

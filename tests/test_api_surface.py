@@ -1,7 +1,8 @@
 """Every public top-level function of the package is public API or used,
 and none takes a `check` flag.  Every scope boundary is one exception,
 `Unsupported`, raised where it is met and caught once, in
-`cli.run_command`.  Arrays are stacked by `np.concatenate` alone.
+`cli.run_command`.  Arrays are stacked by `np.concatenate` alone.  One
+record, `structures.Structured`, holds a Cartier or a Frobenius structure.
 
 A function counts as public API when `cartierforge/__init__.py` imports
 it, and as used when some other top-level statement of the package refers
@@ -15,6 +16,8 @@ import inspect
 from pathlib import Path
 
 import cartierforge
+from cartierforge.artinian import MEMO_KEYS
+from cartierforge.structures import Structured
 
 PACKAGE = Path(cartierforge.__file__).parent
 
@@ -132,3 +135,22 @@ def test_unsupported_is_the_one_boundary_raised_and_caught_once():
     assert not misused, "Unsupported used other than in a raise: " + ", ".join(misused)
     assert handlers == ["cli.run_command"]
     assert verdicts == ["cli.run_command"]
+
+
+def test_one_structure_record_with_no_kappa_or_tau():
+    # a Cartier and a Frobenius structure are one record,
+    # `structures.Structured`, told apart by `kind`: no class has a kappa
+    # or tau field, no code reads one, and one memo key covers both kinds
+    root = Path(__file__).resolve().parent.parent
+    found = []
+    for path in sorted([*PACKAGE.glob("*.py"), *(root / "tests").glob("*.py"),
+                        *(root / "tools").glob("*.py")]):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef):
+                found += [f"{path.stem}.{node.name}.{stmt.target.id}" for stmt in node.body
+                          if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                          and stmt.target.id in ("kappa", "tau")]
+            elif isinstance(node, ast.Attribute) and node.attr in ("kappa", "tau"):
+                found.append(f"{path.stem}:{node.lineno}")
+    assert not found, "kappa or tau field or attribute: " + ", ".join(found)
+    assert [t for t in MEMO_KEYS if t.__module__ == Structured.__module__] == [Structured]

@@ -140,6 +140,8 @@ NON_DIAGONAL_FREE = "non-diagonal free multiplier matrix"
                  NON_DIAGONAL_FREE, id="localize-model-at-x"),
     pytest.param(NON_DIAGONAL, {"op": "localize-model", "module": "M", "f": [1, 1]},
                  NON_DIAGONAL_FREE, id="localize-model-at-1+x"),
+    pytest.param(NON_DIAGONAL, {"op": "nilpotent", "module": "M"}, NON_DIAGONAL_FREE,
+                 id="nilpotent"),
     # A is nilpotent, so the pairing into it has no unique solution
     pytest.param(FIXTURE_A["modules"]["A"], {"op": "pair", "left": "M", "right": "M"},
                  "pairing solution not unique; target is not unit", id="pair"),
@@ -557,6 +559,42 @@ def test_pair_of_cartier_modules_is_unsupported_when_tau_is_not_determined(tmp_p
                       "nilpotency_index": 1}
     assert "UNSUPPORTED" in capsys.readouterr().out
     assert main(["run", write(tmp_path, doc), "--strict"]) == 1
+    capsys.readouterr()
+
+
+def test_pair_over_two_rings_is_schema_error(tmp_path, capsys):
+    # B declares its own ring F_2[x]/(x^3); A lives over F_2[x]/(x^2)
+    doc = json.loads(json.dumps(FIXTURE_A))
+    doc["modules"]["B"] = {"kind": "cartier",
+                           "ring": {"vars": ["x"], "relations": [[3]]},
+                           "carrier": {"actions": [[[0, 0, 0], [1, 0, 0], [0, 1, 0]]]},
+                           "structure": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]}
+    for left, right in (("A", "B"), ("B", "A")):
+        doc["commands"] = [{"op": "pair", "left": left, "right": right}]
+        assert main(["run", write(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert "pair expects two modules over one ring" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("module,index", [
+    pytest.param({"free": [[0, 1]]}, None, id="u=x"),
+    pytest.param({"torsion": {"x_action": [[0]], "structure": [[0]]}, "free": [[1]]}, None,
+                 id="nilpotent-torsion+u=1"),
+    pytest.param({"free": [[0], [0]]}, 1, id="u=0"),
+    pytest.param({"torsion": {"x_action": [[0, 0], [1, 0]], "structure": [[0, 0], [1, 0]]},
+                  "free": [[0]]}, 2, id="torsion-index-2+u=0"),
+])
+def test_nilpotent_reads_the_free_part(tmp_path, capsys, module, index):
+    """kappa_S o u on a free part is nilpotent only for u = 0
+    (`pid.free_crystal_zero`); then the torsion index stands, else null."""
+    doc = {"schema": 1, "field": {"p": 2, "r": 1},
+           "modules": {"M": {"tier": "pid", "kind": "cartier", **module}},
+           "commands": [{"op": "nilpotent", "module": "M"}]}
+    out = tmp_path / "report.json"
+    assert main(["run", write(tmp_path, doc), "--json", str(out)]) == 0
+    [res] = json.loads(out.read_text())["results"]
+    assert res == {"op": "nilpotent", "module": "M", "ok": True, "unsupported": False,
+                   "index": index}
     capsys.readouterr()
 
 

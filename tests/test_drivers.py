@@ -32,7 +32,7 @@ from cartierforge.duality import (double_dual_check, dualize_artinian,
 from cartierforge.field import GF
 from cartierforge.generate import (artinian_corpus, random_cartier,
                                    random_module, random_structure)
-from cartierforge.structures import (CARTIER, CartierModule, UnitalizeResult,
+from cartierforge.structures import (CARTIER, Structured, UnitalizeResult,
                                      _composite, adjoint_structural,
                                      cartier_module, flat_cartier, is_morphism,
                                      iterate_structure, nil_isomorphism_check,
@@ -63,7 +63,7 @@ def ref_adjoint_structural(m):
         e = mx.identity(m.dim)[:, i]
         w = mx.zeros(m.dim, R.dim)
         for l, mono in enumerate(R.basis):
-            w[:, l] = mx.mmul(F, m.kappa, mx.mmul(F, m.module.action_of(mono), e))
+            w[:, l] = mx.mmul(F, m.mat, mx.mmul(F, m.module.action_of(mono), e))
         c = ref_hom_coords(F, basis, w)
         if c is None:
             raise RuntimeError("adjoint image not R-linear")
@@ -78,7 +78,7 @@ def ref_flat_cartier(m):
     one = m.ring.one()
     eval1 = (np.stack([mx.mmul(F, H, one) for H in basis], axis=1)
              if basis else mx.zeros(m.dim, 0))
-    return CartierModule(flat, mx.mmul(F, a, eval1), m.power), a, basis
+    return Structured(CARTIER, flat, mx.mmul(F, a, eval1), m.power), a, basis
 
 
 def ref_is_unit(m):
@@ -137,7 +137,7 @@ def ref_unitalize(m, max_steps=16):
             return UnitalizeResult(status if cert.ok else "not_stabilized",
                                    target, cmap, cert, step + 1), "exact"
         if not t.any():
-            zero = CartierModule(zero_module(m.ring), mx.zeros(0, 0), m.power)
+            zero = Structured(CARTIER, zero_module(m.ring), mx.zeros(0, 0), m.power)
             cmap = mx.zeros(0, m.dim)
             cert = nil_isomorphism_check(cmap, m, zero)
             return UnitalizeResult("zero" if cert.ok else "not_stabilized",
@@ -568,7 +568,7 @@ def nil_chain_dims(m, upto):
     the kernel of T_{0->e}, for e = 0..upto (prime tier, power 1)."""
     F = m.ring.field
     acts = [m.module.action_of(mono) for mono in m.ring.basis]
-    return [mx.kernel(F, np.vstack([mx.mmul(F, mx.mat_pow(F, m.kappa, e), X)
+    return [mx.kernel(F, np.vstack([mx.mmul(F, mx.mat_pow(F, m.mat, e), X)
                                     for X in acts])).shape[1]
             for e in range(upto + 1)]
 

@@ -61,7 +61,7 @@ def frobenius_r(ring):
 def test_dualizing_module_fixture(ring, e_mod):
     # E = span{x^-1, x^-2}; kappa_E(x^-1) = x^-1, kappa_E(x^-2) = 0; unit
     assert e_mod.dim == 2
-    assert e_mod.kappa[0, 0] == 1 and not e_mod.kappa[:, 1].any()
+    assert e_mod.mat[0, 0] == 1 and not e_mod.mat[:, 1].any()
     x = e_mod.module.actions[0]
     assert x[0, 1] == 1 and not x[:, 0].any()
     assert is_unit(e_mod)
@@ -73,7 +73,7 @@ def test_dualizing_module_dims():
     assert d.dim == 4 and is_unit(d)
     rf = ring_make(2, ["x"], [[1]])
     df = dualizing_module(rf)
-    assert df.dim == 1 and df.kappa[0, 0] == 1
+    assert df.dim == 1 and df.mat[0, 0] == 1
 
 
 def test_dualizing_module_unit_on_corpus_rings():
@@ -95,8 +95,8 @@ def test_pair_f_to_c_fixture(ring, e_mod, frobenius_r):
     ev = np.stack([mx.mmul(F, b, one) for b in basis], axis=1)
     evi = mx.inverse(F, ev)
     assert evi is not None
-    transported = mx.mmul(F, ev, mx.mmul(F, h.kappa, evi))
-    assert np.array_equal(transported, e_mod.kappa)
+    transported = mx.mmul(F, ev, mx.mmul(F, h.mat, evi))
+    assert np.array_equal(transported, e_mod.mat)
 
 
 def test_pair_preserves_nilpotence(ring, e_mod):
@@ -112,10 +112,10 @@ def test_pair_c_to_f_skyscraper(ring, e_mod):
     k_mod = fin_module(ring, [mx.zeros(1, 1)])
     sky = cartier_module(k_mod, mx.mat([[1]]))
     h, _ = pair_C_to_F(sky, e_mod)
-    assert h.dim == 1 and h.tau[0, 0] == 1
+    assert h.dim == 1 and h.mat[0, 0] == 1
     sky0 = cartier_module(k_mod, mx.zeros(1, 1))
     h0, _ = pair_C_to_F(sky0, e_mod)
-    assert not h0.tau.any()
+    assert not h0.mat.any()
 
 
 def test_pair_c_to_f_requires_unit_target(ring):

@@ -32,9 +32,9 @@ from cartierforge.field import GF
 from cartierforge.generate import (random_artin_ring, random_module,
                                    random_structure)
 from cartierforge.pid import inverse_module, truncation_ring
-from cartierforge.structures import (CARTIER, FROBENIUS, CartierModule,
-                                     FModule, cartier_module, direct_sum_structured,
-                                     f_module, quotient_structure, structured,
+from cartierforge.structures import (CARTIER, FROBENIUS, Structured, cartier_module,
+                                     direct_sum_structured, f_module,
+                                     quotient_structure, structured,
                                      structured_i_torsion, sub_structure, validate)
 from cartierforge.twisted import FixedPoints, semilinear_fixed_points
 from oracles import (hand_direct_sum, hand_direct_sum_structured, hand_random_module,
@@ -46,11 +46,11 @@ from oracles import (hand_direct_sum, hand_direct_sum_structured, hand_random_mo
 
 
 def ref_cartier_module(module, kappa, power=1):
-    return CartierModule(module, np.asarray(kappa, dtype=np.int64), power)
+    return Structured(CARTIER, module, np.asarray(kappa, dtype=np.int64), power)
 
 
 def ref_f_module(module, tau, power=1):
-    return FModule(module, np.asarray(tau, dtype=np.int64), power)
+    return Structured(FROBENIUS, module, np.asarray(tau, dtype=np.int64), power)
 
 
 def ref_restrict(F, mats, cols):
@@ -162,10 +162,10 @@ def test_inverse_module_matches_index_formula(p, r):
         for power in (1, 2, 3):
             inv = inverse_module(F, level, power)
             x_act, kap = ref_truncation_hull(F, level, power)
-            assert isinstance(inv, CartierModule) and inv.power == power
+            assert inv.kind == CARTIER and inv.power == power
             assert inv.ring.key() == truncation_ring(F, level).key()
             assert np.array_equal(inv.module.actions[0], x_act)
-            assert np.array_equal(inv.kappa, kap)
+            assert np.array_equal(inv.mat, kap)
 
 
 @pytest.mark.parametrize("power", [1, 2, 3])
@@ -175,12 +175,12 @@ def test_inverse_hull_is_the_iterated_contraction(power):
         hull = inverse_hull(ring, power)
         acts, kap = ref_ring_hull(ring, power)
         assert hull.power == power
-        assert np.array_equal(hull.kappa, mx.mat_pow(ring.field, inverse_hull(ring, 1).kappa,
+        assert np.array_equal(hull.mat, mx.mat_pow(ring.field, inverse_hull(ring, 1).mat,
                                                      power))
-        assert np.array_equal(hull.kappa, kap)
+        assert np.array_equal(hull.mat, kap)
         assert all(np.array_equal(a, b) for a, b in zip(hull.module.actions, acts))
         e_mod = dualizing_module(ring, power)
-        assert np.array_equal(e_mod.kappa, kap) and e_mod.power == power
+        assert np.array_equal(e_mod.mat, kap) and e_mod.power == power
 
 
 # -- one restriction --
@@ -313,7 +313,7 @@ def _bits(x):
         return x.shape, x.dtype.str, x.tobytes()
     if isinstance(x, FinModule):
         return x.ring.key(), x.ring.relations, x.dim, _bits(x.actions)
-    if isinstance(x, (CartierModule, FModule)):
+    if isinstance(x, Structured):
         return x.kind, x.power, _bits(x.mat), _bits(x.module)
     if isinstance(x, (tuple, list)):
         return tuple(map(_bits, x))

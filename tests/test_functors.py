@@ -85,9 +85,9 @@ def ref_pair_C_to_F(m, n):
     acts_m = [m.module.element_action(u) for u in units]
     lhs_blocks, rhs_rows = [], []
     for l in range(R.dim):
-        ka = mx.mmul(F, n.kappa, acts_n[l])
+        ka = mx.mmul(F, n.mat, acts_n[l])
         lhs_blocks.append(kron(F, mx.identity(dm), ka))
-        rhs_rows.append(mx.mmul(F, m.kappa, acts_m[l]))
+        rhs_rows.append(mx.mmul(F, m.mat, acts_m[l]))
     lhs = np.vstack(lhs_blocks)
     rhs = np.stack([np.concatenate([vec(mx.mmul(F, H, r)) for r in rhs_rows])
                     for H in basis], axis=1)

@@ -121,7 +121,7 @@ def test_zero_modules_through_every_functor(ring):
         assert h.mat.shape == (0, 0)
     nxt, adj, ker = flat_cartier(zc)
     assert_empty(nxt.module, ker, ring.nvars)
-    assert nxt.kappa.shape == (0, 0) and adj.shape == (0, 0)
+    assert nxt.mat.shape == (0, 0) and adj.shape == (0, 0)
     for m in (zc, zf):
         ok, ev = double_dual_check(m)
         assert ok and ev.shape == (0, 0)
@@ -207,4 +207,4 @@ def test_non_commuting_actions_hom_module_names_validate():
 def test_dualizing_module_of_the_field():
     # a ring without variables: E_R is the field itself, with kappa = 1
     E = dualizing_module(ring_make(3, [], []))
-    assert E.dim == 1 and np.array_equal(E.kappa, mx.identity(1))
+    assert E.dim == 1 and np.array_equal(E.mat, mx.identity(1))

@@ -40,11 +40,11 @@ def test_pair_c_to_f_defining_rule_on_corpus():
         h, ker = pair_C_to_F(m, E)
         basis = hom_list(ker, E.dim, m.dim)
         for j, Hj in enumerate(basis):
-            img = eval_hom(F, basis, h.tau[:, j])
+            img = eval_hom(F, basis, h.mat[:, j])
             for l, mono in enumerate(m.ring.basis):
-                lhs = mx.mmul(F, E.kappa,
+                lhs = mx.mmul(F, E.mat,
                               mx.mmul(F, E.module.action_of(mono), img))
-                rhs = mx.mmul(F, Hj, mx.mmul(F, m.kappa,
+                rhs = mx.mmul(F, Hj, mx.mmul(F, m.mat,
                                              m.module.action_of(mono)))
                 assert np.array_equal(lhs, rhs)
 
@@ -60,8 +60,8 @@ def test_pair_f_to_c_is_the_composite_formula():
         h, ker = pair_F_to_C(fm, E)
         basis = hom_list(ker, E.dim, fm.dim)
         for j, Hj in enumerate(basis):
-            img = eval_hom(F, basis, h.kappa[:, j])
-            direct = mx.mmul(F, E.kappa, mx.mmul(F, Hj, fm.tau))
+            img = eval_hom(F, basis, h.mat[:, j])
+            direct = mx.mmul(F, E.mat, mx.mmul(F, Hj, fm.mat))
             assert np.array_equal(img, direct)
 
 
@@ -90,7 +90,7 @@ def test_adjoint_eval_rule_on_corpus():
             e = mx.identity(m.dim)[:, i]
             img = eval_hom(F, basis, a[:, i])
             for l, mono in enumerate(m.ring.basis):
-                want = mx.mmul(F, m.kappa,
+                want = mx.mmul(F, m.mat,
                                mx.mmul(F, m.module.action_of(mono), e))
                 assert np.array_equal(img[:, l], want)
 
@@ -103,11 +103,11 @@ def test_flat_cartier_structure_is_eval_at_one():
         assert validate(nxt).ok
         one = m.ring.one()
         for j, Hj in enumerate(basis):
-            lhs = eval_hom(F, basis, nxt.kappa[:, j])
+            lhs = eval_hom(F, basis, nxt.mat[:, j])
             # kappa_flat(Phi) = the hom lambda -> kappa(F(lambda Phi(F_* 1)))
             v = mx.mmul(F, Hj, one)
             for l, mono in enumerate(m.ring.basis):
-                want = mx.mmul(F, m.kappa, mx.mmul(F, m.module.action_of(mono), v))
+                want = mx.mmul(F, m.mat, mx.mmul(F, m.module.action_of(mono), v))
                 assert np.array_equal(lhs[:, l], want)
 
 
@@ -174,7 +174,7 @@ def test_hull_twist_against_laurent_oracle():
                     if r_ == p - 1 and m_ <= -1 and -m_ <= level:
                         row = -m_ - 1
                         want[row, j] = int(F.add(np.int64(want[row, j]), np.int64(c)))
-            assert np.array_equal(tw.kappa, want), (p, u_coeffs)
+            assert np.array_equal(tw.mat, want), (p, u_coeffs)
 
 
 def test_hull_twist_iterate_matches_matrix_powers():
@@ -186,7 +186,7 @@ def test_hull_twist_iterate_matches_matrix_powers():
     for F in (GF(2), GF(3), GF(2, 2)):
         for u_coeffs in ([1], [0, 1], [1, 1, 1], [0, 0, 1, 1]):
             u = Poly.make(F, u_coeffs)
-            step, power = hull_twist(F, level, u).kappa, np.eye(level, dtype=np.int64)
+            step, power = hull_twist(F, level, u).mat, np.eye(level, dtype=np.int64)
             for e in (1, 2, 3):
                 power = mx.mmul(F, step, power)
                 for j in range(level):

@@ -25,7 +25,7 @@ from cartierforge.pid import (CARTIER, FROBENIUS, Unsupported,
                               pid_sum, pid_torsion, retruncate,
                               truncation_ring, validate_pid)
 from cartierforge.poly import Poly
-from cartierforge.structures import nilpotency_index, validate
+from cartierforge.structures import ValidationReport, nilpotency_index, validate
 from oracles import (default_truncation, dual_basis_matrix, hull_twist,
                      hull_twist_iterate, kappa_e_oracle, two_depth_h1_zero)
 
@@ -44,11 +44,11 @@ def test_inverse_module_matches_cech_oracle():
     for F, q in ((F2, 2), (F3, 3), (GF(5), 5)):
         for level in (4, 7, 12):
             inv = inverse_module(F, level)
-            assert np.array_equal(inv.kappa, kappa_e_oracle(F, level, q))
+            assert np.array_equal(inv.mat, kappa_e_oracle(F, level, q))
             # the truncation is stable and the structure is equivariant
             assert validate(
                 __import__("cartierforge.structures", fromlist=["cartier_module"])
-                .cartier_module(inv.module, inv.kappa)).ok
+                .cartier_module(inv.module, inv.mat)).ok
 
 
 def test_inverse_module_unit_on_truncations():
@@ -57,7 +57,7 @@ def test_inverse_module_unit_on_truncations():
     for F in (F2, F3):
         for level in (2, 4, 6):
             inv = inverse_module(F, level)
-            assert is_unit(cartier_module(inv.module, inv.kappa))
+            assert is_unit(cartier_module(inv.module, inv.mat))
 
 
 def test_matlis_dual_fixtures():
@@ -153,11 +153,11 @@ def test_hull_twist_unit_and_zero_multiplier():
     for F, power, level in product((F2, F3, GF(2, 2)), (1, 2), (1, 4, 9)):
         hull = inverse_module(F, level, power)
         one = hull_twist(F, level, Poly.one(F), power)
-        assert np.array_equal(one.kappa, hull.kappa)
+        assert np.array_equal(one.mat, hull.mat)
         assert all(np.array_equal(a, b)
                    for a, b in zip(one.module.actions, hull.module.actions))
         zero = hull_twist(F, level, Poly.zero(F), power)
-        assert zero.dim == level and not zero.kappa.any()
+        assert zero.dim == level and not zero.mat.any()
 
 
 def test_pid_free_keeps_its_polys_in_diagonal_or_matrix_form():
@@ -187,7 +187,7 @@ def test_non_diagonal_free_part_is_unsupported():
     with pytest.raises(Unsupported, match="^non-diagonal free multiplier matrix$"):
         complexes.dualize(nd)
     # outside the scope of local cohomology, yet a valid module
-    assert validate_pid(nd) == (True, [])
+    assert validate_pid(nd) == ValidationReport(True, ())
 
 
 def test_h1_verdicts():
@@ -212,7 +212,7 @@ def test_h1_rule_matches_the_hull_at_level_deg_u_plus_one(data):
     power = data.draw(st.integers(1, 2))
     u = Poly.make(F, data.draw(st.lists(st.integers(0, F.order - 1), max_size=41)))
     hull = hull_twist(F, u.deg + 1, u, power)
-    assert free_crystal_zero(pid_free(F, [u], CARTIER, power)) == (not hull.kappa.any())
+    assert free_crystal_zero(pid_free(F, [u], CARTIER, power)) == (not hull.mat.any())
 
 
 def _two_depth_fits(F, power, deg):

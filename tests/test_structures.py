@@ -10,17 +10,26 @@ import pytest
 from cartierforge import matrix as mx
 from cartierforge.artinian import (fin_module, quotient_ring, regular_module,
                                    ring_make, zero_module)
+from cartierforge.duality import (pair_C_to_F, pair_F_to_C, reduced_operator,
+                                  sol_point)
 from cartierforge.generate import (artinian_corpus, random_artin_ring,
                                    random_module, random_structure)
-from cartierforge.structures import (CARTIER, FROBENIUS, CartierModule,
+from cartierforge.structures import (CARTIER, FROBENIUS, Structured,
                                      adjoint_structural, cartier_module,
-                                     direct_sum_structured, f_module, is_unit,
-                                     iterate_structure, kashiwara_counit,
+                                     direct_sum_structured, f_module,
+                                     flat_cartier, is_unit, iterate_structure,
+                                     kappa_monomials, kashiwara_counit,
                                      nil_isomorphism_check, nilpotency_index,
                                      quotient_structure, stable_image,
                                      stable_kernel, structured_i_torsion,
                                      twist_by_unit_line, unitalize, validate)
 from oracles import kashiwara_roundtrip
+
+# x acts on F_2[x]/(x^2) by the shift; C is fixture_a, T its Frobenius twin
+# with the zero structure
+_R2 = ring_make(2, ["x"], [[2]])
+_C = cartier_module(regular_module(_R2), mx.mat([[0, 0], [1, 0]]))
+_T = f_module(regular_module(_R2), mx.zeros(2, 2))
 
 
 @pytest.fixture
@@ -41,7 +50,7 @@ def skyscraper(ring):
 
 def test_validate_fixture_and_identity(ring, fixture_a):
     assert validate(fixture_a).ok
-    bad = CartierModule(regular_module(ring), mx.identity(2))
+    bad = Structured(CARTIER, regular_module(ring), mx.identity(2))
     rep = validate(bad)
     assert not rep.ok and any("equivariance" in v for v in rep.violations)
     assert validate(cartier_module(regular_module(ring), mx.zeros(2, 2))).ok
@@ -261,3 +270,24 @@ def test_sub_and_quotient_structures_validate(ring, fixture_a, skyscraper):
     q, _, _ = quotient_structure(both, cols)
     assert validate(s).ok and validate(q).ok
     assert s.dim + q.dim == both.dim
+
+
+@pytest.mark.parametrize("call,kind", [
+    pytest.param(lambda: kappa_monomials(_T), CARTIER, id="kappa_monomials"),
+    pytest.param(lambda: adjoint_structural(_T), CARTIER, id="adjoint_structural"),
+    pytest.param(lambda: flat_cartier(_T), CARTIER, id="flat_cartier"),
+    pytest.param(lambda: is_unit(_T), CARTIER, id="is_unit"),
+    pytest.param(lambda: unitalize(_T), CARTIER, id="unitalize"),
+    pytest.param(lambda: unitalize(_T, max_steps=0), CARTIER, id="unitalize-no-step"),
+    pytest.param(lambda: stable_image(_T), CARTIER, id="stable_image"),
+    pytest.param(lambda: stable_kernel(_C), FROBENIUS, id="stable_kernel"),
+    pytest.param(lambda: reduced_operator(_C), FROBENIUS, id="reduced_operator"),
+    pytest.param(lambda: sol_point(_C), FROBENIUS, id="sol_point"),
+    pytest.param(lambda: pair_F_to_C(_C, _C), FROBENIUS, id="pair_F_to_C-source"),
+    pytest.param(lambda: pair_F_to_C(_T, _T), CARTIER, id="pair_F_to_C-target"),
+    pytest.param(lambda: pair_C_to_F(_T, _C), CARTIER, id="pair_C_to_F-source"),
+    pytest.param(lambda: pair_C_to_F(_C, _T), CARTIER, id="pair_C_to_F-target"),
+])
+def test_a_structure_of_the_wrong_kind_is_a_value_error_naming_the_kind(call, kind):
+    with pytest.raises(ValueError, match=f"^expects a {kind} structure, got a "):
+        call()

@@ -8,6 +8,7 @@ random corpora, on GF(2) and GF(3) and on a GF(4)/GF(9) sample.  A planted
 wrong pairing coordinate must make the sweep fail.
 """
 
+import dataclasses
 import random
 
 import numpy as np
@@ -30,8 +31,7 @@ from cartierforge.structures import (direct_sum_structured, flat_cartier,
                                      stable_image, stable_kernel,
                                      structured_i_torsion,
                                      structured_restrict_scalars,
-                                     twist_by_unit_line, unitalize, validate,
-                                     with_structure)
+                                     twist_by_unit_line, unitalize, validate)
 from oracles import hull_twist
 
 
@@ -145,7 +145,7 @@ def test_a_planted_wrong_pairing_coordinate_fails_the_sweep(monkeypatch):
             if moved:
                 mat = h.mat.copy()
                 mat[moved[0], 0] = h.ring.field.add(mat[moved[0], 0], np.int64(1))
-                h = with_structure(h, h.module, mat)
+                h = dataclasses.replace(h, mat=mat)
             return h, basis
         return wrong
 

@@ -87,10 +87,10 @@ def sol_lines(cli, workload: str):
     """The JSON text of the Sol report over GF(q^s), s = 1, 2, 3, of every
     Artinian Frobenius module of one workload, in order."""
     from cartierforge.duality import sol_point
-    from cartierforge.structures import FModule
+    from cartierforge.pid import FROBENIUS, PidModule
     for fname, problem in _problems(cli, workload):
         for name, mod in problem["modules"].items():
-            if not isinstance(mod, FModule):
+            if isinstance(mod, PidModule) or mod.kind != FROBENIUS:
                 continue
             for s in (1, 2, 3):
                 res = {"module": f"{fname}:{name}", "s": s}
