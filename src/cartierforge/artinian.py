@@ -279,26 +279,77 @@ def intertwiners(F: FiniteField, As, Bs, rows: int, cols: int):
 
     Every Hom-type functor is such a space, and this is the one format of
     its basis: the RREF kernel of the stacked system A_i^T (x) I - I (x) B_i
-    on vec H, whose column j is vec(H_j), in canonical kernel order.  Its
-    equations, sum_l A_i[l, k] H[j, l] - B_i[j, l] H[l, k] with H[j, l] the
-    unknown j + rows*l, go one by one to `mx.kernel_of_rows`; returns the
-    basis and its free rows.  Not memoized: its functors are."""
-
-    def equations():
-        for A, B in zip(As, Bs):
-            A, B, negB = A.tolist(), B.tolist(), F.neg(B).tolist()
-            bs = [[(l, b) for l, b in enumerate(row) if b] for row in negB]
-            for k in range(cols):
-                ak = [(rows * l, a[k]) for l, a in enumerate(A) if a[k]]
-                for j in range(rows):
-                    eq = {j + o: a for o, a in ak} if ak else {}
-                    for l, b in bs[j]:
-                        eq[l + rows * k] = b
-                    if A[k][k] and B[j][j]:     # both sums hold H[j, k]
-                        eq[j + rows * k] = int(F.sub(A[k][k], B[j][j]))
-                        eq = {i: v for i, v in eq.items() if v}
-                    yield eq
-    return mx.kernel_of_rows(F, equations(), rows * cols)
+    on vec H, whose column j is vec(H_j), in canonical kernel order.
+    Equation (i, k, j), sum_l A_i[l, k] H[j, l] - B_i[j, l] H[l, k] with
+    H[j, l] the unknown j + rows*l, is built from the nonzeros of column k
+    of A_i and row j of B_i and reduced at once by the fully reduced pivot
+    rows; if nonzero, it becomes the pivot row of its least column, cleared
+    from the others.  Row step r += x y: (r + x y) mod p over GF(p),
+    `mx._zech_add` over GF(p^m).  Returns the basis and its free rows, where
+    it is the identity; not memoized (its functors are)."""
+    p, ext, row = F.p, F.deg > 1, collections.defaultdict
+    if ext:
+        n, log, exp, _, neg = tables = F._zech_tables
+    piv = {}    # pivot column -> minus its row at the free columns
+    live = []   # the pivot rows not empty when made; the others stay empty
+    for A, B in zip(As, Bs):
+        At, B = A.T.tolist(), B.tolist()
+        bs = [[(l, exp[log[b] + neg] if ext else p - b) for l, b in enumerate(r) if b]
+              for r in B]     # the nonzeros of each row of -B_i
+        for k, a in enumerate(At):
+            ak, akk, rk = [(rows * l, v) for l, v in enumerate(a) if v], a[k], rows * k
+            for j, bj in enumerate(bs):
+                if not (ak or bj):
+                    continue
+                r = {}
+                for o, v in ak:
+                    r[j + o] = v
+                for l, v in bj:
+                    r[l + rk] = v
+                if akk and B[j][j]:     # r holds -B_i[j, j] at H[j, k]: add A_i[k, k]
+                    if ext:
+                        mx._zech_add(r, log[akk], ((j + rk, 0),), tables)
+                    else:
+                        r[j + rk] = (r[j + rk] + akk) % p
+                    if not r[j + rk]:
+                        del r[j + rk]
+                if not piv.keys().isdisjoint(r):
+                    r = row(int, r)
+                    for c in [c for c in r if c in piv]:
+                        x, y = r.pop(c), piv[c]
+                        if ext:
+                            mx._zech_add(r, log[x], mx._zech_logs(log, y.items()), tables)
+                        else:
+                            for i, v in y.items():
+                                r[i] = (r[i] + x * v) % p
+                    r = {i: v for i, v in r.items() if v}
+                if not r:
+                    continue
+                lead = min(r)
+                v, y = r.pop(lead), row(int)       # y = -r / v
+                s = (neg - log[v]) % n if ext else -pow(v, -1, p)
+                for i, u in r.items():
+                    y[i] = exp[log[u] + s] if ext else u * s % p
+                ly = mx._zech_logs(log, y.items()) if ext else None
+                for P in live:
+                    if (x := P.pop(lead, 0)) and ext:
+                        mx._zech_add(P, log[x], ly, tables)
+                    elif x:
+                        for i, u in y.items():
+                            P[i] = (P[i] + x * u) % p
+                piv[lead] = y
+                if y:
+                    live.append(y)
+    ncols = rows * cols
+    free = [c for c in range(ncols) if c not in piv]
+    at = {c: i for i, c in enumerate(free)}
+    out = [0] * (ncols * len(free))
+    for c, y in piv.items():
+        for j, v in y.items():
+            out[c * len(free) + at[j]] = v
+    for c, i in at.items():
+        out[c * len(free) + i] = 1
+    return np.array(out, dtype=np.int64).reshape(ncols, len(free)), np.array(free, dtype=np.intp)
 
 
 class Hom(tuple):

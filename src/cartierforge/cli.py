@@ -26,12 +26,12 @@ from .complexes import (StructuredComplex, coherent_model_of_localization,
                         dualize, is_perverse, local_duality_check,
                         shift_module)
 from .duality import (_ordinary_by_sol, double_dual_check, dual_base_change_check,
-                      dualize_artinian, elliptic_ap, hasse_invariant,
+                      dualize_artinian, elliptic_ap, hasse_invariant, matlis_witness,
                       nilpotence_exchange_check, nonsingular_short_weierstrass,
                       pair_C_to_F, pair_F_to_C, sol_base_change_check, sol_point)
 from .field import GF, MAX_ORDER, is_prime, order_fits
-from .generate import (artinian_corpus, pid_torsion_corpus, random_cartier,
-                       random_f_module, random_pid_torsion)
+from .generate import (artinian_corpus, pid_torsion_corpus, random_pid_torsion,
+                       random_structured)
 from .pid import (CARTIER, FROBENIUS, PidModule, free_crystal_zero, pid_free,
                   pid_sum, pid_torsion, validate_pid)
 from .poly import Poly
@@ -387,7 +387,8 @@ def run_suites(seed: int, count: int) -> dict:
     """The invariant batteries on seeded corpora; every check is exact."""
     res = {"seed": seed, "count": count}
     corpus = artinian_corpus(seed, count)
-    res["double_dual"] = sum(1 for m in corpus if double_dual_check(m)[0])
+    res["double_dual"] = sum(1 for m in corpus
+                             if double_dual_check(m)[0] and matlis_witness(m)[0])
     res["nilpotence_exchange"] = sum(1 for m in corpus
                                      if nilpotence_exchange_check(m))
     res["dual_base_change"] = sum(1 for m in corpus
@@ -400,7 +401,7 @@ def run_suites(seed: int, count: int) -> dict:
     rng = random.Random(seed)
     sol_ok = 0
     for _ in range(count):
-        m = random_f_module(rng, rng.choice([2, 3]), 2, 5, 4)
+        m = random_structured(rng, FROBENIUS, rng.choice([2, 3]), 2, 5, 4)
         sol_ok += sol_base_change_check(m, 2)["ok"]
     res["sol_base_change"] = sol_ok
     res["ok"] = all(res[k] == count for k in
@@ -488,7 +489,7 @@ def cmd_generate(args) -> int:
            "modules": {}, "commands": []}
     if args.kind == "random-artinian":
         for i in range(args.count):
-            m = random_cartier(rng, args.p, 2, args.ring_dim, args.dim)
+            m = random_structured(rng, CARTIER, args.p, 2, args.ring_dim, args.dim)
             name = f"M{i}"
             doc["modules"][name] = _encode_structured(m)
             doc["commands"] += [{"op": "validate", "module": name},

@@ -154,6 +154,24 @@ def double_dual_check(m: Structured) -> tuple[bool, np.ndarray]:
     return ok, ev
 
 
+def matlis_witness(m: Structured) -> tuple[bool, np.ndarray]:
+    """D(M) against the closed form (M^T, X_v^T, S^T), S the structure of
+    M, by W = the socle row (index 0, x^-1) of each basis hom of D(M),
+    without the Hom route; returns (ok, W).  Proof: E_R = Hom_k(R, k), so
+    H -> row 0 of H is the adjunction Hom_R(M, E_R) = Hom_k(M, k), and W is
+    invertible.  H is R-linear, so row 0 of X_v^E H = H X_v is (row 0 of
+    H) X_v: W X_v^D = X_v^T W.  Row 0 of kappa_E is e_0^T, as only x^-1
+    contracts to x^-1, so row 0 of either pairing's image of H (kappa_E H
+    tau_M, or the e with kappa_E e = H kappa_M) is (row 0 of H) S:
+    W S^D = S^T W."""
+    F = m.ring.field
+    d, ker = dualize_artinian(m)
+    w = ker.reshape(m.ring.dim, m.dim, ker.shape[1], order="F")[0]
+    dual = Structured(d.kind, FinModule(m.ring, m.dim, tuple(x.T for x in m.module.actions)),
+                      m.mat.T, m.power)
+    return mx.is_invertible(F, w) and is_morphism(w, d, dual), w
+
+
 def nilpotence_exchange_check(m: Structured) -> bool:
     """Nilpotency finiteness agrees for M and D(M)."""
     d, _ = dualize_artinian(m)

@@ -17,7 +17,7 @@ from . import matrix as mx
 from .artinian import (ArtinRing, FinModule, fin_module, intertwiners,
                        ring_make)
 from .field import GF, FiniteField
-from .pid import CARTIER, FROBENIUS, PidModule, pid_torsion
+from .pid import CARTIER, PidModule, pid_torsion
 from .structures import Structured, structured
 
 
@@ -107,16 +107,11 @@ def random_structure(rng: random.Random, module: FinModule, kind: str,
     return structured(kind, module, mx.unvec(v, module.dim, module.dim), power)
 
 
-def random_cartier(rng: random.Random, p: int, max_vars: int = 2,
-                   max_ring_dim: int = 6, max_dim: int = 5) -> Structured:
+def random_structured(rng: random.Random, kind: str, p: int, max_vars: int = 2,
+                      max_ring_dim: int = 6, max_dim: int = 5) -> Structured:
+    """A random structure of `kind` on a random module over a random ring."""
     ring = random_artin_ring(rng, p, max_vars, max_ring_dim)
-    return random_structure(rng, random_module(rng, ring, max_dim), CARTIER)
-
-
-def random_f_module(rng: random.Random, p: int, max_vars: int = 2,
-                    max_ring_dim: int = 6, max_dim: int = 5) -> Structured:
-    ring = random_artin_ring(rng, p, max_vars, max_ring_dim)
-    return random_structure(rng, random_module(rng, ring, max_dim), FROBENIUS)
+    return random_structure(rng, random_module(rng, ring, max_dim), kind)
 
 
 def artinian_corpus(seed: int, count: int, p_choices=(2, 3),
@@ -126,7 +121,7 @@ def artinian_corpus(seed: int, count: int, p_choices=(2, 3),
     out = []
     for _ in range(count):
         p = rng.choice(list(p_choices))
-        out.append(random_cartier(rng, p, 2, max_ring_dim, max_dim))
+        out.append(random_structured(rng, CARTIER, p, 2, max_ring_dim, max_dim))
     return out
 
 

@@ -8,7 +8,6 @@ a canonical (deterministic) form.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -165,7 +164,7 @@ def nil_index(F: FiniteField, a: np.ndarray):
 #   extension-field GF(p)   33.5   22.8   18.0   17.0   16.7   19.0   23.0
 #   extension-field GF(p^m) 13.1    4.7    4.6    4.6    4.6    4.6    4.6
 # The sum is least at 400.  Only `semilinear_fixed_points` passes it (Hom
-# systems go to `kernel_of_rows`): dense GF(p) systems of 576 and 1024
+# systems go to `artinian.intertwiners`): dense GF(p) systems of 576, 1024
 # cells in `extension-field`, where numpy wins.
 SMALL_RREF_CELLS = 400
 
@@ -262,9 +261,9 @@ def _zech_logs(log, y) -> list:
 
 def _zech_add(r, t: int, ly, tables) -> None:
     """r += g^t y in place over GF(p^m), y as its `_zech_logs` ly, r a list
-    or defaultdict of codes, g the generator, t < n = q - 1, `tables` those
-    of `F._zech_tables`.  With w = t + log y < 2n, x + g^w = g^(log x +
-    zech[(w - log x) mod n]), 0 where zech is -1, and 0 + g^w = g^w."""
+    or dict of codes (a defaultdict if ly has new keys), g the generator,
+    t < n = q - 1, `tables` from `F._zech_tables`.  With w = t + log y < 2n,
+    x + g^w = g^(log x + zech[(w - log x) mod n]), 0 where zech is -1; 0 + g^w = g^w."""
     n, log, exp, zech, _ = tables
     for j, l in ly:
         x, w = r[j], t + l
@@ -306,51 +305,6 @@ def kernel(F: FiniteField, a) -> np.ndarray:
     out[free, np.arange(free.size)] = 1
     out[list(pivots)] = F.neg(r[:len(pivots), free])
     return out
-
-
-def kernel_of_rows(F: FiniteField, rows, ncols: int):
-    """`kernel` of the rows stacked, each a dict {column: nonzero code},
-    each reduced as it comes: no matrix is formed.  Pivot rows stay fully
-    reduced, so one pass over its pivot columns clears a new row; a row
-    left nonzero becomes the pivot row of its least column and is cleared
-    from the others, each then 0 left of its column, as in the RREF.
-    Returns the kernel and its free columns, the rows where it is the
-    identity."""
-    p, ext = F.p, F.deg > 1
-    if ext:
-        n, log, exp, _, neg = tables = F._zech_tables
-
-    def add(r, x, y):       # r += x y in place, r a defaultdict: `_rref_ints`' step
-        if ext:
-            return _zech_add(r, log[x], _zech_logs(log, y.items()), tables)
-        for j, v in y.items():
-            r[j] = (r[j] + x * v) % p
-
-    piv = {}    # pivot column -> minus its row at the free columns
-    for r in rows:
-        if hits := r.keys() & piv.keys():
-            r = defaultdict(int, r)
-            for c in hits:
-                add(r, r.pop(c), piv[c])
-            r = {j: v for j, v in r.items() if v}
-        if not r:
-            continue
-        lead = min(r)
-        s = exp[(neg - log[r[lead]]) % n] if ext else -pow(r[lead], -1, p)
-        add(y := defaultdict(int), s, r)    # y = -r / r[lead]
-        del y[lead]
-        for P in piv.values():
-            if x := P.pop(lead, 0):
-                add(P, x, y)
-        piv[lead] = y
-    free = {c: i for i, c in enumerate(c for c in range(ncols) if c not in piv)}
-    piv.update((c, {c: 1}) for c in free)     # the 1 of each free column
-    out = [0] * (ncols * len(free))
-    for c, y in piv.items():
-        for j, v in y.items():
-            out[c * len(free) + free[j]] = v
-    ker = np.array(out, dtype=np.int64).reshape(ncols, len(free))
-    return ker, np.fromiter(free, np.intp, len(free))
 
 
 def solve_full(F: FiniteField, a, b):

@@ -22,9 +22,9 @@ from cartierforge.duality import (double_dual_check, dual_base_change_check,
                                   sol_base_change_check, sol_point)
 from cartierforge.field import GF
 from cartierforge.generate import (artinian_corpus, pid_torsion_corpus,
-                                   random_f_module, random_module,
-                                   random_structure)
-from cartierforge.pid import CARTIER, pid_free
+                                   random_module, random_structure,
+                                   random_structured)
+from cartierforge.pid import CARTIER, FROBENIUS, pid_free
 from cartierforge.poly import Poly
 from cartierforge.structures import (cartier_module, f_module, is_unit,
                                      kashiwara_counit, nilpotency_index,
@@ -121,7 +121,7 @@ def test_criterion_06_base_change(corpus):
             ok = ok and dual_base_change_check(m, s)
     rng = random.Random(SEED)
     for _ in range(60):
-        fm = random_f_module(rng, rng.choice([2, 3]), 2, 5, 4)
+        fm = random_structured(rng, FROBENIUS, rng.choice([2, 3]), 2, 5, 4)
         for s in (2, 3):
             ok = ok and sol_base_change_check(fm, s)["ok"]
     dt = time.monotonic() - t0

@@ -1,5 +1,6 @@
 """End-to-end CLI: schemas, exit codes, determinism, strict mode."""
 
+import hashlib
 import json
 import os
 import random
@@ -306,6 +307,22 @@ def test_generate_deterministic(tmp_path, capsys):
         assert main(["generate", "random-artinian", "--seed", "7",
                      "--count", "2", "--out", o]) == 0
     assert open(a, "rb").read() == open(b, "rb").read()
+    capsys.readouterr()
+
+
+def test_seeded_generate_and_suite_outputs_are_pinned(tmp_path, capsys):
+    """One seeded `forge generate` file, by its sha256, and one `suite`
+    report, byte for byte: the random structure builder draws as it did
+    when they were pinned."""
+    out = str(tmp_path / "gen.json")
+    assert main(["generate", "random-artinian", "--seed", "7", "--count", "3",
+                 "--p", "3", "--out", out]) == 0
+    assert hashlib.sha256(open(out, "rb").read()).hexdigest() == (
+        "f4eb0c4323036a65a4cd1d739ab31829cbf561f0ec46f5441288de54ced1410f")
+    assert json.dumps(cli.run_suites(5, 3)) == (
+        '{"seed": 5, "count": 3, "double_dual": 3, "nilpotence_exchange": 3, '
+        '"dual_base_change": 3, "unitalize": 3, "local_duality": 3, "perverse_dual": 3, '
+        '"sol_base_change": 3, "ok": true}')
     capsys.readouterr()
 
 

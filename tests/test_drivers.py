@@ -30,8 +30,8 @@ from cartierforge.artinian import (f_flat, f_flat_dim, fin_module, hom_coords,
 from cartierforge.duality import (double_dual_check, dualize_artinian,
                                   dualizing_module)
 from cartierforge.field import GF
-from cartierforge.generate import (artinian_corpus, random_cartier,
-                                   random_module, random_structure)
+from cartierforge.generate import (artinian_corpus, random_module,
+                                   random_structure, random_structured)
 from cartierforge.structures import (CARTIER, Structured, UnitalizeResult,
                                      _composite, adjoint_structural,
                                      cartier_module, flat_cartier, is_morphism,
@@ -524,7 +524,7 @@ def test_double_dual_check_equals_loop_reference_on_corpus():
 def cartier_case(draw):
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
     if draw(st.booleans()):
-        m = random_cartier(rng, draw(st.sampled_from([2, 3, 5])), 2, 6, 4)
+        m = random_structured(rng, CARTIER, draw(st.sampled_from([2, 3, 5])), 2, 6, 4)
     else:
         # over GF(2)[x]/(x^n) with n > 8 a transition can turn zero after
         # the quotient scan has found the zero module (a few percent of

@@ -1,6 +1,7 @@
 """The Hom pairings, double duality, Sol, base change, perversity, local
 duality, ordinarity."""
 
+import itertools
 import json
 import math
 import random
@@ -9,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cartierforge import matrix as mx
-from cartierforge.artinian import fin_module, regular_module, ring_make
+from cartierforge import duality, matrix as mx
+from cartierforge.artinian import MEMOS, fin_module, regular_module, ring_make
 from cartierforge.cli import parse_problem
 from cartierforge.complexes import (dualize, is_perverse, local_duality_check,
                                     shift_module)
@@ -18,13 +19,15 @@ from cartierforge.duality import (crystal_class, crystal_equivalent,
                                   double_dual_check, dual_base_change_check,
                                   dualize_artinian, dualizing_module,
                                   elliptic_ap, extend_scalars,
-                                  hasse_invariant, nilpotence_exchange_check,
+                                  hasse_invariant, matlis_witness,
+                                  nilpotence_exchange_check,
                                   nonsingular_short_weierstrass, ordinarity,
                                   pair_C_to_F, pair_F_to_C, reduced_operator,
                                   sol_base_change_check, sol_point)
 from cartierforge.field import GF, is_prime
 from cartierforge.generate import (artinian_corpus, pid_torsion_corpus,
-                                   random_f_module)
+                                   random_artin_ring, random_module,
+                                   random_structure, random_structured)
 from cartierforge.pid import (CARTIER, FROBENIUS, PidModule, pid_free,
                               pid_torsion)
 from cartierforge.poly import Poly
@@ -146,6 +149,57 @@ def test_double_dual_random_f3():
         assert ok
 
 
+# -- the Matlis witness: D(M) against (M^T, X_v^T, S^T), off the Hom route --
+
+
+def witness_corpus() -> list:
+    """Two Cartier corpora, 100 Frobenius modules over GF(2), GF(3) and
+    GF(5), and five modules of each kind over GF(4) and GF(9) at power 1
+    and at power 2."""
+    rng = random.Random(35)
+    out = artinian_corpus(2024, 200) + artinian_corpus(7, 100, p_choices=(2, 3, 5))
+    out += [random_structured(rng, FROBENIUS, rng.choice([2, 3, 5])) for _ in range(100)]
+    for F, power, kind, _ in itertools.product((GF(2, 2), GF(3, 2)), (1, 2),
+                                               (CARTIER, FROBENIUS), range(5)):
+        base = random_artin_ring(rng, F.p)
+        module = random_module(rng, ring_make(F, base.vars, base.relations), 3)
+        out.append(random_structure(rng, module, kind, power))
+    return out
+
+
+def test_matlis_witness_on_the_corpora():
+    mods = witness_corpus()
+    assert all(matlis_witness(m)[0] for m in mods)
+    assert {(m.ring.q, m.power, m.kind) for m in mods[400:]} == set(
+        itertools.product((4, 9), (1, 2), (CARTIER, FROBENIUS)))
+
+
+def test_planted_wrong_pairing_row_fails_the_witness(monkeypatch):
+    """Row 0 of the coordinates that either pairing solves for, so of the
+    structure of D(M), moved by 1: the witness fails on every module."""
+    solve = duality.hom_coords
+
+    def wrong(F, ker, targets, free):
+        coords = solve(F, ker, targets, free).copy()
+        coords[0] = F.add(coords[0], 1)
+        return coords
+
+    monkeypatch.setattr(duality, "hom_coords", wrong)
+    assert not any(matlis_witness(m)[0] for m in witness_corpus()[::10])
+
+
+def test_planted_memo_entry_fails_the_witness():
+    """One entry of an action of a memoized D(M) moved by 1 in place: the
+    witness, reading that entry, fails on every module."""
+    for m in witness_corpus()[::10]:
+        for memo in MEMOS:
+            memo.cache_clear()
+        act = dualize_artinian(m)[0].module.actions[0]
+        act.flags.writeable = True
+        act[0, 0] = m.ring.field.add(act[0, 0], 1)
+        assert not matlis_witness(m)[0]
+
+
 def test_nilpotence_exchange_on_corpus():
     for m in artinian_corpus(5, 30):
         assert nilpotence_exchange_check(m)
@@ -198,7 +252,7 @@ def test_sol_base_change_fixture_and_random(frobenius_r):
         assert sol_base_change_check(frobenius_r, s)["ok"]
     rng = random.Random(12)
     for _ in range(15):
-        m = random_f_module(rng, rng.choice([2, 3]), 2, 5, 4)
+        m = random_structured(rng, FROBENIUS, rng.choice([2, 3]), 2, 5, 4)
         for s in (2, 3):
             assert sol_base_change_check(m, s)["ok"]
 
@@ -469,7 +523,7 @@ def test_crystal_class_is_kept_by_duality():
 def test_nil_isomorphic_modules_share_a_class():
     rng = random.Random(41)
     cartier = artinian_corpus(41, 120)
-    frobenius = [random_f_module(rng, rng.choice([2, 3])) for _ in range(120)]
+    frobenius = [random_structured(rng, FROBENIUS, rng.choice([2, 3])) for _ in range(120)]
     for m in cartier + frobenius:
         zero = structured(m.kind, m.module, mx.zeros(m.dim, m.dim))
         assert crystal_equivalent(m, direct_sum_structured(m, zero))
@@ -485,7 +539,7 @@ def test_torsion_at_the_point_is_nil_isomorphic():
     # i_* M[m] -> M is a nil-isomorphism, the two classes agree
     rng = random.Random(43)
     cartier = artinian_corpus(43, 120)
-    frobenius = [random_f_module(rng, rng.choice([2, 3])) for _ in range(120)]
+    frobenius = [random_structured(rng, FROBENIUS, rng.choice([2, 3])) for _ in range(120)]
     nil_iso = {CARTIER: 0, FROBENIUS: 0}
     for m in cartier + frobenius:
         n = len(m.ring.vars)

@@ -8,13 +8,14 @@ them bit for bit, and over GF(p) with sympy's DomainMatrix.  `rref` has
 two paths, Python ints up to `matrix.SMALL_RREF_CELLS` cells and numpy
 above, and over GF(p^m) `mmul` too: Zech logarithms on Python ints up to
 `matrix.SMALL_MMUL_MACS` multiply-adds, numpy above.  The properties run
-each path with its bound forced either way.  `kernel_of_rows`, and the
-`intertwiners` systems it solves, must equal `kernel` of the stacked
-Kronecker system (`tests/oracles.py`); a planted solve that skips the
-clearing of earlier pivot rows must fail that check.  The one Zech step
-of the three GF(p^m) kernels skips the zero entries of the row it adds;
-a planted step that keeps them must fail the product property and a
-`kernel_of_rows` check on systems that leave a zero in a pivot row.  The
+each path with its bound forced either way.  `intertwiners` must equal
+`kernel` of the stacked Kronecker system (`tests/oracles.py`), solving
+either the system itself or the Kronecker rows fed last first, and with
+empty equations; a planted solve that skips the clearing of earlier
+pivot rows must fail that check.  The one Zech step of the three
+GF(p^m) kernels skips the zero entries of the row it adds; a planted
+step that keeps them must fail the product property and an
+`intertwiners` check on systems that leave a zero in a pivot row.  The
 GF(p) product splits its inner dimension only past `matrix.dot_chunk`,
 which the chunk properties patch; a planted split that drops its last
 chunk must fail them.  `mmul` and `equal` take int64 arrays as they are
@@ -35,8 +36,7 @@ from hypothesis import find, given, settings, strategies as st
 from sympy import GF as SympyGF
 from sympy.polys.matrices import DomainMatrix
 
-from cartierforge import matrix as mx
-from cartierforge.artinian import intertwiners
+from cartierforge import artinian, matrix as mx
 from cartierforge.field import GF, MAX_ORDER, is_prime
 from oracles import RefField, kron_intertwiners, kron_system
 
@@ -513,29 +513,31 @@ def test_mmul_path_is_chosen_by_field_shape_and_size(p, d, monkeypatch):
 
 @st.composite
 def cancelling_system(draw):
-    """Rows over ZECH_FIELDS whose reduction leaves a zero-valued entry in
-    a pivot row.  The first row gives pivot 0 the row {1: -a, 2: -b}; the
-    second, pivot 1 with {2: -b/a, 3: -d}, clears column 1 from it, and
-    -b + (-a)(-b/a) = 0 stays at column 2, which the third row, reduced by
-    pivot 0, then meets.  Columns are renamed by a permutation of 0-4."""
+    """A Hom system over ZECH_FIELDS whose reduction leaves a zero-valued
+    entry in a pivot row.  With rows = 1 and B_0 = 0, equation k of
+    `intertwiners` is column k of A_0 on the unknowns 0-4, and columns 3
+    and 4 are zero.  Column 0 gives pivot 0 the row {1: -a, 2: -b};
+    column 1, pivot 1 with {2: -b/a, 3: -d}, clears column 1 from it, and
+    -b + (-a)(-b/a) = 0 stays at column 2, which column 2, reduced by
+    pivot 0, then meets.  Unknowns are renamed by a permutation of 0-4."""
     F = GF(*draw(st.sampled_from(ZECH_FIELDS)))
     a, b, d, e = (draw(st.integers(1, F.order - 1)) for _ in range(4))
     name = draw(st.permutations(range(5)))
-    rows = [{0: 1, 1: a, 2: b}, {1: 1, 2: int(F.div(b, a)), 3: d}, {0: 1, 2: e}]
-    return F, [{name[j]: v for j, v in r.items()} for r in rows]
+    A = mx.zeros(5, 5)
+    for k, r in enumerate([{0: 1, 1: a, 2: b}, {1: 1, 2: int(F.div(b, a)), 3: d}, {0: 1, 2: e}]):
+        A[[name[j] for j in r], k] = list(r.values())
+    return F, [A], [mx.zeros(1, 1)], 1, 5
 
 
-def solves_as_stacked(F, rows) -> bool:
-    """`kernel_of_rows` equals the reference kernel of the rows stacked."""
-    stacked = mx.zeros(len(rows), 5)
-    for i, r in enumerate(rows):
-        stacked[i, list(r)] = list(r.values())
-    return np.array_equal(mx.kernel_of_rows(F, iter(rows), 5)[0], ref_kernel(F, stacked))
+def solves_as_stacked(F, As, Bs, rows, cols) -> bool:
+    """`intertwiners` of a `cancelling_system` equals the reference kernel
+    of its equations stacked, the columns of A_0 as rows."""
+    return np.array_equal(artinian.intertwiners(F, As, Bs, rows, cols)[0], ref_kernel(F, As[0].T))
 
 
 @SETTINGS
 @given(cancelling_system())
-def test_kernel_of_rows_skips_a_cancelled_entry(case):
+def test_intertwiners_skip_a_cancelled_entry(case):
     assert solves_as_stacked(*case)
 
 
@@ -757,15 +759,28 @@ def intertwiner_system(draw):
     return F, As, Bs, rows, cols
 
 
+def as_rows_system(F, eqs):
+    """A Hom system whose equations, in `intertwiners`' order, are the rows
+    of `eqs`: rows = 1 and B_i = 0, so equation (i, k) is column k of A_i,
+    and each A_i holds the next N rows as columns, N the unknowns; the
+    last is padded with zero columns."""
+    n = eqs.shape[1]
+    if not n:
+        return F, [], [], 1, 0
+    pad = np.concatenate((eqs, mx.zeros(-len(eqs) % n, n)))
+    As = [pad[s:s + n].T.copy() for s in range(0, len(pad), n)]
+    return F, As, [mx.zeros(1, 1)] * len(As), 1, n
+
+
 def solves_as_kron(F, As, Bs, rows, cols) -> bool:
-    """`intertwiners` and `kernel_of_rows` of the rows of the Kronecker
-    system, fed one at a time, both equal `mx.kernel` of that system:
-    values, shape and dtype; the free rows they return with it are where
-    that kernel is the identity."""
+    """`intertwiners` of the system, and of the rows of its Kronecker
+    system fed last row first (`as_rows_system`), both equal `mx.kernel`
+    of that system: values, shape and dtype; the free rows they return
+    with it are where that kernel is the identity."""
     want = kron_intertwiners(F, As, Bs, rows, cols)
-    eqs = ({j: v for j, v in enumerate(r) if v}
-           for r in kron_system(F, As, Bs, rows, cols).tolist())
-    got = [intertwiners(F, As, Bs, rows, cols), mx.kernel_of_rows(F, eqs, rows * cols)]
+    eqs = kron_system(F, As, Bs, rows, cols)[::-1]
+    got = [artinian.intertwiners(F, As, Bs, rows, cols),
+           artinian.intertwiners(*as_rows_system(F, eqs))]
     return all(g.dtype == want.dtype and g.shape == want.shape and np.array_equal(g, want)
                and np.array_equal(want[free], mx.identity(want.shape[1]))
                for g, free in got)
@@ -780,28 +795,41 @@ def test_intertwiners_equal_the_kronecker_kernel(case):
     assert all(np.array_equal(a, b) for a, b in zip(As + Bs, before))
 
 
+@pytest.mark.parametrize("p,d", [(3, 1), (5, 1), (2, 2), (3, 2)])
+def test_intertwiners_skip_empty_equations(p, d):
+    """Where column k of A_i and row j of B_i are both zero, equation
+    (i, k, j) is empty: the solve skips it and still equals the Kronecker
+    kernel, also with a variable whose A_i and B_i are both zero."""
+    F, rng = GF(p, d), np.random.default_rng(p + d)
+    As = [rng.integers(0, F.order, (4, 4)) for _ in range(2)] + [mx.zeros(4, 4)]
+    Bs = [rng.integers(0, F.order, (3, 3)) for _ in range(2)] + [mx.zeros(3, 3)]
+    As[0][:, [0, 2]] = As[1][:, 3] = 0
+    Bs[0][1] = Bs[1][[0, 2]] = 0
+    assert solves_as_kron(F, As, Bs, 3, 4)
+
+
 def without_back_clearing():
-    """A planted fault: `kernel_of_rows` with the loop that clears a new
+    """A planted fault: `intertwiners` with the loop that clears a new
     pivot's column from the earlier pivot rows taken out."""
     dropped = []
 
     class Drop(ast.NodeTransformer):
         def visit_For(self, node):
-            if ast.unparse(node.iter) == "piv.values()":
+            if ast.unparse(node.iter) == "live":
                 dropped.append(node)
                 return None
             return self.generic_visit(node)
 
-    tree = Drop().visit(ast.parse(textwrap.dedent(inspect.getsource(mx.kernel_of_rows))))
+    tree = Drop().visit(ast.parse(textwrap.dedent(inspect.getsource(artinian.intertwiners))))
     assert len(dropped) == 1
-    namespace = dict(vars(mx))
+    namespace = dict(vars(artinian))
     exec(compile(tree, "<planted>", "exec", __future__.annotations.compiler_flag,
                  dont_inherit=True), namespace)
-    return namespace["kernel_of_rows"]
+    return namespace["intertwiners"]
 
 
 def test_planted_fault_fails_the_property(monkeypatch):
-    monkeypatch.setattr(mx, "kernel_of_rows", without_back_clearing())
+    monkeypatch.setattr(artinian, "intertwiners", without_back_clearing())
 
     def fails(case):
         try:

@@ -20,9 +20,9 @@ from cartierforge.complexes import matlis_dual
 from cartierforge.duality import dualize_artinian, dualizing_module, extend_scalars
 from cartierforge.field import GF
 from cartierforge.generate import (artinian_corpus, pid_torsion_corpus,
-                                   random_artin_ring, random_f_module,
-                                   random_module, random_nilpotent,
-                                   random_pid_torsion, random_structure)
+                                   random_artin_ring, random_module,
+                                   random_nilpotent, random_pid_torsion,
+                                   random_structure, random_structured)
 from cartierforge.pid import (CARTIER, FROBENIUS, pid_sum, pid_torsion,
                               retruncate, truncation_ring)
 from cartierforge.poly import Poly
@@ -117,7 +117,7 @@ def _extension_sample(rng):
 def _sweep(seed, count):
     rng = random.Random(seed)
     arts = artinian_corpus(seed, count)
-    arts += [random_f_module(rng, rng.choice([2, 3])) for _ in range(count)]
+    arts += [random_structured(rng, FROBENIUS, rng.choice([2, 3])) for _ in range(count)]
     pids = pid_torsion_corpus(seed, count)
     pids += [random_pid_torsion(rng, rng.choice([2, 3]), 4, FROBENIUS)
              for _ in range(count // 2)]

@@ -13,7 +13,10 @@ and with only the left one there ("p@q"): the products that `mmul`
 descends to GF(p).  Each cell is the median over R repeats (default 7)
 of the mean time per call, in microseconds, over a batch of calls
 lasting at least 20 ms; where a cell compares callables, their batches
-alternate.
+alternate.  Every time in every table is scaled to the reference host
+speed of `bench/run.py`, as the benchmark scales its commands: after
+each repeat the tool times the benchmark's `Probe` once and multiplies
+that repeat's times by PROBE_REF_S over the probe's time.
 The first rref table gives the time per call of `matrix.rref` on
 matrices of uniformly random codes, square (k x k), tall (2k x k) and
 wide (k x 2k), 4 to 578 cells; 2 is the median aspect of the tall and of
@@ -37,11 +40,13 @@ through the Zech path).
 The intertwiners replay solves the `artinian.intertwiners` systems of
 one round of each workload, those of the misses of the functor memos
 `hom_module` and `flat_cartier` (the kernel itself is not memoized):
-"sparse" is `intertwiners` itself, each equation reduced by
-`matrix.kernel_of_rows` as it is made, "kron" the stacked Kronecker
-system A_i^T (x) I - I (x) B_i with `matrix.kernel`, the reference
-`kron_intertwiners` of `tests/oracles.py`; the median over R repeats of
-the milliseconds one replay takes, the two alternating.
+"sparse" is `intertwiners` itself, which reduces each equation where it
+builds it, "kron" the stacked Kronecker system A_i^T (x) I - I (x) B_i
+with `matrix.kernel`, the reference `kron_intertwiners` of
+`tests/oracles.py`; the median over R repeats of the milliseconds one
+replay takes, the two alternating.  Its "dense" row solves the
+centralisers of one matrix of random codes, 20 x 20, over GF(3) and
+over GF(2) (DENSE): 400 unknowns each, where the pivot rows fill in.
 The build table gives the time in milliseconds to build GF(4), GF(27),
 GF(2^6), GF(3^4), GF(5^4), GF(2^8), GF(3^6), GF(2^16) and GF(2039^2):
 the median over R builds, each with the `GF` and `canonical_modulus`
@@ -82,6 +87,7 @@ sys.path.insert(1, str(ROOT / "bench"))
 sys.path.insert(2, str(ROOT / "tests"))
 
 import argparse
+import functools
 import json
 import statistics
 import time
@@ -97,7 +103,7 @@ from cartierforge.pid import PidModule
 from cartierforge.poly import Poly
 from oracles import kron_intertwiners
 from result_digest import INPUTS, WORKLOADS, _problems, result_lines
-from run import SHARDS, cache_clearers
+from run import PROBE_REF_S, SHARDS, Probe, cache_clearers
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (3, 3), (2039, 2)]
 # (field, operand ranges): "p@p" both below p, "p@q" only the left one
@@ -115,13 +121,29 @@ MMUL_BOUNDS = [-1, 8, 27, 64, 128, 256, 512, 1 << 62]
 BUILDS = [(2, 2), (3, 3), (2, 6), (3, 4), (5, 4), (2, 8), (3, 6), (2, 16), (2039, 2)]
 POLY_FIELDS = [(5, 1), (2, 3), (3, 2)]
 POLY_DEGREES = [1, 10, 100]
+# the dense Hom systems of the intertwiners replay: the centraliser of one
+# matrix of random codes, n x n, over GF(p), with n^2 unknowns
+DENSE = [(3, 20), (2, 20)]
+
+
+@functools.cache
+def probe() -> Probe:
+    return Probe()
+
+
+def host_scale() -> float:
+    """PROBE_REF_S over the time of one probe of `bench/run.py`: a time
+    taken just before, multiplied by this, reads at the benchmark's
+    reference host speed, as the benchmark scales its commands."""
+    return PROBE_REF_S / probe()()
 
 
 def per_call_us(calls: dict, repeats: int) -> dict:
     """Per callable in `calls`, the median over R repeats of the mean time
-    per call, in microseconds, over a batch lasting at least 20 ms.  The
-    batches of the callables alternate, so a slow stretch of the host
-    falls on all of them."""
+    per call, in microseconds, over a batch lasting at least 20 ms, each
+    repeat scaled by one probe (`host_scale`).  The batches of the
+    callables alternate, so a slow stretch of the host falls on all of
+    them."""
     def batch(call, n):
         t0 = time.perf_counter()
         for _ in range(n):
@@ -136,8 +158,10 @@ def per_call_us(calls: dict, repeats: int) -> dict:
         sizes[key] = n
     samples = {key: [] for key in calls}
     for _ in range(repeats):
-        for key, call in calls.items():
-            samples[key].append(batch(call, sizes[key]))
+        times = {key: batch(call, sizes[key]) for key, call in calls.items()}
+        scale = host_scale()
+        for key, t in times.items():
+            samples[key].append(t * scale)
     return {key: 1e6 * statistics.median(t) for key, t in samples.items()}
 
 
@@ -155,7 +179,7 @@ def build_ms(p: int, d: int, repeats: int) -> float:
         canonical_modulus.cache_clear()
         t0 = time.perf_counter()
         GF(p, d)
-        return time.perf_counter() - t0
+        return (time.perf_counter() - t0) * host_scale()
 
     return 1e3 * statistics.median(once() for _ in range(repeats))
 
@@ -298,7 +322,8 @@ def replay_table(rows: dict, kernel: str, bound: str, values: list, repeats: int
     saved = getattr(mx, bound)
     try:
         for label, calls in rows.items():
-            samples = [[replay(calls, v) for v in values] for _ in range(repeats)]
+            samples = [np.array([replay(calls, v) for v in values]) * host_scale()
+                       for _ in range(repeats)]
             ms = 1e3 * np.median(samples, axis=0)
             total += ms
             print(label.ljust(24) + "".join(f"{t:8.1f}" for t in ms))
@@ -327,9 +352,20 @@ def workload_replays(repeats: int) -> None:
     replay_table(mmuls, "mmul", "SMALL_MMUL_MACS", MMUL_BOUNDS, repeats)
 
 
+def dense_systems() -> list:
+    """The arguments (F, As, Bs, rows, cols) of the DENSE centralisers."""
+    rng = np.random.default_rng(400)
+    out = []
+    for p, n in DENSE:
+        a = rng.integers(0, p, (n, n))
+        out.append((GF(p), [a], [a], n, n))
+    return out
+
+
 def intertwiners_table(repeats: int) -> None:
     """Per workload, one round's intertwiner systems solved as they are
-    (`intertwiners`) and by the Kronecker reference."""
+    (`intertwiners`) and by the Kronecker reference; then the DENSE
+    centralisers."""
     solvers = {"sparse": artinian.intertwiners, "kron": kron_intertwiners}
     print("workload".ljust(18) + "systems".rjust(8) + "".join(k.rjust(8) for k in solvers)
           + "   (ms per replay)")
@@ -340,11 +376,13 @@ def intertwiners_table(repeats: int) -> None:
             solve(*args)
         return time.perf_counter() - t0
 
-    for workload in WORKLOADS:
-        calls = round_intertwiners(workload)
-        samples = [[replay(solve, calls) for solve in solvers.values()] for _ in range(repeats)]
+    rows = {workload: round_intertwiners(workload) for workload in WORKLOADS}
+    rows["dense"] = dense_systems()
+    for label, calls in rows.items():
+        samples = [np.array([replay(solve, calls) for solve in solvers.values()]) * host_scale()
+                   for _ in range(repeats)]
         ms = 1e3 * np.median(samples, axis=0)
-        print(workload.ljust(18) + f"{len(calls):8d}" + "".join(f"{t:8.1f}" for t in ms))
+        print(label.ljust(18) + f"{len(calls):8d}" + "".join(f"{t:8.1f}" for t in ms))
 
 
 def build_table(repeats: int) -> None:
