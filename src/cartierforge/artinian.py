@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,7 +114,7 @@ def ring_make(p_or_field, vars, relations, r: int = 1) -> ArtinRing:
         todo.extend((e[:i] + (e[i] + 1,) + e[i + 1:], i) for i in range(last, n))
     basis = tuple(sorted(basis, key=lambda e: (sum(e), e)))
     return ArtinRing(F, vars, relations, basis,
-                     tuple(_variable_power(basis, i, 1) for i in range(n)))
+                     _freeze(tuple(_variable_power(basis, i, 1) for i in range(n))))
 
 
 def quotient_ring(ring: ArtinRing, extra_relations) -> ArtinRing:
@@ -124,9 +125,19 @@ def quotient_ring(ring: ArtinRing, extra_relations) -> ArtinRing:
 
 @dataclass(frozen=True)
 class FinModule:
+    """A value: its actions are read-only from construction, so its memo
+    key, built on first use, stays its content."""
     ring: ArtinRing
     dim: int
     actions: tuple   # one dim x dim matrix per ring variable
+
+    def __post_init__(self):
+        for a in self.actions:
+            a.setflags(write=False)
+
+    @functools.cached_property
+    def _key(self) -> tuple:
+        return (self.ring.key(), self.dim, tuple(map(_array_key, self.actions)))
 
     def action_of(self, expvec) -> np.ndarray:
         """Action matrix of the monomial x^expvec: X_n^e_n ... X_1^e_1, each
@@ -160,42 +171,32 @@ def _key(a):
     return a if key is None else key(a)
 
 
-def _seq_key(s) -> tuple:
-    return tuple(map(_key, s))
+def _array_key(a: np.ndarray) -> tuple:
+    return (a.shape, (a if a.dtype is mx.INT64 else a.astype(np.int64)).tobytes())
 
 
-# How a memo keys an argument of each type; structures.py adds the Cartier
-# and Frobenius structures.
-MEMO_KEYS = {
-    np.ndarray: lambda a: (a.shape, (a if a.dtype is mx.INT64 else a.astype(np.int64)).tobytes()),
-    tuple: _seq_key,
-    list: _seq_key,
-    ArtinRing: ArtinRing.key,
-    FinModule: lambda m: (_key(m.ring), m.dim, _key(m.actions)),
-}
+# How a memo keys an argument of each record type: by the key the record
+# keeps; structures.py adds the Cartier and Frobenius structures.  Arrays
+# have no entry, so a memo cannot take one.
+MEMO_KEYS = dict.fromkeys((ArtinRing, FinModule), operator.attrgetter("_key"))
 
 
-def _freeze(out) -> None:
-    """Make every array of a memo result read-only: arrays, tuples of them,
-    a ring's multiplications, a module's actions, a structure's matrix."""
+def _freeze(out):
+    """Make every array of `out`, an array or a tuple, read-only, and
+    return `out`; the records in a tuple froze theirs when built."""
     if isinstance(out, np.ndarray):
-        out.flags.writeable = False
+        out.setflags(write=False)
     elif isinstance(out, tuple):
         for a in out:
             _freeze(a)
-    elif isinstance(out, ArtinRing):
-        _freeze(out.mult_ops)
-    elif isinstance(out, FinModule):
-        _freeze(out.actions)
-    elif hasattr(out, "mat"):                 # a Cartier or Frobenius structure
-        _freeze((out.mat, out.module))
+    return out
 
 
 def memo(maxsize: int):
-    """Memoize a function on the content of its positional arguments: an
-    array by its shape and int64 bytes, a ring by key(), its presentation,
-    a module by ring, dim and actions, a structure by kind, power, matrix
-    and module, anything else as itself.
+    """Memoize a function on the content of its positional arguments: a
+    ring, module or structure by the key it keeps (a ring's presentation; a
+    module's ring, dim and actions, each by shape and int64 bytes; a
+    structure's kind, power, matrix and module), anything else as itself.
 
     At most `maxsize` entries, the least recently used dropped first.  A
     hit returns the objects the miss returned, and every array in them is
@@ -208,9 +209,7 @@ def memo(maxsize: int):
         def solve(key: tuple):
             # lru_cache passes the key alone; a miss computes from the
             # arguments that made it, read before fn can call this memo again
-            out = fn(*latest)
-            _freeze(out)
-            return out
+            return _freeze(fn(*latest))
 
         @functools.wraps(fn)
         def memoized(*args):
@@ -239,8 +238,8 @@ def module_violations(m: FinModule) -> list[str]:
 
 
 def fin_module(ring: ArtinRing, actions, dim: int | None = None) -> FinModule:
-    """One dim x dim action per variable; dim is required without variables."""
-    actions = tuple(np.asarray(a, dtype=np.int64) for a in actions)
+    """One dim x dim action per variable, copied; dim is required without variables."""
+    actions = tuple(np.array(a, dtype=np.int64) for a in actions)
     if len(actions) != ring.nvars:
         raise ValueError("one action matrix per ring variable required")
     if dim is None and not actions:
@@ -354,12 +353,11 @@ def intertwiners(F: FiniteField, As, Bs, rows: int, cols: int):
 
 class Hom(tuple):
     """(module or structure, basis) of a Hom space, the basis from
-    `intertwiners`; its free rows ride along, read-only, as `free`."""
+    `intertwiners`; its free rows ride along as `free`, both read-only."""
 
     def __new__(cls, module, ker: np.ndarray, free: np.ndarray):
-        out = super().__new__(cls, (module, ker))
-        free.flags.writeable = False
-        out.free = free
+        out = super().__new__(cls, (module, _freeze(ker)))
+        out.free = _freeze(free)
         return out
 
 

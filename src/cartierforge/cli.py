@@ -421,7 +421,7 @@ def cmd_run(args) -> int:
         return 2
     t0 = time.monotonic()
     results = []
-    failed = False
+    failed = faulted = False
     for cmd in problem["commands"]:
         try:
             r = run_command(problem, cmd, args.seed)
@@ -431,9 +431,10 @@ def cmd_run(args) -> int:
         except InvalidModule as exc:
             r = {"op": cmd.get("op"), "module": exc.name, "ok": False,
                  "unsupported": False, "violations": exc.violations}
-        except Exception as exc:
-            r = {"op": cmd.get("op"), "ok": False, "unsupported": False,
+        except Exception as exc:      # a fault of the program, not a verdict
+            r = {"op": cmd.get("op"), "ok": None, "unsupported": False,
                  "error": f"{type(exc).__name__}: {exc}"}
+            faulted = True
         results.append(r)
         if r.get("ok") is False:
             failed = True
@@ -449,20 +450,20 @@ def cmd_run(args) -> int:
                   "polynomial": list(field.modulus)},
         "timing_ms": elapsed_ms if args.timing else 0,
         "results": results,
-        "ok": not failed,
+        "ok": not (failed or faulted),
     }
     text = json.dumps(report, sort_keys=True, indent=2)
     if args.json:
         with open(args.json, "w") as fh:
             fh.write(text + "\n")
     for r in results:
-        status = ("UNSUPPORTED" if r.get("unsupported")
+        status = ("UNSUPPORTED" if r.get("unsupported") else "ERROR" if "error" in r
                   else {True: "ok", False: "FAIL", None: "-"}[r.get("ok")])
         extra = {k: v for k, v in r.items()
                  if k not in ("op", "ok", "unsupported", "witness")}
         print(f"{r['op']:<16} {status:<12} {json.dumps(extra, sort_keys=True)}")
-    print(f"report: {'ok' if not failed else 'FAILED'}")
-    return 1 if failed else 0
+    print(f"report: {'ok' if not (failed or faulted) else 'FAILED'}")
+    return 3 if faulted else 1 if failed else 0
 
 
 def _encode_structured(m) -> dict:

@@ -11,11 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import matrix as mx
+from .artinian import FinModule, memo
 from .duality import dualize_artinian
 from .pid import (CARTIER, FROBENIUS, PidModule, free_crystal_zero, pid_free,
                   pid_sum, retruncate, torsion_crystal_zero)
 from .poly import Poly
-from .structures import Structured, _nil_index
+from .structures import Structured
 
 
 def _opposite(kind: str) -> str:
@@ -27,7 +29,7 @@ def matlis_dual(t: Structured) -> Structured:
     structure of the opposite kind.
 
     Computed by dualize_artinian over the truncation ring at level
-    N = index, the x-nilpotency index of M (from the nilpotency memo); the
+    N = index, the x-nilpotency index of M (`_x_index`); the
     dual lives over that ring.
     Every N >= index gives the same hom basis, structure matrix and
     x-action, bit for bit:
@@ -42,10 +44,16 @@ def matlis_dual(t: Structured) -> Structured:
       so the hom basis, the structure matrix and the x-action come out
       bit-identical.  Only the dual's ring level depends on N.
     """
-    index = _nil_index(t.ring.field, t.module.actions[0])
+    index = _x_index(t.module)
     if index == math.inf:
         raise ValueError("x-action is not nilpotent: module not supported at the origin")
     return dualize_artinian(retruncate(t, index))[0]
+
+
+@memo(512)
+def _x_index(m: FinModule):
+    """The nilpotency index of x on `m`, memoized on the module."""
+    return mx.nil_index(m.ring.field, m.actions[0])
 
 
 @dataclass(frozen=True)

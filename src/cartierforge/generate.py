@@ -33,8 +33,9 @@ def random_invertible(rng: random.Random, F: FiniteField, n: int) -> np.ndarray:
             return m
 
 
-def random_artin_ring(rng: random.Random, p: int, max_vars: int = 2,
+def random_artin_ring(rng: random.Random, p_or_field, max_vars: int = 2,
                       max_dim: int = 6) -> ArtinRing:
+    """A random monomial ring over GF(p) or the given field, drawn alike for both."""
     while True:
         nvars = rng.randrange(1, max_vars + 1)
         names = ["x", "y", "z"][:nvars]
@@ -47,7 +48,7 @@ def random_artin_ring(rng: random.Random, p: int, max_vars: int = 2,
             e = [rng.randrange(0, 3) for _ in range(nvars)]
             if sum(e) >= 2:
                 rels.append(e)
-        ring = ring_make(p, names, rels)
+        ring = ring_make(p_or_field, names, rels)
         if 1 <= ring.dim <= max_dim:
             return ring
 

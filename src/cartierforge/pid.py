@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import matrix as mx
-from .artinian import ArtinRing, fin_module, memo, ring_make
+from .artinian import ArtinRing, FinModule, fin_module, memo, ring_make
 from .field import FiniteField
 from .poly import Poly
 from .duality import inverse_hull
@@ -138,7 +138,7 @@ def retruncate(t: Structured, level: int) -> Structured:
     ring already has that level."""
     if _ring_level(t.ring) == level:
         return t
-    mod = fin_module(truncation_ring(t.ring.field, level), t.module.actions)
+    mod = FinModule(truncation_ring(t.ring.field, level), t.dim, t.module.actions)
     return replace(t, module=mod)
 
 

@@ -11,14 +11,15 @@ adjoint structural morphism, unitalization, and nil-isomorphism testing.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import matrix as mx
-from .artinian import (MEMO_KEYS, ArtinRing, FinModule, _key, direct_sum, f_flat,
-                       f_flat_dim, hom_coords, induce, memo, module_violations,
+from .artinian import (MEMO_KEYS, ArtinRing, FinModule, _array_key, _key, direct_sum,
+                       f_flat, f_flat_dim, hom_coords, induce, memo, module_violations,
                        quotient_data, regular_module, restrict, restrict_scalars,
                        submodule, torsion_basis, zero_module)
 
@@ -42,6 +43,13 @@ class Structured:
     mat: np.ndarray
     power: int = 1
 
+    def __post_init__(self):
+        self.mat.setflags(write=False)      # a value, as a FinModule is
+
+    @functools.cached_property
+    def _key(self) -> tuple:
+        return (self.kind, self.power, _array_key(self.mat), _key(self.module))
+
     @property
     def dim(self) -> int:
         return self.module.dim
@@ -51,7 +59,7 @@ class Structured:
         return self.module.ring
 
 
-MEMO_KEYS[Structured] = lambda m: (m.kind, m.power, _key(m.mat), _key(m.module))
+MEMO_KEYS[Structured] = MEMO_KEYS[FinModule]
 
 
 def _expect(kind: str, *ms: Structured) -> None:
@@ -71,12 +79,12 @@ class ValidationReport:
 
 
 def structured(kind: str, module: FinModule, mat, power: int = 1) -> Structured:
-    """The Cartier (kind CARTIER) or Frobenius structure `mat` on `module`.
+    """The Cartier (kind CARTIER) or Frobenius structure, a copy of `mat`, on `module`.
 
     Constructors build and `validate` checks: input data is validated once,
     where it enters (`forge run` does it per module), and everything built
     from valid data is valid by construction."""
-    return Structured(kind, module, np.asarray(mat, dtype=np.int64), power)
+    return Structured(kind, module, np.array(mat, dtype=np.int64), power)
 
 
 def cartier_module(module: FinModule, kappa, power: int = 1) -> Structured:
@@ -106,18 +114,14 @@ def validate(m: Structured) -> ValidationReport:
     return ValidationReport(not out, tuple(out))
 
 
+@memo(512)
 def nilpotency_index(m: Structured):
-    """Least n <= dim with the n-fold structural composite zero, else inf.
+    """Least n <= dim with the n-fold structural composite zero, else inf;
+    memoized on the structure.
 
     The composite of the structure with itself is the plain matrix power,
     so the image chain stabilizes within dim steps."""
-    return _nil_index(m.ring.field, m.mat)
-
-
-@memo(512)
-def _nil_index(F, a):
-    """`matrix.nil_index`, memoized on the field and the matrix."""
-    return mx.nil_index(F, a)
+    return mx.nil_index(m.ring.field, m.mat)
 
 
 def stable_image(m: Structured) -> tuple[Structured, np.ndarray]:

@@ -174,11 +174,12 @@ def test_every_scope_boundary_reports_unsupported(tmp_path, capsys, module, cmd,
 @pytest.mark.parametrize("exc,verdict", [
     (cartierforge.Unsupported,
      {"module": "sky", "ok": None, "unsupported": True, "reason": "planted"}),
-    (ValueError, {"ok": False, "unsupported": False, "error": "ValueError: planted"}),
+    (ValueError, {"ok": None, "unsupported": False, "error": "ValueError: planted"}),
 ])
 def test_only_unsupported_is_caught_as_a_boundary(tmp_path, capsys, monkeypatch, exc, verdict):
     """A planted raise inside an op: Unsupported is reported as a boundary,
-    and a plain ValueError from the same place is still an error."""
+    and a plain ValueError from the same place is still an error, a fault
+    of the program (exit 3)."""
     def planted(m):
         raise exc("planted")
 
@@ -187,7 +188,7 @@ def test_only_unsupported_is_caught_as_a_boundary(tmp_path, capsys, monkeypatch,
     doc["commands"] = [{"op": "dualize", "module": "sky"}]
     out = tmp_path / "report.json"
     code = main(["run", write(tmp_path, doc), "--json", str(out)])
-    assert code == (0 if exc is cartierforge.Unsupported else 1)
+    assert code == (0 if exc is cartierforge.Unsupported else 3)
     assert json.loads(out.read_text())["results"] == [{"op": "dualize", **verdict}]
     capsys.readouterr()
 
@@ -530,6 +531,9 @@ def test_hasse_takes_the_invariant_once(tmp_path, capsys, monkeypatch):
 
 
 def test_command_exception_becomes_error_result(tmp_path, capsys, monkeypatch):
+    """A command that raises is a fault, not a failed assertion: no verdict
+    (ok null) and its error; the run goes on, the report is written and
+    the exit code is 3, also when another command failed."""
     doc = json.loads(json.dumps(FIXTURE_A))
     doc["commands"] = [{"op": "double-dual", "module": "A"},
                        {"op": "nilpotent", "module": "A"}]
@@ -539,14 +543,22 @@ def test_command_exception_becomes_error_result(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "double_dual_check", fail)
     out = str(tmp_path / "rep.json")
-    assert main(["run", write(tmp_path, doc), "--json", out]) == 1
+    assert main(["run", write(tmp_path, doc), "--json", out]) == 3
     rep = json.loads(open(out).read())
     assert not rep["ok"]
     err, nil = rep["results"]
-    assert err == {"op": "double-dual", "ok": False, "unsupported": False,
+    assert err == {"op": "double-dual", "ok": None, "unsupported": False,
                    "error": "ValueError: planted failure"}
     assert nil["ok"] and nil["index"] == 2
-    assert "FAIL" in capsys.readouterr().out
+    text = capsys.readouterr().out
+    assert "ERROR" in text and "FAIL" not in text.replace("report: FAILED", "")
+    # with a failed assertion beside the fault the exit code is still 3
+    doc["modules"]["bad"] = {"kind": "cartier", "carrier": {"actions": [[[0, 0], [1, 0]]]},
+                             "structure": [[1, 0], [0, 1]]}
+    doc["commands"].append({"op": "validate", "module": "bad"})
+    assert main(["run", write(tmp_path, doc), "--json", out]) == 3
+    assert [r["ok"] for r in json.loads(open(out).read())["results"]] == [None, True, False]
+    capsys.readouterr()
 
 
 def test_pair_of_cartier_modules_is_unsupported_when_tau_is_not_determined(tmp_path, capsys):

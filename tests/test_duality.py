@@ -161,8 +161,7 @@ def witness_corpus() -> list:
     out += [random_structured(rng, FROBENIUS, rng.choice([2, 3, 5])) for _ in range(100)]
     for F, power, kind, _ in itertools.product((GF(2, 2), GF(3, 2)), (1, 2),
                                                (CARTIER, FROBENIUS), range(5)):
-        base = random_artin_ring(rng, F.p)
-        module = random_module(rng, ring_make(F, base.vars, base.relations), 3)
+        module = random_module(rng, random_artin_ring(rng, F), 3)
         out.append(random_structure(rng, module, kind, power))
     return out
 

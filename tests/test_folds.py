@@ -333,8 +333,7 @@ def fold_mismatches(F, seed: int, kind: str) -> list[str]:
     quotient structures on invariant spans (some not stable under the
     structure), both direct sums, and i-flat at each variable and at all."""
     rng = random.Random(seed)
-    shape = random_artin_ring(rng, F.p)
-    ring = ring_make(F, shape.vars, shape.relations)
+    ring = random_artin_ring(rng, F)
     state = rng.getstate()
     mod = random_module(rng, ring)
     rng.setstate(state)

@@ -2,7 +2,12 @@
 `hom_module` and the F^flat stages of `flat_cartier`, the truncation
 rings, the dualizing modules E_R, D = Hom(-, E_R) in `dualize_artinian`,
 the reduced stack of kappa x^lambda behind `is_unit` and `pair_C_to_F`,
-and the nilpotency index.
+the nilpotency index of a structure and the x-index of a module.
+
+Rings, modules and structures are values: every array in them is
+read-only from construction, so the memo key a record keeps stays its
+content.  The constructors copy a caller's arrays, and no memo takes a
+raw array.
 
 A cached Hom module, stage or dual must equal the one solved anew, be
 read-only, and be keyed by everything it depends on, not only by the
@@ -23,17 +28,27 @@ import numpy as np
 import pytest
 
 from cartierforge import matrix as mx
-from cartierforge.artinian import (MEMO_KEYS, MEMOS, FinModule, _key, fin_module,
-                                   hom_module, quotient_ring, restrict_scalars, ring_make)
+from cartierforge.artinian import (MEMO_KEYS, MEMOS, ArtinRing, FinModule, Hom, f_flat,
+                                   fin_module, frobenius_pushforward, hom_module,
+                                   i_torsion, quotient_ring, regular_module,
+                                   restrict_scalars, ring_make, zero_module)
 from cartierforge.cli import parse_problem
-from cartierforge.duality import dualize_artinian, dualizing_module, pair_C_to_F
+from cartierforge.complexes import _x_index
+from cartierforge.duality import (dualize_artinian, dualizing_module, pair_C_to_F,
+                                  pair_F_to_C)
 from cartierforge.field import GF, _embedding_table, canonical_modulus
-from cartierforge.generate import artinian_corpus, random_module, random_structure
-from cartierforge.pid import truncation_ring
-from cartierforge.structures import (CARTIER, FROBENIUS, _kappa_stack,
-                                     _nil_index, cartier_module, flat_cartier,
-                                     is_unit, kappa_monomials, nilpotency_index,
-                                     structured)
+from cartierforge.generate import (artinian_corpus, random_artin_ring, random_module,
+                                   random_structure)
+from cartierforge.pid import pid_torsion, truncation_ring
+from cartierforge.structures import (CARTIER, FROBENIUS, Structured, Unsupported,
+                                     _kappa_stack, cartier_module,
+                                     direct_sum_structured, flat_cartier, is_unit,
+                                     iterate_structure, kappa_monomials,
+                                     nilpotency_index, quotient_structure,
+                                     stable_image, stable_kernel, structured,
+                                     structured_i_torsion,
+                                     structured_restrict_scalars, unitalize)
+from hypothesis import given, settings, strategies as st
 from oracles import kron_intertwiners as solve_anew
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2)]     # GF(2), GF(3), GF(4), GF(9)
@@ -196,7 +211,7 @@ def test_planted_module_key_without_relations_fails(monkeypatch):
     """A module key that keeps the field and variables of the ring but not
     its relations makes the second ring's stage a hit on the first's."""
     monkeypatch.setitem(MEMO_KEYS, FinModule, lambda m: (
-        (m.ring.field.p, m.ring.field.deg, m.ring.vars), m.dim, _key(m.actions)))
+        (m.ring.field.p, m.ring.field.deg, m.ring.vars), m.dim, m._key[2]))
     assert not stage_hits_equal_fresh_builds(residue_fields())
 
 
@@ -397,7 +412,7 @@ def test_a_nilpotency_hit_equals_the_index_computed_anew():
     mods = artinian_corpus(31, 40) + extension_draws(24)
     for m in mods + [copied(m) for m in mods]:
         assert nilpotency_index(m) == mx.nil_index(m.ring.field, m.mat)
-    info = _nil_index.cache_info()
+    info = nilpotency_index.cache_info()
     assert info.hits >= len(mods) and info.misses <= len(mods)
     assert {nilpotency_index(m) == math.inf for m in mods} == {True, False}
 
@@ -408,7 +423,7 @@ def test_the_same_integer_structure_over_two_fields_is_two_nilpotency_entries():
     J = [[1, 1], [1, 1]]
     assert nilpotency_index(cartier_module(fin_module(ring2, [], 2), J)) == 2
     assert nilpotency_index(cartier_module(fin_module(ring3, [], 2), J)) == math.inf
-    assert _nil_index.cache_info().currsize == 2
+    assert nilpotency_index.cache_info().currsize == 2
 
 
 def test_the_nilpotency_memo_is_bounded():
@@ -416,7 +431,7 @@ def test_the_nilpotency_memo_is_bounded():
     for i in range(600):
         nilpotency_index(cartier_module(fin_module(ring, [], 2),
                                          [[i % 17, i // 17 % 17], [i // 289, 0]]))
-    assert _nil_index.cache_info().currsize == 512
+    assert nilpotency_index.cache_info().currsize == 512
 
 
 @pytest.mark.parametrize("path", sorted((RUN.parent / "inputs").glob("*/*_00.json")),
@@ -424,7 +439,7 @@ def test_the_nilpotency_memo_is_bounded():
 def test_parsing_fills_neither_new_memo(path):
     parse_problem(json.loads(path.read_text()))
     assert _kappa_stack.cache_info().currsize == 0
-    assert _nil_index.cache_info().currsize == 0
+    assert nilpotency_index.cache_info().currsize == _x_index.cache_info().currsize == 0
 
 
 def bench_cache_clearers():
@@ -440,7 +455,8 @@ def test_bench_cache_clearers_empty_both_caches():
     dualize_artinian(one_dim(GF(2)))
     flat_cartier(one_dim(GF(2)))
     nilpotency_index(one_dim(GF(2)))
-    assert len(MEMOS) == 7
+    _x_index(one_dim(GF(2)).module)
+    assert len(MEMOS) == 8
     assert all(memo.cache_info().currsize > 0 for memo in MEMOS)
     for clear in bench_cache_clearers():
         clear()
@@ -453,3 +469,118 @@ def test_every_cache_is_a_registered_memo_but_the_field_tables():
     assert all(clear in clearers for clear in registered)
     outside = {clear.__self__ for clear in clearers if clear not in registered}
     assert outside == {GF, canonical_modulus, _embedding_table}
+
+
+# -- records are values --
+
+
+def record_arrays(obj) -> list:
+    """Every array of the rings, modules, structures, Hom spaces and
+    tuples of them in `obj`."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, ArtinRing):
+        return list(obj.mult_ops)
+    if isinstance(obj, FinModule):
+        return record_arrays(obj.ring) + list(obj.actions)
+    if isinstance(obj, Structured):
+        return record_arrays(obj.module) + [obj.mat]
+    if isinstance(obj, Hom):
+        return [obj.free] + record_arrays(tuple(obj))
+    if isinstance(obj, tuple):
+        return [a for x in obj for a in record_arrays(x)]
+    return []
+
+
+def reached_records(m) -> list:
+    """The records that the constructors, the derived records and the
+    memos give from the structure `m`: sub and quotient (on the stable
+    span), the direct sum, the iterate, i-flat and i_* (restriction to a
+    torsion part and back), the pairing into E_R of m's kind, two F^flat
+    stages, and the result of every memo, each asked for twice (a miss,
+    then a hit)."""
+    ring, F = m.ring, m.ring.field
+    sub, cols = (stable_image if m.kind == CARTIER else stable_kernel)(m)
+    out = [ring_make(F, ring.vars, ring.relations), m, regular_module(ring),
+           zero_module(ring), frobenius_pushforward(m.module, m.power), sub,
+           quotient_structure(m, cols)[0], direct_sum_structured(m, sub),
+           iterate_structure(m, 2), f_flat(m.module, m.power)]
+    gens = [tuple(int(i == 0) for i in range(ring.nvars))]
+    out.append(i_torsion(m.module, gens)[0])
+    try:
+        tors = structured_i_torsion(m, gens)[0]
+        out += [tors, structured_restrict_scalars(tors, ring)]
+    except Unsupported:      # a Frobenius structure need not restrict
+        pass
+    e_mod = dualizing_module(ring, m.power)
+    out.append(pair_C_to_F(m, e_mod) if m.kind == CARTIER else pair_F_to_C(m, e_mod))
+    for _ in range(2):
+        out += [hom_module(m.module, m.module), dualize_artinian(m), e_mod,
+                truncation_ring(F, 3), _kappa_stack(e_mod), nilpotency_index(m),
+                _x_index(m.module)]
+        if m.kind == CARTIER:
+            stage = flat_cartier(m)
+            out += [stage, flat_cartier(stage[0]), _kappa_stack(m)]
+    if m.kind == CARTIER:
+        out.append(unitalize(m, 3).module)
+    return out
+
+
+@st.composite
+def drawn_structures(draw):
+    """A random structure of either kind, power 1 or 2, on a module of dim
+    at most 3 over a random ring of dim at most 4 over GF(2), GF(3), GF(4)
+    or GF(9)."""
+    p, r = draw(st.sampled_from(FIELDS))
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    mod = random_module(rng, random_artin_ring(rng, GF(p, r), 2, 4), 3)
+    return random_structure(rng, mod, draw(st.sampled_from([CARTIER, FROBENIUS])),
+                            draw(st.integers(1, 2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn_structures())
+def test_every_array_reached_is_read_only(m):
+    arrays = record_arrays(tuple(reached_records(m)))
+    assert len(arrays) > 20
+    assert not [a for a in arrays if a.flags.writeable]
+
+
+def test_the_constructors_copy_the_callers_arrays():
+    """`fin_module`, `structured` and `pid_torsion` keep copies: the
+    caller's arrays stay writable and unshared, and writing to them
+    changes neither the record nor the key it keeps."""
+    F = GF(3)
+    x = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=np.int64)
+    k = np.array([[1, 0, 0], [0, 0, 0], [0, 0, 0]], dtype=np.int64)
+    m = structured(CARTIER, fin_module(ring_make(F, ["x"], [[3]]), [x]), k)
+    t = pid_torsion(F, x, k, CARTIER).torsion
+    key = m._key
+    for rec in (m, t):
+        for mine, kept in ((x, rec.module.actions[0]), (k, rec.mat)):
+            assert mine.flags.writeable and not kept.flags.writeable
+            assert not np.shares_memory(mine, kept)
+    x[0, 0] = k[1, 1] = 2
+    assert m.module.actions[0][0, 0] == m.mat[1, 1] == 0
+    assert m._key == key == copied(m)._key
+
+
+def test_a_memo_takes_no_raw_array():
+    """MEMO_KEYS has one entry per record type and none for an array, so a
+    memo called with an array raises instead of keying on it."""
+    assert set(MEMO_KEYS) == {ArtinRing, FinModule, Structured}
+    with pytest.raises(TypeError, match="unhashable"):
+        nilpotency_index(mx.identity(2))
+
+
+def test_planted_content_change_under_a_kept_key_fails():
+    """A structure whose matrix is changed in place after it was keyed
+    (writeable flipped back on: what freezing forbids) keeps its old key,
+    so its stage is a hit on the old content: the hits-equal-fresh-builds
+    check fails."""
+    mods = [m for m in artinian_corpus(31, 12) if mx.nonzero(m.mat)]
+    assert stage_hits_equal_fresh_builds(mods)
+    for m in mods:
+        m.mat.flags.writeable = True
+        m.mat[...] = 0          # the zero structure is valid on any module
+    assert not stage_hits_equal_fresh_builds(mods)

@@ -15,7 +15,7 @@ import numpy as np
 
 from cartierforge import duality
 from cartierforge import matrix as mx
-from cartierforge.artinian import fin_module, ring_make
+from cartierforge.artinian import fin_module
 from cartierforge.complexes import matlis_dual
 from cartierforge.duality import dualize_artinian, dualizing_module, extend_scalars
 from cartierforge.field import GF
@@ -104,8 +104,7 @@ def _extension_sample(rng):
         F = GF(p, 2)
         for kind in (CARTIER, FROBENIUS):
             for _ in range(3):
-                base = random_artin_ring(rng, p, 2, 4)
-                ring = ring_make(F, base.vars, base.relations)
+                ring = random_artin_ring(rng, F, 2, 4)
                 arts.append(random_structure(rng, random_module(rng, ring, 3), kind))
             x_act = random_nilpotent(rng, F, rng.randrange(1, 4))
             probe = fin_module(truncation_ring(F, mx.nil_index(F, x_act)), [x_act])

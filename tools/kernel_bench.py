@@ -2,7 +2,7 @@
 `matrix.rref` on each of its two paths, replays of the workloads' own
 `rref`, GF(p^m) `mmul` and `intertwiners` calls, the construction of a
 field, and `Poly` products, divisions and `crystal_class`; count the hits
-of the program's memos.
+of the program's memos and time their bookkeeping.
 
     python3 tools/kernel_bench.py [--repeats R]
 
@@ -71,6 +71,15 @@ benchmark's `cache_clearers` have emptied every program cache.  Then over
 one round as `bench/run.py` runs it: the files split into its SHARDS
 shards (file index mod SHARDS), every program cache emptied before each
 shard, so a hit is a repeat within one shard.
+The memo-cost table gives, per workload and memo, over one round of
+shards (as in the memo table): the calls and the misses, then the
+microseconds per hit, the median over R repeats of the mean time per
+call of the memo called again on the arguments of every recorded call,
+with those arguments' entries already in the memo; then the bookkeeping
+per miss, the microseconds to key the arguments of each miss (copies of
+its records, so a key a record keeps is built anew) and to freeze each
+miss's result (`artinian._freeze`).  A hit costs the key of its
+arguments and the lookup; the memo's own work is not in these columns.
 BLAS runs in one thread.  The package is imported from the `src/` next
 to this file, so a checkout of another commit times that commit.
 """
@@ -87,6 +96,7 @@ sys.path.insert(1, str(ROOT / "bench"))
 sys.path.insert(2, str(ROOT / "tests"))
 
 import argparse
+import dataclasses
 import functools
 import json
 import statistics
@@ -101,6 +111,7 @@ from cartierforge.duality import crystal_class
 from cartierforge.field import GF, canonical_modulus
 from cartierforge.pid import PidModule
 from cartierforge.poly import Poly
+from cartierforge.structures import Structured
 from oracles import kron_intertwiners
 from result_digest import INPUTS, WORKLOADS, _problems, result_lines
 from run import PROBE_REF_S, SHARDS, Probe, cache_clearers
@@ -435,6 +446,102 @@ def memo_table() -> None:
             print(workload.ljust(16) + name.ljust(26) + "".join(f"{n:8d}" for n in counts))
 
 
+def round_memo_calls(workload: str):
+    """Per memo of MEMOS, the argument tuples of its calls in one round
+    (`round_shards`), and (arguments, result) of its misses: every name
+    the memo is bound to in the package is rebound to a recorder, which
+    keeps the memo's `cache_clear` for the shards' `clear_caches`, while
+    the round runs."""
+    calls, misses = {id(m): [] for m in MEMOS}, {id(m): [] for m in MEMOS}
+
+    def recorder(memo):
+        def record(*args):
+            before = memo.cache_info().misses
+            out = memo(*args)
+            calls[id(memo)].append(args)
+            if memo.cache_info().misses > before:
+                misses[id(memo)].append((args, out))
+            return out
+        record.cache_clear = memo.cache_clear
+        return record
+
+    memos, saved = {id(m): m for m in MEMOS}, []
+    for mod in [m for n, m in sys.modules.items() if n.startswith("cartierforge")]:
+        for attr, obj in list(vars(mod).items()):
+            if id(obj) in memos:
+                saved.append((mod, attr, obj))
+                setattr(mod, attr, recorder(obj))
+    try:
+        for _ in round_shards(workload):
+            pass
+    finally:
+        for mod, attr, obj in saved:
+            setattr(mod, attr, obj)
+    return calls, misses
+
+
+def fresh(a):
+    """An equal copy of a module or structure (its own module copied too),
+    so a key it keeps is not built yet; anything else as it is."""
+    if isinstance(a, artinian.FinModule):
+        return dataclasses.replace(a)
+    if isinstance(a, Structured):
+        return dataclasses.replace(a, module=dataclasses.replace(a.module))
+    return a
+
+
+def memo_costs(memo, calls: list, misses: list, repeats: int) -> list:
+    """Microseconds per hit, and the key and the freeze per miss, of one
+    memo over one round's calls; medians over R repeats, each scaled by
+    one probe (`host_scale`).  A hit is a call of the memo on the
+    arguments of a recorded call, in chunks of at most the memo's size,
+    each chunk called once before it is timed, so every timed call hits.
+    The key is that of the arguments of each miss, copied by `fresh`
+    beforehand; the freeze is `artinian._freeze` of each miss's result."""
+    size = memo.cache_info().maxsize
+    hit, key, freeze = [], [], []
+    for _ in range(repeats):
+        t = 0.0
+        for i in range(0, len(calls), size):
+            chunk = calls[i:i + size]
+            for args in chunk:
+                memo(*args)
+            t0 = time.perf_counter()
+            for args in chunk:
+                memo(*args)
+            t += time.perf_counter() - t0
+        copies = [tuple(map(fresh, args)) for args, _ in misses]
+        t0 = time.perf_counter()
+        for args in copies:
+            tuple(map(artinian._key, args))
+        t1 = time.perf_counter()
+        for _, out in misses:
+            artinian._freeze(out)
+        t2 = time.perf_counter()
+        scale = 1e6 * host_scale()
+        hit.append(t * scale / len(calls))
+        key.append((t1 - t0) * scale / len(misses))
+        freeze.append((t2 - t1) * scale / len(misses))
+    return [statistics.median(x) for x in (hit, key, freeze)]
+
+
+def memo_cost_table(repeats: int) -> None:
+    heads = ["calls", "misses", "hit", "key", "freeze"]
+    print("workload".ljust(16) + "memo".ljust(26) + "".join(h.rjust(8) for h in heads)
+          + "   (one round; us per hit, us per miss)")
+    for workload in WORKLOADS:
+        calls, misses = round_memo_calls(workload)
+        for memo in MEMOS:
+            mine, missed = calls[id(memo)], misses[id(memo)]
+            if not mine:
+                continue
+            clear_caches()
+            costs = memo_costs(memo, mine, missed, repeats)
+            name = f"{memo.__module__.rsplit('.', 1)[1]}.{memo.__name__}"
+            print(workload.ljust(16) + name.ljust(26) + f"{len(mine):8d}{len(missed):8d}"
+                  + "".join(f"{t:8.2f}" for t in costs))
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=7)
@@ -453,6 +560,8 @@ def main() -> None:
     poly_table(rng, repeats)
     print()
     memo_table()
+    print()
+    memo_cost_table(repeats)
 
 
 if __name__ == "__main__":
