@@ -27,8 +27,8 @@ from .complexes import (StructuredComplex, coherent_model_of_localization,
                         shift_module)
 from .duality import (_ordinary_by_sol, double_dual_check, dual_base_change_check,
                       dualize_artinian, elliptic_ap, hasse_invariant, matlis_witness,
-                      nilpotence_exchange_check, nonsingular_short_weierstrass,
-                      pair_C_to_F, pair_F_to_C, sol_base_change_check, sol_point)
+                      nilpotence_exchange_check, nonsingular_short_weierstrass, pair_C_to_F,
+                      pair_F_to_C, sol_base_change_check, sol_certified, sol_point)
 from .field import GF, MAX_ORDER, is_prime, order_fits
 from .generate import (artinian_corpus, pid_torsion_corpus, random_pid_torsion,
                        random_structured)
@@ -321,7 +321,8 @@ def _run_op(problem, cmd: dict, seed: int, out: dict) -> None:
                 f"{op} needs GF({F.p}^{F.deg * s}), past the field-order cap {MAX_ORDER}")
         if op == "sol":
             rep = sol_point(m, s)
-            out.update(ok=True, dim_fq=rep.dim_fq, geometric_dim=rep.geometric_dim)
+            out.update(ok=sol_certified(m, rep), dim_fq=rep.dim_fq,
+                       geometric_dim=rep.geometric_dim)
         else:
             if m.kind == FROBENIUS:
                 out["sol"] = sol_base_change_check(m, s)

@@ -187,6 +187,7 @@ class SolReport:
     dim_fq: int
     geometric_dim: int
     ext_field: FiniteField
+    operator: np.ndarray     # T, the structure at the point over F_q
 
 
 def sol_point(m: Structured, s: int = 1) -> SolReport:
@@ -197,7 +198,18 @@ def sol_point(m: Structured, s: int = 1) -> SolReport:
     t = reduced_operator(m)
     fixed = semilinear_fixed_points(F, t, s)
     return SolReport(fixed.basis, fixed.dim_fq, mx.rank(F, mx.mat_pow(F, t, len(t))),
-                     fixed.ext_field)
+                     fixed.ext_field, t)
+
+
+def sol_certified(m: Structured, rep: SolReport) -> bool:
+    """The check behind `sol`: dim_fq = d - rank(T^s - I), by Galois descent
+    (Sol spans ker(T^s - I) over GF(q^s)); T v^q = v for each basis vector;
+    and the basis has rank dim_fq over GF(q^s), so it is F_q-independent."""
+    F, t, b, ext = m.ring.field, rep.operator, rep.fixed_basis, rep.ext_field
+    d, s = len(t), ext.deg // F.deg
+    return (rep.dim_fq == d - mx.rank(F, F.sub(mx.mat_pow(F, t, s), mx.identity(d)))
+            and mx.equal(mx.mmul(ext, F.embedding(ext)[t], ext.power(b, F.order)), b)
+            and mx.rank(ext, b) == rep.dim_fq == b.shape[1])
 
 
 def reduced_operator(m: Structured) -> np.ndarray:

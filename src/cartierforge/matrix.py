@@ -159,13 +159,13 @@ def nil_index(F: FiniteField, a: np.ndarray):
 # round's calls, median of 15, 2-CPU Linux host, Python 3.11, numpy 2.4
 # ("int": all on ints; a matrix of codes below p counts as GF(p)):
 #                             np     36    144    256    400    576    int
-#   artinian-prime GF(p)    46.0   23.6   16.5   14.9   14.8   14.7   15.0
-#   pid-duality GF(p)        2.8    1.6    1.3    1.0    1.0    1.0    1.0
-#   extension-field GF(p)   33.5   22.8   18.0   17.0   16.7   19.0   23.0
-#   extension-field GF(p^m) 13.1    4.7    4.6    4.6    4.6    4.6    4.6
-# The sum is least at 400.  Only `semilinear_fixed_points` passes it (Hom
-# systems go to `artinian.intertwiners`): dense GF(p) systems of 576, 1024
-# cells in `extension-field`, where numpy wins.
+#   artinian-prime GF(p)    35.4   18.1   12.8   11.6   11.7   11.5   11.8
+#   pid-duality GF(p)        2.2    1.3    1.1    0.8    0.8    0.8    0.8
+#   extension-field GF(p)   11.8    7.4    5.5    5.0    5.0    5.0    4.9
+#   extension-field GF(p^m) 15.1    5.6    5.3    5.3    5.3    5.3    5.3
+# No call passes 400 cells (at most 288), so from 400 up the columns differ
+# by noise.  Past 400, numpy wins 1.2-3.3x on dense random codes over GF(2),
+# GF(3) and GF(27) at 400 to 1024 cells, so the bound stays.
 SMALL_RREF_CELLS = 400
 
 

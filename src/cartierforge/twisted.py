@@ -9,6 +9,7 @@ k-fold composite is v |-> T^k v^(q^k).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,41 +29,57 @@ class FixedPoints:
     dim_fp: int
 
 
+@functools.lru_cache(maxsize=None)
+def _frame(p: int, r: int, s: int) -> tuple:
+    """(ext, sigma, tc, tc_inv) for F = GF(p^r) in ext = GF(p^(rs)).  t, the
+    code p, generates ext over GF(p), so over F_q, and its powers t^j (j < s)
+    are an F_q-basis; with c_k the image of F's t^k, the t^j c_k (k < r) are
+    a GF(p)-basis.  Column j*r + k of `tc` holds the digits of t^j c_k, and
+    `tc_inv` takes digits to coordinates, whose block j read as digits is
+    the F_q-coordinate at t^j.  Column i of `sigma` holds those of (t^i)^q."""
+    F, ext, fp = GF(p, r), GF(p, r * s), GF(p)
+    pw = p ** np.arange(r * s, dtype=np.int64)      # t^j in ext, and F's t^k
+    tc = ext.digits(ext.mul(pw[:s, None], F.embedding(ext)[pw[:r]])).reshape(r * s, -1).T
+    tc_inv = mx.inverse(fp, tc)
+    x = mx.mmul(fp, tc_inv, ext.digits(ext.power(pw[:s], F.order)).T)
+    sigma = F.from_digits(x.reshape(s, r, s).transpose(0, 2, 1))
+    for a in (tc, tc_inv, sigma):
+        a.flags.writeable = False
+    return ext, sigma, tc, tc_inv
+
+
 def semilinear_fixed_points(F: FiniteField, T: np.ndarray, s: int = 1) -> FixedPoints:
-    """Solve T v^q = v in F^d tensor GF(q^s), q = |F|.
+    """Solve T v^q = v in F^d tensor GF(q^s), q = |F|, in d*s unknowns over F.
 
-    Restricts scalars to GF(p) and solves a p-linear kernel of dimension
-    r*s*d, r = F.deg; the fixed set is an F_q-space.
+    The q-power map is additive and fixes F_q, so v |-> T v^q is F_q-linear.
+    In the basis t^j of `_frame`, v^q has coordinates sigma y when v has y,
+    so T v^q has (T kron sigma) y, entry by entry: Sol = ker(T kron sigma - I).
 
-    The F_q-basis is the kernel vectors v_k at the pivot columns of one F_q
-    row reduction of their F_q-coordinates.  The polynomial generator of
-    GF(p^rs) (code p) generates it over GF(p), so also over F_q, and its
-    powers 1 .. s-1 are an F_q-basis: coordinates in it are an F_q-linear
-    isomorphism.  Column k of a matrix is a pivot column exactly when it
-    leaves the span of columns 1 .. k-1, so the pivots are the k with v_k
-    outside span_Fq(v_1 .. v_(k-1)): the vectors a greedy F_q-basis keeps.
-    For q = p every kernel vector is a pivot.
+    The GF(p) kernel basis B of the restriction of scalars, as `mx.kernel`
+    gives it, is the identity at its free rows, and a pivot row c is nonzero
+    only in the columns of free rows below c.  So B^T with its rows and
+    columns reversed is in RREF: the RREF of Sol's GF(p) span (that of the
+    c_k w, w an F_q-basis) with the columns reversed.  An RREF depends only
+    on the span and the column order, so B is rebuilt exactly.
+
+    The F_q-basis is the columns v_k of B at the pivot columns of one F_q row
+    reduction of their F_q-coordinates: the v_k outside span_Fq(v_1 ..
+    v_(k-1)), those a greedy F_q-basis keeps.  For q = p all are pivots.
     """
-    p, r = F.p, F.deg
-    ext = GF(p, r * s)
-    emb = F.embedding(ext)
-    mat_e = emb[T]
-    m, d = ext.deg, len(T)
-    n = d * m
-    fp = GF(p)
-    # column j*m + i holds the digits of column j of mat_e times (t^i)^q,
-    # where t^i, the i-th polynomial-basis element of ext, has code p^i
-    tq = ext.power(p ** np.arange(m, dtype=np.int64), F.order)
-    big = ext.digits(ext.mul(mat_e[:, :, None], tq)).transpose(0, 3, 1, 2).reshape(n, n)
-    kern = mx.kernel(fp, fp.sub(big, mx.identity(n)))
-    dim_fp = kern.shape[1]
-    digs = kern.reshape(d, m, dim_fp).transpose(0, 2, 1)     # [entry, vector, digit]
-    # GF(p)-basis t^j * c_k of ext (j < s, k < r), c_k the image of F's t^k;
-    # the coordinates of each entry at k read as digits give its F_q-coordinate
-    # at t^j: an (s*d) x dim_fp matrix over F
-    theta_c = ext.mul(p ** np.arange(s, dtype=np.int64)[:, None],
-                      emb[p ** np.arange(r, dtype=np.int64)])
-    x = mx.solve(fp, ext.digits(theta_c).reshape(m, m).T, digs.reshape(-1, m).T)
+    p, r, d = F.p, F.deg, len(T)
+    ext, sigma, tc, tc_inv = _frame(p, r, s)
+    m, fp = ext.deg, F.prime
+    kern = mx.kernel(F, F.sub(F.mul(T[:, None, :, None], sigma[:, None]).reshape(d * s, d * s),
+                              mx.identity(d * s)))
+    if (k := kern.shape[1]) == 0:
+        return FixedPoints(ext, mx.zeros(d, 0), 0, 0)
+    # digits of c_j w: row (w, j), column (entry, digit)
+    y = F.digits(F.mul(kern.T[:, None], p ** np.arange(r, dtype=np.int64)[:, None]))
+    span = mx.mmul(fp, y.reshape(-1, s * r), tc.T).reshape(k * r, d * m)
+    red, pivots = mx.rref(fp, span[:, ::-1])
+    dim_fp = len(pivots)
+    digs = red[:dim_fp][::-1, ::-1].T.reshape(d, m, dim_fp).transpose(0, 2, 1)
+    x = mx.mmul(fp, tc_inv, digs.reshape(-1, m).T)
     coords = F.from_digits(x.reshape(s, r, d * dim_fp).transpose(0, 2, 1))
     keep = list(mx.rref(F, coords.reshape(s * d, dim_fp))[1])
     if dim_fp % r != 0 or len(keep) != dim_fp // r:

@@ -6,8 +6,9 @@ coefficient pair at a time, kappa_S and the rank-one structures
 on GF(q)[x], the dual-basis table of kappa_S, the hull structure read off
 the Laurent extension, the H^1 hull twist on a truncation, the two-depth
 H^1 verdict and the hull twist applied to one Laurent tail, the determinantal divisors of a polynomial matrix, matrix
-powers one factor at a time with their rank chain, the Sol attainment
-degree by search, conjugacy classes in GL_n(F_q) by enumeration, the Hom/tensor twist
+powers one factor at a time with their rank chain, Sol at the point by
+restriction of scalars to GF(p), the Sol attainment degree by search,
+conjugacy classes in GL_n(F_q) by enumeration, the Hom/tensor twist
 law, the Kashiwara round trip i-flat o i_* = id, field embedding
 tables by a root search over the whole target field, the Hasse
 invariant by the full polynomial power, column-stacking vec, and the
@@ -38,7 +39,7 @@ from cartierforge.structures import (Structured, Unsupported, cartier_module,
                                      nilpotency_index, structured_i_torsion,
                                      structured_restrict_scalars,
                                      twist_by_unit_line)
-from cartierforge.twisted import semilinear_fixed_points
+from cartierforge.twisted import FixedPoints, semilinear_fixed_points
 
 # -- field embeddings --
 
@@ -412,6 +413,47 @@ def attainment_search(F: FiniteField, t: np.ndarray, bound: int):
     target = rank_chain(F, t)[-1] if len(t) else 0
     return next((s for s in range(1, bound + 1)
                  if semilinear_fixed_points(F, t, s).dim_fq == target), None)
+
+
+def restricted_fixed_points(F: FiniteField, T: np.ndarray, s: int = 1) -> FixedPoints:
+    """`semilinear_fixed_points` by restriction of scalars: T v^q = v in
+    F^d tensor GF(q^s), q = |F|, as one GF(p) kernel of dimension r*s*d,
+    r = F.deg; the fixed set is an F_q-space.
+
+    The F_q-basis is the kernel vectors v_k at the pivot columns of one F_q
+    row reduction of their F_q-coordinates.  The polynomial generator of
+    GF(p^rs) (code p) generates it over GF(p), so also over F_q, and its
+    powers 1 .. s-1 are an F_q-basis: coordinates in it are an F_q-linear
+    isomorphism.  Column k of a matrix is a pivot column exactly when it
+    leaves the span of columns 1 .. k-1, so the pivots are the k with v_k
+    outside span_Fq(v_1 .. v_(k-1)): the vectors a greedy F_q-basis keeps.
+    For q = p every kernel vector is a pivot.
+    """
+    p, r = F.p, F.deg
+    ext = GF(p, r * s)
+    emb = F.embedding(ext)
+    mat_e = emb[T]
+    m, d = ext.deg, len(T)
+    n = d * m
+    fp = GF(p)
+    # column j*m + i holds the digits of column j of mat_e times (t^i)^q,
+    # where t^i, the i-th polynomial-basis element of ext, has code p^i
+    tq = ext.power(p ** np.arange(m, dtype=np.int64), F.order)
+    big = ext.digits(ext.mul(mat_e[:, :, None], tq)).transpose(0, 3, 1, 2).reshape(n, n)
+    kern = mx.kernel(fp, fp.sub(big, mx.identity(n)))
+    dim_fp = kern.shape[1]
+    digs = kern.reshape(d, m, dim_fp).transpose(0, 2, 1)     # [entry, vector, digit]
+    # GF(p)-basis t^j * c_k of ext (j < s, k < r), c_k the image of F's t^k;
+    # the coordinates of each entry at k read as digits give its F_q-coordinate
+    # at t^j: an (s*d) x dim_fp matrix over F
+    theta_c = ext.mul(p ** np.arange(s, dtype=np.int64)[:, None],
+                      emb[p ** np.arange(r, dtype=np.int64)])
+    x = mx.solve(fp, ext.digits(theta_c).reshape(m, m).T, digs.reshape(-1, m).T)
+    coords = F.from_digits(x.reshape(s, r, d * dim_fp).transpose(0, 2, 1))
+    keep = list(mx.rref(F, coords.reshape(s * d, dim_fp))[1])
+    if dim_fp % r != 0 or len(keep) != dim_fp // r:
+        raise RuntimeError("fixed space is not an F_q-space; internal error")
+    return FixedPoints(ext, ext.from_digits(digs[:, keep]), dim_fp // r, dim_fp)
 
 
 # -- conjugacy in GL_n(F_q) --

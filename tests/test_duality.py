@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from cartierforge.duality import (crystal_class, crystal_equivalent,
                                   nilpotence_exchange_check,
                                   nonsingular_short_weierstrass, ordinarity,
                                   pair_C_to_F, pair_F_to_C, reduced_operator,
-                                  sol_base_change_check, sol_point)
+                                  sol_base_change_check, sol_certified, sol_point)
 from cartierforge.field import GF, is_prime
 from cartierforge.generate import (artinian_corpus, pid_torsion_corpus,
                                    random_artin_ring, random_module,
@@ -574,6 +575,44 @@ def test_sol_is_the_fixed_space_of_the_bijective_part():
         for s in (1, 2, 3):
             fixed = F.sub(mx.mat_pow(F, b, s), mx.identity(len(b)))
             assert len(b) - mx.rank(F, fixed) == sol_point(m, s).dim_fq
+
+
+def test_sol_certificate_holds_on_the_benchmark_modules():
+    # the descent dimension, the fixed equation and the rank over GF(q^s),
+    # on every module at s = 1, 2, 3; a zero Sol is certified by its dimension
+    dims = []
+    for m in extension_field_f_modules():
+        for s in (1, 2, 3):
+            rep = sol_point(m, s)
+            assert sol_certified(m, rep)
+            dims.append(rep.dim_fq)
+    assert 0 in dims and max(dims) > 1
+
+
+def test_planted_sol_faults_fail_the_certificate():
+    # a dimension one off either way; the last basis vector dropped with the
+    # dimension (only the descent count sees it) or replaced by the first
+    # (only the rank sees it); and t (code p, outside F_q) added to an entry
+    planted = [0, 0]
+    for m in extension_field_f_modules():
+        for s in (1, 2, 3):
+            rep = sol_point(m, s)
+            assert not sol_certified(m, replace(rep, dim_fq=rep.dim_fq + 1))
+            if rep.dim_fq == 0:
+                continue
+            assert not sol_certified(m, replace(rep, dim_fq=rep.dim_fq - 1))
+            assert not sol_certified(m, replace(rep, dim_fq=rep.dim_fq - 1,
+                                                fixed_basis=rep.fixed_basis[:, :-1]))
+            basis = rep.fixed_basis.copy()
+            basis[0, -1] = rep.ext_field.add(basis[0, -1], m.ring.field.p)
+            assert not sol_certified(m, replace(rep, fixed_basis=basis))
+            planted[0] += 1
+            if rep.dim_fq > 1:
+                basis = rep.fixed_basis.copy()
+                basis[:, -1] = basis[:, 0]
+                assert not sol_certified(m, replace(rep, fixed_basis=basis))
+                planted[1] += 1
+    assert min(planted) > 0
 
 
 def test_sol_point_refuses_an_iterated_structure(frobenius_r):

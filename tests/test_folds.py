@@ -9,22 +9,27 @@ last two restricting the actions and the structure matrix in one call;
 product pair, and `matrix.block_diag` every block diagonal;
 `duality.inverse_hull` builds the dualizing module E_R of every ring,
 truncations included, with the contraction for q^power written directly;
-and `semilinear_fixed_points` linearizes over GF(p) in one vectorized
-product.  The references below are the earlier forms: two constructors, a
-solve per matrix, the explicit truncation index formula, the q-contraction
-iterated by `mat_pow`, and the double loop; for the derived modules they
-are the two-step forms of `oracles.py`.  The new routines must agree with
-them bit for bit.
+and `semilinear_fixed_points` solves v = T v^q in d*s unknowns over F_q.
+The references below are the earlier forms: two constructors, a solve per
+matrix, the explicit truncation index formula, the q-contraction iterated
+by `mat_pow`, and the double loop over GF(p); for the derived modules they
+are the two-step forms of `oracles.py`, and for Sol also the vectorized
+restriction of scalars to GF(p) there.  The new routines must agree with
+them bit for bit; a Sol solver that takes its span's RREF without the
+column reversal, or the transposed q-power matrix, must not.
 """
 
+import __future__
+import inspect
 import random
+import textwrap
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cartierforge import matrix as mx
-from cartierforge import structures
+from cartierforge import structures, twisted
 from cartierforge.artinian import (FinModule, direct_sum, i_torsion, regular_module,
                                    restrict, ring_make, submodule)
 from cartierforge.duality import dualizing_module, inverse_hull
@@ -38,6 +43,7 @@ from cartierforge.structures import (CARTIER, FROBENIUS, Structured, cartier_mod
                                      structured_i_torsion, sub_structure, validate)
 from cartierforge.twisted import FixedPoints, semilinear_fixed_points
 from oracles import (hand_direct_sum, hand_direct_sum_structured, hand_random_module,
+                     restricted_fixed_points,
                      two_step_quotient_structure, two_step_structured_i_torsion,
                      two_step_sub_structure)
 
@@ -281,25 +287,93 @@ def test_structured_matches_the_two_constructors(kind, ref, wrapper):
     assert invalid > 0
 
 
-# -- semilinear fixed points without the double loop --
+# -- Sol over F_q against the double loop and restriction of scalars --
 
 
 def _same_fixed_points(got, want):
     return (got.ext_field == want.ext_field and got.dim_fq == want.dim_fq
-            and got.dim_fp == want.dim_fp and np.array_equal(got.basis, want.basis))
+            and got.dim_fp == want.dim_fp and got.basis.dtype == want.basis.dtype
+            and np.array_equal(got.basis, want.basis))
 
 
-@pytest.mark.parametrize("p,r", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3)])
+# every field of order 2 to 27
+SOL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1),
+              (2, 4), (17, 1), (19, 1), (23, 1), (5, 2), (3, 3)]
+
+
+def sol_matrices(rng, F, d):
+    """A random matrix, the identity, a permutation, a monomial matrix (a
+    permutation with unit entries) and zero: the middle three give Sol != 0
+    often."""
+    perm = mx.identity(d)[rng.sample(range(d), d)]
+    units = np.array([rng.randrange(1, F.order) for _ in range(d)], dtype=np.int64)
+    rand = np.array([[rng.randrange(F.order) for _ in range(d)] for _ in range(d)],
+                    dtype=np.int64).reshape(d, d)
+    return [rand, mx.identity(d), perm, F.mul(perm, units), mx.zeros(d, d)]
+
+
+def fixed_point_mismatches(fields, ss=(1, 2, 3), ds=range(6)):
+    """(cases, cases with Sol != 0, the cases where
+    `twisted.semilinear_fixed_points` differs from the restriction of
+    scalars of `oracles.py` or from the double loop, or raises)."""
+    cases, nonzero, bad = 0, 0, []
+    for p, r in fields:
+        F, rng = GF(p, r), random.Random(p ** r)
+        for s in ss:
+            for d in ds:
+                for t in sol_matrices(rng, F, d):
+                    want = restricted_fixed_points(F, t, s)
+                    cases, nonzero = cases + 1, nonzero + (want.dim_fq > 0)
+                    try:
+                        got = twisted.semilinear_fixed_points(F, t, s)
+                    except RuntimeError:
+                        got = None
+                    if not (got and _same_fixed_points(got, want)
+                            and _same_fixed_points(got, ref_semilinear_fixed_points(F, t, s))):
+                        bad.append((p, r, s, t.tolist()))
+    return cases, nonzero, bad
+
+
+@pytest.mark.parametrize("p,r", SOL_FIELDS)
 def test_semilinear_fixed_points_matches_double_loop(p, r):
-    F = GF(p, r)
-    rng = random.Random(p * 10 + r)
-    for s in (1, 2, 3):
-        for d in range(6):
-            mat = np.array([[rng.randrange(F.order) for _ in range(d)]
-                            for _ in range(d)], dtype=np.int64).reshape(d, d)
-            for m in (mat, mx.identity(d), mx.zeros(d, d)):
-                assert _same_fixed_points(semilinear_fixed_points(F, m, s),
-                                          ref_semilinear_fixed_points(F, m, s))
+    # and the restriction of scalars; s <= 3, d <= 5 (d = 0 included).  The
+    # all-ones vector is fixed by the identity and by a permutation
+    cases, nonzero, bad = fixed_point_mismatches([(p, r)])
+    assert bad == [] and cases == 3 * 6 * 5 and nonzero >= 3 * 5 * 2
+
+
+def planted_solver(*edits):
+    """A planted fault: `semilinear_fixed_points` with each (old, new) of
+    `edits`, a text that occurs once in its source, replaced."""
+    src = textwrap.dedent(inspect.getsource(twisted.semilinear_fixed_points))
+    for old, new in edits:
+        assert src.count(old) == 1
+        src = src.replace(old, new)
+    namespace = dict(vars(twisted))
+    exec(compile(src, "<planted>", "exec", __future__.annotations.compiler_flag,
+                 dont_inherit=True), namespace)
+    return namespace["semilinear_fixed_points"]
+
+
+FRAME = twisted._frame
+
+
+def sigma_transposed(p, r, s):
+    ext, sigma, tc, tc_inv = FRAME(p, r, s)
+    return ext, sigma.T, tc, tc_inv
+
+
+@pytest.mark.parametrize("plant", ["unreversed", "sigma"])
+def test_planted_fixed_point_faults_fail_the_references(monkeypatch, plant):
+    # the span's RREF taken in the given column order (a GF(p) basis of Sol,
+    # but not the kernel's), or the transpose of the q-power matrix
+    if plant == "unreversed":
+        monkeypatch.setattr(twisted, "semilinear_fixed_points", planted_solver(
+            ("mx.rref(fp, span[:, ::-1])", "mx.rref(fp, span)"),
+            ("red[:dim_fp][::-1, ::-1].T", "red[:dim_fp].T")))
+    else:
+        monkeypatch.setattr(twisted, "_frame", sigma_transposed)
+    assert fixed_point_mismatches([(2, 2), (3, 2), (2, 3)], (2, 3), range(1, 4))[2]
 
 
 # -- derived structured modules: one pass against two steps --

@@ -14,7 +14,8 @@ read-only, and be keyed by everything it depends on, not only by the
 integer matrices: a module key that drops the ring's relations must fail.
 The benchmark empties the program's caches between passes with
 `cache_clearers` from `bench/run.py`; every memo must be among what it
-empties, and everything else it empties is a field table.
+empties, and everything else it empties is a field table (a field, its
+modulus, an embedding, or the Sol frame of a field pair).
 """
 
 import importlib.util
@@ -48,6 +49,7 @@ from cartierforge.structures import (CARTIER, FROBENIUS, Structured, Unsupported
                                      stable_image, stable_kernel, structured,
                                      structured_i_torsion,
                                      structured_restrict_scalars, unitalize)
+from cartierforge.twisted import _frame
 from hypothesis import given, settings, strategies as st
 from oracles import kron_intertwiners as solve_anew
 
@@ -468,7 +470,7 @@ def test_every_cache_is_a_registered_memo_but_the_field_tables():
     registered = [memo.cache_clear for memo in MEMOS]
     assert all(clear in clearers for clear in registered)
     outside = {clear.__self__ for clear in clearers if clear not in registered}
-    assert outside == {GF, canonical_modulus, _embedding_table}
+    assert outside == {GF, canonical_modulus, _embedding_table, _frame}
 
 
 # -- records are values --

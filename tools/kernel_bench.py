@@ -1,8 +1,9 @@
 """Time `matrix.mmul` on random n x n operands, per field and size,
 `matrix.rref` on each of its two paths, replays of the workloads' own
-`rref`, GF(p^m) `mmul` and `intertwiners` calls, the construction of a
-field, and `Poly` products, divisions and `crystal_class`; count the hits
-of the program's memos and time their bookkeeping.
+`rref`, GF(p^m) `mmul`, `intertwiners` and `semilinear_fixed_points`
+calls, the construction of a field, and `Poly` products, divisions and
+`crystal_class`; count the hits of the program's memos and time their
+bookkeeping.
 
     python3 tools/kernel_bench.py [--repeats R]
 
@@ -47,6 +48,14 @@ with `matrix.kernel`, the reference `kron_intertwiners` of
 replay takes, the two alternating.  Its "dense" row solves the
 centralisers of one matrix of random codes, 20 x 20, over GF(3) and
 over GF(2) (DENSE): 400 unknowns each, where the pivot rows fill in.
+The Sol replay solves the `twisted.semilinear_fixed_points` calls of one
+round of each workload that has them (only `extension-field`: 90 calls,
+all from `duality.sol_point`): "F_q" is the solver itself, in d*s
+unknowns over F_q, "GF(p)" the restriction of scalars to GF(p) in d*r*s
+unknowns, `restricted_fixed_points` of `tests/oracles.py`; the median
+over R repeats of the milliseconds one replay takes, the two
+alternating.  The field tables and the Sol frames are warm, so neither
+column counts a field build.
 The build table gives the time in milliseconds to build GF(4), GF(27),
 GF(2^6), GF(3^4), GF(5^4), GF(2^8), GF(3^6), GF(2^16) and GF(2039^2):
 the median over R builds, each with the `GF` and `canonical_modulus`
@@ -105,14 +114,15 @@ import time
 import numpy as np
 
 import cartierforge.cli as cli
-from cartierforge import artinian, matrix as mx
+from cartierforge import artinian, duality, matrix as mx
 from cartierforge.artinian import MEMOS
 from cartierforge.duality import crystal_class
 from cartierforge.field import GF, canonical_modulus
 from cartierforge.pid import PidModule
 from cartierforge.poly import Poly
 from cartierforge.structures import Structured
-from oracles import kron_intertwiners
+from cartierforge.twisted import semilinear_fixed_points
+from oracles import kron_intertwiners, restricted_fixed_points
 from result_digest import INPUTS, WORKLOADS, _problems, result_lines
 from run import PROBE_REF_S, SHARDS, Probe, cache_clearers
 
@@ -258,23 +268,21 @@ def round_calls(workload: str, kernel: str) -> list:
     return seen
 
 
-def round_intertwiners(workload: str) -> list:
-    """The arguments (F, As, Bs, rows, cols) of every `artinian.intertwiners`
-    system one round solves.  Only a miss of `hom_module` or of
-    `flat_cartier` (through `f_flat`) calls it, so these are the systems
-    of the functor memos' misses."""
-    seen, solve = [], artinian.intertwiners
+def round_args(workload: str, module, name: str) -> list:
+    """The arguments of every call of `module.<name>` in one round, the name
+    rebound to a recorder while the round runs."""
+    seen, fn = [], getattr(module, name)
 
-    def record(*args, **kwargs):
-        seen.append(args[:5])
-        return solve(*args, **kwargs)
+    def record(*args):
+        seen.append(args)
+        return fn(*args)
 
-    artinian.intertwiners = record
+    setattr(module, name, record)
     try:
         for _ in round_shards(workload):
             pass
     finally:
-        artinian.intertwiners = solve
+        setattr(module, name, fn)
     return seen
 
 
@@ -373,12 +381,11 @@ def dense_systems() -> list:
     return out
 
 
-def intertwiners_table(repeats: int) -> None:
-    """Per workload, one round's intertwiner systems solved as they are
-    (`intertwiners`) and by the Kronecker reference; then the DENSE
-    centralisers."""
-    solvers = {"sparse": artinian.intertwiners, "kron": kron_intertwiners}
-    print("workload".ljust(18) + "systems".rjust(8) + "".join(k.rjust(8) for k in solvers)
+def solver_replays(solvers: dict, rows: dict, what: str, repeats: int) -> None:
+    """Per row of `rows` (label -> argument tuples), the number of calls and
+    the median over R repeats of the milliseconds one replay of them takes
+    with each of `solvers`, the solvers alternating."""
+    print("workload".ljust(18) + what.rjust(8) + "".join(k.rjust(8) for k in solvers)
           + "   (ms per replay)")
 
     def replay(solve, calls):
@@ -387,13 +394,33 @@ def intertwiners_table(repeats: int) -> None:
             solve(*args)
         return time.perf_counter() - t0
 
-    rows = {workload: round_intertwiners(workload) for workload in WORKLOADS}
-    rows["dense"] = dense_systems()
     for label, calls in rows.items():
         samples = [np.array([replay(solve, calls) for solve in solvers.values()]) * host_scale()
                    for _ in range(repeats)]
         ms = 1e3 * np.median(samples, axis=0)
         print(label.ljust(18) + f"{len(calls):8d}" + "".join(f"{t:8.1f}" for t in ms))
+
+
+def intertwiners_table(repeats: int) -> None:
+    """Per workload, one round's intertwiner systems (F, As, Bs, rows, cols)
+    solved as they are (`intertwiners`) and by the Kronecker reference;
+    then the DENSE centralisers.  Only a miss of `hom_module` or of
+    `flat_cartier` (through `f_flat`) calls `intertwiners`, so these are the
+    systems of the functor memos' misses."""
+    rows = {w: round_args(w, artinian, "intertwiners") for w in WORKLOADS}
+    rows["dense"] = dense_systems()
+    solver_replays({"sparse": artinian.intertwiners, "kron": kron_intertwiners}, rows,
+                   "systems", repeats)
+
+
+def sol_table(repeats: int) -> None:
+    """Per workload with Sol, one round's `semilinear_fixed_points` calls
+    (F, T, s), all made by `duality.sol_point`, solved over F_q and by the
+    restriction of scalars to GF(p)."""
+    rows = {w: calls for w in WORKLOADS
+            if (calls := round_args(w, duality, "semilinear_fixed_points"))}
+    solver_replays({"F_q": semilinear_fixed_points, "GF(p)": restricted_fixed_points}, rows,
+                   "calls", repeats)
 
 
 def build_table(repeats: int) -> None:
@@ -554,6 +581,8 @@ def main() -> None:
     workload_replays(repeats)
     print()
     intertwiners_table(repeats)
+    print()
+    sol_table(repeats)
     print()
     build_table(repeats)
     print()
