@@ -17,6 +17,7 @@ import math
 import random
 import sys
 import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -78,7 +79,10 @@ def _required(cmd, key):
 
 
 def _int_field(cmd, key, default, lo=None):
-    return _int(cmd.get(key, default), f"{cmd.get('op')}: {key}", lo)
+    v = cmd.get(key, default)
+    if type(v) is int and (lo is None or v >= lo):
+        return v        # the message of a SchemaError is built only for one
+    return _int(v, f"{cmd.get('op')}: {key}", lo)
 
 
 def _exponents(vectors, what):
@@ -154,7 +158,7 @@ def parse_problem(doc: dict):
             terms[int(deg)] = mod
         complexes[name] = StructuredComplex(terms)
         complex_terms[name] = list(refs.values())
-    # "validations" memoizes each module's validation; run_command fills
+    # "validations" memoizes each module's validation; `_validation` fills
     # it the first time a command names the module or a complex holding it.
     return {"field": field, "ring": ring, "modules": modules,
             "complexes": complexes, "complex_terms": complex_terms,
@@ -208,180 +212,218 @@ def _mat_json(m) -> list:
     return [[int(x) for x in row] for row in np.asarray(m)]
 
 
-# The tier of the modules an op reads, and the kind where it reads only
-# one; an op not listed takes any module.
-_OP_MODULES = {
-    **dict.fromkeys(("stable", "double-dual", "pair", "base-change", "kashiwara"),
-                    ("artinian", None)),
-    "unitalize": ("artinian", CARTIER),
-    "sol": ("artinian", FROBENIUS),
-    "local-duality": ("pid", None),
-    "perverse": ("pid", None),
-    "localize-model": ("pid", CARTIER),
+def _validation(problem, name):
+    """The validation of module `name`, computed once per problem."""
+    memo = problem["validations"]
+    rep = memo.get(name)
+    if rep is None:
+        m = problem["modules"][name]
+        rep = memo[name] = validate_pid(m) if isinstance(m, PidModule) else validate(m)
+    return rep
+
+
+def _operand(problem, cmd, op, spec, key, out):
+    """The valid module of the op's tier and kind that `cmd` names at `key`
+    (`validate` takes an invalid one); for "complex", the complex it names,
+    or else its module.  The name goes into `out`: an unsupported result keeps it."""
+    name = cmd.get(key)
+    if key == "complex":
+        if name is not None:
+            if not isinstance(name, str) or name not in problem["complexes"]:
+                raise SchemaError(f"unknown complex {name!r}")
+            out[key] = name
+            for ref in problem["complex_terms"][name]:
+                if not (rep := _validation(problem, ref)).ok:
+                    raise InvalidModule(ref, rep.violations)
+            return problem["complexes"][name]
+        key, name = "module", cmd.get("module")
+    m = problem["modules"].get(name) if isinstance(name, str) else None
+    if m is None:
+        raise SchemaError(f"unknown module {name!r}")
+    got = "pid" if isinstance(m, PidModule) else "artinian"
+    if spec.tier not in (None, got) or spec.kind not in (None, m.kind):
+        with_kind = f" with a {spec.kind} structure" if spec.kind else ""
+        raise SchemaError(f"{op} expects a module of the {spec.tier} tier{with_kind}; "
+                          f"{name!r} is not one")
+    out[key] = name
+    rep = _validation(problem, name)
+    if not rep.ok and op != "validate":
+        raise InvalidModule(name, rep.violations)
+    return m
+
+
+# -- one handler per op: it writes the op's fields into `out` --
+
+
+def _validate(problem, cmd, seed, out, m):
+    rep = _validation(problem, out["module"])
+    out.update(ok=rep.ok, violations=list(rep.violations))
+
+
+def _nilpotent(problem, cmd, seed, out, m):
+    target = m.torsion if isinstance(m, PidModule) else m
+    idx = nilpotency_index(target) if target is not None else 1
+    if isinstance(m, PidModule) and not free_crystal_zero(m):
+        idx = math.inf      # kappa_S o u on a free part is nilpotent only for u = 0
+    out.update(index=_index_json(idx), ok=True)
+
+
+def _stable(problem, cmd, seed, out, m):
+    part, _ = (stable_image(m) if m.kind == CARTIER else stable_kernel(m))
+    out.update(dim=part.dim, crystal_zero=bool(
+        part.dim == 0 if m.kind == CARTIER else part.dim == m.dim), ok=True)
+
+
+def _unitalize(problem, cmd, seed, out, m):
+    res = unitalize(m, _int_field(cmd, "max_steps", 16, lo=0))
+    out.update(status=res.status, dim=res.module.dim if res.module else None,
+               steps=res.steps, ok=res.status in ("unit", "zero"))
+    if cert := res.certificate:
+        out["certificate"] = {"kernel_index": _index_json(cert.kernel_index),
+                              "cokernel_index": _index_json(cert.cokernel_index)}
+
+
+def _dualize(problem, cmd, seed, out, m):
+    if isinstance(m, PidModule):
+        out.update(ok=True, terms={
+            str(k): {"torsion_dim": v.torsion_dim, "free_rank": v.free_rank,
+                     "kind": v.kind} for k, v in dualize(m).terms.items()})
+    else:
+        d, _ = dualize_artinian(m)
+        out.update(ok=True, kind=d.kind, dim=d.dim,
+                   nilpotency_index=_index_json(nilpotency_index(d)))
+
+
+def _double_dual(problem, cmd, seed, out, m):
+    ok, witness = double_dual_check(m)
+    out.update(ok=bool(ok), witness=_mat_json(witness))
+
+
+def _pair(problem, cmd, seed, out, a, b):
+    if b.kind != CARTIER:
+        raise SchemaError("pair expects (frobenius, cartier) or (cartier, unit cartier)")
+    if a.ring.key() != b.ring.key():
+        raise SchemaError("pair expects two modules over one ring")
+    h, _ = (pair_F_to_C if a.kind == FROBENIUS else pair_C_to_F)(a, b)
+    out.update(ok=True, kind=h.kind, dim=h.dim,
+               nilpotency_index=_index_json(nilpotency_index(h)))
+
+
+def _sol(problem, cmd, seed, out, m):
+    """`sol`, and `base-change`, which on a Frobenius module solves Sol over GF(q^s) too."""
+    op = out["op"]
+    out["s"] = s = _int_field(cmd, "s", 1 if op == "sol" else 2, lo=1)
+    F = m.ring.field
+    if (op == "sol" or m.kind == FROBENIUS) and not order_fits(F.p, F.deg * s):
+        raise Unsupported(
+            f"{op} needs GF({F.p}^{F.deg * s}), past the field-order cap {MAX_ORDER}")
+    if op == "sol":
+        rep = sol_point(m, s)
+        out.update(ok=sol_certified(m, rep), dim_fq=rep.dim_fq, geometric_dim=rep.geometric_dim)
+        return
+    if m.kind == FROBENIUS:
+        out["sol"] = sol_base_change_check(m, s)
+    out["dual"] = dual_base_change_check(m, s)
+    out["ok"] = bool(out["dual"] and out.get("sol", {"ok": True})["ok"])
+
+
+def _local_duality(problem, cmd, seed, out, m):
+    rep = local_duality_check(m)
+    out.update(ok=rep.ok, verdicts=[{"degree": v.degree, "local_zero": v.local_zero,
+                                     "ext_zero": v.ext_zero} for v in rep.verdicts])
+
+
+def _perverse(problem, cmd, seed, out, target):
+    if isinstance(target, PidModule):
+        target = shift_module(target, _int_field(cmd, "degree", 0))
+    rep = is_perverse(target)
+    out.update(ok=rep.ok, conditions=[
+        {"point": c.point, "side": c.side, "degree": c.degree, "ok": c.ok}
+        for c in rep.conditions])
+
+
+def _kashiwara(problem, cmd, seed, out, m):
+    j = _exponents(_required(cmd, "j_gens"), "kashiwara: j_gens")
+    if any(len(g) != len(m.ring.vars) for g in j):
+        raise SchemaError(f"kashiwara: each j_gens vector needs one exponent "
+                          f"per ring variable ({len(m.ring.vars)})")
+    counit = kashiwara_counit(m, j)
+    out.update(ok=counit.ok, counit_nil_iso=counit.ok, supported=counit.supported)
+
+
+def _localize_model(problem, cmd, seed, out, m):
+    f = _decode_poly(problem["field"], _required(cmd, "f"), "localize-model: f polynomial")
+    if f.is_zero():
+        raise SchemaError("localize-model: f must be a nonzero polynomial")
+    model = coherent_model_of_localization(m, f)
+    out["model"] = {"torsion_dim": model.torsion_dim, "free_rank": model.free_rank}
+
+
+def _hasse(problem, cmd, seed, out):
+    p = _int(_required(cmd, "p"), "hasse: p")
+    cubic = [_int(c, "hasse: cubic coefficient")
+             for c in _container(_required(cmd, "cubic"), list, "hasse: cubic")]
+    try:
+        h = hasse_invariant(p, cubic)
+    except ValueError as exc:
+        raise SchemaError(f"hasse: {exc}") from None
+    ap = elliptic_ap(p, cubic)
+    out.update(ok=(h != 0) == (ap % p != 0), hasse=h, a_p=ap, ordinary=_ordinary_by_sol(p, h))
+
+
+def _suite(problem, cmd, seed, out):
+    out.update(run_suites(_int_field(cmd, "seed", seed),
+                          _int_field(cmd, "count", 25, lo=0)))
+
+
+class Op(NamedTuple):
+    """A command of `forge run`: the handler that writes its result, the tier
+    and kind of the modules it reads (None: any), the command fields naming
+    them, in order, and what backs its `ok` (README, "The `forge` CLI")."""
+    handler: Callable
+    tier: "str | None"
+    kind: "str | None"
+    reads: tuple
+    check: str
+
+
+OPS = {
+    "validate": Op(_validate, None, None, ("module",), "computed"),
+    "nilpotent": Op(_nilpotent, None, None, ("module",), "computed"),
+    "stable": Op(_stable, "artinian", None, ("module",), "computed"),
+    "unitalize": Op(_unitalize, "artinian", CARTIER, ("module",), "certificate"),
+    "dualize": Op(_dualize, None, None, ("module",), "computed"),
+    "double-dual": Op(_double_dual, "artinian", None, ("module",), "certificate"),
+    "pair": Op(_pair, "artinian", None, ("left", "right"), "computed"),
+    "sol": Op(_sol, "artinian", FROBENIUS, ("module",), "certificate"),
+    "base-change": Op(_sol, "artinian", None, ("module",), "certificate"),
+    "local-duality": Op(_local_duality, "pid", None, ("module",), "computed"),
+    "perverse": Op(_perverse, "pid", None, ("complex",), "computed"),
+    "kashiwara": Op(_kashiwara, "artinian", None, ("module",), "certificate"),
+    "localize-model": Op(_localize_model, "pid", CARTIER, ("module",), "model"),
+    "hasse": Op(_hasse, None, None, (), "certificate"),
+    "suite": Op(_suite, None, None, (), "self-test"),
 }
 
 
 def run_command(problem, cmd: dict, seed: int) -> dict:
-    """The result of one command.  A documented scope boundary, raised as
-    Unsupported anywhere below, is caught here and nowhere else: the result
-    reads unsupported, with no verdict and the boundary's reason."""
-    out = {"op": cmd.get("op"), "ok": None, "unsupported": False}
+    """The result of one command: its op's modules resolved and validated,
+    then its handler.  A documented scope boundary, raised as Unsupported
+    anywhere below, is caught here and nowhere else: the result reads
+    unsupported, with no verdict and the boundary's reason."""
+    op = cmd.get("op")
+    spec = OPS.get(op) if isinstance(op, str) else None
+    if spec is None:
+        raise SchemaError(f"unknown command {op!r}")
+    out = {"op": op, "ok": None, "unsupported": False}
     try:
-        _run_op(problem, cmd, seed, out)
+        operands = []
+        for key in spec.reads:
+            operands.append(_operand(problem, cmd, op, spec, key, out))
+        spec.handler(problem, cmd, seed, out, *operands)
     except Unsupported as exc:
         out.update(unsupported=True, ok=None, reason=str(exc))
     return out
-
-
-def _run_op(problem, cmd: dict, seed: int, out: dict) -> None:
-    """Run one command, writing its result into `out`."""
-    op = out["op"]
-    mods, cxs = problem["modules"], problem["complexes"]
-
-    def validation(name):
-        memo, m = problem["validations"], mods[name]
-        if name not in memo:
-            memo[name] = validate_pid(m) if isinstance(m, PidModule) else validate(m)
-        return memo[name]
-
-    def get_module(key="module"):
-        name = cmd.get(key)
-        if not isinstance(name, str) or name not in mods:
-            raise SchemaError(f"unknown module {name!r}")
-        m = mods[name]
-        tier, kind = _OP_MODULES.get(op, (None, None))
-        got = "pid" if isinstance(m, PidModule) else "artinian"
-        if tier not in (None, got) or kind not in (None, m.kind):
-            with_kind = f" with a {kind} structure" if kind else ""
-            raise SchemaError(f"{op} expects a module of the {tier} tier{with_kind}; "
-                              f"{name!r} is not one")
-        out[key] = name
-        rep = validation(name)
-        if not rep.ok and op != "validate":
-            raise InvalidModule(name, rep.violations)
-        return m
-
-    if op == "validate":
-        get_module()
-        rep = validation(out["module"])
-        out.update(ok=rep.ok, violations=list(rep.violations))
-    elif op == "nilpotent":
-        m = get_module()
-        target = m.torsion if isinstance(m, PidModule) else m
-        idx = nilpotency_index(target) if target is not None else 1
-        if isinstance(m, PidModule) and not free_crystal_zero(m):
-            idx = math.inf      # kappa_S o u on a free part is nilpotent only for u = 0
-        out.update(index=_index_json(idx), ok=True)
-    elif op == "stable":
-        m = get_module()
-        part, _ = (stable_image(m) if m.kind == CARTIER else stable_kernel(m))
-        out.update(dim=part.dim, crystal_zero=bool(
-            part.dim == 0 if m.kind == CARTIER else part.dim == m.dim), ok=True)
-    elif op == "unitalize":
-        m = get_module()
-        res = unitalize(m, _int_field(cmd, "max_steps", 16, lo=0))
-        out.update(status=res.status, dim=res.module.dim if res.module else None,
-                   steps=res.steps, ok=res.status in ("unit", "zero"))
-        if res.certificate:
-            out["certificate"] = {
-                "kernel_index": _index_json(res.certificate.kernel_index),
-                "cokernel_index": _index_json(res.certificate.cokernel_index)}
-    elif op == "dualize":
-        m = get_module()
-        if isinstance(m, PidModule):
-            d = dualize(m)
-            out.update(ok=True, terms={
-                str(k): {"torsion_dim": v.torsion_dim, "free_rank": v.free_rank,
-                         "kind": v.kind} for k, v in d.terms.items()})
-        else:
-            d, _ = dualize_artinian(m)
-            out.update(ok=True, kind=d.kind, dim=d.dim,
-                       nilpotency_index=_index_json(nilpotency_index(d)))
-    elif op == "double-dual":
-        m = get_module()
-        ok, witness = double_dual_check(m)
-        out.update(ok=bool(ok), witness=_mat_json(witness))
-    elif op == "pair":
-        a = get_module("left")
-        b = get_module("right")
-        if b.kind != CARTIER:
-            raise SchemaError("pair expects (frobenius, cartier) or (cartier, unit cartier)")
-        if a.ring.key() != b.ring.key():
-            raise SchemaError("pair expects two modules over one ring")
-        h, _ = (pair_F_to_C if a.kind == FROBENIUS else pair_C_to_F)(a, b)
-        out.update(ok=True, kind=h.kind, dim=h.dim,
-                   nilpotency_index=_index_json(nilpotency_index(h)))
-    elif op in ("sol", "base-change"):
-        m = get_module()
-        out["s"] = s = _int_field(cmd, "s", 1 if op == "sol" else 2, lo=1)
-        F = m.ring.field
-        if (op == "sol" or m.kind == FROBENIUS) and not order_fits(F.p, F.deg * s):
-            # Sol, alone or inside a Frobenius base-change, is solved over GF(q^s)
-            raise Unsupported(
-                f"{op} needs GF({F.p}^{F.deg * s}), past the field-order cap {MAX_ORDER}")
-        if op == "sol":
-            rep = sol_point(m, s)
-            out.update(ok=sol_certified(m, rep), dim_fq=rep.dim_fq,
-                       geometric_dim=rep.geometric_dim)
-        else:
-            if m.kind == FROBENIUS:
-                out["sol"] = sol_base_change_check(m, s)
-            out["dual"] = dual_base_change_check(m, s)
-            out["ok"] = bool(out["dual"] and out.get("sol", {"ok": True})["ok"])
-    elif op == "local-duality":
-        m = get_module()
-        rep = local_duality_check(m)
-        out.update(ok=rep.ok, verdicts=[
-            {"degree": v.degree, "local_zero": v.local_zero,
-             "ext_zero": v.ext_zero} for v in rep.verdicts])
-    elif op == "perverse":
-        name = cmd.get("complex")
-        if name is not None:
-            if not isinstance(name, str) or name not in cxs:
-                raise SchemaError(f"unknown complex {name!r}")
-            out["complex"] = name
-            for ref in problem["complex_terms"][name]:
-                if not (rep := validation(ref)).ok:
-                    raise InvalidModule(ref, rep.violations)
-            target = cxs[name]
-        else:
-            target = shift_module(get_module(), _int_field(cmd, "degree", 0))
-        rep = is_perverse(target)
-        out.update(ok=rep.ok, conditions=[
-            {"point": c.point, "side": c.side, "degree": c.degree, "ok": c.ok}
-            for c in rep.conditions])
-    elif op == "kashiwara":
-        m = get_module()
-        j = _exponents(_required(cmd, "j_gens"), "kashiwara: j_gens")
-        if any(len(g) != len(m.ring.vars) for g in j):
-            raise SchemaError(f"kashiwara: each j_gens vector needs one exponent "
-                              f"per ring variable ({len(m.ring.vars)})")
-        counit = kashiwara_counit(m, j)
-        out.update(ok=counit.ok, counit_nil_iso=counit.ok, supported=counit.supported)
-    elif op == "localize-model":
-        m = get_module()
-        f = _decode_poly(problem["field"], _required(cmd, "f"), "localize-model: f polynomial")
-        if f.is_zero():
-            raise SchemaError("localize-model: f must be a nonzero polynomial")
-        model = coherent_model_of_localization(m, f)
-        # a model, not a verdict, so ok stays None
-        out["model"] = {"torsion_dim": model.torsion_dim, "free_rank": model.free_rank}
-    elif op == "hasse":
-        p = _int(_required(cmd, "p"), "hasse: p")
-        cubic = [_int(c, "hasse: cubic coefficient")
-                 for c in _container(_required(cmd, "cubic"), list, "hasse: cubic")]
-        try:
-            h = hasse_invariant(p, cubic)
-        except ValueError as exc:
-            raise SchemaError(f"hasse: {exc}") from None
-        ap = elliptic_ap(p, cubic)
-        agree = (h != 0) == (ap % p != 0)
-        out.update(ok=agree, hasse=h, a_p=ap, ordinary=_ordinary_by_sol(p, h))
-    elif op == "suite":
-        out.update(run_suites(_int_field(cmd, "seed", seed),
-                              _int_field(cmd, "count", 25, lo=0)))
-    else:
-        raise SchemaError(f"unknown command {op!r}")
 
 
 def run_suites(seed: int, count: int) -> dict:
@@ -437,21 +479,13 @@ def cmd_run(args) -> int:
                  "error": f"{type(exc).__name__}: {exc}"}
             faulted = True
         results.append(r)
-        if r.get("ok") is False:
-            failed = True
-        if r.get("unsupported") and args.strict:
-            failed = True
-    elapsed_ms = int((time.monotonic() - t0) * 1000)
+        failed = failed or r.get("ok") is False or bool(r.get("unsupported") and args.strict)
     field = problem["field"]
     report = {
-        "schema": SCHEMA,
-        "version": __version__,
-        "seed": args.seed,
-        "field": {"p": field.p, "r": field.deg,
-                  "polynomial": list(field.modulus)},
-        "timing_ms": elapsed_ms if args.timing else 0,
-        "results": results,
-        "ok": not (failed or faulted),
+        "schema": SCHEMA, "version": __version__, "seed": args.seed,
+        "field": {"p": field.p, "r": field.deg, "polynomial": list(field.modulus)},
+        "timing_ms": int((time.monotonic() - t0) * 1000) if args.timing else 0,
+        "results": results, "ok": not (failed or faulted),
     }
     text = json.dumps(report, sort_keys=True, indent=2)
     if args.json:
@@ -460,8 +494,7 @@ def cmd_run(args) -> int:
     for r in results:
         status = ("UNSUPPORTED" if r.get("unsupported") else "ERROR" if "error" in r
                   else {True: "ok", False: "FAIL", None: "-"}[r.get("ok")])
-        extra = {k: v for k, v in r.items()
-                 if k not in ("op", "ok", "unsupported", "witness")}
+        extra = {k: v for k, v in r.items() if k not in ("op", "ok", "unsupported", "witness")}
         print(f"{r['op']:<16} {status:<12} {json.dumps(extra, sort_keys=True)}")
     print(f"report: {'ok' if not (failed or faulted) else 'FAILED'}")
     return 3 if faulted else 1 if failed else 0
@@ -494,26 +527,20 @@ def cmd_generate(args) -> int:
             m = random_structured(rng, CARTIER, args.p, 2, args.ring_dim, args.dim)
             name = f"M{i}"
             doc["modules"][name] = _encode_structured(m)
-            doc["commands"] += [{"op": "validate", "module": name},
-                                {"op": "double-dual", "module": name},
-                                {"op": "nilpotent", "module": name},
-                                {"op": "unitalize", "module": name}]
+            doc["commands"] += [{"op": op, "module": name} for op in
+                                ("validate", "double-dual", "nilpotent", "unitalize")]
     elif args.kind == "random-pid-torsion":
         for i in range(args.count):
             m = random_pid_torsion(rng, args.p, args.dim)
             name = f"T{i}"
             doc["modules"][name] = _encode_pid(m)
-            doc["commands"] += [{"op": "validate", "module": name},
-                                {"op": "local-duality", "module": name},
-                                {"op": "dualize", "module": name}]
+            doc["commands"] += [{"op": op, "module": name}
+                                for op in ("validate", "local-duality", "dualize")]
     elif args.kind == "elliptic-scan":
         del doc["modules"]
         for (a, b) in nonsingular_short_weierstrass(args.p):
             doc["commands"].append({"op": "hasse", "p": args.p,
                                     "cubic": [b, a, 0, 1]})
-    else:
-        print(f"unknown kind {args.kind!r}", file=sys.stderr)
-        return 2
     text = json.dumps(doc, sort_keys=True, indent=2)
     if args.out:
         with open(args.out, "w") as fh:
@@ -553,9 +580,7 @@ def main(argv=None) -> int:
             genp.error(f"--p must be a prime, odd for elliptic-scan; got {args.p}")
         if min(args.dim, args.ring_dim) < 1:
             genp.error("--dim and --ring-dim must be >= 1")
-    if args.command == "run":
-        return cmd_run(args)
-    return cmd_generate(args)
+    return cmd_run(args) if args.command == "run" else cmd_generate(args)
 
 
 if __name__ == "__main__":

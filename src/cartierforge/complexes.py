@@ -9,7 +9,7 @@ parts into degree -(d+1) from degree d.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import matrix as mx
 from .artinian import FinModule, memo
@@ -56,8 +56,7 @@ def _x_index(m: FinModule):
     return mx.nil_index(m.ring.field, m.actions[0])
 
 
-@dataclass(frozen=True)
-class StructuredComplex:
+class StructuredComplex(NamedTuple):
     """Bounded complex of PidModules with zero differentials."""
 
     terms: dict            # degree -> PidModule
@@ -82,27 +81,20 @@ def dualize(obj):
         diag = m.free_diagonal()
         kind = _opposite(m.kind)
         if m.torsion is not None:
-            dual_t = matlis_dual(m.torsion)
-            _merge_term(out, -d, m.field, kind, dual_t, None, m.power)
+            _merge_term(out, -d, PidModule(m.field, kind, matlis_dual(m.torsion), None, m.power))
         if diag:
-            dual_f = pid_free(m.field, diag, kind, m.power)
-            _merge_term(out, -d - 1, m.field, kind, None, dual_f.free, m.power)
+            _merge_term(out, -d - 1, PidModule(m.field, kind, None, m.free, m.power))
     return StructuredComplex(out)
 
 
-def _merge_term(out, degree, field, kind, torsion, free, power):
-    prev = out.get(degree)
-    if prev is None:
-        out[degree] = PidModule(field, kind, torsion, free, power)
-        return
-    out[degree] = pid_sum(prev, PidModule(field, kind, torsion, free, power))
+def _merge_term(out: dict, degree: int, term: PidModule) -> None:
+    out[degree] = pid_sum(out[degree], term) if degree in out else term
 
 
 # -- local duality --
 
 
-@dataclass(frozen=True)
-class DegreeVerdict:
+class DegreeVerdict(NamedTuple):
     degree: int
     local_zero: bool
     ext_zero: bool
@@ -112,8 +104,7 @@ class DegreeVerdict:
         return self.local_zero == self.ext_zero
 
 
-@dataclass(frozen=True)
-class LocalDualityReport:
+class LocalDualityReport(NamedTuple):
     verdicts: tuple
 
     @property
@@ -143,16 +134,14 @@ def local_duality_check(m: PidModule) -> LocalDualityReport:
 # -- perversity --
 
 
-@dataclass(frozen=True)
-class PointCondition:
+class PointCondition(NamedTuple):
     point: str
     side: str
     degree: int
     ok: bool
 
 
-@dataclass(frozen=True)
-class PerverseReport:
+class PerverseReport(NamedTuple):
     ok: bool
     conditions: tuple
 
@@ -172,8 +161,9 @@ def is_perverse(c: "StructuredComplex | PidModule") -> PerverseReport:
         c = shift_module(c, 0)
     conds = []
     for d, m in sorted(c.terms.items()):
-        free_zero = free_crystal_zero(m)
-        tors_zero = torsion_crystal_zero(m.torsion)
+        # degree -1 reads no free condition and degree 0 no torsion one
+        free_zero = d == -1 or free_crystal_zero(m)
+        tors_zero = d == 0 or torsion_crystal_zero(m.torsion)
         if d > -1:
             conds.append(PointCondition("generic", "stalk", d, free_zero))
         if d > 0:

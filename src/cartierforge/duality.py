@@ -14,7 +14,8 @@ point count as the independent oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -181,8 +182,7 @@ def nilpotence_exchange_check(m: Structured) -> bool:
 # -- Sol and base change --
 
 
-@dataclass(frozen=True)
-class SolReport:
+class SolReport(NamedTuple):
     fixed_basis: np.ndarray
     dim_fq: int
     geometric_dim: int
@@ -232,7 +232,7 @@ def extend_scalars(m: Structured, s: int) -> Structured:
     F = m.ring.field
     ext = GF(F.p, F.deg * s)
     emb = F.embedding(ext)
-    ring_s = ring_make(ext, m.ring.vars, m.ring.relations)
+    ring_s = replace(m.ring, field=ext)     # 0/1 mult_ops: the same codes over ext
     acts = tuple(emb[X] for X in m.module.actions)
     mod = FinModule(ring_s, m.dim, acts)
     return structured(m.kind, mod, emb[iterate_structure(m, s).mat])

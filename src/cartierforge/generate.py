@@ -56,10 +56,8 @@ def random_artin_ring(rng: random.Random, p_or_field, max_vars: int = 2,
 def random_module(rng: random.Random, ring: ArtinRing, max_dim: int = 5) -> FinModule:
     """Direct sum of cyclic quotients R/J, conjugated; dim <= max_dim."""
     F = ring.field
-    summands = []
-    total = 0
+    summands, total, guard = [], 0, 0
     target = rng.randrange(1, max_dim + 1)
-    guard = 0
     while total < target and guard < 30:
         guard += 1
         extra = []
@@ -78,8 +76,7 @@ def random_module(rng: random.Random, ring: ArtinRing, max_dim: int = 5) -> FinM
         kill = [tuple(1 if j == i else 0 for j in range(ring.nvars))
                 for i in range(ring.nvars)]
         sub = ring_make(F, ring.vars, tuple(ring.relations) + tuple(kill))
-        summands = [sub]
-        total = sub.dim
+        summands, total = [sub], sub.dim
     P = random_invertible(rng, F, total)
     Pi = mx.inverse(F, P)
     acts = [mx.mmul(F, Pi, mx.mmul(F, mx.block_diag([s.mult_ops[v] for s in summands]), P))
@@ -119,11 +116,8 @@ def artinian_corpus(seed: int, count: int, p_choices=(2, 3),
                     max_ring_dim: int = 6, max_dim: int = 5):
     """The seeded random Cartier-module corpus used by the suites."""
     rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        p = rng.choice(list(p_choices))
-        out.append(random_structured(rng, CARTIER, p, 2, max_ring_dim, max_dim))
-    return out
+    return [random_structured(rng, CARTIER, rng.choice(list(p_choices)), 2, max_ring_dim,
+                              max_dim) for _ in range(count)]
 
 
 def random_nilpotent(rng: random.Random, F: FiniteField, d: int) -> np.ndarray:
@@ -148,8 +142,5 @@ def random_pid_torsion(rng: random.Random, p: int, max_dim: int = 5,
 def pid_torsion_corpus(seed: int, count: int, p_choices=(2, 3),
                        max_dim: int = 5, kind: str = CARTIER):
     rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        p = rng.choice(list(p_choices))
-        out.append(random_pid_torsion(rng, p, max_dim, kind))
-    return out
+    return [random_pid_torsion(rng, rng.choice(list(p_choices)), max_dim, kind)
+            for _ in range(count)]

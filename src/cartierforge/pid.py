@@ -71,7 +71,9 @@ class PidModule:
 
     def free_diagonal(self) -> list:
         """The multipliers of a diagonal free part; Unsupported otherwise."""
-        n = self.free_rank
+        if self.free is None:
+            return []
+        n = len(self.free)
         if any(not self.free[i][j].is_zero() for i in range(n) for j in range(n) if i != j):
             raise Unsupported("non-diagonal free multiplier matrix")
         return [self.free[i][i] for i in range(n)]

@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,8 +70,7 @@ def _expect(kind: str, *ms: Structured) -> None:
             raise ValueError(f"expects a {kind} structure, got a {m.kind} one")
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     violations: tuple
 
@@ -129,9 +129,7 @@ def stable_image(m: Structured) -> tuple[Structured, np.ndarray]:
 
     The crystal class of M is zero exactly when this vanishes."""
     _expect(CARTIER, m)
-    F = m.ring.field
-    power = mx.mat_pow(F, m.mat, max(m.dim, 1))
-    cols = mx.column_space(F, power)
+    cols = mx.column_space(m.ring.field, mx.mat_pow(m.ring.field, m.mat, max(m.dim, 1)))
     return sub_structure(m, cols), cols
 
 
@@ -139,9 +137,7 @@ def stable_kernel(m: Structured) -> tuple[Structured, np.ndarray]:
     """N_infty: the stabilized kernel of the iterated structure; the module
     is crystal-zero exactly when this is everything."""
     _expect(FROBENIUS, m)
-    F = m.ring.field
-    power = mx.mat_pow(F, m.mat, max(m.dim, 1))
-    cols = mx.kernel(F, power)
+    cols = mx.kernel(m.ring.field, mx.mat_pow(m.ring.field, m.mat, max(m.dim, 1)))
     return sub_structure(m, cols), cols
 
 
@@ -272,8 +268,7 @@ def _kappa_stack(m: Structured):
     return K, rows, inv
 
 
-@dataclass(frozen=True)
-class NilIsoReport:
+class NilIsoReport(NamedTuple):
     ok: bool
     kernel_index: object
     cokernel_index: object
@@ -308,8 +303,7 @@ def is_morphism(f: np.ndarray, src: Structured, dst: Structured) -> bool:
     return mx.equal(left.reshape(r, k, c).transpose(1, 0, 2), right.reshape(k, r, c))
 
 
-@dataclass(frozen=True)
-class UnitalizeResult:
+class UnitalizeResult(NamedTuple):
     status: str                 # 'unit' | 'zero' | 'not_stabilized'
     module: "Structured | None"
     canonical_map: "np.ndarray | None"
@@ -503,8 +497,7 @@ def structured_restrict_scalars(m: Structured, ambient: ArtinRing) -> Structured
     return replace(m, module=restrict_scalars(m.module, ambient))
 
 
-@dataclass(frozen=True)
-class KashiwaraReport:
+class KashiwaraReport(NamedTuple):
     ok: bool                    # the counit is a nil-isomorphism
     counit: NilIsoReport
     supported: bool

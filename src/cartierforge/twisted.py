@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,8 +19,7 @@ from . import matrix as mx
 from .field import GF, FiniteField, _prime_factors
 
 
-@dataclass(frozen=True)
-class FixedPoints:
+class FixedPoints(NamedTuple):
     """Fixed space of v |-> T v^q over the extension GF(q^s)."""
 
     ext_field: FiniteField
@@ -40,7 +39,7 @@ def _frame(p: int, r: int, s: int) -> tuple:
     F, ext, fp = GF(p, r), GF(p, r * s), GF(p)
     pw = p ** np.arange(r * s, dtype=np.int64)      # t^j in ext, and F's t^k
     tc = ext.digits(ext.mul(pw[:s, None], F.embedding(ext)[pw[:r]])).reshape(r * s, -1).T
-    tc_inv = mx.inverse(fp, tc)
+    tc_inv = tc if s == 1 or r == 1 else mx.inverse(fp, tc)     # tc = I when s or r is 1
     x = mx.mmul(fp, tc_inv, ext.digits(ext.power(pw[:s], F.order)).T)
     sigma = F.from_digits(x.reshape(s, r, s).transpose(0, 2, 1))
     for a in (tc, tc_inv, sigma):

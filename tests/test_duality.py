@@ -5,7 +5,6 @@ import itertools
 import json
 import math
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -245,6 +244,18 @@ def test_extend_scalars_identity_and_sol(frobenius_r):
     m2 = extend_scalars(frobenius_r, 2)
     assert m2.ring.field.order == 4
     assert validate(m2).ok
+
+
+@pytest.mark.parametrize("p,r,s", [(2, 1, 2), (3, 1, 3), (2, 2, 2), (3, 2, 2)])
+def test_extend_scalars_keeps_the_ring_presentation(p, r, s):
+    # the ring over GF(q^s) is the one ring_make builds there: the same
+    # basis, and 0/1 multiplication matrices with the same codes
+    ring = ring_make(GF(p, r), ["x", "y"], [[3, 0], [1, 1], [0, 2]])
+    m = f_module(regular_module(ring), mx.identity(ring.dim))
+    got, want = extend_scalars(m, s).ring, ring_make(GF(p, r * s), ring.vars, ring.relations)
+    assert got.field is want.field and got.key() == want.key()
+    assert got.basis == want.basis and got.relations == want.relations
+    assert all(np.array_equal(a, b) for a, b in zip(got.mult_ops, want.mult_ops))
 
 
 def test_sol_base_change_fixture_and_random(frobenius_r):
@@ -597,20 +608,20 @@ def test_planted_sol_faults_fail_the_certificate():
     for m in extension_field_f_modules():
         for s in (1, 2, 3):
             rep = sol_point(m, s)
-            assert not sol_certified(m, replace(rep, dim_fq=rep.dim_fq + 1))
+            assert not sol_certified(m, rep._replace(dim_fq=rep.dim_fq + 1))
             if rep.dim_fq == 0:
                 continue
-            assert not sol_certified(m, replace(rep, dim_fq=rep.dim_fq - 1))
-            assert not sol_certified(m, replace(rep, dim_fq=rep.dim_fq - 1,
-                                                fixed_basis=rep.fixed_basis[:, :-1]))
+            assert not sol_certified(m, rep._replace(dim_fq=rep.dim_fq - 1))
+            assert not sol_certified(m, rep._replace(dim_fq=rep.dim_fq - 1,
+                                                   fixed_basis=rep.fixed_basis[:, :-1]))
             basis = rep.fixed_basis.copy()
             basis[0, -1] = rep.ext_field.add(basis[0, -1], m.ring.field.p)
-            assert not sol_certified(m, replace(rep, fixed_basis=basis))
+            assert not sol_certified(m, rep._replace(fixed_basis=basis))
             planted[0] += 1
             if rep.dim_fq > 1:
                 basis = rep.fixed_basis.copy()
                 basis[:, -1] = basis[:, 0]
-                assert not sol_certified(m, replace(rep, fixed_basis=basis))
+                assert not sol_certified(m, rep._replace(fixed_basis=basis))
                 planted[1] += 1
     assert min(planted) > 0
 

@@ -12,7 +12,6 @@ and `sol` must report it as not certified.
 
 import importlib.util
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -65,7 +64,7 @@ def test_sol_and_base_change_pass_the_oracle_at_a_fresh_seed(bench, seed):
 def test_planted_wrong_dimension_fails_the_oracle(bench, monkeypatch):
     real = duality.semilinear_fixed_points
     monkeypatch.setattr(duality, "semilinear_fixed_points",
-                        lambda *a: (lambda fp: replace(fp, dim_fq=fp.dim_fq + 1))(real(*a)))
+                        lambda *a: (lambda fp: fp._replace(dim_fq=fp.dim_fq + 1))(real(*a)))
     # every command on a Frobenius module fails, each of the 30 `sol` on its
     # own certificate (`ok` false); a Cartier base-change has no Sol
     checked, failures = oracle_failures(bench, SEEDS[0])

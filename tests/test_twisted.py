@@ -103,6 +103,19 @@ def test_fixed_points_identity_is_fq():
             assert fixed_set == {int(e) for e in emb}
 
 
+@pytest.mark.parametrize("p,r,s", [(2, 1, 1), (2, 1, 3), (3, 1, 2), (2, 2, 1), (3, 3, 1),
+                                   (2, 2, 2), (3, 2, 3), (2, 3, 2)])
+def test_frame_basis_inverse(p, r, s):
+    # for s = 1 or r = 1 the basis t^j c_k is the digit basis, so tc is I
+    # and serves as its own inverse; otherwise tc_inv inverts it over GF(p)
+    _, _, tc, tc_inv = twisted._frame(p, r, s)
+    fp = GF(p)
+    assert np.array_equal(mx.mmul(fp, tc_inv, tc), mx.identity(r * s))
+    assert (tc_inv is tc) == (s == 1 or r == 1)
+    if tc_inv is tc:
+        assert np.array_equal(tc, mx.identity(r * s))
+
+
 def test_fixed_points_zero_operator():
     assert semilinear_fixed_points(GF(2), mx.zeros(2, 2), 2).dim_fq == 0
 

@@ -89,6 +89,14 @@ per miss, the microseconds to key the arguments of each miss (copies of
 its records, so a key a record keeps is built anew) and to freeze each
 miss's result (`artinian._freeze`).  A hit costs the key of its
 arguments and the lookup; the memo's own work is not in these columns.
+The command table gives, per workload and op, the warm microseconds per
+`cli.run_command` call on the workload's first input file: the file parsed
+and every command run once, so the memos and the module validations are
+filled; then per op the median over R repeats of the mean time per
+command over batches of all the file's commands of that op, the ops'
+batches alternating.  What it times is the fixed cost of a command: the
+op table lookup, the module checks, the handler, the result records and
+the report fields around a few memo hits.
 BLAS runs in one thread.  The package is imported from the `src/` next
 to this file, so a checkout of another commit times that commit.
 """
@@ -569,6 +577,29 @@ def memo_cost_table(repeats: int) -> None:
                   + "".join(f"{t:8.2f}" for t in costs))
 
 
+def command_table(repeats: int) -> None:
+    """Warm microseconds per command, per workload and op, on the first
+    input file of each workload."""
+    print("workload".ljust(16) + "op".ljust(16) + "commands".rjust(9) + "us".rjust(9)
+          + "   (us per command, warm)")
+    for workload in WORKLOADS:
+        clear_caches()
+        path = sorted((INPUTS / workload).glob("*.json"))[0]
+        problem = cli.parse_problem(json.loads(path.read_text()))
+        by_op = {}
+        for cmd in problem["commands"]:
+            cli.run_command(problem, cmd, 0)
+            by_op.setdefault(cmd["op"], []).append(cmd)
+
+        def batch(cmds):
+            return lambda: [cli.run_command(problem, cmd, 0) for cmd in cmds]
+
+        us = per_call_us({op: batch(cmds) for op, cmds in by_op.items()}, repeats)
+        for op, cmds in by_op.items():
+            print(workload.ljust(16) + op.ljust(16) + f"{len(cmds):9d}"
+                  + f"{us[op] / len(cmds):9.2f}")
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=7)
@@ -591,6 +622,8 @@ def main() -> None:
     memo_table()
     print()
     memo_cost_table(repeats)
+    print()
+    command_table(repeats)
 
 
 if __name__ == "__main__":
