@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import collections
 import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +19,19 @@ from . import matrix as mx
 from .field import GF, MAX_RING_DIM, FiniteField
 
 
-@dataclass(frozen=True)
-class ArtinRing:
+class _Value:
+    """A record that is a value: equal to a record of its own type with the
+    same kept `_key`, and hashed by it, so a memo keys on its content."""
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+
+@dataclass(frozen=True, eq=False)
+class ArtinRing(_Value):
     field: FiniteField
     vars: tuple
     relations: tuple            # exponent vectors generating the monomial ideal
@@ -66,16 +76,21 @@ def _divides(a, b) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def _variable_power(basis, i: int, t: int) -> np.ndarray:
-    """x_i^t on the standard monomials `basis`: b -> b + t e_i if that is
-    standard, else 0 (standard monomials are closed under division)."""
+def _monomial_map(basis, image) -> np.ndarray:
+    """The 0/1 matrix on the standard monomials `basis` that sends each b
+    to image(b), or to 0 when image(b) is not standard."""
     index = {b: j for j, b in enumerate(basis)}
     op = mx.zeros(len(basis), len(basis))
     for j, b in enumerate(basis):
-        k = index.get(b[:i] + (b[i] + t,) + b[i + 1:])
-        if k is not None:
+        if (k := index.get(image(b))) is not None:
             op[k, j] = 1
     return op
+
+
+def _times(i: int, t: int):
+    """x_i^t on exponent vectors, b -> b + t e_i: with `_monomial_map`, its
+    action on the standard monomials, which are closed under division."""
+    return lambda b: b[:i] + (b[i] + t,) + b[i + 1:]
 
 
 def ring_make(p_or_field, vars, relations, r: int = 1) -> ArtinRing:
@@ -114,7 +129,7 @@ def ring_make(p_or_field, vars, relations, r: int = 1) -> ArtinRing:
         todo.extend((e[:i] + (e[i] + 1,) + e[i + 1:], i) for i in range(last, n))
     basis = tuple(sorted(basis, key=lambda e: (sum(e), e)))
     return ArtinRing(F, vars, relations, basis,
-                     _freeze(tuple(_variable_power(basis, i, 1) for i in range(n))))
+                     _freeze(tuple(_monomial_map(basis, _times(i, 1)) for i in range(n))))
 
 
 def quotient_ring(ring: ArtinRing, extra_relations) -> ArtinRing:
@@ -123,8 +138,8 @@ def quotient_ring(ring: ArtinRing, extra_relations) -> ArtinRing:
     return ring_make(ring.field, ring.vars, ring.relations + tuple(map(tuple, extra_relations)))
 
 
-@dataclass(frozen=True)
-class FinModule:
+@dataclass(frozen=True, eq=False)
+class FinModule(_Value):
     """A value: its actions are read-only from construction, so its memo
     key, built on first use, stays its content."""
     ring: ArtinRing
@@ -165,20 +180,8 @@ class FinModule:
 MEMOS: list = []    # every memo, for the tests and tools that empty or count them
 
 
-def _key(a):
-    """The memo key of one argument: MEMO_KEYS of its type, else itself."""
-    key = MEMO_KEYS.get(type(a))
-    return a if key is None else key(a)
-
-
 def _array_key(a: np.ndarray) -> tuple:
     return (a.shape, (a if a.dtype is mx.INT64 else a.astype(np.int64)).tobytes())
-
-
-# How a memo keys an argument of each record type: by the key the record
-# keeps; structures.py adds the Cartier and Frobenius structures.  Arrays
-# have no entry, so a memo cannot take one.
-MEMO_KEYS = dict.fromkeys((ArtinRing, FinModule), operator.attrgetter("_key"))
 
 
 def _freeze(out):
@@ -194,31 +197,17 @@ def _freeze(out):
 
 def memo(maxsize: int):
     """Memoize a function on the content of its positional arguments: a
-    ring, module or structure by the key it keeps (a ring's presentation; a
-    module's ring, dim and actions, each by shape and int64 bytes; a
-    structure's kind, power, matrix and module), anything else as itself.
+    `functools.lru_cache` of it, with `cache_clear`, `cache_info` and
+    `__wrapped__`, that joins MEMOS.  A ring, module or structure hashes
+    and compares by the key it keeps, anything else as itself; an array
+    is unhashable, so no memo takes one.
 
     At most `maxsize` entries, the least recently used dropped first.  A
     hit returns the objects the miss returned, and every array in them is
-    read-only; a caller that wants to write copies first.  The memo keeps
-    `cache_clear` and `cache_info` and joins MEMOS."""
+    read-only; a caller that wants to write copies first."""
     def decorate(fn):
-        latest = ()         # the arguments of the call being looked up
-
-        @functools.lru_cache(maxsize)
-        def solve(key: tuple):
-            # lru_cache passes the key alone; a miss computes from the
-            # arguments that made it, read before fn can call this memo again
-            return _freeze(fn(*latest))
-
-        @functools.wraps(fn)
-        def memoized(*args):
-            nonlocal latest
-            latest = args
-            return solve(tuple(map(_key, args)))
-
-        memoized.cache_clear, memoized.cache_info = solve.cache_clear, solve.cache_info
-        MEMOS.append(memoized)
+        memoized = functools.lru_cache(maxsize)(lambda *args: _freeze(fn(*args)))
+        MEMOS.append(functools.update_wrapper(memoized, fn))
         return memoized
     return decorate
 
@@ -268,7 +257,7 @@ def frobenius_pushforward(m: FinModule, power: int = 1) -> FinModule:
 
 
 def direct_sum(a: FinModule, b: FinModule) -> FinModule:
-    if a.ring.key() != b.ring.key():
+    if a.ring != b.ring:
         raise ValueError("direct sum over different rings")
     return FinModule(a.ring, a.dim + b.dim, tuple(map(mx.block_diag, zip(a.actions, b.actions))))
 
@@ -409,7 +398,7 @@ def hom_module(m: FinModule, n: FinModule) -> Hom:
     Returns the hom module (action of a: H -> X^N(a) H) together with its
     basis, the kernel matrix from `intertwiners`; shared, read-only (`memo`).
     """
-    if m.ring.key() != n.ring.key():
+    if m.ring != n.ring:
         raise ValueError("hom between modules over different rings")
     F, nv = m.ring.field, m.ring.nvars
     ker, free = intertwiners(F, m.actions, n.actions, n.dim, m.dim)
@@ -431,7 +420,7 @@ def f_flat(m: FinModule, power: int = 1) -> Hom:
     the module and its basis, the kernel matrix from `intertwiners`.
     """
     F, R = m.ring.field, m.ring
-    mu_q = [_variable_power(R.basis, i, R.q ** power) for i in range(R.nvars)]
+    mu_q = [_monomial_map(R.basis, _times(i, R.q ** power)) for i in range(R.nvars)]
     ker, free = intertwiners(F, mu_q, m.actions, m.dim, R.dim)
     imgs = hom_images(F, ker, (m.dim, R.dim),
                       right=np.concatenate((mx.zeros(R.dim, 0), *R.mult_ops), axis=1))
@@ -476,7 +465,7 @@ def restrict_scalars(m: FinModule, ambient: ArtinRing) -> FinModule:
     unless m's ring is a quotient of `ambient`: same field and variables,
     and every relation of `ambient` divisible by one of m's ring."""
     S = m.ring
-    if ambient.key()[:3] != S.key()[:3] or not all(
+    if (ambient.field, ambient.vars) != (S.field, S.vars) or not all(
             any(_divides(s, r) for s in S.relations) for r in ambient.relations):
         raise ValueError(f"{S!r} is not a quotient of {ambient!r}")
     return FinModule(ambient, m.dim, m.actions)

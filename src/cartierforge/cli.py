@@ -229,6 +229,8 @@ def _operand(problem, cmd, op, spec, key, out):
     name = cmd.get(key)
     if key == "complex":
         if name is not None:
+            if "module" in cmd or "degree" in cmd:
+                raise SchemaError(f"{op}: a complex takes no 'module' or 'degree'")
             if not isinstance(name, str) or name not in problem["complexes"]:
                 raise SchemaError(f"unknown complex {name!r}")
             out[key] = name
@@ -302,7 +304,7 @@ def _double_dual(problem, cmd, seed, out, m):
 def _pair(problem, cmd, seed, out, a, b):
     if b.kind != CARTIER:
         raise SchemaError("pair expects (frobenius, cartier) or (cartier, unit cartier)")
-    if a.ring.key() != b.ring.key():
+    if a.ring != b.ring:
         raise SchemaError("pair expects two modules over one ring")
     h, _ = (pair_F_to_C if a.kind == FROBENIUS else pair_C_to_F)(a, b)
     out.update(ok=True, kind=h.kind, dim=h.dim,
@@ -379,42 +381,49 @@ def _suite(problem, cmd, seed, out):
 class Op(NamedTuple):
     """A command of `forge run`: the handler that writes its result, the tier
     and kind of the modules it reads (None: any), the command fields naming
-    them, in order, and what backs its `ok` (README, "The `forge` CLI")."""
+    them, in order, what backs its `ok` (README, "The `forge` CLI"), and the
+    other fields its handler reads."""
     handler: Callable
     tier: "str | None"
     kind: "str | None"
     reads: tuple
     check: str
+    fields: tuple = ()
 
 
 OPS = {
     "validate": Op(_validate, None, None, ("module",), "computed"),
     "nilpotent": Op(_nilpotent, None, None, ("module",), "computed"),
     "stable": Op(_stable, "artinian", None, ("module",), "computed"),
-    "unitalize": Op(_unitalize, "artinian", CARTIER, ("module",), "certificate"),
+    "unitalize": Op(_unitalize, "artinian", CARTIER, ("module",), "certificate", ("max_steps",)),
     "dualize": Op(_dualize, None, None, ("module",), "computed"),
     "double-dual": Op(_double_dual, "artinian", None, ("module",), "certificate"),
     "pair": Op(_pair, "artinian", None, ("left", "right"), "computed"),
-    "sol": Op(_sol, "artinian", FROBENIUS, ("module",), "certificate"),
-    "base-change": Op(_sol, "artinian", None, ("module",), "certificate"),
+    "sol": Op(_sol, "artinian", FROBENIUS, ("module",), "certificate", ("s",)),
+    "base-change": Op(_sol, "artinian", None, ("module",), "certificate", ("s",)),
     "local-duality": Op(_local_duality, "pid", None, ("module",), "computed"),
-    "perverse": Op(_perverse, "pid", None, ("complex",), "computed"),
-    "kashiwara": Op(_kashiwara, "artinian", None, ("module",), "certificate"),
-    "localize-model": Op(_localize_model, "pid", CARTIER, ("module",), "model"),
-    "hasse": Op(_hasse, None, None, (), "certificate"),
-    "suite": Op(_suite, None, None, (), "self-test"),
+    "perverse": Op(_perverse, "pid", None, ("complex",), "computed", ("module", "degree")),
+    "kashiwara": Op(_kashiwara, "artinian", None, ("module",), "certificate", ("j_gens",)),
+    "localize-model": Op(_localize_model, "pid", CARTIER, ("module",), "model", ("f",)),
+    "hasse": Op(_hasse, None, None, (), "certificate", ("p", "cubic")),
+    "suite": Op(_suite, None, None, (), "self-test", ("seed", "count")),
 }
+_KEYS = {op: frozenset(("op", *spec.reads, *spec.fields)) for op, spec in OPS.items()}
 
 
 def run_command(problem, cmd: dict, seed: int) -> dict:
-    """The result of one command: its op's modules resolved and validated,
-    then its handler.  A documented scope boundary, raised as Unsupported
+    """The result of one command: a field its op does not read is a
+    SchemaError, then the op's modules are resolved and validated, then its
+    handler runs.  A documented scope boundary, raised as Unsupported
     anywhere below, is caught here and nowhere else: the result reads
     unsupported, with no verdict and the boundary's reason."""
     op = cmd.get("op")
     spec = OPS.get(op) if isinstance(op, str) else None
     if spec is None:
         raise SchemaError(f"unknown command {op!r}")
+    if not _KEYS[op].issuperset(cmd):
+        extra = ", ".join(sorted(map(repr, cmd.keys() - _KEYS[op])))
+        raise SchemaError(f"{op}: unknown field(s) {extra}; it reads {sorted(_KEYS[op])}")
     out = {"op": op, "ok": None, "unsupported": False}
     try:
         operands = []

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import matrix as mx
-from .artinian import (ArtinRing, FinModule, Hom, hom_coords, hom_images,
+from .artinian import (ArtinRing, FinModule, Hom, _monomial_map, hom_coords, hom_images,
                        hom_module, memo, quotient_data, regular_module, ring_make)
 from .field import GF, FiniteField, is_prime, order_fits
 from .poly import Poly, smith_normal_form
@@ -38,18 +38,15 @@ def inverse_hull(ring: ArtinRing, power: int = 1) -> Structured:
     The basis is indexed like the ring basis (x^-(b+1) for standard b), the
     variables act by downward shift, and kappa_E sends index b to b/q^power
     when q^power divides every exponent: the power-fold iterate of the
-    q-contraction.  The shift x^-(b+1) -> x^-b by x_v is the transpose of
-    the ring's multiplication x^b -> x^(b+e_v): standard monomials are
-    closed under division."""
+    q-contraction, so kappa_E is the transpose of the ring's Frobenius
+    b -> q^power b.  Likewise the shift x^-(b+1) -> x^-b by x_v is the
+    transpose of the ring's multiplication x^b -> x^(b+e_v): standard
+    monomials are closed under division."""
     t = ring.q ** power
-    n = ring.dim
-    index = {b: i for i, b in enumerate(ring.basis)}
     acts = tuple(np.ascontiguousarray(op.T) for op in ring.mult_ops)
-    kap = mx.zeros(n, n)
-    for j, b in enumerate(ring.basis):
-        if all(e % t == 0 for e in b):
-            kap[index[tuple(e // t for e in b)], j] = 1
-    return cartier_module(FinModule(ring, n, acts), kap, power)
+    frobenius = _monomial_map(ring.basis, lambda b: tuple(t * e for e in b))
+    return cartier_module(FinModule(ring, ring.dim, acts),
+                          np.ascontiguousarray(frobenius.T), power)
 
 
 @memo(256)
@@ -73,7 +70,7 @@ def pair_F_to_C(m: Structured, n: Structured) -> Hom:
     Returns it with its hom basis, the kernel matrix from `hom_module`."""
     _expect(FROBENIUS, m)
     _expect(CARTIER, n)
-    if m.ring.key() != n.ring.key() or m.power != n.power:
+    if m.ring != n.ring or m.power != n.power:
         raise ValueError("pairing requires one ring and one Frobenius power")
     F = m.ring.field
     hom, ker = space = hom_module(m.module, n.module)
@@ -99,7 +96,7 @@ def pair_C_to_F(m: Structured, n: Structured) -> Hom:
     raises Unsupported.  Returns the F-module with its hom basis, the kernel
     matrix from `hom_module`."""
     _expect(CARTIER, m, n)
-    if m.ring.key() != n.ring.key() or m.power != n.power:
+    if m.ring != n.ring or m.power != n.power:
         raise ValueError("pairing requires one ring and one Frobenius power")
     F = m.ring.field
     hom, ker = space = hom_module(m.module, n.module)

@@ -14,8 +14,8 @@ import random
 import numpy as np
 
 from . import matrix as mx
-from .artinian import (ArtinRing, FinModule, fin_module, intertwiners,
-                       ring_make)
+from .artinian import (ArtinRing, FinModule, fin_module, frobenius_pushforward,
+                       intertwiners, ring_make)
 from .field import GF, FiniteField
 from .pid import CARTIER, PidModule, pid_torsion
 from .structures import Structured, structured
@@ -87,14 +87,10 @@ def random_module(rng: random.Random, ring: ArtinRing, max_dim: int = 5) -> FinM
 def equivariant_solutions(module: FinModule, kind: str, power: int = 1) -> np.ndarray:
     """Kernel basis of the structure equivariance system (columns are
     vectorized structure matrices)."""
-    F = module.ring.field
-    d = module.dim
-    t = module.ring.q ** power
-    Xs = module.actions
-    Xqs = [mx.mat_pow(F, X, t) for X in Xs]
+    Xs, Xqs = module.actions, frobenius_pushforward(module, power).actions
     # Cartier: K X^q = X K;  Frobenius: T X = X^q T
     As, Bs = (Xqs, Xs) if kind == CARTIER else (Xs, Xqs)
-    return intertwiners(F, As, Bs, d, d)[0]
+    return intertwiners(module.ring.field, As, Bs, module.dim, module.dim)[0]
 
 
 def random_structure(rng: random.Random, module: FinModule, kind: str,

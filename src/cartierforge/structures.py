@@ -19,10 +19,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import matrix as mx
-from .artinian import (MEMO_KEYS, ArtinRing, FinModule, _array_key, _key, direct_sum,
-                       f_flat, f_flat_dim, hom_coords, induce, memo, module_violations,
-                       quotient_data, regular_module, restrict, restrict_scalars,
-                       submodule, torsion_basis, zero_module)
+from .artinian import (ArtinRing, FinModule, _array_key, _Value, direct_sum, f_flat,
+                       f_flat_dim, frobenius_pushforward, hom_coords, induce, memo,
+                       module_violations, quotient_data, regular_module, restrict,
+                       restrict_scalars, submodule, torsion_basis, zero_module)
 
 
 CARTIER = "cartier"
@@ -35,8 +35,8 @@ class Unsupported(ValueError):
     `cli.run_command` alone catches it."""
 
 
-@dataclass(frozen=True)
-class Structured:
+@dataclass(frozen=True, eq=False)
+class Structured(_Value):
     """A Cartier (kind CARTIER) or Frobenius (kind FROBENIUS) structure
     `mat` on `module`, for the q^power Frobenius."""
     kind: str
@@ -49,7 +49,7 @@ class Structured:
 
     @functools.cached_property
     def _key(self) -> tuple:
-        return (self.kind, self.power, _array_key(self.mat), _key(self.module))
+        return (self.kind, self.power, _array_key(self.mat), self.module._key)
 
     @property
     def dim(self) -> int:
@@ -58,9 +58,6 @@ class Structured:
     @property
     def ring(self) -> ArtinRing:
         return self.module.ring
-
-
-MEMO_KEYS[Structured] = MEMO_KEYS[FinModule]
 
 
 def _expect(kind: str, *ms: Structured) -> None:
@@ -103,7 +100,7 @@ def validate(m: Structured) -> ValidationReport:
     if m.mat.shape != (d, d):
         out.append("structure matrix has wrong shape")
         return ValidationReport(False, tuple(out))
-    powers = [mx.mat_pow(F, X, m.ring.q ** m.power) for X in acts]
+    powers = frobenius_pushforward(m.module, m.power).actions
     # K X^q = X K or T X = X^q T: one product a side, block i for variable i
     right, left, law = ((powers, acts, "K*{0}^q = {0}*K") if m.kind == CARTIER
                         else (acts, powers, "T*{0} = {0}^q*T"))

@@ -16,8 +16,8 @@ import inspect
 from pathlib import Path
 
 import cartierforge
-from cartierforge.artinian import MEMO_KEYS
-from cartierforge.structures import Structured
+from cartierforge.artinian import fin_module, ring_make
+from cartierforge.structures import CARTIER, FROBENIUS, Structured, structured
 
 PACKAGE = Path(cartierforge.__file__).parent
 
@@ -140,7 +140,7 @@ def test_unsupported_is_the_one_boundary_raised_and_caught_once():
 def test_one_structure_record_with_no_kappa_or_tau():
     # a Cartier and a Frobenius structure are one record,
     # `structures.Structured`, told apart by `kind`: no class has a kappa
-    # or tau field, no code reads one, and one memo key covers both kinds
+    # or tau field, no code reads one, and one hash covers both kinds
     root = Path(__file__).resolve().parent.parent
     found = []
     for path in sorted([*PACKAGE.glob("*.py"), *(root / "tests").glob("*.py"),
@@ -153,4 +153,8 @@ def test_one_structure_record_with_no_kappa_or_tau():
             elif isinstance(node, ast.Attribute) and node.attr in ("kappa", "tau"):
                 found.append(f"{path.stem}:{node.lineno}")
     assert not found, "kappa or tau field or attribute: " + ", ".join(found)
-    assert [t for t in MEMO_KEYS if t.__module__ == Structured.__module__] == [Structured]
+    module = fin_module(ring_make(2, [], []), [], 1)
+    k, t = (structured(kind, module, [[1]]) for kind in (CARTIER, FROBENIUS))
+    assert type(k) is type(t) is Structured and k != t
+    assert [hash(m) for m in (k, t)] == [hash(m._key) for m in (k, t)]
+    assert k._key[1:] == t._key[1:]     # the kind alone tells them apart

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cartierforge import matrix as mx
-from cartierforge.artinian import (_variable_power, f_flat, fin_module,
+from cartierforge.artinian import (_monomial_map, _times, f_flat, fin_module,
                                    frobenius_pushforward, hom_module,
                                    i_torsion, module_violations,
                                    quotient_ring, regular_module,
@@ -64,8 +64,9 @@ def test_variable_power_is_the_power_of_the_action():
         # b <= dim and the exponent dim + 1 is past every pure power
         for t in (1, q, q ** 2, q ** 3, ring.dim + 1):
             for i, mu in enumerate(ring.mult_ops):
-                assert np.array_equal(_variable_power(ring.basis, i, t), mx.mat_pow(F, mu, t))
-        assert not any(_variable_power(ring.basis, i, ring.dim + 1).any()
+                assert np.array_equal(_monomial_map(ring.basis, _times(i, t)),
+                                      mx.mat_pow(F, mu, t))
+        assert not any(_monomial_map(ring.basis, _times(i, ring.dim + 1)).any()
                        for i in range(ring.nvars))
 
 

@@ -102,9 +102,9 @@ def test_rank_one_free_over_gf25(tmp_path, capsys):
     doc = {"schema": 1, "field": {"p": 5, "r": 2},
            "modules": {"u0": {"tier": "pid", "kind": "cartier", "free": [[0]]},
                        "u1": {"tier": "pid", "kind": "cartier", "free": [[1]]}},
-           "commands": [{"op": op, "module": name, "degree": -2}
-                        for name in ("u0", "u1")
-                        for op in ("local-duality", "perverse")]}
+           "commands": [cmd for name in ("u0", "u1")
+                        for cmd in ({"op": "local-duality", "module": name},
+                                    {"op": "perverse", "module": name, "degree": -2})]}
     out = tmp_path / "report.json"
     assert main(["run", write(tmp_path, doc), "--json", str(out)]) == 1
     ld0, pv0, ld1, pv1 = json.loads(out.read_text())["results"]
@@ -707,6 +707,36 @@ def test_wrong_tier_or_missing_field_is_schema_error(tmp_path, capsys, cmd, mess
     doc["commands"] = [cmd]
     assert main(["run", write(tmp_path, doc)]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd,message", [
+    ({"op": "validate", "module": "A", "extra": 1}, "validate: unknown field(s) 'extra'"),
+    ({"op": "nilpotent", "module": "A", "max_steps": 3}, "unknown field(s) 'max_steps'"),
+    ({"op": "local-duality", "module": "sky", "degree": -2}, "unknown field(s) 'degree'"),
+    ({"op": "unitalize", "module": "A", "s": 2}, "unknown field(s) 's'"),
+    ({"op": "hasse", "p": 5, "cubic": [0, 1, 0, 1], "module": "A"},
+     "unknown field(s) 'module'"),
+    ({"op": "suite", "count": 0, "Seed": 1}, "unknown field(s) 'Seed'"),
+    ({"op": "pair", "left": "A", "right": "A", "module": "A"}, "unknown field(s) 'module'"),
+    ({"op": "perverse", "complex": "C", "module": "no-such-module", "degree": "not-an-int"},
+     "perverse: a complex takes no 'module' or 'degree'"),
+    ({"op": "perverse", "complex": "C", "module": "sky"}, "a complex takes no"),
+    ({"op": "perverse", "complex": "C", "degree": 0}, "a complex takes no"),
+])
+def test_a_field_the_op_does_not_read_is_schema_error(tmp_path, capsys, cmd, message):
+    doc = json.loads(json.dumps(FIXTURE_A))
+    doc["complexes"] = {"C": {"terms": {"0": "sky"}}}
+    doc["commands"] = [cmd]
+    assert main(["run", write(tmp_path, doc)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_every_op_refuses_a_field_it_does_not_read():
+    problem = cli.parse_problem({**FIXTURE_A, "complexes": {"C": {"terms": {"0": "sky"}}}})
+    assert cli.run_command(problem, {"op": "perverse", "complex": "C"}, 0)["ok"]
+    for op in cli.OPS:
+        with pytest.raises(cli.SchemaError, match="unknown field"):
+            cli.run_command(problem, {"op": op, "no-such-field": 0}, 0)
 
 
 def test_integer_fields_at_their_bounds(tmp_path, capsys):

@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 
 from cartierforge import matrix as mx
-from cartierforge.artinian import (MEMO_KEYS, MEMOS, ArtinRing, FinModule, Hom, f_flat,
+from cartierforge.artinian import (MEMOS, ArtinRing, FinModule, Hom, _array_key, f_flat,
                                    fin_module, frobenius_pushforward, hom_module,
                                    i_torsion, quotient_ring, regular_module,
                                    restrict_scalars, ring_make, zero_module)
@@ -212,8 +212,9 @@ def test_the_module_key_holds_the_relations():
 def test_planted_module_key_without_relations_fails(monkeypatch):
     """A module key that keeps the field and variables of the ring but not
     its relations makes the second ring's stage a hit on the first's."""
-    monkeypatch.setitem(MEMO_KEYS, FinModule, lambda m: (
-        (m.ring.field.p, m.ring.field.deg, m.ring.vars), m.dim, m._key[2]))
+    monkeypatch.setattr(FinModule, "_key", property(lambda m: (
+        (m.ring.field.p, m.ring.field.deg, m.ring.vars), m.dim,
+        tuple(map(_array_key, m.actions)))))
     assert not stage_hits_equal_fresh_builds(residue_fields())
 
 
@@ -568,11 +569,60 @@ def test_the_constructors_copy_the_callers_arrays():
 
 
 def test_a_memo_takes_no_raw_array():
-    """MEMO_KEYS has one entry per record type and none for an array, so a
-    memo called with an array raises instead of keying on it."""
-    assert set(MEMO_KEYS) == {ArtinRing, FinModule, Structured}
+    """An array is unhashable, so a memo called with one raises instead of
+    keying on it."""
     with pytest.raises(TypeError, match="unhashable"):
         nilpotency_index(mx.identity(2))
+    with pytest.raises(TypeError, match="unhashable"):
+        hom_module(mx.identity(2), mx.identity(2))
+
+
+def test_every_memo_is_an_lru_cache_of_the_function():
+    assert len(MEMOS) == 8
+    for memo in MEMOS:
+        assert callable(memo.cache_info) and callable(memo.cache_clear)
+        assert memo.__wrapped__.__name__ == memo.__name__
+        assert memo.__wrapped__.__module__ == memo.__module__
+
+
+def test_equal_content_is_equal_records_with_equal_hashes():
+    F = GF(2)
+    quot = quotient_ring(ring_make(F, ["x", "y"], [[3, 0], [0, 2]]), [[2, 0]])
+    plain = ring_make(F, ["x", "y"], [[3, 0], [0, 2], [2, 0]])
+    m = next(m for m in artinian_corpus(7, 10) if m.dim > 1 and m.ring.nvars == 2)
+    pairs = [(quot, plain), (m.module, copied_module(m.module)), (m, copied(m))]
+    for a, b in pairs:
+        assert a is not b and a == b and not a != b and hash(a) == hash(b)
+    # one pair of methods, defined once, for every record type
+    assert ArtinRing.__eq__ is FinModule.__eq__ is Structured.__eq__
+    assert ArtinRing.__hash__ is FinModule.__hash__ is Structured.__hash__
+
+
+def test_one_changed_part_is_an_unequal_record():
+    F = GF(3)
+    ring = ring_make(F, ["x", "y"], [[3, 0], [0, 2]])
+    m = next(m for m in artinian_corpus(7, 10) if mx.nonzero(m.mat) and m.dim > 1)
+
+    def changed(a, i, j):
+        a = a.copy()
+        a[i, j] = (a[i, j] + 1) % m.ring.q
+        return a
+
+    acts = m.module.actions
+    others = [
+        (ring, ring_make(F, ["x", "y"], [[3, 0], [0, 3]])),         # one relation
+        (ring, ring_make(GF(2), ["x", "y"], [[3, 0], [0, 2]])),     # the field
+        (m.module, fin_module(m.ring, [changed(acts[0], 1, 0), *acts[1:]])),
+        (m, structured(m.kind, m.module, changed(m.mat, 0, 0), m.power)),
+        (m, structured(FROBENIUS if m.kind == CARTIER else CARTIER, m.module, m.mat, m.power)),
+        (m, structured(m.kind, m.module, m.mat, m.power + 1)),
+    ]
+    for a, b in others:
+        assert a != b and not a == b
+    # a record is never equal to its key, another record type, or a non-record
+    for a in (ring, m.module, m):
+        assert a != a._key and a != None and a != 1     # noqa: E711
+    assert m.module != m and m != m.module and m.ring != m.module
 
 
 def test_planted_content_change_under_a_kept_key_fails():

@@ -1,8 +1,9 @@
 """The op table `cli.OPS` is the list of `forge run` commands.
 
 Every op in it has a handler in `cli`, a known tier, kind and check label,
-a row in README's commands table with the same label, a row in the golden
-report of `sample_problems/fixture_a.json`, and a check in the benchmark's
+a row in README's commands table with the same label and the same
+optional fields (`Op.fields`), a row in the golden report of
+`sample_problems/fixture_a.json`, and a check in the benchmark's
 independent oracle `bench/oracle.py`, or a named reason for having none.
 The oracle is loaded from its file and only read, as in
 `test_fresh_inputs.py`.  Planted faults: an op added to the table without
@@ -11,6 +12,7 @@ a README row, and one added without a golden row, must each be found.
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -46,17 +48,22 @@ def oracle():
     return module
 
 
-def readme_rows(text: str) -> dict:
-    """op -> check label, from the rows of README's commands table."""
+def readme_cells(text: str) -> dict:
+    """op -> the cells of its row in README's commands table."""
     lines = text.splitlines()
-    start = lines.index("| op | reads | check | behind `ok` |") + 2
+    start = lines.index("| op | reads | fields | check | behind `ok` |") + 2
     rows = {}
     for line in lines[start:]:
         if not line.startswith("| `"):
             break
         cells = [c.strip() for c in line.strip("|").split("|")]
-        rows[cells[0].strip("`")] = cells[2]
+        rows[cells[0].strip("`")] = cells
     return rows
+
+
+def readme_rows(text: str) -> dict:
+    """op -> check label, from the rows of README's commands table."""
+    return {op: cells[3] for op, cells in readme_cells(text).items()}
 
 
 def golden_ops() -> set:
@@ -110,6 +117,13 @@ def test_every_op_has_its_rows_label_and_oracle_check(oracle):
     assert table_faults(cli.OPS, readme, golden_ops(), oracle) == []
     assert list(readme) == list(cli.OPS)
     assert all(reason for reason in {**NO_ORACLE, **NO_GOLDEN}.values())
+
+
+def test_readme_names_the_fields_each_op_reads():
+    # the "fields" column lists `Op.fields`, the command fields beyond the
+    # reads that the handler reads; `run_command` refuses any other
+    for op, cells in readme_cells((ROOT / "README.md").read_text()).items():
+        assert re.findall(r"`([^`]+)`", cells[2]) == list(cli.OPS[op].fields), op
 
 
 def test_suite_is_the_self_test():

@@ -38,7 +38,6 @@ ALLOWLIST = {
     "artinian.ArtinRing.one": "test-only, pending ROADMAP item 8: twist_by_unit_line reads it",
     "artinian.FinModule.element_action": "test-only, pending ROADMAP item 8: twist_by_unit_line",
     "artinian.direct_sum": "no input sums two torsion parts, pending ROADMAP item 11",
-    "artinian.frobenius_pushforward": f"{API}; test-only, pending ROADMAP item 9 (upper shriek)",
     "artinian.i_torsion": f"{API}: i-flat of a bare module, pending ROADMAP item 9",
     "artinian.submodule": f"{OUTSIDE}: names the actions when a span is not a submodule",
     "cli.InvalidModule.__init__": f"{OUTSIDE}: a module that fails validate",

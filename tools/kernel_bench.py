@@ -85,9 +85,9 @@ shards (as in the memo table): the calls and the misses, then the
 microseconds per hit, the median over R repeats of the mean time per
 call of the memo called again on the arguments of every recorded call,
 with those arguments' entries already in the memo; then the bookkeeping
-per miss, the microseconds to key the arguments of each miss (copies of
+per miss, the microseconds to hash the arguments of each miss (copies of
 its records, so a key a record keeps is built anew) and to freeze each
-miss's result (`artinian._freeze`).  A hit costs the key of its
+miss's result (`artinian._freeze`).  A hit costs the hash of its
 arguments and the lookup; the memo's own work is not in these columns.
 The command table gives, per workload and op, the warm microseconds per
 `cli.run_command` call on the workload's first input file: the file parsed
@@ -531,7 +531,7 @@ def memo_costs(memo, calls: list, misses: list, repeats: int) -> list:
     one probe (`host_scale`).  A hit is a call of the memo on the
     arguments of a recorded call, in chunks of at most the memo's size,
     each chunk called once before it is timed, so every timed call hits.
-    The key is that of the arguments of each miss, copied by `fresh`
+    The key is the hash of the arguments of each miss, copied by `fresh`
     beforehand; the freeze is `artinian._freeze` of each miss's result."""
     size = memo.cache_info().maxsize
     hit, key, freeze = [], [], []
@@ -548,7 +548,7 @@ def memo_costs(memo, calls: list, misses: list, repeats: int) -> list:
         copies = [tuple(map(fresh, args)) for args, _ in misses]
         t0 = time.perf_counter()
         for args in copies:
-            tuple(map(artinian._key, args))
+            hash(args)
         t1 = time.perf_counter()
         for _, out in misses:
             artinian._freeze(out)
