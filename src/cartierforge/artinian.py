@@ -178,6 +178,7 @@ class FinModule(_Value):
 # -- memos --
 
 MEMOS: list = []    # every memo, for the tests and tools that empty or count them
+MEMO_SIZE = 256     # entries per memo
 
 
 def _array_key(a: np.ndarray) -> tuple:
@@ -195,21 +196,19 @@ def _freeze(out):
     return out
 
 
-def memo(maxsize: int):
-    """Memoize a function on the content of its positional arguments: a
+def memo(fn):
+    """Memoize `fn` on the content of its positional arguments: a
     `functools.lru_cache` of it, with `cache_clear`, `cache_info` and
     `__wrapped__`, that joins MEMOS.  A ring, module or structure hashes
     and compares by the key it keeps, anything else as itself; an array
     is unhashable, so no memo takes one.
 
-    At most `maxsize` entries, the least recently used dropped first.  A
+    At most MEMO_SIZE entries, the least recently used dropped first.  A
     hit returns the objects the miss returned, and every array in them is
     read-only; a caller that wants to write copies first."""
-    def decorate(fn):
-        memoized = functools.lru_cache(maxsize)(lambda *args: _freeze(fn(*args)))
-        MEMOS.append(functools.update_wrapper(memoized, fn))
-        return memoized
-    return decorate
+    memoized = functools.lru_cache(MEMO_SIZE)(lambda *args: _freeze(fn(*args)))
+    MEMOS.append(functools.update_wrapper(memoized, fn))
+    return memoized
 
 
 def module_violations(m: FinModule) -> list[str]:
@@ -380,34 +379,32 @@ def hom_coords(F: FiniteField, ker: np.ndarray, targets: np.ndarray, free: np.nd
     return coords if mx.equal(mx.mmul(F, ker, coords), targets) else None
 
 
-def _image_module(ring: ArtinRing, ker: np.ndarray, free: np.ndarray, imgs: np.ndarray) -> Hom:
-    """The module on the hom space `ker` in which variable i sends hom j to
-    column i + nvars * j of `imgs`, its coordinates read by one call."""
-    coords = hom_coords(ring.field, ker, imgs, free)
+def _hom(ring: ArtinRing, a: int, As, Cs, n: FinModule) -> Hom:
+    """Hom_R(A, N) over `ring`, A the a-dimensional module with actions
+    `As`: the H with H A_i = X^N_i H, x_j acting by H -> H C_j (the `Cs`
+    commute with each other and the `As`).  The images vec(H [C_1 .. C_n])
+    stack the vec(H C_j), so x_j sends hom k to column j + nvars * k."""
+    F, nv = ring.field, ring.nvars
+    ker, free = intertwiners(F, As, n.actions, n.dim, a)
+    imgs = hom_images(F, ker, (n.dim, a), right=np.concatenate((mx.zeros(a, 0), *Cs), axis=1))
+    coords = hom_coords(F, ker, imgs.reshape(n.dim * a, nv * ker.shape[1], order="F"), free)
     if coords is None:
         raise ValueError("hom image left the hom space: the module actions "
                          "do not commute (check the module with validate)")
-    return Hom(FinModule(ring, ker.shape[1], tuple(coords[:, i::ring.nvars]
-                                                   for i in range(ring.nvars))), ker, free)
+    return Hom(FinModule(ring, ker.shape[1], tuple(coords[:, i::nv] for i in range(nv))),
+               ker, free)
 
 
-@memo(512)
+@memo
 def hom_module(m: FinModule, n: FinModule) -> Hom:
     """Hom_R(M, N) as a module: solves H X^M_i = X^N_i H.
 
-    Returns the hom module (action of a: H -> X^N(a) H) together with its
+    Returns the hom module (a: H -> X^N(a) H = H X^M(a)) together with its
     basis, the kernel matrix from `intertwiners`; shared, read-only (`memo`).
     """
     if m.ring != n.ring:
         raise ValueError("hom between modules over different rings")
-    F, nv = m.ring.field, m.ring.nvars
-    ker, free = intertwiners(F, m.actions, n.actions, n.dim, m.dim)
-    imgs = hom_images(F, ker, (n.dim, m.dim),
-                      left=np.concatenate((mx.zeros(0, n.dim), *n.actions)))
-    # one product with the X_i stacked: vec(vstack_i X_i H_j) is (row, i, column)
-    imgs = (imgs.reshape(n.dim, nv, m.dim, ker.shape[1], order="F").transpose(0, 2, 1, 3)
-            .reshape(n.dim * m.dim, nv * ker.shape[1], order="F"))
-    return _image_module(m.ring, ker, free, imgs)
+    return _hom(m.ring, m.dim, m.actions, m.actions, n)
 
 
 def f_flat(m: FinModule, power: int = 1) -> Hom:
@@ -419,14 +416,9 @@ def f_flat(m: FinModule, power: int = 1) -> Hom:
     adjunction F^(2,flat) = F^flat o F^flat on non-regular rings.)  Returns
     the module and its basis, the kernel matrix from `intertwiners`.
     """
-    F, R = m.ring.field, m.ring
+    R = m.ring
     mu_q = [_monomial_map(R.basis, _times(i, R.q ** power)) for i in range(R.nvars)]
-    ker, free = intertwiners(F, mu_q, m.actions, m.dim, R.dim)
-    imgs = hom_images(F, ker, (m.dim, R.dim),
-                      right=np.concatenate((mx.zeros(R.dim, 0), *R.mult_ops), axis=1))
-    # vec(H_j [mu_1 .. mu_n]) stacks the vec(H_j mu_i)
-    imgs = imgs.reshape(m.dim * R.dim, R.nvars * ker.shape[1], order="F")
-    return _image_module(R, ker, free, imgs)
+    return _hom(R, R.dim, mu_q, R.mult_ops, m)
 
 
 def f_flat_dim(m: FinModule, power: int = 1) -> int:

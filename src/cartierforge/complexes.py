@@ -50,7 +50,7 @@ def matlis_dual(t: Structured) -> Structured:
     return dualize_artinian(retruncate(t, index))[0]
 
 
-@memo(512)
+@memo
 def _x_index(m: FinModule):
     """The nilpotency index of x on `m`, memoized on the module."""
     return mx.nil_index(m.ring.field, m.actions[0])

@@ -49,7 +49,7 @@ def inverse_hull(ring: ArtinRing, power: int = 1) -> Structured:
                           np.ascontiguousarray(frobenius.T), power)
 
 
-@memo(256)
+@memo
 def dualizing_module(ring: ArtinRing, power: int = 1) -> Structured:
     """E_R = inverse_hull(ring, power), checked to be unit; memoized per
     ring and power (the unit check is the expensive part)."""
@@ -123,7 +123,7 @@ def pair_C_to_F(m: Structured, n: Structured) -> Hom:
     return Hom(f_module(hom, coords, m.power), ker, space.free)
 
 
-@memo(256)
+@memo
 def dualize_artinian(m: Structured):
     """D(M) = Hom(M, E_R) with the pairing structure of the opposite kind,
     and its hom basis.  Memoized on the content of M (`memo`): results are

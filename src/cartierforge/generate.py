@@ -15,7 +15,7 @@ import numpy as np
 
 from . import matrix as mx
 from .artinian import (ArtinRing, FinModule, fin_module, frobenius_pushforward,
-                       intertwiners, ring_make)
+                       hom_module, ring_make)
 from .field import GF, FiniteField
 from .pid import CARTIER, PidModule, pid_torsion
 from .structures import Structured, structured
@@ -86,11 +86,10 @@ def random_module(rng: random.Random, ring: ArtinRing, max_dim: int = 5) -> FinM
 
 def equivariant_solutions(module: FinModule, kind: str, power: int = 1) -> np.ndarray:
     """Kernel basis of the structure equivariance system (columns are
-    vectorized structure matrices)."""
-    Xs, Xqs = module.actions, frobenius_pushforward(module, power).actions
-    # Cartier: K X^q = X K;  Frobenius: T X = X^q T
-    As, Bs = (Xqs, Xs) if kind == CARTIER else (Xs, Xqs)
-    return intertwiners(module.ring.field, As, Bs, module.dim, module.dim)[0]
+    vectorized structure matrices): Hom_R(F_*M, M) for Cartier (K X^q = X K),
+    Hom_R(M, F_*M) for Frobenius (T X = X^q T)."""
+    pushed = frobenius_pushforward(module, power)
+    return (hom_module(pushed, module) if kind == CARTIER else hom_module(module, pushed))[1]
 
 
 def random_structure(rng: random.Random, module: FinModule, kind: str,

@@ -30,7 +30,7 @@ from .structures import (CARTIER, FROBENIUS, Structured, Unsupported,
 # -- the truncated injective hull --
 
 
-@memo(64)
+@memo
 def truncation_ring(field: FiniteField, level: int) -> ArtinRing:
     """GF(q)[x]/(x^level), memoized; its multiplication matrix is read-only."""
     return ring_make(field, ["x"], [[level]])

@@ -95,23 +95,30 @@ def f_module(module: FinModule, tau, power: int = 1) -> Structured:
 def validate(m: Structured) -> ValidationReport:
     """Check the commuting-square condition on every ring generator, plus
     underlying module validity.  Returns violations instead of raising."""
-    F, d, acts, n = m.ring.field, m.dim, m.module.actions, len(m.module.actions)
+    F, d, acts = m.ring.field, m.dim, m.module.actions
     out = module_violations(m.module)
     if m.mat.shape != (d, d):
         out.append("structure matrix has wrong shape")
         return ValidationReport(False, tuple(out))
     powers = frobenius_pushforward(m.module, m.power).actions
-    # K X^q = X K or T X = X^q T: one product a side, block i for variable i
+    # K X^q = X K or T X = X^q T
     right, left, law = ((powers, acts, "K*{0}^q = {0}*K") if m.kind == CARTIER
                         else (acts, powers, "T*{0} = {0}^q*T"))
-    lhs = mx.mmul(F, m.mat, np.concatenate((mx.zeros(d, 0), *right), axis=1))
-    rhs = mx.mmul(F, np.concatenate((mx.zeros(0, d), *left)), m.mat).reshape(n, d, d)
     out += [f"equivariance fails: {law.format(v)}" for v, a, b in
-            zip(m.ring.vars, lhs.reshape(d, n, d).transpose(1, 0, 2), rhs) if not mx.equal(a, b)]
+            zip(m.ring.vars, *_sides(F, m.mat, right, left)) if not mx.equal(a, b)]
     return ValidationReport(not out, tuple(out))
 
 
-@memo(512)
+def _sides(F, f: np.ndarray, As, Bs):
+    """(f A_i)_i and (B_i f)_i, each stacked to shape (len(As), *f.shape):
+    one product a side, with the A_i side by side and the B_i stacked."""
+    (r, c), k = f.shape, len(As)
+    lhs = mx.mmul(F, f, np.concatenate((mx.zeros(c, 0), *As), axis=1))
+    rhs = mx.mmul(F, np.concatenate((mx.zeros(0, r), *Bs)), f)
+    return lhs.reshape(r, k, c).transpose(1, 0, 2), rhs.reshape(k, r, c)
+
+
+@memo
 def nilpotency_index(m: Structured):
     """Least n <= dim with the n-fold structural composite zero, else inf;
     memoized on the structure.
@@ -219,7 +226,7 @@ def adjoint_structural(m: Structured):
     return a, flat, ker
 
 
-@memo(256)
+@memo
 def flat_cartier(m: Structured):
     """F^flat M as a Cartier module, with the transition data unitalize needs.
 
@@ -252,7 +259,7 @@ def is_unit(m: Structured) -> bool:
     return rows.size == d and f_flat_dim(m.module, m.power) == d
 
 
-@memo(256)
+@memo
 def _kappa_stack(m: Structured):
     """K = kappa_monomials(m), its first independent rows, and K[rows]^-1
     when they number dim, else None; shared and read-only (`memo`).  The
@@ -294,10 +301,8 @@ def is_morphism(f: np.ndarray, src: Structured, dst: Structured) -> bool:
     for the actions and structures, one product per side with them stacked."""
     if src.kind != dst.kind or src.power != dst.power:
         return False
-    F, (r, c), k = src.ring.field, f.shape, len(src.module.actions) + 1
-    left = mx.mmul(F, f, np.concatenate((*src.module.actions, src.mat), axis=1))
-    right = mx.mmul(F, np.concatenate((*dst.module.actions, dst.mat)), f)
-    return mx.equal(left.reshape(r, k, c).transpose(1, 0, 2), right.reshape(k, r, c))
+    return mx.equal(*_sides(src.ring.field, f, (*src.module.actions, src.mat),
+                            (*dst.module.actions, dst.mat)))
 
 
 class UnitalizeResult(NamedTuple):

@@ -3,6 +3,7 @@ and none takes a `check` flag.  Every scope boundary is one exception,
 `Unsupported`, raised where it is met and caught once, in
 `cli.run_command`.  Arrays are stacked by `np.concatenate` alone.  One
 record, `structures.Structured`, holds a Cartier or a Frobenius structure.
+One builder, `artinian._hom`, calls the Hom solver `intertwiners`.
 
 A function counts as public API when `cartierforge/__init__.py` imports
 it, and as used when some other top-level statement of the package refers
@@ -95,6 +96,23 @@ def _enclosing(node, parents) -> str:
         if isinstance(node, ast.FunctionDef):
             return node.name
     return ""
+
+
+def test_intertwiners_has_one_caller_the_hom_builder():
+    # every Hom space of the package, Hom(M, N), F^flat M and the structure
+    # spaces, is Hom_R(A, N) from `artinian._hom`: one system and one read
+    # of its module structure; no other code names the solver, not even by
+    # an import
+    users = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        parents = {child: node for node in ast.walk(tree)
+                   for child in ast.iter_child_nodes(node)}
+        users += [f"{path.stem}.{_enclosing(node, parents)}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and node.id == "intertwiners"
+                  or isinstance(node, ast.Attribute) and node.attr == "intertwiners"
+                  or isinstance(node, ast.alias) and node.name == "intertwiners"]
+    assert users == ["artinian._hom"]
 
 
 def test_unsupported_is_the_one_boundary_raised_and_caught_once():

@@ -29,8 +29,8 @@ import numpy as np
 import pytest
 
 from cartierforge import matrix as mx
-from cartierforge.artinian import (MEMOS, ArtinRing, FinModule, Hom, _array_key, f_flat,
-                                   fin_module, frobenius_pushforward, hom_module,
+from cartierforge.artinian import (MEMO_SIZE, MEMOS, ArtinRing, FinModule, Hom, _array_key,
+                                   f_flat, fin_module, frobenius_pushforward, hom_module,
                                    i_torsion, quotient_ring, regular_module,
                                    restrict_scalars, ring_make, zero_module)
 from cartierforge.cli import parse_problem
@@ -133,9 +133,9 @@ def test_the_same_integer_matrices_over_two_fields_are_two_entries():
 def test_the_kernel_cache_is_bounded():
     ring = ring_make(2, [], [])
     zero = fin_module(ring, [], 0)
-    for n in range(600):    # 600 distinct pairs, each with an empty space
+    for n in range(MEMO_SIZE + 44):     # distinct pairs, each with an empty space
         hom_module(fin_module(ring, [], n), zero)
-    assert hom_module.cache_info().currsize == 512
+    assert hom_module.cache_info().currsize == MEMO_SIZE
 
 
 # -- the memo of the F^flat stages --
@@ -186,13 +186,13 @@ def test_the_same_integer_structure_over_two_fields_is_two_stage_entries():
 
 
 def test_the_flat_stage_memo_is_bounded():
-    # 300 distinct structures on k^2 over GF(17)[] (no variables)
+    # MEMO_SIZE + 44 distinct structures on k^2 over GF(17)[] (no variables)
     ring = ring_make(17, [], [])
-    for i in range(300):
+    for i in range(MEMO_SIZE + 44):
         # the base-17 digits of i
         flat_cartier(cartier_module(fin_module(ring, [], 2),
                                     [[i % 17, i // 17 % 17], [i // 289, 1]]))
-    assert flat_cartier.cache_info().currsize == 256
+    assert flat_cartier.cache_info().currsize == MEMO_SIZE
 
 
 def residue_fields():
@@ -329,18 +329,18 @@ def test_a_quotient_ring_and_the_equal_plain_ring_share_one_dual_entry():
 
 
 def test_the_dual_memo_is_bounded():
-    # 300 distinct structures on k^2 over GF(17)[] (no variables)
+    # MEMO_SIZE + 44 distinct structures on k^2 over GF(17)[] (no variables)
     ring = ring_make(17, [], [])
-    for i in range(300):
+    for i in range(MEMO_SIZE + 44):
         dualize_artinian(cartier_module(fin_module(ring, [], 2), [[i % 17, i // 17], [0, 1]]))
-    assert dualize_artinian.cache_info().currsize == 256
+    assert dualize_artinian.cache_info().currsize == MEMO_SIZE
 
 
 def test_the_dualizing_module_memo_is_bounded():
     ring = ring_make(17, [], [])
-    for power in range(1, 301):
+    for power in range(1, MEMO_SIZE + 45):
         dualizing_module(ring, power)
-    assert dualizing_module.cache_info().currsize == 256
+    assert dualizing_module.cache_info().currsize == MEMO_SIZE
 
 
 # -- the reduced kappa stack --
@@ -401,11 +401,11 @@ def test_e_r_is_reduced_once_for_its_unit_check_and_every_pairing():
 
 def test_the_kappa_stack_memo_is_bounded():
     ring = ring_make(17, [], [])
-    for i in range(300):
+    for i in range(MEMO_SIZE + 44):
         # the base-17 digits of i
         is_unit(cartier_module(fin_module(ring, [], 2),
                                [[i % 17, i // 17 % 17], [i // 289, 1]]))
-    assert _kappa_stack.cache_info().currsize == 256
+    assert _kappa_stack.cache_info().currsize == MEMO_SIZE
 
 
 # -- the nilpotency index --
@@ -431,10 +431,10 @@ def test_the_same_integer_structure_over_two_fields_is_two_nilpotency_entries():
 
 def test_the_nilpotency_memo_is_bounded():
     ring = ring_make(17, [], [])
-    for i in range(600):
+    for i in range(MEMO_SIZE + 44):
         nilpotency_index(cartier_module(fin_module(ring, [], 2),
                                          [[i % 17, i // 17 % 17], [i // 289, 0]]))
-    assert nilpotency_index.cache_info().currsize == 512
+    assert nilpotency_index.cache_info().currsize == MEMO_SIZE
 
 
 @pytest.mark.parametrize("path", sorted((RUN.parent / "inputs").glob("*/*_00.json")),
